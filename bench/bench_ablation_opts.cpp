@@ -44,7 +44,7 @@ static void BM_Ablation(benchmark::State &State, RaceDetectorOptions Opts) {
   auto PTA = runPointerAnalysis(*M, PTAOpts);
   SHBGraph SHB = buildSHBGraph(*PTA, Opts.SHB);
   for (auto _ : State) {
-    RaceReport R = detectRaces(*PTA, SHB, Opts);
+    RaceReport R = detectRacesPairwise(*PTA, SHB, Opts);
     State.counters["races"] = R.numRaces();
     State.counters["pairs"] =
         static_cast<double>(R.stats().get("race.pairs-checked"));
@@ -61,11 +61,10 @@ static void BM_Ablation(benchmark::State &State, RaceDetectorOptions Opts) {
 int main(int Argc, char **Argv) {
   auto Register = [](const char *Name, bool HB, bool Lockset, bool Merge) {
     RaceDetectorOptions Opts;
-    // The serial engine with the memoized fixpoint is the configuration
-    // the paper's Section 4.1 ablation describes; the parallel engine
-    // and the precomputed HB index are benchmarked in bench_race_engine.
-    Opts.Engine = RaceEngineKind::Serial;
-    Opts.HB = HB ? RaceHBKind::Memo : RaceHBKind::Naive;
+    // The pairwise scan is the detector the paper's Section 4.1 ablation
+    // describes; the class-based engine is benchmarked in
+    // bench_race_engine.
+    Opts.HB = HB ? RaceHBKind::Index : RaceHBKind::Naive;
     Opts.CacheLocksetChecks = Lockset;
     Opts.LockRegionMerging = Merge;
     benchmark::RegisterBenchmark(Name, BM_Ablation, Opts)

@@ -1,4 +1,4 @@
-//===- bench_race_engine.cpp - serial vs parallel race-engine scaling -----------===//
+//===- bench_race_engine.cpp - class scan vs pairwise race scan ----------------===//
 //
 // Part of the O2 project, an implementation of the PLDI 2021 paper
 // "When Threads Meet Events: Efficient and Precise Static Race Detection
@@ -6,23 +6,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the sharded, class-based race engine against the serial
-// pairwise oracle on race-heavy generated workloads, and ablates its two
-// index structures:
+// Measures the class-based race engine against the pairwise reference
+// scan on race-heavy generated workloads:
 //
-//   - engine/serial-*     : the serial engine, one line per HB mode
-//                           (naive BFS, memoized fixpoint, precomputed
-//                           index) — the HB-index speedup in isolation;
-//   - engine/parallel/J   : the parallel engine at J worker threads —
-//                           J=1 measures the pure class-math win, higher
-//                           J the sharding scalability;
-//   - engine/no-matrix/J  : parallel with the precomputed lockset matrix
-//                           disabled (shard-local memo caches instead).
+//   - engine/pairwise-naive : the pairwise scan with naive BFS HB queries;
+//   - engine/pairwise-index : the pairwise scan over the precomputed HB
+//                             index — the HB-index speedup in isolation;
+//   - engine/classes        : detectRaces, the equivalence-class scan —
+//                             the class-math win on top of the index.
 //
-// Every line reports the race count and the schedule-independent work
-// counters, so a report divergence between configurations is visible
-// directly in the table (the counters must match across all of them; the
-// byte-level contract is enforced by ParallelRaceEngineTest and CI).
+// Every line reports the race count and the work counters, so a report
+// divergence between configurations is visible directly in the table
+// (the counters must match across all of them; the byte-level contract
+// is enforced by RaceEngineEquivalenceTest).
 // Pass --benchmark_format=json for machine-readable output.
 //
 //===----------------------------------------------------------------------===//
@@ -32,9 +28,8 @@
 using namespace o2;
 using namespace o2bench;
 
-/// A race-heavy workload with enough shared locations for sharding to
-/// bite: many threads and handlers hammering a mix of racy, locked, and
-/// read-only objects. The largest profile the equivalence tests skip.
+/// A race-heavy workload: many threads and handlers hammering a mix of
+/// racy, locked, and read-only objects.
 static WorkloadProfile engineProfile(unsigned Scale) {
   WorkloadProfile P;
   P.Name = "engine-x" + std::to_string(Scale);
@@ -79,11 +74,14 @@ const Prepared &prepared(unsigned Scale) {
 
 } // namespace
 
+using DetectFn = RaceReport (*)(const PTAResult &, const SHBGraph &,
+                                const RaceDetectorOptions &);
+
 static void BM_Engine(benchmark::State &State, unsigned Scale,
-                      RaceDetectorOptions Opts) {
+                      DetectFn Detect, RaceDetectorOptions Opts) {
   const Prepared &P = prepared(Scale);
   for (auto _ : State) {
-    RaceReport R = detectRaces(*P.PTA, P.SHB, Opts);
+    RaceReport R = Detect(*P.PTA, P.SHB, Opts);
     State.counters["races"] = R.numRaces();
     State.counters["pairs"] =
         static_cast<double>(R.stats().get("race.pairs-checked"));
@@ -97,46 +95,26 @@ static void BM_Engine(benchmark::State &State, unsigned Scale,
 
 int main(int Argc, char **Argv) {
   auto Register = [](const std::string &Name, unsigned Scale,
-                     RaceDetectorOptions Opts) {
-    benchmark::RegisterBenchmark(Name.c_str(), BM_Engine, Scale, Opts)
+                     DetectFn Detect, RaceDetectorOptions Opts) {
+    benchmark::RegisterBenchmark(Name.c_str(), BM_Engine, Scale, Detect, Opts)
         ->Unit(benchmark::kMillisecond);
   };
 
   for (unsigned Scale : {1u, 4u}) {
     std::string Tag = "/x" + std::to_string(Scale);
-
-    for (auto [HBName, HB] :
-         {std::pair<const char *, RaceHBKind>{"naive", RaceHBKind::Naive},
-          {"memo", RaceHBKind::Memo},
-          {"index", RaceHBKind::Index}}) {
-      // The naive BFS is quadratic per query; keep it off the big scale
-      // so the harness stays runnable as a CI smoke test.
-      if (Scale > 1 && HB == RaceHBKind::Naive)
-        continue;
-      RaceDetectorOptions Opts;
-      Opts.Engine = RaceEngineKind::Serial;
-      Opts.HB = HB;
-      Register("engine/serial-" + std::string(HBName) + Tag, Scale, Opts);
-    }
-
-    for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
-      RaceDetectorOptions Opts;
-      Opts.Engine = RaceEngineKind::Parallel;
-      Opts.Jobs = Jobs;
-      Opts.MinParallelLocations = 1;
-      Register("engine/parallel/" + std::to_string(Jobs) + Tag, Scale, Opts);
-    }
-
-    RaceDetectorOptions NoMatrix;
-    NoMatrix.Engine = RaceEngineKind::Parallel;
-    NoMatrix.Jobs = 4;
-    NoMatrix.MinParallelLocations = 1;
-    NoMatrix.LocksetMatrixMaxSize = 0;
-    Register("engine/no-matrix/4" + Tag, Scale, NoMatrix);
+    RaceDetectorOptions Naive;
+    Naive.HB = RaceHBKind::Naive;
+    // The naive BFS is quadratic per query; keep it off the big scale so
+    // the harness stays runnable as a CI smoke test.
+    if (Scale == 1)
+      Register("engine/pairwise-naive" + Tag, Scale, detectRacesPairwise,
+               Naive);
+    Register("engine/pairwise-index" + Tag, Scale, detectRacesPairwise, {});
+    Register("engine/classes" + Tag, Scale, detectRaces, {});
   }
 
   return runBenchmarks(
       Argc, Argv,
-      "Race-engine scaling: serial HB modes vs the sharded class-based "
-      "engine at 1/2/4/8 jobs (counters must agree across every row)");
+      "Race engine: pairwise scan (naive HB, HB index) vs the class-based "
+      "scan (counters must agree across every row)");
 }

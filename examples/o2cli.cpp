@@ -30,14 +30,11 @@
 //   --stats                         print per-phase timings and analysis
 //                                   statistics as one JSON object line
 //   --no-serialize-events           disable the Section 4.2 treatment
-//   --race-engine=<parallel|serial> race-check engine (default parallel;
-//                                   both produce byte-identical reports)
-//   --race-hb=<index|memo|naive>    serial-engine happens-before queries
-//                                   (default index; naive is the oracle)
-//   --race-jobs=<n>                 parallel-engine worker threads
-//                                   (default: hardware concurrency)
+//   --race-hb=<index|naive>         happens-before queries (default
+//                                   index; naive runs the pairwise
+//                                   BFS oracle)
 //   --naive                         disable all detector optimizations
-//                                   (serial engine, naive HB, no caches)
+//                                   (naive HB, no caches, no merging)
 //   --racerd                        shorthand: add racerd to --analyses
 //   --deadlocks                     shorthand: add deadlock to --analyses
 //   --oversync                      shorthand: add oversync to --analyses
@@ -109,7 +106,13 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
         return false;
       }
     } else if (Arg.rfind("--k=", 0) == 0) {
-      Cli.Config.PTA.K = static_cast<unsigned>(std::stoul(Value("--k=")));
+      uint64_t K = 0;
+      std::string Err;
+      if (!parseUnsignedFlag(Arg, K, Err, ~0u)) {
+        errs() << "error: " << Err << '\n';
+        return false;
+      }
+      Cli.Config.PTA.K = static_cast<unsigned>(K);
     } else if (Arg.rfind("--solver=", 0) == 0) {
       std::string Solver = Value("--solver=");
       if (Solver == "wave")
@@ -132,31 +135,16 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
       Cli.Stats = true;
     } else if (Arg == "--no-serialize-events") {
       Cli.Config.Detector.SHB.SerializeEventHandlers = false;
-    } else if (Arg.rfind("--race-engine=", 0) == 0) {
-      std::string Engine = Value("--race-engine=");
-      if (Engine == "serial")
-        Cli.Config.Detector.Engine = RaceEngineKind::Serial;
-      else if (Engine == "parallel")
-        Cli.Config.Detector.Engine = RaceEngineKind::Parallel;
-      else {
-        errs() << "error: unknown race engine '" << Engine << "'\n";
-        return false;
-      }
     } else if (Arg.rfind("--race-hb=", 0) == 0) {
       std::string HB = Value("--race-hb=");
       if (HB == "naive")
         Cli.Config.Detector.HB = RaceHBKind::Naive;
-      else if (HB == "memo")
-        Cli.Config.Detector.HB = RaceHBKind::Memo;
       else if (HB == "index")
         Cli.Config.Detector.HB = RaceHBKind::Index;
       else {
         errs() << "error: unknown race HB mode '" << HB << "'\n";
         return false;
       }
-    } else if (Arg.rfind("--race-jobs=", 0) == 0) {
-      Cli.Config.Detector.Jobs =
-          static_cast<unsigned>(std::stoul(Value("--race-jobs=")));
     } else if (Arg == "--naive") {
       Cli.Naive = true;
     } else if (Arg == "--racerd") {
@@ -294,7 +282,6 @@ int main(int Argc, char **Argv) {
     outs() << printModule(*M) << '\n';
 
   if (Cli.Naive) {
-    Cli.Config.Detector.Engine = RaceEngineKind::Serial;
     Cli.Config.Detector.HB = RaceHBKind::Naive;
     Cli.Config.Detector.CacheLocksetChecks = false;
     Cli.Config.Detector.LockRegionMerging = false;

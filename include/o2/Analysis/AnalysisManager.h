@@ -19,7 +19,7 @@
 ///    the order the old facade hardwired),
 ///  - computes each result **once** per module and shares it with every
 ///    consumer (one PTA and one SHB feed race + deadlock + over-sync;
-///    one HBIndex feeds both race engines),
+///    one HBIndex feeds every race detector run),
 ///  - threads the per-job CancellationToken uniformly through every pass
 ///    and records the pass it fired in, so a timeout in *any* analysis —
 ///    including the aux detectors — names the real phase,
@@ -161,9 +161,9 @@ struct O2Config {
 
 /// Deterministic fingerprint of the configuration as seen by pass \p K:
 /// a hash of the result-affecting options, the pass version, and the
-/// fingerprints of its dependencies. Pure performance knobs (worker
-/// counts, pools, matrix size limits) are excluded — they never change
-/// a pass's result.
+/// fingerprints of its dependencies. Fields that never change a pass's
+/// result (the cancellation token, the pass hook, a prebuilt HBIndex)
+/// are excluded.
 uint64_t passFingerprint(O2Phase K, const O2Config &Config);
 
 /// Fingerprint of a whole request: the fold of passFingerprint over the

@@ -38,7 +38,6 @@
 namespace o2 {
 
 class OutputStream;
-class ThreadPool;
 
 /// Terminal state of one analysis job.
 enum class JobStatus : uint8_t {
@@ -269,18 +268,9 @@ struct BatchResult {
 BatchResult runBatch(const std::vector<JobSpec> &Specs,
                      const BatchOptions &Opts = {});
 
-/// Runs a single spec synchronously (what each pool worker executes).
+/// Runs a single spec synchronously on the calling thread, with no
+/// isolation, retry or degradation (runJobContained adds those).
 JobResult runOneJob(const JobSpec &Spec, const BatchOptions &Opts = {});
-
-/// Same, but lends \p SharedPool to the job's parallel race engine
-/// (unless the configuration already names a pool). The engine's
-/// caller-participation scheduling makes this safe from a pool worker:
-/// the job never blocks waiting on unrelated pool tasks, so batch-level
-/// and race-level parallelism share one set of threads instead of
-/// multiplying. Results are unaffected — the race engine is
-/// report-deterministic for any pool.
-JobResult runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
-                    ThreadPool *SharedPool);
 
 /// Runs one spec in a forked sandboxed worker (fork + result pipe): the
 /// child applies the --mem-limit-mb address-space cap, streams stage
@@ -298,8 +288,7 @@ JobResult runOneJobIsolated(const JobSpec &Spec, const BatchOptions &Opts);
 /// for Timeout / OOM (one re-run, context-insensitive PTA, tagged
 /// degraded + never cached). This is what each runBatch pool worker
 /// executes.
-JobResult runJobContained(const JobSpec &Spec, const BatchOptions &Opts,
-                          ThreadPool *SharedPool = nullptr);
+JobResult runJobContained(const JobSpec &Spec, const BatchOptions &Opts);
 
 /// Baseline for diff mode: module name -> race fingerprints, recovered
 /// from a previous JSONL report.
@@ -321,6 +310,14 @@ void printJSONL(const BatchResult &R, OutputStream &OS,
 
 /// Writes a short human-readable fleet summary.
 void printBatchSummary(const BatchResult &R, OutputStream &OS);
+
+/// Strict parser for a numeric flag, \p Arg being the whole argument
+/// ("--name=value"). The value must be a non-empty run of decimal digits
+/// no larger than \p Max: a sign, whitespace, trailing characters and
+/// overflow are rejected. On failure returns false and sets \p Err to a
+/// message naming the flag; both CLIs then exit with ExitError.
+bool parseUnsignedFlag(const std::string &Arg, uint64_t &Out,
+                       std::string &Err, uint64_t Max = ~uint64_t(0));
 
 /// The shared CLI behind `o2batch ...` and `o2cli --batch ...`: parses
 /// \p Args (flags plus positional .oir files / directories), runs the

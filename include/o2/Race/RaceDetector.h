@@ -8,34 +8,24 @@
 ///
 /// \file
 /// The race detection engine of Section 4: hybrid happens-before + lockset
-/// over the SHB graph. Two engines share one candidate collection and one
-/// report format:
+/// over the SHB graph.
 ///
-///  - **Serial** — the straightforward pairwise scan over every shared
-///    location, kept as the equivalence oracle. Each optimization of
-///    Section 4.1 can be disabled, which yields the D4-style straw-man
-///    detector the paper compares against.
+/// detectRaces groups the accesses to each shared location into
+/// (thread, HB segment, lockset, is-write) equivalence classes, so the
+/// n^2 pairwise loop becomes c^2 class-pair checks: one lockset lookup
+/// and two precomputed reachability lookups decide a whole class pair,
+/// and the racy subset of a class pair is a prefix-rectangle found by
+/// binary search. Happens-before is answered by the precomputed HBIndex
+/// and lockset intersection by the precomputed LocksetMatrix when the
+/// interned universe is small (SHBGraph's memo otherwise).
 ///
-///  - **Parallel** (default) — shards the sorted candidate-location list
-///    across a work-stealing thread pool and, per location, groups
-///    accesses into (thread, HB segment, lockset, is-write) equivalence
-///    classes so the n^2 pairwise loop becomes c^2 class-pair checks:
-///    one lockset lookup and two precomputed reachability lookups decide
-///    a whole class pair, and the racy subset of a class pair is a
-///    prefix-rectangle found by binary search. Happens-before is answered
-///    by the precomputed HBIndex (O(1) per query) and lockset
-///    intersection by the precomputed LocksetMatrix when the interned
-///    universe is small (shard-local caches otherwise).
-///
-/// The parallel engine is *report- and statistics-deterministic*: for any
-/// worker count it produces byte-identical reports — and equal counters —
-/// to the serial engine, because per-location results are merged in
-/// canonical (sorted-location) order and every counter accounts for the
-/// pairs a class pair covers rather than the lookups actually performed.
-/// Two exceptions fall back to the serial path: a finite MaxPairChecks
-/// budget (budget exhaustion is defined by the serial scan order), and
-/// cancellation makes *which* locations complete timing-dependent in
-/// either engine.
+/// detectRacesPairwise is the straightforward pairwise scan, kept as the
+/// reference implementation: the class scan produces byte-identical
+/// reports and equal counters to it. Each optimization of Section 4.1
+/// can be disabled, which yields the D4-style straw-man detector the
+/// paper compares against. detectRaces forwards to it when HB is Naive
+/// (that ablation) or MaxPairChecks is finite (the budget is defined by
+/// the pairwise scan order).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,40 +42,22 @@ namespace o2 {
 
 class HBIndex;
 class OutputStream;
-class ThreadPool;
-
-namespace race_detail {
-struct RaceReportAccess;
-} // namespace race_detail
-
-/// Which race-check engine runs the pairing phase.
-enum class RaceEngineKind : uint8_t {
-  Serial,   ///< Pairwise oracle; required for finite MaxPairChecks.
-  Parallel, ///< Sharded, class-based, index-accelerated engine.
-};
 
 /// How happens-before queries are answered.
 enum class RaceHBKind : uint8_t {
-  Naive, ///< Per-event BFS over the SHB graph (D4-style straw man).
-  Memo,  ///< SHBGraph's memoized spawn-bucket reachability (optimization
-         ///< 1 as shipped before the index; serial engine only).
+  Naive, ///< Per-event BFS over the SHB graph (D4-style straw man); runs
+         ///< the pairwise scan.
   Index, ///< Precomputed HBIndex, O(1) per query (default).
 };
 
 struct RaceDetectorOptions {
-  /// Engine selection (`o2cli --race-engine=`). The parallel engine falls
-  /// back to the serial path when MaxPairChecks is finite.
-  RaceEngineKind Engine = RaceEngineKind::Parallel;
-
-  /// Happens-before implementation (`o2cli --race-hb=`). All three are
+  /// Happens-before implementation (`o2cli --race-hb=`). Both are
   /// semantically identical; Naive is the correctness oracle for the
-  /// index. The parallel engine always derives verdicts from the index
-  /// (its class math *is* the index); the knob selects the serial
-  /// engine's query path.
+  /// index and selects the pairwise scan.
   RaceHBKind HB = RaceHBKind::Index;
 
   /// Optimization 2: canonical lockset IDs with cached intersections
-  /// (and, in the parallel engine, the precomputed intersection matrix).
+  /// (and, in the class scan, the precomputed intersection matrix).
   bool CacheLocksetChecks = true;
 
   /// Optimization 3: merge same-location accesses within a lock region.
@@ -96,43 +68,23 @@ struct RaceDetectorOptions {
   /// future-work treatment of std::atomic).
   bool HandleAtomics = true;
 
-  /// Parallel engine: worker threads (0 = hardware concurrency). The
-  /// calling thread always participates, so Jobs=1 runs inline.
-  unsigned Jobs = 0;
-
-  /// Parallel engine: external pool to run shards on instead of spawning
-  /// one (not owned). The caller participates in the work and never
-  /// blocks on unrelated tasks, so sharing the batch driver's pool is
-  /// safe even when every pool worker is busy with other modules.
-  ThreadPool *Pool = nullptr;
-
-  /// Parallel engine: below this many candidate locations the sharding
-  /// overhead cannot pay off and the scan runs inline on the caller.
-  unsigned MinParallelLocations = 33;
-
-  /// Parallel engine: build the full lockset-intersection bit matrix
-  /// when the interned universe has at most this many locksets
-  /// (quadratic bits); larger universes use shard-local caches.
-  unsigned LocksetMatrixMaxSize = 2048;
-
   /// Hard cap on conflicting pairs checked; exceeding it aborts the scan
   /// and sets the "race.budget-hit" statistic — benchmark harnesses use
-  /// this the way the paper reports ">4h" detector runs. Forces the
-  /// serial engine (the budget is defined by the serial scan order).
+  /// this the way the paper reports ">4h" detector runs. A finite budget
+  /// selects the pairwise scan, whose order defines it.
   uint64_t MaxPairChecks = ~uint64_t(0);
 
   /// Optional cooperative cancellation, polled per candidate pair
-  /// (serial) or per candidate location (parallel); on expiry the scan
-  /// stops and the partial report is flagged (the "race.cancelled"
-  /// statistic). Not owned.
+  /// (pairwise scan) or per candidate location (class scan); on expiry
+  /// the scan stops and the partial report is flagged (the
+  /// "race.cancelled" statistic). Not owned.
   const CancellationToken *Cancel = nullptr;
 
   /// Optional prebuilt HBIndex over the same SHB graph (not owned). When
-  /// set, the engines use it instead of building their own — the
+  /// set, the scans use it instead of building their own — the
   /// AnalysisManager passes the shared HBIndex pass result here so one
-  /// index build serves any number of detector runs. Only consulted on
-  /// the paths that would have built one (parallel engine; serial with
-  /// HB == Index): reports and statistics are unaffected.
+  /// index build serves any number of detector runs. Only consulted when
+  /// HB == Index: reports and statistics are unaffected.
   const HBIndex *Index = nullptr;
 
   /// Forwarded to the SHB builder when the detector builds its own graph.
@@ -156,8 +108,8 @@ public:
   unsigned numRaces() const { return static_cast<unsigned>(Races.size()); }
 
   /// Detector counters: pairs checked, HB queries, lockset checks,
-  /// shared locations, threads, events. Counters are engine-independent
-  /// (see file comment); only `race.*-cache-*` diagnostics may differ.
+  /// shared locations, threads, events. Both scans produce equal
+  /// counters (see file comment).
   const StatisticRegistry &stats() const { return Stats; }
 
   /// Prints a human-readable report.
@@ -172,8 +124,6 @@ public:
 
 private:
   friend class RaceDetector;
-  friend class ParallelRaceEngine;
-  friend struct race_detail::RaceReportAccess;
 
   bool Cancelled = false;
   std::vector<Race> Races;
@@ -183,6 +133,11 @@ private:
 /// Detects races over a prebuilt SHB graph.
 RaceReport detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
                        const RaceDetectorOptions &Opts = {});
+
+/// The pairwise reference scan over a prebuilt SHB graph: the test oracle
+/// for detectRaces and the Section 4.1 ablation baseline.
+RaceReport detectRacesPairwise(const PTAResult &PTA, const SHBGraph &SHB,
+                               const RaceDetectorOptions &Opts = {});
 
 /// Builds the SHB graph and detects races.
 RaceReport detectRaces(const PTAResult &PTA,

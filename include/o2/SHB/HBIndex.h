@@ -10,11 +10,10 @@
 /// Immutable, fully precomputed query indexes over a built SHBGraph.
 ///
 /// `SHBGraph::happensBefore` and `SHBGraph::locksetsIntersect` answer
-/// queries through mutable memoization caches, which is fine for the
-/// serial detector but (a) re-runs the spawn/join fixpoint on every cache
-/// miss and (b) cannot be shared across the parallel race engine's worker
-/// threads. The two classes here trade one up-front construction pass for
-/// O(1), lock-free, shareable lookups:
+/// queries through mutable memoization caches, which (a) re-run the
+/// spawn/join fixpoint on every cache miss and (b) cannot be shared
+/// across threads. The two classes here trade one up-front construction
+/// pass for O(1), lock-free, shareable lookups:
 ///
 ///  - HBIndex: per-segment reachability clocks. Each thread's trace is
 ///    cut into segments at its spawn-edge positions (cross-thread
@@ -28,9 +27,9 @@
 ///
 ///  - LocksetMatrix: the full pairwise intersection relation of the
 ///    interned lockset universe as one bit matrix, built with the
-///    uncached merge test. The race engines consult it when the universe
-///    is small (quadratic memory); otherwise the parallel engine falls
-///    back to shard-local memo caches.
+///    uncached merge test. The race engine consults it when the universe
+///    is small (quadratic memory); otherwise it falls back to
+///    SHBGraph's memo.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,8 +15,8 @@
 /// gracefully instead of stalling the fleet.
 ///
 /// Threading model: any thread may call cancel(); poll() may be called
-/// concurrently from many threads (the parallel race engine's shard
-/// workers all poll one token) — the poll counter is a relaxed atomic, so
+/// concurrently from many threads (batch jobs on a shared pool may poll
+/// one token) — the poll counter is a relaxed atomic, so
 /// the fast path stays two relaxed atomic ops and the 1-in-64 clock-read
 /// sampling is approximate across pollers, which is fine for a deadline.
 ///

@@ -62,10 +62,9 @@ constexpr std::array<uint32_t, NumO2Phases> PassVersion = {
 
 /// Declared dependencies of pass \p K under \p Config. Every dependency
 /// has a smaller enum value, so ascending enum order is a topological
-/// schedule. The race pass only depends on the HBIndex pass when the
-/// selected engine actually consults the index — pre-building it for the
-/// naive/memo ablations would distort exactly the measurements those
-/// modes exist for.
+/// schedule. The race pass only depends on the HBIndex pass when it
+/// actually consults the index — pre-building it for the naive ablation
+/// would distort exactly the measurements that mode exists for.
 SmallVector<O2Phase, 3> depsOf(O2Phase K, const O2Config &Config) {
   switch (K) {
   case O2Phase::None:
@@ -79,16 +78,10 @@ SmallVector<O2Phase, 3> depsOf(O2Phase K, const O2Config &Config) {
     return {O2Phase::PTA};
   case O2Phase::HBIndex:
     return {O2Phase::PTA, O2Phase::SHB};
-  case O2Phase::Detect: {
-    // The parallel engine's class math is built on the index; the serial
-    // engine uses it only under --race-hb=index. A finite pair budget
-    // forces the serial path (see RaceDetector.h).
-    bool Parallel = Config.Detector.Engine == RaceEngineKind::Parallel &&
-                    Config.Detector.MaxPairChecks == ~uint64_t(0);
-    if (Parallel || Config.Detector.HB == RaceHBKind::Index)
+  case O2Phase::Detect:
+    if (Config.Detector.HB == RaceHBKind::Index)
       return {O2Phase::PTA, O2Phase::SHB, O2Phase::HBIndex};
     return {O2Phase::PTA, O2Phase::SHB};
-  }
   case O2Phase::Deadlock:
     return {O2Phase::PTA, O2Phase::SHB};
   case O2Phase::OverSync:
@@ -144,11 +137,7 @@ uint64_t localFingerprint(O2Phase K, const O2Config &Config) {
   }
   case O2Phase::Detect: {
     const RaceDetectorOptions &O = Config.Detector;
-    // Engine/HB selection changes diagnostics-level counters and the
-    // budget semantics; worker counts, pools and matrix thresholds are
-    // pure performance knobs and deliberately excluded (the engines'
-    // reports are deterministic for any of them).
-    H = hashU64(static_cast<uint64_t>(O.Engine), H);
+    // HB selection changes the "race.hb-index-segments" counter.
     H = hashU64(static_cast<uint64_t>(O.HB), H);
     H = hashU64(O.CacheLocksetChecks, H);
     H = hashU64(O.LockRegionMerging, H);

@@ -19,12 +19,14 @@
 #include "o2/Support/ThreadPool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 
 using namespace o2;
 
@@ -169,11 +171,6 @@ static std::string readFileContent(const std::string &Path, bool &Ok) {
 }
 
 JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
-  return runOneJob(Spec, Opts, nullptr);
-}
-
-JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
-                        ThreadPool *SharedPool) {
   JobResult R;
   R.Name = Spec.Name;
   R.Analyses = Opts.Analyses;
@@ -291,8 +288,6 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts,
     // analysis phases are where pathological modules blow up.
     CancellationToken Deadline;
     O2Config Cfg = Opts.Config;
-    if (!Cfg.Detector.Pool && SharedPool)
-      Cfg.Detector.Pool = SharedPool;
     if (Opts.DeadlineMs) {
       Deadline.setDeadlineMs(double(Opts.DeadlineMs));
       Cfg.Cancel = &Deadline;
@@ -405,12 +400,10 @@ static O2Config degradedConfigFor(const O2Config &Cfg) {
   return D;
 }
 
-JobResult o2::runJobContained(const JobSpec &Spec, const BatchOptions &Opts,
-                              ThreadPool *SharedPool) {
-  auto Attempt = [&Spec, SharedPool](const BatchOptions &O) {
-    return O.Isolate == IsolationMode::Process
-               ? runOneJobIsolated(Spec, O)
-               : runOneJob(Spec, O, SharedPool);
+JobResult o2::runJobContained(const JobSpec &Spec, const BatchOptions &Opts) {
+  auto Attempt = [&Spec](const BatchOptions &O) {
+    return O.Isolate == IsolationMode::Process ? runOneJobIsolated(Spec, O)
+                                               : runOneJob(Spec, O);
   };
   auto Transient = [](JobStatus S) {
     return S == JobStatus::Crashed || S == JobStatus::OOM ||
@@ -462,11 +455,8 @@ BatchResult o2::runBatch(const std::vector<JobSpec> &Specs,
     // only synchronization needed is the pool's own wait().
     ThreadPool Pool(Opts.Jobs);
     for (size_t I = 0; I < Specs.size(); ++I)
-      Pool.submit([&R, &Specs, &Opts, &Pool, I] {
-        // Jobs lend the batch pool to their parallel race engine, so a
-        // lone huge module at the tail of the corpus fans out over the
-        // workers the finished jobs freed up.
-        R.Jobs[I] = runJobContained(Specs[I], Opts, &Pool);
+      Pool.submit([&R, &Specs, &Opts, I] {
+        R.Jobs[I] = runJobContained(Specs[I], Opts);
       });
     Pool.wait();
   }
@@ -772,6 +762,30 @@ void o2::printBatchSummary(const BatchResult &R, OutputStream &OS) {
 // CLI
 //===----------------------------------------------------------------------===//
 
+bool o2::parseUnsignedFlag(const std::string &Arg, uint64_t &Out,
+                           std::string &Err, uint64_t Max) {
+  size_t Eq = Arg.find('=');
+  std::string Flag = Arg.substr(0, Eq);
+  std::string Text = Eq == std::string::npos ? "" : Arg.substr(Eq + 1);
+  const char *End = Text.data() + Text.size();
+  uint64_t V = 0;
+  auto [Ptr, EC] = std::from_chars(Text.data(), End, V);
+  if (EC == std::errc::result_out_of_range ||
+      (EC == std::errc() && Ptr == End && V > Max)) {
+    Err = "value '" + Text + "' for " + Flag + " is out of range (max " +
+          std::to_string(Max) + ")";
+    return false;
+  }
+  // from_chars takes no '+' and, for unsigned types, no '-'.
+  if (EC != std::errc() || Ptr != End) {
+    Err = "invalid value '" + Text + "' for " + Flag +
+          ": expected an unsigned integer";
+    return false;
+  }
+  Out = V;
+  return true;
+}
+
 static void printBatchUsage(OutputStream &OS) {
   OS << "usage: o2batch [options] <file.oir | directory>...\n"
      << "\n"
@@ -829,11 +843,9 @@ static void printBatchUsage(OutputStream &OS) {
         "(default: origin)\n"
      << "  --k=N             context depth for cfa/obj\n"
      << "  --solver=S        pta solver: wave, worklist\n"
-     << "  --race-engine=E   race engine: parallel (default), serial\n"
-     << "  --race-hb=H       serial-engine HB queries: index (default), "
-        "memo, naive\n"
-     << "  --race-jobs=N     race-engine worker cap per module (default: "
-        "share the batch pool)\n"
+     << "  --race-hb=H       happens-before queries: index (default), or "
+        "naive (the\n"
+     << "                    pairwise BFS oracle)\n"
      << "  --quiet           no human-readable summary on stderr\n"
      << "\n"
      << "exit codes: 0 all clean, 1 races found, 2 any parse/verify/"
@@ -850,11 +862,23 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
 
   for (const std::string &Arg : Args) {
     auto Value = [&Arg] { return Arg.substr(Arg.find('=') + 1); };
+    auto Number = [&Arg](auto &Field) {
+      using T = std::remove_reference_t<decltype(Field)>;
+      uint64_t V = 0;
+      std::string Err;
+      if (!parseUnsignedFlag(Arg, V, Err, std::numeric_limits<T>::max())) {
+        errs() << "o2batch: " << Err << "\n";
+        return false;
+      }
+      Field = T(V);
+      return true;
+    };
     if (Arg == "--help" || Arg == "-h") {
       printBatchUsage(outs());
       return ExitClean;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      Opts.Jobs = unsigned(std::strtoul(Value().c_str(), nullptr, 10));
+      if (!Number(Opts.Jobs))
+        return ExitError;
     } else if (Arg.rfind("--analyses=", 0) == 0) {
       std::string Err;
       if (!parseAnalysisSet(Value(), Opts.Analyses, Err)) {
@@ -864,7 +888,8 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
     } else if (Arg.rfind("--cache-dir=", 0) == 0) {
       Opts.CacheDir = Value();
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      Opts.DeadlineMs = std::strtoull(Value().c_str(), nullptr, 10);
+      if (!Number(Opts.DeadlineMs))
+        return ExitError;
     } else if (Arg.rfind("--isolate=", 0) == 0) {
       std::string V = Value();
       if (V == "process")
@@ -876,13 +901,17 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
         return ExitError;
       }
     } else if (Arg.rfind("--mem-limit-mb=", 0) == 0) {
-      Opts.MemLimitMB = std::strtoull(Value().c_str(), nullptr, 10);
+      if (!Number(Opts.MemLimitMB))
+        return ExitError;
     } else if (Arg.rfind("--kill-after-ms=", 0) == 0) {
-      Opts.HardKillMs = std::strtoull(Value().c_str(), nullptr, 10);
+      if (!Number(Opts.HardKillMs))
+        return ExitError;
     } else if (Arg.rfind("--retries=", 0) == 0) {
-      Opts.Retries = unsigned(std::strtoul(Value().c_str(), nullptr, 10));
+      if (!Number(Opts.Retries))
+        return ExitError;
     } else if (Arg.rfind("--retry-backoff-ms=", 0) == 0) {
-      Opts.RetryBackoffMs = std::strtoull(Value().c_str(), nullptr, 10);
+      if (!Number(Opts.RetryBackoffMs))
+        return ExitError;
     } else if (Arg == "--degrade") {
       Opts.Degrade = true;
     } else if (Arg.rfind("--inject-fault=", 0) == 0) {
@@ -920,7 +949,8 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
         return ExitError;
       }
     } else if (Arg.rfind("--k=", 0) == 0) {
-      Opts.Config.PTA.K = unsigned(std::strtoul(Value().c_str(), nullptr, 10));
+      if (!Number(Opts.Config.PTA.K))
+        return ExitError;
     } else if (Arg.rfind("--solver=", 0) == 0) {
       std::string V = Value();
       if (V == "wave")
@@ -931,31 +961,16 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
         errs() << "o2batch: unknown solver '" << V << "'\n";
         return ExitError;
       }
-    } else if (Arg.rfind("--race-engine=", 0) == 0) {
-      std::string V = Value();
-      if (V == "serial")
-        Opts.Config.Detector.Engine = RaceEngineKind::Serial;
-      else if (V == "parallel")
-        Opts.Config.Detector.Engine = RaceEngineKind::Parallel;
-      else {
-        errs() << "o2batch: unknown race engine '" << V << "'\n";
-        return ExitError;
-      }
     } else if (Arg.rfind("--race-hb=", 0) == 0) {
       std::string V = Value();
       if (V == "naive")
         Opts.Config.Detector.HB = RaceHBKind::Naive;
-      else if (V == "memo")
-        Opts.Config.Detector.HB = RaceHBKind::Memo;
       else if (V == "index")
         Opts.Config.Detector.HB = RaceHBKind::Index;
       else {
         errs() << "o2batch: unknown race HB mode '" << V << "'\n";
         return ExitError;
       }
-    } else if (Arg.rfind("--race-jobs=", 0) == 0) {
-      Opts.Config.Detector.Jobs =
-          unsigned(std::strtoul(Value().c_str(), nullptr, 10));
     } else if (Arg == "--quiet") {
       Quiet = true;
     } else if (Arg.rfind("--", 0) == 0) {

@@ -121,9 +121,6 @@ bool writeAll(int Fd, const char *Data, size_t Len) {
   }
 
   BatchOptions WorkerOpts = Opts;
-  // The parent's pool threads do not exist in this process; the race
-  // engine falls back to its own scheduling.
-  WorkerOpts.Config.Detector.Pool = nullptr;
   auto ParentHook = Opts.StageHook;
   WorkerOpts.StageHook = [WriteFd, &ParentHook](const std::string &S) {
     std::string Msg = "p:" + S + "\n";
@@ -134,7 +131,7 @@ bool writeAll(int Fd, const char *Data, size_t Len) {
 
   int Exit = 0;
   try {
-    JobResult R = runOneJob(Spec, WorkerOpts, nullptr);
+    JobResult R = runOneJob(Spec, WorkerOpts);
     std::string Msg = "r:" + wire::serializeJobResult(R);
     if (!writeAll(WriteFd, Msg.data(), Msg.size()))
       Exit = 3;
@@ -154,13 +151,13 @@ JobResult o2::runOneJobIsolated(const JobSpec &Spec,
                                 const BatchOptions &Opts) {
   int Fds[2];
   if (::pipe(Fds) != 0)
-    return runOneJob(Spec, Opts, nullptr);
+    return runOneJob(Spec, Opts);
 
   ::pid_t Pid = ::fork();
   if (Pid < 0) {
     ::close(Fds[0]);
     ::close(Fds[1]);
-    return runOneJob(Spec, Opts, nullptr);
+    return runOneJob(Spec, Opts);
   }
   if (Pid == 0) {
     ::close(Fds[0]);
@@ -298,7 +295,7 @@ JobResult o2::runOneJobIsolated(const JobSpec &Spec,
                                 const BatchOptions &Opts) {
   // No fork on this platform: degrade to in-process execution. The
   // containment policy (retries, degradation) still applies.
-  return runOneJob(Spec, Opts, nullptr);
+  return runOneJob(Spec, Opts);
 }
 
 #endif // O2_HAVE_FORK

@@ -6,30 +6,130 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The serial race engine and the shared engine internals. The serial
-// engine is the pairwise oracle the parallel engine is validated against;
-// it also owns the MaxPairChecks budget (budget exhaustion is defined by
-// its scan order) and the HB-implementation knob (naive BFS / memoized
-// fixpoint / precomputed index all answer its queries).
+// The race engine and its pairwise reference scan. Both share one
+// candidate collection, one lock-region merge, one race payload and one
+// report finalization, so they may only differ in how they *pair*
+// accesses, never in which accesses they consider or how a race is
+// materialized.
+//
+// ## Equivalence classes
+//
+// Accesses to one location are grouped by (thread, HB segment, lockset,
+// is-write). Every member of a class has the same reachability row in the
+// HBIndex and the same lockset, so for a pair of classes (Ci, Cj) one
+// lockset lookup and two reach() lookups decide *all* |Ci|*|Cj| access
+// pairs at once:
+//
+//   - the pairwise scan's first HB query hb(A, B) for A in Ci, B in Cj is
+//     false exactly for the B whose position precedes
+//     R12 = reach(row(Ci), thread(Cj)) — a prefix of Cj's
+//     position-sorted members, found by binary search;
+//   - symmetrically hb(B, A) is false exactly for the prefix of Ci
+//     before R21 = reach(row(Cj), thread(Ci));
+//   - the racy pairs of the class pair are the rectangle
+//     prefix(Ci, cut21) x prefix(Cj, cut12).
+//
+// ## Equivalence with the pairwise scan
+//
+// The class scan reproduces the pairwise report byte-for-byte and its
+// counters exactly:
+//
+//   - Counters charge what the pairwise scan *would have done* (|Ci|*|Cj|
+//     pair checks and lockset checks; N + |Ci|*cut12 HB queries, the
+//     short-circuited second query included), not the lookups actually
+//     performed.
+//   - The pairwise scan dedups statement pairs globally in scan order and
+//     the first reporting pair fixes the race payload. Candidate
+//     locations are sorted, and within one location the access vector is
+//     sorted by (thread, position); because classes never span threads,
+//     the first racy (I, J) index pair for a statement pair inside a
+//     rectangle is (first occurrence of stmt A in the Ci prefix, first
+//     occurrence of stmt B in the Cj prefix). Each location therefore
+//     reduces to "per statement pair, the minimum (I, J) rank and its
+//     payload", folded in rank order through the same global dedup set
+//     the pairwise scan uses.
 //
 //===----------------------------------------------------------------------===//
 
-#include "RaceEngine.h"
+#include "o2/Race/RaceDetector.h"
 
 #include "o2/IR/Printer.h"
 #include "o2/SHB/HBIndex.h"
+#include "o2/Support/BitVector.h"
+#include "o2/Support/Casting.h"
 #include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
 
+#include <algorithm>
 #include <memory>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace o2;
-using namespace o2::race_detail;
 
-CandidateList race_detail::collectCandidates(const PTAResult &PTA,
-                                             const SHBGraph &SHB,
-                                             const RaceDetectorOptions &Opts,
-                                             StatisticRegistry &Stats) {
+namespace {
+
+/// The class scan builds the full lockset-intersection bit matrix when the
+/// interned universe has at most this many locksets (quadratic bits);
+/// larger universes fall back to SHBGraph's memo.
+constexpr size_t MaxMatrixLocksets = 2048;
+
+/// Sorted candidate list: each shared location with all accesses to it,
+/// in (thread, position) order — threads ascend, positions strictly
+/// ascend per thread (trace order). Both scans rely on this order.
+using CandidateList =
+    std::vector<std::pair<MemLoc, std::vector<const AccessEvent *>>>;
+
+/// Classifies locations as `atomic` synchronization (excluded from race
+/// candidates) with the class-hierarchy field walk memoized per
+/// (class type, field key), so the supers chain is walked once per
+/// distinct field instead of once per aliasing location.
+class AtomicLocFilter {
+public:
+  explicit AtomicLocFilter(const PTAResult &PTA) : PTA(PTA) {}
+
+  bool isAtomic(MemLoc Loc) {
+    if (Loc.isGlobal())
+      return PTA.module().globals()[Loc.globalId()]->isAtomic();
+    FieldKey FK = Loc.fieldKey();
+    if (FK == ArrayElemKey)
+      return false;
+    const ObjInfo &O = PTA.object(Loc.object());
+    const auto *Cls = dyn_cast<ClassType>(O.AllocatedType);
+    if (!Cls)
+      return false;
+    uint64_t Key = (uint64_t(reinterpret_cast<uintptr_t>(Cls)) << 12) ^ FK;
+    auto It = Cache.find(Key);
+    if (It != Cache.end())
+      return It->second;
+    bool Atomic = false, Found = false;
+    for (const ClassType *C = Cls; C && !Found; C = C->getSuper())
+      for (const auto &F : C->fields())
+        if (fieldKeyOf(F.get()) == FK) {
+          Atomic = F->isAtomic();
+          Found = true;
+          break;
+        }
+    Cache.emplace(Key, Atomic);
+    return Atomic;
+  }
+
+private:
+  const PTAResult &PTA;
+  /// (class pointer, field key) -> is-atomic. Pointer identity is stable
+  /// for the module's lifetime; the shift leaves the low bits to the
+  /// field key (class objects are heap-allocated, so the low pointer
+  /// bits carry little entropy anyway).
+  std::unordered_map<uint64_t, bool> Cache;
+};
+
+/// Shared-location filter over the traces: a location is a candidate if
+/// at least two threads access it and at least one writes (and it is not
+/// an atomic, when those are handled). Returns the sorted candidate list
+/// and records the corpus-shape statistics.
+CandidateList collectCandidates(const PTAResult &PTA, const SHBGraph &SHB,
+                                const RaceDetectorOptions &Opts,
+                                StatisticRegistry &Stats) {
   struct LocInfo {
     BitVector ReadThreads;
     BitVector WriteThreads;
@@ -65,7 +165,7 @@ CandidateList race_detail::collectCandidates(const PTAResult &PTA,
     Candidates.emplace_back(Loc, std::move(I.Accesses));
   }
   // Hashed iteration order is arbitrary: sort once so pair budgeting
-  // (MaxPairChecks), sharding, and report order stay deterministic.
+  // (MaxPairChecks) and report order stay deterministic.
   std::sort(Candidates.begin(), Candidates.end(),
             [](const auto &A, const auto &B) { return A.first < B.first; });
   Stats.set("race.shared-locations", Candidates.size());
@@ -75,48 +175,105 @@ CandidateList race_detail::collectCandidates(const PTAResult &PTA,
   return Candidates;
 }
 
-namespace {
-
-/// Dedup key for lock-region merging: ⟨thread, lock region⟩ and
-/// ⟨lockset, is-write⟩, each packed into one word.
-struct MergedRegionKey {
-  uint64_t ThreadRegion;
-  uint64_t LocksetWrite;
-  bool operator==(const MergedRegionKey &RHS) const {
-    return ThreadRegion == RHS.ThreadRegion && LocksetWrite == RHS.LocksetWrite;
-  }
-};
-struct MergedRegionKeyHash {
-  size_t operator()(const MergedRegionKey &K) const {
-    uint64_t H = K.ThreadRegion * 0x9e3779b97f4a7c15ull;
-    H ^= K.LocksetWrite + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
+/// Hash of a key packed into two words.
+struct PairKeyHash {
+  size_t operator()(const std::pair<uint64_t, uint64_t> &K) const {
+    uint64_t H = K.first * 0x9e3779b97f4a7c15ull;
+    H ^= K.second + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
     return static_cast<size_t>(H);
   }
 };
 
-} // namespace
-
+/// Optimization 3: within one thread, all accesses to one location inside
+/// the same sync-free lock region with the same lockset have identical
+/// happens-before and lockset behaviour — keep one representative.
+/// Preserves input order, so the hashed dedup stays deterministic;
+/// \p MergedOut is incremented once per dropped access.
 std::vector<const AccessEvent *>
-race_detail::mergeByLockRegion(const std::vector<const AccessEvent *> &In,
-                               uint64_t &MergedOut) {
+mergeByLockRegion(const std::vector<const AccessEvent *> &In,
+                  uint64_t &MergedOut) {
   std::vector<const AccessEvent *> Out;
-  // (thread, region) and (lockset, is-write) packed into two words; output
-  // keeps the input order, so the hashed dedup stays deterministic.
-  std::unordered_set<MergedRegionKey, MergedRegionKeyHash> Seen;
+  // Key: (thread, lock region) and (lockset, is-write).
+  std::unordered_set<std::pair<uint64_t, uint64_t>, PairKeyHash> Seen;
   for (const AccessEvent *E : In) {
     if (E->LockRegion == 0 || E->RegionHasSync) {
       Out.push_back(E);
       continue;
     }
-    MergedRegionKey Key{(uint64_t(E->Thread) << 32) | E->LockRegion,
-                        (uint64_t(E->Lockset) << 1) | E->IsWrite};
-    if (Seen.insert(Key).second)
+    if (Seen.emplace((uint64_t(E->Thread) << 32) | E->LockRegion,
+                     (uint64_t(E->Lockset) << 1) | E->IsWrite)
+            .second)
       Out.push_back(E);
     else
       ++MergedOut;
   }
   return Out;
 }
+
+/// Dedup key of an unordered statement pair: ids packed low/high.
+uint64_t stmtPairKey(const Stmt *SA, const Stmt *SB) {
+  uint32_t A = SA->getId(), B = SB->getId();
+  if (A > B)
+    std::swap(A, B);
+  return (uint64_t(A) << 32) | B;
+}
+
+/// Builds the race payload for a conflicting access pair: participants
+/// ordered by statement id.
+Race makeRace(MemLoc Loc, const AccessEvent &A, const AccessEvent &B) {
+  const AccessEvent *EA = &A, *EB = &B;
+  if (EA->S->getId() > EB->S->getId())
+    std::swap(EA, EB);
+  Race Rc;
+  Rc.Loc = Loc;
+  Rc.A = EA->S;
+  Rc.B = EB->S;
+  Rc.ThreadA = EA->Thread;
+  Rc.ThreadB = EB->Thread;
+  Rc.AIsWrite = EA->IsWrite;
+  Rc.BIsWrite = EB->IsWrite;
+  return Rc;
+}
+
+/// One equivalence class: accesses of one thread/segment/lockset/is-write
+/// at one location, in position order.
+struct AccessClass {
+  unsigned Thread;
+  unsigned Row; ///< HBIndex row of (Thread, segment).
+  LocksetId Lockset;
+  bool IsWrite;
+  std::vector<uint32_t> Pos; ///< Ascending.
+  std::vector<uint32_t> Idx; ///< Index in the (merged) access vector.
+  std::vector<const AccessEvent *> Ev;
+
+  /// First occurrence of each distinct statement: (member rank, event).
+  /// Built on demand — only classes that land in a racy rectangle pay.
+  bool StmtsBuilt = false;
+  std::vector<std::pair<uint32_t, const AccessEvent *>> Stmts;
+
+  size_t size() const { return Pos.size(); }
+
+  const std::vector<std::pair<uint32_t, const AccessEvent *>> &stmts() {
+    if (!StmtsBuilt) {
+      StmtsBuilt = true;
+      std::unordered_set<const Stmt *> Seen;
+      for (uint32_t R = 0; R < Ev.size(); ++R)
+        if (Seen.insert(Ev[R]->S).second)
+          Stmts.emplace_back(R, Ev[R]);
+    }
+    return Stmts;
+  }
+};
+
+/// One statement pair a location wants to report: the minimum-rank racy
+/// access pair with that statement pair, payload prebuilt.
+struct PendingRace {
+  uint64_t Rank; ///< (lower access index << 32) | higher access index.
+  uint64_t Key;  ///< stmtPairKey of the two statements.
+  Race Rc;
+};
+
+} // namespace
 
 namespace o2 {
 
@@ -126,54 +283,75 @@ public:
                const RaceDetectorOptions &Opts)
       : PTA(PTA), SHB(SHB), Opts(Opts) {}
 
-  RaceReport run() {
-    Candidates = collectCandidates(PTA, SHB, Opts, R.Stats);
-    if (!Candidates.empty() && Opts.HB == RaceHBKind::Index) {
-      if (Opts.Index) {
-        SharedHBI = Opts.Index;
-      } else {
-        HBI = std::make_unique<HBIndex>(SHB);
-        SharedHBI = HBI.get();
+  /// The class-based scan over the HBIndex (see the file comment).
+  RaceReport runClasses() {
+    collect();
+    if (!Candidates.empty()) {
+      HBI = &index();
+      if (Opts.CacheLocksetChecks &&
+          SHB.numLocksets() <= MaxMatrixLocksets)
+        Matrix = std::make_unique<LocksetMatrix>(SHB);
+      for (auto &[Loc, Accesses] : Candidates) {
+        if (pollCancelled(Opts.Cancel)) {
+          R.Cancelled = true;
+          break;
+        }
+        checkClasses(*HBI, Loc, Accesses);
       }
-      R.Stats.set("race.hb-index-segments", SharedHBI->numSegments());
     }
+    return finalize();
+  }
+
+  /// The pairwise reference scan.
+  RaceReport runPairwise() {
+    collect();
+    if (!Candidates.empty() && Opts.HB == RaceHBKind::Index)
+      HBI = &index();
     for (auto &[Loc, Accesses] : Candidates) {
       if (BudgetExhausted || R.Cancelled)
         break;
-      checkLocation(Loc, Accesses);
+      checkPairs(Loc, Accesses);
     }
-    finalize();
-    return std::move(R);
+    return finalize();
   }
 
 private:
-  bool locksetsIntersect(LocksetId A, LocksetId B) {
-    R.Stats.add("race.lockset-checks");
+  void collect() { Candidates = collectCandidates(PTA, SHB, Opts, R.Stats); }
+
+  /// The prebuilt index when the caller supplies one, else one built here.
+  const HBIndex &index() {
+    const HBIndex *I = Opts.Index;
+    if (!I) {
+      OwnedHBI = std::make_unique<HBIndex>(SHB);
+      I = OwnedHBI.get();
+    }
+    R.Stats.set("race.hb-index-segments", I->numSegments());
+    return *I;
+  }
+
+  std::vector<const AccessEvent *>
+  merged(const std::vector<const AccessEvent *> &AllAccesses) {
+    return Opts.LockRegionMerging ? mergeByLockRegion(AllAccesses, Merged)
+                                  : AllAccesses;
+  }
+
+  bool locksetsIntersect(LocksetId A, LocksetId B) const {
+    if (Matrix)
+      return Matrix->intersect(A, B);
     return Opts.CacheLocksetChecks ? SHB.locksetsIntersect(A, B)
                                    : SHB.locksetsIntersectUncached(A, B);
   }
 
   bool happensBefore(const AccessEvent &A, const AccessEvent &B) {
-    R.Stats.add("race.hb-queries");
-    switch (Opts.HB) {
-    case RaceHBKind::Naive:
-      return SHB.happensBeforeNaive(A.Thread, A.Pos, B.Thread, B.Pos);
-    case RaceHBKind::Memo:
-      return SHB.happensBefore(A.Thread, A.Pos, B.Thread, B.Pos);
-    case RaceHBKind::Index:
-      return SharedHBI->happensBefore(A.Thread, A.Pos, B.Thread, B.Pos);
-    }
-    return false;
+    ++HBQueries;
+    if (HBI)
+      return HBI->happensBefore(A.Thread, A.Pos, B.Thread, B.Pos);
+    return SHB.happensBeforeNaive(A.Thread, A.Pos, B.Thread, B.Pos);
   }
 
-  void checkLocation(MemLoc Loc,
-                     const std::vector<const AccessEvent *> &AllAccesses) {
-    uint64_t Merged = 0;
-    std::vector<const AccessEvent *> Accesses =
-        Opts.LockRegionMerging ? mergeByLockRegion(AllAccesses, Merged)
-                               : AllAccesses;
-    if (Merged)
-      R.Stats.add("race.merged-accesses", Merged);
+  void checkPairs(MemLoc Loc,
+                  const std::vector<const AccessEvent *> &AllAccesses) {
+    std::vector<const AccessEvent *> Accesses = merged(AllAccesses);
     for (size_t I = 0; I < Accesses.size(); ++I) {
       for (size_t J = I + 1; J < Accesses.size(); ++J) {
         if (pollCancelled(Opts.Cancel)) {
@@ -195,40 +373,152 @@ private:
           return;
         }
         ++PairsChecked;
-        R.Stats.add("race.pairs-checked");
+        ++LocksetChecks;
         if (locksetsIntersect(A.Lockset, B.Lockset))
           continue;
         if (happensBefore(A, B) || happensBefore(B, A))
           continue;
-        recordRace(Loc, A, B);
+        if (ReportedPairs.insert(stmtPairKey(A.S, B.S)).second)
+          Races.push_back(makeRace(Loc, A, B));
       }
     }
   }
 
-  void recordRace(MemLoc Loc, const AccessEvent &A, const AccessEvent &B) {
-    if (!ReportedPairs.insert(stmtPairKey(A.S, B.S)).second)
-      return;
-    R.Races.push_back(makeRace(Loc, A, B));
+  void checkClasses(const HBIndex &HBI, MemLoc Loc,
+                    const std::vector<const AccessEvent *> &AllAccesses) {
+    std::vector<const AccessEvent *> Accesses = merged(AllAccesses);
+
+    // Group into equivalence classes, in first-occurrence order. The
+    // access vector ascends by (thread, position), so classes of
+    // different threads never interleave: for I < J with different
+    // threads, every member of class I has a smaller index than every
+    // member of class J — which is what lets a rectangle's minimum rank
+    // be read off the class prefixes below.
+    std::vector<AccessClass> Classes;
+    std::unordered_map<std::pair<uint64_t, uint64_t>, size_t, PairKeyHash>
+        ByKey;
+    for (uint32_t K = 0; K < Accesses.size(); ++K) {
+      const AccessEvent *E = Accesses[K];
+      unsigned Seg = HBI.segmentOf(E->Thread, E->Pos);
+      auto [It, New] = ByKey.emplace(
+          std::make_pair((uint64_t(E->Thread) << 32) | Seg,
+                         (uint64_t(E->Lockset) << 1) | E->IsWrite),
+          Classes.size());
+      if (New) {
+        AccessClass C;
+        C.Thread = E->Thread;
+        C.Row = HBI.rowOf(E->Thread, Seg);
+        C.Lockset = E->Lockset;
+        C.IsWrite = E->IsWrite;
+        Classes.push_back(std::move(C));
+      }
+      AccessClass &C = Classes[It->second];
+      C.Pos.push_back(E->Pos);
+      C.Idx.push_back(K);
+      C.Ev.push_back(E);
+    }
+
+    // Minimum-rank racy pair per statement pair of this location.
+    std::unordered_map<uint64_t, PendingRace> Wanted;
+    for (size_t I = 0; I < Classes.size(); ++I) {
+      for (size_t J = I + 1; J < Classes.size(); ++J) {
+        AccessClass &A = Classes[I];
+        AccessClass &B = Classes[J];
+        if (A.Thread == B.Thread)
+          continue;
+        if (!A.IsWrite && !B.IsWrite)
+          continue;
+        uint64_t N = uint64_t(A.size()) * B.size();
+        PairsChecked += N;
+        LocksetChecks += N;
+        if (locksetsIntersect(A.Lockset, B.Lockset))
+          continue;
+        // hb(a, b) is false exactly for b before R12; the pairwise scan
+        // issues its second query hb(b, a) for exactly those pairs.
+        uint32_t R12 = HBI.reach(A.Row, B.Thread);
+        size_t Cut12 = std::lower_bound(B.Pos.begin(), B.Pos.end(), R12) -
+                       B.Pos.begin();
+        HBQueries += N + uint64_t(A.size()) * Cut12;
+        if (Cut12 == 0)
+          continue;
+        uint32_t R21 = HBI.reach(B.Row, A.Thread);
+        size_t Cut21 = std::lower_bound(A.Pos.begin(), A.Pos.end(), R21) -
+                       A.Pos.begin();
+        if (Cut21 == 0)
+          continue;
+        // Racy rectangle: prefix(A, Cut21) x prefix(B, Cut12). For each
+        // statement pair, its minimum-rank racy pair uses the first
+        // occurrence of each statement within the prefixes.
+        for (const auto &[RankA, EA] : A.stmts()) {
+          if (RankA >= Cut21)
+            break;
+          for (const auto &[RankB, EB] : B.stmts()) {
+            if (RankB >= Cut12)
+              break;
+            uint64_t Rank = (uint64_t(A.Idx[RankA]) << 32) | B.Idx[RankB];
+            uint64_t Key = stmtPairKey(EA->S, EB->S);
+            auto [It, New] =
+                Wanted.emplace(Key, PendingRace{Rank, Key, Race{}});
+            if (New || Rank < It->second.Rank) {
+              It->second.Rank = Rank;
+              It->second.Rc = makeRace(Loc, *EA, *EB);
+            }
+          }
+        }
+      }
+    }
+
+    // Fold in pairwise scan order through the global dedup set.
+    std::vector<PendingRace> Pending;
+    Pending.reserve(Wanted.size());
+    for (auto &[Key, P] : Wanted)
+      Pending.push_back(std::move(P));
+    std::sort(Pending.begin(), Pending.end(),
+              [](const PendingRace &X, const PendingRace &Y) {
+                return X.Rank < Y.Rank;
+              });
+    for (PendingRace &P : Pending)
+      if (ReportedPairs.insert(P.Key).second)
+        Races.push_back(std::move(P.Rc));
   }
 
-  void finalize() {
-    // Detach first: finalizeReport assigns into R.Races, and handing it
-    // R.Races itself would be a self-move.
-    std::vector<Race> Races = std::move(R.Races);
-    R.Races.clear();
-    finalizeReport(R, std::move(Races), R.Cancelled);
+  /// Final report ordering and summary counters. Work counters
+  /// materialize only once charged.
+  RaceReport finalize() {
+    if (Merged)
+      R.Stats.add("race.merged-accesses", Merged);
+    if (PairsChecked)
+      R.Stats.add("race.pairs-checked", PairsChecked);
+    if (LocksetChecks)
+      R.Stats.add("race.lockset-checks", LocksetChecks);
+    if (HBQueries)
+      R.Stats.add("race.hb-queries", HBQueries);
+    std::sort(Races.begin(), Races.end(), [](const Race &X, const Race &Y) {
+      if (X.A->getId() != Y.A->getId())
+        return X.A->getId() < Y.A->getId();
+      return X.B->getId() < Y.B->getId();
+    });
+    R.Races = std::move(Races);
+    R.Stats.set("race.races", R.Races.size());
+    if (R.Cancelled)
+      R.Stats.set("race.cancelled", 1);
+    return std::move(R);
   }
 
   const PTAResult &PTA;
   const SHBGraph &SHB;
-  RaceDetectorOptions Opts;
+  const RaceDetectorOptions &Opts;
   RaceReport R;
-  std::unique_ptr<HBIndex> HBI; ///< engine-built fallback, see SharedHBI
-  const HBIndex *SharedHBI = nullptr;
   CandidateList Candidates;
+  std::unique_ptr<HBIndex> OwnedHBI;
+  /// Pairwise scan: the index HB queries go to (null: naive BFS).
+  const HBIndex *HBI = nullptr;
+  /// Class scan: the precomputed lockset intersections, when they fit.
+  std::unique_ptr<LocksetMatrix> Matrix;
+  std::vector<Race> Races;
   /// Reported (stmt A, stmt B) pairs, A < B, packed into one word.
   std::unordered_set<uint64_t> ReportedPairs;
-  uint64_t PairsChecked = 0;
+  uint64_t PairsChecked = 0, LocksetChecks = 0, HBQueries = 0, Merged = 0;
   bool BudgetExhausted = false;
 };
 
@@ -285,12 +575,16 @@ void RaceReport::printJSON(OutputStream &OS, const PTAResult &PTA) const {
 
 RaceReport o2::detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
                            const RaceDetectorOptions &Opts) {
-  // A finite pair budget is defined by the serial scan order, so it
-  // forces the serial engine regardless of the engine knob.
-  if (Opts.Engine == RaceEngineKind::Parallel &&
-      Opts.MaxPairChecks == ~uint64_t(0))
-    return runParallelRaceEngine(PTA, SHB, Opts);
-  return RaceDetector(PTA, SHB, Opts).run();
+  // The naive-HB ablation runs the pairwise scan, and a finite pair
+  // budget is defined by its order.
+  if (Opts.HB == RaceHBKind::Naive || Opts.MaxPairChecks != ~uint64_t(0))
+    return detectRacesPairwise(PTA, SHB, Opts);
+  return RaceDetector(PTA, SHB, Opts).runClasses();
+}
+
+RaceReport o2::detectRacesPairwise(const PTAResult &PTA, const SHBGraph &SHB,
+                                   const RaceDetectorOptions &Opts) {
+  return RaceDetector(PTA, SHB, Opts).runPairwise();
 }
 
 RaceReport o2::detectRaces(const PTAResult &PTA,

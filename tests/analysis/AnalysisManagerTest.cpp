@@ -115,12 +115,14 @@ TEST(AnalysisManagerTest, ManagerMatchesFacade) {
 }
 
 TEST(AnalysisManagerTest, FingerprintIgnoresPerfKnobs) {
+  // Fields that cannot change a result: the cancellation tokens and the
+  // pass hook.
+  CancellationToken Token;
   O2Config Base;
   O2Config Tuned;
-  Tuned.Detector.Jobs = 7;
-  Tuned.Detector.MinParallelLocations = 1;
-  Tuned.Detector.LocksetMatrixMaxSize = 123;
-  Tuned.PTA.NodeBudget = Base.PTA.NodeBudget; // explicit: budget is NOT a knob
+  Tuned.Cancel = &Token;
+  Tuned.Detector.Cancel = &Token;
+  Tuned.OnPassStart = [](O2Phase) {};
 
   for (unsigned K = 1; K < NumO2Phases; ++K) {
     O2Phase P = static_cast<O2Phase>(K);
@@ -129,6 +131,13 @@ TEST(AnalysisManagerTest, FingerprintIgnoresPerfKnobs) {
   }
   EXPECT_EQ(analysisSetFingerprint(AnalysisSet::all(), Base),
             analysisSetFingerprint(AnalysisSet::all(), Tuned));
+
+  // The PTA node budget is not a perf knob: it decides whether the
+  // analysis completes.
+  O2Config Budget;
+  Budget.PTA.NodeBudget = Base.PTA.NodeBudget / 2 + 1;
+  EXPECT_NE(passFingerprint(O2Phase::PTA, Base),
+            passFingerprint(O2Phase::PTA, Budget));
 }
 
 TEST(AnalysisManagerTest, FingerprintTracksResultAffectingOptions) {
@@ -148,12 +157,12 @@ TEST(AnalysisManagerTest, FingerprintTracksResultAffectingOptions) {
             passFingerprint(O2Phase::RacerD, Worklist));
 
   // Detector options stay local to the detector.
-  O2Config Serial;
-  Serial.Detector.Engine = RaceEngineKind::Serial;
+  O2Config Naive;
+  Naive.Detector.HB = RaceHBKind::Naive;
   EXPECT_EQ(passFingerprint(O2Phase::PTA, Base),
-            passFingerprint(O2Phase::PTA, Serial));
+            passFingerprint(O2Phase::PTA, Naive));
   EXPECT_NE(passFingerprint(O2Phase::Detect, Base),
-            passFingerprint(O2Phase::Detect, Serial));
+            passFingerprint(O2Phase::Detect, Naive));
 
   // SHB options reach the detector through the dependency closure.
   O2Config NoSerialize;

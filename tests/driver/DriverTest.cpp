@@ -865,4 +865,89 @@ TEST(DriverTest, LoadBaselineHandlesEscapesAndJunk) {
   EXPECT_TRUE(B["with \"quotes\""].count("00ff00ff00ff00ff"));
 }
 
+/// Writes \p Source to a fresh file under the test temp dir.
+std::string writeTempModule(const char *Name, const char *Source) {
+  std::string Path = testing::TempDir() + "o2-drivertest-" + Name + ".oir";
+  std::ofstream(Path, std::ios::trunc) << Source;
+  return Path;
+}
+
+std::string readAll(const std::string &Path) {
+  std::ifstream In(Path);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+/// The "races":[...] section of a one-module JSONL report.
+std::string racesSection(const std::string &Report) {
+  size_t Begin = Report.find("\"races\":");
+  size_t End = Report.find("\"stats\":", Begin);
+  return Begin == std::string::npos ? "" : Report.substr(Begin, End - Begin);
+}
+
+TEST(DriverTest, RaceHBNaiveRunsWithoutHBIndex) {
+  std::string ParseErr;
+  auto M = parseModule(RacyProgram, ParseErr);
+  ASSERT_TRUE(M) << ParseErr;
+  O2Config Naive;
+  Naive.Detector.HB = RaceHBKind::Naive;
+  AnalysisManager AMNaive(*M, Naive);
+  AMNaive.run(AnalysisSet::defaultSet());
+  EXPECT_FALSE(AMNaive.ran(O2Phase::HBIndex));
+  AnalysisManager AMDefault(*M);
+  AMDefault.run(AnalysisSet::defaultSet());
+  EXPECT_TRUE(AMDefault.ran(O2Phase::HBIndex));
+  std::string NaiveRaces, DefaultRaces;
+  StringOutputStream NaiveOS(NaiveRaces), DefaultOS(DefaultRaces);
+  AMNaive.getRaces().print(NaiveOS, AMNaive.getPTA());
+  AMDefault.getRaces().print(DefaultOS, AMDefault.getPTA());
+  EXPECT_EQ(NaiveRaces, DefaultRaces);
+
+  // The flag reaches the detector: only the index run reports index
+  // segments, and both report the same races.
+  std::string Input = writeTempModule("naive-hb", RacyProgram);
+  std::string NaiveOut = testing::TempDir() + "o2-drivertest-naive.jsonl";
+  std::string DefaultOut = testing::TempDir() + "o2-drivertest-index.jsonl";
+  EXPECT_EQ(runBatchCommand({"--race-hb=naive", "--quiet",
+                             "--out=" + NaiveOut, Input}),
+            ExitRacesFound);
+  EXPECT_EQ(runBatchCommand({"--quiet", "--out=" + DefaultOut, Input}),
+            ExitRacesFound);
+  std::string NaiveReport = readAll(NaiveOut);
+  std::string DefaultReport = readAll(DefaultOut);
+  EXPECT_EQ(NaiveReport.find("race.hb-index-segments"), std::string::npos);
+  EXPECT_NE(DefaultReport.find("race.hb-index-segments"), std::string::npos);
+  EXPECT_NE(racesSection(NaiveReport), "");
+  EXPECT_EQ(racesSection(NaiveReport), racesSection(DefaultReport));
+}
+
+TEST(DriverTest, NumericFlagsAreStrict) {
+  uint64_t V = 0;
+  std::string Err;
+  EXPECT_TRUE(parseUnsignedFlag("--jobs=0", V, Err));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseUnsignedFlag("--k=4294967295", V, Err, 4294967295u));
+  EXPECT_EQ(V, 4294967295u);
+  EXPECT_FALSE(parseUnsignedFlag("--k=abc", V, Err));
+  EXPECT_EQ(Err, "invalid value 'abc' for --k: expected an unsigned integer");
+  EXPECT_FALSE(parseUnsignedFlag("--k=4294967296", V, Err, 4294967295u));
+  EXPECT_EQ(Err, "value '4294967296' for --k is out of range (max "
+                 "4294967295)");
+  for (const char *Bad :
+       {"--jobs=", "--jobs=-5", "--jobs=+5", "--jobs= 5", "--jobs=5x",
+        "--jobs=0x10", "--jobs=99999999999999999999"})
+    EXPECT_FALSE(parseUnsignedFlag(Bad, V, Err)) << Bad;
+  EXPECT_EQ(V, 4294967295u) << "a rejected value leaves the output alone";
+
+  // Every numeric o2batch flag exits with a usage error before any job
+  // runs.
+  std::string Input = writeTempModule("numeric", RacyProgram);
+  for (const char *Bad :
+       {"--k=abc", "--jobs=abc", "--deadline-ms=-5", "--mem-limit-mb=1e3",
+        "--kill-after-ms=", "--retries=4294967296", "--retry-backoff-ms=+1"})
+    EXPECT_EQ(runBatchCommand({Bad, "--quiet", Input}), ExitError) << Bad;
+  EXPECT_EQ(runBatchCommand({"--jobs=1", "--deadline-ms=60000", "--k=1",
+                             "--quiet", "--out=" + Input + ".jsonl", Input}),
+            ExitRacesFound);
+}
+
 } // namespace

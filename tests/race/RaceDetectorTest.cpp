@@ -432,7 +432,6 @@ TEST(RaceDetectorTest, LockRegionMergingPreservesRaces) {
   RaceReport ROpt = detectRaces(*PTA, Optimized);
 
   RaceDetectorOptions Naive;
-  Naive.Engine = RaceEngineKind::Serial;
   Naive.HB = RaceHBKind::Naive;
   Naive.CacheLocksetChecks = false;
   Naive.LockRegionMerging = false;

@@ -1,0 +1,276 @@
+//===- RaceEngineEquivalenceTest.cpp - class scan vs pairwise oracle -----------===//
+//
+// Part of the O2 project, an implementation of the PLDI 2021 paper
+// "When Threads Meet Events: Efficient and Precise Static Race Detection
+// with Origins".
+//
+//===----------------------------------------------------------------------===//
+//
+// The class-based race engine's contract: byte-identical reports and
+// equal statistics with the pairwise reference scan, on every bundled
+// example and generated workload, with all optimizations on and with each
+// one turned off alone — plus the pairwise routing of finite pair
+// budgets and the naive-HB ablation.
+//
+//===----------------------------------------------------------------------===//
+
+#include "o2/Race/RaceDetector.h"
+
+#include "o2/IR/Parser.h"
+#include "o2/IR/Verifier.h"
+#include "o2/SHB/HBIndex.h"
+#include "o2/Support/OutputStream.h"
+#include "o2/Support/ThreadPool.h"
+#include "o2/Workload/Generator.h"
+
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <map>
+#include <sstream>
+
+using namespace o2;
+
+namespace {
+
+std::unique_ptr<Module> parseProgram(const std::string &Src) {
+  std::string Err;
+  auto M = parseModule(Src, Err);
+  EXPECT_TRUE(M) << "parse error: " << Err;
+  std::vector<std::string> Errors;
+  EXPECT_TRUE(verifyModule(*M, Errors))
+      << (Errors.empty() ? "?" : Errors.front());
+  return M;
+}
+
+std::unique_ptr<Module> loadCase(const std::string &Name) {
+  if (Name.rfind("oir_", 0) == 0) {
+    std::ifstream In(std::string(O2_OIR_DIR) + "/" + Name.substr(4) + ".oir");
+    EXPECT_TRUE(In.good()) << "cannot open " << Name;
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    return parseProgram(Buf.str());
+  }
+  const WorkloadProfile *P = findProfile(Name);
+  EXPECT_NE(P, nullptr) << Name;
+  return generateWorkload(*P);
+}
+
+std::unique_ptr<PTAResult> runOPA(const Module &M) {
+  PTAOptions Opts;
+  Opts.Kind = ContextKind::Origin;
+  return runPointerAnalysis(M, Opts);
+}
+
+std::string render(const RaceReport &R, const PTAResult &PTA) {
+  std::string Buf;
+  StringOutputStream OS(Buf);
+  R.print(OS, PTA);
+  R.printJSON(OS, PTA);
+  return Buf;
+}
+
+/// Stats minus `race.*-cache-*` occupancy diagnostics, which the scans
+/// need not share.
+std::map<std::string, uint64_t> comparableStats(const RaceReport &R) {
+  std::map<std::string, uint64_t> Out;
+  for (const auto &[Name, Value] : R.stats().counters())
+    if (Name.find("-cache-") == std::string::npos)
+      Out[Name] = Value;
+  return Out;
+}
+
+/// The detector configurations the equivalence contract covers: the
+/// defaults and each optimization toggled off alone.
+std::vector<std::pair<std::string, RaceDetectorOptions>> toggleConfigs() {
+  std::vector<std::pair<std::string, RaceDetectorOptions>> Configs(4);
+  Configs[0].first = "defaults";
+  Configs[1].first = "no-lockset-cache";
+  Configs[1].second.CacheLocksetChecks = false;
+  Configs[2].first = "no-region-merging";
+  Configs[2].second.LockRegionMerging = false;
+  Configs[3].first = "no-atomics";
+  Configs[3].second.HandleAtomics = false;
+  return Configs;
+}
+
+/// Checks detectRaces against detectRacesPairwise under \p Opts.
+void expectMatchesPairwise(const PTAResult &PTA, const SHBGraph &SHB,
+                           const RaceDetectorOptions &Opts,
+                           const std::string &Tag) {
+  RaceReport Oracle = detectRacesPairwise(PTA, SHB, Opts);
+  RaceReport R = detectRaces(PTA, SHB, Opts);
+  EXPECT_EQ(render(R, PTA), render(Oracle, PTA)) << Tag;
+  EXPECT_EQ(comparableStats(R), comparableStats(Oracle)) << Tag;
+}
+
+// The suite keeps the class-based engine's original name so its test IDs
+// stay stable; the engine now runs on the calling thread.
+class ParallelRaceEngine : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ParallelRaceEngine, ByteIdenticalToSerial) {
+  auto M = loadCase(GetParam());
+  ASSERT_TRUE(M);
+  auto PTA = runOPA(*M);
+  SHBGraph SHB = buildSHBGraph(*PTA);
+  for (const auto &[Name, Opts] : toggleConfigs())
+    expectMatchesPairwise(*PTA, SHB, Opts, GetParam() + "/" + Name);
+}
+
+TEST_P(ParallelRaceEngine, SharedExternalPool) {
+  // The batch driver's shape: independent jobs running the engine as
+  // tasks of one shared pool. The engine keeps no state across calls, so
+  // every concurrent run must match a run on the calling thread.
+  auto M = loadCase(GetParam());
+  ASSERT_TRUE(M);
+  auto PTA = runOPA(*M);
+  SHBGraph SHB = buildSHBGraph(*PTA);
+  std::string Golden = render(detectRaces(*PTA, SHB), *PTA);
+
+  std::vector<std::string> Rendered(4);
+  {
+    ThreadPool Pool(4);
+    for (std::string &Out : Rendered)
+      Pool.submit([&Out, Name = GetParam()] {
+        auto JobM = loadCase(Name);
+        auto JobPTA = runOPA(*JobM);
+        SHBGraph JobSHB = buildSHBGraph(*JobPTA);
+        Out = render(detectRaces(*JobPTA, JobSHB), *JobPTA);
+      });
+    Pool.wait();
+  }
+  for (const std::string &Out : Rendered)
+    EXPECT_EQ(Out, Golden) << GetParam();
+}
+
+TEST_P(ParallelRaceEngine, SmallLocksetMatrixLimitStaysIdentical) {
+  // The engine answers lockset checks from the LocksetMatrix when the
+  // interned universe fits its limit and from SHBGraph's memo beyond it.
+  // Both must agree on every pair, so the limit can never change a
+  // report.
+  auto M = loadCase(GetParam());
+  ASSERT_TRUE(M);
+  auto PTA = runOPA(*M);
+  SHBGraph SHB = buildSHBGraph(*PTA);
+  LocksetMatrix Matrix(SHB);
+  for (LocksetId A = 0; A < SHB.numLocksets(); ++A)
+    for (LocksetId B = 0; B < SHB.numLocksets(); ++B)
+      ASSERT_EQ(Matrix.intersect(A, B), SHB.locksetsIntersect(A, B))
+          << GetParam() << " (" << A << "," << B << ")";
+}
+
+std::vector<std::string> engineCases() {
+  std::vector<std::string> Cases = {
+      "oir_racy_counter",   "oir_producer_consumer", "oir_event_thread_mix",
+      "oir_fork_join",      "oir_locked_account",    "oir_lockfree_flag",
+      "oir_nested_handlers"};
+  for (const WorkloadProfile &P : benchmarkProfiles()) {
+    if (P.PaddingFunctions > 100 || P.AmplifierFanOut > 12)
+      continue; // large profiles; shape covered by the smaller ones
+    Cases.push_back(P.Name);
+  }
+  return Cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, ParallelRaceEngine,
+                         ::testing::ValuesIn(engineCases()),
+                         [](const auto &Info) { return Info.param; });
+
+TEST(ParallelRaceEngineFallback, FiniteBudgetMatchesSerialExactly) {
+  // A finite pair budget routes detectRaces to the pairwise scan, whose
+  // order defines where the budget trips.
+  auto M = loadCase("oir_racy_counter");
+  ASSERT_TRUE(M);
+  auto PTA = runOPA(*M);
+  SHBGraph SHB = buildSHBGraph(*PTA);
+
+  for (uint64_t Budget : {0ull, 1ull, 3ull, 1000ull}) {
+    RaceDetectorOptions Opts;
+    Opts.MaxPairChecks = Budget;
+    expectMatchesPairwise(*PTA, SHB, Opts,
+                          "budget " + std::to_string(Budget));
+  }
+}
+
+/// A module whose interned lockset universe outgrows the engine's lockset
+/// matrix limit (2048 locksets): thread P writes global gK under the K-th
+/// pair of \p NumLocks locks; thread S writes it under the pair's first
+/// lock when K is even (no race) and under no lock when K is odd (race).
+/// Every lock gets its own local, since points-to is flow-insensitive.
+std::string manyLocksetsProgram(unsigned NumLocks) {
+  std::string Globals = "class Mutex { }\n";
+  std::string Locals, Init, Load, Pairs, Singles;
+  unsigned K = 0;
+  for (unsigned I = 0; I < NumLocks; ++I) {
+    std::string L = "l" + std::to_string(I);
+    Globals += "global " + L + ": Mutex;\n";
+    Locals += "  var " + L + ": Mutex;\n";
+    Init += "  " + L + " = new Mutex; @" + L + " = " + L + ";\n";
+    Load += "  " + L + " = @" + L + ";\n";
+    for (unsigned J = I + 1; J < NumLocks; ++J, ++K) {
+      std::string G = "@g" + std::to_string(K);
+      std::string LJ = "l" + std::to_string(J);
+      Globals += "global g" + std::to_string(K) + ": int;\n";
+      Pairs += "  acquire " + L + "; acquire " + LJ + "; " + G +
+               " = v; release " + LJ + "; release " + L + ";\n";
+      Singles += K % 2 ? "  " + G + " = v;\n"
+                       : "  acquire " + L + "; " + G + " = v; release " +
+                             L + ";\n";
+    }
+  }
+  std::string Prologue = Locals + "  var v: int;\n" + Load;
+  return Globals + "class P { method run() {\n" + Prologue + Pairs +
+         "} }\nclass S { method run() {\n" + Prologue + Singles +
+         "} }\nfunc main() {\n" + Locals + "  var p: P;\n  var s: S;\n" +
+         Init + "  p = new P;\n  s = new S;\n  spawn p.run();\n"
+         "  spawn s.run();\n}\n";
+}
+
+TEST(RaceEngineEquivalence, LocksetUniverseBeyondMatrixLimit) {
+  // 65 locks give 2080 lock pairs, so the engine answers lockset checks
+  // from SHBGraph's memo instead of the matrix.
+  auto M = parseProgram(manyLocksetsProgram(65));
+  ASSERT_TRUE(M);
+  auto PTA = runOPA(*M);
+  SHBGraph SHB = buildSHBGraph(*PTA);
+  ASSERT_GT(SHB.numLocksets(), 2048u);
+  RaceReport R = detectRaces(*PTA, SHB);
+  EXPECT_EQ(R.numRaces(), 1040u);
+  for (const auto &[Name, Opts] : toggleConfigs())
+    expectMatchesPairwise(*PTA, SHB, Opts, "many-locksets/" + Name);
+}
+
+TEST(SerialHBModes, IndexMatchesNaiveQueries) {
+  // The acceptance oracle for the O(1) HB index: on every corpus module
+  // the pairwise scan issues the same number of HB queries and reports
+  // the same races whether queries go through the naive BFS or the
+  // precomputed index, and detectRaces routes naive HB to that scan.
+  for (const std::string &Name : engineCases()) {
+    auto M = loadCase(Name);
+    ASSERT_TRUE(M);
+    auto PTA = runOPA(*M);
+    SHBGraph SHB = buildSHBGraph(*PTA);
+
+    RaceDetectorOptions Naive;
+    Naive.HB = RaceHBKind::Naive;
+    RaceReport RNaive = detectRacesPairwise(*PTA, SHB, Naive);
+    RaceReport RIndex = detectRacesPairwise(*PTA, SHB);
+    EXPECT_EQ(render(detectRaces(*PTA, SHB, Naive), *PTA),
+              render(RNaive, *PTA))
+        << Name;
+
+    // The reports differ only in the index-only "race.hb-index-segments"
+    // statistic.
+    std::string NaiveRaces, IndexRaces;
+    StringOutputStream NaiveOS(NaiveRaces), IndexOS(IndexRaces);
+    RNaive.print(NaiveOS, *PTA);
+    RIndex.print(IndexOS, *PTA);
+    EXPECT_EQ(NaiveRaces, IndexRaces) << Name;
+    auto NaiveStats = comparableStats(RNaive);
+    auto IndexStats = comparableStats(RIndex);
+    IndexStats.erase("race.hb-index-segments");
+    EXPECT_EQ(NaiveStats, IndexStats) << Name;
+  }
+}
+
+} // namespace

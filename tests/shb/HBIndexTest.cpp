@@ -9,8 +9,8 @@
 // HBIndex must answer exactly what SHBGraph::happensBefore (memoized
 // fixpoint) and SHBGraph::happensBeforeNaive (BFS straw man) answer, for
 // every pair of access events of every corpus module — it is the O(1)
-// lookup the parallel race engine's class math is built on, so any
-// disagreement silently changes race verdicts.
+// lookup the race engine's class math is built on, so any disagreement
+// silently changes race verdicts.
 //
 //===----------------------------------------------------------------------===//
 

@@ -8,11 +8,11 @@
 //
 // The three lockset-intersection implementations must agree on every pair
 // of interned locksets of every corpus module: the memoized per-pair
-// cache (`locksetsIntersect`), the cache-free scan the parallel shards
-// use (`locksetsIntersectUncached`), and the precomputed bit matrix
-// (`LocksetMatrix`). A disagreement would make the engines' race verdicts
-// diverge, so this is a property test over the whole interned universe,
-// not spot checks.
+// cache (`locksetsIntersect`, used beyond the matrix size limit), the
+// cache-free scan (`locksetsIntersectUncached`, with lockset caching
+// off), and the precomputed bit matrix (`LocksetMatrix`). A disagreement
+// would make race verdicts depend on the configuration, so this is a
+// property test over the whole interned universe, not spot checks.
 //
 //===----------------------------------------------------------------------===//
 

@@ -57,7 +57,6 @@ TEST_P(BugModelTest, SoundnessOracleAgrees) {
   O2Analysis A = analyzeModule(*M, Optimized);
 
   O2Config Naive;
-  Naive.Detector.Engine = RaceEngineKind::Serial;
   Naive.Detector.HB = RaceHBKind::Naive;
   Naive.Detector.CacheLocksetChecks = false;
   Naive.Detector.LockRegionMerging = false;

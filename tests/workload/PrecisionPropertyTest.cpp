@@ -69,7 +69,6 @@ TEST_P(PrecisionProperty, OptimizationsPreserveRacyLocations) {
   O2Analysis A = analyzeModule(*M, Optimized);
 
   O2Config Naive;
-  Naive.Detector.Engine = RaceEngineKind::Serial;
   Naive.Detector.HB = RaceHBKind::Naive;
   Naive.Detector.CacheLocksetChecks = false;
   Naive.Detector.LockRegionMerging = false;
@@ -86,7 +85,6 @@ TEST_P(PrecisionProperty, OptimizationsPreserveRacyLocations) {
 TEST_P(PrecisionProperty, EachOptimizationAloneIsSound) {
   auto M = generateWorkload(smallProfile(GetParam()));
   O2Config Base;
-  Base.Detector.Engine = RaceEngineKind::Serial;
   Base.Detector.HB = RaceHBKind::Naive;
   Base.Detector.CacheLocksetChecks = false;
   Base.Detector.LockRegionMerging = false;
@@ -95,7 +93,7 @@ TEST_P(PrecisionProperty, EachOptimizationAloneIsSound) {
   for (unsigned Opt = 0; Opt < 3; ++Opt) {
     O2Config C = Base;
     if (Opt == 0)
-      C.Detector.HB = RaceHBKind::Memo;
+      C.Detector.HB = RaceHBKind::Index;
     if (Opt == 1)
       C.Detector.CacheLocksetChecks = true;
     if (Opt == 2)
