@@ -63,7 +63,9 @@ private:
 };
 
 /// Runs the syntactic detector directly over the IR. \p Cancel is polled
-/// in the access-collection and pairwise-warning loops.
+/// in the root-reachability walk, once per function while collecting
+/// accesses, and once per function group of each location while scanning
+/// access-class pairs for races.
 RacerDReport runRacerDLike(const Module &M,
                            const CancellationToken *Cancel = nullptr);
 

@@ -119,9 +119,19 @@ private:
     }
   }
 
+  /// Writes \p S quoted and escaped. Each run of bytes that need no
+  /// escape goes out in one write call, so the cost in stream calls is
+  /// proportional to the number of escapes, not to the length.
   void writeString(std::string_view S) {
     OS << '"';
-    for (char C : S) {
+    size_t RunStart = 0;
+    for (size_t I = 0, E = S.size(); I != E; ++I) {
+      unsigned char C = static_cast<unsigned char>(S[I]);
+      if (C >= 0x20 && C != '"' && C != '\\')
+        continue;
+      if (I != RunStart)
+        OS.write(S.data() + RunStart, I - RunStart);
+      RunStart = I + 1;
       switch (C) {
       case '"':
         OS << "\\\"";
@@ -138,17 +148,15 @@ private:
       case '\r':
         OS << "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(C) < 0x20) {
-          const char *Hex = "0123456789abcdef";
-          char Buf[7] = {'\\', 'u', '0', '0',
-                         Hex[(C >> 4) & 0xf], Hex[C & 0xf], 0};
-          OS << Buf;
-        } else {
-          OS << C;
-        }
+      default: {
+        const char *Hex = "0123456789abcdef";
+        char Buf[6] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xf]};
+        OS.write(Buf, sizeof(Buf));
+      }
       }
     }
+    if (RunStart != S.size())
+      OS.write(S.data() + RunStart, S.size() - RunStart);
     OS << '"';
   }
 

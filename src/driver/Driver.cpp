@@ -27,6 +27,7 @@
 #include <string_view>
 #include <thread>
 #include <type_traits>
+#include <unordered_map>
 
 using namespace o2;
 
@@ -336,18 +337,30 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
         O.NumAccesses = Reg.NumAccesses;
         R.OverSyncs.push_back(std::move(O));
       }
-    if (AM->ran(O2Phase::RacerD))
-      for (const RacerDWarning &W : AM->getRacerD().warnings()) {
+    if (AM->ran(O2Phase::RacerD)) {
+      // Warnings name far fewer statements than they have sides: print
+      // each statement once.
+      std::unordered_map<const Stmt *, std::string> Printed;
+      auto print = [&](const Stmt *S) -> const std::string & {
+        auto [It, New] = Printed.try_emplace(S);
+        if (New)
+          It->second = printStmt(*S);
+        return It->second;
+      };
+      const std::vector<RacerDWarning> &Warnings = AM->getRacerD().warnings();
+      R.RacerDWarnings.reserve(Warnings.size());
+      for (const RacerDWarning &W : Warnings) {
         RacerDRecord Rw;
         Rw.Kind = W.WarningKind == RacerDWarning::Kind::ReadWriteRace
                       ? "read-write"
                       : "unprotected-write";
         Rw.Location = W.Location;
-        Rw.First = printStmt(*W.A);
+        Rw.First = print(W.A);
         if (W.B)
-          Rw.Second = printStmt(*W.B);
+          Rw.Second = print(W.B);
         R.RacerDWarnings.push_back(std::move(Rw));
       }
+    }
 
     if (AM->cancelled()) {
       R.Status = JobStatus::Timeout;

@@ -16,6 +16,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 using namespace o2;
 
@@ -41,8 +42,23 @@ private:
     const Stmt *S;
     const Function *F;
     bool IsWrite;
-    std::set<std::string> LockNames; ///< syntactic locks held
+    unsigned Lockset; ///< interned syntactic locks held; 0 is no lock
   };
+
+  /// The accesses of one key that share (function, lockset, is-write).
+  /// Whether two accesses may race depends on nothing else, so the scan
+  /// tests pairs of classes instead of pairs of accesses.
+  struct AccessClass {
+    const Function *F;
+    unsigned Lockset;
+    bool IsWrite;
+    unsigned First; ///< position of the class's first access in the list
+  };
+
+  /// An (I, J) position pair in a key's access list; ordered
+  /// lexicographically, which is the order warnings are emitted in.
+  using PairIdx = std::pair<unsigned, unsigned>;
+  static constexpr PairIdx NoPair{~0u, ~0u};
 
   /// Map method name -> every method with that name anywhere: the
   /// detector has no pointer information, so a virtual call can reach any
@@ -90,6 +106,7 @@ private:
         Roots.push_back(Entry);
     }
 
+    std::unordered_map<const Function *, std::vector<unsigned>> RootsOf;
     for (size_t RootIdx = 0; RootIdx != Roots.size(); ++RootIdx) {
       std::deque<const Function *> Queue{Roots[RootIdx]};
       std::set<const Function *> Visited;
@@ -102,14 +119,26 @@ private:
         Queue.pop_front();
         if (!Visited.insert(F).second)
           continue;
-        RootsOf[F].insert(static_cast<unsigned>(RootIdx));
+        // Roots are walked in index order, so each list stays sorted.
+        RootsOf[F].push_back(static_cast<unsigned>(RootIdx));
         std::vector<const Function *> Out;
         callees(F, Out);
         for (const Function *Callee : Out)
           Queue.push_back(Callee);
       }
     }
-    NumRoots = static_cast<unsigned>(Roots.size());
+
+    // Intern the root sets: two functions may run on different threads
+    // iff their sets differ or share a non-main root (root 0 is main;
+    // entry methods can be spawned more than once).
+    std::map<std::vector<unsigned>, unsigned> RootSetIds;
+    for (const auto &[F, FnRoots] : RootsOf) {
+      auto [It, New] = RootSetIds.try_emplace(
+          FnRoots, static_cast<unsigned>(RootSetHasEntry.size()));
+      if (New)
+        RootSetHasEntry.push_back(FnRoots.back() != 0);
+      RootSetOf[F] = It->second;
+    }
   }
 
   static std::string fieldKeyName(const Field *Fld) {
@@ -153,10 +182,11 @@ private:
         return;
       }
       const Function *F = FPtr.get();
-      if (!RootsOf.count(F))
+      if (!RootSetOf.count(F))
         continue; // dead code
       std::set<const Variable *> Owned = ownedVariables(F);
-      std::vector<std::string> LockStack;
+      std::vector<unsigned> LockStack;
+      unsigned Lockset = 0;
       for (const auto &SPtr : F->body()) {
         const Stmt &S = *SPtr;
         std::string Key;
@@ -192,103 +222,142 @@ private:
           IsWrite = true;
           break;
         case Stmt::SK_Acquire:
-          LockStack.push_back(cast<AcquireStmt>(S).getLock()->getName());
+          LockStack.push_back(
+              lockId(cast<AcquireStmt>(S).getLock()->getName()));
+          Lockset = internLockset(LockStack);
           continue;
         case Stmt::SK_Release:
-          if (!LockStack.empty())
+          if (!LockStack.empty()) {
             LockStack.pop_back();
+            Lockset = internLockset(LockStack);
+          }
           continue;
         default:
           continue;
         }
-        Access A;
-        A.S = &S;
-        A.F = F;
-        A.IsWrite = IsWrite;
-        A.LockNames.insert(LockStack.begin(), LockStack.end());
-        AccessesByKey[Key].push_back(std::move(A));
+        AccessesByKey[Key].push_back({&S, F, IsWrite, Lockset});
       }
     }
   }
 
-  /// Two accesses may run on different threads if their functions' root
-  /// sets differ, or a shared root set contains a non-main root (entry
-  /// methods can be spawned more than once).
-  bool mayRunConcurrently(const Access &A, const Access &B) const {
-    const std::set<unsigned> &RA = RootsOf.at(A.F);
-    const std::set<unsigned> &RB = RootsOf.at(B.F);
-    if (RA != RB)
+  unsigned lockId(const std::string &Name) {
+    return LockIds.try_emplace(Name, static_cast<unsigned>(LockIds.size()))
+        .first->second;
+  }
+
+  /// Interns the set of locks on \p Stack; the empty set is always 0.
+  unsigned internLockset(const std::vector<unsigned> &Stack) {
+    std::vector<unsigned> Set(Stack);
+    std::sort(Set.begin(), Set.end());
+    Set.erase(std::unique(Set.begin(), Set.end()), Set.end());
+    auto [It, New] = LocksetIds.try_emplace(
+        Set, static_cast<unsigned>(Locksets.size()));
+    if (New)
+      Locksets.push_back(std::move(Set));
+    return It->second;
+  }
+
+  bool locksDisjoint(unsigned LA, unsigned LB) const {
+    if (LA == 0 || LB == 0)
       return true;
-    for (unsigned Root : RA)
-      if (Root != 0) // root 0 is main; entry roots may self-parallelize
-        return true;
-    return false;
-  }
-
-  /// A function reachable from a non-main root may run on several threads
-  /// at once (entry methods can be spawned repeatedly).
-  bool canSelfRace(const Access &A) const {
-    for (unsigned Root : RootsOf.at(A.F))
-      if (Root != 0)
-        return true;
-    return false;
-  }
-
-  static bool locksDisjoint(const Access &A, const Access &B) {
-    for (const std::string &L : A.LockNames)
-      if (B.LockNames.count(L))
+    if (LA == LB)
+      return false;
+    const std::vector<unsigned> &A = Locksets[LA], &B = Locksets[LB];
+    for (size_t I = 0, J = 0; I != A.size() && J != B.size();) {
+      if (A[I] == B[J])
         return false;
+      A[I] < B[J] ? ++I : ++J;
+    }
     return true;
+  }
+
+  bool mayRunConcurrently(const Function *A, const Function *B) const {
+    unsigned SA = RootSetOf.at(A), SB = RootSetOf.at(B);
+    return SA != SB || RootSetHasEntry[SA];
+  }
+
+  /// The smallest (I, J), I <= J, of a racing pair of accesses from
+  /// classes \p A and \p B, or NoPair. For two classes whose first
+  /// accesses are I < J, the smallest index after I in J's class is J
+  /// itself. One class on its own pairs only with itself; there the I < J
+  /// condition equals the self-race one (write, no lock, a function that
+  /// can run on several threads), so (I, I) wins.
+  PairIdx firstRacingPair(const AccessClass &A, const AccessClass &B) const {
+    if (!A.IsWrite && !B.IsWrite)
+      return NoPair;
+    if (!locksDisjoint(A.Lockset, B.Lockset))
+      return NoPair;
+    return std::minmax(A.First, B.First);
+  }
+
+  /// Category 1: read/write race pairs, deduplicated the way RacerD
+  /// reports them — one warning per (location, function pair), for the
+  /// smallest racing (I, J) of that pair, in (I, J) order. A write may
+  /// also race with itself (I == J) when its function can run on more
+  /// than one thread and the access is unsynchronized.
+  void emitRacePairs(const std::string &Key,
+                     const std::vector<Access> &Accesses) {
+    // Accesses are collected function by function, so each function's
+    // accesses form one contiguous run of the list.
+    std::vector<AccessClass> Classes;
+    std::vector<unsigned> RunStart; ///< first class of each function
+    for (unsigned Idx = 0; Idx != Accesses.size(); ++Idx) {
+      const Access &A = Accesses[Idx];
+      if (Classes.empty() || Classes.back().F != A.F)
+        RunStart.push_back(static_cast<unsigned>(Classes.size()));
+      bool Seen = std::any_of(
+          Classes.begin() + RunStart.back(), Classes.end(),
+          [&](const AccessClass &C) {
+            return C.Lockset == A.Lockset && C.IsWrite == A.IsWrite;
+          });
+      if (!Seen)
+        Classes.push_back({A.F, A.Lockset, A.IsWrite, Idx});
+    }
+    RunStart.push_back(static_cast<unsigned>(Classes.size()));
+
+    std::vector<PairIdx> Winners;
+    for (size_t G1 = 0; G1 + 1 != RunStart.size(); ++G1) {
+      if (pollCancelled(Cancel)) {
+        R.Cancelled = true;
+        return;
+      }
+      for (size_t G2 = G1; G2 + 1 != RunStart.size(); ++G2) {
+        if (!mayRunConcurrently(Classes[RunStart[G1]].F,
+                                Classes[RunStart[G2]].F))
+          continue;
+        PairIdx Best = NoPair;
+        for (unsigned A = RunStart[G1]; A != RunStart[G1 + 1]; ++A)
+          for (unsigned B = G1 == G2 ? A : RunStart[G2];
+               B != RunStart[G2 + 1]; ++B)
+            Best = std::min(Best, firstRacingPair(Classes[A], Classes[B]));
+        if (Best != NoPair)
+          Winners.push_back(Best);
+      }
+    }
+    std::sort(Winners.begin(), Winners.end());
+    for (const auto &[I, J] : Winners)
+      R.Warnings.push_back({RacerDWarning::Kind::ReadWriteRace, Key,
+                            Accesses[I].S, Accesses[J].S});
+    R.NumPotentialRaces += static_cast<unsigned>(Winners.size());
   }
 
   void emitWarnings() {
     for (const auto &[Key, Accesses] : AccessesByKey) {
-      bool AnyLocked = false;
-      for (const Access &A : Accesses)
-        AnyLocked |= !A.LockNames.empty();
-
-      // Category 1: read/write race pairs, deduplicated the way RacerD
-      // reports them — one warning per (location, function pair). A write
-      // may also race with itself (I == J) when its function can run on
-      // more than one thread and the access is unsynchronized.
-      std::set<std::pair<const Function *, const Function *>> Reported;
-      for (size_t I = 0; I < Accesses.size(); ++I) {
-        if (pollCancelled(Cancel)) {
-          R.Cancelled = true;
-          return;
-        }
-        for (size_t J = I; J < Accesses.size(); ++J) {
-          const Access &A = Accesses[I];
-          const Access &B = Accesses[J];
-          if (!A.IsWrite && !B.IsWrite)
-            continue;
-          if (I == J) {
-            if (!A.IsWrite || !A.LockNames.empty() || !canSelfRace(A))
-              continue;
-          } else {
-            if (!mayRunConcurrently(A, B))
-              continue;
-            if (!locksDisjoint(A, B))
-              continue;
-          }
-          auto FnPair = A.F < B.F ? std::make_pair(A.F, B.F)
-                                  : std::make_pair(B.F, A.F);
-          if (!Reported.insert(FnPair).second)
-            continue;
-          R.Warnings.push_back({RacerDWarning::Kind::ReadWriteRace, Key, A.S,
-                                B.S});
-          ++R.NumPotentialRaces;
-        }
-      }
+      emitRacePairs(Key, Accesses);
+      if (R.Cancelled)
+        return;
 
       // Category 2: unprotected writes in mixed-synchronization fields.
+      bool AnyLocked = false;
+      for (const Access &A : Accesses)
+        AnyLocked |= A.Lockset != 0;
       if (!AnyLocked)
         continue;
       std::set<const Function *> AccessingFns;
       for (const Access &A : Accesses)
         AccessingFns.insert(A.F);
       for (const Access &A : Accesses) {
-        if (!A.IsWrite || !A.LockNames.empty())
+        if (!A.IsWrite || A.Lockset != 0)
           continue;
         R.Warnings.push_back(
             {RacerDWarning::Kind::UnprotectedWrite, Key, A.S, nullptr});
@@ -305,9 +374,12 @@ private:
   const CancellationToken *Cancel;
   RacerDReport R;
   std::map<std::string, std::vector<const Function *>> MethodsByName;
-  std::map<const Function *, std::set<unsigned>> RootsOf;
+  std::unordered_map<const Function *, unsigned> RootSetOf;
+  std::vector<bool> RootSetHasEntry; ///< per root set: has a non-main root
+  std::unordered_map<std::string, unsigned> LockIds;
+  std::map<std::vector<unsigned>, unsigned> LocksetIds{{{}, 0}};
+  std::vector<std::vector<unsigned>> Locksets{{}};
   std::map<std::string, std::vector<Access>> AccessesByKey;
-  unsigned NumRoots = 0;
 };
 
 } // namespace o2

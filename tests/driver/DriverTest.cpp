@@ -476,7 +476,8 @@ TEST(DriverTest, DeadlineTimeoutNamesAuxPhase) {
   // RacerD has no dependencies, so with a RacerD-only request the first
   // pass the deadline can fire in is RacerD itself — the timeout record
   // must name the aux analysis, not "pta". The telegram workload keeps
-  // RacerD busy for ~1s, far past the 1ms budget.
+  // RacerD busy for about 70ms (RelWithDebInfo on a 4-vCPU VM), far past
+  // the 1ms budget.
   const WorkloadProfile *Heavy = findProfile("telegram");
   ASSERT_NE(Heavy, nullptr);
   JobSpec Spec;

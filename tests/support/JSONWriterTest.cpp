@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 using namespace o2;
 
 namespace {
@@ -88,6 +90,90 @@ TEST(JSONWriterTest, NegativeAndNull) {
     W.endArray();
   });
   EXPECT_EQ(Out, "[-7,null]");
+}
+
+std::string renderString(std::string_view S) {
+  std::string Buf;
+  StringOutputStream OS(Buf);
+  JSONWriter W(OS);
+  W.value(S);
+  return Buf;
+}
+
+TEST(JSONWriterTest, EscapesAtEdgesAndAdjacent) {
+  EXPECT_EQ(renderString("\"abc"), "\"\\\"abc\"");
+  EXPECT_EQ(renderString("abc\\"), "\"abc\\\\\"");
+  EXPECT_EQ(renderString("a\n\t\"\\b"), "\"a\\n\\t\\\"\\\\b\"");
+  EXPECT_EQ(renderString("\r\r"), "\"\\r\\r\"");
+}
+
+TEST(JSONWriterTest, AllControlCharacters) {
+  std::string In, Want = "\"";
+  for (int C = 0; C < 0x20; ++C) {
+    In += static_cast<char>(C);
+    switch (C) {
+    case '\n':
+      Want += "\\n";
+      break;
+    case '\t':
+      Want += "\\t";
+      break;
+    case '\r':
+      Want += "\\r";
+      break;
+    default: {
+      char Buf[7];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Want += Buf;
+    }
+    }
+  }
+  Want += "\"";
+  EXPECT_EQ(renderString(In), Want);
+}
+
+TEST(JSONWriterTest, DeleteAndUTF8PassThrough) {
+  std::string In = "\x7f" "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x99\x82";
+  EXPECT_EQ(renderString(In), "\"" + In + "\"");
+}
+
+TEST(JSONWriterTest, EmptyString) {
+  EXPECT_EQ(renderString(""), "\"\"");
+  EXPECT_EQ(render([](JSONWriter &W) {
+              W.beginObject();
+              W.attribute("", "");
+              W.endObject();
+            }),
+            "{\"\":\"\"}");
+}
+
+/// Counts write calls; the JSON writer must issue a bounded number per
+/// escape instead of one per byte.
+class CountingOutputStream : public OutputStream {
+public:
+  void write(const char *Data, size_t Size) override {
+    ++Writes;
+    Buffer.append(Data, Size);
+  }
+  unsigned Writes = 0;
+  std::string Buffer;
+};
+
+TEST(JSONWriterTest, WriteCallsScaleWithEscapesNotLength) {
+  constexpr unsigned NumEscapes = 7;
+  std::string In(100000, 'x');
+  for (unsigned K = 0; K < NumEscapes; ++K)
+    In[K * 9973 + 11] = K % 2 ? '"' : '\n';
+  CountingOutputStream OS;
+  {
+    JSONWriter W(OS);
+    W.value(In);
+  }
+  // Opening and closing quote, and per escape at most the run before it
+  // plus the escape itself; then the final run.
+  EXPECT_LE(OS.Writes, 2 * NumEscapes + 3);
+  EXPECT_EQ(OS.Buffer, renderString(In));
+  EXPECT_EQ(OS.Buffer.size(), In.size() + NumEscapes + 2);
 }
 
 } // namespace
