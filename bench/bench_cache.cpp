@@ -11,8 +11,11 @@
 // stored) versus warm (every job replays its serialized record). The
 // warm run skips PTA, SHB, and the detectors entirely — its cost is
 // module generation/hashing plus deserialization — so the expected gap
-// is one-to-two orders of magnitude on this corpus. Counters: races
-// (identical cold and warm, by construction), cache hits and misses.
+// is one-to-two orders of magnitude on this corpus. The RacerD-like pass
+// is in the analysis set because its warnings make up most of the bytes
+// of a real entry. Counters: races (identical cold and warm, by
+// construction), cache hits and misses, and cache-bytes, the total size
+// of the entries the run leaves in the cache directory.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,12 +44,19 @@ static std::string cacheDir() {
       .string();
 }
 
+static uintmax_t cacheBytes(const std::string &Dir) {
+  uintmax_t Bytes = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    Bytes += E.file_size();
+  return Bytes;
+}
+
 static void BM_Cache(benchmark::State &State, bool Warm) {
   std::vector<JobSpec> Specs = corpusSpecs();
   BatchOptions Opts;
   Opts.Jobs = 4;
   Opts.Analyses = {O2Phase::OSA, O2Phase::Detect, O2Phase::Deadlock,
-                   O2Phase::OverSync};
+                   O2Phase::OverSync, O2Phase::RacerD};
   Opts.CacheDir = cacheDir();
 
   if (Warm) // ensure every entry exists before timing the replay
@@ -65,6 +75,8 @@ static void BM_Cache(benchmark::State &State, bool Warm) {
     State.counters["misses"] = static_cast<double>(R.CacheMisses);
     benchmark::DoNotOptimize(R);
   }
+  State.counters["cache-bytes"] =
+      static_cast<double>(cacheBytes(Opts.CacheDir));
 }
 
 int main(int Argc, char **Argv) {
@@ -82,7 +94,8 @@ int main(int Argc, char **Argv) {
   int Rc = runBenchmarks(
       Argc, Argv,
       "Cold vs warm batch runs over the benchmark corpus with a "
-      "persistent --cache-dir; counters: races, cache hits/misses");
+      "persistent --cache-dir; counters: races, cache hits/misses, "
+      "cache-bytes");
   std::filesystem::remove_all(cacheDir());
   return Rc;
 }

@@ -183,12 +183,17 @@ struct OverSyncRecord {
   unsigned NumAccesses = 0;
 };
 
-/// One RacerD-like warning (racerd analysis section).
+/// One RacerD-like warning (racerd analysis section). The strings live
+/// once per job in JobResult::Text; a record holds their indices, so a
+/// statement named by thousands of warnings is stored, cached, piped and
+/// escaped once.
 struct RacerDRecord {
-  std::string Kind; ///< "read-write" | "unprotected-write".
-  std::string Location;
-  std::string First;
-  std::string Second; ///< "" for unprotected writes.
+  bool UnprotectedWrite = false; ///< Kind: "unprotected-write", else
+                                 ///< "read-write".
+  uint32_t Location = 0;         ///< Text index of the field/global name.
+  uint32_t First = 0;            ///< Text index of the first statement.
+  uint32_t Second = 0; ///< Text index of the second statement; the empty
+                       ///< string for unprotected writes.
 };
 
 struct JobResult {
@@ -231,6 +236,9 @@ struct JobResult {
   std::vector<DeadlockRecord> Deadlocks;
   std::vector<OverSyncRecord> OverSyncs;
   std::vector<RacerDRecord> RacerDWarnings;
+
+  /// The job's distinct strings, indexed by RacerDRecord.
+  std::vector<std::string> Text;
 
   /// Baseline fingerprints no longer reported (set by applyBaseline).
   std::vector<std::string> FixedRaces;

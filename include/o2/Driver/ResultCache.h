@@ -55,7 +55,9 @@ public:
   /// Bump when the serialized JobResult layout changes.
   /// 2: shared wire format with the worker pipe — adds signal, degraded,
   ///    fallback fingerprint, and retry fields.
-  static constexpr uint32_t FormatVersion = 2;
+  /// 3: per-job string table; RacerD records are a kind and three table
+  ///    indices instead of four strings.
+  static constexpr uint32_t FormatVersion = 3;
 
   /// Loads the entry for (ContentHash, ConfigFP) into \p Out. Returns
   /// false — and leaves \p Out untouched — on absence or any form of

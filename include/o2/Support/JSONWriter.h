@@ -61,14 +61,14 @@ public:
     assert(!Stack.empty() && Stack.back().IsObject && "key outside object");
     if (Stack.back().Count++)
       OS << ',';
-    writeString(Name);
+    quote(OS, Name);
     OS << ':';
     PendingKey = true;
   }
 
   void value(std::string_view S) {
     prepareValue();
-    writeString(S);
+    quote(OS, S);
   }
   void value(const char *S) { value(std::string_view(S)); }
   void value(int64_t N) {
@@ -94,35 +94,20 @@ public:
     OS << "null";
   }
 
-  /// key(...) followed by value(...).
-  template <typename T> void attribute(std::string_view Name, T Val) {
-    key(Name);
-    value(Val);
+  /// Emits \p JSON verbatim as the next value, with the same comma and
+  /// key handling as value(). The caller passes exactly one well-formed
+  /// JSON value, typically a string rendered once by quote() and then
+  /// reused for many members.
+  void rawValue(std::string_view JSON) {
+    prepareValue();
+    OS << JSON;
   }
 
-private:
-  struct Frame {
-    bool IsObject;
-    unsigned Count;
-  };
-
-  void prepareValue() {
-    if (PendingKey) {
-      PendingKey = false;
-      return;
-    }
-    if (!Stack.empty()) {
-      assert(!Stack.back().IsObject &&
-             "object members need a key before the value");
-      if (Stack.back().Count++)
-        OS << ',';
-    }
-  }
-
-  /// Writes \p S quoted and escaped. Each run of bytes that need no
-  /// escape goes out in one write call, so the cost in stream calls is
-  /// proportional to the number of escapes, not to the length.
-  void writeString(std::string_view S) {
+  /// Writes \p S to \p OS quoted and escaped, exactly as value(S) renders
+  /// it. Each run of bytes that need no escape goes out in one write
+  /// call, so the cost in stream calls is proportional to the number of
+  /// escapes, not to the length.
+  static void quote(OutputStream &OS, std::string_view S) {
     OS << '"';
     size_t RunStart = 0;
     for (size_t I = 0, E = S.size(); I != E; ++I) {
@@ -158,6 +143,31 @@ private:
     if (RunStart != S.size())
       OS.write(S.data() + RunStart, S.size() - RunStart);
     OS << '"';
+  }
+
+  /// key(...) followed by value(...).
+  template <typename T> void attribute(std::string_view Name, T Val) {
+    key(Name);
+    value(Val);
+  }
+
+private:
+  struct Frame {
+    bool IsObject;
+    unsigned Count;
+  };
+
+  void prepareValue() {
+    if (PendingKey) {
+      PendingKey = false;
+      return;
+    }
+    if (!Stack.empty()) {
+      assert(!Stack.back().IsObject &&
+             "object members need a key before the value");
+      if (Stack.back().Count++)
+        OS << ',';
+    }
   }
 
   OutputStream &OS;

@@ -8,6 +8,7 @@
 
 #include "o2/Driver/Driver.h"
 
+#include "DriverSupport.h"
 #include "o2/Driver/ResultCache.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Printer.h"
@@ -22,6 +23,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string_view>
@@ -30,6 +32,9 @@
 #include <unordered_map>
 
 using namespace o2;
+using driver::fnv1a;
+using driver::readFile;
+using driver::toHex16;
 
 const char *o2::jobStatusName(JobStatus S) {
   switch (S) {
@@ -81,22 +86,6 @@ int BatchResult::exitCode() const {
 // Race fingerprints
 //===----------------------------------------------------------------------===//
 
-static uint64_t fnv1a(std::string_view S, uint64_t H) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-static std::string toHex16(uint64_t V) {
-  static const char *Hex = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[size_t(I)] = Hex[V & 0xf];
-  return Out;
-}
-
 /// Symbolic description of \p Loc that survives reordering of unrelated
 /// statements: no abstract-object numbers or statement IDs, only names
 /// and statement text (class, field, allocating function, allocation
@@ -144,7 +133,7 @@ static RaceRecord makeRaceRecord(const Race &Rc, const PTAResult &PTA) {
       R.StmtB + "|" + R.FuncB + "|" + (R.WriteB ? "W" : "R");
   if (DescB < DescA)
     std::swap(DescA, DescB);
-  uint64_t H = fnv1a(R.Location, 1469598103934665603ull);
+  uint64_t H = fnv1a(R.Location);
   H = fnv1a("\x1f", H);
   H = fnv1a(DescA, H);
   H = fnv1a("\x1f", H);
@@ -157,19 +146,15 @@ static RaceRecord makeRaceRecord(const Race &Rc, const PTAResult &PTA) {
 // Job execution
 //===----------------------------------------------------------------------===//
 
-static std::string readFileContent(const std::string &Path, bool &Ok) {
-  Ok = false;
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return {};
-  std::string Content;
-  char Buf[64 * 1024];
-  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
-    Content.append(Buf, N);
-  Ok = !std::ferror(F);
-  std::fclose(F);
-  return Content;
-}
+namespace {
+/// Lets the text-interning map look strings up by view, without a copy.
+struct TextHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view S) const {
+    return std::hash<std::string_view>()(S);
+  }
+};
+} // namespace
 
 JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
   JobResult R;
@@ -225,7 +210,7 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
       Source = Spec.Source;
       if (Source.empty() && !Spec.Path.empty()) {
         bool Ok = false;
-        Source = readFileContent(Spec.Path, Ok);
+        Source = readFile(Spec.Path, Ok);
         if (!Ok) {
           R.Status = JobStatus::ParseError;
           R.Error = "cannot read '" + Spec.Path + "'";
@@ -338,27 +323,37 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
         R.OverSyncs.push_back(std::move(O));
       }
     if (AM->ran(O2Phase::RacerD)) {
-      // Warnings name far fewer statements than they have sides: print
-      // each statement once.
-      std::unordered_map<const Stmt *, std::string> Printed;
-      auto print = [&](const Stmt *S) -> const std::string & {
-        auto [It, New] = Printed.try_emplace(S);
+      // Warnings name far fewer statements and locations than they have
+      // sides: each distinct string enters R.Text once, records hold
+      // indices. Statements are looked up by pointer before being printed.
+      std::unordered_map<std::string, uint32_t, TextHash, std::equal_to<>>
+          TextIds;
+      auto intern = [&](std::string_view S) {
+        auto It = TextIds.find(S);
+        if (It != TextIds.end())
+          return It->second;
+        uint32_t Id = uint32_t(R.Text.size());
+        R.Text.emplace_back(S);
+        TextIds.emplace(R.Text.back(), Id);
+        return Id;
+      };
+      std::unordered_map<const Stmt *, uint32_t> StmtIds;
+      auto internStmt = [&](const Stmt *S) {
+        auto [It, New] = StmtIds.try_emplace(S);
         if (New)
-          It->second = printStmt(*S);
+          It->second = S ? intern(printStmt(*S)) : intern("");
         return It->second;
       };
       const std::vector<RacerDWarning> &Warnings = AM->getRacerD().warnings();
       R.RacerDWarnings.reserve(Warnings.size());
       for (const RacerDWarning &W : Warnings) {
         RacerDRecord Rw;
-        Rw.Kind = W.WarningKind == RacerDWarning::Kind::ReadWriteRace
-                      ? "read-write"
-                      : "unprotected-write";
-        Rw.Location = W.Location;
-        Rw.First = print(W.A);
-        if (W.B)
-          Rw.Second = print(W.B);
-        R.RacerDWarnings.push_back(std::move(Rw));
+        Rw.UnprotectedWrite =
+            W.WarningKind == RacerDWarning::Kind::UnprotectedWrite;
+        Rw.Location = intern(W.Location);
+        Rw.First = internStmt(W.A);
+        Rw.Second = internStmt(W.B);
+        R.RacerDWarnings.push_back(Rw);
       }
     }
 
@@ -610,8 +605,44 @@ void o2::applyBaseline(BatchResult &R, const Baseline &B) {
 // Reports
 //===----------------------------------------------------------------------===//
 
-void o2::printJSONL(const BatchResult &R, OutputStream &OS,
+namespace {
+/// Stages a report in a fixed 64 KiB buffer and hands it to the sink one
+/// full buffer at a time, so the sink sees a few large writes instead of
+/// one per JSON token. A write that does not fit after a flush goes
+/// straight through. Flushes on destruction.
+class StagedOutputStream : public OutputStream {
+public:
+  explicit StagedOutputStream(OutputStream &Sink) : Sink(Sink) {}
+  ~StagedOutputStream() override { flush(); }
+
+  void write(const char *Data, size_t Size) override {
+    if (Size > sizeof(Buf) - Len) {
+      flush();
+      if (Size >= sizeof(Buf)) {
+        Sink.write(Data, Size);
+        return;
+      }
+    }
+    std::memcpy(Buf + Len, Data, Size);
+    Len += Size;
+  }
+
+  void flush() {
+    if (Len)
+      Sink.write(Buf, Len);
+    Len = 0;
+  }
+
+private:
+  OutputStream &Sink;
+  char Buf[64 * 1024];
+  size_t Len = 0;
+};
+} // namespace
+
+void o2::printJSONL(const BatchResult &R, OutputStream &Sink,
                     bool IncludeTimings) {
+  StagedOutputStream OS(Sink);
   for (const JobResult &J : R.Jobs) {
     JSONWriter W(OS);
     W.beginObject();
@@ -697,13 +728,25 @@ void o2::printJSONL(const BatchResult &R, OutputStream &OS,
     if (J.Analyses.contains(O2Phase::RacerD)) {
       W.key("racerd");
       W.beginArray();
+      // Each string is quoted and escaped once, however many records
+      // name it.
+      std::vector<std::string> Quoted(J.Text.size());
+      for (size_t I = 0; I < J.Text.size(); ++I) {
+        StringOutputStream QuotedOS(Quoted[I]);
+        JSONWriter::quote(QuotedOS, J.Text[I]);
+      }
       for (const RacerDRecord &Rw : J.RacerDWarnings) {
         W.beginObject();
-        W.attribute("kind", Rw.Kind);
-        W.attribute("location", Rw.Location);
-        W.attribute("first", Rw.First);
-        if (!Rw.Second.empty())
-          W.attribute("second", Rw.Second);
+        W.attribute("kind", Rw.UnprotectedWrite ? "unprotected-write"
+                                                : "read-write");
+        W.key("location");
+        W.rawValue(Quoted[Rw.Location]);
+        W.key("first");
+        W.rawValue(Quoted[Rw.First]);
+        if (!J.Text[Rw.Second].empty()) {
+          W.key("second");
+          W.rawValue(Quoted[Rw.Second]);
+        }
         W.endObject();
       }
       W.endArray();
@@ -1045,7 +1088,7 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
 
   if (!BaselinePath.empty()) {
     bool Ok = false;
-    std::string Content = readFileContent(BaselinePath, Ok);
+    std::string Content = readFile(BaselinePath, Ok);
     if (!Ok) {
       errs() << "o2batch: cannot read baseline '" << BaselinePath << "'\n";
       return ExitError;

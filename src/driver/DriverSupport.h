@@ -1,0 +1,68 @@
+//===- DriverSupport.h - Helpers shared inside o2Driver -----------*- C++ -*-===//
+//
+// Part of the O2 project, an implementation of the PLDI 2021 paper
+// "When Threads Meet Events: Efficient and Precise Static Race Detection
+// with Origins".
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Hashing, hex rendering and whole-file reading used by the batch driver
+/// (race fingerprints, baselines, module sources) and the result cache
+/// (keys, checksums, entries).
+///
+/// Internal to o2Driver — not installed under include/.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef O2_DRIVER_DRIVERSUPPORT_H
+#define O2_DRIVER_DRIVERSUPPORT_H
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
+
+namespace o2 {
+namespace driver {
+
+/// 64-bit FNV-1a of \p S, continuing from \p H (the offset basis by
+/// default).
+inline uint64_t fnv1a(std::string_view S,
+                      uint64_t H = 1469598103934665603ull) {
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+/// \p V as exactly 16 lowercase hex digits.
+inline std::string toHex16(uint64_t V) {
+  static const char *Hex = "0123456789abcdef";
+  std::string Out(16, '0');
+  for (int I = 15; I >= 0; --I, V >>= 4)
+    Out[size_t(I)] = Hex[V & 0xf];
+  return Out;
+}
+
+/// The whole content of \p Path; \p Ok is false when it cannot be opened
+/// or read.
+inline std::string readFile(const std::string &Path, bool &Ok) {
+  Ok = false;
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (!F)
+    return {};
+  std::string Content;
+  char Buf[64 * 1024];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
+    Content.append(Buf, N);
+  Ok = !std::ferror(F);
+  std::fclose(F);
+  return Content;
+}
+
+} // namespace driver
+} // namespace o2
+
+#endif // O2_DRIVER_DRIVERSUPPORT_H

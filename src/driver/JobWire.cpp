@@ -8,8 +8,8 @@
 
 #include "JobWire.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace o2;
 
@@ -39,7 +39,8 @@ class FieldReader {
 public:
   explicit FieldReader(std::string_view Data) : Data(Data) {}
 
-  bool get(std::string &Out) {
+  /// The next field's bytes, as a view into the payload.
+  bool getView(std::string_view &Out) {
     size_t Colon = Data.find(':', Pos);
     if (Colon == std::string_view::npos || Colon == Pos ||
         Colon - Pos > 19)
@@ -55,27 +56,36 @@ public:
     if (Start >= Data.size() || Len >= Data.size() - Start ||
         Data[Start + Len] != ',')
       return fail();
-    Out.assign(Data.data() + Start, Len);
+    Out = Data.substr(Start, Len);
     Pos = Start + Len + 1;
     return true;
   }
 
-  bool getU64(uint64_t &V) {
-    std::string S;
-    if (!get(S) || S.empty())
-      return fail();
-    char *End = nullptr;
-    V = std::strtoull(S.c_str(), &End, 10);
-    return *End == '\0' || fail();
+  bool get(std::string &Out) {
+    std::string_view V;
+    if (!getView(V))
+      return false;
+    Out.assign(V);
+    return true;
   }
 
-  bool getDouble(double &V) {
-    std::string S;
-    if (!get(S) || S.empty())
-      return fail();
-    char *End = nullptr;
-    V = std::strtod(S.c_str(), &End);
-    return *End == '\0' || fail();
+  template <typename T> bool getNumber(T &V) {
+    std::string_view S;
+    if (!getView(S))
+      return false;
+    auto [End, EC] = std::from_chars(S.data(), S.data() + S.size(), V);
+    return (EC == std::errc() && End == S.data() + S.size()) || fail();
+  }
+  bool getU64(uint64_t &V) { return getNumber(V); }
+  bool getDouble(double &V) { return getNumber(V); }
+
+  /// A list length: at most MaxListLen, and no more elements than the
+  /// rest of the payload could hold (each takes at least one field of
+  /// three bytes), so a corrupt count cannot force a huge allocation.
+  bool getCount(uint64_t &N) {
+    return (getU64(N) && N <= wire::MaxListLen &&
+            N <= (Data.size() - Pos) / 3) ||
+           fail();
   }
 
   bool ok() const { return Ok; }
@@ -91,10 +101,6 @@ private:
   size_t Pos = 0;
   bool Ok = true;
 };
-
-/// A sane upper bound on serialized list lengths: a deliberately corrupt
-/// length field must not turn into a multi-gigabyte allocation.
-constexpr uint64_t MaxListLen = 1u << 24;
 
 const JobStatus AllStatuses[] = {
     JobStatus::Clean,       JobStatus::Races,         JobStatus::Timeout,
@@ -159,12 +165,16 @@ std::string wire::serializeJobResult(const JobResult &R) {
     W.putU64(O.NumAccesses);
   }
 
+  W.putU64(R.Text.size());
+  for (const std::string &S : R.Text)
+    W.put(S);
+
   W.putU64(R.RacerDWarnings.size());
   for (const RacerDRecord &Rw : R.RacerDWarnings) {
-    W.put(Rw.Kind);
-    W.put(Rw.Location);
-    W.put(Rw.First);
-    W.put(Rw.Second);
+    W.putU64(Rw.UnprotectedWrite);
+    W.putU64(Rw.Location);
+    W.putU64(Rw.First);
+    W.putU64(Rw.Second);
   }
   return W.take();
 }
@@ -202,7 +212,7 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
     return false;
 
   uint64_t N = 0;
-  if (!Rd.getU64(N) || N > MaxListLen)
+  if (!Rd.getCount(N))
     return false;
   for (uint64_t I = 0; I < N; ++I) {
     std::string Name;
@@ -212,7 +222,7 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
     R.Stats.set(Name, Value);
   }
 
-  if (!Rd.getU64(N) || N > MaxListLen)
+  if (!Rd.getCount(N))
     return false;
   R.Races.resize(N);
   for (RaceRecord &Rc : R.Races) {
@@ -225,12 +235,12 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
     Rc.WriteB = WB != 0;
   }
 
-  if (!Rd.getU64(N) || N > MaxListLen)
+  if (!Rd.getCount(N))
     return false;
   R.Deadlocks.resize(N);
   for (DeadlockRecord &D : R.Deadlocks) {
     uint64_t NumWit = 0;
-    if (!Rd.get(D.Locks) || !Rd.getU64(NumWit) || NumWit > MaxListLen)
+    if (!Rd.get(D.Locks) || !Rd.getCount(NumWit))
       return false;
     D.Witnesses.resize(NumWit);
     for (std::string &Wit : D.Witnesses)
@@ -238,7 +248,7 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
         return false;
   }
 
-  if (!Rd.getU64(N) || N > MaxListLen)
+  if (!Rd.getCount(N))
     return false;
   R.OverSyncs.resize(N);
   for (OverSyncRecord &O : R.OverSyncs) {
@@ -250,13 +260,29 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
     O.NumAccesses = unsigned(Accesses);
   }
 
-  if (!Rd.getU64(N) || N > MaxListLen)
+  if (!Rd.getCount(N))
+    return false;
+  R.Text.resize(N);
+  for (std::string &S : R.Text)
+    if (!Rd.get(S))
+      return false;
+
+  // Every index must name a table entry: a damaged record is a rejected
+  // payload, never an out-of-range read when the report is written.
+  if (!Rd.getCount(N))
     return false;
   R.RacerDWarnings.resize(N);
-  for (RacerDRecord &Rw : R.RacerDWarnings)
-    if (!Rd.get(Rw.Kind) || !Rd.get(Rw.Location) || !Rd.get(Rw.First) ||
-        !Rd.get(Rw.Second))
+  for (RacerDRecord &Rw : R.RacerDWarnings) {
+    uint64_t Kind = 0, Loc = 0, First = 0, Second = 0;
+    if (!Rd.getU64(Kind) || !Rd.getU64(Loc) || !Rd.getU64(First) ||
+        !Rd.getU64(Second) || Kind > 1 || Loc >= R.Text.size() ||
+        First >= R.Text.size() || Second >= R.Text.size())
       return false;
+    Rw.UnprotectedWrite = Kind != 0;
+    Rw.Location = uint32_t(Loc);
+    Rw.First = uint32_t(First);
+    Rw.Second = uint32_t(Second);
+  }
 
   return Rd.ok() && Rd.atEnd();
 }

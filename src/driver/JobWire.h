@@ -12,7 +12,9 @@
 /// pipe (Isolation.cpp). Netstring-style length-prefixed fields — every
 /// field is `<decimal length>:<bytes>,` — so the reader never scans for
 /// separators inside values and truncation or corruption fails a read
-/// instead of misparsing.
+/// instead of misparsing. RacerD records travel as integers into the
+/// job's string table (JobResult::Text), which is written once ahead of
+/// them.
 ///
 /// Unlike the old cache-private serializer this carries *every* status
 /// (a worker must be able to report a timeout or an OOM over the pipe)
@@ -29,11 +31,17 @@
 
 #include "o2/Driver/Driver.h"
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
 namespace o2 {
 namespace wire {
+
+/// A sane upper bound on serialized list lengths (string table included):
+/// a deliberately corrupt length field must not turn into a multi-gigabyte
+/// allocation.
+constexpr uint64_t MaxListLen = 1u << 24;
 
 /// Serializes everything except Name, Analyses, and FixedRaces — those
 /// are request-side and overlaid by the consumer. The cache outcome IS
@@ -42,8 +50,9 @@ namespace wire {
 std::string serializeJobResult(const JobResult &R);
 
 /// Strict inverse: false on any structural damage, unknown status name,
-/// trailing bytes, or an oversized list length. \p Out is unspecified on
-/// failure.
+/// trailing bytes, an oversized list length, a RacerD record kind other
+/// than 0 or 1, or a string-table index past the table. \p Out is
+/// unspecified on failure.
 bool deserializeJobResult(std::string_view Payload, JobResult &Out);
 
 } // namespace wire

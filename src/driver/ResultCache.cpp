@@ -8,6 +8,7 @@
 
 #include "o2/Driver/ResultCache.h"
 
+#include "DriverSupport.h"
 #include "JobWire.h"
 #include "o2/Support/FaultInjector.h"
 
@@ -18,39 +19,9 @@
 
 using namespace o2;
 
-namespace {
-
-uint64_t fnv1a(std::string_view S, uint64_t H = 1469598103934665603ull) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-std::string toHex16(uint64_t V) {
-  static const char *Hex = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[size_t(I)] = Hex[V & 0xf];
-  return Out;
-}
-
-std::string readFile(const std::string &Path, bool &Ok) {
-  Ok = false;
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return {};
-  std::string Content;
-  char Buf[64 * 1024];
-  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
-    Content.append(Buf, N);
-  Ok = !std::ferror(F);
-  std::fclose(F);
-  return Content;
-}
-
-} // namespace
+using driver::fnv1a;
+using driver::readFile;
+using driver::toHex16;
 
 uint64_t ResultCache::contentHash(const std::string &ModuleText) {
   return fnv1a(ModuleText);

@@ -18,6 +18,7 @@
 #include "o2/Driver/ResultCache.h"
 #include "o2/IR/Parser.h"
 #include "o2/Support/FaultInjector.h"
+#include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
 
 #include <filesystem>
@@ -379,13 +380,16 @@ TEST(DriverTest, WarmCacheReplaysIdenticalReports) {
   std::vector<JobSpec> Specs = {sourceSpec("racy", RacyProgram),
                                 sourceSpec("clean", CleanProgram)};
   BatchOptions Opts;
-  Opts.Analyses = {O2Phase::OSA, O2Phase::Detect, O2Phase::Deadlock,
-                   O2Phase::OverSync};
+  Opts.Analyses = AnalysisSet::all();
   Opts.CacheDir = freshCacheDir("warm");
 
   BatchResult Cold = runBatch(Specs, Opts);
   EXPECT_EQ(Cold.CacheHits, 0u);
   EXPECT_EQ(Cold.CacheMisses, 2u);
+  // The RacerD section, the bulk of real entries, goes through the cache.
+  ASSERT_EQ(Cold.Jobs[1].Name, "racy");
+  EXPECT_FALSE(Cold.Jobs[1].RacerDWarnings.empty());
+  EXPECT_NE(renderJSONL(Cold).find("\"racerd\":[{"), std::string::npos);
 
   BatchResult Warm = runBatch(Specs, Opts);
   EXPECT_EQ(Warm.CacheHits, 2u);
@@ -411,6 +415,56 @@ TEST(DriverTest, WarmCacheReplaysIdenticalReports) {
   ASSERT_EQ(Moved.Jobs.size(), 1u);
   EXPECT_EQ(Moved.Jobs[0].Name, "renamed");
   EXPECT_EQ(Moved.Jobs[0].Races.size(), 1u);
+}
+
+TEST(DriverTest, ReportLargerThanTheStagingBufferIsIdenticalPerSink) {
+  // One RacerD record whose statement text alone exceeds printJSONL's
+  // 64 KiB staging buffer, with escapes on both sides of the boundary,
+  // plus small records around it.
+  std::string Big(70 * 1024, 'x');
+  for (size_t I = 0; I < Big.size(); I += 4099)
+    Big[I] = I % 2 ? '"' : '\n';
+  JobResult J;
+  J.Name = "big";
+  J.Status = JobStatus::Clean;
+  J.Analyses = {O2Phase::RacerD};
+  J.Text = {"T.f", "", Big, "a = b"};
+  J.RacerDWarnings = {{false, 0, 3, 3}, {false, 0, 2, 3}, {true, 0, 3, 1}};
+  BatchResult R;
+  R.Jobs.push_back(J);
+
+  std::string Expected;
+  {
+    StringOutputStream OS(Expected);
+    JSONWriter W(OS);
+    W.beginObject();
+    W.attribute("kind", "read-write");
+    W.attribute("location", "T.f");
+    W.attribute("first", Big);
+    W.attribute("second", "a = b");
+    W.endObject();
+  }
+
+  std::string ViaString = renderJSONL(R);
+  EXPECT_NE(ViaString.find(Expected), std::string::npos);
+  // An unprotected write has no second statement.
+  EXPECT_NE(ViaString.find(R"({"kind":"unprotected-write","location":"T.f",)"
+                           R"("first":"a = b"})"),
+            std::string::npos);
+  EXPECT_GT(ViaString.size(), size_t(64 * 1024));
+
+  std::FILE *F = std::tmpfile();
+  ASSERT_NE(F, nullptr);
+  {
+    FileOutputStream OS(F);
+    printJSONL(R, OS);
+  }
+  std::string ViaFile(size_t(std::ftell(F)), '\0');
+  std::rewind(F);
+  EXPECT_EQ(std::fread(ViaFile.data(), 1, ViaFile.size(), F),
+            ViaFile.size());
+  std::fclose(F);
+  EXPECT_EQ(ViaFile, ViaString);
 }
 
 TEST(DriverTest, CorruptCacheEntriesDegradeToMisses) {

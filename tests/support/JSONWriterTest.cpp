@@ -147,6 +147,62 @@ TEST(JSONWriterTest, EmptyString) {
             "{\"\":\"\"}");
 }
 
+std::string quoted(std::string_view S) {
+  std::string Buf;
+  StringOutputStream OS(Buf);
+  JSONWriter::quote(OS, S);
+  return Buf;
+}
+
+TEST(JSONWriterTest, QuoteMatchesValue) {
+  for (std::string_view S : {"", "plain", "a\"b\\c\n", "\x01\x1f\x7f"})
+    EXPECT_EQ(quoted(S), renderString(S));
+}
+
+TEST(JSONWriterTest, RawValueInArrays) {
+  EXPECT_EQ(render([](JSONWriter &W) {
+              W.beginArray();
+              W.rawValue("\"a\"");
+              W.endArray();
+            }),
+            R"(["a"])");
+  EXPECT_EQ(render([](JSONWriter &W) {
+              W.beginArray();
+              W.rawValue("1");
+              W.value("x");
+              W.rawValue("{}");
+              W.rawValue("\"y\\n\"");
+              W.endArray();
+            }),
+            R"([1,"x",{},"y\n"])");
+}
+
+TEST(JSONWriterTest, RawValueAfterKeys) {
+  // As the first member, and as later members after value() and
+  // rawValue() members, exactly as attribute() would render them.
+  std::string Raw = render([](JSONWriter &W) {
+    W.beginObject();
+    W.key("first");
+    W.rawValue(quoted("a\"b"));
+    W.attribute("n", 7u);
+    W.key("later");
+    W.rawValue(quoted("c"));
+    W.key("last");
+    W.rawValue(quoted(""));
+    W.endObject();
+  });
+  std::string Cooked = render([](JSONWriter &W) {
+    W.beginObject();
+    W.attribute("first", "a\"b");
+    W.attribute("n", 7u);
+    W.attribute("later", "c");
+    W.attribute("last", "");
+    W.endObject();
+  });
+  EXPECT_EQ(Raw, Cooked);
+  EXPECT_EQ(Raw, R"({"first":"a\"b","n":7,"later":"c","last":""})");
+}
+
 /// Counts write calls; the JSON writer must issue a bounded number per
 /// escape instead of one per byte.
 class CountingOutputStream : public OutputStream {
