@@ -18,7 +18,7 @@
 #ifndef O2_BENCH_BENCHUTILS_H
 #define O2_BENCH_BENCHUTILS_H
 
-#include "o2/O2.h"
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/Workload/Generator.h"
 
 #include <benchmark/benchmark.h>

@@ -16,7 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/O2.h"
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/Race/RacerDLike.h"
 #include "o2/Workload/BugModels.h"
 
@@ -27,19 +27,21 @@ using namespace o2;
 static void BM_BugModel(benchmark::State &State, const BugModel *Model) {
   auto M = buildBugModel(*Model);
   for (auto _ : State) {
-    O2Analysis Result = analyzeModule(*M);
-    State.counters["found"] = Result.Races.numRaces();
+    AnalysisManager AM(*M);
+    AM.run(AnalysisSet::defaultSet());
+    State.counters["found"] = AM.getRaces().numRaces();
     State.counters["expected"] = Model->ExpectedRaces;
     State.counters["thread_event"] = Model->ThreadEventInteraction ? 1 : 0;
     RacerDReport RacerD = runRacerDLike(*M);
     State.counters["racerd"] = RacerD.numPotentialRaces();
     // The Section 5.4 study shape: how much of the heap is origin-local.
     State.counters["objects"] =
-        static_cast<double>(Result.PTA->objects().size());
-    State.counters["s_obj"] = Result.Sharing.numSharedObjects();
-    State.counters["accesses"] = Result.Sharing.numAccessStmts();
-    State.counters["s_access"] = Result.Sharing.numSharedAccessStmts();
-    benchmark::DoNotOptimize(Result);
+        static_cast<double>(AM.getPTA().objects().size());
+    const SharingResult &Sharing = AM.getSharing();
+    State.counters["s_obj"] = Sharing.numSharedObjects();
+    State.counters["accesses"] = Sharing.numAccessStmts();
+    State.counters["s_access"] = Sharing.numSharedAccessStmts();
+    benchmark::DoNotOptimize(AM);
   }
 }
 

@@ -15,19 +15,20 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/O2.h"
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/Support/OutputStream.h"
 #include "o2/Workload/BugModels.h"
 #include "o2/Workload/Generator.h"
 
 using namespace o2;
 
-static unsigned countKindPairs(const O2Analysis &A, OriginKind K1,
+static unsigned countKindPairs(AnalysisManager &AM, OriginKind K1,
                                OriginKind K2) {
   unsigned N = 0;
-  for (const Race &R : A.Races.races()) {
-    OriginKind KA = A.SHB.thread(R.ThreadA).Kind;
-    OriginKind KB = A.SHB.thread(R.ThreadB).Kind;
+  const SHBGraph &SHB = AM.getSHB();
+  for (const Race &R : AM.getRaces().races()) {
+    OriginKind KA = SHB.thread(R.ThreadA).Kind;
+    OriginKind KB = SHB.thread(R.ThreadB).Kind;
     if ((KA == K1 && KB == K2) || (KA == K2 && KB == K1))
       ++N;
   }
@@ -46,8 +47,8 @@ int main() {
   auto M = generateWorkload(P);
 
   outs() << "=== with the looper serialization of Section 4.2 ===\n";
-  O2Config Serialized;
-  O2Analysis A = analyzeModule(*M, Serialized);
+  AnalysisManager A(*M);
+  A.run(AnalysisSet::defaultSet());
   A.printSummary(outs());
   outs() << "thread/handler races:  "
          << countKindPairs(A, OriginKind::Thread, OriginKind::Event) << '\n';
@@ -57,21 +58,23 @@ int main() {
   outs() << "\n=== treating handlers as free-running threads ===\n";
   O2Config Parallel;
   Parallel.Detector.SHB.SerializeEventHandlers = false;
-  O2Analysis B = analyzeModule(*M, Parallel);
+  AnalysisManager B(*M, Parallel);
+  B.run(AnalysisSet::defaultSet());
   B.printSummary(outs());
   outs() << "thread/handler races:  "
          << countKindPairs(B, OriginKind::Thread, OriginKind::Event) << '\n';
   outs() << "handler/handler races: "
          << countKindPairs(B, OriginKind::Event, OriginKind::Event) << '\n';
   outs() << "\nfalse handler/handler warnings suppressed by Section 4.2: "
-         << (B.Races.numRaces() - A.Races.numRaces()) << '\n';
+         << (B.getRaces().numRaces() - A.getRaces().numRaces()) << '\n';
 
   // The Firefox Focus bug shows the treatment does not hide real
   // thread<->event races.
   outs() << "\n=== Firefox Focus app-context bug (Bug-1581940) ===\n";
   const BugModel *Firefox = findBugModel("firefox_appctx");
   auto FM = buildBugModel(*Firefox);
-  O2Analysis F = analyzeModule(*FM);
-  F.Races.print(outs(), *F.PTA);
+  AnalysisManager F(*FM);
+  F.run(AnalysisSet::defaultSet());
+  F.getRaces().print(outs(), F.getPTA());
   return 0;
 }

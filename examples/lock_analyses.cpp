@@ -14,11 +14,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
-#include "o2/O2.h"
-#include "o2/Race/DeadlockDetector.h"
-#include "o2/Race/OverSync.h"
 #include "o2/Support/OutputStream.h"
 
 using namespace o2;
@@ -130,19 +128,19 @@ int main() {
     return 1;
   }
 
-  O2Analysis Result = analyzeModule(*M);
-  Result.printSummary(outs());
+  // One PTA and one SHB graph feed all three detectors.
+  AnalysisManager AM(*M);
+  AM.run({O2Phase::OSA, O2Phase::Detect, O2Phase::Deadlock,
+          O2Phase::OverSync});
+  AM.printSummary(outs());
 
   outs() << "\n--- data races ---\n";
-  Result.Races.print(outs(), *Result.PTA);
+  AM.getRaces().print(outs(), AM.getPTA());
 
   outs() << "\n--- lock-order deadlocks ---\n";
-  DeadlockReport Deadlocks = detectDeadlocks(*Result.PTA, Result.SHB);
-  Deadlocks.print(outs(), *Result.PTA);
+  AM.getDeadlocks().print(outs(), AM.getPTA());
 
   outs() << "\n--- over-synchronization ---\n";
-  OverSyncReport OverSync =
-      detectOverSynchronization(Result.Sharing, Result.SHB);
-  OverSync.print(outs());
+  AM.getOverSync().print(outs());
   return 0;
 }

@@ -16,8 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/O2.h"
-#include "o2/Race/RacerDLike.h"
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/Support/OutputStream.h"
 #include "o2/Workload/BugModels.h"
 
@@ -35,14 +34,17 @@ int main() {
   auto M = buildBugModel(*Model);
 
   // Full O2 pipeline (OPA + OSA + SHB + optimized detector).
-  O2Analysis Result = analyzeModule(*M);
-  Result.printSummary(outs());
+  AnalysisManager AM(*M);
+  AM.run(AnalysisSet::defaultSet());
+  AM.printSummary(outs());
   outs() << '\n';
-  Result.Races.print(outs(), *Result.PTA);
+  const RaceReport &Races = AM.getRaces();
+  Races.print(outs(), AM.getPTA());
 
   // Show which origin kinds collide: the paper's point is the
   // thread<->event interaction.
-  for (const Race &R : Result.Races.races()) {
+  const SHBGraph &SHB = AM.getSHB();
+  for (const Race &R : Races.races()) {
     auto KindName = [](OriginKind K) {
       switch (K) {
       case OriginKind::Main:
@@ -54,16 +56,16 @@ int main() {
       }
       return "?";
     };
-    outs() << "  -> between a " << KindName(Result.SHB.thread(R.ThreadA).Kind)
-           << " and an " << KindName(Result.SHB.thread(R.ThreadB).Kind)
+    outs() << "  -> between a " << KindName(SHB.thread(R.ThreadA).Kind)
+           << " and an " << KindName(SHB.thread(R.ThreadB).Kind)
            << " origin\n";
   }
 
   // Contrast with the syntactic RacerD-style baseline.
   outs() << '\n';
-  RacerDReport RacerD = runRacerDLike(*M);
+  const RacerDReport &RacerD = AM.getRacerD();
   RacerD.print(outs());
-  outs() << "\nO2 races: " << Result.Races.numRaces()
+  outs() << "\nO2 races: " << Races.numRaces()
          << ", RacerD-like potential races: " << RacerD.numPotentialRaces()
          << '\n';
   return 0;

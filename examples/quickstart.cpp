@@ -12,11 +12,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/IR/IRBuilder.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Printer.h"
 #include "o2/IR/Verifier.h"
-#include "o2/O2.h"
 #include "o2/Support/OutputStream.h"
 
 using namespace o2;
@@ -93,9 +93,10 @@ static void analyzeAndReport(const Module &M) {
     errs() << "verification failed: " << Errors.front() << '\n';
     return;
   }
-  O2Analysis Result = analyzeModule(M); // OPA + OSA + SHB + detector
-  Result.printSummary(outs());
-  Result.Races.print(outs(), *Result.PTA);
+  AnalysisManager AM(M);
+  AM.run(AnalysisSet::defaultSet()); // OPA + OSA + SHB + detector
+  AM.printSummary(outs());
+  AM.getRaces().print(outs(), AM.getPTA());
   outs() << '\n';
 }
 

@@ -7,29 +7,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pass manager that replaces the hardwired PTA→OSA→SHB→Detect
-/// pipeline. Every analysis the repo grows — the paper's core phases plus
-/// the sibling consumers (deadlock, over-synchronization, the RacerD-like
-/// baseline, the thread-escape baseline) and the shared HBIndex — is a
-/// registered pass with a typed result, declared dependencies, a version,
-/// and a deterministic config fingerprint. The manager:
+/// The pass manager that runs the PTA→OSA→SHB→Detect pipeline. Every
+/// analysis the repo grows — the paper's core phases plus the sibling
+/// consumers (deadlock, over-synchronization, the RacerD-like baseline,
+/// the thread-escape baseline) and the shared HBIndex — is a registered
+/// pass with a typed result, declared dependencies, a version, and a
+/// deterministic config fingerprint. The manager:
 ///
 ///  - topologically schedules the requested passes (dependencies always
-///    precede dependents; the order is the enum order, which is exactly
-///    the order the old facade hardwired),
+///    precede dependents; the order is the enum order),
 ///  - computes each result **once** per module and shares it with every
 ///    consumer (one PTA and one SHB feed race + deadlock + over-sync;
 ///    one HBIndex feeds every race detector run),
 ///  - threads the per-job CancellationToken uniformly through every pass
 ///    and records the pass it fired in, so a timeout in *any* analysis —
 ///    including the aux detectors — names the real phase,
-///  - exposes per-pass wall-clock seconds and invocation counters, and
+///  - exposes per-pass wall-clock seconds and invocation counters,
+///  - renders the human summary and the `--stats` JSON object, and
 ///  - derives a per-pass / whole-request config fingerprint (options that
 ///    affect the result, pass versions, dependency fingerprints) that the
 ///    batch driver's warm cache keys on.
 ///
-/// The old one-call `analyzeModule` facade (o2/O2.h) is a thin shim over
-/// this class.
+/// \code
+///   std::unique_ptr<Module> M = parseModule(Source, Err);
+///   AnalysisManager AM(*M);
+///   AM.run(AnalysisSet::defaultSet()); // OPA + OSA + SHB + detector
+///   AM.getRaces().print(outs(), AM.getPTA());
+/// \endcode
 ///
 //===----------------------------------------------------------------------===//
 
@@ -132,8 +136,7 @@ bool parseAnalysisSet(const std::string &Spec, AnalysisSet &Out,
                       std::string &Err);
 
 /// Configuration shared by every consumer of the pipeline (o2cli, the
-/// batch driver, the benchmarks). Historically defined by o2/O2.h; the
-/// manager owns it now and the facade re-exports it.
+/// batch driver, the benchmarks).
 struct O2Config {
   /// Pointer analysis configuration; defaults to 1-origin (OPA).
   PTAOptions PTA;
@@ -141,10 +144,6 @@ struct O2Config {
   /// Detector configuration (all three optimizations on by default).
   /// Detector.SHB also configures the shared SHB pass.
   RaceDetectorOptions Detector;
-
-  /// Legacy facade switch: run OSA as part of analyzeModule (requires
-  /// origin sensitivity). Manager clients request O2Phase::OSA instead.
-  bool RunOSA = true;
 
   /// Optional cooperative deadline/cancellation, threaded into the hot
   /// loop of every pass. When it fires, the in-flight pass stops early,
@@ -215,8 +214,8 @@ public:
   /// Wall-clock seconds pass \p K took (0.0 if it never ran).
   double seconds(O2Phase K) const;
 
-  /// Sum of every ran pass's seconds — unlike the old facade total, this
-  /// includes the aux analyses and the HBIndex build.
+  /// Sum of every ran pass's seconds, aux analyses and the HBIndex build
+  /// included.
   double totalSeconds() const;
 
   /// The pass the cancellation token fired in; None if no pass was cut
@@ -233,19 +232,15 @@ public:
   /// race.*, deadlock.*, oversync.*, racerd.*, escape.*.
   StatisticRegistry stats() const;
 
+  /// The human pipeline summary: one line each for PTA, sharing and SHB
+  /// (passes that did not run print their zero shape), then the race
+  /// count if the detector ran. Runs PTA if nothing has yet.
+  void printSummary(OutputStream &OS);
+
   /// One flat JSON object: "module", "config", "solver", "analyses",
   /// per-pass "time.<pass>-ms" for every ran pass, "time.total-ms", then
-  /// every merged counter. The manager-era superset of the old
-  /// O2Analysis::printStatsJSON — aux analyses included.
+  /// every merged counter, aux analyses included.
   void printStatsJSON(OutputStream &OS);
-
-  /// Ownership transfer for the analyzeModule shim: moves the stored
-  /// result out (the pass stays marked as ran; the accessor afterwards
-  /// returns a moved-from/default result).
-  std::unique_ptr<PTAResult> takePTA();
-  SharingResult takeSharing();
-  SHBGraph takeSHB();
-  RaceReport takeRaces();
 
 private:
   struct Impl;

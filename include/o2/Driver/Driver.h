@@ -26,11 +26,13 @@
 #ifndef O2_DRIVER_DRIVER_H
 #define O2_DRIVER_DRIVER_H
 
-#include "o2/O2.h"
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/Workload/Generator.h"
 
+#include <array>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -217,16 +219,20 @@ struct JobResult {
   /// sections. Overlaid from the request (never cached).
   AnalysisSet Analyses;
 
-  /// Per-pass wall-clock, including the aux analyses and the shared
-  /// HBIndex build (0 for passes that did not run).
-  double PTAMs = 0, OSAMs = 0, SHBMs = 0, HBIndexMs = 0, DetectMs = 0;
-  double DeadlockMs = 0, OverSyncMs = 0, RacerDMs = 0, EscapeMs = 0;
+  /// Per-pass wall-clock in milliseconds, indexed by O2Phase, including
+  /// the aux analyses and the shared HBIndex build (0 for passes that did
+  /// not run; the None slot stays 0).
+  std::array<double, NumO2Phases> PassMs{};
 
-  /// Sum over every pass — aux analyses included, unlike the pre-manager
-  /// driver which silently dropped everything but the four core phases.
+  double &ms(O2Phase P) { return PassMs[static_cast<unsigned>(P)]; }
+  double ms(O2Phase P) const { return PassMs[static_cast<unsigned>(P)]; }
+
+  /// Sum over every pass, aux analyses included.
   double totalMs() const {
-    return PTAMs + OSAMs + SHBMs + HBIndexMs + DetectMs + DeadlockMs +
-           OverSyncMs + RacerDMs + EscapeMs;
+    double Total = 0;
+    for (double Ms : PassMs)
+      Total += Ms;
+    return Total;
   }
 
   /// Per-job counters from every ran pass (partial on timeout).
@@ -326,6 +332,22 @@ void printBatchSummary(const BatchResult &R, OutputStream &OS);
 /// message naming the flag; both CLIs then exit with ExitError.
 bool parseUnsignedFlag(const std::string &Arg, uint64_t &Out,
                        std::string &Err, uint64_t Max = ~uint64_t(0));
+
+/// The one table of pipeline flags both CLIs accept:
+///
+///   --ctx=0-ctx|insensitive|cfa|k-cfa|obj|k-obj|origin
+///   --k=N
+///   --solver=wave|worklist
+///   --race-hb=index|naive
+///   --analyses=LIST   (see parseAnalysisSet)
+///
+/// Returns std::nullopt when \p Arg is none of these flags. Otherwise
+/// applies it to \p Config or \p Analyses and returns "" on success, or
+/// an error message naming the flag (the caller adds its own prefix and
+/// exits with ExitError).
+std::optional<std::string> parsePipelineFlag(const std::string &Arg,
+                                             O2Config &Config,
+                                             AnalysisSet &Analyses);
 
 /// The shared CLI behind `o2batch ...` and `o2cli --batch ...`: parses
 /// \p Args (flags plus positional .oir files / directories), runs the

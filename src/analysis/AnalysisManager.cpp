@@ -262,8 +262,7 @@ struct AnalysisManager::Impl {
 AnalysisManager::AnalysisManager(const Module &M, const O2Config &Config)
     : M(M), Config(Config), P(std::make_unique<Impl>()) {
   // A token on the config reaches every pass's hot loop through the
-  // per-pass option structs (the old facade threaded only PTA/SHB/race;
-  // the manager threads all nine).
+  // per-pass option structs.
   if (Config.Cancel) {
     this->Config.PTA.Cancel = Config.Cancel;
     this->Config.Detector.Cancel = Config.Cancel;
@@ -323,8 +322,7 @@ void AnalysisManager::runPass(O2Phase K) {
     break;
   case O2Phase::OSA:
     // OSA is origin-specific; under other context abstractions the pass
-    // is a definitional no-op (empty sharing result), matching what the
-    // old facade's RunOSA guard did.
+    // is a definitional no-op (empty sharing result).
     if (Config.PTA.Kind == ContextKind::Origin) {
       P->Sharing = runSharingAnalysis(*P->PTA, Config.Cancel);
       PassCancelled = P->Sharing.cancelled();
@@ -463,6 +461,28 @@ StatisticRegistry AnalysisManager::stats() const {
   return Stats;
 }
 
+void AnalysisManager::printSummary(OutputStream &OS) {
+  const PTAResult &PTA = getPTA();
+  OS << "O2 analysis of '" << M.getName() << "' (" << PTA.options().name()
+     << ")\n";
+  OS << "  pointer analysis: " << PTA.stats().get("pta.pointer-nodes")
+     << " nodes, " << PTA.stats().get("pta.objects") << " objects, "
+     << PTA.stats().get("pta.copy-edges") << " edges, "
+     << PTA.stats().get("pta.origins") << " origins ("
+     << seconds(O2Phase::PTA) << "s)\n";
+  OS << "  sharing: " << P->Sharing.sharedLocations().size()
+     << " shared locations over " << P->Sharing.numSharedObjects()
+     << " objects, " << P->Sharing.numSharedAccessStmts() << "/"
+     << P->Sharing.numAccessStmts() << " shared accesses ("
+     << seconds(O2Phase::OSA) << "s)\n";
+  OS << "  SHB: " << P->SHB.numThreads() << " threads, "
+     << P->SHB.numAccessEvents() << " access events ("
+     << seconds(O2Phase::SHB) << "s)\n";
+  if (ran(O2Phase::Detect))
+    OS << "  races: " << P->Races.numRaces() << " ("
+       << seconds(O2Phase::Detect) + seconds(O2Phase::HBIndex) << "s)\n";
+}
+
 void AnalysisManager::printStatsJSON(OutputStream &OS) {
   JSONWriter W(OS);
   W.beginObject();
@@ -489,13 +509,3 @@ void AnalysisManager::printStatsJSON(OutputStream &OS) {
   W.endObject();
   OS << '\n';
 }
-
-std::unique_ptr<PTAResult> AnalysisManager::takePTA() {
-  return std::move(P->PTA);
-}
-
-SharingResult AnalysisManager::takeSharing() { return std::move(P->Sharing); }
-
-SHBGraph AnalysisManager::takeSHB() { return std::move(P->SHB); }
-
-RaceReport AnalysisManager::takeRaces() { return std::move(P->Races); }

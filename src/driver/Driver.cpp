@@ -188,15 +188,8 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
     if (!AM)
       return;
     try {
-      R.PTAMs = AM->seconds(O2Phase::PTA) * 1000.0;
-      R.OSAMs = AM->seconds(O2Phase::OSA) * 1000.0;
-      R.SHBMs = AM->seconds(O2Phase::SHB) * 1000.0;
-      R.HBIndexMs = AM->seconds(O2Phase::HBIndex) * 1000.0;
-      R.DetectMs = AM->seconds(O2Phase::Detect) * 1000.0;
-      R.DeadlockMs = AM->seconds(O2Phase::Deadlock) * 1000.0;
-      R.OverSyncMs = AM->seconds(O2Phase::OverSync) * 1000.0;
-      R.RacerDMs = AM->seconds(O2Phase::RacerD) * 1000.0;
-      R.EscapeMs = AM->seconds(O2Phase::Escape) * 1000.0;
+      for (unsigned K = 1; K < NumO2Phases; ++K)
+        R.PassMs[K] = AM->seconds(static_cast<O2Phase>(K)) * 1000.0;
       R.Stats = AM->stats();
     } catch (...) {
       // Partial telemetry is best-effort; the status already tells the
@@ -663,15 +656,10 @@ void o2::printJSONL(const BatchResult &R, OutputStream &Sink,
     if (J.Retries)
       W.attribute("retries", uint64_t(J.Retries));
     if (IncludeTimings) {
-      W.attribute("time.pta-ms", J.PTAMs);
-      W.attribute("time.osa-ms", J.OSAMs);
-      W.attribute("time.shb-ms", J.SHBMs);
-      W.attribute("time.hbindex-ms", J.HBIndexMs);
-      W.attribute("time.race-ms", J.DetectMs);
-      W.attribute("time.deadlock-ms", J.DeadlockMs);
-      W.attribute("time.oversync-ms", J.OverSyncMs);
-      W.attribute("time.racerd-ms", J.RacerDMs);
-      W.attribute("time.escape-ms", J.EscapeMs);
+      for (unsigned K = 1; K < NumO2Phases; ++K)
+        W.attribute(std::string("time.") +
+                        phaseName(static_cast<O2Phase>(K)) + "-ms",
+                    J.PassMs[K]);
       W.attribute("time.total-ms", J.totalMs());
     }
     W.key("races");
@@ -842,6 +830,77 @@ bool o2::parseUnsignedFlag(const std::string &Arg, uint64_t &Out,
   return true;
 }
 
+namespace {
+/// Looks \p Value up among one flag's spellings.
+template <typename E>
+bool lookupSpelling(std::initializer_list<std::pair<std::string_view, E>> Table,
+                    std::string_view Value, E &Out) {
+  for (const auto &[Spelling, V] : Table)
+    if (Value == Spelling) {
+      Out = V;
+      return true;
+    }
+  return false;
+}
+} // namespace
+
+std::optional<std::string> o2::parsePipelineFlag(const std::string &Arg,
+                                                 O2Config &Config,
+                                                 AnalysisSet &Analyses) {
+  size_t Eq = Arg.find('=');
+  if (Eq == std::string::npos)
+    return std::nullopt;
+  std::string_view Flag = std::string_view(Arg).substr(0, Eq);
+  std::string_view Value = std::string_view(Arg).substr(Eq + 1);
+  auto Invalid = [&](const char *Expected) {
+    return "invalid value '" + std::string(Value) + "' for " +
+           std::string(Flag) + ": expected " + Expected;
+  };
+  if (Flag == "--ctx") {
+    if (!lookupSpelling<ContextKind>({{"0-ctx", ContextKind::Insensitive},
+                                      {"insensitive", ContextKind::Insensitive},
+                                      {"cfa", ContextKind::KCallsite},
+                                      {"k-cfa", ContextKind::KCallsite},
+                                      {"obj", ContextKind::KObject},
+                                      {"k-obj", ContextKind::KObject},
+                                      {"origin", ContextKind::Origin}},
+                                     Value, Config.PTA.Kind))
+      return Invalid("0-ctx, insensitive, cfa, k-cfa, obj, k-obj or origin");
+    return "";
+  }
+  if (Flag == "--k") {
+    uint64_t K = 0;
+    std::string Err;
+    if (!parseUnsignedFlag(Arg, K, Err,
+                           std::numeric_limits<decltype(Config.PTA.K)>::max()))
+      return Err;
+    Config.PTA.K = static_cast<decltype(Config.PTA.K)>(K);
+    return "";
+  }
+  if (Flag == "--solver") {
+    if (!lookupSpelling<SolverKind>({{"wave", SolverKind::Wave},
+                                     {"worklist", SolverKind::Worklist}},
+                                    Value, Config.PTA.Solver))
+      return Invalid("wave or worklist");
+    return "";
+  }
+  if (Flag == "--race-hb") {
+    if (!lookupSpelling<RaceHBKind>({{"index", RaceHBKind::Index},
+                                     {"naive", RaceHBKind::Naive}},
+                                    Value, Config.Detector.HB))
+      return Invalid("index or naive");
+    return "";
+  }
+  if (Flag == "--analyses") {
+    std::string Err;
+    if (!parseAnalysisSet(std::string(Value), Analyses, Err))
+      return "invalid value '" + std::string(Value) + "' for --analyses: " +
+             Err;
+    return "";
+  }
+  return std::nullopt;
+}
+
 static void printBatchUsage(OutputStream &OS) {
   OS << "usage: o2batch [options] <file.oir | directory>...\n"
      << "\n"
@@ -929,18 +988,18 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
       Field = T(V);
       return true;
     };
-    if (Arg == "--help" || Arg == "-h") {
+    if (std::optional<std::string> Err =
+            parsePipelineFlag(Arg, Opts.Config, Opts.Analyses)) {
+      if (!Err->empty()) {
+        errs() << "o2batch: " << *Err << "\n";
+        return ExitError;
+      }
+    } else if (Arg == "--help" || Arg == "-h") {
       printBatchUsage(outs());
       return ExitClean;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       if (!Number(Opts.Jobs))
         return ExitError;
-    } else if (Arg.rfind("--analyses=", 0) == 0) {
-      std::string Err;
-      if (!parseAnalysisSet(Value(), Opts.Analyses, Err)) {
-        errs() << "o2batch: " << Err << "\n";
-        return ExitError;
-      }
     } else if (Arg.rfind("--cache-dir=", 0) == 0) {
       Opts.CacheDir = Value();
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
@@ -990,43 +1049,6 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
       ProfileNames.push_back(Value());
     } else if (Arg == "--profiles=table5" || Arg == "--profiles=all") {
       AllProfiles = true;
-    } else if (Arg.rfind("--ctx=", 0) == 0) {
-      std::string V = Value();
-      if (V == "0-ctx" || V == "insensitive")
-        Opts.Config.PTA.Kind = ContextKind::Insensitive;
-      else if (V == "cfa" || V == "k-cfa")
-        Opts.Config.PTA.Kind = ContextKind::KCallsite;
-      else if (V == "obj" || V == "k-obj")
-        Opts.Config.PTA.Kind = ContextKind::KObject;
-      else if (V == "origin")
-        Opts.Config.PTA.Kind = ContextKind::Origin;
-      else {
-        errs() << "o2batch: unknown context kind '" << V << "'\n";
-        return ExitError;
-      }
-    } else if (Arg.rfind("--k=", 0) == 0) {
-      if (!Number(Opts.Config.PTA.K))
-        return ExitError;
-    } else if (Arg.rfind("--solver=", 0) == 0) {
-      std::string V = Value();
-      if (V == "wave")
-        Opts.Config.PTA.Solver = SolverKind::Wave;
-      else if (V == "worklist")
-        Opts.Config.PTA.Solver = SolverKind::Worklist;
-      else {
-        errs() << "o2batch: unknown solver '" << V << "'\n";
-        return ExitError;
-      }
-    } else if (Arg.rfind("--race-hb=", 0) == 0) {
-      std::string V = Value();
-      if (V == "naive")
-        Opts.Config.Detector.HB = RaceHBKind::Naive;
-      else if (V == "index")
-        Opts.Config.Detector.HB = RaceHBKind::Index;
-      else {
-        errs() << "o2batch: unknown race HB mode '" << V << "'\n";
-        return ExitError;
-      }
     } else if (Arg == "--quiet") {
       Quiet = true;
     } else if (Arg.rfind("--", 0) == 0) {
@@ -1104,7 +1126,11 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
     }
     FileOutputStream FOS(F);
     printJSONL(R, FOS, Opts.IncludeTimings);
-    std::fclose(F);
+    bool WriteFailed = std::ferror(F) != 0;
+    if (std::fclose(F) != 0 || WriteFailed) {
+      errs() << "o2batch: cannot write '" << OutPath << "'\n";
+      return ExitError;
+    }
   } else {
     printJSONL(R, outs(), Opts.IncludeTimings);
   }

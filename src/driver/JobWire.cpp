@@ -120,15 +120,9 @@ std::string wire::serializeJobResult(const JobResult &R) {
   W.putU64(R.DegradedConfigFP);
   W.putU64(R.Retries);
   W.putU64(uint64_t(R.Cache));
-  W.putDouble(R.PTAMs);
-  W.putDouble(R.OSAMs);
-  W.putDouble(R.SHBMs);
-  W.putDouble(R.HBIndexMs);
-  W.putDouble(R.DetectMs);
-  W.putDouble(R.DeadlockMs);
-  W.putDouble(R.OverSyncMs);
-  W.putDouble(R.RacerDMs);
-  W.putDouble(R.EscapeMs);
+  // Nine pass times, PTA to Escape; the None slot is not sent.
+  for (unsigned K = 1; K < NumO2Phases; ++K)
+    W.putDouble(R.PassMs[K]);
 
   const auto &Counters = R.Stats.counters();
   W.putU64(Counters.size());
@@ -204,12 +198,9 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
   R.Retries = unsigned(Retries);
   R.Cache = JobResult::CacheOutcome(Cache);
 
-  if (!Rd.getDouble(R.PTAMs) || !Rd.getDouble(R.OSAMs) ||
-      !Rd.getDouble(R.SHBMs) || !Rd.getDouble(R.HBIndexMs) ||
-      !Rd.getDouble(R.DetectMs) || !Rd.getDouble(R.DeadlockMs) ||
-      !Rd.getDouble(R.OverSyncMs) || !Rd.getDouble(R.RacerDMs) ||
-      !Rd.getDouble(R.EscapeMs))
-    return false;
+  for (unsigned K = 1; K < NumO2Phases; ++K)
+    if (!Rd.getDouble(R.PassMs[K]))
+      return false;
 
   uint64_t N = 0;
   if (!Rd.getCount(N))

@@ -204,14 +204,15 @@ TEST(DriverTest, PreCancelledTokenStopsEveryPhase) {
   EXPECT_TRUE(Report.cancelled());
   EXPECT_EQ(Report.stats().get("race.cancelled"), 1u);
 
-  // Through the facade: the pipeline dies in the first phase and the
+  // Through the manager: the pipeline dies in the first phase and the
   // phase is recorded.
   O2Config Cfg;
   Cfg.Cancel = &Cancelled;
-  O2Analysis A = analyzeModule(*M, Cfg);
+  AnalysisManager A(*M, Cfg);
+  EXPECT_FALSE(A.run(AnalysisSet::defaultSet()));
   EXPECT_TRUE(A.cancelled());
-  EXPECT_EQ(A.CancelledIn, O2Phase::PTA);
-  EXPECT_STREQ(phaseName(A.CancelledIn), "pta");
+  EXPECT_EQ(A.cancelledIn(), O2Phase::PTA);
+  EXPECT_STREQ(phaseName(A.cancelledIn()), "pta");
 }
 
 // Version 1: two independent races, on @a and on @b.
@@ -504,26 +505,48 @@ TEST(DriverTest, TotalMsIncludesAuxAnalyses) {
   // The regression the manager fixed: totalMs used to sum only the four
   // core phases, silently dropping aux-analysis time.
   JobResult R;
-  R.PTAMs = 1;
-  R.OSAMs = 2;
-  R.SHBMs = 4;
-  R.HBIndexMs = 8;
-  R.DetectMs = 16;
-  R.DeadlockMs = 32;
-  R.OverSyncMs = 64;
-  R.RacerDMs = 128;
-  R.EscapeMs = 256;
+  for (unsigned K = 1; K < NumO2Phases; ++K)
+    R.ms(static_cast<O2Phase>(K)) = double(1u << (K - 1));
+  EXPECT_DOUBLE_EQ(R.ms(O2Phase::PTA), 1.0);
+  EXPECT_DOUBLE_EQ(R.ms(O2Phase::Escape), 256.0);
   EXPECT_DOUBLE_EQ(R.totalMs(), 511.0);
 
   BatchOptions Opts;
   Opts.Analyses = AnalysisSet::all();
   JobResult Live = runOneJob(sourceSpec("racy", RacyProgram), Opts);
   EXPECT_EQ(Live.Status, JobStatus::Races);
-  EXPECT_DOUBLE_EQ(Live.totalMs(),
-                   Live.PTAMs + Live.OSAMs + Live.SHBMs + Live.HBIndexMs +
-                       Live.DetectMs + Live.DeadlockMs + Live.OverSyncMs +
-                       Live.RacerDMs + Live.EscapeMs);
+  double Sum = 0;
+  for (unsigned K = 1; K < NumO2Phases; ++K) {
+    O2Phase P = static_cast<O2Phase>(K);
+    EXPECT_GE(Live.ms(P), 0.0) << phaseName(P);
+    Sum += Live.ms(P);
+  }
+  EXPECT_EQ(Live.ms(O2Phase::None), 0.0);
+  EXPECT_DOUBLE_EQ(Live.totalMs(), Sum);
   EXPECT_GT(Live.totalMs(), 0.0);
+}
+
+TEST(DriverTest, TimingsRecordKeySequence) {
+  // Downstream tools read the --timings attributes by name; pin them and
+  // their order.
+  BatchOptions Opts;
+  Opts.Analyses = AnalysisSet::all();
+  BatchResult R = runBatch({sourceSpec("racy", RacyProgram)}, Opts);
+  std::string Buf;
+  StringOutputStream OS(Buf);
+  printJSONL(R, OS, /*IncludeTimings=*/true);
+  std::string Record = Buf.substr(0, Buf.find('\n'));
+  std::vector<std::string> Keys;
+  for (size_t Pos = Record.find("\"time."); Pos != std::string::npos;
+       Pos = Record.find("\"time.", Pos + 1)) {
+    size_t End = Record.find('"', Pos + 1);
+    Keys.push_back(Record.substr(Pos + 1, End - Pos - 1));
+  }
+  EXPECT_EQ(Keys, (std::vector<std::string>{
+                      "time.pta-ms", "time.osa-ms", "time.shb-ms",
+                      "time.hbindex-ms", "time.race-ms", "time.deadlock-ms",
+                      "time.oversync-ms", "time.racerd-ms", "time.escape-ms",
+                      "time.total-ms"}));
 }
 
 TEST(DriverTest, DeadlineTimeoutNamesAuxPhase) {

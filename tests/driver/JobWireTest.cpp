@@ -37,8 +37,8 @@ std::string field(uint64_t V) { return field(std::to_string(V)); }
 JobResult racerdResult() {
   JobResult R;
   R.Status = JobStatus::Races;
-  R.PTAMs = 1.25;
-  R.RacerDMs = 0.1;
+  R.ms(O2Phase::PTA) = 1.25;
+  R.ms(O2Phase::RacerD) = 0.1;
   R.Stats.set("racerd.warnings", 3);
   RaceRecord Rc;
   Rc.Fingerprint = "0123456789abcdef";
@@ -83,8 +83,8 @@ TEST(JobWireTest, RoundTripsRacerDRecordsAndStringTable) {
   ASSERT_TRUE(wire::deserializeJobResult(Payload, Out));
 
   EXPECT_EQ(Out.Status, JobStatus::Races);
-  EXPECT_EQ(Out.PTAMs, 1.25);
-  EXPECT_EQ(Out.RacerDMs, 0.1);
+  EXPECT_EQ(Out.ms(O2Phase::PTA), 1.25);
+  EXPECT_EQ(Out.ms(O2Phase::RacerD), 0.1);
   EXPECT_EQ(Out.Stats.get("racerd.warnings"), 3u);
   ASSERT_EQ(Out.Races.size(), 1u);
   EXPECT_EQ(Out.Races[0].StmtA, "@g = x");
@@ -98,6 +98,24 @@ TEST(JobWireTest, RoundTripsRacerDRecordsAndStringTable) {
     EXPECT_EQ(A.Second, B.Second) << I;
   }
   EXPECT_EQ(wire::serializeJobResult(Out), Payload);
+}
+
+TEST(JobWireTest, PassTimesKeepTheirWireLayout) {
+  // Nine distinct pass times, PTA to Escape, in O2Phase order; the
+  // payload is the one the format-3 writer has always produced.
+  JobResult R;
+  R.Status = JobStatus::Races;
+  const double Ms[] = {1.5, 2.25, 3.125, 4.0625, 5.5, 6.75, 7.875, 8.1, 9};
+  for (unsigned K = 1; K < NumO2Phases; ++K)
+    R.ms(static_cast<O2Phase>(K)) = Ms[K - 1];
+  const std::string Golden =
+      "5:races,0:,0:,0:,1:0,1:0,1:0,1:0,3:1.5,4:2.25,5:3.125,6:4.0625,"
+      "3:5.5,4:6.75,5:7.875,18:8.0999999999999996,1:9,"
+      "1:0,1:0,1:0,1:0,1:0,1:0,";
+  EXPECT_EQ(wire::serializeJobResult(R), Golden);
+  JobResult Out;
+  ASSERT_TRUE(wire::deserializeJobResult(Golden, Out));
+  EXPECT_EQ(Out.PassMs, R.PassMs);
 }
 
 TEST(JobWireTest, HandBuiltPayloadIsAccepted) {

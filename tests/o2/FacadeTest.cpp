@@ -1,12 +1,17 @@
-//===- FacadeTest.cpp - O2 facade tests --------------------------------------===//
+//===- FacadeTest.cpp - Default pipeline tests -------------------------------===//
 //
 // Part of the O2 project, an implementation of the PLDI 2021 paper
 // "When Threads Meet Events: Efficient and Precise Static Race Detection
 // with Origins".
 //
 //===----------------------------------------------------------------------===//
+//
+// The front door every client uses: an AnalysisManager running
+// AnalysisSet::defaultSet() (OPA + OSA + SHB + detector) over one module.
+//
+//===----------------------------------------------------------------------===//
 
-#include "o2/O2.h"
+#include "o2/Analysis/AnalysisManager.h"
 
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
@@ -51,27 +56,27 @@ const char *Program = R"(
 
 TEST(FacadeTest, DefaultPipelineRunsEverything) {
   auto M = parseProgram(Program);
-  O2Analysis Result = analyzeModule(*M);
-  ASSERT_TRUE(Result.PTA);
-  EXPECT_EQ(Result.PTA->options().Kind, ContextKind::Origin);
-  EXPECT_EQ(Result.PTA->origins().size(), 3u);
-  EXPECT_EQ(Result.Sharing.sharedLocations().size(), 1u);
-  EXPECT_EQ(Result.SHB.numThreads(), 3u);
-  EXPECT_EQ(Result.Races.numRaces(), 1u);
+  AnalysisManager AM(*M);
+  ASSERT_TRUE(AM.run(AnalysisSet::defaultSet()));
+  const PTAResult &PTA = AM.getPTA();
+  EXPECT_EQ(PTA.options().Kind, ContextKind::Origin);
+  EXPECT_EQ(PTA.origins().size(), 3u);
+  EXPECT_EQ(AM.getSharing().sharedLocations().size(), 1u);
+  EXPECT_EQ(AM.getSHB().numThreads(), 3u);
+  EXPECT_EQ(AM.getRaces().numRaces(), 1u);
   // Timings are populated and consistent.
-  EXPECT_GT(Result.PTASeconds, 0.0);
-  EXPECT_GT(Result.totalSeconds(), 0.0);
-  EXPECT_GE(Result.totalSeconds(), Result.PTASeconds);
+  EXPECT_GT(AM.seconds(O2Phase::PTA), 0.0);
+  EXPECT_GT(AM.totalSeconds(), 0.0);
+  EXPECT_GE(AM.totalSeconds(), AM.seconds(O2Phase::PTA));
 }
 
 TEST(FacadeTest, OSACanBeSkipped) {
   auto M = parseProgram(Program);
-  O2Config Config;
-  Config.RunOSA = false;
-  O2Analysis Result = analyzeModule(*M, Config);
-  EXPECT_TRUE(Result.Sharing.sharedLocations().empty());
-  EXPECT_EQ(Result.OSASeconds, 0.0);
-  EXPECT_EQ(Result.Races.numRaces(), 1u); // detection is independent
+  AnalysisManager AM(*M);
+  ASSERT_TRUE(AM.run({O2Phase::Detect}));
+  EXPECT_EQ(AM.getRaces().numRaces(), 1u); // detection is independent
+  EXPECT_FALSE(AM.ran(O2Phase::OSA));
+  EXPECT_EQ(AM.seconds(O2Phase::OSA), 0.0);
 }
 
 TEST(FacadeTest, OSASkippedForNonOriginAnalyses) {
@@ -79,10 +84,12 @@ TEST(FacadeTest, OSASkippedForNonOriginAnalyses) {
   O2Config Config;
   Config.PTA.Kind = ContextKind::KCallsite;
   Config.PTA.K = 1;
-  O2Analysis Result = analyzeModule(*M, Config);
-  // OSA requires origin sensitivity; the facade must not run it.
-  EXPECT_TRUE(Result.Sharing.sharedLocations().empty());
-  EXPECT_GE(Result.Races.numRaces(), 1u);
+  AnalysisManager AM(*M, Config);
+  AM.run(AnalysisSet::defaultSet());
+  // OSA requires origin sensitivity; under k-CFA the pass is a no-op.
+  EXPECT_TRUE(AM.getSharing().sharedLocations().empty());
+  EXPECT_EQ(AM.getSharing().numAccessStmts(), 0u);
+  EXPECT_GE(AM.getRaces().numRaces(), 1u);
 }
 
 TEST(FacadeTest, DetectorConfigIsForwarded) {
@@ -104,26 +111,43 @@ TEST(FacadeTest, DetectorConfigIsForwarded) {
       spawn h2.handleEvent();
     }
   )");
-  O2Analysis Serialized = analyzeModule(*M);
-  EXPECT_EQ(Serialized.Races.numRaces(), 0u);
+  AnalysisManager Serialized(*M);
+  Serialized.run(AnalysisSet::defaultSet());
+  EXPECT_EQ(Serialized.getRaces().numRaces(), 0u);
 
   O2Config NoSerial;
   NoSerial.Detector.SHB.SerializeEventHandlers = false;
-  O2Analysis Parallel = analyzeModule(*M, NoSerial);
-  EXPECT_EQ(Parallel.Races.numRaces(), 1u);
+  AnalysisManager Parallel(*M, NoSerial);
+  Parallel.run(AnalysisSet::defaultSet());
+  EXPECT_EQ(Parallel.getRaces().numRaces(), 1u);
 }
 
 TEST(FacadeTest, SummaryMentionsEveryPhase) {
   auto M = parseProgram(Program);
-  O2Analysis Result = analyzeModule(*M);
+  AnalysisManager AM(*M);
+  AM.run(AnalysisSet::defaultSet());
   std::string Buf;
   StringOutputStream OS(Buf);
-  Result.printSummary(OS);
+  AM.printSummary(OS);
   EXPECT_NE(Buf.find("pointer analysis:"), std::string::npos);
-  EXPECT_NE(Buf.find("sharing:"), std::string::npos);
-  EXPECT_NE(Buf.find("SHB:"), std::string::npos);
+  EXPECT_NE(Buf.find("sharing: 1 shared locations"), std::string::npos);
+  EXPECT_NE(Buf.find("SHB: 3 threads"), std::string::npos);
   EXPECT_NE(Buf.find("races: 1"), std::string::npos);
   EXPECT_NE(Buf.find("1-origin"), std::string::npos);
+
+  // Passes that did not run print their zero shape; no race line
+  // without the detector.
+  AnalysisManager PTAOnly(*M);
+  PTAOnly.run({O2Phase::PTA});
+  std::string Zero;
+  StringOutputStream ZeroOS(Zero);
+  PTAOnly.printSummary(ZeroOS);
+  EXPECT_NE(Zero.find("  sharing: 0 shared locations over 0 objects, 0/0 "
+                      "shared accesses (0s)\n"),
+            std::string::npos);
+  EXPECT_NE(Zero.find("  SHB: 0 threads, 0 access events (0s)\n"),
+            std::string::npos);
+  EXPECT_EQ(Zero.find("races:"), std::string::npos);
 }
 
 TEST(FacadeTest, ConcurrentAnalysesKeepIndependentStatistics) {
@@ -146,23 +170,26 @@ TEST(FacadeTest, ConcurrentAnalysesKeepIndependentStatistics) {
     }
   )");
 
-  O2Analysis SerialA = analyzeModule(*MA);
-  O2Analysis SerialB = analyzeModule(*MB);
+  AnalysisManager SerialA(*MA), SerialB(*MB);
+  SerialA.run(AnalysisSet::defaultSet());
+  SerialB.run(AnalysisSet::defaultSet());
 
   for (int Round = 0; Round < 4; ++Round) {
-    O2Analysis ParA, ParB;
-    std::thread TA([&] { ParA = analyzeModule(*MA); });
-    std::thread TB([&] { ParB = analyzeModule(*MB); });
+    AnalysisManager ParA(*MA), ParB(*MB);
+    std::thread TA([&] { ParA.run(AnalysisSet::defaultSet()); });
+    std::thread TB([&] { ParB.run(AnalysisSet::defaultSet()); });
     TA.join();
     TB.join();
-    EXPECT_EQ(ParA.PTA->stats().counters(), SerialA.PTA->stats().counters());
-    EXPECT_EQ(ParB.PTA->stats().counters(), SerialB.PTA->stats().counters());
-    EXPECT_EQ(ParA.Races.stats().counters(),
-              SerialA.Races.stats().counters());
-    EXPECT_EQ(ParB.Races.stats().counters(),
-              SerialB.Races.stats().counters());
-    EXPECT_EQ(ParA.Races.numRaces(), SerialA.Races.numRaces());
-    EXPECT_EQ(ParB.Races.numRaces(), SerialB.Races.numRaces());
+    EXPECT_EQ(ParA.getPTA().stats().counters(),
+              SerialA.getPTA().stats().counters());
+    EXPECT_EQ(ParB.getPTA().stats().counters(),
+              SerialB.getPTA().stats().counters());
+    EXPECT_EQ(ParA.getRaces().stats().counters(),
+              SerialA.getRaces().stats().counters());
+    EXPECT_EQ(ParB.getRaces().stats().counters(),
+              SerialB.getRaces().stats().counters());
+    EXPECT_EQ(ParA.getRaces().numRaces(), SerialA.getRaces().numRaces());
+    EXPECT_EQ(ParB.getRaces().numRaces(), SerialB.getRaces().numRaces());
   }
 }
 

@@ -9,7 +9,6 @@
 #include "o2/Driver/Driver.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
-#include "o2/O2.h"
 #include "o2/Race/RaceDetector.h"
 #include "o2/Support/OutputStream.h"
 
@@ -87,7 +86,8 @@ TEST(ReportOutputTest, EmptyJSONReport) {
 
 TEST(ReportOutputTest, StatsJSONHasPhaseTimingsAndSolverStats) {
   auto M = parseProgram(RacyProgram);
-  O2Analysis Result = analyzeModule(*M);
+  AnalysisManager Result(*M);
+  Result.run(AnalysisSet::defaultSet());
   std::string Buf;
   StringOutputStream OS(Buf);
   Result.printStatsJSON(OS);
@@ -116,11 +116,12 @@ TEST(ReportOutputTest, StatsJSONHasPhaseTimingsAndSolverStats) {
   // The worklist engine is selectable and reports itself.
   O2Config Cfg;
   Cfg.PTA.Solver = SolverKind::Worklist;
-  O2Analysis Baseline = analyzeModule(*M, Cfg);
+  AnalysisManager Baseline(*M, Cfg);
+  Baseline.run(AnalysisSet::defaultSet());
   Buf.clear();
   Baseline.printStatsJSON(OS);
   EXPECT_NE(Buf.find("\"solver\":\"worklist\""), std::string::npos);
-  EXPECT_EQ(Baseline.Races.numRaces(), Result.Races.numRaces());
+  EXPECT_EQ(Baseline.getRaces().numRaces(), Result.getRaces().numRaces());
 }
 
 TEST(ReportOutputTest, SHBDotExport) {
@@ -148,13 +149,17 @@ TEST(ReportOutputTest, CLIExitCodeConvention) {
   // A racy analysis maps onto exit 1, a clean one onto exit 0 — this is
   // what o2cli returns after the analysis ran.
   auto Racy = parseProgram(RacyProgram);
-  O2Analysis RacyResult = analyzeModule(*Racy);
-  EXPECT_EQ(RacyResult.Races.numRaces() == 0 ? ExitClean : ExitRacesFound,
+  AnalysisManager RacyResult(*Racy);
+  RacyResult.run(AnalysisSet::defaultSet());
+  EXPECT_EQ(RacyResult.getRaces().numRaces() == 0 ? ExitClean
+                                                  : ExitRacesFound,
             ExitRacesFound);
 
   auto Clean = parseProgram("func main() { }");
-  O2Analysis CleanResult = analyzeModule(*Clean);
-  EXPECT_EQ(CleanResult.Races.numRaces() == 0 ? ExitClean : ExitRacesFound,
+  AnalysisManager CleanResult(*Clean);
+  CleanResult.run(AnalysisSet::defaultSet());
+  EXPECT_EQ(CleanResult.getRaces().numRaces() == 0 ? ExitClean
+                                                   : ExitRacesFound,
             ExitClean);
 
   // Failure modes map onto exit 2 through the shared jobStatusName /

@@ -10,7 +10,7 @@
 
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
-#include "o2/O2.h"
+#include "o2/Analysis/AnalysisManager.h"
 
 #include <gtest/gtest.h>
 
@@ -109,10 +109,10 @@ TEST(AndroidHarnessTest, LifecycleIsCalledEventsAreSpawned) {
 TEST(AndroidHarnessTest, StartedActivityIsHarnessed) {
   auto M = parseApp();
   ASSERT_TRUE(buildAndroidHarness(*M, "MainActivity"));
-  O2Analysis Result = analyzeModule(*M);
+  AnalysisManager Result(*M);
   // The second activity's handler is a live origin: it reads appState.
   bool SettingsReached = false;
-  for (const auto &[F, C] : Result.PTA->instances()) {
+  for (const auto &[F, C] : Result.getPTA().instances()) {
     (void)C;
     if (F->getClass() &&
         F->getClass()->getName() == "SettingsActivity" &&
@@ -125,13 +125,13 @@ TEST(AndroidHarnessTest, StartedActivityIsHarnessed) {
 TEST(AndroidHarnessTest, FindsTheThreadEventRace) {
   auto M = parseApp();
   ASSERT_TRUE(buildAndroidHarness(*M, "MainActivity"));
-  O2Analysis Result = analyzeModule(*M);
+  AnalysisManager Result(*M);
   // Races: the background thread's write vs. each handler's read (the
   // handlers themselves are looper-serialized).
-  ASSERT_GE(Result.Races.numRaces(), 1u);
-  for (const Race &R : Result.Races.races()) {
-    OriginKind KA = Result.SHB.thread(R.ThreadA).Kind;
-    OriginKind KB = Result.SHB.thread(R.ThreadB).Kind;
+  ASSERT_GE(Result.getRaces().numRaces(), 1u);
+  for (const Race &R : Result.getRaces().races()) {
+    OriginKind KA = Result.getSHB().thread(R.ThreadA).Kind;
+    OriginKind KB = Result.getSHB().thread(R.ThreadB).Kind;
     EXPECT_TRUE(KA == OriginKind::Thread || KB == OriginKind::Thread);
   }
 }

@@ -14,7 +14,7 @@
 
 #include "o2/Workload/BugModels.h"
 
-#include "o2/O2.h"
+#include "o2/Analysis/AnalysisManager.h"
 
 #include <gtest/gtest.h>
 
@@ -27,8 +27,8 @@ class BugModelTest : public ::testing::TestWithParam<size_t> {};
 TEST_P(BugModelTest, O2FindsExpectedRaces) {
   const BugModel &Model = bugModels()[GetParam()];
   auto M = buildBugModel(Model);
-  O2Analysis Result = analyzeModule(*M);
-  EXPECT_EQ(Result.Races.numRaces(), Model.ExpectedRaces)
+  AnalysisManager Result(*M);
+  EXPECT_EQ(Result.getRaces().numRaces(), Model.ExpectedRaces)
       << "model: " << Model.Name;
 }
 
@@ -37,13 +37,13 @@ TEST_P(BugModelTest, ThreadEventInteractionIsReal) {
   if (!Model.ThreadEventInteraction)
     GTEST_SKIP() << "not a thread<->event model";
   auto M = buildBugModel(Model);
-  O2Analysis Result = analyzeModule(*M);
-  ASSERT_GE(Result.Races.numRaces(), 1u);
+  AnalysisManager Result(*M);
+  ASSERT_GE(Result.getRaces().numRaces(), 1u);
   // At least one reported race pairs a thread with an event handler.
   bool SawMix = false;
-  for (const Race &R : Result.Races.races()) {
-    OriginKind KA = Result.SHB.thread(R.ThreadA).Kind;
-    OriginKind KB = Result.SHB.thread(R.ThreadB).Kind;
+  for (const Race &R : Result.getRaces().races()) {
+    OriginKind KA = Result.getSHB().thread(R.ThreadA).Kind;
+    OriginKind KB = Result.getSHB().thread(R.ThreadB).Kind;
     SawMix |= (KA == OriginKind::Event) != (KB == OriginKind::Event);
   }
   EXPECT_TRUE(SawMix) << "model: " << Model.Name;
@@ -54,18 +54,18 @@ TEST_P(BugModelTest, SoundnessOracleAgrees) {
   auto M = buildBugModel(Model);
 
   O2Config Optimized;
-  O2Analysis A = analyzeModule(*M, Optimized);
+  AnalysisManager A(*M, Optimized);
 
   O2Config Naive;
   Naive.Detector.HB = RaceHBKind::Naive;
   Naive.Detector.CacheLocksetChecks = false;
   Naive.Detector.LockRegionMerging = false;
-  O2Analysis B = analyzeModule(*M, Naive);
+  AnalysisManager B(*M, Naive);
 
   std::set<uint64_t> LocsA, LocsB;
-  for (const Race &R : A.Races.races())
+  for (const Race &R : A.getRaces().races())
     LocsA.insert(R.Loc.key());
-  for (const Race &R : B.Races.races())
+  for (const Race &R : B.getRaces().races())
     LocsB.insert(R.Loc.key());
   EXPECT_EQ(LocsA, LocsB) << "model: " << Model.Name;
 }
@@ -94,11 +94,11 @@ TEST(BugModelsTest, FiguresAreRaceFreeButImpreciseAnalysesDisagree) {
   auto M = buildBugModel(*Fig3);
 
   O2Config OPA;
-  EXPECT_EQ(analyzeModule(*M, OPA).Races.numRaces(), 0u);
+  EXPECT_EQ(AnalysisManager(*M, OPA).getRaces().numRaces(), 0u);
 
   O2Config Insensitive;
   Insensitive.PTA.Kind = ContextKind::Insensitive;
-  EXPECT_GE(analyzeModule(*M, Insensitive).Races.numRaces(), 1u);
+  EXPECT_GE(AnalysisManager(*M, Insensitive).getRaces().numRaces(), 1u);
 }
 
 } // namespace

@@ -16,7 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/O2.h"
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/OSA/EscapeAnalysis.h"
 #include "o2/Workload/Generator.h"
 
@@ -66,19 +66,19 @@ TEST_P(PrecisionProperty, OptimizationsPreserveRacyLocations) {
   auto M = generateWorkload(smallProfile(GetParam()));
 
   O2Config Optimized;
-  O2Analysis A = analyzeModule(*M, Optimized);
+  AnalysisManager A(*M, Optimized);
 
   O2Config Naive;
   Naive.Detector.HB = RaceHBKind::Naive;
   Naive.Detector.CacheLocksetChecks = false;
   Naive.Detector.LockRegionMerging = false;
-  O2Analysis B = analyzeModule(*M, Naive);
+  AnalysisManager B(*M, Naive);
 
-  EXPECT_EQ(raceLocs(A.Races), raceLocs(B.Races));
-  EXPECT_LE(A.Races.numRaces(), B.Races.numRaces());
+  EXPECT_EQ(raceLocs(A.getRaces()), raceLocs(B.getRaces()));
+  EXPECT_LE(A.getRaces().numRaces(), B.getRaces().numRaces());
   // Optimized races are a subset of naive races (pairwise).
-  auto NaivePairs = racePairs(B.Races);
-  for (const auto &P : racePairs(A.Races))
+  auto NaivePairs = racePairs(B.getRaces());
+  for (const auto &P : racePairs(A.getRaces()))
     EXPECT_TRUE(NaivePairs.count(P));
 }
 
@@ -88,7 +88,8 @@ TEST_P(PrecisionProperty, EachOptimizationAloneIsSound) {
   Base.Detector.HB = RaceHBKind::Naive;
   Base.Detector.CacheLocksetChecks = false;
   Base.Detector.LockRegionMerging = false;
-  std::set<uint64_t> Expected = raceLocs(analyzeModule(*M, Base).Races);
+  std::set<uint64_t> Expected =
+      raceLocs(AnalysisManager(*M, Base).getRaces());
 
   for (unsigned Opt = 0; Opt < 3; ++Opt) {
     O2Config C = Base;
@@ -98,7 +99,7 @@ TEST_P(PrecisionProperty, EachOptimizationAloneIsSound) {
       C.Detector.CacheLocksetChecks = true;
     if (Opt == 2)
       C.Detector.LockRegionMerging = true;
-    EXPECT_EQ(raceLocs(analyzeModule(*M, C).Races), Expected)
+    EXPECT_EQ(raceLocs(AnalysisManager(*M, C).getRaces()), Expected)
         << "optimization " << Opt;
   }
 }
@@ -107,27 +108,27 @@ TEST_P(PrecisionProperty, OriginRacesSubsetOfInsensitiveRaces) {
   auto M = generateWorkload(smallProfile(GetParam()));
 
   O2Config OPA;
-  O2Analysis A = analyzeModule(*M, OPA);
+  AnalysisManager A(*M, OPA);
 
   O2Config Insensitive;
   Insensitive.PTA.Kind = ContextKind::Insensitive;
-  O2Analysis B = analyzeModule(*M, Insensitive);
+  AnalysisManager B(*M, Insensitive);
 
-  auto CoarsePairs = racePairs(B.Races);
-  for (const auto &P : racePairs(A.Races))
+  auto CoarsePairs = racePairs(B.getRaces());
+  for (const auto &P : racePairs(A.getRaces()))
     EXPECT_TRUE(CoarsePairs.count(P))
         << "race missed by 0-ctx: stmts " << P.first << "," << P.second;
-  EXPECT_LE(A.Races.numRaces(), B.Races.numRaces());
+  EXPECT_LE(A.getRaces().numRaces(), B.getRaces().numRaces());
 }
 
 TEST_P(PrecisionProperty, IntendedRacesAreFound) {
   WorkloadProfile P = smallProfile(GetParam());
   auto M = generateWorkload(P);
-  O2Analysis A = analyzeModule(*M);
+  AnalysisManager A(*M);
   // Unprotected writes from multiple origins must surface as races.
-  EXPECT_GE(A.Races.numRaces(), 1u);
+  EXPECT_GE(A.getRaces().numRaces(), 1u);
   // And the race statistics are consistent.
-  EXPECT_EQ(A.Races.stats().get("race.races"), A.Races.numRaces());
+  EXPECT_EQ(A.getRaces().stats().get("race.races"), A.getRaces().numRaces());
 }
 
 TEST_P(PrecisionProperty, OSANoLooserThanEscapeAnalysis) {
@@ -154,7 +155,7 @@ TEST_P(PrecisionProperty, KCFAPrecisionGradation) {
       C.PTA.Kind = ContextKind::KCallsite;
       C.PTA.K = K;
     }
-    unsigned N = analyzeModule(*M, C).Races.numRaces();
+    unsigned N = AnalysisManager(*M, C).getRaces().numRaces();
     EXPECT_LE(N, Prev) << "k=" << K;
     Prev = N;
   }

@@ -17,7 +17,7 @@
 #include "o2/IR/Parser.h"
 #include "o2/IR/Printer.h"
 #include "o2/IR/Verifier.h"
-#include "o2/O2.h"
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/Workload/BugModels.h"
 #include "o2/Workload/Generator.h"
 
@@ -53,8 +53,8 @@ TEST_P(ProfileRoundTrip, ReparsedModuleHasSameRaces) {
   std::string Err;
   auto M2 = parseModule(printModule(*M1), Err, P.Name);
   ASSERT_TRUE(M2) << Err;
-  EXPECT_EQ(analyzeModule(*M1).Races.numRaces(),
-            analyzeModule(*M2).Races.numRaces())
+  EXPECT_EQ(AnalysisManager(*M1).getRaces().numRaces(),
+            AnalysisManager(*M2).getRaces().numRaces())
       << P.Name;
 }
 
