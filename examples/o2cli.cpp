@@ -22,8 +22,9 @@
 //   --ctx=<kind>                    context abstraction: 0-ctx (alias
 //                                   insensitive), cfa (k-cfa), obj
 //                                   (k-obj) or origin (default origin)
-//   --k=<n>                         context depth (default 1)
-//   --solver=<wave|worklist>        PTA constraint engine (default wave)
+//   --k=<n>                         context depth for cfa/obj and
+//                                   origin-chain depth (at least 1;
+//                                   default 1)
 //   --analyses=<list>               comma-separated analyses to run
 //                                   (race, deadlock, oversync, racerd,
 //                                   escape, osa, or "all"; default
@@ -42,7 +43,7 @@
 //   --dot-shb                       dump the SHB thread graph in Graphviz
 //   --print-module                  echo the parsed module
 //
-// The first five are parsed by parsePipelineFlag (o2/Driver/Driver.h),
+// The first four are parsed by parsePipelineFlag (o2/Driver/Driver.h),
 // which o2batch shares, so both tools accept the same spellings.
 //
 //===----------------------------------------------------------------------===//

@@ -336,8 +336,7 @@ bool parseUnsignedFlag(const std::string &Arg, uint64_t &Out,
 /// The one table of pipeline flags both CLIs accept:
 ///
 ///   --ctx=0-ctx|insensitive|cfa|k-cfa|obj|k-obj|origin
-///   --k=N
-///   --solver=wave|worklist
+///   --k=N             (at least 1)
 ///   --race-hb=index|naive
 ///   --analyses=LIST   (see parseAnalysisSet)
 ///

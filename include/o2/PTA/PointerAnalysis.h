@@ -51,23 +51,11 @@ enum class ContextKind : uint8_t {
   Origin,      ///< origin-sensitive (OPA); K is the origin-chain depth.
 };
 
-/// The constraint-solving engine. Both engines compute the same least
-/// fixpoint and produce bit-identical results (points-to sets, call
-/// targets, origins, and downstream race reports); they differ only in
-/// how propagation is scheduled.
-enum class SolverKind : uint8_t {
-  Worklist, ///< FIFO worklist, object-at-a-time propagation (baseline).
-  Wave,     ///< SCC-collapsing waves with word-level delta propagation.
-};
-
 struct PTAOptions {
   ContextKind Kind = ContextKind::Origin;
 
   /// Context depth k (ignored for Insensitive).
   unsigned K = 1;
-
-  /// Constraint-solving engine.
-  SolverKind Solver = SolverKind::Wave;
 
   /// Origin entry-point configuration (used by Origin sensitivity and by
   /// downstream clients that classify origins).

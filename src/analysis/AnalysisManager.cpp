@@ -55,7 +55,7 @@ constexpr unsigned idx(O2Phase K) { return static_cast<unsigned>(K); }
 /// changes; the warm cache folds versions into its key, so a bump turns
 /// stale entries into misses instead of wrong replays.
 constexpr std::array<uint32_t, NumO2Phases> PassVersion = {
-    /*None=*/0,     /*PTA=*/1,      /*OSA=*/1,    /*SHB=*/1, /*HBIndex=*/1,
+    /*None=*/0,     /*PTA=*/2,      /*OSA=*/1,    /*SHB=*/1, /*HBIndex=*/1,
     /*Detect=*/1,   /*Deadlock=*/1, /*OverSync=*/1,
     /*RacerD=*/1,   /*Escape=*/1,
 };
@@ -116,10 +116,6 @@ uint64_t localFingerprint(O2Phase K, const O2Config &Config) {
     const PTAOptions &O = Config.PTA;
     H = hashU64(static_cast<uint64_t>(O.Kind), H);
     H = hashU64(O.K, H);
-    // The two solvers are bit-identical in points-to sets but report
-    // different solver counters (pta.waves vs pta.worklist-*), which land
-    // in reports; the solver is result-affecting for caching purposes.
-    H = hashU64(static_cast<uint64_t>(O.Solver), H);
     H = hashU64(O.NodeBudget, H);
     for (const auto &[Name, Kind] : O.Spec.entries()) {
       H = hashStr(Name, H);
@@ -488,8 +484,6 @@ void AnalysisManager::printStatsJSON(OutputStream &OS) {
   W.beginObject();
   W.attribute("module", M.getName());
   W.attribute("config", Config.PTA.name());
-  W.attribute("solver",
-              Config.PTA.Solver == SolverKind::Wave ? "wave" : "worklist");
   AnalysisSet RanSet;
   for (unsigned K = 1; K < NumO2Phases; ++K)
     if (P->Ran[K])

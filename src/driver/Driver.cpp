@@ -874,14 +874,9 @@ std::optional<std::string> o2::parsePipelineFlag(const std::string &Arg,
     if (!parseUnsignedFlag(Arg, K, Err,
                            std::numeric_limits<decltype(Config.PTA.K)>::max()))
       return Err;
+    if (K == 0)
+      return Invalid("at least 1");
     Config.PTA.K = static_cast<decltype(Config.PTA.K)>(K);
-    return "";
-  }
-  if (Flag == "--solver") {
-    if (!lookupSpelling<SolverKind>({{"wave", SolverKind::Wave},
-                                     {"worklist", SolverKind::Worklist}},
-                                    Value, Config.PTA.Solver))
-      return Invalid("wave or worklist");
     return "";
   }
   if (Flag == "--race-hb") {
@@ -956,8 +951,8 @@ static void printBatchUsage(OutputStream &OS) {
      << "  --profiles=table5 add every benchmark profile as a job\n"
      << "  --ctx=K           context kind: 0-ctx, cfa, obj, origin "
         "(default: origin)\n"
-     << "  --k=N             context depth for cfa/obj\n"
-     << "  --solver=S        pta solver: wave, worklist\n"
+     << "  --k=N             context depth for cfa/obj and origin-chain "
+        "depth (default: 1)\n"
      << "  --race-hb=H       happens-before queries: index (default), or "
         "naive (the\n"
      << "                    pairwise BFS oracle)\n"

@@ -15,22 +15,22 @@
 //
 // Solving alternates two steps until fixpoint:
 //
-//   propagate  — close the current copy-edge graph (engine-specific):
-//                  Worklist: FIFO worklist, object-at-a-time (baseline);
-//                  Wave: collapse copy-edge SCCs via union-find, then push
-//                  each node's delta once in topological order with
-//                  word-level BitVector unions.
-//   applyRound — against the closed (schedule-independent) state, freeze
-//                every use node's outstanding ⟨objects × loads/stores/
-//                calls⟩ work, then apply it in node order, deriving new
-//                edges, objects, contexts, and call targets.
+//   propagate  — close the current copy-edge graph with a FIFO worklist
+//                that pushes each popped node's pending delta to its
+//                successors as one word-level BitVector union.
+//   applyRound — against the closed state, freeze every use node's
+//                outstanding ⟨objects × loads/stores/calls⟩ work, then
+//                apply it in node order, deriving new edges, objects,
+//                contexts, and call targets.
 //
 // Because a closure of a fixed inclusion system is its unique least
 // solution, the frozen state each round — and hence the whole discovery
 // sequence (node, object, context, origin, and call-target creation
-// order) — is independent of the propagation engine. Both engines
-// therefore produce bit-identical PTAResults, which the solver-equivalence
-// test (tests/pta/SolverEquivalenceTest.cpp) checks end to end.
+// order) — does not depend on the order the worklist visits nodes in.
+// Reports print object, context and origin numbers, so the rounds are
+// what keeps them stable under any change to propagation scheduling.
+// tests/pta/PTAClosureTest.cpp checks the fixpoint against the
+// inclusion constraints read straight off the IR.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +42,7 @@
 #include <algorithm>
 #include <deque>
 #include <unordered_set>
+#include <utility>
 
 using namespace o2;
 
@@ -126,14 +127,12 @@ private:
   //===--------------------------------------------------------------------===//
 
   struct Node {
-    /// Full points-to set. Under the wave engine only the SCC
-    /// representative's set is authoritative; collapsed members are
-    /// rebuilt from their representative at finalization.
+    /// Full points-to set.
     BitVector Pts;
-    /// Bits not yet pushed along outgoing copy edges (rep-owned).
+    /// Bits not yet pushed along outgoing copy edges.
     BitVector PropDelta;
     /// Bits already handed to this node's Loads/Stores/Calls by earlier
-    /// discovery rounds. Maintained per original node, never merged.
+    /// discovery rounds.
     BitVector Applied;
     std::vector<unsigned> Succs;
     /// Field loads/stores waiting on base objects: (field key, other node).
@@ -152,16 +151,8 @@ private:
   };
 
   std::vector<Node> Nodes;
-  /// Union-find forest over nodes; the wave engine collapses copy-edge
-  /// SCCs by uniting members into the minimum member index. Stays the
-  /// identity under the worklist engine.
-  std::vector<unsigned> UnionFind;
   std::unordered_set<uint64_t> EdgeSet;
   std::deque<unsigned> Worklist;
-  /// Wave-engine scratch: SCC representatives in topological order.
-  std::vector<unsigned> TopoOrder;
-  uint64_t NumCollapsed = 0;
-  uint64_t NumWaves = 0;
   uint64_t NumPropWords = 0;
 
   const Module &M;
@@ -320,21 +311,11 @@ private:
 
   unsigned newNode() {
     Nodes.emplace_back();
-    UnionFind.push_back(static_cast<unsigned>(Nodes.size() - 1));
     if (Nodes.size() > Opts.NodeBudget && !Stopped) {
       Stopped = true;
       R->HitBudget = true;
     }
     return static_cast<unsigned>(Nodes.size() - 1);
-  }
-
-  /// SCC representative of \p N (with path halving).
-  unsigned find(unsigned N) {
-    while (UnionFind[N] != N) {
-      UnionFind[N] = UnionFind[UnionFind[N]];
-      N = UnionFind[N];
-    }
-    return N;
   }
 
   unsigned varNode(const Variable *V, Ctx C) {
@@ -380,59 +361,48 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Constraint primitives (shared by both engines)
+  // Constraint primitives
   //===--------------------------------------------------------------------===//
 
-  void schedule(unsigned Rep) {
-    if (Opts.Solver != SolverKind::Worklist)
-      return; // the wave engine scans representatives for pending deltas
-    if (!Nodes[Rep].Queued) {
-      Nodes[Rep].Queued = true;
-      Worklist.push_back(Rep);
+  void schedule(unsigned N) {
+    if (!Nodes[N].Queued) {
+      Nodes[N].Queued = true;
+      Worklist.push_back(N);
     }
   }
 
   void addPts(unsigned N, unsigned Obj) {
-    unsigned Rep = find(N);
-    if (Nodes[Rep].Pts.set(Obj)) {
-      Nodes[Rep].PropDelta.set(Obj);
-      schedule(Rep);
+    if (Nodes[N].Pts.set(Obj)) {
+      Nodes[N].PropDelta.set(Obj);
+      schedule(N);
     }
   }
 
   void addPtsSet(unsigned N, const BitVector &Objs) {
-    unsigned Rep = find(N);
-    Node &Nd = Nodes[Rep];
-    if (&Nd.Pts == &Objs)
-      return; // self-union (edge inside a collapsed SCC)
+    Node &Nd = Nodes[N];
     BitVector New;
     if (!Nd.Pts.unionWithDiff(Objs, New))
       return;
     NumPropWords += New.numSetWords();
     Nd.PropDelta.unionWithChanged(New);
-    schedule(Rep);
+    schedule(N);
   }
 
   void addCopyEdge(unsigned Src, unsigned Dst) {
     if (Src == Dst)
       return;
-    // Dedup on the original node IDs so the set of registered edges (and
-    // the pta.copy-edges statistic) is identical across engines regardless
-    // of SCC collapse.
     uint64_t Key = (uint64_t(Src) << 32) | Dst;
     if (!EdgeSet.insert(Key).second)
       return;
-    unsigned SrcRep = find(Src);
-    unsigned DstRep = find(Dst);
-    if (SrcRep != DstRep)
-      Nodes[SrcRep].Succs.push_back(DstRep);
-    addPtsSet(Dst, Nodes[SrcRep].Pts);
+    Nodes[Src].Succs.push_back(Dst);
+    addPtsSet(Dst, Nodes[Src].Pts);
   }
 
   /// Use registration only records the constraint; the next discovery
   /// round hands it the full frozen points-to set of its base. Applying
-  /// at registration time would leak the engine's propagation schedule
-  /// into the discovery order and break cross-engine equivalence.
+  /// at registration time would make the discovery order, and with it
+  /// the node, object and context numbering, depend on the propagation
+  /// schedule.
   void registerLoad(unsigned Base, FieldKey FK, unsigned Dst) {
     Nodes[Base].HasUses = true;
     Nodes[Base].Loads.emplace_back(FK, Dst);
@@ -468,8 +438,8 @@ private:
   /// closure, then applies it in ascending node order. Returns true if
   /// another propagate/apply round is needed. The freeze-then-apply split
   /// makes the application sequence a pure function of the closure, which
-  /// is the unique least solution of the current constraints and hence
-  /// engine-independent.
+  /// is the unique least solution of the current constraints, so the
+  /// numbering that reports print does not depend on the worklist order.
   bool applyRound() {
     if (Stopped)
       return false;
@@ -482,7 +452,7 @@ private:
       bool NewUses = Nd.Loads.size() > Nd.OldLoads ||
                      Nd.Stores.size() > Nd.OldStores ||
                      Nd.Calls.size() > Nd.OldCalls;
-      const BitVector &Closure = Nodes[find(N)].Pts;
+      const BitVector &Closure = Nd.Pts;
       BitVector DeltaBits = Closure.diff(Nd.Applied);
       if (DeltaBits.none() && !NewUses)
         continue;
@@ -553,22 +523,13 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Propagation engines
+  // Propagation
   //===--------------------------------------------------------------------===//
 
-  /// Closes the current copy-edge graph: afterwards every node's
-  /// (representative's) Pts is the least solution of the registered
-  /// edges and direct facts, and no deltas are pending.
+  /// Closes the current copy-edge graph: afterwards every node's Pts is
+  /// the least solution of the registered edges and direct facts, and no
+  /// deltas are pending.
   void propagate() {
-    if (Opts.Solver == SolverKind::Worklist)
-      propagateWorklist();
-    else
-      propagateWave();
-  }
-
-  /// Baseline engine: FIFO worklist, forwarding each node's pending delta
-  /// object-by-object.
-  void propagateWorklist() {
     while (!Worklist.empty()) {
       if (checkCancelled()) {
         for (unsigned N : Worklist)
@@ -579,155 +540,10 @@ private:
       unsigned N = Worklist.front();
       Worklist.pop_front();
       Nodes[N].Queued = false;
-      SmallVector<unsigned, 16> Delta;
-      for (unsigned Obj : Nodes[N].PropDelta)
-        Delta.push_back(Obj);
-      Nodes[N].PropDelta.clear();
-      for (size_t I = 0, E = Nodes[N].Succs.size(); I != E; ++I) {
-        unsigned S = Nodes[N].Succs[I];
-        for (unsigned Obj : Delta)
-          addPts(S, Obj);
-      }
+      BitVector Delta = std::exchange(Nodes[N].PropDelta, BitVector());
+      for (unsigned S : Nodes[N].Succs)
+        addPtsSet(S, Delta);
     }
-  }
-
-  /// Wave engine: collapse copy-edge SCCs into their minimum member via
-  /// union-find, then push every pending delta exactly once along the
-  /// condensation in topological order with word-level unions.
-  void propagateWave() {
-    while (true) {
-      bool Pending = false;
-      for (unsigned N = 0, E = static_cast<unsigned>(Nodes.size());
-           N != E && !Pending; ++N)
-        Pending = UnionFind[N] == N && Nodes[N].PropDelta.any();
-      if (!Pending)
-        return;
-      ++NumWaves;
-      collapseSCCs();
-      for (unsigned Rep : TopoOrder) {
-        if (checkCancelled())
-          return;
-        BitVector Delta = std::move(Nodes[Rep].PropDelta);
-        Nodes[Rep].PropDelta = BitVector();
-        if (Delta.none())
-          continue;
-        for (size_t I = 0, E = Nodes[Rep].Succs.size(); I != E; ++I) {
-          unsigned S = find(Nodes[Rep].Succs[I]);
-          if (S == Rep)
-            continue;
-          BitVector New;
-          if (Nodes[S].Pts.unionWithDiff(Delta, New)) {
-            NumPropWords += New.numSetWords();
-            Nodes[S].PropDelta.unionWithChanged(New);
-          }
-        }
-      }
-      // One topological pass consumes every delta of a DAG, so the next
-      // scan terminates the loop; the outer while is a safety net.
-    }
-  }
-
-  /// Iterative Tarjan over the representatives' condensation. Emits SCCs
-  /// in reverse topological order (every SCC after all SCCs reachable from
-  /// it), collapses multi-node components on the fly, and leaves
-  /// TopoOrder holding the surviving representatives sources-first.
-  void collapseSCCs() {
-    const unsigned N = static_cast<unsigned>(Nodes.size());
-    std::vector<uint32_t> Index(N, 0);
-    std::vector<uint32_t> Low(N, 0);
-    std::vector<bool> OnStack(N, false);
-    std::vector<unsigned> SCCStack;
-    struct Frame {
-      unsigned Node;
-      size_t SuccIdx;
-    };
-    std::vector<Frame> DFS;
-    uint32_t NextIndex = 1;
-    TopoOrder.clear();
-
-    for (unsigned Root = 0; Root != N; ++Root) {
-      if (UnionFind[Root] != Root || Index[Root])
-        continue;
-      Index[Root] = Low[Root] = NextIndex++;
-      SCCStack.push_back(Root);
-      OnStack[Root] = true;
-      DFS.push_back({Root, 0});
-      while (!DFS.empty()) {
-        Frame &F = DFS.back();
-        unsigned V = F.Node;
-        if (F.SuccIdx != Nodes[V].Succs.size()) {
-          unsigned S = find(Nodes[V].Succs[F.SuccIdx++]);
-          if (S == V)
-            continue;
-          if (!Index[S]) {
-            Index[S] = Low[S] = NextIndex++;
-            SCCStack.push_back(S);
-            OnStack[S] = true;
-            DFS.push_back({S, 0}); // invalidates F; re-fetched next spin
-          } else if (OnStack[S]) {
-            Low[V] = std::min(Low[V], Index[S]);
-          }
-          continue;
-        }
-        DFS.pop_back();
-        if (!DFS.empty())
-          Low[DFS.back().Node] = std::min(Low[DFS.back().Node], Low[V]);
-        if (Low[V] == Index[V]) {
-          SmallVector<unsigned, 4> Comp;
-          unsigned W;
-          do {
-            W = SCCStack.back();
-            SCCStack.pop_back();
-            OnStack[W] = false;
-            Comp.push_back(W);
-          } while (W != V);
-          if (Comp.size() > 1)
-            mergeSCC(Comp);
-          TopoOrder.push_back(find(V));
-        }
-      }
-    }
-    std::reverse(TopoOrder.begin(), TopoOrder.end());
-  }
-
-  /// Unites an SCC into its minimum member (so representatives always
-  /// precede their members, which finalizeStats relies on). The
-  /// representative takes over the merged points-to set, pending delta,
-  /// and successor list; members keep their use lists and Applied state,
-  /// which discovery reads through find().
-  void mergeSCC(ArrayRef<unsigned> Comp) {
-    unsigned Rep = *std::min_element(Comp.begin(), Comp.end());
-    for (unsigned M : Comp) {
-      if (M == Rep)
-        continue;
-      Node &Mem = Nodes[M];
-      Node &RepNode = Nodes[Rep];
-      // Bits one side lacks must (re)flow to the merged successor list:
-      // the other side's former successors never saw them.
-      BitVector RepOnly = RepNode.Pts.diff(Mem.Pts);
-      BitVector New;
-      RepNode.Pts.unionWithDiff(Mem.Pts, New);
-      NumPropWords += New.numSetWords();
-      RepNode.PropDelta.unionWithChanged(New);
-      RepNode.PropDelta.unionWithChanged(RepOnly);
-      RepNode.PropDelta.unionWithChanged(Mem.PropDelta);
-      RepNode.Succs.insert(RepNode.Succs.end(), Mem.Succs.begin(),
-                           Mem.Succs.end());
-      Mem.Pts = BitVector();
-      Mem.PropDelta = BitVector();
-      Mem.Succs.clear();
-      Mem.Succs.shrink_to_fit();
-      UnionFind[M] = Rep;
-      ++NumCollapsed;
-    }
-    // Canonicalize and dedup the merged successor list; internal edges
-    // collapse to self-loops and drop out.
-    auto &Succs = Nodes[Rep].Succs;
-    for (unsigned &S : Succs)
-      S = find(S);
-    std::sort(Succs.begin(), Succs.end());
-    Succs.erase(std::unique(Succs.begin(), Succs.end()), Succs.end());
-    Succs.erase(std::remove(Succs.begin(), Succs.end(), Rep), Succs.end());
   }
 
   //===--------------------------------------------------------------------===//
@@ -827,17 +643,20 @@ private:
   // Statement processing
   //===--------------------------------------------------------------------===//
 
+  /// Polls after each statement rather than before, so a pass that
+  /// starts always records main's first statement, however early the
+  /// token fires.
   void processFunction(const Function *F, Ctx C) {
-    if (Stopped || checkCancelled())
+    if (Stopped)
       return;
     uint64_t Key = (uint64_t(F->getId()) << 32) | C;
     if (!ProcessedInstances.insert(Key).second)
       return;
     R->Instances.emplace_back(F, C);
     for (const auto &S : F->body()) {
+      processStmt(*S, F, C);
       if (checkCancelled())
         return;
-      processStmt(*S, F, C);
     }
   }
 
@@ -1034,18 +853,8 @@ private:
 
   void finalizeStats() {
     R->NodePts.reserve(Nodes.size());
-    for (unsigned N = 0, E = static_cast<unsigned>(Nodes.size()); N != E;
-         ++N) {
-      unsigned Rep = find(N);
-      if (Rep == N) {
-        R->NodePts.push_back(std::move(Nodes[N].Pts));
-      } else {
-        // SCCs unite into their minimum member, so the representative's
-        // final set is already in place.
-        assert(Rep < N && "representative must precede its members");
-        R->NodePts.push_back(R->NodePts[Rep]);
-      }
-    }
+    for (Node &Nd : Nodes)
+      R->NodePts.push_back(std::move(Nd.Pts));
     R->Stats.set("pta.pointer-nodes", Nodes.size());
     R->Stats.set("pta.objects", R->Objects.size());
     R->Stats.set("pta.copy-edges", EdgeSet.size());
@@ -1053,8 +862,6 @@ private:
     R->Stats.set("pta.contexts", R->Ctxs.size());
     R->Stats.set("pta.origins",
                  Opts.Kind == ContextKind::Origin ? R->Origins.size() : 0);
-    R->Stats.set("pta.scc-collapsed", NumCollapsed);
-    R->Stats.set("pta.waves", NumWaves);
     R->Stats.set("pta.propagated-words", NumPropWords);
     if (R->Cancelled)
       R->Stats.set("pta.cancelled", 1);

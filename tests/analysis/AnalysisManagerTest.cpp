@@ -152,17 +152,17 @@ TEST(AnalysisManagerTest, FingerprintTracksResultAffectingOptions) {
   O2Config Base;
 
   // PTA options propagate to every dependent pass.
-  O2Config Worklist;
-  Worklist.PTA.Solver = SolverKind::Worklist;
+  O2Config Deeper;
+  Deeper.PTA.K = 2;
   EXPECT_NE(passFingerprint(O2Phase::PTA, Base),
-            passFingerprint(O2Phase::PTA, Worklist));
+            passFingerprint(O2Phase::PTA, Deeper));
   EXPECT_NE(passFingerprint(O2Phase::Detect, Base),
-            passFingerprint(O2Phase::Detect, Worklist));
+            passFingerprint(O2Phase::Detect, Deeper));
   EXPECT_NE(passFingerprint(O2Phase::Deadlock, Base),
-            passFingerprint(O2Phase::Deadlock, Worklist));
+            passFingerprint(O2Phase::Deadlock, Deeper));
   // ...but not to the PTA-independent syntactic baseline.
   EXPECT_EQ(passFingerprint(O2Phase::RacerD, Base),
-            passFingerprint(O2Phase::RacerD, Worklist));
+            passFingerprint(O2Phase::RacerD, Deeper));
 
   // Detector options stay local to the detector.
   O2Config Naive;

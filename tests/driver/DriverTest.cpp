@@ -403,9 +403,9 @@ TEST(DriverTest, WarmCacheReplaysIdenticalReports) {
   EXPECT_EQ(Report.find("cache"), std::string::npos);
 
   // A different config fingerprint misses: same modules, new entries.
-  BatchOptions Worklist = Opts;
-  Worklist.Config.PTA.Solver = SolverKind::Worklist;
-  BatchResult Cross = runBatch(Specs, Worklist);
+  BatchOptions Deeper = Opts;
+  Deeper.Config.PTA.K = 2;
+  BatchResult Cross = runBatch(Specs, Deeper);
   EXPECT_EQ(Cross.CacheHits, 0u);
   EXPECT_EQ(Cross.CacheMisses, 2u);
 

@@ -7,7 +7,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Covers parsePipelineFlag, the one parser o2cli and o2batch share for
-// --ctx, --k, --solver, --race-hb and --analyses: every accepted spelling
+// --ctx, --k, --race-hb and --analyses: every accepted spelling
 // lands in the right O2Config / AnalysisSet field, every malformed value
 // is rejected with the flag named, and other arguments are left to the
 // caller.
@@ -50,16 +50,6 @@ TEST(PipelineFlagTest, AcceptedSpellings) {
     EXPECT_EQ(P.Config.PTA.Kind, Kind) << Arg;
   }
 
-  const std::pair<const char *, SolverKind> Solver[] = {
-      {"--solver=wave", SolverKind::Wave},
-      {"--solver=worklist", SolverKind::Worklist},
-  };
-  for (const auto &[Arg, Kind] : Solver) {
-    Parsed P = parse(Arg);
-    ASSERT_EQ(P.Err, "") << Arg;
-    EXPECT_EQ(P.Config.PTA.Solver, Kind) << Arg;
-  }
-
   const std::pair<const char *, RaceHBKind> HB[] = {
       {"--race-hb=index", RaceHBKind::Index},
       {"--race-hb=naive", RaceHBKind::Naive},
@@ -92,7 +82,7 @@ TEST(PipelineFlagTest, MalformedValuesNameTheFlag) {
       {"--ctx=", "--ctx"},
       {"--ctx=foo", "--ctx"},
       {"--k=-1", "--k"},
-      {"--solver=Wave", "--solver"},
+      {"--k=0", "--k"},
       {"--race-hb=memo", "--race-hb"},
       {"--analyses=", "--analyses"},
       {"--analyses=race,bogus", "--analyses"},
@@ -106,13 +96,15 @@ TEST(PipelineFlagTest, MalformedValuesNameTheFlag) {
     Parsed Default;
     EXPECT_EQ(P.Config.PTA.Kind, Default.Config.PTA.Kind) << Arg;
     EXPECT_EQ(P.Config.PTA.K, Default.Config.PTA.K) << Arg;
-    EXPECT_EQ(P.Config.PTA.Solver, Default.Config.PTA.Solver) << Arg;
     EXPECT_EQ(P.Config.Detector.HB, Default.Config.Detector.HB) << Arg;
     EXPECT_EQ(P.Analyses, Default.Analyses) << Arg;
   }
   EXPECT_EQ(*parse("--ctx=foo").Err,
             "invalid value 'foo' for --ctx: expected 0-ctx, insensitive, "
             "cfa, k-cfa, obj, k-obj or origin");
+  // k is also the origin-chain depth: k=0 would collapse every context.
+  EXPECT_EQ(*parse("--k=0").Err,
+            "invalid value '0' for --k: expected at least 1");
   EXPECT_EQ(*parse("--analyses=race,bogus").Err,
             "invalid value 'race,bogus' for --analyses: unknown analysis "
             "'bogus'");
@@ -122,6 +114,9 @@ TEST(PipelineFlagTest, OtherArgumentsAreLeftToTheCaller) {
   for (const char *Arg : {"--jobs=2", "--ctx", "--k", "--stats", "--racerd",
                           "prog.oir", "--context=cfa", "-ctx=cfa"})
     EXPECT_FALSE(parse(Arg).Err) << Arg;
+  // There is one PTA engine, so no flag selects one.
+  for (const char *Removed : {"solver=wave", "solver=worklist"})
+    EXPECT_FALSE(parse(std::string("--") + Removed).Err) << Removed;
 }
 
 } // namespace

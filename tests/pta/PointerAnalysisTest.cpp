@@ -10,6 +10,8 @@
 
 #include "PTATestUtils.h"
 
+#include "o2/Workload/Generator.h"
+
 #include <gtest/gtest.h>
 
 using namespace o2;
@@ -331,6 +333,24 @@ TEST(PointerAnalysisTest, MainlessModuleYieldsEmptyResultNotAbort) {
     EXPECT_EQ(R->stats().get("pta.no-entry"), 1u);
     EXPECT_EQ(R->stats().get("pta.pointer-nodes"), 0u);
   }
+}
+
+TEST(PointerAnalysisTest, CancelledRunStillRecordsMainsFirstStatement) {
+  // The solver polls after each statement, not before, so however early
+  // the token fires (here: before the run starts, while the constructor
+  // scans the heaviest workload), the partial result holds main's first
+  // statement — an allocation in every generated workload.
+  const WorkloadProfile *Heavy = findProfile("telegram");
+  ASSERT_NE(Heavy, nullptr);
+  auto M = generateWorkload(*Heavy);
+  CancellationToken Token;
+  Token.cancel();
+  PTAOptions Opts;
+  Opts.Cancel = &Token;
+  auto R = runPointerAnalysis(*M, Opts);
+  EXPECT_TRUE(R->cancelled());
+  EXPECT_EQ(R->stats().get("pta.cancelled"), 1u);
+  EXPECT_GT(R->stats().get("pta.pointer-nodes"), 0u);
 }
 
 } // namespace
