@@ -237,7 +237,7 @@ public:
   /// count if the detector ran. Runs PTA if nothing has yet.
   void printSummary(OutputStream &OS);
 
-  /// One flat JSON object: "module", "config", "solver", "analyses",
+  /// One flat JSON object: "module", "config", "analyses",
   /// per-pass "time.<pass>-ms" for every ran pass, "time.total-ms", then
   /// every merged counter, aux analyses included.
   void printStatsJSON(OutputStream &OS);

@@ -20,7 +20,7 @@
 #ifndef O2_OSA_SHARINGANALYSIS_H
 #define O2_OSA_SHARINGANALYSIS_H
 
-#include "o2/OSA/MemLoc.h"
+#include "o2/PTA/MemLoc.h"
 #include "o2/PTA/PointerAnalysis.h"
 #include "o2/Support/BitVector.h"
 
@@ -34,13 +34,14 @@ struct LocAccessSets {
   BitVector ReadOrigins;
   BitVector WriteOrigins;
 
-  /// Origin-shared: ≥2 accessing origins, ≥1 writer.
+  /// Origin-shared: ≥2 accessing origins, ≥1 writer. That is, two
+  /// writers, or one writer and a reader other than it.
   bool isShared() const {
-    if (WriteOrigins.none())
-      return false;
-    BitVector All = ReadOrigins;
-    All.unionWith(WriteOrigins);
-    return All.count() >= 2;
+    unsigned Writers = WriteOrigins.count();
+    if (Writers != 1)
+      return Writers > 1;
+    auto Writer = static_cast<unsigned>(WriteOrigins.findFirst());
+    return ReadOrigins.count() > (ReadOrigins.test(Writer) ? 1u : 0u);
   }
 };
 
@@ -94,9 +95,9 @@ private:
   unsigned NumAccessStmts = 0;
 };
 
-/// Runs OSA over an Origin-sensitive pointer-analysis result. \p Cancel,
-/// when given, is polled per scanned statement; on expiry the scan stops
-/// and the partial result is flagged.
+/// Runs OSA over an Origin-sensitive pointer-analysis result, reading its
+/// access table. \p Cancel, when given, is polled per scanned instance; on
+/// expiry the scan stops and the partial result is flagged.
 SharingResult runSharingAnalysis(const PTAResult &PTA,
                                  const CancellationToken *Cancel = nullptr);
 

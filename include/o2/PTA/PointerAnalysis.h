@@ -27,7 +27,9 @@
 #define O2_PTA_POINTERANALYSIS_H
 
 #include "o2/IR/Module.h"
+#include "o2/PTA/MemLoc.h"
 #include "o2/PTA/OriginSpec.h"
+#include "o2/Support/ArrayRef.h"
 #include "o2/Support/BitVector.h"
 #include "o2/Support/CancellationToken.h"
 #include "o2/Support/InternTable.h"
@@ -98,17 +100,26 @@ struct CallTarget {
   }
 };
 
-/// Field key for field-sensitive points-to storage: 0 denotes the array
-/// element pseudo-field "*", and FieldId+1 denotes a named field.
-using FieldKey = unsigned;
-inline constexpr FieldKey ArrayElemKey = 0;
-inline FieldKey fieldKeyOf(const Field *F) { return F->getId() + 1; }
+/// One field, array-element or global access statement of a reached
+/// instance, resolved against the final points-to sets.
+struct Access {
+  const Stmt *S = nullptr;
+  bool IsWrite = false;
+  /// MemLoc::field(o, key) for each o in pts(base) in ascending order, or
+  /// the global's one location. Empty when the base points to nothing.
+  ArrayRef<MemLoc> Locs;
+};
 
 /// The result of a pointer-analysis run: points-to sets, abstract objects,
 /// the context-sensitive call graph, and (under Origin sensitivity) the
 /// origin table.
 class PTAResult {
 public:
+  PTAResult() = default;
+  /// Not copyable: access entries point into the result's own storage.
+  PTAResult(const PTAResult &) = delete;
+  PTAResult &operator=(const PTAResult &) = delete;
+
   const Module &module() const { return *M; }
   const PTAOptions &options() const { return Opts; }
 
@@ -129,6 +140,12 @@ public:
   const std::vector<std::pair<const Function *, Ctx>> &instances() const {
     return Instances;
   }
+
+  /// The access table: the accesses of \p F's body under \p C, in body
+  /// order. OSA, SHB and the escape baseline read it instead of decoding
+  /// statements and querying points-to sets themselves. Empty for
+  /// unreached instances and for cancelled runs.
+  ArrayRef<Access> accesses(const Function *F, Ctx C) const;
 
   /// Resolved targets of the call/ctor/spawn statement \p S under \p C.
   /// Returns an empty vector for unreached instances.
@@ -212,6 +229,10 @@ private:
   std::vector<int> GlobalNodes;                     ///< globalId -> node/-1
   std::unordered_map<uint64_t, unsigned> FieldNodes; ///< obj<<32|fieldKey
   std::vector<BitVector> NodePts;
+  std::vector<Access> Accesses;
+  std::vector<MemLoc> AccessLocs; ///< Every entry's Locs, back to back.
+  /// funcId<<32|ctx -> the instance's [begin, end) run in Accesses.
+  std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> AccessRuns;
   StatisticRegistry Stats;
   bool HitBudget = false;
   bool Cancelled = false;

@@ -31,7 +31,7 @@
 #ifndef O2_SHB_SHBGRAPH_H
 #define O2_SHB_SHBGRAPH_H
 
-#include "o2/OSA/MemLoc.h"
+#include "o2/PTA/MemLoc.h"
 #include "o2/PTA/PointerAnalysis.h"
 #include "o2/Support/InternTable.h"
 

@@ -104,12 +104,8 @@ static std::string stableLocation(const MemLoc &Loc, const PTAResult &PTA) {
   FieldKey FK = Loc.fieldKey();
   if (FK == ArrayElemKey)
     return Out + "[*]";
-  if (const auto *Cls =
-          O.AllocatedType ? dyn_cast<ClassType>(O.AllocatedType) : nullptr)
-    for (const ClassType *C = Cls; C; C = C->getSuper())
-      for (const auto &F : C->fields())
-        if (fieldKeyOf(F.get()) == FK)
-          return Out + "." + F->getName();
+  if (const Field *F = fieldOf(Loc, PTA))
+    return Out + "." + F->getName();
   return Out + ".f" + std::to_string(FK - 1);
 }
 

@@ -10,7 +10,7 @@
 
 #include "o2/Support/Casting.h"
 
-#include <set>
+#include <algorithm>
 #include <vector>
 
 using namespace o2;
@@ -101,56 +101,30 @@ private:
     }
   }
 
-  /// Base objects of an access statement under one context.
-  void countAccess(const Variable *Base, Ctx C, bool &Shared) {
-    const BitVector *Pts = PTA.pts(Base, C);
-    if (Pts && Pts->intersects(R.Escaped))
-      Shared = true;
+  /// Statics are always thread-escaped in this baseline; a field or
+  /// element is shared when one of its base objects escaped.
+  bool isSharedAccess(const Access &A) const {
+    return std::any_of(A.Locs.begin(), A.Locs.end(), [&](MemLoc Loc) {
+      return Loc.isGlobal() || R.Escaped.test(Loc.object());
+    });
   }
 
   void countSharedAccesses() {
-    std::set<unsigned> AccessStmts;
-    std::set<unsigned> SharedStmts;
+    BitVector AccessStmts;
+    BitVector SharedStmts;
     for (const auto &[F, C] : PTA.instances()) {
       if (pollCancelled(Cancel)) {
         R.Cancelled = true;
         return;
       }
-      for (const auto &SPtr : F->body()) {
-        const Stmt &S = *SPtr;
-        bool IsAccess = true;
-        bool Shared = false;
-        switch (S.getKind()) {
-        case Stmt::SK_FieldLoad:
-          countAccess(cast<FieldLoadStmt>(S).getBase(), C, Shared);
-          break;
-        case Stmt::SK_FieldStore:
-          countAccess(cast<FieldStoreStmt>(S).getBase(), C, Shared);
-          break;
-        case Stmt::SK_ArrayLoad:
-          countAccess(cast<ArrayLoadStmt>(S).getBase(), C, Shared);
-          break;
-        case Stmt::SK_ArrayStore:
-          countAccess(cast<ArrayStoreStmt>(S).getBase(), C, Shared);
-          break;
-        case Stmt::SK_GlobalLoad:
-        case Stmt::SK_GlobalStore:
-          // Statics are always thread-escaped in this baseline.
-          Shared = true;
-          break;
-        default:
-          IsAccess = false;
-          break;
-        }
-        if (IsAccess) {
-          AccessStmts.insert(S.getId());
-          if (Shared)
-            SharedStmts.insert(S.getId());
-        }
+      for (const Access &A : PTA.accesses(F, C)) {
+        AccessStmts.set(A.S->getId());
+        if (isSharedAccess(A))
+          SharedStmts.set(A.S->getId());
       }
     }
-    R.NumAccessStmts = static_cast<unsigned>(AccessStmts.size());
-    R.NumSharedAccessStmts = static_cast<unsigned>(SharedStmts.size());
+    R.NumAccessStmts = AccessStmts.count();
+    R.NumSharedAccessStmts = SharedStmts.count();
   }
 
   const PTAResult &PTA;

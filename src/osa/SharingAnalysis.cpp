@@ -8,36 +8,15 @@
 
 #include "o2/OSA/SharingAnalysis.h"
 
-#include "o2/Support/Casting.h"
-
-#include <map>
-#include <set>
+#include <algorithm>
 
 using namespace o2;
-
-std::string MemLoc::toString(const PTAResult &PTA) const {
-  if (isGlobal())
-    return "@" + PTA.module().globals()[globalId()]->getName();
-  std::string Out = "obj" + std::to_string(object());
-  FieldKey FK = fieldKey();
-  if (FK == ArrayElemKey)
-    return Out + "[*]";
-  // Locate the field's name through the object's class.
-  const ObjInfo &O = PTA.object(object());
-  if (const auto *Cls = dyn_cast<ClassType>(O.AllocatedType)) {
-    for (const ClassType *C = Cls; C; C = C->getSuper())
-      for (const auto &F : C->fields())
-        if (fieldKeyOf(F.get()) == FK)
-          return Out + "." + F->getName();
-  }
-  return Out + ".f" + std::to_string(FK - 1);
-}
 
 namespace o2 {
 
 /// Implements Algorithm 1. The traversal over visitedMethods is the
-/// pointer analysis's reachable-instance list; FindPointsToOrigins is the
-/// points-to query on the access's base pointer.
+/// pointer analysis's reachable-instance list; FindPointsToOrigins is
+/// already answered by PTA's access table.
 class SharingAnalysis {
 public:
   SharingAnalysis(const PTAResult &PTA, const CancellationToken *Cancel)
@@ -47,106 +26,56 @@ public:
   }
 
   SharingResult run() {
-    for (const auto &[F, C] : PTA.instances()) {
+    const auto &Instances = PTA.instances();
+    size_t Scanned = 0;
+    for (; Scanned != Instances.size(); ++Scanned) {
+      if (pollCancelled(Cancel)) {
+        R.Cancelled = true;
+        break;
+      }
+      const auto &[F, C] = Instances[Scanned];
       unsigned Origin = PTA.originOfCtx(C);
-      for (const auto &S : F->body()) {
-        if (pollCancelled(Cancel)) {
-          R.Cancelled = true;
-          finalize();
-          return std::move(R);
+      for (const Access &A : PTA.accesses(F, C)) {
+        AccessStmts.set(A.S->getId());
+        for (MemLoc Loc : A.Locs) {
+          LocAccessSets &Sets = R.Locs[Loc];
+          (A.IsWrite ? Sets.WriteOrigins : Sets.ReadOrigins).set(Origin);
         }
-        visitStmt(*S, C, Origin);
       }
     }
-    finalize();
+    finalize(Scanned);
     return std::move(R);
   }
 
 private:
-  void recordAccess(const Stmt &S, MemLoc Loc, unsigned Origin,
-                    bool IsWrite) {
-    LocAccessSets &Sets = R.Locs[Loc];
-    if (IsWrite)
-      Sets.WriteOrigins.set(Origin);
-    else
-      Sets.ReadOrigins.set(Origin);
-    StmtLocs[S.getId()].insert(Loc);
-  }
-
-  /// Records one base-pointer access: the location per pointed-to object.
-  void recordFieldAccess(const Stmt &S, const Variable *Base, FieldKey FK,
-                         unsigned Origin, bool IsWrite, Ctx C) {
-    AccessStmts.insert(S.getId());
-    const BitVector *Pts = PTA.pts(Base, C);
-    if (!Pts)
-      return;
-    for (unsigned Obj : *Pts)
-      recordAccess(S, MemLoc::field(Obj, FK), Origin, IsWrite);
-  }
-
-  void visitStmt(const Stmt &S, Ctx C, unsigned Origin) {
-    switch (S.getKind()) {
-    case Stmt::SK_FieldLoad: {
-      const auto &L = cast<FieldLoadStmt>(S);
-      recordFieldAccess(S, L.getBase(), fieldKeyOf(L.getField()), Origin,
-                        /*IsWrite=*/false, C);
-      return;
-    }
-    case Stmt::SK_FieldStore: {
-      const auto &St = cast<FieldStoreStmt>(S);
-      recordFieldAccess(S, St.getBase(), fieldKeyOf(St.getField()), Origin,
-                        /*IsWrite=*/true, C);
-      return;
-    }
-    case Stmt::SK_ArrayLoad:
-      recordFieldAccess(S, cast<ArrayLoadStmt>(S).getBase(), ArrayElemKey,
-                        Origin, /*IsWrite=*/false, C);
-      return;
-    case Stmt::SK_ArrayStore:
-      recordFieldAccess(S, cast<ArrayStoreStmt>(S).getBase(), ArrayElemKey,
-                        Origin, /*IsWrite=*/true, C);
-      return;
-    case Stmt::SK_GlobalLoad:
-      AccessStmts.insert(S.getId());
-      recordAccess(S, MemLoc::global(cast<GlobalLoadStmt>(S).getGlobal()->getId()),
-                   Origin, /*IsWrite=*/false);
-      return;
-    case Stmt::SK_GlobalStore:
-      AccessStmts.insert(S.getId());
-      recordAccess(S,
-                   MemLoc::global(cast<GlobalStoreStmt>(S).getGlobal()->getId()),
-                   Origin, /*IsWrite=*/true);
-      return;
-    default:
-      return;
-    }
-  }
-
-  void finalize() {
-    std::set<unsigned> SharedObjs;
+  /// Decides which locations are shared, then which of the first
+  /// \p Scanned instances' access statements may touch one.
+  void finalize(size_t Scanned) {
+    BitVector SharedObjs;
     for (const auto &[Loc, Sets] : R.Locs)
       if (Sets.isShared()) {
         R.Shared.push_back(Loc);
         if (!Loc.isGlobal())
-          SharedObjs.insert(Loc.object());
+          SharedObjs.set(Loc.object());
       }
     std::sort(R.Shared.begin(), R.Shared.end());
-    R.NumSharedObjects = static_cast<unsigned>(SharedObjs.size());
-    R.NumAccessStmts = static_cast<unsigned>(AccessStmts.size());
-    for (const auto &[StmtId, Locs] : StmtLocs)
-      for (const MemLoc &Loc : Locs)
-        if (R.isShared(Loc)) {
-          R.SharedStmts.set(StmtId);
-          ++R.NumSharedAccessStmts;
-          break;
-        }
+    R.NumSharedObjects = SharedObjs.count();
+    R.NumAccessStmts = AccessStmts.count();
+    auto IsShared = [&](MemLoc Loc) { return R.isShared(Loc); };
+    for (size_t I = 0; I != Scanned; ++I) {
+      const auto &[F, C] = PTA.instances()[I];
+      for (const Access &A : PTA.accesses(F, C))
+        if (!R.SharedStmts.test(A.S->getId()) &&
+            std::any_of(A.Locs.begin(), A.Locs.end(), IsShared))
+          R.SharedStmts.set(A.S->getId());
+    }
+    R.NumSharedAccessStmts = R.SharedStmts.count();
   }
 
   const PTAResult &PTA;
   const CancellationToken *Cancel;
   SharingResult R;
-  std::map<unsigned, std::set<MemLoc>> StmtLocs;
-  std::set<unsigned> AccessStmts;
+  BitVector AccessStmts;
 };
 
 } // namespace o2

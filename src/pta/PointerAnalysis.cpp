@@ -105,7 +105,7 @@ public:
       // verification. An empty result is trivially sound — nothing
       // executes — and beats aborting a release-build fleet.
       R->EntryMissing = true;
-      finalizeStats();
+      finalize();
       R->Stats.set("pta.no-entry", 1);
       return std::move(R);
     }
@@ -117,7 +117,7 @@ public:
     // finalize; a cancellation unwinds immediately with whatever exists.
     if (Stopped && !R->Cancelled)
       propagate();
-    finalizeStats();
+    finalize();
     return std::move(R);
   }
 
@@ -851,10 +851,13 @@ private:
   // Finalization
   //===--------------------------------------------------------------------===//
 
-  void finalizeStats() {
+  void finalize() {
     R->NodePts.reserve(Nodes.size());
     for (Node &Nd : Nodes)
       R->NodePts.push_back(std::move(Nd.Pts));
+    // A cancelled run feeds no downstream pass.
+    if (!R->Cancelled)
+      buildAccessTable();
     R->Stats.set("pta.pointer-nodes", Nodes.size());
     R->Stats.set("pta.objects", R->Objects.size());
     R->Stats.set("pta.copy-edges", EdgeSet.size());
@@ -866,13 +869,108 @@ private:
     if (R->Cancelled)
       R->Stats.set("pta.cancelled", 1);
   }
+
+  /// Resolves every access of every reached instance once, for OSA, SHB
+  /// and the escape baseline.
+  void buildAccessTable() {
+    for (const auto &[F, C] : R->Instances) {
+      if (checkCancelled())
+        return;
+      addAccessRun(F, C);
+    }
+    // A budget stop can leave call targets whose bodies were never
+    // processed; SHB still walks them.
+    if (R->HitBudget)
+      for (const auto &[Key, Targets] : R->CallTargets)
+        for (const CallTarget &T : Targets)
+          addAccessRun(T.Callee, T.CalleeCtx);
+    // AccessLocs has stopped growing: point each entry at its run.
+    const MemLoc *Next = R->AccessLocs.data();
+    for (Access &A : R->Accesses) {
+      A.Locs = ArrayRef<MemLoc>(Next, A.Locs.size());
+      Next += A.Locs.size();
+    }
+  }
+
+  /// Appends one instance's accesses, unless already present. Each
+  /// entry's Locs holds only its length until buildAccessTable patches it.
+  void addAccessRun(const Function *F, Ctx C) {
+    auto Begin = static_cast<uint32_t>(R->Accesses.size());
+    auto [Run, Inserted] = R->AccessRuns.try_emplace(
+        (uint64_t(F->getId()) << 32) | C, Begin, Begin);
+    if (!Inserted)
+      return;
+    for (const auto &SPtr : F->body()) {
+      const Stmt &S = *SPtr;
+      const Variable *Base = nullptr;
+      FieldKey FK = ArrayElemKey;
+      const Global *G = nullptr;
+      switch (S.getKind()) {
+      case Stmt::SK_FieldLoad:
+        Base = cast<FieldLoadStmt>(S).getBase();
+        FK = fieldKeyOf(cast<FieldLoadStmt>(S).getField());
+        break;
+      case Stmt::SK_FieldStore:
+        Base = cast<FieldStoreStmt>(S).getBase();
+        FK = fieldKeyOf(cast<FieldStoreStmt>(S).getField());
+        break;
+      case Stmt::SK_ArrayLoad:
+        Base = cast<ArrayLoadStmt>(S).getBase();
+        break;
+      case Stmt::SK_ArrayStore:
+        Base = cast<ArrayStoreStmt>(S).getBase();
+        break;
+      case Stmt::SK_GlobalLoad:
+        G = cast<GlobalLoadStmt>(S).getGlobal();
+        break;
+      case Stmt::SK_GlobalStore:
+        G = cast<GlobalStoreStmt>(S).getGlobal();
+        break;
+      default:
+        continue;
+      }
+      size_t First = R->AccessLocs.size();
+      if (G)
+        R->AccessLocs.push_back(MemLoc::global(G->getId()));
+      else if (const BitVector *Pts = R->pts(Base, C))
+        for (unsigned Obj : *Pts)
+          R->AccessLocs.push_back(MemLoc::field(Obj, FK));
+      bool IsWrite = isa<FieldStoreStmt, ArrayStoreStmt, GlobalStoreStmt>(&S);
+      R->Accesses.push_back(
+          {&S, IsWrite, {nullptr, R->AccessLocs.size() - First}});
+    }
+    Run->second.second = static_cast<uint32_t>(R->Accesses.size());
+  }
 };
 
 } // namespace o2
 
 //===----------------------------------------------------------------------===//
-// PTAResult queries
+// MemLoc and PTAResult queries
 //===----------------------------------------------------------------------===//
+
+const Field *o2::fieldOf(MemLoc Loc, const PTAResult &PTA) {
+  if (Loc.isGlobal() || Loc.fieldKey() == ArrayElemKey)
+    return nullptr;
+  const Type *Ty = PTA.object(Loc.object()).AllocatedType;
+  for (const ClassType *C = Ty ? dyn_cast<ClassType>(Ty) : nullptr; C;
+       C = C->getSuper())
+    for (const auto &F : C->fields())
+      if (fieldKeyOf(F.get()) == Loc.fieldKey())
+        return F.get();
+  return nullptr;
+}
+
+std::string MemLoc::toString(const PTAResult &PTA) const {
+  if (isGlobal())
+    return "@" + PTA.module().globals()[globalId()]->getName();
+  std::string Out = "obj" + std::to_string(object());
+  if (fieldKey() == ArrayElemKey)
+    return Out + "[*]";
+  if (const Field *F = fieldOf(*this, PTA))
+    return Out + "." + F->getName();
+  return Out + ".f" + std::to_string(fieldKey() - 1);
+}
 
 const BitVector *PTAResult::pts(const Variable *V, Ctx C) const {
   auto It = VarNodes.find((uint64_t(V->getId()) << 32) | C);
@@ -889,6 +987,14 @@ const BitVector *PTAResult::ptsGlobal(const Global *G) const {
 const BitVector *PTAResult::ptsField(unsigned Obj, FieldKey FK) const {
   auto It = FieldNodes.find((uint64_t(Obj) << 32) | FK);
   return It == FieldNodes.end() ? nullptr : &NodePts[It->second];
+}
+
+ArrayRef<Access> PTAResult::accesses(const Function *F, Ctx C) const {
+  auto It = AccessRuns.find((uint64_t(F->getId()) << 32) | C);
+  if (It == AccessRuns.end())
+    return {};
+  auto [Begin, End] = It->second;
+  return ArrayRef<Access>(Accesses.data() + Begin, End - Begin);
 }
 
 const std::vector<CallTarget> &PTAResult::callTargets(const Stmt *S,

@@ -102,14 +102,8 @@ public:
     auto It = Cache.find(Key);
     if (It != Cache.end())
       return It->second;
-    bool Atomic = false, Found = false;
-    for (const ClassType *C = Cls; C && !Found; C = C->getSuper())
-      for (const auto &F : C->fields())
-        if (fieldKeyOf(F.get()) == FK) {
-          Atomic = F->isAtomic();
-          Found = true;
-          break;
-        }
+    const Field *F = fieldOf(Loc, PTA);
+    bool Atomic = F && F->isAtomic();
     Cache.emplace(Key, Atomic);
     return Atomic;
   }

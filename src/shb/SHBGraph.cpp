@@ -233,33 +233,19 @@ private:
       SyncRegions.insert(Region);
   }
 
-  void recordAccess(WalkState &S, const Stmt &Stm, const Variable *Base,
-                    FieldKey FK, Ctx C, bool IsWrite) {
-    const BitVector *Pts = PTA.pts(Base, C);
-    if (!Pts || Pts->none())
+  /// An access whose base points to nothing touches no location and
+  /// records no event.
+  void recordAccess(WalkState &S, const Access &A) {
+    if (A.Locs.empty())
       return;
     AccessEvent E;
     E.Pos = S.Pos;
     E.Thread = S.Thread;
-    E.S = &Stm;
+    E.S = A.S;
     E.Lockset = S.CurLockset;
     E.LockRegion = S.RegionStack.empty() ? 0 : S.RegionStack.back();
-    E.IsWrite = IsWrite;
-    for (unsigned Obj : *Pts)
-      E.Locs.push_back(MemLoc::field(Obj, FK));
-    G.Threads[S.Thread].Accesses.push_back(std::move(E));
-  }
-
-  void recordGlobalAccess(WalkState &S, const Stmt &Stm, const Global *Gl,
-                          bool IsWrite) {
-    AccessEvent E;
-    E.Pos = S.Pos;
-    E.Thread = S.Thread;
-    E.S = &Stm;
-    E.Lockset = S.CurLockset;
-    E.LockRegion = S.RegionStack.empty() ? 0 : S.RegionStack.back();
-    E.IsWrite = IsWrite;
-    E.Locs.push_back(MemLoc::global(Gl->getId()));
+    E.IsWrite = A.IsWrite;
+    E.Locs.append(A.Locs.begin(), A.Locs.end());
     G.Threads[S.Thread].Accesses.push_back(std::move(E));
   }
 
@@ -271,6 +257,10 @@ private:
     if (!S.Inlined.insert((uint64_t(F->getId()) << 32) | C).second)
       return;
 
+    // The instance's accesses, in body order: the walk advances a cursor
+    // through them instead of decoding statements.
+    ArrayRef<Access> Accesses = PTA.accesses(F, C);
+    size_t NextAccess = 0;
     for (const auto &StmtPtr : F->body()) {
       const Stmt &Stm = *StmtPtr;
       if (pollCancelled(Opts.Cancel)) {
@@ -283,34 +273,6 @@ private:
         return;
       }
       switch (Stm.getKind()) {
-      case Stmt::SK_FieldLoad: {
-        const auto &L = cast<FieldLoadStmt>(Stm);
-        recordAccess(S, Stm, L.getBase(), fieldKeyOf(L.getField()), C,
-                     /*IsWrite=*/false);
-        break;
-      }
-      case Stmt::SK_FieldStore: {
-        const auto &St = cast<FieldStoreStmt>(Stm);
-        recordAccess(S, Stm, St.getBase(), fieldKeyOf(St.getField()), C,
-                     /*IsWrite=*/true);
-        break;
-      }
-      case Stmt::SK_ArrayLoad:
-        recordAccess(S, Stm, cast<ArrayLoadStmt>(Stm).getBase(), ArrayElemKey,
-                     C, /*IsWrite=*/false);
-        break;
-      case Stmt::SK_ArrayStore:
-        recordAccess(S, Stm, cast<ArrayStoreStmt>(Stm).getBase(),
-                     ArrayElemKey, C, /*IsWrite=*/true);
-        break;
-      case Stmt::SK_GlobalLoad:
-        recordGlobalAccess(S, Stm, cast<GlobalLoadStmt>(Stm).getGlobal(),
-                           /*IsWrite=*/false);
-        break;
-      case Stmt::SK_GlobalStore:
-        recordGlobalAccess(S, Stm, cast<GlobalStoreStmt>(Stm).getGlobal(),
-                           /*IsWrite=*/true);
-        break;
       case Stmt::SK_Acquire: {
         const auto &A = cast<AcquireStmt>(Stm);
         SmallVector<uint32_t, 2> Elems;
@@ -380,9 +342,9 @@ private:
         }
         break;
       }
-      case Stmt::SK_ArrayAlloc:
-      case Stmt::SK_Assign:
-      case Stmt::SK_Return:
+      default:
+        if (NextAccess != Accesses.size() && Accesses[NextAccess].S == &Stm)
+          recordAccess(S, Accesses[NextAccess++]);
         break;
       }
       ++S.Pos;

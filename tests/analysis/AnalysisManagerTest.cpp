@@ -10,8 +10,9 @@
 // SHB per module, asserted through invocation counters), lazy closure
 // scheduling, config fingerprints (perf knobs excluded, result-affecting
 // options and dependency options included), cancellation naming aux
-// passes, `--analyses=` parsing, and the OSA-vs-escape over-approximation
-// the paper's Table 7 is built on.
+// passes, `--analyses=` parsing, the OSA-vs-escape over-approximation
+// the paper's Table 7 is built on, and how OSA, escape and SHB treat an
+// access whose base points to nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -258,6 +259,43 @@ TEST(AnalysisManagerTest, EscapeOverApproximatesOSA) {
           << " not escaped";
     }
   }
+}
+
+TEST(AnalysisManagerTest, AccessWithEmptyBaseIsCountedButNotTraced) {
+  // `a.g` dereferences a field that is never stored, so its base points
+  // to nothing. OSA and escape still count it as an access statement;
+  // SHB records no event for it, since it touches no location.
+  auto M = parse(R"(
+    class Inner { field g: int; }
+    class Outer { field f: Inner; }
+    func main() {
+      var o: Outer;
+      var a: Inner;
+      var x: int;
+      o = new Outer;
+      a = o.f;
+      x = a.g;
+    }
+  )");
+  AnalysisManager AM(*M);
+  ASSERT_TRUE(AM.run({O2Phase::OSA, O2Phase::SHB, O2Phase::Escape}));
+  const Stmt *LoadF = M->getMain()->body()[1].get();
+  const Stmt *LoadG = M->getMain()->body()[2].get();
+  ASSERT_TRUE(isa<FieldLoadStmt>(LoadG));
+
+  ArrayRef<Access> Accesses = AM.getPTA().accesses(M->getMain(), 0);
+  ASSERT_EQ(Accesses.size(), 2u);
+  EXPECT_EQ(Accesses[1].S, LoadG);
+  EXPECT_TRUE(Accesses[1].Locs.empty());
+
+  StatisticRegistry Stats = AM.stats();
+  EXPECT_EQ(Stats.get("osa.access-stmts"), 2u);
+  EXPECT_EQ(Stats.get("escape.access-stmts"), 2u);
+
+  const SHBGraph &SHB = AM.getSHB();
+  ASSERT_EQ(SHB.numThreads(), 1u);
+  ASSERT_EQ(SHB.thread(0).Accesses.size(), 1u);
+  EXPECT_EQ(SHB.thread(0).Accesses[0].S, LoadF);
 }
 
 TEST(AnalysisManagerTest, ParseAnalysisSetSpellings) {

@@ -311,4 +311,25 @@ TEST(SharingAnalysisTest, SharedAccessStmtQuery) {
   EXPECT_EQ(R.numSharedAccessStmts(), 2u);
 }
 
+TEST(SharingAnalysisTest, IsSharedTruthTable) {
+  auto Sets = [](std::initializer_list<unsigned> Readers,
+                 std::initializer_list<unsigned> Writers) {
+    LocAccessSets S;
+    for (unsigned O : Readers)
+      S.ReadOrigins.set(O);
+    for (unsigned O : Writers)
+      S.WriteOrigins.set(O);
+    return S;
+  };
+  // No writer: never shared, however many readers.
+  EXPECT_FALSE(Sets({0, 1, 2}, {}).isShared());
+  // One writer that is also the only reader.
+  EXPECT_FALSE(Sets({3}, {3}).isShared());
+  // One writer plus another reader.
+  EXPECT_TRUE(Sets({3, 5}, {3}).isShared());
+  EXPECT_TRUE(Sets({70}, {3}).isShared());
+  // Two writers.
+  EXPECT_TRUE(Sets({}, {1, 64}).isShared());
+}
+
 } // namespace

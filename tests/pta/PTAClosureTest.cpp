@@ -20,7 +20,11 @@
 //   virtual call,  every receiver object whose class has the method has
 //   spawn          a call target bound to that object;
 //   call targets   the target's instance is reached, actuals ⊆ formals,
-//                  the receiver is in `this`, and returns ⊆ target.
+//                  the receiver is in `this`, and returns ⊆ target;
+//   access table   accesses(F, C) lists exactly the body's field, array
+//                  and global accesses in order, each with its read/write
+//                  flag and the locations field(o, f) for o in pts(base),
+//                  or the global's location.
 //
 // It runs every bundled examples/oir program and the generated benchmark
 // workloads under all four context abstractions, and also checks that two
@@ -38,6 +42,7 @@
 
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -67,9 +72,11 @@ public:
   }
 
   void run() {
-    for (const auto &[F, C] : R.instances())
+    for (const auto &[F, C] : R.instances()) {
       for (const auto &S : F->body())
         checkStmt(*S, C);
+      checkAccesses(F, C);
+    }
   }
 
 private:
@@ -174,6 +181,56 @@ private:
             expectSubset(R.pts(Ret->getValue(), CalleeC), R.pts(Result, C),
                          What + " return");
     }
+  }
+
+  /// The locations \p S accesses under \p C, or nullopt if \p S is not a
+  /// field, array or global access.
+  std::optional<std::vector<MemLoc>> accessedLocs(const Stmt &S, Ctx C,
+                                                  bool &IsWrite) const {
+    const Variable *Base = nullptr;
+    FieldKey FK = ArrayElemKey;
+    IsWrite = isa<FieldStoreStmt, ArrayStoreStmt, GlobalStoreStmt>(&S);
+    if (const auto *L = dyn_cast<FieldLoadStmt>(&S)) {
+      Base = L->getBase();
+      FK = fieldKeyOf(L->getField());
+    } else if (const auto *St = dyn_cast<FieldStoreStmt>(&S)) {
+      Base = St->getBase();
+      FK = fieldKeyOf(St->getField());
+    } else if (const auto *AL = dyn_cast<ArrayLoadStmt>(&S)) {
+      Base = AL->getBase();
+    } else if (const auto *AS = dyn_cast<ArrayStoreStmt>(&S)) {
+      Base = AS->getBase();
+    } else if (const auto *GL = dyn_cast<GlobalLoadStmt>(&S)) {
+      return std::vector<MemLoc>{MemLoc::global(GL->getGlobal()->getId())};
+    } else if (const auto *GS = dyn_cast<GlobalStoreStmt>(&S)) {
+      return std::vector<MemLoc>{MemLoc::global(GS->getGlobal()->getId())};
+    } else {
+      return std::nullopt;
+    }
+    std::vector<MemLoc> Locs;
+    if (const BitVector *Objs = R.pts(Base, C))
+      for (unsigned Obj : *Objs)
+        Locs.push_back(MemLoc::field(Obj, FK));
+    return Locs;
+  }
+
+  void checkAccesses(const Function *F, Ctx C) {
+    ArrayRef<Access> Table = R.accesses(F, C);
+    size_t Next = 0;
+    for (const auto &S : F->body()) {
+      bool IsWrite = false;
+      std::optional<std::vector<MemLoc>> Locs = accessedLocs(*S, C, IsWrite);
+      if (!Locs)
+        continue;
+      const std::string What = where(*S, C) + " access table";
+      ASSERT_LT(Next, Table.size()) << What << ": entry missing";
+      const Access &A = Table[Next++];
+      EXPECT_EQ(A.S, S.get()) << What;
+      EXPECT_EQ(A.IsWrite, IsWrite) << What;
+      EXPECT_TRUE(A.Locs == ArrayRef<MemLoc>(*Locs)) << What;
+    }
+    EXPECT_EQ(Next, Table.size())
+        << Tag << " " << F->getName() << ": extra access-table entries";
   }
 
   void checkStmt(const Stmt &S, Ctx C) {
@@ -360,6 +417,18 @@ void expectIdenticalResults(const Module &M, const PTAResult &A,
       for (size_t I = 0; I != TA.size(); ++I)
         EXPECT_TRUE(TA[I] == TB[I]) << Tag;
     }
+
+  // Access tables, entry by entry.
+  for (const auto &[F, C] : A.instances()) {
+    ArrayRef<Access> TA = A.accesses(F, C);
+    ArrayRef<Access> TB = B.accesses(F, C);
+    ASSERT_EQ(TA.size(), TB.size()) << Tag;
+    for (size_t I = 0; I != TA.size(); ++I) {
+      EXPECT_EQ(TA[I].S, TB[I].S) << Tag;
+      EXPECT_EQ(TA[I].IsWrite, TB[I].IsWrite) << Tag;
+      EXPECT_TRUE(TA[I].Locs == TB[I].Locs) << Tag;
+    }
+  }
 
   EXPECT_EQ(A.stats().counters(), B.stats().counters()) << Tag;
 }

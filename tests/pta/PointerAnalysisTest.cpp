@@ -309,6 +309,37 @@ TEST(PointerAnalysisTest, NodeBudgetStopsSolver) {
   EXPECT_TRUE(R->hitBudget());
 }
 
+TEST(PointerAnalysisTest, BudgetStopKeepsAccessesOfUnprocessedCallees) {
+  // The budget trips at `c = new Obj`; main's body still binds the call,
+  // so f is a call target whose body the solver never processed. SHB
+  // walks it, so the access table must still resolve `p.v`.
+  auto M = parseProgram(R"(
+    class Obj { field v: int; }
+    func f(p: Obj) { var x: int; x = p.v; }
+    func main() {
+      var a: Obj;
+      var b: Obj;
+      var c: Obj;
+      a = new Obj;
+      b = new Obj;
+      c = new Obj;
+      f(c);
+    }
+  )");
+  PTAOptions Opts = optsFor(ContextKind::Insensitive);
+  Opts.NodeBudget = 2;
+  auto R = runPointerAnalysis(*M, Opts);
+  ASSERT_TRUE(R->hitBudget());
+  ASSERT_EQ(R->instances().size(), 1u);
+  const Stmt *Call = M->getMain()->body().back().get();
+  ASSERT_EQ(R->callTargets(Call, 0).size(), 1u);
+  const CallTarget &T = R->callTargets(Call, 0)[0];
+  ArrayRef<Access> Accesses = R->accesses(T.Callee, T.CalleeCtx);
+  ASSERT_EQ(Accesses.size(), 1u);
+  EXPECT_FALSE(Accesses[0].IsWrite);
+  EXPECT_EQ(Accesses[0].Locs.size(), 1u);
+}
+
 TEST(PointerAnalysisTest, OptionNames) {
   EXPECT_EQ(optsFor(ContextKind::Insensitive).name(), "0-ctx");
   EXPECT_EQ(optsFor(ContextKind::KCallsite, 2).name(), "2-cfa");
