@@ -283,7 +283,9 @@ public:
     this->append(RHS.begin(), RHS.end());
   }
 
-  SmallVector(SmallVector &&RHS) : SmallVectorImpl<T>(inlineStorage(), N) {
+  SmallVector(SmallVector &&RHS) noexcept(
+      std::is_nothrow_move_constructible_v<T>)
+      : SmallVectorImpl<T>(inlineStorage(), N) {
     SmallVectorImpl<T>::operator=(std::move(RHS));
   }
 
@@ -292,7 +294,8 @@ public:
     return *this;
   }
 
-  SmallVector &operator=(SmallVector &&RHS) {
+  SmallVector &operator=(SmallVector &&RHS) noexcept(
+      std::is_nothrow_move_constructible_v<T>) {
     SmallVectorImpl<T>::operator=(std::move(RHS));
     return *this;
   }
@@ -304,6 +307,10 @@ private:
 
   alignas(T) std::byte Storage[sizeof(T) * N];
 };
+
+// std::vector relocates its elements by move only when the move constructor
+// cannot throw; otherwise every growth copies each SmallVector's contents.
+static_assert(std::is_nothrow_move_constructible_v<SmallVector<unsigned, 8>>);
 
 } // namespace o2
 

@@ -18,10 +18,17 @@
 //   propagate  — close the current copy-edge graph with a FIFO worklist
 //                that pushes each popped node's pending delta to its
 //                successors as one word-level BitVector union.
-//   applyRound — against the closed state, freeze every use node's
-//                outstanding ⟨objects × loads/stores/calls⟩ work, then
-//                apply it in node order, deriving new edges, objects,
-//                contexts, and call targets.
+//   applyRound — against the closed state, freeze the outstanding
+//                ⟨objects × loads/stores/calls⟩ work of every use node
+//                that is dirty (its points-to set grew, or it gained a
+//                use, since the last round), then apply it in node order,
+//                deriving new edges, objects, contexts, and call targets.
+//
+// Points-to sets are windowed BitVectors, so a set costs memory and time
+// in proportion to the span of object numbers it holds, not to the
+// number of objects in the module. Freezing only dirty nodes preserves
+// the application sequence of a scan over every use node: a clean node
+// has Pts == Applied and no new uses, so that scan would skip it too.
 //
 // Because a closure of a fixed inclusion system is its unique least
 // solution, the frozen state each round — and hence the whole discovery
@@ -148,11 +155,17 @@ private:
     unsigned OldCalls = 0;
     bool HasUses = false;
     bool Queued = false;
+    /// On DirtyUses: a use node whose Pts grew or that gained uses since
+    /// the last discovery round froze it.
+    bool Dirty = false;
   };
 
   std::vector<Node> Nodes;
   std::unordered_set<uint64_t> EdgeSet;
   std::deque<unsigned> Worklist;
+  /// Use nodes with possibly outstanding discovery work; every other use
+  /// node has Pts == Applied and no uses newer than the last round.
+  std::vector<unsigned> DirtyUses;
   uint64_t NumPropWords = 0;
 
   const Module &M;
@@ -371,20 +384,30 @@ private:
     }
   }
 
+  void markDirty(unsigned N) {
+    if (!Nodes[N].Dirty) {
+      Nodes[N].Dirty = true;
+      DirtyUses.push_back(N);
+    }
+  }
+
   void addPts(unsigned N, unsigned Obj) {
     if (Nodes[N].Pts.set(Obj)) {
       Nodes[N].PropDelta.set(Obj);
+      if (Nodes[N].HasUses)
+        markDirty(N);
       schedule(N);
     }
   }
 
   void addPtsSet(unsigned N, const BitVector &Objs) {
     Node &Nd = Nodes[N];
-    BitVector New;
-    if (!Nd.Pts.unionWithDiff(Objs, New))
+    unsigned Added = Nd.Pts.unionWithDiff(Objs, Nd.PropDelta);
+    if (!Added)
       return;
-    NumPropWords += New.numSetWords();
-    Nd.PropDelta.unionWithChanged(New);
+    NumPropWords += Added;
+    if (Nd.HasUses)
+      markDirty(N);
     schedule(N);
   }
 
@@ -405,16 +428,19 @@ private:
   /// schedule.
   void registerLoad(unsigned Base, FieldKey FK, unsigned Dst) {
     Nodes[Base].HasUses = true;
+    markDirty(Base);
     Nodes[Base].Loads.emplace_back(FK, Dst);
   }
 
   void registerStore(unsigned Base, FieldKey FK, unsigned Src) {
     Nodes[Base].HasUses = true;
+    markDirty(Base);
     Nodes[Base].Stores.emplace_back(FK, Src);
   }
 
   void registerCallUse(unsigned Recv, const Stmt *S, Ctx C) {
     Nodes[Recv].HasUses = true;
+    markDirty(Recv);
     Nodes[Recv].Calls.emplace_back(S, C);
   }
 
@@ -434,39 +460,44 @@ private:
     unsigned CallsEnd = 0;
   };
 
-  /// Freezes every use node's outstanding work against the propagated
-  /// closure, then applies it in ascending node order. Returns true if
-  /// another propagate/apply round is needed. The freeze-then-apply split
-  /// makes the application sequence a pure function of the closure, which
-  /// is the unique least solution of the current constraints, so the
+  /// Freezes the outstanding work of every dirty use node against the
+  /// propagated closure, then applies it in ascending node order. Returns
+  /// true if another propagate/apply round is needed. The freeze-then-apply
+  /// split makes the application sequence a pure function of the closure,
+  /// which is the unique least solution of the current constraints, so the
   /// numbering that reports print does not depend on the worklist order.
+  /// Freezing only the dirty nodes keeps that sequence: a clean use node
+  /// has Pts == Applied and no new uses, so it would freeze no work.
   bool applyRound() {
     if (Stopped)
       return false;
+    std::vector<unsigned> Frozen = std::exchange(DirtyUses, {});
+    std::sort(Frozen.begin(), Frozen.end());
     std::vector<WorkItem> Work;
-    for (unsigned N = 0, E = static_cast<unsigned>(Nodes.size()); N != E;
-         ++N) {
+    Work.reserve(Frozen.size());
+    for (unsigned N : Frozen) {
       Node &Nd = Nodes[N];
-      if (!Nd.HasUses)
-        continue;
+      Nd.Dirty = false;
       bool NewUses = Nd.Loads.size() > Nd.OldLoads ||
                      Nd.Stores.size() > Nd.OldStores ||
                      Nd.Calls.size() > Nd.OldCalls;
-      const BitVector &Closure = Nd.Pts;
-      BitVector DeltaBits = Closure.diff(Nd.Applied);
-      if (DeltaBits.none() && !NewUses)
-        continue;
       WorkItem W;
       W.NodeId = N;
-      for (unsigned Obj : DeltaBits)
-        W.Delta.push_back(Obj);
+      Nd.Pts.forEachSetWord([&](size_t I, BitVector::Word Bits) {
+        Bits &= ~Nd.Applied.word(I);
+        for (; Bits; Bits &= Bits - 1)
+          W.Delta.push_back(static_cast<unsigned>(
+              I * BitVector::WordBits + __builtin_ctzll(Bits)));
+      });
+      if (W.Delta.empty() && !NewUses)
+        continue;
       if (NewUses)
-        for (unsigned Obj : Closure)
+        for (unsigned Obj : Nd.Pts)
           W.Full.push_back(Obj);
       W.LoadsEnd = static_cast<unsigned>(Nd.Loads.size());
       W.StoresEnd = static_cast<unsigned>(Nd.Stores.size());
       W.CallsEnd = static_cast<unsigned>(Nd.Calls.size());
-      Nd.Applied.unionWithChanged(Closure);
+      Nd.Applied.unionWithChanged(Nd.Pts);
       Work.push_back(std::move(W));
     }
     if (Work.empty())

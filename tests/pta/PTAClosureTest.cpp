@@ -452,8 +452,6 @@ TEST_P(PTAClosure, FixpointSatisfiesEveryConstraint) {
   } else {
     const WorkloadProfile *P = findProfile(Name);
     ASSERT_NE(P, nullptr) << Name;
-    if (P->PaddingFunctions > 100 || P->AmplifierFanOut > 12)
-      GTEST_SKIP() << "large profile; covered by the smaller ones";
     M = generateWorkload(*P);
   }
   ASSERT_TRUE(M);

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 using o2::BitVector;
 
@@ -220,6 +223,303 @@ TEST(BitVectorTest, ResizeWithValueTrue) {
   EXPECT_EQ(BV.count(), 20u);
   BV.resize(5, true);
   EXPECT_EQ(BV.count(), 5u);
+}
+
+
+std::set<unsigned> bitsOf(const BitVector &BV) {
+  std::set<unsigned> Out;
+  for (unsigned I : BV)
+    Out.insert(I);
+  return Out;
+}
+
+TEST(BitVectorTest, SetBelowBaseGrowsWindowLeft) {
+  BitVector BV;
+  BV.set(1000);
+  EXPECT_EQ(BV.storedWords(), 1u);
+  BV.set(10);
+  EXPECT_EQ(BV.storedWords(), 1000u / 64 + 1);
+  EXPECT_TRUE(BV.test(10));
+  EXPECT_TRUE(BV.test(1000));
+  EXPECT_FALSE(BV.test(500));
+  EXPECT_EQ(bitsOf(BV), (std::set<unsigned>{10, 1000}));
+  EXPECT_EQ(BV.size(), 1001u);
+}
+
+TEST(BitVectorTest, UnionsAcrossDisjointAndOverlappingWindows) {
+  BitVector A, B;
+  A.set(5000);
+  B.set(3);
+  B.set(70);
+  // Disjoint: B lies entirely below A's window.
+  EXPECT_TRUE(A.unionWith(B));
+  EXPECT_EQ(bitsOf(A), (std::set<unsigned>{3, 70, 5000}));
+  // Overlapping: C shares word 1 with A and reaches past it.
+  BitVector C;
+  C.set(70);
+  C.set(100);
+  C.set(6000);
+  EXPECT_TRUE(A.unionWithChanged(C));
+  EXPECT_EQ(bitsOf(A), (std::set<unsigned>{3, 70, 100, 5000, 6000}));
+  EXPECT_FALSE(A.unionWithChanged(C));
+}
+
+TEST(BitVectorTest, UnionWithDiffAcrossWindows) {
+  BitVector A, B, New;
+  A.set(640);
+  B.set(5);
+  B.set(641);
+  B.set(2000);
+  // Into an empty NewBits: it stores only the words that gained bits.
+  EXPECT_EQ(A.unionWithDiff(B, New), 3u);
+  EXPECT_EQ(bitsOf(A), (std::set<unsigned>{5, 640, 641, 2000}));
+  EXPECT_EQ(bitsOf(New), (std::set<unsigned>{5, 641, 2000}));
+  EXPECT_GE(New.size(), 2001u);
+  // Overlapping: only word 2000/64 gains a bit, and NewBits (already
+  // holding bits below and above) accumulates it.
+  BitVector C;
+  C.set(641);
+  C.set(2001);
+  EXPECT_EQ(A.unionWithDiff(C, New), 1u);
+  EXPECT_EQ(bitsOf(New), (std::set<unsigned>{5, 641, 2000, 2001}));
+  // Disjoint and entirely above: NewBits grows to the right only.
+  BitVector D, Fresh;
+  D.set(9000);
+  EXPECT_EQ(A.unionWithDiff(D, Fresh), 1u);
+  EXPECT_EQ(Fresh.storedWords(), 1u);
+  EXPECT_EQ(bitsOf(Fresh), (std::set<unsigned>{9000}));
+  // Nothing new: no growth of either side.
+  BitVector Untouched;
+  EXPECT_EQ(A.unionWithDiff(C, Untouched), 0u);
+  EXPECT_EQ(Untouched.storedWords(), 0u);
+}
+
+TEST(BitVectorTest, BinaryOpsAcrossNonOverlappingWindows) {
+  BitVector Low, High;
+  Low.set(1);
+  Low.set(63);
+  High.set(6400);
+  EXPECT_EQ(bitsOf(Low.diff(High)), (std::set<unsigned>{1, 63}));
+  EXPECT_EQ(bitsOf(High.diff(Low)), (std::set<unsigned>{6400}));
+  EXPECT_FALSE(Low.intersects(High));
+  EXPECT_FALSE(High.intersects(Low));
+  EXPECT_FALSE(Low == High);
+
+  BitVector Cut = Low;
+  Cut.intersectWith(High);
+  EXPECT_TRUE(Cut.none());
+  BitVector Empty;
+  EXPECT_TRUE(Cut == Empty);
+
+  // Same bits, different windows and sizes.
+  BitVector A, B;
+  A.set(6400);
+  B.set(10);
+  B.set(6400);
+  B.reset(10);
+  EXPECT_TRUE(A == B);
+  EXPECT_TRUE(B == A);
+  EXPECT_TRUE(A.intersects(B));
+}
+
+TEST(BitVectorTest, FindNextAroundWindow) {
+  BitVector BV;
+  BV.set(200);
+  BV.set(260);
+  BV.ensureSize(1000);
+  EXPECT_EQ(BV.findNext(0), 200);   // before the window
+  EXPECT_EQ(BV.findNext(128), 200); // word before the window's first
+  EXPECT_EQ(BV.findNext(201), 260); // inside
+  EXPECT_EQ(BV.findNext(261), -1);  // inside, past the last bit
+  EXPECT_EQ(BV.findNext(400), -1);  // after the window, within size
+  EXPECT_EQ(BV.findNext(5000), -1); // past size
+}
+
+TEST(BitVectorTest, ResizeWithValueTrueAfterSparseSet) {
+  BitVector BV;
+  BV.set(300);
+  BV.resize(1000, true);
+  EXPECT_EQ(BV.size(), 1000u);
+  EXPECT_EQ(BV.count(), 1000u - 301u + 1u);
+  EXPECT_FALSE(BV.test(299));
+  EXPECT_TRUE(BV.test(300));
+  EXPECT_TRUE(BV.test(301));
+  EXPECT_TRUE(BV.test(999));
+  EXPECT_FALSE(BV.test(1000));
+  BV.resize(310);
+  EXPECT_EQ(BV.count(), 10u);
+  BV.resize(200);
+  EXPECT_TRUE(BV.none());
+}
+
+TEST(BitVectorTest, ForEachSetWordReportsAbsoluteIndices) {
+  BitVector BV;
+  BV.set(64 * 7 + 3);
+  BV.set(64 * 9);
+  std::vector<std::pair<size_t, BitVector::Word>> Seen;
+  BV.forEachSetWord(
+      [&](size_t I, BitVector::Word W) { Seen.emplace_back(I, W); });
+  ASSERT_EQ(Seen.size(), 2u);
+  EXPECT_EQ(Seen[0].first, 7u);
+  EXPECT_EQ(Seen[0].second, BitVector::Word(1) << 3);
+  EXPECT_EQ(Seen[1].first, 9u);
+  EXPECT_EQ(Seen[1].second, BitVector::Word(1));
+  EXPECT_EQ(BV.word(7), BitVector::Word(1) << 3);
+  EXPECT_EQ(BV.word(8), BitVector::Word(0));
+  EXPECT_EQ(BV.word(0), BitVector::Word(0));
+}
+
+TEST(BitVectorTest, StorageFollowsContentNotIndex) {
+  BitVector BV;
+  BV.set(1000000);
+  EXPECT_EQ(BV.storedWords(), 1u);
+  EXPECT_EQ(BV.count(), 1u);
+  EXPECT_EQ(BV.findFirst(), 1000000);
+  BitVector Sized;
+  Sized.ensureSize(1u << 20);
+  EXPECT_EQ(Sized.storedWords(), 0u);
+  // A union stores only what the other side stores.
+  Sized.unionWith(BV);
+  EXPECT_EQ(Sized.storedWords(), 1u);
+}
+
+/// Seeded differential test against a std::set oracle.
+TEST(BitVectorTest, RandomizedAgainstSetOracle) {
+  std::mt19937 Rng(20210620);
+  constexpr unsigned MaxIdx = 1u << 20;
+  constexpr unsigned NumVecs = 4;
+  auto RandomIdx = [&]() -> unsigned {
+    // Mostly clustered near the top, as points-to sets of late objects
+    // are: four 256-bit clusters 4096 bits apart, so windows overlap or
+    // are disjoint; now and then an index anywhere below 2^20 stretches a
+    // window across the whole range.
+    if (Rng() % 256 == 0)
+      return static_cast<unsigned>(Rng() % MaxIdx);
+    return MaxIdx - 4 * 4096 + static_cast<unsigned>(Rng() % 4) * 4096 +
+           static_cast<unsigned>(Rng() % 256);
+  };
+  std::vector<BitVector> V(NumVecs);
+  std::vector<std::set<unsigned>> O(NumVecs);
+  // The element-wise comparison walks the whole window, so it runs every
+  // few steps; the count is compared after every step.
+  auto ExpectSame = [&](unsigned K, int Step) {
+    ASSERT_EQ(V[K].count(), O[K].size()) << "vector " << K << " step " << Step;
+    if (Step % 8 == 0) {
+      ASSERT_EQ(bitsOf(V[K]), O[K]) << "vector " << K << " step " << Step;
+    }
+  };
+  for (int Step = 0; Step < 10000; ++Step) {
+    unsigned A = Rng() % NumVecs;
+    unsigned B = Rng() % NumVecs;
+    switch (Rng() % 10) {
+    case 0:
+    case 1:
+    case 2: {
+      unsigned I = RandomIdx();
+      EXPECT_EQ(V[A].set(I), O[A].insert(I).second) << Step;
+      break;
+    }
+    case 3: {
+      unsigned I = O[A].empty() || Rng() % 2 ? RandomIdx() : *O[A].begin();
+      V[A].reset(I);
+      O[A].erase(I);
+      break;
+    }
+    case 4: {
+      std::set<unsigned> Expect = O[A];
+      Expect.insert(O[B].begin(), O[B].end());
+      EXPECT_EQ(V[A].unionWith(V[B]), Expect != O[A]) << Step;
+      O[A] = Expect;
+      break;
+    }
+    case 5: {
+      if (A == B)
+        break;
+      unsigned C = (B + 1) % NumVecs;
+      if (C == A)
+        C = (C + 1) % NumVecs;
+      std::set<unsigned> Added;
+      for (unsigned I : O[B])
+        if (!O[A].count(I))
+          Added.insert(I);
+      std::set<unsigned> Words;
+      for (unsigned I : Added)
+        Words.insert(I / BitVector::WordBits);
+      EXPECT_EQ(V[A].unionWithDiff(V[B], V[C]), Words.size()) << Step;
+      O[A].insert(Added.begin(), Added.end());
+      O[C].insert(Added.begin(), Added.end());
+      ExpectSame(C, Step);
+      break;
+    }
+    case 6: {
+      std::set<unsigned> Expect;
+      for (unsigned I : O[A])
+        if (!O[B].count(I))
+          Expect.insert(I);
+      BitVector D = V[A].diff(V[B]);
+      ASSERT_EQ(D.count(), Expect.size()) << Step;
+      if (Step % 8 == 0) {
+        ASSERT_EQ(bitsOf(D), Expect) << Step;
+      }
+      bool Meets = false;
+      for (unsigned I : O[A])
+        Meets |= O[B].count(I) != 0;
+      EXPECT_EQ(V[A].intersects(V[B]), Meets) << Step;
+      EXPECT_EQ(V[A] == V[B], O[A] == O[B]) << Step;
+      break;
+    }
+    case 7: {
+      // Keeps the sets small: intersections and clears drain them.
+      if (Rng() % 2 == 0) {
+        V[A].clear();
+        O[A].clear();
+        break;
+      }
+      std::set<unsigned> Expect;
+      for (unsigned I : O[A])
+        if (O[B].count(I))
+          Expect.insert(I);
+      V[A].intersectWith(V[B]);
+      O[A] = Expect;
+      break;
+    }
+    case 8: {
+      unsigned From = RandomIdx();
+      auto It = O[A].lower_bound(From);
+      int Expect = It == O[A].end() || From >= V[A].size()
+                       ? -1
+                       : static_cast<int>(*It);
+      EXPECT_EQ(V[A].findNext(From), Expect) << Step;
+      unsigned I = RandomIdx();
+      EXPECT_EQ(V[A].test(I), O[A].count(I) != 0) << Step;
+      break;
+    }
+    case 9: {
+      unsigned SetWords = 0;
+      unsigned Prev = ~0u;
+      V[A].forEachSetWord([&](size_t I, BitVector::Word W) {
+        EXPECT_NE(W, 0u);
+        EXPECT_TRUE(Prev == ~0u || I > Prev);
+        Prev = static_cast<unsigned>(I);
+        for (; W; W &= W - 1) {
+          unsigned Bit = static_cast<unsigned>(I * BitVector::WordBits +
+                                               __builtin_ctzll(W));
+          EXPECT_TRUE(O[A].count(Bit)) << Step;
+        }
+        ++SetWords;
+      });
+      EXPECT_EQ(V[A].numSetWords(), SetWords) << Step;
+      EXPECT_LE(V[A].storedWords(),
+                (V[A].size() + BitVector::WordBits - 1) / BitVector::WordBits);
+      break;
+    }
+    }
+    ExpectSame(A, Step);
+    if (HasFatalFailure())
+      return;
+  }
+  for (unsigned K = 0; K != NumVecs; ++K)
+    EXPECT_EQ(bitsOf(V[K]), O[K]) << "vector " << K;
 }
 
 } // namespace

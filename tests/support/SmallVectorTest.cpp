@@ -13,11 +13,20 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 using o2::SmallVector;
 using o2::SmallVectorImpl;
 
 namespace {
+
+/// An element type whose move constructor may throw.
+struct ThrowingMove {
+  ThrowingMove() = default;
+  ThrowingMove(const ThrowingMove &) = default;
+  ThrowingMove(ThrowingMove &&) noexcept(false) {}
+};
 
 TEST(SmallVectorTest, EmptyOnConstruction) {
   SmallVector<int, 4> V;
@@ -146,6 +155,24 @@ TEST(SmallVectorTest, MoveAssignmentStealsHeap) {
   EXPECT_EQ(B.data(), Data); // heap buffer stolen, no copy
   EXPECT_EQ(B.size(), 64u);
   EXPECT_TRUE(A.empty());
+}
+
+TEST(SmallVectorTest, StdVectorGrowthMovesHeapStorage) {
+  static_assert(std::is_nothrow_move_constructible_v<SmallVector<int, 2>>);
+  static_assert(
+      !std::is_nothrow_move_constructible_v<SmallVector<ThrowingMove, 2>>);
+  std::vector<SmallVector<int, 2>> Outer(1);
+  for (int I = 0; I < 16; ++I)
+    Outer[0].push_back(I);
+  const int *Data = Outer[0].data();
+  // Grow the outer vector well past its capacity: each relocation must
+  // steal the spilled buffer instead of copying the elements.
+  for (int I = 0; I < 64; ++I)
+    Outer.emplace_back();
+  EXPECT_EQ(Outer[0].data(), Data);
+  ASSERT_EQ(Outer[0].size(), 16u);
+  for (int I = 0; I < 16; ++I)
+    EXPECT_EQ(Outer[0][static_cast<size_t>(I)], I);
 }
 
 TEST(SmallVectorTest, UsableThroughImplBase) {

@@ -47,8 +47,6 @@ TEST_P(ProfileRoundTrip, PrintParsePrintIsStable) {
 
 TEST_P(ProfileRoundTrip, ReparsedModuleHasSameRaces) {
   const WorkloadProfile &P = benchmarkProfiles()[GetParam()];
-  if (P.PaddingFunctions > 100 || P.AmplifierFanOut > 12)
-    GTEST_SKIP() << "large profile; covered by the smaller ones";
   auto M1 = generateWorkload(P);
   std::string Err;
   auto M2 = parseModule(printModule(*M1), Err, P.Name);
