@@ -11,7 +11,9 @@
 // with caching, and lock-region merging. Counters report the detector's
 // internal work (pairs checked, HB queries, lockset checks) so the
 // mechanism behind each speedup is visible, and "races" shows that the
-// verdicts do not degrade.
+// verdicts do not degrade. buildSHBGraph builds the happens-before rows
+// and the lockset matrix with the graph, outside the timed loop, so each
+// line times the pairwise scan alone.
 //
 //===----------------------------------------------------------------------===//
 

@@ -10,10 +10,15 @@
 // scan on race-heavy generated workloads:
 //
 //   - engine/pairwise-naive : the pairwise scan with naive BFS HB queries;
-//   - engine/pairwise-index : the pairwise scan over the precomputed HB
-//                             index — the HB-index speedup in isolation;
+//   - engine/pairwise-index : the pairwise scan over the SHB graph's
+//                             reachability rows — the HB-index speedup in
+//                             isolation;
 //   - engine/classes        : detectRaces, the equivalence-class scan —
 //                             the class-math win on top of the index.
+//
+// buildSHBGraph builds the reachability rows and the lockset matrix with
+// the graph, once per scale and outside the timed loop, so every line
+// times detection alone.
 //
 // Every line reports the race count and the work counters, so a report
 // divergence between configurations is visible directly in the table

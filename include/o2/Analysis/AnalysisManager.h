@@ -10,15 +10,15 @@
 /// The pass manager that runs the PTA→OSA→SHB→Detect pipeline. Every
 /// analysis the repo grows — the paper's core phases plus the sibling
 /// consumers (deadlock, over-synchronization, the RacerD-like baseline,
-/// the thread-escape baseline) and the shared HBIndex — is a registered
-/// pass with a typed result, declared dependencies, a version, and a
-/// deterministic config fingerprint. The manager:
+/// the thread-escape baseline) — is a registered pass with a typed
+/// result, declared dependencies, a version, and a deterministic config
+/// fingerprint. The manager:
 ///
 ///  - topologically schedules the requested passes (dependencies always
 ///    precede dependents; the order is the enum order),
 ///  - computes each result **once** per module and shares it with every
-///    consumer (one PTA and one SHB feed race + deadlock + over-sync;
-///    one HBIndex feeds every race detector run),
+///    consumer (one PTA and one SHB graph, with the happens-before and
+///    lockset tables built into it, feed race + deadlock + over-sync),
 ///  - threads the per-job CancellationToken uniformly through every pass
 ///    and records the pass it fired in, so a timeout in *any* analysis —
 ///    including the aux detectors — names the real phase,
@@ -47,7 +47,6 @@
 #include "o2/Race/OverSync.h"
 #include "o2/Race/RaceDetector.h"
 #include "o2/Race/RacerDLike.h"
-#include "o2/SHB/HBIndex.h"
 #include "o2/SHB/SHBGraph.h"
 
 #include <functional>
@@ -59,14 +58,12 @@ namespace o2 {
 /// Every registered pass, in schedule order (a pass's dependencies always
 /// have smaller values, so ascending enum order *is* a topological
 /// order). `None` means "no pass" (e.g. "not cancelled"); it is not a
-/// schedulable pass. The first five values predate the manager and keep
-/// their old meaning: the phase an analysis was cancelled in.
+/// schedulable pass. A phase also names where an analysis was cancelled.
 enum class O2Phase : uint8_t {
   None,     ///< Not a pass ("ran to completion").
   PTA,      ///< Origin-sensitive pointer analysis (paper §3.2).
   OSA,      ///< Origin-sharing analysis (paper §3.3).
-  SHB,      ///< SHB graph construction (paper §4).
-  HBIndex,  ///< Precomputed per-segment reachability clocks.
+  SHB,      ///< SHB graph construction and its query tables (paper §4).
   Detect,   ///< The race detector (paper §4.1); reported as "race".
   Deadlock, ///< Lock-order deadlock cycles.
   OverSync, ///< Over-synchronized (origin-local) lock regions.
@@ -78,9 +75,9 @@ enum class O2Phase : uint8_t {
 /// manager's scheduling both speak O2Phase.
 using AnalysisKind = O2Phase;
 
-inline constexpr unsigned NumO2Phases = 10;
+inline constexpr unsigned NumO2Phases = 9;
 
-/// Short stable name of \p P: "pta", "osa", "shb", "hbindex", "race",
+/// Short stable name of \p P: "pta", "osa", "shb", "race",
 /// "deadlock", "oversync", "racerd", "escape" ("" for None). These are
 /// also the `--analyses=` spelling of each pass.
 const char *phaseName(O2Phase P);
@@ -161,8 +158,7 @@ struct O2Config {
 /// Deterministic fingerprint of the configuration as seen by pass \p K:
 /// a hash of the result-affecting options, the pass version, and the
 /// fingerprints of its dependencies. Fields that never change a pass's
-/// result (the cancellation token, the pass hook, a prebuilt HBIndex)
-/// are excluded.
+/// result (the cancellation token, the pass hook) are excluded.
 uint64_t passFingerprint(O2Phase K, const O2Config &Config);
 
 /// Fingerprint of a whole request: the fold of passFingerprint over the
@@ -197,7 +193,6 @@ public:
   const PTAResult &getPTA();
   const SharingResult &getSharing();
   const SHBGraph &getSHB();
-  const HBIndex &getHBIndex();
   const RaceReport &getRaces();
   const DeadlockReport &getDeadlocks();
   const OverSyncReport &getOverSync();
@@ -214,8 +209,7 @@ public:
   /// Wall-clock seconds pass \p K took (0.0 if it never ran).
   double seconds(O2Phase K) const;
 
-  /// Sum of every ran pass's seconds, aux analyses and the HBIndex build
-  /// included.
+  /// Sum of every ran pass's seconds, aux analyses included.
   double totalSeconds() const;
 
   /// The pass the cancellation token fired in; None if no pass was cut

@@ -220,8 +220,8 @@ struct JobResult {
   AnalysisSet Analyses;
 
   /// Per-pass wall-clock in milliseconds, indexed by O2Phase, including
-  /// the aux analyses and the shared HBIndex build (0 for passes that did
-  /// not run; the None slot stays 0).
+  /// the aux analyses (0 for passes that did not run; the None slot stays
+  /// 0).
   std::array<double, NumO2Phases> PassMs{};
 
   double &ms(O2Phase P) { return PassMs[static_cast<unsigned>(P)]; }

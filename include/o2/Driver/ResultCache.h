@@ -57,7 +57,9 @@ public:
   ///    fallback fingerprint, and retry fields.
   /// 3: per-job string table; RacerD records are a kind and three table
   ///    indices instead of four strings.
-  static constexpr uint32_t FormatVersion = 3;
+  /// 4: eight pass times instead of nine (the SHB pass builds the
+  ///    happens-before tables; there is no separate index pass).
+  static constexpr uint32_t FormatVersion = 4;
 
   /// Loads the entry for (ContentHash, ConfigFP) into \p Out. Returns
   /// false — and leaves \p Out untouched — on absence or any form of

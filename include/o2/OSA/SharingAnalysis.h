@@ -13,7 +13,10 @@
 /// A location is origin-shared iff at least two origins access it and at
 /// least one of them writes. Compared to thread-escape analysis, OSA also
 /// says *how* a location is shared (which origins, reads vs writes),
-/// which the race detector consumes directly.
+/// which the over-synchronization check consumes. The race detector does
+/// not read it: it derives thread-sharing from the SHB graph's access
+/// events, and a property test checks that every racy location is
+/// OSA-shared.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,9 +15,10 @@
 /// n^2 pairwise loop becomes c^2 class-pair checks: one lockset lookup
 /// and two precomputed reachability lookups decide a whole class pair,
 /// and the racy subset of a class pair is a prefix-rectangle found by
-/// binary search. Happens-before is answered by the precomputed HBIndex
-/// and lockset intersection by the precomputed LocksetMatrix when the
-/// interned universe is small (SHBGraph's memo otherwise).
+/// binary search. Both queries are lookups into tables the SHB graph
+/// builds with itself: per-segment reachability rows for happens-before,
+/// and the lockset-intersection bit matrix when the interned universe is
+/// small (the sorted-list merge otherwise).
 ///
 /// detectRacesPairwise is the straightforward pairwise scan, kept as the
 /// reference implementation: the class scan produces byte-identical
@@ -40,24 +41,24 @@
 
 namespace o2 {
 
-class HBIndex;
 class OutputStream;
 
 /// How happens-before queries are answered.
 enum class RaceHBKind : uint8_t {
   Naive, ///< Per-event BFS over the SHB graph (D4-style straw man); runs
          ///< the pairwise scan.
-  Index, ///< Precomputed HBIndex, O(1) per query (default).
+  Index, ///< The SHB graph's reachability rows, O(1) per query (default).
 };
 
 struct RaceDetectorOptions {
   /// Happens-before implementation (`o2cli --race-hb=`). Both are
   /// semantically identical; Naive is the correctness oracle for the
-  /// index and selects the pairwise scan.
+  /// reachability rows and selects the pairwise scan.
   RaceHBKind HB = RaceHBKind::Index;
 
-  /// Optimization 2: canonical lockset IDs with cached intersections
-  /// (and, in the class scan, the precomputed intersection matrix).
+  /// Optimization 2: canonical lockset IDs with precomputed
+  /// intersections (the SHB graph's bit matrix, when it fits); off, every
+  /// check merges the two sorted element lists.
   bool CacheLocksetChecks = true;
 
   /// Optimization 3: merge same-location accesses within a lock region.
@@ -77,15 +78,9 @@ struct RaceDetectorOptions {
   /// Optional cooperative cancellation, polled per candidate pair
   /// (pairwise scan) or per candidate location (class scan); on expiry
   /// the scan stops and the partial report is flagged (the
-  /// "race.cancelled" statistic). Not owned.
+  /// "race.cancelled" statistic). A cancelled SHB graph stops the scan
+  /// the same way. Not owned.
   const CancellationToken *Cancel = nullptr;
-
-  /// Optional prebuilt HBIndex over the same SHB graph (not owned). When
-  /// set, the scans use it instead of building their own — the
-  /// AnalysisManager passes the shared HBIndex pass result here so one
-  /// index build serves any number of detector runs. Only consulted when
-  /// HB == Index: reports and statistics are unaffected.
-  const HBIndex *Index = nullptr;
 
   /// Forwarded to the SHB builder when the detector builds its own graph.
   SHBOptions SHB;

@@ -16,12 +16,20 @@
 ///    increasing integer positions instead of explicit edges
 ///    (optimization 1 of Section 4.1): checking order is an integer
 ///    comparison.
-///  - Locksets are interned into canonical lockset IDs with a cached
-///    intersection test (optimization 2).
+///  - Locksets are interned into canonical lockset IDs; when the interned
+///    universe is small, the pairwise intersection relation is
+///    precomputed as a bit matrix (optimization 2).
 ///  - Lock regions are tracked so the detector can merge all accesses to
 ///    the same location within one region (optimization 3).
 ///  - Inter-thread edges exist only at spawns (entry ⇒ origin_first) and
-///    joins (origin_last ⇒ join).
+///    joins (origin_last ⇒ join). Cross-thread reachability only changes
+///    where a thread spawns, so each thread's trace is cut into segments
+///    at its spawn-edge positions, and the builder stores, per (thread,
+///    segment), the earliest reachable position of every thread: a
+///    happens-before query is one row lookup plus an integer compare.
+///
+/// The graph is immutable once built: every query is a const lookup into
+/// tables built with it, so one graph can be shared across threads.
 ///
 /// Event-handler threads can be serialized by an implicit global lock
 /// (the paper's Android treatment, Section 4.2).
@@ -35,8 +43,6 @@
 #include "o2/PTA/PointerAnalysis.h"
 #include "o2/Support/InternTable.h"
 
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 namespace o2 {
@@ -132,17 +138,40 @@ public:
   /// [0, numLocksets()); 0 is the empty lockset).
   size_t numLocksets() const { return Locksets.size(); }
 
-  /// True if the two locksets share a lock (optimization 2: canonical IDs
-  /// with a memoized pairwise test).
+  /// True if the two locksets share a lock (optimization 2: a bit-matrix
+  /// lookup when the interned universe is small, the sorted merge of
+  /// locksetsIntersectUncached otherwise).
   bool locksetsIntersect(LocksetId A, LocksetId B) const;
 
-  /// Same test without canonical-ID caching (the baseline the paper's
-  /// optimization is measured against).
+  /// The same test as a merge of the sorted element lists, without the
+  /// matrix (the baseline the paper's optimization is measured against).
   bool locksetsIntersectUncached(LocksetId A, LocksetId B) const;
 
+  /// Sentinel for "no position of that thread is reachable".
+  static constexpr uint32_t Unreached = ~uint32_t(0);
+
+  /// Segment of position \p P within thread \p T: the number of spawn
+  /// edges of T strictly before P (O(log #spawns of T)).
+  unsigned segmentOf(unsigned T, uint32_t P) const;
+
+  /// Dense row id of (thread \p T, segment \p Seg), for reach().
+  unsigned rowOf(unsigned T, unsigned Seg) const { return RowBase[T] + Seg; }
+
+  /// Earliest position of thread \p T2 ordered after any position in the
+  /// segment of row \p Row; Unreached when no path exists (O(1)).
+  uint32_t reach(unsigned Row, unsigned T2) const {
+    return Reach[size_t(Row) * Threads.size() + T2];
+  }
+
+  /// Total number of (thread, segment) rows; 0 for a cancelled build,
+  /// which skips the query tables.
+  size_t numSegments() const {
+    return Threads.empty() ? 0 : Reach.size() / Threads.size();
+  }
+
   /// Happens-before between position \p P1 of thread \p T1 and position
-  /// \p P2 of thread \p T2, via integer comparison intra-thread and a
-  /// memoized fixpoint over spawn/join edges across threads.
+  /// \p P2 of thread \p T2, via integer comparison intra-thread and one
+  /// reachability-row lookup across threads. Needs an uncancelled graph.
   bool happensBefore(unsigned T1, uint32_t P1, unsigned T2,
                      uint32_t P2) const;
 
@@ -172,14 +201,16 @@ private:
   bool EntryMissing = false;
   std::vector<ThreadInfo> Threads;
   InternTable Locksets;
-  mutable std::unordered_map<uint64_t, bool> IntersectCache;
-  /// HB cache: (thread, spawn-bucket) -> earliest reachable position per
-  /// thread. Buckets make the cache finite: reachability only changes at
-  /// spawn-edge boundaries.
-  mutable std::map<std::pair<unsigned, size_t>, std::vector<uint32_t>>
-      ReachCache;
+  /// Per thread: the row id of its first segment.
+  std::vector<unsigned> RowBase;
+  /// numSegments() x numThreads() matrix of earliest reachable positions.
+  std::vector<uint32_t> Reach;
+  /// numLocksets() x numLocksets() intersection bits; empty when the
+  /// universe is too large for a quadratic matrix.
+  std::vector<uint64_t> LocksetBits;
 
-  const std::vector<uint32_t> &reachFrom(unsigned T, uint32_t P) const;
+  /// Builds Reach and LocksetBits once the threads are final.
+  void buildQueryTables();
 };
 
 /// Builds the SHB graph from a pointer-analysis result.

@@ -27,8 +27,6 @@ const char *o2::phaseName(O2Phase P) {
     return "osa";
   case O2Phase::SHB:
     return "shb";
-  case O2Phase::HBIndex:
-    return "hbindex";
   case O2Phase::Detect:
     return "race";
   case O2Phase::Deadlock:
@@ -55,33 +53,24 @@ constexpr unsigned idx(O2Phase K) { return static_cast<unsigned>(K); }
 /// changes; the warm cache folds versions into its key, so a bump turns
 /// stale entries into misses instead of wrong replays.
 constexpr std::array<uint32_t, NumO2Phases> PassVersion = {
-    /*None=*/0,     /*PTA=*/2,      /*OSA=*/1,    /*SHB=*/1, /*HBIndex=*/1,
-    /*Detect=*/1,   /*Deadlock=*/1, /*OverSync=*/1,
-    /*RacerD=*/1,   /*Escape=*/1,
+    /*None=*/0,   /*PTA=*/2,      /*OSA=*/1,      /*SHB=*/1,
+    /*Detect=*/1, /*Deadlock=*/1, /*OverSync=*/1, /*RacerD=*/1,
+    /*Escape=*/1,
 };
 
-/// Declared dependencies of pass \p K under \p Config. Every dependency
-/// has a smaller enum value, so ascending enum order is a topological
-/// schedule. The race pass only depends on the HBIndex pass when it
-/// actually consults the index — pre-building it for the naive ablation
-/// would distort exactly the measurements that mode exists for.
-SmallVector<O2Phase, 3> depsOf(O2Phase K, const O2Config &Config) {
+/// Declared dependencies of pass \p K. Every dependency has a smaller
+/// enum value, so ascending enum order is a topological schedule.
+SmallVector<O2Phase, 3> depsOf(O2Phase K) {
   switch (K) {
   case O2Phase::None:
   case O2Phase::PTA:
   case O2Phase::RacerD:
     return {};
   case O2Phase::OSA:
+  case O2Phase::SHB:
   case O2Phase::Escape:
     return {O2Phase::PTA};
-  case O2Phase::SHB:
-    return {O2Phase::PTA};
-  case O2Phase::HBIndex:
-    return {O2Phase::PTA, O2Phase::SHB};
   case O2Phase::Detect:
-    if (Config.Detector.HB == RaceHBKind::Index)
-      return {O2Phase::PTA, O2Phase::SHB, O2Phase::HBIndex};
-    return {O2Phase::PTA, O2Phase::SHB};
   case O2Phase::Deadlock:
     return {O2Phase::PTA, O2Phase::SHB};
   case O2Phase::OverSync:
@@ -143,7 +132,6 @@ uint64_t localFingerprint(O2Phase K, const O2Config &Config) {
   }
   case O2Phase::None:
   case O2Phase::OSA:
-  case O2Phase::HBIndex:
   case O2Phase::Deadlock:
   case O2Phase::OverSync:
   case O2Phase::RacerD:
@@ -155,8 +143,7 @@ uint64_t localFingerprint(O2Phase K, const O2Config &Config) {
 }
 
 /// Dependency closure of \p Set as a per-pass bool mask.
-std::array<bool, NumO2Phases> closureOf(AnalysisSet Set,
-                                        const O2Config &Config) {
+std::array<bool, NumO2Phases> closureOf(AnalysisSet Set) {
   std::array<bool, NumO2Phases> In{};
   for (unsigned K = 0; K < NumO2Phases; ++K)
     if (Set.contains(static_cast<O2Phase>(K)))
@@ -164,7 +151,7 @@ std::array<bool, NumO2Phases> closureOf(AnalysisSet Set,
   // Deps have smaller values: one descending sweep closes the set.
   for (unsigned K = NumO2Phases; K-- > 1;)
     if (In[K])
-      for (O2Phase D : depsOf(static_cast<O2Phase>(K), Config))
+      for (O2Phase D : depsOf(static_cast<O2Phase>(K)))
         In[idx(D)] = true;
   In[idx(O2Phase::None)] = false;
   return In;
@@ -221,13 +208,13 @@ bool o2::parseAnalysisSet(const std::string &Spec, AnalysisSet &Out,
 
 uint64_t o2::passFingerprint(O2Phase K, const O2Config &Config) {
   uint64_t H = localFingerprint(K, Config);
-  for (O2Phase D : depsOf(K, Config))
+  for (O2Phase D : depsOf(K))
     H = hashU64(passFingerprint(D, Config), H);
   return H;
 }
 
 uint64_t o2::analysisSetFingerprint(AnalysisSet Set, const O2Config &Config) {
-  std::array<bool, NumO2Phases> In = closureOf(Set, Config);
+  std::array<bool, NumO2Phases> In = closureOf(Set);
   uint64_t H = 1469598103934665603ull;
   for (unsigned K = 1; K < NumO2Phases; ++K)
     if (In[K])
@@ -243,7 +230,6 @@ struct AnalysisManager::Impl {
   std::unique_ptr<PTAResult> PTA;
   SharingResult Sharing;
   SHBGraph SHB;
-  std::unique_ptr<HBIndex> Index;
   RaceReport Races;
   DeadlockReport Deadlocks;
   OverSyncReport OverSyncR;
@@ -269,7 +255,7 @@ AnalysisManager::AnalysisManager(const Module &M, const O2Config &Config)
 AnalysisManager::~AnalysisManager() = default;
 
 bool AnalysisManager::run(AnalysisSet Set) {
-  std::array<bool, NumO2Phases> In = closureOf(Set, Config);
+  std::array<bool, NumO2Phases> In = closureOf(Set);
   for (unsigned K = 1; K < NumO2Phases; ++K)
     if (In[K]) {
       if (cancelled())
@@ -282,7 +268,7 @@ bool AnalysisManager::run(AnalysisSet Set) {
 void AnalysisManager::ensure(O2Phase K) {
   if (P->Ran[idx(K)] || cancelled())
     return;
-  for (O2Phase D : depsOf(K, Config)) {
+  for (O2Phase D : depsOf(K)) {
     ensure(D);
     if (cancelled())
       return;
@@ -300,9 +286,9 @@ void AnalysisManager::runPass(O2Phase K) {
   {
     // "pass.pta" ... "pass.escape": one named fault point per pass.
     static const std::array<const char *, NumO2Phases> FaultPoint = {
-        "",          "pass.pta",      "pass.osa",      "pass.shb",
-        "pass.hbindex", "pass.race",  "pass.deadlock", "pass.oversync",
-        "pass.racerd", "pass.escape",
+        "",         "pass.pta",      "pass.osa",      "pass.shb",
+        "pass.race", "pass.deadlock", "pass.oversync", "pass.racerd",
+        "pass.escape",
     };
     FaultInjector::hit(FaultPoint[idx(K)]);
   }
@@ -328,19 +314,10 @@ void AnalysisManager::runPass(O2Phase K) {
     P->SHB = buildSHBGraph(*P->PTA, Config.Detector.SHB);
     PassCancelled = P->SHB.cancelled();
     break;
-  case O2Phase::HBIndex:
-    P->Index = std::make_unique<HBIndex>(P->SHB);
-    // Construction has no poll points; the token is checked on the seam.
-    PassCancelled = pollCancelled(Config.Cancel);
-    break;
-  case O2Phase::Detect: {
-    RaceDetectorOptions Opts = Config.Detector;
-    if (P->Index)
-      Opts.Index = P->Index.get();
-    P->Races = detectRaces(*P->PTA, P->SHB, Opts);
+  case O2Phase::Detect:
+    P->Races = detectRaces(*P->PTA, P->SHB, Config.Detector);
     PassCancelled = P->Races.cancelled();
     break;
-  }
   case O2Phase::Deadlock:
     P->Deadlocks = detectDeadlocks(*P->PTA, P->SHB, Config.Cancel);
     PassCancelled = P->Deadlocks.cancelled();
@@ -378,11 +355,6 @@ const SharingResult &AnalysisManager::getSharing() {
 const SHBGraph &AnalysisManager::getSHB() {
   ensure(O2Phase::SHB);
   return P->SHB;
-}
-
-const HBIndex &AnalysisManager::getHBIndex() {
-  ensure(O2Phase::HBIndex);
-  return *P->Index;
 }
 
 const RaceReport &AnalysisManager::getRaces() {
@@ -476,7 +448,7 @@ void AnalysisManager::printSummary(OutputStream &OS) {
      << seconds(O2Phase::SHB) << "s)\n";
   if (ran(O2Phase::Detect))
     OS << "  races: " << P->Races.numRaces() << " ("
-       << seconds(O2Phase::Detect) + seconds(O2Phase::HBIndex) << "s)\n";
+       << seconds(O2Phase::Detect) << "s)\n";
 }
 
 void AnalysisManager::printStatsJSON(OutputStream &OS) {

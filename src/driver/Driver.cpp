@@ -275,7 +275,7 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
     Cfg.OnPassStart = [&Stage](O2Phase Ph) { Stage(phaseName(Ph)); };
 
     // One manager per job: the requested detectors all read the same
-    // PTA/SHB/HBIndex results, computed once.
+    // PTA and SHB results, computed once.
     FaultInjector::hit("alloc");
     AM = std::make_unique<AnalysisManager>(*M, Cfg);
     AM->run(Opts.Analyses);
@@ -905,8 +905,8 @@ static void printBatchUsage(OutputStream &OS) {
         "deadlock, oversync,\n"
      << "                    racerd, escape, osa, or 'all' (default: "
         "osa,race); shared\n"
-     << "                    passes (pta, shb, hbindex) are computed once "
-        "per module\n"
+     << "                    passes (pta, shb) are computed once per "
+        "module\n"
      << "  --cache-dir=DIR   warm result cache keyed by module content + "
         "config\n"
      << "                    fingerprint; unchanged jobs replay identical "

@@ -120,7 +120,7 @@ std::string wire::serializeJobResult(const JobResult &R) {
   W.putU64(R.DegradedConfigFP);
   W.putU64(R.Retries);
   W.putU64(uint64_t(R.Cache));
-  // Nine pass times, PTA to Escape; the None slot is not sent.
+  // Eight pass times, PTA to Escape; the None slot is not sent.
   for (unsigned K = 1; K < NumO2Phases; ++K)
     W.putDouble(R.PassMs[K]);
 

@@ -16,7 +16,7 @@
 //
 // Accesses to one location are grouped by (thread, HB segment, lockset,
 // is-write). Every member of a class has the same reachability row in the
-// HBIndex and the same lockset, so for a pair of classes (Ci, Cj) one
+// SHB graph and the same lockset, so for a pair of classes (Ci, Cj) one
 // lockset lookup and two reach() lookups decide *all* |Ci|*|Cj| access
 // pairs at once:
 //
@@ -54,25 +54,18 @@
 #include "o2/Race/RaceDetector.h"
 
 #include "o2/IR/Printer.h"
-#include "o2/SHB/HBIndex.h"
 #include "o2/Support/BitVector.h"
 #include "o2/Support/Casting.h"
 #include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
 using namespace o2;
 
 namespace {
-
-/// The class scan builds the full lockset-intersection bit matrix when the
-/// interned universe has at most this many locksets (quadratic bits);
-/// larger universes fall back to SHBGraph's memo.
-constexpr size_t MaxMatrixLocksets = 2048;
 
 /// Sorted candidate list: each shared location with all accesses to it,
 /// in (thread, position) order — threads ascend, positions strictly
@@ -233,7 +226,7 @@ Race makeRace(MemLoc Loc, const AccessEvent &A, const AccessEvent &B) {
 /// at one location, in position order.
 struct AccessClass {
   unsigned Thread;
-  unsigned Row; ///< HBIndex row of (Thread, segment).
+  unsigned Row; ///< SHBGraph reachability row of (Thread, segment).
   LocksetId Lockset;
   bool IsWrite;
   std::vector<uint32_t> Pos; ///< Ascending.
@@ -277,21 +270,18 @@ public:
                const RaceDetectorOptions &Opts)
       : PTA(PTA), SHB(SHB), Opts(Opts) {}
 
-  /// The class-based scan over the HBIndex (see the file comment).
+  /// The class-based scan over the graph's reachability rows (see the
+  /// file comment).
   RaceReport runClasses() {
     collect();
-    if (!Candidates.empty()) {
-      HBI = &index();
-      if (Opts.CacheLocksetChecks &&
-          SHB.numLocksets() <= MaxMatrixLocksets)
-        Matrix = std::make_unique<LocksetMatrix>(SHB);
-      for (auto &[Loc, Accesses] : Candidates) {
-        if (pollCancelled(Opts.Cancel)) {
-          R.Cancelled = true;
-          break;
-        }
-        checkClasses(*HBI, Loc, Accesses);
+    if (!Candidates.empty())
+      R.Stats.set("race.hb-index-segments", SHB.numSegments());
+    for (auto &[Loc, Accesses] : Candidates) {
+      if (stopRequested()) {
+        R.Cancelled = true;
+        break;
       }
+      checkClasses(Loc, Accesses);
     }
     return finalize();
   }
@@ -300,7 +290,7 @@ public:
   RaceReport runPairwise() {
     collect();
     if (!Candidates.empty() && Opts.HB == RaceHBKind::Index)
-      HBI = &index();
+      R.Stats.set("race.hb-index-segments", SHB.numSegments());
     for (auto &[Loc, Accesses] : Candidates) {
       if (BudgetExhausted || R.Cancelled)
         break;
@@ -312,15 +302,10 @@ public:
 private:
   void collect() { Candidates = collectCandidates(PTA, SHB, Opts, R.Stats); }
 
-  /// The prebuilt index when the caller supplies one, else one built here.
-  const HBIndex &index() {
-    const HBIndex *I = Opts.Index;
-    if (!I) {
-      OwnedHBI = std::make_unique<HBIndex>(SHB);
-      I = OwnedHBI.get();
-    }
-    R.Stats.set("race.hb-index-segments", I->numSegments());
-    return *I;
+  /// A cancelled graph is partial and has no query tables, so scanning it
+  /// stops as if the token had fired.
+  bool stopRequested() const {
+    return SHB.cancelled() || pollCancelled(Opts.Cancel);
   }
 
   std::vector<const AccessEvent *>
@@ -330,16 +315,14 @@ private:
   }
 
   bool locksetsIntersect(LocksetId A, LocksetId B) const {
-    if (Matrix)
-      return Matrix->intersect(A, B);
     return Opts.CacheLocksetChecks ? SHB.locksetsIntersect(A, B)
                                    : SHB.locksetsIntersectUncached(A, B);
   }
 
   bool happensBefore(const AccessEvent &A, const AccessEvent &B) {
     ++HBQueries;
-    if (HBI)
-      return HBI->happensBefore(A.Thread, A.Pos, B.Thread, B.Pos);
+    if (Opts.HB == RaceHBKind::Index)
+      return SHB.happensBefore(A.Thread, A.Pos, B.Thread, B.Pos);
     return SHB.happensBeforeNaive(A.Thread, A.Pos, B.Thread, B.Pos);
   }
 
@@ -348,7 +331,7 @@ private:
     std::vector<const AccessEvent *> Accesses = merged(AllAccesses);
     for (size_t I = 0; I < Accesses.size(); ++I) {
       for (size_t J = I + 1; J < Accesses.size(); ++J) {
-        if (pollCancelled(Opts.Cancel)) {
+        if (stopRequested()) {
           R.Cancelled = true;
           return;
         }
@@ -378,7 +361,7 @@ private:
     }
   }
 
-  void checkClasses(const HBIndex &HBI, MemLoc Loc,
+  void checkClasses(MemLoc Loc,
                     const std::vector<const AccessEvent *> &AllAccesses) {
     std::vector<const AccessEvent *> Accesses = merged(AllAccesses);
 
@@ -393,7 +376,7 @@ private:
         ByKey;
     for (uint32_t K = 0; K < Accesses.size(); ++K) {
       const AccessEvent *E = Accesses[K];
-      unsigned Seg = HBI.segmentOf(E->Thread, E->Pos);
+      unsigned Seg = SHB.segmentOf(E->Thread, E->Pos);
       auto [It, New] = ByKey.emplace(
           std::make_pair((uint64_t(E->Thread) << 32) | Seg,
                          (uint64_t(E->Lockset) << 1) | E->IsWrite),
@@ -401,7 +384,7 @@ private:
       if (New) {
         AccessClass C;
         C.Thread = E->Thread;
-        C.Row = HBI.rowOf(E->Thread, Seg);
+        C.Row = SHB.rowOf(E->Thread, Seg);
         C.Lockset = E->Lockset;
         C.IsWrite = E->IsWrite;
         Classes.push_back(std::move(C));
@@ -429,13 +412,13 @@ private:
           continue;
         // hb(a, b) is false exactly for b before R12; the pairwise scan
         // issues its second query hb(b, a) for exactly those pairs.
-        uint32_t R12 = HBI.reach(A.Row, B.Thread);
+        uint32_t R12 = SHB.reach(A.Row, B.Thread);
         size_t Cut12 = std::lower_bound(B.Pos.begin(), B.Pos.end(), R12) -
                        B.Pos.begin();
         HBQueries += N + uint64_t(A.size()) * Cut12;
         if (Cut12 == 0)
           continue;
-        uint32_t R21 = HBI.reach(B.Row, A.Thread);
+        uint32_t R21 = SHB.reach(B.Row, A.Thread);
         size_t Cut21 = std::lower_bound(A.Pos.begin(), A.Pos.end(), R21) -
                        A.Pos.begin();
         if (Cut21 == 0)
@@ -504,11 +487,6 @@ private:
   const RaceDetectorOptions &Opts;
   RaceReport R;
   CandidateList Candidates;
-  std::unique_ptr<HBIndex> OwnedHBI;
-  /// Pairwise scan: the index HB queries go to (null: naive BFS).
-  const HBIndex *HBI = nullptr;
-  /// Class scan: the precomputed lockset intersections, when they fit.
-  std::unique_ptr<LocksetMatrix> Matrix;
   std::vector<Race> Races;
   /// Reported (stmt A, stmt B) pairs, A < B, packed into one word.
   std::unordered_set<uint64_t> ReportedPairs;

@@ -12,7 +12,10 @@
 #include "o2/Support/OutputStream.h"
 
 #include <algorithm>
+#include <cassert>
 #include <deque>
+#include <map>
+#include <tuple>
 #include <unordered_set>
 
 using namespace o2;
@@ -47,72 +50,93 @@ bool SHBGraph::locksetsIntersectUncached(LocksetId A, LocksetId B) const {
 }
 
 bool SHBGraph::locksetsIntersect(LocksetId A, LocksetId B) const {
-  if (A == B)
-    return A != InternTable::Empty;
-  uint64_t Key = A < B ? (uint64_t(A) << 32) | B : (uint64_t(B) << 32) | A;
-  auto [It, Inserted] = IntersectCache.emplace(Key, false);
-  if (Inserted)
-    It->second = locksetsIntersectUncached(A, B);
-  return It->second;
+  if (LocksetBits.empty())
+    return locksetsIntersectUncached(A, B);
+  size_t Bit = size_t(A) * Locksets.size() + B;
+  return (LocksetBits[Bit >> 6] >> (Bit & 63)) & 1;
 }
 
-static constexpr uint32_t Unreached = ~uint32_t(0);
-
-/// Earliest position of every thread that is ordered after (T, P).
-const std::vector<uint32_t> &SHBGraph::reachFrom(unsigned T,
-                                                 uint32_t P) const {
-  const ThreadInfo &Src = Threads[T];
-  // Reachability only changes when P crosses a spawn-edge position, so
-  // bucket the cache by the index of the first spawn edge at or after P.
-  size_t Bucket = std::lower_bound(Src.SpawnEdges.begin(),
-                                   Src.SpawnEdges.end(), P,
-                                   [](const auto &Edge, uint32_t Pos) {
-                                     return Edge.first < Pos;
-                                   }) -
-                  Src.SpawnEdges.begin();
-  auto [It, Inserted] = ReachCache.try_emplace({T, Bucket});
-  if (!Inserted)
-    return It->second;
-
-  std::vector<uint32_t> &Reach = It->second;
-  Reach.assign(Threads.size(), Unreached);
-  Reach[T] = Bucket < Src.SpawnEdges.size() ? Src.SpawnEdges[Bucket].first
-                                            : Src.NumEvents;
-  // Fixpoint over spawn and join edges.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (const ThreadInfo &Cur : Threads) {
-      uint32_t From = Reach[Cur.Id];
-      if (From == Unreached)
-        continue;
-      for (const auto &[Pos, Child] : Cur.SpawnEdges) {
-        if (Pos < From)
-          continue;
-        if (Reach[Child] != 0) {
-          Reach[Child] = 0;
-          Changed = true;
-        }
-      }
-      // The thread's end is reachable whenever any position is, so its
-      // join edges always fire once the thread is reached.
-      for (const auto &[Joiner, Pos] : Cur.Joins) {
-        if (Pos < Reach[Joiner]) {
-          Reach[Joiner] = Pos;
-          Changed = true;
-        }
-      }
-    }
-  }
-  return Reach;
+unsigned SHBGraph::segmentOf(unsigned T, uint32_t P) const {
+  const auto &Edges = Threads[T].SpawnEdges;
+  return static_cast<unsigned>(
+      std::lower_bound(Edges.begin(), Edges.end(), P,
+                       [](const auto &Edge, uint32_t Pos) {
+                         return Edge.first < Pos;
+                       }) -
+      Edges.begin());
 }
 
 bool SHBGraph::happensBefore(unsigned T1, uint32_t P1, unsigned T2,
                              uint32_t P2) const {
   if (T1 == T2)
     return P1 < P2; // optimization 1: integer comparison
-  const std::vector<uint32_t> &Reach = reachFrom(T1, P1);
-  return Reach[T2] != Unreached && Reach[T2] <= P2;
+  assert(!Reach.empty() && "a cancelled build has no reachability rows");
+  uint32_t R = reach(rowOf(T1, segmentOf(T1, P1)), T2);
+  return R != Unreached && R <= P2;
+}
+
+/// The intersection matrix is quadratic in the interned lockset universe;
+/// above this many locksets (512 KiB of bits) queries use the merge.
+static constexpr size_t MaxMatrixLocksets = 2048;
+
+void SHBGraph::buildQueryTables() {
+  const size_t NumThreads = Threads.size();
+  RowBase.resize(NumThreads);
+  size_t NumRows = 0;
+  for (const ThreadInfo &T : Threads) {
+    RowBase[T.Id] = static_cast<unsigned>(NumRows);
+    NumRows += T.SpawnEdges.size() + 1;
+  }
+  Reach.assign(NumRows * NumThreads, Unreached);
+
+  // One spawn/join fixpoint per (thread, segment): a segment reaches its
+  // own thread from the next spawn-edge position (the positions before
+  // it are ordered by the intra-thread integer comparison instead),
+  // spawn edges at or after the reached position fire into the child's
+  // start, and a thread's join edges fire as soon as any of its
+  // positions is reachable, since its end then is too.
+  for (const ThreadInfo &Src : Threads) {
+    for (size_t Seg = 0; Seg <= Src.SpawnEdges.size(); ++Seg) {
+      uint32_t *Row = Reach.data() + (RowBase[Src.Id] + Seg) * NumThreads;
+      Row[Src.Id] = Seg < Src.SpawnEdges.size() ? Src.SpawnEdges[Seg].first
+                                                : Src.NumEvents;
+      bool Changed = true;
+      while (Changed) {
+        Changed = false;
+        for (const ThreadInfo &Cur : Threads) {
+          uint32_t From = Row[Cur.Id];
+          if (From == Unreached)
+            continue;
+          for (const auto &[Pos, Child] : Cur.SpawnEdges) {
+            if (Pos < From)
+              continue;
+            if (Row[Child] != 0) {
+              Row[Child] = 0;
+              Changed = true;
+            }
+          }
+          for (const auto &[Joiner, Pos] : Cur.Joins) {
+            if (Pos < Row[Joiner]) {
+              Row[Joiner] = Pos;
+              Changed = true;
+            }
+          }
+        }
+      }
+    }
+  }
+
+  const size_t N = Locksets.size();
+  if (N > MaxMatrixLocksets)
+    return;
+  LocksetBits.assign((N * N + 63) / 64, 0);
+  for (LocksetId A = 0; A < N; ++A)
+    for (LocksetId B = A; B < N; ++B)
+      if (locksetsIntersectUncached(A, B)) {
+        size_t AB = size_t(A) * N + B, BA = size_t(B) * N + A;
+        LocksetBits[AB >> 6] |= uint64_t(1) << (AB & 63);
+        LocksetBits[BA >> 6] |= uint64_t(1) << (BA & 63);
+      }
 }
 
 bool SHBGraph::happensBeforeNaive(unsigned T1, uint32_t P1, unsigned T2,
@@ -177,6 +201,9 @@ public:
       traceThread(T);
     }
     resolveJoins();
+    // A cancelled graph is partial and never queried: skip the tables.
+    if (!G.Cancelled)
+      G.buildQueryTables();
     return std::move(G);
   }
 

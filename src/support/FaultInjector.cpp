@@ -166,7 +166,6 @@ const std::vector<FaultPointInfo> &FaultInjector::catalogue() {
       {"pass.pta", "start of the pointer-analysis pass"},
       {"pass.osa", "start of the origin-sharing pass"},
       {"pass.shb", "start of the SHB-graph pass"},
-      {"pass.hbindex", "start of the HB-index pass"},
       {"pass.race", "start of the race-detection pass"},
       {"pass.deadlock", "start of the deadlock pass"},
       {"pass.oversync", "start of the over-synchronization pass"},

@@ -101,16 +101,16 @@ TEST(JobWireTest, RoundTripsRacerDRecordsAndStringTable) {
 }
 
 TEST(JobWireTest, PassTimesKeepTheirWireLayout) {
-  // Nine distinct pass times, PTA to Escape, in O2Phase order; the
-  // payload is the one the format-3 writer has always produced.
+  // Eight distinct pass times, PTA to Escape, in O2Phase order; the
+  // payload is the one the format-4 writer produces.
   JobResult R;
   R.Status = JobStatus::Races;
-  const double Ms[] = {1.5, 2.25, 3.125, 4.0625, 5.5, 6.75, 7.875, 8.1, 9};
+  const double Ms[] = {1.5, 2.25, 3.125, 4.0625, 5.5, 6.75, 7.875, 8.1};
   for (unsigned K = 1; K < NumO2Phases; ++K)
     R.ms(static_cast<O2Phase>(K)) = Ms[K - 1];
   const std::string Golden =
       "5:races,0:,0:,0:,1:0,1:0,1:0,1:0,3:1.5,4:2.25,5:3.125,6:4.0625,"
-      "3:5.5,4:6.75,5:7.875,18:8.0999999999999996,1:9,"
+      "3:5.5,4:6.75,5:7.875,18:8.0999999999999996,"
       "1:0,1:0,1:0,1:0,1:0,1:0,";
   EXPECT_EQ(wire::serializeJobResult(R), Golden);
   JobResult Out;
@@ -186,8 +186,18 @@ std::string renderJSONL(const BatchResult &R) {
   return Buf;
 }
 
+/// Offset just past the first \p N fields of \p Payload.
+size_t fieldsEnd(const std::string &Payload, unsigned N) {
+  size_t Pos = 0;
+  for (unsigned I = 0; I < N; ++I) {
+    size_t Colon = Payload.find(':', Pos);
+    Pos = Colon + 1 + std::stoul(Payload.substr(Pos, Colon - Pos)) + 1;
+  }
+  return Pos;
+}
+
 TEST(JobWireTest, PreviousFormatEntryIsAMissThatGetsOverwritten) {
-  std::string Dir = testing::TempDir() + "o2-jobwiretest-format2";
+  std::string Dir = testing::TempDir() + "o2-jobwiretest-format3";
   std::filesystem::remove_all(Dir);
   JobSpec Spec;
   Spec.Name = "racy";
@@ -200,27 +210,18 @@ TEST(JobWireTest, PreviousFormatEntryIsAMissThatGetsOverwritten) {
   ASSERT_FALSE(Cold.Jobs[0].RacerDWarnings.empty());
   std::string Golden = renderJSONL(Cold);
 
-  // Rewrite the entry as a well-formed format-2 entry of the same result:
-  // the same fields up to the RacerD section, which held four strings per
-  // record and no table.
-  JobResult Old = Cold.Jobs[0];
-  std::string RacerD = field(Old.RacerDWarnings.size());
-  for (const RacerDRecord &Rw : Old.RacerDWarnings)
-    RacerD += field(Rw.UnprotectedWrite ? "unprotected-write" : "read-write") +
-              field(Old.Text[Rw.Location]) + field(Old.Text[Rw.First]) +
-              field(Old.Text[Rw.Second]);
-  Old.Text.clear();
-  Old.RacerDWarnings.clear();
-  std::string Payload = wire::serializeJobResult(Old);
-  Payload.resize(Payload.size() - (field(0) + field(0)).size());
-  Payload += RacerD;
+  // Rewrite the entry as a well-formed format-3 entry of the same result:
+  // the same fields, except that nine pass times follow the eight header
+  // fields, the fourth being the HB-index pass between SHB and race.
+  std::string Payload = wire::serializeJobResult(Cold.Jobs[0]);
+  Payload.insert(fieldsEnd(Payload, 8 + 3), field(0));
   std::string Entry;
   for (const auto &E : std::filesystem::directory_iterator(Dir))
     Entry = E.path().string();
   ASSERT_FALSE(Entry.empty());
   {
     std::ofstream Out(Entry, std::ios::trunc | std::ios::binary);
-    Out << "o2cache 2 " << driver::toHex16(driver::fnv1a(Payload)) << "\n"
+    Out << "o2cache 3 " << driver::toHex16(driver::fnv1a(Payload)) << "\n"
         << Payload;
   }
 

@@ -86,6 +86,8 @@ TEST(PipelineFlagTest, MalformedValuesNameTheFlag) {
       {"--race-hb=memo", "--race-hb"},
       {"--analyses=", "--analyses"},
       {"--analyses=race,bogus", "--analyses"},
+      // The SHB pass builds the HB index; it is not a pass of its own.
+      {"--analyses=hbindex", "--analyses"},
   };
   for (const auto &[Arg, Flag] : Bad) {
     Parsed P = parse(Arg);

@@ -18,7 +18,6 @@
 
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
-#include "o2/SHB/HBIndex.h"
 #include "o2/Support/OutputStream.h"
 #include "o2/Support/ThreadPool.h"
 #include "o2/Workload/Generator.h"
@@ -144,18 +143,18 @@ TEST_P(ParallelRaceEngine, SharedExternalPool) {
 }
 
 TEST_P(ParallelRaceEngine, SmallLocksetMatrixLimitStaysIdentical) {
-  // The engine answers lockset checks from the LocksetMatrix when the
-  // interned universe fits its limit and from SHBGraph's memo beyond it.
-  // Both must agree on every pair, so the limit can never change a
-  // report.
+  // The graph answers lockset checks from its bit matrix when the
+  // interned universe fits the matrix limit and from the sorted merge
+  // beyond it. Both must agree on every pair, so the limit can never
+  // change a report.
   auto M = loadCase(GetParam());
   ASSERT_TRUE(M);
   auto PTA = runOPA(*M);
   SHBGraph SHB = buildSHBGraph(*PTA);
-  LocksetMatrix Matrix(SHB);
   for (LocksetId A = 0; A < SHB.numLocksets(); ++A)
     for (LocksetId B = 0; B < SHB.numLocksets(); ++B)
-      ASSERT_EQ(Matrix.intersect(A, B), SHB.locksetsIntersect(A, B))
+      ASSERT_EQ(SHB.locksetsIntersect(A, B),
+                SHB.locksetsIntersectUncached(A, B))
           << GetParam() << " (" << A << "," << B << ")";
 }
 
@@ -164,11 +163,8 @@ std::vector<std::string> engineCases() {
       "oir_racy_counter",   "oir_producer_consumer", "oir_event_thread_mix",
       "oir_fork_join",      "oir_locked_account",    "oir_lockfree_flag",
       "oir_nested_handlers"};
-  for (const WorkloadProfile &P : benchmarkProfiles()) {
-    if (P.PaddingFunctions > 100 || P.AmplifierFanOut > 12)
-      continue; // large profiles; shape covered by the smaller ones
+  for (const WorkloadProfile &P : benchmarkProfiles())
     Cases.push_back(P.Name);
-  }
   return Cases;
 }
 
@@ -227,8 +223,8 @@ std::string manyLocksetsProgram(unsigned NumLocks) {
 }
 
 TEST(RaceEngineEquivalence, LocksetUniverseBeyondMatrixLimit) {
-  // 65 locks give 2080 lock pairs, so the engine answers lockset checks
-  // from SHBGraph's memo instead of the matrix.
+  // 65 locks give 2080 lock pairs, so the graph answers lockset checks
+  // with the sorted merge instead of the matrix.
   auto M = parseProgram(manyLocksetsProgram(65));
   ASSERT_TRUE(M);
   auto PTA = runOPA(*M);
@@ -244,8 +240,13 @@ TEST(SerialHBModes, IndexMatchesNaiveQueries) {
   // The acceptance oracle for the O(1) HB index: on every corpus module
   // the pairwise scan issues the same number of HB queries and reports
   // the same races whether queries go through the naive BFS or the
-  // precomputed index, and detectRaces routes naive HB to that scan.
+  // precomputed index, and detectRaces routes naive HB to that scan. The
+  // naive BFS is quadratic in events per query, so the large profiles
+  // stay out, as in HBIndexTest.
   for (const std::string &Name : engineCases()) {
+    const WorkloadProfile *P = findProfile(Name);
+    if (P && (P->PaddingFunctions > 100 || P->AmplifierFanOut > 12))
+      continue;
     auto M = loadCase(Name);
     ASSERT_TRUE(M);
     auto PTA = runOPA(*M);

@@ -1,4 +1,4 @@
-//===- HBIndexTest.cpp - precomputed HB index oracle tests ----------------------===//
+//===- HBIndexTest.cpp - SHB reachability-row oracle tests ----------------------===//
 //
 // Part of the O2 project, an implementation of the PLDI 2021 paper
 // "When Threads Meet Events: Efficient and Precise Static Race Detection
@@ -6,15 +6,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// HBIndex must answer exactly what SHBGraph::happensBefore (memoized
-// fixpoint) and SHBGraph::happensBeforeNaive (BFS straw man) answer, for
-// every pair of access events of every corpus module — it is the O(1)
-// lookup the race engine's class math is built on, so any disagreement
-// silently changes race verdicts.
+// SHBGraph::happensBefore, a lookup into the per-(thread, segment)
+// reachability rows the builder precomputes, must answer exactly what
+// SHBGraph::happensBeforeNaive (BFS straw man) answers, for every pair of
+// access events of every corpus module — the rows are the O(1) lookup the
+// race engine's class math is built on, so any disagreement silently
+// changes race verdicts.
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/SHB/HBIndex.h"
+#include "o2/SHB/SHBGraph.h"
 
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
@@ -84,20 +85,16 @@ TEST_P(HBIndexOracle, AgreesWithMemoAndNaiveOnAllEventPairs) {
   auto M = loadCase(GetParam());
   ASSERT_TRUE(M);
   SHBGraph G = buildGraph(*M);
-  HBIndex Index(G);
 
   auto Nodes = sampleEvents(G);
   ASSERT_FALSE(Nodes.empty()) << GetParam();
   size_t Disagreements = 0;
   for (const auto &[T1, P1] : Nodes) {
     for (const auto &[T2, P2] : Nodes) {
-      bool Idx = Index.happensBefore(T1, P1, T2, P2);
-      bool Memo = G.happensBefore(T1, P1, T2, P2);
+      bool Idx = G.happensBefore(T1, P1, T2, P2);
       bool Naive = G.happensBeforeNaive(T1, P1, T2, P2);
-      if (Idx != Memo || Idx != Naive) {
+      if (Idx != Naive) {
         ++Disagreements;
-        EXPECT_EQ(Idx, Memo) << GetParam() << " (" << T1 << "," << P1
-                             << ") -> (" << T2 << "," << P2 << ")";
         EXPECT_EQ(Idx, Naive) << GetParam() << " (" << T1 << "," << P1
                               << ") -> (" << T2 << "," << P2 << ")";
         if (Disagreements > 5)
@@ -111,22 +108,22 @@ TEST_P(HBIndexOracle, SegmentStructureMatchesSpawnEdges) {
   auto M = loadCase(GetParam());
   ASSERT_TRUE(M);
   SHBGraph G = buildGraph(*M);
-  HBIndex Index(G);
 
   // One row per (thread, spawn-edge bucket): segments = sum of
-  // (spawn edges + 1) over threads.
+  // (spawn edges + 1) over threads, numbered thread by thread.
   size_t Expected = 0;
-  for (const ThreadInfo &T : G.threads())
+  for (const ThreadInfo &T : G.threads()) {
+    EXPECT_EQ(G.rowOf(T.Id, 0), Expected) << GetParam();
     Expected += T.SpawnEdges.size() + 1;
-  EXPECT_EQ(Index.numSegments(), Expected) << GetParam();
-  EXPECT_EQ(Index.numThreads(), G.numThreads()) << GetParam();
+  }
+  EXPECT_EQ(G.numSegments(), Expected) << GetParam();
 
   // segmentOf is the spawn-edge bucket: monotone in position, bounded by
   // the thread's edge count, and bumps exactly at spawn positions.
   for (const ThreadInfo &T : G.threads()) {
     unsigned Prev = 0;
     for (const AccessEvent &E : T.Accesses) {
-      unsigned Seg = Index.segmentOf(T.Id, E.Pos);
+      unsigned Seg = G.segmentOf(T.Id, E.Pos);
       EXPECT_LE(Seg, T.SpawnEdges.size()) << GetParam();
       EXPECT_GE(Seg, Prev) << GetParam();
       Prev = Seg;
@@ -172,7 +169,6 @@ TEST(HBIndexTest, ForkJoinOrdering) {
     }
   )");
   SHBGraph G = buildGraph(*M);
-  HBIndex Index(G);
   ASSERT_EQ(G.numThreads(), 2u);
   const ThreadInfo &Main = G.thread(0);
   const ThreadInfo &Child = G.thread(1);
@@ -183,10 +179,10 @@ TEST(HBIndexTest, ForkJoinOrdering) {
   uint32_t InChild = Child.Accesses.front().Pos;
   // Pre-spawn main code precedes the child; the child precedes the
   // post-join write; nothing runs backwards.
-  EXPECT_TRUE(Index.happensBefore(0, PreSpawn, 1, InChild));
-  EXPECT_TRUE(Index.happensBefore(1, InChild, 0, PostJoin));
-  EXPECT_FALSE(Index.happensBefore(0, PostJoin, 1, InChild));
-  EXPECT_FALSE(Index.happensBefore(1, InChild, 0, PreSpawn));
+  EXPECT_TRUE(G.happensBefore(0, PreSpawn, 1, InChild));
+  EXPECT_TRUE(G.happensBefore(1, InChild, 0, PostJoin));
+  EXPECT_FALSE(G.happensBefore(0, PostJoin, 1, InChild));
+  EXPECT_FALSE(G.happensBefore(1, InChild, 0, PreSpawn));
 }
 
 } // namespace

@@ -6,17 +6,18 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The three lockset-intersection implementations must agree on every pair
-// of interned locksets of every corpus module: the memoized per-pair
-// cache (`locksetsIntersect`, used beyond the matrix size limit), the
-// cache-free scan (`locksetsIntersectUncached`, with lockset caching
-// off), and the precomputed bit matrix (`LocksetMatrix`). A disagreement
-// would make race verdicts depend on the configuration, so this is a
-// property test over the whole interned universe, not spot checks.
+// The two lockset-intersection implementations must agree with a
+// reference merge on every pair of interned locksets of every corpus
+// module: `locksetsIntersect` (the bit matrix the SHB builder precomputes
+// when the universe has at most 2048 locksets, the sorted merge beyond)
+// and `locksetsIntersectUncached` (the merge, with lockset caching off).
+// A disagreement would make race verdicts depend on the configuration, so
+// this is a property test over the whole interned universe, not spot
+// checks.
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/SHB/HBIndex.h"
+#include "o2/SHB/SHBGraph.h"
 
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
@@ -85,11 +86,9 @@ TEST_P(LocksetIntersect, AllImplementationsAgreeOnAllInternedPairs) {
   auto M = loadCase(GetParam());
   ASSERT_TRUE(M);
   SHBGraph G = buildGraph(*M);
-  LocksetMatrix Matrix(G);
 
   size_t N = G.numLocksets();
   ASSERT_GE(N, 1u) << "empty lockset is always interned";
-  ASSERT_EQ(Matrix.numLocksets(), N);
 
   for (LocksetId A = 0; A < N; ++A) {
     for (LocksetId B = 0; B < N; ++B) {
@@ -98,8 +97,6 @@ TEST_P(LocksetIntersect, AllImplementationsAgreeOnAllInternedPairs) {
           << GetParam() << " cached (" << A << "," << B << ")";
       EXPECT_EQ(G.locksetsIntersectUncached(A, B), Ref)
           << GetParam() << " uncached (" << A << "," << B << ")";
-      EXPECT_EQ(Matrix.intersect(A, B), Ref)
-          << GetParam() << " matrix (" << A << "," << B << ")";
     }
   }
 }
@@ -108,18 +105,18 @@ TEST_P(LocksetIntersect, EmptyLocksetAndSymmetry) {
   auto M = loadCase(GetParam());
   ASSERT_TRUE(M);
   SHBGraph G = buildGraph(*M);
-  LocksetMatrix Matrix(G);
 
   size_t N = G.numLocksets();
   for (LocksetId A = 0; A < N; ++A) {
     // Lockset 0 is the empty lockset: it never intersects anything,
     // including itself.
-    EXPECT_FALSE(Matrix.intersect(0, A)) << GetParam() << " id " << A;
-    EXPECT_FALSE(Matrix.intersect(A, 0)) << GetParam() << " id " << A;
+    EXPECT_FALSE(G.locksetsIntersect(0, A)) << GetParam() << " id " << A;
+    EXPECT_FALSE(G.locksetsIntersect(A, 0)) << GetParam() << " id " << A;
     // A non-empty lockset always intersects itself.
-    EXPECT_EQ(Matrix.intersect(A, A), A != 0) << GetParam() << " id " << A;
+    EXPECT_EQ(G.locksetsIntersect(A, A), A != 0)
+        << GetParam() << " id " << A;
     for (LocksetId B = A + 1; B < N; ++B)
-      EXPECT_EQ(Matrix.intersect(A, B), Matrix.intersect(B, A))
+      EXPECT_EQ(G.locksetsIntersect(A, B), G.locksetsIntersect(B, A))
           << GetParam() << " (" << A << "," << B << ")";
   }
 }
@@ -128,23 +125,13 @@ std::vector<std::string> locksetCases() {
   std::vector<std::string> Cases = {
       "oir_locked_account", "oir_producer_consumer", "oir_racy_counter",
       "oir_event_thread_mix", "oir_nested_handlers"};
-  for (const WorkloadProfile &P : benchmarkProfiles()) {
-    if (P.PaddingFunctions > 100 || P.AmplifierFanOut > 12)
-      continue;
+  for (const WorkloadProfile &P : benchmarkProfiles())
     Cases.push_back(P.Name);
-  }
   return Cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, LocksetIntersect,
                          ::testing::ValuesIn(locksetCases()),
                          [](const auto &Info) { return Info.param; });
-
-TEST(LocksetMatrixTest, BytesForIsQuadraticBits) {
-  // One bit per ordered pair, rounded up to whole words.
-  EXPECT_EQ(LocksetMatrix::bytesFor(0), 0u);
-  EXPECT_GE(LocksetMatrix::bytesFor(64) * 8, 64u * 64u);
-  EXPECT_LE(LocksetMatrix::bytesFor(64), 64u * 64u / 8 + 8);
-}
 
 } // namespace

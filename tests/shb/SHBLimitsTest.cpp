@@ -178,8 +178,8 @@ TEST(SHBLimitsTest, HBCacheConsistentAcrossQueryOrder) {
   auto PTA = runOPA(*M);
   SHBGraph A = buildSHBGraph(*PTA);
   SHBGraph B = buildSHBGraph(*PTA);
-  // Query A in one order and B in the reverse order: memoization must
-  // not change any verdict.
+  // Query A in one order and B in the reverse order: the verdicts are
+  // lookups into tables built with the graph, so order must not matter.
   std::vector<std::tuple<unsigned, uint32_t, unsigned, uint32_t>> Queries;
   for (unsigned T1 = 0; T1 < A.numThreads(); ++T1)
     for (unsigned T2 = 0; T2 < A.numThreads(); ++T2)

@@ -129,9 +129,8 @@ TEST_F(FaultInjectorTest, CatalogueCoversTheDriverPipeline) {
   // a renamed fault point is a conscious, documented change.
   const char *Expected[] = {
       "parse",         "alloc",       "cache.read",    "cache.write",
-      "pass.pta",      "pass.osa",    "pass.shb",      "pass.hbindex",
-      "pass.race",     "pass.deadlock", "pass.oversync", "pass.racerd",
-      "pass.escape",
+      "pass.pta",      "pass.osa",    "pass.shb",      "pass.race",
+      "pass.deadlock", "pass.oversync", "pass.racerd", "pass.escape",
   };
   const auto &Cat = FaultInjector::catalogue();
   ASSERT_EQ(Cat.size(), std::size(Expected));

@@ -162,8 +162,8 @@ TEST_P(PrecisionProperty, KCFAPrecisionGradation) {
 }
 
 TEST_P(PrecisionProperty, HBImplementationsAgree) {
-  // The memoized integer-ID happens-before and the naive per-event BFS
-  // must agree on every sampled query over a generated workload.
+  // The integer-ID happens-before (reachability-row lookups) and the
+  // naive per-event BFS must agree on every sampled query over a generated workload.
   auto M = generateWorkload(smallProfile(GetParam()));
   PTAOptions Opts;
   Opts.Kind = ContextKind::Origin;
@@ -191,7 +191,8 @@ TEST_P(PrecisionProperty, HBImplementationsAgree) {
 
 TEST_P(PrecisionProperty, RacyLocationsAreOSAShared) {
   // Every location the detector reports a race on must be origin-shared
-  // per OSA (the detector consumes exactly the sharing OSA computes).
+  // per OSA: racy locations are a subset of OSA-shared locations, even
+  // though the detector derives sharing from SHB events, not from OSA.
   auto M = generateWorkload(smallProfile(GetParam()));
   PTAOptions Opts;
   Opts.Kind = ContextKind::Origin;
