@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace o2 {
@@ -30,18 +31,21 @@ class Function;
 class Module;
 
 /// A local variable or parameter of a function. Carries a module-wide
-/// dense ID so analyses can index variables as integers.
+/// dense ID and its position among its function's variables, so analyses
+/// can index variables as integers, module-wide or per function.
 class Variable {
 public:
   Variable(std::string Name, Type *Ty, Function *Parent, unsigned Id,
-           bool IsParam)
-      : Name(std::move(Name)), Ty(Ty), Parent(Parent), Id(Id),
+           unsigned Index, bool IsParam)
+      : Name(std::move(Name)), Ty(Ty), Parent(Parent), Id(Id), Index(Index),
         IsParam(IsParam) {}
 
   const std::string &getName() const { return Name; }
   Type *getType() const { return Ty; }
   Function *getFunction() const { return Parent; }
   unsigned getId() const { return Id; }
+  /// Position in the parent's variables().
+  unsigned getIndex() const { return Index; }
   bool isParam() const { return IsParam; }
 
 private:
@@ -49,6 +53,7 @@ private:
   Type *Ty;
   Function *Parent;
   unsigned Id;
+  unsigned Index;
   bool IsParam;
 };
 
@@ -106,7 +111,7 @@ public:
   Variable *getReturnVar();
 
   /// Finds a parameter or local by name; null if absent.
-  Variable *findVariable(const std::string &VarName) const;
+  Variable *findVariable(std::string_view VarName) const;
 
   const std::vector<Variable *> &params() const { return Params; }
   const std::vector<std::unique_ptr<Variable>> &variables() const {
@@ -131,6 +136,7 @@ private:
   ClassType *Class = nullptr;
   std::vector<Variable *> Params;
   std::vector<std::unique_ptr<Variable>> Vars;
+  std::vector<uint32_t> VarHashes; ///< name hash of Vars[I]
   Variable *RetVar = nullptr;
   std::vector<std::unique_ptr<Stmt>> Body;
 };

@@ -60,12 +60,12 @@ public:
 
   /// Virtual call x = recv.m(args).
   CallStmt *call(Variable *Target, Variable *Receiver,
-                 const std::string &MethodName, ArrayRef<Variable *> Args = {});
+                 std::string_view MethodName, ArrayRef<Variable *> Args = {});
   /// Direct call x = f(args).
   CallStmt *callDirect(Variable *Target, Function *Callee,
                        ArrayRef<Variable *> Args = {});
 
-  SpawnStmt *spawn(Variable *Receiver, const std::string &EntryName,
+  SpawnStmt *spawn(Variable *Receiver, std::string_view EntryName,
                    ArrayRef<Variable *> Args = {});
   JoinStmt *join(Variable *Receiver);
   AcquireStmt *acquire(Variable *Lock);

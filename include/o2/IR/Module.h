@@ -22,6 +22,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace o2 {
@@ -52,11 +54,12 @@ public:
   /// ClassType::addMethod) a method. \p RetTy may be null for void.
   Function *addFunction(const std::string &FuncName, Type *RetTy = nullptr);
 
-  ClassType *findClass(const std::string &ClassName) const;
-  Global *findGlobal(const std::string &GlobalName) const;
+  ClassType *findClass(std::string_view ClassName) const;
+  Global *findGlobal(std::string_view GlobalName) const;
 
-  /// Finds a free function (not a method) by name; null if absent.
-  Function *findFunction(const std::string &FuncName) const;
+  /// Finds a free function (not a method) by name; null if absent. With
+  /// several same-named free functions, the first one created.
+  Function *findFunction(std::string_view FuncName) const;
 
   /// The program entry point, conventionally named "main".
   Function *getMain() const { return findFunction("main"); }
@@ -96,8 +99,17 @@ private:
   std::vector<std::unique_ptr<Global>> Globals;
   std::vector<std::unique_ptr<Function>> Functions;
   std::map<Type *, std::unique_ptr<ArrayType>> ArrayTypes;
-  std::map<std::string, ClassType *> ClassByName;
-  std::map<std::string, Global *> GlobalByName;
+  // Name indexes; the keys view the named objects' own name strings.
+  std::unordered_map<std::string_view, ClassType *> ClassByName;
+  std::unordered_map<std::string_view, Global *> GlobalByName;
+  /// Free functions only: ClassType::addMethod drops a function that
+  /// becomes a method.
+  std::unordered_map<std::string_view, Function *> FunctionByName;
+  /// Some function was created under a name FunctionByName already held.
+  bool HasShadowedFunctions = false;
+
+  friend class ClassType;
+  void forgetFreeFunction(Function *F);
 
   unsigned NextVarId = 0;
   unsigned NextFieldId = 0;

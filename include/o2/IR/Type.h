@@ -20,8 +20,10 @@
 #include "o2/Support/Casting.h"
 #include "o2/Support/Compiler.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace o2 {
@@ -98,13 +100,17 @@ private:
 /// virtually by name through the superclass chain (Java-style).
 class ClassType : public Type {
 public:
-  ClassType(std::string Name, ClassType *Super, Module &Parent)
-      : Type(TK_Class, std::move(Name)), Super(Super), ParentModule(Parent) {}
+  ClassType(std::string Name, ClassType *Super, Module &Parent, unsigned Id)
+      : Type(TK_Class, std::move(Name)), Super(Super), ParentModule(Parent),
+        Id(Id) {}
 
   static bool classof(const Type *T) { return T->getKind() == TK_Class; }
 
   ClassType *getSuper() const { return Super; }
   Module &getModule() const { return ParentModule; }
+
+  /// Module-wide dense ID (declaration order), for per-class tables.
+  unsigned getId() const { return Id; }
 
   /// Late-binds the superclass. Only the textual parser uses this (its
   /// first pass registers all class names before supers are resolvable);
@@ -126,11 +132,11 @@ public:
   void addMethod(Function *Method);
 
   /// Finds a field by name along the superclass chain; null if absent.
-  Field *findField(const std::string &FieldName) const;
+  Field *findField(std::string_view FieldName) const;
 
   /// Virtual dispatch: finds the method implementation for \p MethodName
   /// starting from this (dynamic) class; null if absent.
-  Function *findMethod(const std::string &MethodName) const;
+  Function *findMethod(std::string_view MethodName) const;
 
   /// True if this class equals \p Other or derives from it.
   bool isSubclassOf(const ClassType *Other) const;
@@ -141,8 +147,11 @@ public:
 private:
   ClassType *Super;
   Module &ParentModule;
+  unsigned Id;
   std::vector<std::unique_ptr<Field>> Fields;
+  std::vector<uint32_t> FieldHashes;  ///< name hash of Fields[I]
   std::vector<Function *> Methods;
+  std::vector<uint32_t> MethodHashes; ///< name hash of Methods[I]
 };
 
 /// An array of a fixed element type. Element accesses are index-insensitive

@@ -19,11 +19,13 @@
 #define O2_PTA_ORIGINSPEC_H
 
 #include "o2/IR/Module.h"
-#include "o2/Support/SmallVector.h"
+#include "o2/Support/U64Map.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace o2 {
@@ -46,18 +48,24 @@ public:
 
   /// Registers \p EntryName as an origin entry point of kind \p Kind.
   void addEntry(const std::string &EntryName, OriginKind Kind) {
-    Entries[EntryName] = Kind;
+    auto It = lowerBound(EntryName);
+    if (It != Entries.end() && It->first == EntryName)
+      It->second = Kind;
+    else
+      Entries.emplace(It, EntryName, Kind);
   }
 
   /// True if \p EntryName is a configured origin entry point.
-  bool isEntry(const std::string &EntryName) const {
-    return Entries.count(EntryName) != 0;
+  bool isEntry(std::string_view EntryName) const {
+    auto It = lowerBound(EntryName);
+    return It != Entries.end() && It->first == EntryName;
   }
 
   /// Kind of the entry \p EntryName (must be an entry).
-  OriginKind kindOf(const std::string &EntryName) const {
-    auto It = Entries.find(EntryName);
-    assert(It != Entries.end() && "not an origin entry");
+  OriginKind kindOf(std::string_view EntryName) const {
+    auto It = lowerBound(EntryName);
+    assert(It != Entries.end() && It->first == EntryName &&
+           "not an origin entry");
     return It->second;
   }
 
@@ -72,21 +80,27 @@ public:
     return false;
   }
 
-  /// The entry method names \p C can dispatch, in name order.
-  SmallVector<std::string, 2> entriesOf(const ClassType *C) const {
-    SmallVector<std::string, 2> Result;
-    for (const auto &[Name, Kind] : Entries) {
-      (void)Kind;
-      if (C->findMethod(Name))
-        Result.push_back(Name);
-    }
-    return Result;
+  /// The configured entries, in name order.
+  const std::vector<std::pair<std::string, OriginKind>> &entries() const {
+    return Entries;
   }
 
-  const std::map<std::string, OriginKind> &entries() const { return Entries; }
-
 private:
-  std::map<std::string, OriginKind> Entries;
+  using EntryVec = std::vector<std::pair<std::string, OriginKind>>;
+
+  EntryVec::const_iterator lowerBound(std::string_view Name) const {
+    return std::lower_bound(
+        Entries.begin(), Entries.end(), Name,
+        [](const auto &Entry, std::string_view N) { return Entry.first < N; });
+  }
+  EntryVec::iterator lowerBound(std::string_view Name) {
+    return std::lower_bound(
+        Entries.begin(), Entries.end(), Name,
+        [](const auto &Entry, std::string_view N) { return Entry.first < N; });
+  }
+
+  /// Sorted by name; a handful of entries, so a sorted vector beats a map.
+  EntryVec Entries;
 };
 
 /// Everything known about one origin.
@@ -124,12 +138,14 @@ public:
   unsigned getOrCreate(unsigned AllocSite, uint32_t ParentCtx,
                        unsigned DupIndex, OriginKind Kind,
                        const ClassType *Class) {
-    auto Key = std::make_tuple(AllocSite, ParentCtx, DupIndex);
-    auto [It, Inserted] =
-        ByKey.emplace(Key, static_cast<unsigned>(Origins.size()));
+    assert(AllocSite < (1u << 30) && DupIndex < 4 && "key does not pack");
+    uint64_t Key = (uint64_t(AllocSite) << 34) | (uint64_t(DupIndex) << 32) |
+                   ParentCtx;
+    auto [Id, Inserted] =
+        ByKey.tryEmplace(Key, static_cast<unsigned>(Origins.size()));
     if (Inserted) {
       OriginInfo Info;
-      Info.Id = It->second;
+      Info.Id = *Id;
       Info.Kind = Kind;
       Info.Class = Class;
       Info.AllocSite = AllocSite;
@@ -137,7 +153,7 @@ public:
       Info.DupIndex = DupIndex;
       Origins.push_back(Info);
     }
-    return It->second;
+    return *Id;
   }
 
   const OriginInfo &info(unsigned Id) const {
@@ -151,7 +167,8 @@ public:
 
 private:
   std::vector<OriginInfo> Origins;
-  std::map<std::tuple<unsigned, uint32_t, unsigned>, unsigned> ByKey;
+  /// AllocSite<<34 | DupIndex<<32 | ParentCtx -> origin ID.
+  U64Map<unsigned> ByKey;
 };
 
 } // namespace o2

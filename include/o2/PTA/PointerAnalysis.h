@@ -34,9 +34,9 @@
 #include "o2/Support/CancellationToken.h"
 #include "o2/Support/InternTable.h"
 #include "o2/Support/Statistic.h"
+#include "o2/Support/U64Map.h"
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace o2 {
@@ -208,13 +208,42 @@ public:
 
   /// Visits every (object, field-key, points-to set) triple.
   template <typename CallbackT> void forEachFieldPts(CallbackT Callback) const {
-    for (const auto &[Key, NodeId] : FieldNodes)
+    FieldNodes.forEach([&](uint64_t Key, unsigned NodeId) {
       Callback(static_cast<unsigned>(Key >> 32),
                static_cast<FieldKey>(Key & 0xffffffffu), NodePts[NodeId]);
+    });
   }
 
 private:
   friend class PTASolver;
+
+  static constexpr uint32_t NoNode = ~0u;
+
+  /// The tables of one ⟨function, context⟩ pair: a reached instance, or
+  /// (after a budget stop) a call target whose body was never processed.
+  /// Frames are numbered in creation order.
+  struct Frame {
+    const Function *F = nullptr;
+    Ctx C = 0;
+    /// First of the function's variables' node slots in FrameVarNodes,
+    /// indexed by Variable::getIndex().
+    uint32_t VarBase = 0;
+    uint32_t NumVars = 0;
+    /// First of the function's call slots in FrameTargets (see CallSlots).
+    uint32_t CallBase = 0;
+    /// The instance's [begin, end) run in Accesses.
+    uint32_t AccessBegin = 0;
+    uint32_t AccessEnd = 0;
+  };
+
+  static uint64_t frameKey(const Function *F, Ctx C) {
+    return (uint64_t(F->getId()) << 32) | C;
+  }
+  /// The frame of ⟨F, C⟩, or null if it has none.
+  const Frame *frame(const Function *F, Ctx C) const {
+    const uint32_t *Id = FrameIds.find(frameKey(F, C));
+    return Id ? &Frames[*Id] : nullptr;
+  }
 
   const Module *M = nullptr;
   PTAOptions Opts;
@@ -224,15 +253,19 @@ private:
   std::vector<unsigned> ObjOrigin;  ///< object -> origin (~0u none)
   std::vector<Ctx> OriginCtxs;      ///< origin -> entry context
   std::vector<std::pair<const Function *, Ctx>> Instances;
-  std::unordered_map<uint64_t, std::vector<CallTarget>> CallTargets;
-  std::unordered_map<uint64_t, unsigned> VarNodes;  ///< varId<<32|ctx
-  std::vector<int> GlobalNodes;                     ///< globalId -> node/-1
-  std::unordered_map<uint64_t, unsigned> FieldNodes; ///< obj<<32|fieldKey
+  std::vector<Frame> Frames;
+  U64Map<uint32_t> FrameIds;                 ///< funcId<<32|ctx -> frame
+  std::vector<uint32_t> FrameVarNodes;       ///< node, or NoNode
+  std::vector<std::vector<CallTarget>> FrameTargets;
+  /// Statement ID -> its index among its function's statements that can
+  /// have targets (calls, spawns, allocations of a class with `init`);
+  /// ~0u for every other statement.
+  std::vector<uint32_t> CallSlots;
+  std::vector<int> GlobalNodes;              ///< globalId -> node/-1
+  U64Map<unsigned> FieldNodes;               ///< obj<<32|fieldKey -> node
   std::vector<BitVector> NodePts;
   std::vector<Access> Accesses;
   std::vector<MemLoc> AccessLocs; ///< Every entry's Locs, back to back.
-  /// funcId<<32|ctx -> the instance's [begin, end) run in Accesses.
-  std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> AccessRuns;
   StatisticRegistry Stats;
   bool HitBudget = false;
   bool Cancelled = false;

@@ -21,13 +21,14 @@
 #include "o2/Support/Compiler.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace o2 {
 
 /// Maps sequences of uint32_t to dense uint32_t handles. Handle 0 is always
-/// the empty sequence. Lookup of a handle's elements is O(1).
+/// the empty sequence. Lookup of a handle's elements is O(1). Handles are
+/// found through an open-addressing table of handles, so interning a new
+/// sequence allocates nothing unless a vector grows.
 class InternTable {
 public:
   using Handle = uint32_t;
@@ -36,23 +37,24 @@ public:
     // Pre-intern the empty sequence as handle 0.
     Offsets.push_back(0);
     Lengths.push_back(0);
-    Map.emplace(hashOf({}), std::vector<Handle>{0});
+    Slots.assign(16, NoHandle);
+    Slots[hashOf({}) & (Slots.size() - 1)] = Empty;
   }
 
   /// Interns \p Elems, returning its dense handle.
   Handle intern(ArrayRef<uint32_t> Elems) {
-    uint64_t H = hashOf(Elems);
-    auto It = Map.find(H);
-    if (It != Map.end()) {
-      for (Handle Cand : It->second)
-        if (get(Cand) == Elems)
-          return Cand;
-    }
+    size_t Mask = Slots.size() - 1;
+    size_t I = hashOf(Elems) & Mask;
+    for (; Slots[I] != NoHandle; I = (I + 1) & Mask)
+      if (get(Slots[I]) == Elems)
+        return Slots[I];
     Handle NewHandle = static_cast<Handle>(Lengths.size());
     Offsets.push_back(static_cast<uint32_t>(Pool.size()));
     Lengths.push_back(static_cast<uint32_t>(Elems.size()));
     Pool.insert(Pool.end(), Elems.begin(), Elems.end());
-    Map[H].push_back(NewHandle);
+    Slots[I] = NewHandle;
+    if (Lengths.size() * 2 > Slots.size())
+      grow();
     return NewHandle;
   }
 
@@ -67,19 +69,33 @@ public:
   static constexpr Handle Empty = 0;
 
 private:
+  static constexpr Handle NoHandle = ~Handle(0);
+
   static uint64_t hashOf(ArrayRef<uint32_t> Elems) {
     uint64_t H = 0xcbf29ce484222325ULL;
     for (uint32_t E : Elems) {
       H ^= E;
       H *= 0x100000001b3ULL;
     }
-    return H;
+    return H ^ (H >> 29);
+  }
+
+  void grow() {
+    Slots.assign(Slots.size() * 2, NoHandle);
+    size_t Mask = Slots.size() - 1;
+    for (Handle H = 0; H != Lengths.size(); ++H) {
+      size_t I = hashOf(get(H)) & Mask;
+      while (Slots[I] != NoHandle)
+        I = (I + 1) & Mask;
+      Slots[I] = H;
+    }
   }
 
   std::vector<uint32_t> Pool;
   std::vector<uint32_t> Offsets;
   std::vector<uint32_t> Lengths;
-  std::unordered_map<uint64_t, std::vector<Handle>> Map;
+  /// Open-addressing table of handles (NoHandle = empty slot).
+  std::vector<Handle> Slots;
 };
 
 } // namespace o2

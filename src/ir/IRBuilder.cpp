@@ -97,11 +97,11 @@ GlobalStoreStmt *IRBuilder::globalStore(Global *G, Variable *Source) {
 }
 
 CallStmt *IRBuilder::call(Variable *Target, Variable *Receiver,
-                          const std::string &MethodName,
+                          std::string_view MethodName,
                           ArrayRef<Variable *> Args) {
   assert(Receiver && "virtual call requires a receiver");
   auto S = std::make_unique<CallStmt>(F, M.takeStmtId(), nextIndex(), Target,
-                                      Receiver, MethodName,
+                                      Receiver, std::string(MethodName),
                                       /*DirectCallee=*/nullptr, toVector(Args),
                                       M.takeCallSite());
   return cast<CallStmt>(F->append(std::move(S)));
@@ -117,10 +117,11 @@ CallStmt *IRBuilder::callDirect(Variable *Target, Function *Callee,
   return cast<CallStmt>(F->append(std::move(S)));
 }
 
-SpawnStmt *IRBuilder::spawn(Variable *Receiver, const std::string &EntryName,
+SpawnStmt *IRBuilder::spawn(Variable *Receiver, std::string_view EntryName,
                             ArrayRef<Variable *> Args) {
   auto S = std::make_unique<SpawnStmt>(F, M.takeStmtId(), nextIndex(),
-                                       Receiver, EntryName, toVector(Args),
+                                       Receiver, std::string(EntryName),
+                                       toVector(Args),
                                        M.takeCallSite(), inLoop());
   return cast<SpawnStmt>(F->append(std::move(S)));
 }

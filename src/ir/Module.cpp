@@ -12,6 +12,15 @@
 
 using namespace o2;
 
+/// A 32-bit FNV-1a hash of a declared name. Name lookups scan a compact
+/// array of these before comparing any string.
+static uint32_t hashName(std::string_view Name) {
+  uint32_t H = 2166136261u;
+  for (char C : Name)
+    H = (H ^ static_cast<unsigned char>(C)) * 16777619u;
+  return H;
+}
+
 //===----------------------------------------------------------------------===//
 // ClassType
 //===----------------------------------------------------------------------===//
@@ -21,6 +30,7 @@ Field *ClassType::addField(const std::string &FieldName, Type *Ty,
   assert(!findField(FieldName) && "field redeclared along superclass chain");
   Fields.push_back(std::make_unique<Field>(
       FieldName, Ty, this, ParentModule.takeFieldId(), IsAtomic));
+  FieldHashes.push_back(hashName(FieldName));
   return Fields.back().get();
 }
 
@@ -29,21 +39,25 @@ void ClassType::addMethod(Function *Method) {
   assert(!Method->isMethod() && "function already attached to a class");
   Method->setClass(this);
   Methods.push_back(Method);
+  MethodHashes.push_back(hashName(Method->getName()));
+  ParentModule.forgetFreeFunction(Method);
 }
 
-Field *ClassType::findField(const std::string &FieldName) const {
+Field *ClassType::findField(std::string_view FieldName) const {
+  const uint32_t H = hashName(FieldName);
   for (const ClassType *C = this; C; C = C->Super)
-    for (const auto &F : C->Fields)
-      if (F->getName() == FieldName)
-        return F.get();
+    for (size_t I = 0, E = C->FieldHashes.size(); I != E; ++I)
+      if (C->FieldHashes[I] == H && C->Fields[I]->getName() == FieldName)
+        return C->Fields[I].get();
   return nullptr;
 }
 
-Function *ClassType::findMethod(const std::string &MethodName) const {
+Function *ClassType::findMethod(std::string_view MethodName) const {
+  const uint32_t H = hashName(MethodName);
   for (const ClassType *C = this; C; C = C->Super)
-    for (Function *M : C->Methods)
-      if (M->getName() == MethodName)
-        return M;
+    for (size_t I = 0, E = C->MethodHashes.size(); I != E; ++I)
+      if (C->MethodHashes[I] == H && C->Methods[I]->getName() == MethodName)
+        return C->Methods[I];
   return nullptr;
 }
 
@@ -61,7 +75,9 @@ bool ClassType::isSubclassOf(const ClassType *Other) const {
 Variable *Function::addParam(const std::string &ParamName, Type *Ty) {
   assert(!findVariable(ParamName) && "parameter name already in use");
   Vars.push_back(std::make_unique<Variable>(
-      ParamName, Ty, this, ParentModule.takeVarId(), /*IsParam=*/true));
+      ParamName, Ty, this, ParentModule.takeVarId(),
+      static_cast<unsigned>(Vars.size()), /*IsParam=*/true));
+  VarHashes.push_back(hashName(ParamName));
   Params.push_back(Vars.back().get());
   return Vars.back().get();
 }
@@ -69,7 +85,9 @@ Variable *Function::addParam(const std::string &ParamName, Type *Ty) {
 Variable *Function::addLocal(const std::string &LocalName, Type *Ty) {
   assert(!findVariable(LocalName) && "local name already in use");
   Vars.push_back(std::make_unique<Variable>(
-      LocalName, Ty, this, ParentModule.takeVarId(), /*IsParam=*/false));
+      LocalName, Ty, this, ParentModule.takeVarId(),
+      static_cast<unsigned>(Vars.size()), /*IsParam=*/false));
+  VarHashes.push_back(hashName(LocalName));
   return Vars.back().get();
 }
 
@@ -78,16 +96,19 @@ Variable *Function::getReturnVar() {
     return nullptr;
   if (!RetVar) {
     Vars.push_back(std::make_unique<Variable>(
-        "$ret", RetTy, this, ParentModule.takeVarId(), /*IsParam=*/false));
+        "$ret", RetTy, this, ParentModule.takeVarId(),
+        static_cast<unsigned>(Vars.size()), /*IsParam=*/false));
+    VarHashes.push_back(hashName("$ret"));
     RetVar = Vars.back().get();
   }
   return RetVar;
 }
 
-Variable *Function::findVariable(const std::string &VarName) const {
-  for (const auto &V : Vars)
-    if (V->getName() == VarName)
-      return V.get();
+Variable *Function::findVariable(std::string_view VarName) const {
+  const uint32_t H = hashName(VarName);
+  for (size_t I = 0, E = VarHashes.size(); I != E; ++I)
+    if (VarHashes[I] == H && Vars[I]->getName() == VarName)
+      return Vars[I].get();
   return nullptr;
 }
 
@@ -97,9 +118,11 @@ Variable *Function::findVariable(const std::string &VarName) const {
 
 ClassType *Module::addClass(const std::string &ClassName, ClassType *Super) {
   assert(!findClass(ClassName) && "class name already in use");
-  Classes.push_back(std::make_unique<ClassType>(ClassName, Super, *this));
-  ClassByName[ClassName] = Classes.back().get();
-  return Classes.back().get();
+  Classes.push_back(std::make_unique<ClassType>(
+      ClassName, Super, *this, static_cast<unsigned>(Classes.size())));
+  ClassType *C = Classes.back().get();
+  ClassByName.emplace(C->getName(), C);
+  return C;
 }
 
 ArrayType *Module::getArrayType(Type *Elem) {
@@ -114,31 +137,49 @@ Global *Module::addGlobal(const std::string &GlobalName, Type *Ty,
   assert(!findGlobal(GlobalName) && "global name already in use");
   Globals.push_back(std::make_unique<Global>(
       GlobalName, Ty, static_cast<unsigned>(Globals.size()), IsAtomic));
-  GlobalByName[GlobalName] = Globals.back().get();
-  return Globals.back().get();
+  Global *G = Globals.back().get();
+  GlobalByName.emplace(G->getName(), G);
+  return G;
 }
 
 Function *Module::addFunction(const std::string &FuncName, Type *RetTy) {
   Functions.push_back(
       std::make_unique<Function>(FuncName, RetTy, *this, NextFuncId++));
-  return Functions.back().get();
+  Function *F = Functions.back().get();
+  // A later same-named free function stays behind the first one.
+  if (!FunctionByName.emplace(F->getName(), F).second)
+    HasShadowedFunctions = true;
+  return F;
 }
 
-ClassType *Module::findClass(const std::string &ClassName) const {
+void Module::forgetFreeFunction(Function *F) {
+  auto It = FunctionByName.find(F->getName());
+  if (It == FunctionByName.end() || It->second != F)
+    return;
+  FunctionByName.erase(It);
+  if (!HasShadowedFunctions)
+    return;
+  // Promote the next same-named free function, if any.
+  for (const auto &Other : Functions)
+    if (!Other->isMethod() && Other->getName() == F->getName()) {
+      FunctionByName.emplace(Other->getName(), Other.get());
+      return;
+    }
+}
+
+ClassType *Module::findClass(std::string_view ClassName) const {
   auto It = ClassByName.find(ClassName);
   return It == ClassByName.end() ? nullptr : It->second;
 }
 
-Global *Module::findGlobal(const std::string &GlobalName) const {
+Global *Module::findGlobal(std::string_view GlobalName) const {
   auto It = GlobalByName.find(GlobalName);
   return It == GlobalByName.end() ? nullptr : It->second;
 }
 
-Function *Module::findFunction(const std::string &FuncName) const {
-  for (const auto &F : Functions)
-    if (!F->isMethod() && F->getName() == FuncName)
-      return F.get();
-  return nullptr;
+Function *Module::findFunction(std::string_view FuncName) const {
+  auto It = FunctionByName.find(FuncName);
+  return It == FunctionByName.end() ? nullptr : It->second;
 }
 
 unsigned Module::numProgramStmts() const {

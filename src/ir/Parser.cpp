@@ -7,7 +7,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The parser runs in three passes over a pre-lexed token stream:
-//   1. register every class name (with its super's name) and skip bodies;
+//   1. register every class name and skip bodies, then check that every
+//      superclass name resolves and that inheritance is acyclic;
 //   2. parse globals, class fields, and method/function signatures;
 //   3. parse method/function bodies.
 // This allows forward references between all top-level entities.
@@ -19,8 +20,10 @@
 #include "o2/IR/IRBuilder.h"
 #include "o2/Support/Casting.h"
 
-#include <cctype>
-#include <map>
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 using namespace o2;
@@ -49,99 +52,190 @@ enum class TokKind : uint8_t {
   Eof,
 };
 
+/// The reserved words, classified once per token at lex time. A keyword
+/// is still an Ident token: the grammar accepts keyword-spelled names
+/// wherever it expects a name.
+enum class Kw : uint8_t {
+  None,
+  Acquire,
+  Atomic,
+  Class,
+  Extends,
+  Field,
+  Func,
+  Global,
+  Int,
+  Join,
+  Loop,
+  Method,
+  New,
+  Newarray,
+  Release,
+  Return,
+  Spawn,
+  Var,
+};
+
+Kw classifyWord(std::string_view W) {
+  // Most words are names, and most names fail on the first byte.
+  switch (W[0]) {
+  case 'a':
+    return W == "acquire" ? Kw::Acquire : W == "atomic" ? Kw::Atomic : Kw::None;
+  case 'c':
+    return W == "class" ? Kw::Class : Kw::None;
+  case 'e':
+    return W == "extends" ? Kw::Extends : Kw::None;
+  case 'f':
+    return W == "field" ? Kw::Field : W == "func" ? Kw::Func : Kw::None;
+  case 'g':
+    return W == "global" ? Kw::Global : Kw::None;
+  case 'i':
+    return W == "int" ? Kw::Int : Kw::None;
+  case 'j':
+    return W == "join" ? Kw::Join : Kw::None;
+  case 'l':
+    return W == "loop" ? Kw::Loop : Kw::None;
+  case 'm':
+    return W == "method" ? Kw::Method : Kw::None;
+  case 'n':
+    return W == "new" ? Kw::New : W == "newarray" ? Kw::Newarray : Kw::None;
+  case 'r':
+    return W == "release" ? Kw::Release : W == "return" ? Kw::Return : Kw::None;
+  case 's':
+    return W == "spawn" ? Kw::Spawn : Kw::None;
+  case 'v':
+    return W == "var" ? Kw::Var : Kw::None;
+  default:
+    return Kw::None;
+  }
+}
+
+/// A token is its kind and its text, a range of the source; positions are
+/// recovered from the offset only when a diagnostic needs one.
 struct Token {
+  uint32_t Offset;
+  uint32_t Len;
+  /// For '{': the index of the matching '}' token, or of the Eof token if
+  /// the block never closes. Matched once at lex time, so skipping a body
+  /// costs one jump instead of a walk over its tokens.
+  uint32_t Close;
   TokKind Kind;
-  std::string_view Text;
-  unsigned Line;
-  unsigned Col;
+  Kw Keyword;
 };
 
-class Lexer {
-public:
-  explicit Lexer(std::string_view Src) : Src(Src) {}
+/// What a byte can start. Matches the "C" locale's isspace/isalpha/isalnum
+/// on ASCII; a byte >= 0x80 starts nothing.
+enum class ByteClass : uint8_t { Invalid, Space, Letter, Digit, Slash, Punct };
 
-  /// Lexes the whole input; returns false and sets \p Error on a bad char.
-  bool lexAll(std::vector<Token> &Out, std::string &Error) {
-    while (true) {
-      skipWhitespaceAndComments();
-      if (Pos >= Src.size()) {
-        Out.push_back({TokKind::Eof, "", Line, Col});
-        return true;
-      }
-      char C = Src[Pos];
-      if (std::isalpha(static_cast<unsigned char>(C)) || C == '_' ||
-          C == '$') {
-        Out.push_back(lexIdent());
-        continue;
-      }
-      TokKind Kind;
-      switch (C) {
-      case '{': Kind = TokKind::LBrace; break;
-      case '}': Kind = TokKind::RBrace; break;
-      case '(': Kind = TokKind::LParen; break;
-      case ')': Kind = TokKind::RParen; break;
-      case '[': Kind = TokKind::LBracket; break;
-      case ']': Kind = TokKind::RBracket; break;
-      case ':': Kind = TokKind::Colon; break;
-      case ';': Kind = TokKind::Semi; break;
-      case ',': Kind = TokKind::Comma; break;
-      case '.': Kind = TokKind::Dot; break;
-      case '=': Kind = TokKind::Equal; break;
-      case '@': Kind = TokKind::At; break;
-      case '*': Kind = TokKind::Star; break;
-      default:
-        Error = std::to_string(Line) + ":" + std::to_string(Col) +
-                ": unexpected character '" + std::string(1, C) + "'";
-        return false;
-      }
-      Out.push_back({Kind, Src.substr(Pos, 1), Line, Col});
-      advance();
-    }
+struct ByteTables {
+  std::array<ByteClass, 256> Class{};
+  std::array<TokKind, 256> Punct{}; ///< for ByteClass::Punct bytes
+};
+
+constexpr ByteTables Bytes = [] {
+  ByteTables T;
+  for (unsigned C : {' ', '\t', '\n', '\v', '\f', '\r'})
+    T.Class[C] = ByteClass::Space;
+  for (unsigned C = 'a'; C <= 'z'; ++C)
+    T.Class[C] = ByteClass::Letter;
+  for (unsigned C = 'A'; C <= 'Z'; ++C)
+    T.Class[C] = ByteClass::Letter;
+  T.Class['_'] = T.Class['$'] = ByteClass::Letter;
+  for (unsigned C = '0'; C <= '9'; ++C)
+    T.Class[C] = ByteClass::Digit;
+  T.Class['/'] = ByteClass::Slash;
+  const std::pair<char, TokKind> Puncts[] = {
+      {'{', TokKind::LBrace},   {'}', TokKind::RBrace},
+      {'(', TokKind::LParen},   {')', TokKind::RParen},
+      {'[', TokKind::LBracket}, {']', TokKind::RBracket},
+      {':', TokKind::Colon},    {';', TokKind::Semi},
+      {',', TokKind::Comma},    {'.', TokKind::Dot},
+      {'=', TokKind::Equal},    {'@', TokKind::At},
+      {'*', TokKind::Star}};
+  for (auto [C, Kind] : Puncts) {
+    T.Class[static_cast<unsigned char>(C)] = ByteClass::Punct;
+    T.Punct[static_cast<unsigned char>(C)] = Kind;
   }
+  return T;
+}();
 
-private:
-  void advance() {
-    if (Src[Pos] == '\n') {
-      ++Line;
-      Col = 1;
-    } else {
-      ++Col;
-    }
-    ++Pos;
-  }
+inline ByteClass classOf(char C) {
+  return Bytes.Class[static_cast<unsigned char>(C)];
+}
 
-  void skipWhitespaceAndComments() {
-    while (Pos < Src.size()) {
-      char C = Src[Pos];
-      if (std::isspace(static_cast<unsigned char>(C))) {
-        advance();
-        continue;
-      }
-      if (C == '/' && Pos + 1 < Src.size() && Src[Pos + 1] == '/') {
-        while (Pos < Src.size() && Src[Pos] != '\n')
-          advance();
-        continue;
-      }
-      return;
-    }
-  }
-
-  Token lexIdent() {
-    size_t Start = Pos;
-    unsigned StartLine = Line, StartCol = Col;
-    while (Pos < Src.size() &&
-           (std::isalnum(static_cast<unsigned char>(Src[Pos])) ||
-            Src[Pos] == '_' || Src[Pos] == '$'))
-      advance();
-    return {TokKind::Ident, Src.substr(Start, Pos - Start), StartLine,
-            StartCol};
-  }
-
-  std::string_view Src;
-  size_t Pos = 0;
+/// "line:col" (1-based; a tab or CR is one column) of byte \p Offset.
+std::string positionOf(std::string_view Src, size_t Offset) {
   unsigned Line = 1;
-  unsigned Col = 1;
-};
+  size_t LineStart = 0;
+  for (size_t I = 0; I != Offset; ++I)
+    if (Src[I] == '\n') {
+      ++Line;
+      LineStart = I + 1;
+    }
+  return std::to_string(Line) + ":" + std::to_string(Offset - LineStart + 1);
+}
+
+/// Lexes all of \p Src into \p Out, ending with an Eof token; returns
+/// false and sets \p Error on a character outside the alphabet.
+bool lexAll(std::string_view Src, std::vector<Token> &Out,
+            std::string &Error) {
+  assert(Src.size() < UINT32_MAX && "offsets are 32-bit");
+  const char *const Begin = Src.data();
+  const char *const End = Begin + Src.size();
+  auto OffsetOf = [Begin](const char *Ptr) {
+    return static_cast<uint32_t>(Ptr - Begin);
+  };
+  // OIR averages a token per two to three bytes.
+  Out.reserve(Src.size() / 2 + 1);
+  std::vector<uint32_t> OpenBraces;
+  for (const char *P = Begin; P != End;) {
+    switch (classOf(*P)) {
+    case ByteClass::Space:
+      ++P;
+      continue;
+    case ByteClass::Letter: {
+      const char *Start = P;
+      while (++P != End && (classOf(*P) == ByteClass::Letter ||
+                            classOf(*P) == ByteClass::Digit))
+        ;
+      std::string_view W(Start, static_cast<size_t>(P - Start));
+      Out.push_back({OffsetOf(Start), static_cast<uint32_t>(W.size()), 0,
+                     TokKind::Ident, classifyWord(W)});
+      continue;
+    }
+    case ByteClass::Punct: {
+      TokKind Kind = Bytes.Punct[static_cast<unsigned char>(*P)];
+      auto Idx = static_cast<uint32_t>(Out.size());
+      if (Kind == TokKind::LBrace) {
+        OpenBraces.push_back(Idx);
+      } else if (Kind == TokKind::RBrace && !OpenBraces.empty()) {
+        Out[OpenBraces.back()].Close = Idx;
+        OpenBraces.pop_back();
+      }
+      Out.push_back({OffsetOf(P), 1, 0, Kind, Kw::None});
+      ++P;
+      continue;
+    }
+    case ByteClass::Slash:
+      if (P + 1 != End && P[1] == '/') { // a comment runs to the line end
+        const void *NL = std::memchr(P, '\n', static_cast<size_t>(End - P));
+        P = NL ? static_cast<const char *>(NL) : End;
+        continue;
+      }
+      [[fallthrough]];
+    case ByteClass::Digit:
+    case ByteClass::Invalid:
+      Error = positionOf(Src, OffsetOf(P)) + ": unexpected character '" +
+              std::string(1, *P) + "'";
+      return false;
+    }
+  }
+  auto EofIdx = static_cast<uint32_t>(Out.size());
+  for (uint32_t Open : OpenBraces)
+    Out[Open].Close = EofIdx;
+  Out.push_back({OffsetOf(End), 0, 0, TokKind::Eof, Kw::None});
+  return true;
+}
 
 //===----------------------------------------------------------------------===//
 // Parser
@@ -149,8 +243,8 @@ private:
 
 class Parser {
 public:
-  Parser(std::vector<Token> Tokens, std::string &Error)
-      : Tokens(std::move(Tokens)), Error(Error) {}
+  Parser(std::string_view Src, std::vector<Token> Tokens, std::string &Error)
+      : Src(Src), Tokens(std::move(Tokens)), Error(Error) {}
 
   std::unique_ptr<Module> run(const std::string &ModuleName) {
     M = std::make_unique<Module>(ModuleName);
@@ -162,10 +256,8 @@ public:
 private:
   // -- Token-stream helpers -------------------------------------------------
 
-  const Token &peek(unsigned Ahead = 0) const {
-    size_t Idx = Cursor + Ahead;
-    return Idx < Tokens.size() ? Tokens[Idx] : Tokens.back();
-  }
+  /// The cursor never moves past the final Eof token.
+  const Token &peek() const { return Tokens[Cursor]; }
 
   const Token &take() {
     const Token &T = peek();
@@ -176,9 +268,7 @@ private:
 
   bool at(TokKind K) const { return peek().Kind == K; }
 
-  bool atKeyword(std::string_view KW) const {
-    return peek().Kind == TokKind::Ident && peek().Text == KW;
-  }
+  bool atKeyword(Kw K) const { return peek().Keyword == K; }
 
   bool consumeIf(TokKind K) {
     if (!at(K))
@@ -193,36 +283,36 @@ private:
     return fail(std::string("expected ") + What);
   }
 
-  bool expectKeyword(std::string_view KW) {
-    if (atKeyword(KW)) {
-      take();
-      return true;
-    }
-    return fail("expected keyword '" + std::string(KW) + "'");
+  std::string_view text(const Token &T) const {
+    return Src.substr(T.Offset, T.Len);
+  }
+
+  std::string positionOf(const Token &T) const {
+    return ::positionOf(Src, T.Offset);
+  }
+
+  /// Sets a "line:col: Msg" diagnostic at \p T.
+  bool failAt(const Token &T, const std::string &Msg) {
+    Error = positionOf(T) + ": " + Msg;
+    return false;
   }
 
   bool fail(const std::string &Msg) {
     const Token &T = peek();
-    Error = std::to_string(T.Line) + ":" + std::to_string(T.Col) + ": " + Msg;
+    failAt(T, Msg);
     if (T.Kind == TokKind::Ident)
-      Error += " (got '" + std::string(T.Text) + "')";
+      Error += " (got '" + std::string(text(T)) + "')";
     return false;
   }
 
   /// Skips a balanced { ... } block; the cursor must be at '{'.
   bool skipBlock() {
-    if (!expect(TokKind::LBrace, "'{'"))
-      return false;
-    unsigned Depth = 1;
-    while (Depth > 0) {
-      if (at(TokKind::Eof))
-        return fail("unterminated block");
-      TokKind K = take().Kind;
-      if (K == TokKind::LBrace)
-        ++Depth;
-      else if (K == TokKind::RBrace)
-        --Depth;
-    }
+    if (!at(TokKind::LBrace))
+      return fail("expected '{'");
+    Cursor = peek().Close;
+    if (at(TokKind::Eof))
+      return fail("unterminated block");
+    take(); // '}'
     return true;
   }
 
@@ -238,33 +328,36 @@ private:
 
   bool passRegisterClasses() {
     Cursor = 0;
+    // Each class with an extends clause, and its superclass-name token.
+    std::vector<std::pair<ClassType *, const Token *>> PendingSupers;
     while (!at(TokKind::Eof)) {
-      if (atKeyword("class")) {
+      if (atKeyword(Kw::Class)) {
         take();
         if (!at(TokKind::Ident))
           return fail("expected class name");
-        std::string Name(take().Text);
+        std::string_view Name = text(take());
         if (M->findClass(Name))
-          return fail("duplicate class '" + Name + "'");
-        std::string SuperName;
-        if (atKeyword("extends")) {
+          return fail("duplicate class '" + std::string(Name) + "'");
+        const Token *Super = nullptr;
+        if (atKeyword(Kw::Extends)) {
           take();
           if (!at(TokKind::Ident))
             return fail("expected superclass name");
-          SuperName = std::string(take().Text);
+          Super = &take();
         }
-        M->addClass(Name);
-        PendingSupers.emplace_back(Name, SuperName);
+        ClassType *C = M->addClass(std::string(Name));
+        if (Super)
+          PendingSupers.emplace_back(C, Super);
         if (!skipBlock())
           return false;
         continue;
       }
-      if (atKeyword("global")) {
+      if (atKeyword(Kw::Global)) {
         if (!skipToSemi())
           return false;
         continue;
       }
-      if (atKeyword("func")) {
+      if (atKeyword(Kw::Func)) {
         take();
         if (!at(TokKind::Ident))
           return fail("expected function name");
@@ -275,17 +368,31 @@ private:
       }
       return fail("expected 'class', 'global', or 'func'");
     }
-    // Link superclasses now that every class exists.
-    for (const auto &[Name, SuperName] : PendingSupers) {
-      if (SuperName.empty())
-        continue;
-      ClassType *Super = M->findClass(SuperName);
-      if (!Super) {
-        Error = "unknown superclass '" + SuperName + "' of class '" + Name +
-                "'";
-        return false;
-      }
-      Supers[Name] = Super;
+    // Every class exists now, so every superclass name must resolve, and
+    // no class may inherit from itself; pass 2 links the supers.
+    SuperOf.assign(M->classes().size(), nullptr);
+    std::vector<const Token *> SuperTokOf(M->classes().size(), nullptr);
+    for (const auto &[C, Super] : PendingSupers) {
+      SuperOf[C->getId()] = M->findClass(text(*Super));
+      if (!SuperOf[C->getId()])
+        return failAt(*Super, "unknown superclass '" +
+                                  std::string(text(*Super)) + "' of class '" +
+                                  C->getName() + "'");
+      SuperTokOf[C->getId()] = Super;
+    }
+    // Walk each chain once: 1 = on the chain being walked, 2 = known to
+    // end at a root.
+    std::vector<uint8_t> State(M->classes().size(), 0);
+    for (const auto &Pending : PendingSupers) {
+      ClassType *X = Pending.first;
+      for (; X && State[X->getId()] == 0; X = SuperOf[X->getId()])
+        State[X->getId()] = 1;
+      if (X && State[X->getId()] == 1)
+        return failAt(*SuperTokOf[X->getId()],
+                      "class '" + X->getName() + "' inherits from itself");
+      for (X = Pending.first; X && State[X->getId()] == 1;
+           X = SuperOf[X->getId()])
+        State[X->getId()] = 2;
     }
     return true;
   }
@@ -324,14 +431,14 @@ private:
       fail("expected type");
       return nullptr;
     }
-    std::string Name(take().Text);
+    const Token &Name = take();
     Type *Ty = nullptr;
-    if (Name == "int") {
+    if (Name.Keyword == Kw::Int) {
       Ty = M->getIntType();
     } else {
-      Ty = M->findClass(Name);
+      Ty = M->findClass(text(Name));
       if (!Ty) {
-        fail("unknown type '" + Name + "'");
+        fail("unknown type '" + std::string(text(Name)) + "'");
         return nullptr;
       }
     }
@@ -349,24 +456,22 @@ private:
   bool passSignatures() {
     Cursor = 0;
     while (!at(TokKind::Eof)) {
-      if (atKeyword("class")) {
+      if (atKeyword(Kw::Class)) {
         take();
-        ClassType *C = M->findClass(std::string(take().Text));
+        ClassType *C = M->findClass(text(take()));
         assert(C && "class registered in pass 1");
-        // Re-create the super link made in pass 1.
-        if (auto It = Supers.find(C->getName()); It != Supers.end())
-          linkSuper(C, It->second);
-        if (atKeyword("extends")) {
+        if (atKeyword(Kw::Extends)) {
           take();
           take();
+          C->setSuperForParser(SuperOf[C->getId()]);
         }
         if (!expect(TokKind::LBrace, "'{'"))
           return false;
         while (!consumeIf(TokKind::RBrace)) {
-          if (atKeyword("field")) {
+          if (atKeyword(Kw::Field)) {
             if (!parseFieldDecl(C))
               return false;
-          } else if (atKeyword("method")) {
+          } else if (atKeyword(Kw::Method)) {
             if (!parseCallableSignature(C))
               return false;
           } else {
@@ -375,29 +480,29 @@ private:
         }
         continue;
       }
-      if (atKeyword("global")) {
+      if (atKeyword(Kw::Global)) {
         take();
         if (!at(TokKind::Ident))
           return fail("expected global name");
-        std::string Name(take().Text);
+        std::string_view Name = text(take());
         if (M->findGlobal(Name))
-          return fail("duplicate global '" + Name + "'");
+          return fail("duplicate global '" + std::string(Name) + "'");
         if (!expect(TokKind::Colon, "':'"))
           return false;
         Type *Ty = parseType();
         if (!Ty)
           return false;
         bool IsAtomic = false;
-        if (atKeyword("atomic")) {
+        if (atKeyword(Kw::Atomic)) {
           take();
           IsAtomic = true;
         }
-        M->addGlobal(Name, Ty, IsAtomic);
+        M->addGlobal(std::string(Name), Ty, IsAtomic);
         if (!expect(TokKind::Semi, "';'"))
           return false;
         continue;
       }
-      if (atKeyword("func")) {
+      if (atKeyword(Kw::Func)) {
         if (!parseCallableSignature(nullptr))
           return false;
         continue;
@@ -407,37 +512,24 @@ private:
     return true;
   }
 
-  void linkSuper(ClassType *C, ClassType *Super) {
-    // ClassType's super is set at construction; pass 1 could not know it
-    // yet, so Module::addClass created the class with a null super and we
-    // patch it here through a friend-free back door: recreate field/method
-    // lookup via an explicit map consulted by this parser only.
-    //
-    // To keep the IR immutable-after-construction, Module::addClass is
-    // instead called with the resolved super here in pass 2 -- but the
-    // class already exists. The clean solution is a setter; see
-    // ClassType::setSuperForParser.
-    C->setSuperForParser(Super);
-  }
-
   bool parseFieldDecl(ClassType *C) {
-    expectKeyword("field");
+    take(); // 'field'
     if (!at(TokKind::Ident))
       return fail("expected field name");
-    std::string Name(take().Text);
+    std::string_view Name = text(take());
     if (C->findField(Name))
-      return fail("duplicate field '" + Name + "'");
+      return fail("duplicate field '" + std::string(Name) + "'");
     if (!expect(TokKind::Colon, "':'"))
       return false;
     Type *Ty = parseType();
     if (!Ty)
       return false;
     bool IsAtomic = false;
-    if (atKeyword("atomic")) {
+    if (atKeyword(Kw::Atomic)) {
       take();
       IsAtomic = true;
     }
-    C->addField(Name, Ty, IsAtomic);
+    C->addField(std::string(Name), Ty, IsAtomic);
     return expect(TokKind::Semi, "';'");
   }
 
@@ -447,32 +539,37 @@ private:
     take(); // 'method' or 'func'
     if (!at(TokKind::Ident))
       return fail("expected function name");
-    std::string Name(take().Text);
+    std::string_view Name = text(take());
     if (!C && M->findFunction(Name))
-      return fail("duplicate function '" + Name + "'");
+      return fail("duplicate function '" + std::string(Name) + "'");
     if (C)
       for (Function *Existing : C->methods())
         if (Existing->getName() == Name)
-          return fail("duplicate method '" + Name + "'");
+          return fail("duplicate method '" + std::string(Name) + "'");
 
     if (!expect(TokKind::LParen, "'('"))
       return false;
     struct Param {
-      std::string Name;
+      std::string_view Name;
       Type *Ty;
     };
-    std::vector<Param> Params;
+    SmallVector<Param, 4> Params;
     if (!at(TokKind::RParen)) {
       do {
         if (!at(TokKind::Ident))
           return fail("expected parameter name");
-        std::string PName(take().Text);
+        std::string_view PName = text(take());
+        bool Duplicate = C && PName == "this";
+        for (const Param &P : Params)
+          Duplicate |= P.Name == PName;
+        if (Duplicate)
+          return fail("duplicate parameter '" + std::string(PName) + "'");
         if (!expect(TokKind::Colon, "':'"))
           return false;
         Type *PTy = parseType();
         if (!PTy)
           return false;
-        Params.push_back({std::move(PName), PTy});
+        Params.push_back({PName, PTy});
       } while (consumeIf(TokKind::Comma));
     }
     if (!expect(TokKind::RParen, "')'"))
@@ -484,13 +581,13 @@ private:
         return false;
     }
 
-    Function *F = M->addFunction(Name, RetTy);
+    Function *F = M->addFunction(std::string(Name), RetTy);
     if (C) {
       C->addMethod(F);
       F->addParam("this", C);
     }
     for (const Param &P : Params)
-      F->addParam(P.Name, P.Ty);
+      F->addParam(std::string(P.Name), P.Ty);
     BodyOrder.push_back(F);
     return skipBlock();
   }
@@ -501,17 +598,17 @@ private:
     Cursor = 0;
     size_t NextBody = 0;
     while (!at(TokKind::Eof)) {
-      if (atKeyword("class")) {
+      if (atKeyword(Kw::Class)) {
         take();
         take(); // name
-        if (atKeyword("extends")) {
+        if (atKeyword(Kw::Extends)) {
           take();
           take();
         }
         if (!expect(TokKind::LBrace, "'{'"))
           return false;
         while (!consumeIf(TokKind::RBrace)) {
-          if (atKeyword("field")) {
+          if (atKeyword(Kw::Field)) {
             if (!skipToSemi())
               return false;
           } else {
@@ -523,7 +620,7 @@ private:
         }
         continue;
       }
-      if (atKeyword("global")) {
+      if (atKeyword(Kw::Global)) {
         if (!skipToSemi())
           return false;
         continue;
@@ -570,11 +667,9 @@ private:
   }
 
   Variable *lookupVar(Function *F, const Token &T) {
-    Variable *V = F->findVariable(std::string(T.Text));
-    if (!V) {
-      Error = std::to_string(T.Line) + ":" + std::to_string(T.Col) +
-              ": unknown variable '" + std::string(T.Text) + "'";
-    }
+    Variable *V = F->findVariable(text(T));
+    if (!V)
+      failAt(T, "unknown variable '" + std::string(text(T)) + "'");
     return V;
   }
 
@@ -595,24 +690,38 @@ private:
     return expect(TokKind::RParen, "')'");
   }
 
+  Global *parseGlobalName() {
+    take(); // '@'
+    if (!at(TokKind::Ident)) {
+      fail("expected global name");
+      return nullptr;
+    }
+    std::string_view Name = text(take());
+    Global *G = M->findGlobal(Name);
+    if (!G)
+      fail("unknown global '" + std::string(Name) + "'");
+    return G;
+  }
+
   bool parseStmt(IRBuilder &B, Function *F) {
     // Keyword statements.
-    if (atKeyword("var")) {
+    switch (peek().Keyword) {
+    case Kw::Var: {
       take();
       if (!at(TokKind::Ident))
         return fail("expected variable name");
-      std::string Name(take().Text);
+      std::string_view Name = text(take());
       if (F->findVariable(Name))
-        return fail("duplicate variable '" + Name + "'");
+        return fail("duplicate variable '" + std::string(Name) + "'");
       if (!expect(TokKind::Colon, "':'"))
         return false;
       Type *Ty = parseType();
       if (!Ty)
         return false;
-      F->addLocal(Name, Ty);
+      F->addLocal(std::string(Name), Ty);
       return expect(TokKind::Semi, "';'");
     }
-    if (atKeyword("loop")) {
+    case Kw::Loop:
       take();
       if (!expect(TokKind::LBrace, "'{'"))
         return false;
@@ -621,8 +730,7 @@ private:
         return false;
       B.endLoop();
       return true;
-    }
-    if (atKeyword("spawn")) {
+    case Kw::Spawn: {
       take();
       if (!at(TokKind::Ident))
         return fail("expected spawn receiver");
@@ -633,14 +741,14 @@ private:
         return false;
       if (!at(TokKind::Ident))
         return fail("expected entry method name");
-      std::string Entry(take().Text);
+      std::string_view Entry = text(take());
       SmallVector<Variable *, 4> Args;
       if (!parseArgs(F, Args))
         return false;
       B.spawn(Recv, Entry, Args);
       return expect(TokKind::Semi, "';'");
     }
-    if (atKeyword("join")) {
+    case Kw::Join: {
       take();
       if (!at(TokKind::Ident))
         return fail("expected join receiver");
@@ -650,9 +758,9 @@ private:
       B.join(Recv);
       return expect(TokKind::Semi, "';'");
     }
-    if (atKeyword("acquire") || atKeyword("release")) {
-      bool IsAcquire = peek().Text == "acquire";
-      take();
+    case Kw::Acquire:
+    case Kw::Release: {
+      bool IsAcquire = take().Keyword == Kw::Acquire;
       if (!at(TokKind::Ident))
         return fail("expected lock variable");
       Variable *L = lookupVar(F, take());
@@ -664,7 +772,7 @@ private:
         B.release(L);
       return expect(TokKind::Semi, "';'");
     }
-    if (atKeyword("return")) {
+    case Kw::Return: {
       take();
       Variable *V = nullptr;
       if (at(TokKind::Ident)) {
@@ -675,15 +783,14 @@ private:
       B.ret(V);
       return expect(TokKind::Semi, "';'");
     }
+    default:
+      break;
+    }
     // Global store: @g = x;
     if (at(TokKind::At)) {
-      take();
-      if (!at(TokKind::Ident))
-        return fail("expected global name");
-      std::string GName(take().Text);
-      Global *G = M->findGlobal(GName);
+      Global *G = parseGlobalName();
       if (!G)
-        return fail("unknown global '" + GName + "'");
+        return false;
       if (!expect(TokKind::Equal, "'='"))
         return false;
       if (!at(TokKind::Ident))
@@ -698,7 +805,7 @@ private:
     // Remaining forms start with an identifier.
     if (!at(TokKind::Ident))
       return fail("expected statement");
-    Token First = take();
+    const Token &First = take();
 
     // ID . ID ( ... ) ;     virtual call, result dropped
     // ID . ID = ID ;        field store
@@ -707,7 +814,7 @@ private:
       take();
       if (!at(TokKind::Ident))
         return fail("expected member name");
-      Token Member = take();
+      const Token &Member = take();
       Variable *Base = lookupVar(F, First);
       if (!Base)
         return false;
@@ -715,7 +822,7 @@ private:
         SmallVector<Variable *, 4> Args;
         if (!parseArgs(F, Args))
           return false;
-        if (!makeVirtualCall(B, nullptr, Base, std::string(Member.Text), Args))
+        if (!makeVirtualCall(B, nullptr, Base, text(Member), Args))
           return false;
         return expect(TokKind::Semi, "';'");
       }
@@ -753,13 +860,8 @@ private:
 
     // ID ( ... ) ;           direct call, result dropped
     if (at(TokKind::LParen)) {
-      SmallVector<Variable *, 4> Args;
-      if (!parseArgs(F, Args))
+      if (!parseDirectCall(B, F, nullptr, First))
         return false;
-      Function *Callee = M->findFunction(std::string(First.Text));
-      if (!Callee)
-        return fail("unknown function '" + std::string(First.Text) + "'");
-      B.callDirect(nullptr, Callee, Args);
       return expect(TokKind::Semi, "';'");
     }
 
@@ -774,44 +876,56 @@ private:
     return expect(TokKind::Semi, "';'");
   }
 
+  /// Parses the arguments of a call to the free function named by \p Name
+  /// and emits the call; the cursor is at '('.
+  bool parseDirectCall(IRBuilder &B, Function *F, Variable *Target,
+                       const Token &Name) {
+    SmallVector<Variable *, 4> Args;
+    if (!parseArgs(F, Args))
+      return false;
+    Function *Callee = M->findFunction(text(Name));
+    if (!Callee)
+      return fail("unknown function '" + std::string(text(Name)) + "'");
+    B.callDirect(Target, Callee,
+                 ArrayRef<Variable *>(Args.data(), Args.size()));
+    return true;
+  }
+
   Field *resolveFieldOrFail(Variable *Base, const Token &Member) {
     auto *C = dyn_cast<ClassType>(Base->getType());
     if (!C) {
-      Error = std::to_string(Member.Line) + ":" + std::to_string(Member.Col) +
-              ": field access on non-class variable '" + Base->getName() +
-              "'";
+      failAt(Member,
+             "field access on non-class variable '" + Base->getName() + "'");
       return nullptr;
     }
-    Field *Fld = C->findField(std::string(Member.Text));
-    if (!Fld) {
-      Error = std::to_string(Member.Line) + ":" + std::to_string(Member.Col) +
-              ": class '" + C->getName() + "' has no field '" +
-              std::string(Member.Text) + "'";
-    }
+    Field *Fld = C->findField(text(Member));
+    if (!Fld)
+      failAt(Member, "class '" + C->getName() + "' has no field '" +
+                         std::string(text(Member)) + "'");
     return Fld;
   }
 
   bool makeVirtualCall(IRBuilder &B, Variable *Target, Variable *Base,
-                       const std::string &MethodName,
+                       std::string_view MethodName,
                        const SmallVectorImpl<Variable *> &Args) {
     auto *C = dyn_cast<ClassType>(Base->getType());
     if (!C)
       return fail("virtual call on non-class variable '" + Base->getName() +
                   "'");
-    B.call(Target, Base,
-           MethodName, ArrayRef<Variable *>(Args.data(), Args.size()));
+    B.call(Target, Base, MethodName,
+           ArrayRef<Variable *>(Args.data(), Args.size()));
     return true;
   }
 
   bool parseRhs(IRBuilder &B, Function *F, Variable *Target) {
-    if (atKeyword("new")) {
+    if (atKeyword(Kw::New)) {
       take();
       if (!at(TokKind::Ident))
         return fail("expected class name after 'new'");
-      std::string CName(take().Text);
+      std::string_view CName = text(take());
       ClassType *C = M->findClass(CName);
       if (!C)
-        return fail("unknown class '" + CName + "'");
+        return fail("unknown class '" + std::string(CName) + "'");
       SmallVector<Variable *, 4> Args;
       if (at(TokKind::LParen))
         if (!parseArgs(F, Args))
@@ -819,7 +933,7 @@ private:
       B.alloc(Target, C, ArrayRef<Variable *>(Args.data(), Args.size()));
       return true;
     }
-    if (atKeyword("newarray")) {
+    if (atKeyword(Kw::Newarray)) {
       take();
       Type *Elem = parseType();
       if (!Elem)
@@ -828,25 +942,21 @@ private:
       return true;
     }
     if (at(TokKind::At)) {
-      take();
-      if (!at(TokKind::Ident))
-        return fail("expected global name");
-      std::string GName(take().Text);
-      Global *G = M->findGlobal(GName);
+      Global *G = parseGlobalName();
       if (!G)
-        return fail("unknown global '" + GName + "'");
+        return false;
       B.globalLoad(Target, G);
       return true;
     }
     if (!at(TokKind::Ident))
       return fail("expected expression");
-    Token First = take();
+    const Token &First = take();
 
     if (at(TokKind::Dot)) {
       take();
       if (!at(TokKind::Ident))
         return fail("expected member name");
-      Token Member = take();
+      const Token &Member = take();
       Variable *Base = lookupVar(F, First);
       if (!Base)
         return false;
@@ -854,8 +964,7 @@ private:
         SmallVector<Variable *, 4> Args;
         if (!parseArgs(F, Args))
           return false;
-        return makeVirtualCall(B, Target, Base, std::string(Member.Text),
-                               Args);
+        return makeVirtualCall(B, Target, Base, text(Member), Args);
       }
       Field *Fld = resolveFieldOrFail(Base, Member);
       if (!Fld)
@@ -873,17 +982,8 @@ private:
       B.arrayLoad(Target, Base);
       return true;
     }
-    if (at(TokKind::LParen)) {
-      SmallVector<Variable *, 4> Args;
-      if (!parseArgs(F, Args))
-        return false;
-      Function *Callee = M->findFunction(std::string(First.Text));
-      if (!Callee)
-        return fail("unknown function '" + std::string(First.Text) + "'");
-      B.callDirect(Target, Callee,
-                   ArrayRef<Variable *>(Args.data(), Args.size()));
-      return true;
-    }
+    if (at(TokKind::LParen))
+      return parseDirectCall(B, F, Target, First);
     // Plain copy.
     Variable *Src = lookupVar(F, First);
     if (!Src)
@@ -892,12 +992,13 @@ private:
     return true;
   }
 
+  std::string_view Src;
   std::vector<Token> Tokens;
   std::string &Error;
   size_t Cursor = 0;
   std::unique_ptr<Module> M;
-  std::vector<std::pair<std::string, std::string>> PendingSupers;
-  std::map<std::string, ClassType *> Supers;
+  /// Class ID -> the superclass its extends clause names, or null.
+  std::vector<ClassType *> SuperOf;
   std::vector<Function *> BodyOrder;
 };
 
@@ -906,10 +1007,9 @@ private:
 std::unique_ptr<Module> o2::parseModule(std::string_view Source,
                                         std::string &Error,
                                         const std::string &ModuleName) {
-  Lexer L(Source);
   std::vector<Token> Tokens;
-  if (!L.lexAll(Tokens, Error))
+  if (!lexAll(Source, Tokens, Error))
     return nullptr;
-  Parser P(std::move(Tokens), Error);
+  Parser P(Source, std::move(Tokens), Error);
   return P.run(ModuleName);
 }

@@ -48,7 +48,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_set>
 #include <utility>
 
 using namespace o2;
@@ -100,8 +99,20 @@ public:
     R->Opts = Opts;
     R->GlobalNodes.assign(M.numGlobals(), -1);
     R->OriginCtxs.push_back(InternTable::Empty); // main origin
-    augmentSpecWithSpawnEntries();
-    computeWrapperFunctions();
+    indexModule();
+    // Size the growing tables for a typical module up front (roughly:
+    // nodes up to four per variable, two use lists per variable, an object
+    // and a field node per site and context, a copy edge per variable),
+    // so that growth, which moves or rehashes everything, happens rarely.
+    // Untouched reserved memory costs no resident pages.
+    Nodes.reserve(std::min<uint64_t>(
+        Opts.NodeBudget,
+        4 * uint64_t(M.numVariables() + M.numGlobals()) + M.numAllocSites()));
+    UseLists.reserve(2 * size_t(M.numVariables()));
+    R->FrameIds.reserve(2 * M.functions().size());
+    R->FieldNodes.reserve(2 * M.numAllocSites());
+    ObjMap.reserve(2 * M.numAllocSites());
+    EdgeSet.reserve(M.numVariables());
   }
 
   std::unique_ptr<PTAResult> run() {
@@ -116,7 +127,7 @@ public:
       R->Stats.set("pta.no-entry", 1);
       return std::move(R);
     }
-    processFunction(Main, InternTable::Empty);
+    processFunction(frameOf(Main, InternTable::Empty));
     do {
       propagate();
     } while (applyRound());
@@ -138,30 +149,53 @@ private:
     BitVector Pts;
     /// Bits not yet pushed along outgoing copy edges.
     BitVector PropDelta;
-    /// Bits already handed to this node's Loads/Stores/Calls by earlier
-    /// discovery rounds.
-    BitVector Applied;
     std::vector<unsigned> Succs;
-    /// Field loads/stores waiting on base objects: (field key, other node).
-    std::vector<std::pair<FieldKey, unsigned>> Loads;
-    std::vector<std::pair<FieldKey, unsigned>> Stores;
-    /// Virtual calls / spawns waiting on receiver objects.
-    std::vector<std::pair<const Stmt *, Ctx>> Calls;
-    /// Prefix of Loads/Stores/Calls that already caught up with Applied;
-    /// uses registered after the last round instead receive the full
-    /// frozen set in the next one.
-    unsigned OldLoads = 0;
-    unsigned OldStores = 0;
-    unsigned OldCalls = 0;
-    bool HasUses = false;
+    /// This node's entry in UseLists once it is the base of a load or
+    /// store or the receiver of a call; NoUses before.
+    unsigned Uses = NoUses;
     bool Queued = false;
     /// On DirtyUses: a use node whose Pts grew or that gained uses since
     /// the last discovery round froze it.
     bool Dirty = false;
   };
 
+  static constexpr unsigned NoUses = ~0u;
+
+  /// The constraints waiting on a use node's objects. Only use nodes have
+  /// one, which keeps Node small.
+  struct UseList {
+    /// Bits already handed to Loads/Stores/Calls by earlier discovery
+    /// rounds.
+    BitVector Applied;
+    /// Field loads/stores waiting on base objects: (field key, other node).
+    std::vector<std::pair<FieldKey, unsigned>> Loads;
+    std::vector<std::pair<FieldKey, unsigned>> Stores;
+    /// Virtual calls / spawns waiting on receiver objects: (statement,
+    /// caller frame).
+    std::vector<std::pair<const Stmt *, unsigned>> Calls;
+    /// Prefix of Loads/Stores/Calls that already caught up with Applied;
+    /// uses registered after the last round instead receive the full
+    /// frozen set in the next one.
+    unsigned OldLoads = 0;
+    unsigned OldStores = 0;
+    unsigned OldCalls = 0;
+  };
+
+  /// What allocation and dispatch need to know about a class, computed
+  /// once per run instead of once per allocation or receiver object.
+  struct ClassFacts {
+    /// Declares or inherits a configured entry method (rule ❽).
+    bool IsOrigin = false;
+    /// Thread if any of its entries is a thread entry, else the kind of
+    /// its first entry by name.
+    OriginKind Kind = OriginKind::Thread;
+    /// Its constructor, if any.
+    const Function *Init = nullptr;
+  };
+
   std::vector<Node> Nodes;
-  std::unordered_set<uint64_t> EdgeSet;
+  std::vector<UseList> UseLists;
+  U64Set EdgeSet;
   std::deque<unsigned> Worklist;
   /// Use nodes with possibly outstanding discovery work; every other use
   /// node has Pts == Applied and no uses newer than the last round.
@@ -172,13 +206,40 @@ private:
   PTAOptions Opts;
   OriginSpec Spec;
   std::unique_ptr<PTAResult> R;
-  std::unordered_set<uint64_t> ProcessedInstances;
-  std::unordered_map<uint64_t, unsigned> ObjMap;
-  /// Return statements per function, for return-value binding.
-  std::unordered_map<const Function *, std::vector<const ReturnStmt *>>
-      ReturnsOf;
-  std::unordered_set<const Function *> WrapperFns;
-  std::unordered_map<uint64_t, std::vector<unsigned>> OriginsPerSite;
+  std::vector<ClassFacts> Classes;        ///< by ClassType::getId()
+  std::vector<uint32_t> NumCallSlots;     ///< by Function::getId()
+  std::vector<uint8_t> IsWrapper;         ///< by Function::getId()
+  /// Return statements of function I: Returns[ReturnsBegin[I],
+  /// ReturnsBegin[I + 1]).
+  std::vector<uint32_t> ReturnsBegin;
+  std::vector<const ReturnStmt *> Returns;
+  /// One field, array-element or global access statement, decoded once
+  /// per run for the access table.
+  struct AccessStmt {
+    const Stmt *S;
+    /// The base variable's index in its function, or ~0u for a global.
+    unsigned BaseIndex;
+    /// The field key, or the global's ID.
+    unsigned Key;
+    bool IsWrite;
+  };
+  /// Access statements of function I, in body order:
+  /// AccessStmts[AccessStmtsBegin[I], AccessStmtsBegin[I + 1]).
+  std::vector<uint32_t> AccessStmtsBegin;
+  std::vector<AccessStmt> AccessStmts;
+  std::vector<uint8_t> FrameProcessed;    ///< by frame
+  std::vector<unsigned> InstanceFrames;   ///< R->Instances[I]'s frame
+  /// classId<<32|stmtId -> the method a call or spawn statement dispatches
+  /// to on that class (null: none).
+  U64Map<const Function *> Dispatch;
+  U64Map<unsigned> ObjMap;
+  /// Origins created per (allocation site, dup index): their count and
+  /// the first one. Sized on the first origin allocation.
+  struct SiteOrigins {
+    unsigned Count = 0;
+    unsigned First = 0;
+  };
+  std::vector<SiteOrigins> OriginsPerSite;
   bool Stopped = false;
 
   /// Polls the cancellation token; once it fires, the solver behaves like
@@ -197,38 +258,137 @@ private:
   // Setup
   //===--------------------------------------------------------------------===//
 
-  /// Entry names used by spawn statements are origin entries even when the
-  /// configuration does not list them (custom thread abstractions).
-  void augmentSpecWithSpawnEntries() {
-    for (const auto &F : M.functions())
-      for (const auto &S : F->body())
-        if (const auto *Sp = dyn_cast<SpawnStmt>(S.get()))
-          if (!Spec.isEntry(Sp->getEntryName()))
-            Spec.addEntry(Sp->getEntryName(), OriginKind::Thread);
+  const ClassFacts &factsOf(const ClassType *C) const {
+    return Classes[C->getId()];
   }
 
-  /// A wrapper function directly contains an origin allocation or a spawn;
-  /// OPA extends origins created inside them with one call-site
-  /// (Section 3.2, "Wrapper Functions and Loops").
-  void computeWrapperFunctions() {
-    if (Opts.Kind != ContextKind::Origin)
-      return;
-    const Function *Main = M.getMain();
+  /// One walk over every statement: numbers each function's call slots,
+  /// collects its return and access statements, registers the entry
+  /// names spawns use, then computes the per-class facts and marks the
+  /// wrapper functions.
+  void indexModule() {
+    const size_t NumFns = M.functions().size();
+    Classes.resize(M.classes().size());
+    for (const auto &C : M.classes())
+      Classes[C->getId()].Init = C->findMethod("init");
+    R->CallSlots.assign(M.numStmts(), ~0u);
+    NumCallSlots.assign(NumFns, 0);
+    IsWrapper.assign(NumFns, 0);
+    ReturnsBegin.assign(NumFns + 1, 0);
+    AccessStmtsBegin.assign(NumFns + 1, 0);
+    // (function, class) of every allocation, for the wrapper marks.
+    std::vector<std::pair<unsigned, const ClassType *>> Allocs;
     for (const auto &F : M.functions()) {
-      if (F.get() == Main)
-        continue; // main is the root; no wrapper treatment
-      for (const auto &S : F->body()) {
-        bool IsOriginSite = false;
-        if (const auto *A = dyn_cast<AllocStmt>(S.get()))
-          IsOriginSite = Spec.isOriginClass(A->getAllocType());
-        else if (isa<SpawnStmt>(S.get()))
-          IsOriginSite = true;
-        if (IsOriginSite) {
-          WrapperFns.insert(F.get());
+      unsigned FId = F->getId();
+      ReturnsBegin[FId] = static_cast<uint32_t>(Returns.size());
+      AccessStmtsBegin[FId] = static_cast<uint32_t>(AccessStmts.size());
+      for (const auto &SPtr : F->body()) {
+        const Stmt &S = *SPtr;
+        bool HasTargets = false;
+        switch (S.getKind()) {
+        case Stmt::SK_Alloc: {
+          const ClassType *C = cast<AllocStmt>(S).getAllocType();
+          HasTargets = factsOf(C).Init != nullptr;
+          Allocs.emplace_back(FId, C);
           break;
         }
+        case Stmt::SK_Spawn: {
+          // Entry names used by spawn statements are origin entries even
+          // when the configuration does not list them (custom thread
+          // abstractions).
+          const std::string &Entry = cast<SpawnStmt>(S).getEntryName();
+          if (!Spec.isEntry(Entry))
+            Spec.addEntry(Entry, OriginKind::Thread);
+          HasTargets = true;
+          IsWrapper[FId] = 1;
+          break;
+        }
+        case Stmt::SK_Call:
+          HasTargets = true;
+          break;
+        case Stmt::SK_Return:
+          Returns.push_back(&cast<ReturnStmt>(S));
+          break;
+        case Stmt::SK_FieldLoad: {
+          const auto &L = cast<FieldLoadStmt>(S);
+          AccessStmts.push_back({&S, L.getBase()->getIndex(),
+                                 fieldKeyOf(L.getField()), false});
+          break;
+        }
+        case Stmt::SK_FieldStore: {
+          const auto &St = cast<FieldStoreStmt>(S);
+          AccessStmts.push_back({&S, St.getBase()->getIndex(),
+                                 fieldKeyOf(St.getField()), true});
+          break;
+        }
+        case Stmt::SK_ArrayLoad:
+          AccessStmts.push_back({&S,
+                                 cast<ArrayLoadStmt>(S).getBase()->getIndex(),
+                                 ArrayElemKey, false});
+          break;
+        case Stmt::SK_ArrayStore:
+          AccessStmts.push_back({&S,
+                                 cast<ArrayStoreStmt>(S).getBase()->getIndex(),
+                                 ArrayElemKey, true});
+          break;
+        case Stmt::SK_GlobalLoad:
+          AccessStmts.push_back(
+              {&S, ~0u, cast<GlobalLoadStmt>(S).getGlobal()->getId(), false});
+          break;
+        case Stmt::SK_GlobalStore:
+          AccessStmts.push_back(
+              {&S, ~0u, cast<GlobalStoreStmt>(S).getGlobal()->getId(), true});
+          break;
+        default:
+          break;
+        }
+        if (HasTargets)
+          R->CallSlots[S.getId()] = NumCallSlots[FId]++;
       }
     }
+    ReturnsBegin[NumFns] = static_cast<uint32_t>(Returns.size());
+    AccessStmtsBegin[NumFns] = static_cast<uint32_t>(AccessStmts.size());
+
+    // Origin facts need every spawn's entry registered first.
+    for (const auto &C : M.classes()) {
+      ClassFacts &Facts = Classes[C->getId()];
+      bool First = true;
+      for (const auto &[Name, Kind] : Spec.entries()) {
+        if (!C->findMethod(Name))
+          continue;
+        if (First || Kind == OriginKind::Thread)
+          Facts.Kind = Kind;
+        First = false;
+        Facts.IsOrigin = true;
+      }
+    }
+
+    // Under OPA, a function other than main that directly contains an
+    // origin allocation or a spawn is a wrapper: origins created inside
+    // it are extended with one call-site (Section 3.2, "Wrapper
+    // Functions and Loops").
+    for (const auto &[FId, C] : Allocs)
+      if (factsOf(C).IsOrigin)
+        IsWrapper[FId] = 1;
+    const Function *Main = M.getMain();
+    if (Opts.Kind != ContextKind::Origin)
+      IsWrapper.assign(NumFns, 0);
+    else if (Main)
+      IsWrapper[Main->getId()] = 0;
+  }
+
+  ArrayRef<AccessStmt> accessStmtsOf(const Function *F) const {
+    unsigned FId = F->getId();
+    return ArrayRef<AccessStmt>(AccessStmts.data() + AccessStmtsBegin[FId],
+                                AccessStmtsBegin[FId + 1] -
+                                    AccessStmtsBegin[FId]);
+  }
+
+  ArrayRef<const ReturnStmt *> returnsOf(const Function *F) const {
+    unsigned FId = F->getId();
+    return ArrayRef<const ReturnStmt *>(Returns.data() + ReturnsBegin[FId],
+                                        ReturnsBegin[FId + 1] -
+                                            ReturnsBegin[FId]);
   }
 
   //===--------------------------------------------------------------------===//
@@ -291,7 +451,7 @@ private:
       // Same origin as the caller. Wrapper callees additionally get the
       // call site so origins created inside them stay separate.
       SmallVector<uint32_t, 8> Chain = originChainOf(CallerCtx);
-      if (Callee && WrapperFns.count(Callee))
+      if (Callee && IsWrapper[Callee->getId()])
         Chain.push_back(WrapperElemBit | SiteElem);
       return intern(Chain);
     }
@@ -319,7 +479,7 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Nodes and objects
+  // Nodes, frames and objects
   //===--------------------------------------------------------------------===//
 
   unsigned newNode() {
@@ -331,12 +491,38 @@ private:
     return static_cast<unsigned>(Nodes.size() - 1);
   }
 
-  unsigned varNode(const Variable *V, Ctx C) {
-    uint64_t Key = (uint64_t(V->getId()) << 32) | C;
-    auto [It, Inserted] = R->VarNodes.emplace(Key, 0);
-    if (Inserted)
-      It->second = newNode();
-    return It->second;
+  /// The frame of ⟨F, C⟩, created on first use. Creating a frame creates
+  /// no nodes, so the node numbering follows the varNode calls alone.
+  unsigned frameOf(const Function *F, Ctx C) {
+    auto [Id, Inserted] = R->FrameIds.tryEmplace(
+        PTAResult::frameKey(F, C), static_cast<uint32_t>(R->Frames.size()));
+    if (Inserted) {
+      PTAResult::Frame Fr;
+      Fr.F = F;
+      Fr.C = C;
+      Fr.VarBase = static_cast<uint32_t>(R->FrameVarNodes.size());
+      Fr.NumVars = static_cast<uint32_t>(F->variables().size());
+      Fr.CallBase = static_cast<uint32_t>(R->FrameTargets.size());
+      R->Frames.push_back(Fr);
+      R->FrameVarNodes.resize(R->FrameVarNodes.size() + Fr.NumVars,
+                              PTAResult::NoNode);
+      R->FrameTargets.resize(R->FrameTargets.size() +
+                             NumCallSlots[F->getId()]);
+      FrameProcessed.push_back(0);
+    }
+    return *Id;
+  }
+
+  Ctx ctxOf(unsigned Fr) const { return R->Frames[Fr].C; }
+
+  /// The node of ⟨V, C⟩ where \p Fr is the frame of ⟨V's function, C⟩.
+  unsigned varNode(const Variable *V, unsigned Fr) {
+    assert(V->getIndex() < R->Frames[Fr].NumVars &&
+           "variable of another frame");
+    uint32_t &Slot = R->FrameVarNodes[R->Frames[Fr].VarBase + V->getIndex()];
+    if (Slot == PTAResult::NoNode)
+      Slot = newNode();
+    return Slot;
   }
 
   unsigned globalNode(const Global *G) {
@@ -347,20 +533,21 @@ private:
   }
 
   unsigned fieldNode(unsigned Obj, FieldKey FK) {
-    uint64_t Key = (uint64_t(Obj) << 32) | FK;
-    auto [It, Inserted] = R->FieldNodes.emplace(Key, 0);
+    auto [Node, Inserted] =
+        R->FieldNodes.tryEmplace((uint64_t(Obj) << 32) | FK);
     if (Inserted)
-      It->second = newNode();
-    return It->second;
+      *Node = newNode(); // newNode does not touch FieldNodes
+    return *Node;
   }
 
   unsigned objectFor(unsigned Site, Ctx HCtx, unsigned Dup, const Type *Ty,
                      const Stmt *AllocS) {
     uint64_t Key = (uint64_t(Site) << 34) | (uint64_t(Dup) << 32) | HCtx;
-    auto [It, Inserted] = ObjMap.emplace(Key, 0);
+    auto [Id, Inserted] =
+        ObjMap.tryEmplace(Key, static_cast<unsigned>(R->Objects.size()));
     if (Inserted) {
       ObjInfo Info;
-      Info.Id = static_cast<unsigned>(R->Objects.size());
+      Info.Id = *Id;
       Info.Site = Site;
       Info.HeapCtx = HCtx;
       Info.AllocatedType = Ty;
@@ -368,9 +555,8 @@ private:
       Info.DupIndex = Dup;
       R->Objects.push_back(Info);
       R->ObjOrigin.push_back(~0u);
-      It->second = Info.Id;
     }
-    return It->second;
+    return *Id;
   }
 
   //===--------------------------------------------------------------------===//
@@ -394,7 +580,7 @@ private:
   void addPts(unsigned N, unsigned Obj) {
     if (Nodes[N].Pts.set(Obj)) {
       Nodes[N].PropDelta.set(Obj);
-      if (Nodes[N].HasUses)
+      if (Nodes[N].Uses != NoUses)
         markDirty(N);
       schedule(N);
     }
@@ -406,7 +592,7 @@ private:
     if (!Added)
       return;
     NumPropWords += Added;
-    if (Nd.HasUses)
+    if (Nd.Uses != NoUses)
       markDirty(N);
     schedule(N);
   }
@@ -415,7 +601,7 @@ private:
     if (Src == Dst)
       return;
     uint64_t Key = (uint64_t(Src) << 32) | Dst;
-    if (!EdgeSet.insert(Key).second)
+    if (!EdgeSet.insert(Key))
       return;
     Nodes[Src].Succs.push_back(Dst);
     addPtsSet(Dst, Nodes[Src].Pts);
@@ -427,21 +613,26 @@ private:
   /// the node, object and context numbering, depend on the propagation
   /// schedule.
   void registerLoad(unsigned Base, FieldKey FK, unsigned Dst) {
-    Nodes[Base].HasUses = true;
-    markDirty(Base);
-    Nodes[Base].Loads.emplace_back(FK, Dst);
+    usesOf(Base).Loads.emplace_back(FK, Dst);
   }
 
   void registerStore(unsigned Base, FieldKey FK, unsigned Src) {
-    Nodes[Base].HasUses = true;
-    markDirty(Base);
-    Nodes[Base].Stores.emplace_back(FK, Src);
+    usesOf(Base).Stores.emplace_back(FK, Src);
   }
 
-  void registerCallUse(unsigned Recv, const Stmt *S, Ctx C) {
-    Nodes[Recv].HasUses = true;
-    markDirty(Recv);
-    Nodes[Recv].Calls.emplace_back(S, C);
+  void registerCallUse(unsigned Recv, const Stmt *S, unsigned CallerFr) {
+    usesOf(Recv).Calls.emplace_back(S, CallerFr);
+  }
+
+  /// The use list of node \p N, created on first use, with \p N marked
+  /// dirty for the next round.
+  UseList &usesOf(unsigned N) {
+    markDirty(N);
+    if (Nodes[N].Uses == NoUses) {
+      Nodes[N].Uses = static_cast<unsigned>(UseLists.size());
+      UseLists.emplace_back();
+    }
+    return UseLists[Nodes[N].Uses];
   }
 
   //===--------------------------------------------------------------------===//
@@ -477,28 +668,30 @@ private:
     Work.reserve(Frozen.size());
     for (unsigned N : Frozen) {
       Node &Nd = Nodes[N];
+      UseList &U = UseLists[Nd.Uses];
       Nd.Dirty = false;
-      bool NewUses = Nd.Loads.size() > Nd.OldLoads ||
-                     Nd.Stores.size() > Nd.OldStores ||
-                     Nd.Calls.size() > Nd.OldCalls;
-      WorkItem W;
+      bool NewUses = U.Loads.size() > U.OldLoads ||
+                     U.Stores.size() > U.OldStores ||
+                     U.Calls.size() > U.OldCalls;
+      WorkItem &W = Work.emplace_back();
       W.NodeId = N;
       Nd.Pts.forEachSetWord([&](size_t I, BitVector::Word Bits) {
-        Bits &= ~Nd.Applied.word(I);
+        Bits &= ~U.Applied.word(I);
         for (; Bits; Bits &= Bits - 1)
           W.Delta.push_back(static_cast<unsigned>(
               I * BitVector::WordBits + __builtin_ctzll(Bits)));
       });
-      if (W.Delta.empty() && !NewUses)
+      if (W.Delta.empty() && !NewUses) {
+        Work.pop_back();
         continue;
+      }
       if (NewUses)
         for (unsigned Obj : Nd.Pts)
           W.Full.push_back(Obj);
-      W.LoadsEnd = static_cast<unsigned>(Nd.Loads.size());
-      W.StoresEnd = static_cast<unsigned>(Nd.Stores.size());
-      W.CallsEnd = static_cast<unsigned>(Nd.Calls.size());
-      Nd.Applied.unionWithChanged(Nd.Pts);
-      Work.push_back(std::move(W));
+      W.LoadsEnd = static_cast<unsigned>(U.Loads.size());
+      W.StoresEnd = static_cast<unsigned>(U.Stores.size());
+      W.CallsEnd = static_cast<unsigned>(U.Calls.size());
+      U.Applied.unionWithChanged(Nd.Pts);
     }
     if (Work.empty())
       return false;
@@ -511,24 +704,25 @@ private:
   }
 
   void applyUses(const WorkItem &W) {
-    const unsigned N = W.NodeId;
-    const unsigned OldL = Nodes[N].OldLoads;
-    const unsigned OldS = Nodes[N].OldStores;
-    const unsigned OldC = Nodes[N].OldCalls;
+    const unsigned U = Nodes[W.NodeId].Uses;
+    const unsigned OldL = UseLists[U].OldLoads;
+    const unsigned OldS = UseLists[U].OldStores;
+    const unsigned OldC = UseLists[U].OldCalls;
     // Uses from earlier rounds receive only the new objects... (indexed
-    // accesses throughout: handlers create nodes and reallocate Nodes).
+    // accesses throughout: handlers create nodes and use lists and
+    // reallocate Nodes and UseLists).
     for (unsigned Obj : W.Delta) {
       for (unsigned I = 0; I != OldL; ++I) {
-        auto [FK, Dst] = Nodes[N].Loads[I];
+        auto [FK, Dst] = UseLists[U].Loads[I];
         addCopyEdge(fieldNode(Obj, FK), Dst);
       }
       for (unsigned I = 0; I != OldS; ++I) {
-        auto [FK, Src] = Nodes[N].Stores[I];
+        auto [FK, Src] = UseLists[U].Stores[I];
         addCopyEdge(Src, fieldNode(Obj, FK));
       }
       for (unsigned I = 0; I != OldC; ++I) {
-        auto [S, C] = Nodes[N].Calls[I];
-        applyCallToObj(S, C, Obj);
+        auto [S, Fr] = UseLists[U].Calls[I];
+        applyCallToObj(S, Fr, Obj);
       }
     }
     // ... while uses registered since the last round catch up on the full
@@ -536,21 +730,21 @@ private:
     // the frozen *End marks) wait for the next round.
     for (unsigned Obj : W.Full) {
       for (unsigned I = OldL; I != W.LoadsEnd; ++I) {
-        auto [FK, Dst] = Nodes[N].Loads[I];
+        auto [FK, Dst] = UseLists[U].Loads[I];
         addCopyEdge(fieldNode(Obj, FK), Dst);
       }
       for (unsigned I = OldS; I != W.StoresEnd; ++I) {
-        auto [FK, Src] = Nodes[N].Stores[I];
+        auto [FK, Src] = UseLists[U].Stores[I];
         addCopyEdge(Src, fieldNode(Obj, FK));
       }
       for (unsigned I = OldC; I != W.CallsEnd; ++I) {
-        auto [S, C] = Nodes[N].Calls[I];
-        applyCallToObj(S, C, Obj);
+        auto [S, Fr] = UseLists[U].Calls[I];
+        applyCallToObj(S, Fr, Obj);
       }
     }
-    Nodes[N].OldLoads = W.LoadsEnd;
-    Nodes[N].OldStores = W.StoresEnd;
-    Nodes[N].OldCalls = W.CallsEnd;
+    UseLists[U].OldLoads = W.LoadsEnd;
+    UseLists[U].OldStores = W.StoresEnd;
+    UseLists[U].OldCalls = W.CallsEnd;
   }
 
   //===--------------------------------------------------------------------===//
@@ -581,13 +775,11 @@ private:
   // Call binding
   //===--------------------------------------------------------------------===//
 
-  std::vector<CallTarget> &targetsSlot(const Stmt *S, Ctx C) {
-    uint64_t Key = (uint64_t(S->getId()) << 32) | C;
-    return R->CallTargets[Key];
-  }
-
-  bool recordTarget(const Stmt *S, Ctx C, const CallTarget &T) {
-    auto &Vec = targetsSlot(S, C);
+  /// Records \p T as a target of \p S in frame \p Fr; false if known.
+  bool recordTarget(const Stmt *S, unsigned Fr, const CallTarget &T) {
+    assert(R->CallSlots[S->getId()] != ~0u && "statement has no call slot");
+    auto &Vec =
+        R->FrameTargets[R->Frames[Fr].CallBase + R->CallSlots[S->getId()]];
     for (const CallTarget &Existing : Vec)
       if (Existing == T)
         return false;
@@ -597,60 +789,63 @@ private:
 
   /// Binds actuals to formals and the callee's returns to the target.
   void bindCall(const Function *Callee, Ctx CalleeC, unsigned RecvObj,
-                ArrayRef<const Variable *> Actuals, Ctx CallerC,
+                ArrayRef<Variable *> Actuals, unsigned CallerFr,
                 const Variable *Target) {
+    unsigned CalleeFr = frameOf(Callee, CalleeC);
     const auto &Params = Callee->params();
     size_t ParamBase = RecvObj != ~0u ? 1 : 0;
     if (RecvObj != ~0u && !Params.empty())
-      addPts(varNode(Params[0], CalleeC), RecvObj);
+      addPts(varNode(Params[0], CalleeFr), RecvObj);
     for (size_t I = 0; I < Actuals.size() && ParamBase + I < Params.size();
          ++I) {
       if (!Actuals[I]->getType()->isReference())
         continue;
-      addCopyEdge(varNode(Actuals[I], CallerC),
-                  varNode(Params[ParamBase + I], CalleeC));
+      addCopyEdge(varNode(Actuals[I], CallerFr),
+                  varNode(Params[ParamBase + I], CalleeFr));
     }
     if (Target && Target->getType()->isReference())
       for (const ReturnStmt *Ret : returnsOf(Callee))
         if (Ret->getValue() && Ret->getValue()->getType()->isReference())
-          addCopyEdge(varNode(Ret->getValue(), CalleeC),
-                      varNode(Target, CallerC));
-    processFunction(Callee, CalleeC);
+          addCopyEdge(varNode(Ret->getValue(), CalleeFr),
+                      varNode(Target, CallerFr));
+    processFunction(CalleeFr);
   }
 
-  const std::vector<const ReturnStmt *> &returnsOf(const Function *F) {
-    auto [It, Inserted] = ReturnsOf.emplace(F, std::vector<const ReturnStmt *>());
-    if (Inserted)
-      for (const auto &S : F->body())
-        if (const auto *Ret = dyn_cast<ReturnStmt>(S.get()))
-          It->second.push_back(Ret);
-    return It->second;
+  /// The method a call or spawn statement \p S dispatches to on class
+  /// \p Cls, resolved once per (class, statement).
+  const Function *dispatch(const ClassType *Cls, const Stmt &S) {
+    auto [Method, Inserted] = Dispatch.tryEmplace(
+        (uint64_t(Cls->getId()) << 32) | S.getId(), nullptr);
+    if (Inserted) {
+      const std::string &Name = isa<CallStmt>(S)
+                                    ? cast<CallStmt>(S).getMethodName()
+                                    : cast<SpawnStmt>(S).getEntryName();
+      *Method = Cls->findMethod(Name);
+    }
+    return *Method;
   }
 
   /// Resolves one receiver object for a virtual call or spawn.
-  void applyCallToObj(const Stmt *S, Ctx CallerC, unsigned Obj) {
+  void applyCallToObj(const Stmt *S, unsigned CallerFr, unsigned Obj) {
     const auto *Cls = dyn_cast<ClassType>(R->Objects[Obj].AllocatedType);
     if (!Cls)
       return; // arrays have no methods
+    const Function *Callee = dispatch(Cls, *S);
+    if (!Callee)
+      return;
+    Ctx CallerC = ctxOf(CallerFr);
 
     if (const auto *Call = dyn_cast<CallStmt>(S)) {
-      const Function *Callee = Cls->findMethod(Call->getMethodName());
-      if (!Callee)
-        return;
       Ctx CalleeC =
           calleeCtx(CallerC, callSiteElem(Call->getSite()), Obj, Callee);
-      if (!recordTarget(S, CallerC, {Callee, CalleeC, Obj}))
+      if (!recordTarget(S, CallerFr, {Callee, CalleeC, Obj}))
         return;
-      SmallVector<const Variable *, 4> Actuals(Call->getArgs().begin(),
-                                               Call->getArgs().end());
-      bindCall(Callee, CalleeC, Obj, Actuals, CallerC, Call->getTarget());
+      bindCall(Callee, CalleeC, Obj, Call->getArgs(), CallerFr,
+               Call->getTarget());
       return;
     }
 
     const auto *Spawn = cast<SpawnStmt>(S);
-    const Function *Entry = Cls->findMethod(Spawn->getEntryName());
-    if (!Entry)
-      return;
     Ctx EntryC;
     if (Opts.Kind == ContextKind::Origin) {
       // Rule ❾: the entry runs under the origin created for the receiver
@@ -658,16 +853,15 @@ private:
       unsigned Origin = R->ObjOrigin[Obj];
       EntryC = Origin != ~0u ? R->OriginCtxs[Origin]
                              : calleeCtx(CallerC, callSiteElem(Spawn->getSite()),
-                                         Obj, Entry);
+                                         Obj, Callee);
     } else {
       EntryC =
-          calleeCtx(CallerC, callSiteElem(Spawn->getSite()), Obj, Entry);
+          calleeCtx(CallerC, callSiteElem(Spawn->getSite()), Obj, Callee);
     }
-    if (!recordTarget(S, CallerC, {Entry, EntryC, Obj}))
+    if (!recordTarget(S, CallerFr, {Callee, EntryC, Obj}))
       return;
-    SmallVector<const Variable *, 4> Actuals(Spawn->getArgs().begin(),
-                                             Spawn->getArgs().end());
-    bindCall(Entry, EntryC, Obj, Actuals, CallerC, /*Target=*/nullptr);
+    bindCall(Callee, EntryC, Obj, Spawn->getArgs(), CallerFr,
+             /*Target=*/nullptr);
   }
 
   //===--------------------------------------------------------------------===//
@@ -677,202 +871,198 @@ private:
   /// Polls after each statement rather than before, so a pass that
   /// starts always records main's first statement, however early the
   /// token fires.
-  void processFunction(const Function *F, Ctx C) {
-    if (Stopped)
+  void processFunction(unsigned Fr) {
+    if (Stopped || FrameProcessed[Fr])
       return;
-    uint64_t Key = (uint64_t(F->getId()) << 32) | C;
-    if (!ProcessedInstances.insert(Key).second)
-      return;
-    R->Instances.emplace_back(F, C);
+    FrameProcessed[Fr] = 1;
+    const Function *F = R->Frames[Fr].F;
+    R->Instances.emplace_back(F, ctxOf(Fr));
+    InstanceFrames.push_back(Fr);
     for (const auto &S : F->body()) {
-      processStmt(*S, F, C);
+      processStmt(*S, Fr);
       if (checkCancelled())
         return;
     }
   }
 
-  void processAlloc(const AllocStmt &A, Ctx C) {
+  /// The origin executing under context \p C: the chain's last element,
+  /// or main for an empty chain.
+  unsigned ownerOrigin(Ctx C) const {
+    SmallVector<uint32_t, 8> Chain = originChainOf(C);
+    return Chain.empty() ? OriginTable::MainOrigin : Chain.back();
+  }
+
+  void processAlloc(const AllocStmt &A, unsigned Fr) {
+    const Ctx C = ctxOf(Fr);
     ClassType *Cls = A.getAllocType();
-    bool IsOriginAlloc =
-        Opts.Kind == ContextKind::Origin && Spec.isOriginClass(Cls);
+    const ClassFacts &Facts = factsOf(Cls);
+    bool IsOriginAlloc = Opts.Kind == ContextKind::Origin && Facts.IsOrigin;
     unsigned NumDups = IsOriginAlloc && A.isInLoop() ? 2 : 1;
 
     for (unsigned Dup = 0; Dup != NumDups; ++Dup) {
-      Ctx ObjCtx;
       Ctx InitCtx;
       unsigned Obj;
       if (IsOriginAlloc) {
         // Rule ❽: switch to a fresh origin; the object, its constructor,
         // and (later) its entry all live in the new origin.
-        OriginKind Kind = OriginKind::Thread;
-        auto Entries = Spec.entriesOf(Cls);
-        if (!Entries.empty())
-          Kind = Spec.kindOf(Entries.front());
-        for (const std::string &E : Entries)
-          if (Spec.kindOf(E) == OriginKind::Thread)
-            Kind = OriginKind::Thread;
-        // Recursion collapse: an origin that (transitively) re-allocates
-        // its own allocation site folds back onto the ancestor origin,
-        // so recursive spawning reaches a fixpoint (the k-limiting
-        // analogue for origin chains).
-        unsigned OriginId = ~0u;
-        for (uint32_t Ancestor : originChainOf(C)) {
-          const OriginInfo &Info = R->Origins.info(Ancestor);
-          if (Info.AllocSite == A.getSite() && Info.DupIndex == Dup) {
-            OriginId = Ancestor;
-            break;
-          }
-        }
-        // Backstop for mutual recursion between origin classes: bound
-        // the origins per allocation site, folding the overflow onto the
-        // first one.
-        constexpr unsigned MaxOriginsPerSite = 8;
-        uint64_t SiteKey = (uint64_t(A.getSite()) << 1) | Dup;
-        if (OriginId == ~0u) {
-          auto &PerSite = OriginsPerSite[SiteKey];
-          if (PerSite.size() >= MaxOriginsPerSite) {
-            OriginId = PerSite.front();
-          } else {
-            OriginId = R->Origins.getOrCreate(A.getSite(), C, Dup, Kind, Cls);
-            if (OriginId == R->OriginCtxs.size())
-              PerSite.push_back(OriginId);
-          }
-        }
-        if (OriginId == R->OriginCtxs.size()) {
-          SmallVector<uint32_t, 8> Chain = originChainOf(C);
-          Chain.push_back(OriginId);
-          size_t Keep = std::min<size_t>(Chain.size(), Opts.K);
-          R->OriginCtxs.push_back(intern(ArrayRef<uint32_t>(
-              Chain.data() + (Chain.size() - Keep), Keep)));
-        }
-        ObjCtx = R->OriginCtxs[OriginId];
+        unsigned OriginId = originFor(A, C, Dup, Facts.Kind);
+        Ctx ObjCtx = R->OriginCtxs[OriginId];
         InitCtx = ObjCtx;
         Obj = objectFor(A.getSite(), ObjCtx, Dup, Cls, &A);
         R->ObjOrigin[Obj] = OriginId;
       } else {
-        ObjCtx = heapCtx(C);
-        Obj = objectFor(A.getSite(), ObjCtx, Dup, Cls, &A);
-        if (Opts.Kind == ContextKind::Origin) {
-          // Owner origin: the origin executing this allocation.
-          SmallVector<uint32_t, 8> Chain = originChainOf(C);
-          R->ObjOrigin[Obj] =
-              Chain.empty() ? OriginTable::MainOrigin : Chain.back();
-        }
+        Obj = objectFor(A.getSite(), heapCtx(C), Dup, Cls, &A);
+        if (Opts.Kind == ContextKind::Origin)
+          R->ObjOrigin[Obj] = ownerOrigin(C);
         InitCtx = ~0u; // computed below per context kind
       }
 
-      addPts(varNode(A.getTarget(), C), Obj);
+      addPts(varNode(A.getTarget(), Fr), Obj);
 
-      if (const Function *Init = Cls->findMethod("init")) {
+      if (const Function *Init = Facts.Init) {
         if (InitCtx == ~0u)
           InitCtx =
               calleeCtx(C, allocSiteElem(A.getSite()), Obj, Init);
-        if (recordTarget(&A, C, {Init, InitCtx, Obj})) {
-          SmallVector<const Variable *, 4> Actuals(A.getArgs().begin(),
-                                                   A.getArgs().end());
-          bindCall(Init, InitCtx, Obj, Actuals, C, /*Target=*/nullptr);
-        }
+        if (recordTarget(&A, Fr, {Init, InitCtx, Obj}))
+          bindCall(Init, InitCtx, Obj, A.getArgs(), Fr, /*Target=*/nullptr);
       }
     }
   }
 
-  void processStmt(const Stmt &S, const Function *F, Ctx C) {
+  /// The origin that origin allocation \p A (copy \p Dup) creates under
+  /// \p C, creating it and its context on first sight.
+  unsigned originFor(const AllocStmt &A, Ctx C, unsigned Dup,
+                     OriginKind Kind) {
+    // Recursion collapse: an origin that (transitively) re-allocates its
+    // own allocation site folds back onto the ancestor origin, so
+    // recursive spawning reaches a fixpoint (the k-limiting analogue for
+    // origin chains).
+    unsigned OriginId = ~0u;
+    for (uint32_t Ancestor : originChainOf(C)) {
+      const OriginInfo &Info = R->Origins.info(Ancestor);
+      if (Info.AllocSite == A.getSite() && Info.DupIndex == Dup) {
+        OriginId = Ancestor;
+        break;
+      }
+    }
+    // Backstop for mutual recursion between origin classes: bound the
+    // origins per allocation site, folding the overflow onto the first
+    // one.
+    constexpr unsigned MaxOriginsPerSite = 8;
+    if (OriginId == ~0u) {
+      if (OriginsPerSite.empty())
+        OriginsPerSite.resize(2 * size_t(M.numAllocSites()));
+      SiteOrigins &PerSite = OriginsPerSite[2 * size_t(A.getSite()) + Dup];
+      if (PerSite.Count >= MaxOriginsPerSite) {
+        OriginId = PerSite.First;
+      } else {
+        OriginId =
+            R->Origins.getOrCreate(A.getSite(), C, Dup, Kind, A.getAllocType());
+        if (OriginId == R->OriginCtxs.size() && PerSite.Count++ == 0)
+          PerSite.First = OriginId;
+      }
+    }
+    if (OriginId == R->OriginCtxs.size()) {
+      SmallVector<uint32_t, 8> Chain = originChainOf(C);
+      Chain.push_back(OriginId);
+      size_t Keep = std::min<size_t>(Chain.size(), Opts.K);
+      R->OriginCtxs.push_back(intern(
+          ArrayRef<uint32_t>(Chain.data() + (Chain.size() - Keep), Keep)));
+    }
+    return OriginId;
+  }
+
+  void processStmt(const Stmt &S, unsigned Fr) {
     switch (S.getKind()) {
     case Stmt::SK_Alloc:
-      processAlloc(cast<AllocStmt>(S), C);
+      processAlloc(cast<AllocStmt>(S), Fr);
       return;
     case Stmt::SK_ArrayAlloc: {
       const auto &A = cast<ArrayAllocStmt>(S);
+      Ctx C = ctxOf(Fr);
       unsigned Obj =
           objectFor(A.getSite(), heapCtx(C), 0, A.getAllocType(), &A);
-      if (Opts.Kind == ContextKind::Origin && R->ObjOrigin[Obj] == ~0u) {
-        SmallVector<uint32_t, 8> Chain = originChainOf(C);
-        R->ObjOrigin[Obj] =
-            Chain.empty() ? OriginTable::MainOrigin : Chain.back();
-      }
-      addPts(varNode(A.getTarget(), C), Obj);
+      if (Opts.Kind == ContextKind::Origin && R->ObjOrigin[Obj] == ~0u)
+        R->ObjOrigin[Obj] = ownerOrigin(C);
+      addPts(varNode(A.getTarget(), Fr), Obj);
       return;
     }
     case Stmt::SK_Assign: {
       const auto &A = cast<AssignStmt>(S);
       if (A.getSource()->getType()->isReference() &&
           A.getTarget()->getType()->isReference())
-        addCopyEdge(varNode(A.getSource(), C), varNode(A.getTarget(), C));
+        addCopyEdge(varNode(A.getSource(), Fr), varNode(A.getTarget(), Fr));
       return;
     }
     case Stmt::SK_FieldLoad: {
       const auto &L = cast<FieldLoadStmt>(S);
       if (L.getField()->getType()->isReference())
-        registerLoad(varNode(L.getBase(), C), fieldKeyOf(L.getField()),
-                     varNode(L.getTarget(), C));
+        registerLoad(varNode(L.getBase(), Fr), fieldKeyOf(L.getField()),
+                     varNode(L.getTarget(), Fr));
       return;
     }
     case Stmt::SK_FieldStore: {
       const auto &St = cast<FieldStoreStmt>(S);
       if (St.getField()->getType()->isReference())
-        registerStore(varNode(St.getBase(), C), fieldKeyOf(St.getField()),
-                      varNode(St.getSource(), C));
+        registerStore(varNode(St.getBase(), Fr), fieldKeyOf(St.getField()),
+                      varNode(St.getSource(), Fr));
       return;
     }
     case Stmt::SK_ArrayLoad: {
       const auto &L = cast<ArrayLoadStmt>(S);
       if (L.getTarget()->getType()->isReference())
-        registerLoad(varNode(L.getBase(), C), ArrayElemKey,
-                     varNode(L.getTarget(), C));
+        registerLoad(varNode(L.getBase(), Fr), ArrayElemKey,
+                     varNode(L.getTarget(), Fr));
       return;
     }
     case Stmt::SK_ArrayStore: {
       const auto &St = cast<ArrayStoreStmt>(S);
       if (St.getSource()->getType()->isReference())
-        registerStore(varNode(St.getBase(), C), ArrayElemKey,
-                      varNode(St.getSource(), C));
+        registerStore(varNode(St.getBase(), Fr), ArrayElemKey,
+                      varNode(St.getSource(), Fr));
       return;
     }
     case Stmt::SK_GlobalLoad: {
       const auto &L = cast<GlobalLoadStmt>(S);
       if (L.getGlobal()->getType()->isReference())
-        addCopyEdge(globalNode(L.getGlobal()), varNode(L.getTarget(), C));
+        addCopyEdge(globalNode(L.getGlobal()), varNode(L.getTarget(), Fr));
       return;
     }
     case Stmt::SK_GlobalStore: {
       const auto &St = cast<GlobalStoreStmt>(S);
       if (St.getGlobal()->getType()->isReference())
-        addCopyEdge(varNode(St.getSource(), C), globalNode(St.getGlobal()));
+        addCopyEdge(varNode(St.getSource(), Fr), globalNode(St.getGlobal()));
       return;
     }
     case Stmt::SK_Call: {
       const auto &Call = cast<CallStmt>(S);
       if (Call.isVirtual()) {
-        registerCallUse(varNode(Call.getReceiver(), C), &Call, C);
+        registerCallUse(varNode(Call.getReceiver(), Fr), &Call, Fr);
         return;
       }
       const Function *Callee = Call.getDirectCallee();
       Ctx CalleeC =
-          calleeCtx(C, callSiteElem(Call.getSite()), ~0u, Callee);
-      if (recordTarget(&Call, C, {Callee, CalleeC, ~0u})) {
-        SmallVector<const Variable *, 4> Actuals(Call.getArgs().begin(),
-                                                 Call.getArgs().end());
-        bindCall(Callee, CalleeC, ~0u, Actuals, C, Call.getTarget());
-      }
+          calleeCtx(ctxOf(Fr), callSiteElem(Call.getSite()), ~0u, Callee);
+      if (recordTarget(&Call, Fr, {Callee, CalleeC, ~0u}))
+        bindCall(Callee, CalleeC, ~0u, Call.getArgs(), Fr, Call.getTarget());
       return;
     }
     case Stmt::SK_Spawn:
-      registerCallUse(varNode(cast<SpawnStmt>(S).getReceiver(), C), &S, C);
+      registerCallUse(varNode(cast<SpawnStmt>(S).getReceiver(), Fr), &S, Fr);
       return;
     case Stmt::SK_Join:
       // Joins only matter for happens-before; ensure the receiver node
       // exists so SHB can query its points-to set.
-      varNode(cast<JoinStmt>(S).getReceiver(), C);
+      varNode(cast<JoinStmt>(S).getReceiver(), Fr);
       return;
     case Stmt::SK_Acquire:
-      varNode(cast<AcquireStmt>(S).getLock(), C);
+      varNode(cast<AcquireStmt>(S).getLock(), Fr);
       return;
     case Stmt::SK_Release:
-      varNode(cast<ReleaseStmt>(S).getLock(), C);
+      varNode(cast<ReleaseStmt>(S).getLock(), Fr);
       return;
     case Stmt::SK_Return:
       // Return values are wired at call-binding time.
-      (void)F;
       return;
     }
     O2_UNREACHABLE("covered switch");
@@ -904,17 +1094,28 @@ private:
   /// Resolves every access of every reached instance once, for OSA, SHB
   /// and the escape baseline.
   void buildAccessTable() {
-    for (const auto &[F, C] : R->Instances) {
+    // A budget stop can leave call targets whose bodies were never
+    // processed; SHB still walks them. Every frame is an instance or a
+    // call target, so a budget-stopped run gives every frame a run.
+    std::vector<unsigned> Order = InstanceFrames;
+    if (R->HitBudget) {
+      std::vector<uint8_t> IsInstance(R->Frames.size(), 0);
+      for (unsigned Fr : InstanceFrames)
+        IsInstance[Fr] = 1;
+      for (unsigned Fr = 0; Fr != R->Frames.size(); ++Fr)
+        if (!IsInstance[Fr])
+          Order.push_back(Fr);
+    }
+    size_t NumAccesses = 0;
+    for (unsigned Fr : Order)
+      NumAccesses += accessStmtsOf(R->Frames[Fr].F).size();
+    R->Accesses.reserve(NumAccesses);
+    R->AccessLocs.reserve(NumAccesses); // most bases point to one object
+    for (unsigned Fr : Order) {
       if (checkCancelled())
         return;
-      addAccessRun(F, C);
+      addAccessRun(Fr);
     }
-    // A budget stop can leave call targets whose bodies were never
-    // processed; SHB still walks them.
-    if (R->HitBudget)
-      for (const auto &[Key, Targets] : R->CallTargets)
-        for (const CallTarget &T : Targets)
-          addAccessRun(T.Callee, T.CalleeCtx);
     // AccessLocs has stopped growing: point each entry at its run.
     const MemLoc *Next = R->AccessLocs.data();
     for (Access &A : R->Accesses) {
@@ -923,54 +1124,25 @@ private:
     }
   }
 
-  /// Appends one instance's accesses, unless already present. Each
-  /// entry's Locs holds only its length until buildAccessTable patches it.
-  void addAccessRun(const Function *F, Ctx C) {
-    auto Begin = static_cast<uint32_t>(R->Accesses.size());
-    auto [Run, Inserted] = R->AccessRuns.try_emplace(
-        (uint64_t(F->getId()) << 32) | C, Begin, Begin);
-    if (!Inserted)
-      return;
-    for (const auto &SPtr : F->body()) {
-      const Stmt &S = *SPtr;
-      const Variable *Base = nullptr;
-      FieldKey FK = ArrayElemKey;
-      const Global *G = nullptr;
-      switch (S.getKind()) {
-      case Stmt::SK_FieldLoad:
-        Base = cast<FieldLoadStmt>(S).getBase();
-        FK = fieldKeyOf(cast<FieldLoadStmt>(S).getField());
-        break;
-      case Stmt::SK_FieldStore:
-        Base = cast<FieldStoreStmt>(S).getBase();
-        FK = fieldKeyOf(cast<FieldStoreStmt>(S).getField());
-        break;
-      case Stmt::SK_ArrayLoad:
-        Base = cast<ArrayLoadStmt>(S).getBase();
-        break;
-      case Stmt::SK_ArrayStore:
-        Base = cast<ArrayStoreStmt>(S).getBase();
-        break;
-      case Stmt::SK_GlobalLoad:
-        G = cast<GlobalLoadStmt>(S).getGlobal();
-        break;
-      case Stmt::SK_GlobalStore:
-        G = cast<GlobalStoreStmt>(S).getGlobal();
-        break;
-      default:
-        continue;
-      }
+  /// Appends one frame's accesses. Each entry's Locs holds only its length
+  /// until buildAccessTable patches it.
+  void addAccessRun(unsigned Fr) {
+    PTAResult::Frame &Frame = R->Frames[Fr];
+    Frame.AccessBegin = static_cast<uint32_t>(R->Accesses.size());
+    for (const AccessStmt &A : accessStmtsOf(Frame.F)) {
       size_t First = R->AccessLocs.size();
-      if (G)
-        R->AccessLocs.push_back(MemLoc::global(G->getId()));
-      else if (const BitVector *Pts = R->pts(Base, C))
-        for (unsigned Obj : *Pts)
-          R->AccessLocs.push_back(MemLoc::field(Obj, FK));
-      bool IsWrite = isa<FieldStoreStmt, ArrayStoreStmt, GlobalStoreStmt>(&S);
+      if (A.BaseIndex == ~0u) {
+        R->AccessLocs.push_back(MemLoc::global(A.Key));
+      } else {
+        uint32_t N = R->FrameVarNodes[Frame.VarBase + A.BaseIndex];
+        if (N != PTAResult::NoNode)
+          for (unsigned Obj : R->NodePts[N])
+            R->AccessLocs.push_back(MemLoc::field(Obj, A.Key));
+      }
       R->Accesses.push_back(
-          {&S, IsWrite, {nullptr, R->AccessLocs.size() - First}});
+          {A.S, A.IsWrite, {nullptr, R->AccessLocs.size() - First}});
     }
-    Run->second.second = static_cast<uint32_t>(R->Accesses.size());
+    Frame.AccessEnd = static_cast<uint32_t>(R->Accesses.size());
   }
 };
 
@@ -1004,10 +1176,11 @@ std::string MemLoc::toString(const PTAResult &PTA) const {
 }
 
 const BitVector *PTAResult::pts(const Variable *V, Ctx C) const {
-  auto It = VarNodes.find((uint64_t(V->getId()) << 32) | C);
-  if (It == VarNodes.end())
+  const Frame *Fr = frame(V->getFunction(), C);
+  if (!Fr || V->getIndex() >= Fr->NumVars)
     return nullptr;
-  return &NodePts[It->second];
+  uint32_t N = FrameVarNodes[Fr->VarBase + V->getIndex()];
+  return N == NoNode ? nullptr : &NodePts[N];
 }
 
 const BitVector *PTAResult::ptsGlobal(const Global *G) const {
@@ -1016,23 +1189,26 @@ const BitVector *PTAResult::ptsGlobal(const Global *G) const {
 }
 
 const BitVector *PTAResult::ptsField(unsigned Obj, FieldKey FK) const {
-  auto It = FieldNodes.find((uint64_t(Obj) << 32) | FK);
-  return It == FieldNodes.end() ? nullptr : &NodePts[It->second];
+  const unsigned *N = FieldNodes.find((uint64_t(Obj) << 32) | FK);
+  return N ? &NodePts[*N] : nullptr;
 }
 
 ArrayRef<Access> PTAResult::accesses(const Function *F, Ctx C) const {
-  auto It = AccessRuns.find((uint64_t(F->getId()) << 32) | C);
-  if (It == AccessRuns.end())
+  const Frame *Fr = frame(F, C);
+  if (!Fr)
     return {};
-  auto [Begin, End] = It->second;
-  return ArrayRef<Access>(Accesses.data() + Begin, End - Begin);
+  return ArrayRef<Access>(Accesses.data() + Fr->AccessBegin,
+                          Fr->AccessEnd - Fr->AccessBegin);
 }
 
 const std::vector<CallTarget> &PTAResult::callTargets(const Stmt *S,
                                                       Ctx C) const {
   static const std::vector<CallTarget> None;
-  auto It = CallTargets.find((uint64_t(S->getId()) << 32) | C);
-  return It == CallTargets.end() ? None : It->second;
+  uint32_t Slot = S->getId() < CallSlots.size() ? CallSlots[S->getId()] : ~0u;
+  if (Slot == ~0u)
+    return None;
+  const Frame *Fr = frame(S->getFunction(), C);
+  return Fr ? FrameTargets[Fr->CallBase + Slot] : None;
 }
 
 std::vector<unsigned> PTAResult::originAttributes(unsigned OriginId) const {

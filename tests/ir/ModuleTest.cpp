@@ -129,6 +129,41 @@ TEST(ModuleTest, FindFunctionSkipsMethods) {
   EXPECT_EQ(M.findFunction("work"), Free);
 }
 
+TEST(ModuleTest, FindFunctionSeesFreeFunctionsCreatedAroundMethods) {
+  // Methods are created as functions and attached afterwards, so the
+  // name index must drop a function once it becomes a method and fall
+  // back to the next same-named free function.
+  Module M;
+  ClassType *A = M.addClass("A");
+  Function *Method = M.addFunction("work");
+  Function *Free = M.addFunction("work");
+  Function *Later = M.addFunction("work");
+  EXPECT_EQ(M.findFunction("work"), Method);
+  A->addMethod(Method);
+  EXPECT_EQ(M.findFunction("work"), Free);
+  M.addClass("C")->addMethod(Free);
+  EXPECT_EQ(M.findFunction("work"), Later);
+  Function *Solo = M.addFunction("solo");
+  A->addMethod(Solo);
+  EXPECT_EQ(M.findFunction("solo"), nullptr);
+}
+
+TEST(ModuleTest, DenseIdsAndIndexes) {
+  Module M;
+  ClassType *A = M.addClass("A");
+  ClassType *B = M.addClass("B", A);
+  EXPECT_EQ(A->getId(), 0u);
+  EXPECT_EQ(B->getId(), 1u);
+  Function *F = M.addFunction("f", A);
+  Variable *P = F->addParam("p", A);
+  Variable *L = F->addLocal("l", M.getIntType());
+  Variable *R = F->getReturnVar();
+  EXPECT_EQ(P->getIndex(), 0u);
+  EXPECT_EQ(L->getIndex(), 1u);
+  EXPECT_EQ(R->getIndex(), 2u);
+  EXPECT_EQ(F->findVariable("$ret"), R);
+}
+
 TEST(ModuleTest, TypeKinds) {
   Module M;
   ClassType *A = M.addClass("A");

@@ -8,7 +8,7 @@
 //
 // Feeds every file of tests/ir/corpus/ — truncated programs, undefined
 // types, duplicate names, garbage tokens — through the parser and checks
-// that each one is rejected with a positioned "line:col: message"
+// that each one is rejected with exactly its golden "line:col: message"
 // diagnostic instead of crashing or being silently accepted.
 //
 //===----------------------------------------------------------------------===//
@@ -21,6 +21,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -38,8 +39,30 @@ std::vector<std::filesystem::path> corpusFiles() {
   return Files;
 }
 
+/// The exact diagnostic of every corpus file. Positions are 1-based; a
+/// tab and a carriage return are one column each.
+const std::map<std::string, std::string> &goldenDiagnostics() {
+  static const std::map<std::string, std::string> Golden = {
+      {"after_comment", "6:3: unknown variable 'y'"},
+      {"after_tab", "4:8: unknown variable 'q'"},
+      {"bad_toplevel",
+       "3:1: expected 'class', 'global', or 'func' (got 'widget')"},
+      {"bad_type", "3:25: unknown type 'Widget'"},
+      {"crlf", "5:5: class 'Data' has no field 'y'"},
+      {"duplicate_class", "3:14: duplicate class 'Worker'"},
+      {"duplicate_var", "4:8: duplicate variable 'x'"},
+      {"eof_in_body", "6:11: unterminated block"},
+      {"truncated_class", "6:1: unterminated block"},
+      {"truncated_stmt", "7:1: unterminated block"},
+      {"unexpected_char", "4:9: unexpected character '#'"},
+      {"unknown_global", "4:12: unknown global 'missing'"},
+      {"unknown_super", "2:17: unknown superclass 'B' of class 'A'"},
+  };
+  return Golden;
+}
+
 std::string readFile(const std::filesystem::path &P) {
-  std::ifstream In(P);
+  std::ifstream In(P, std::ios::binary);
   std::ostringstream SS;
   SS << In.rdbuf();
   return SS.str();
@@ -67,6 +90,11 @@ TEST_P(ParserErrorCorpusTest, RejectedWithPositionedDiagnostic) {
   EXPECT_GT(Col, 0u) << "no column in '" << Err << "'";
   EXPECT_NE(Err.find(": "), std::string::npos)
       << "no message in '" << Err << "'";
+
+  auto Golden = goldenDiagnostics().find(Path.stem().string());
+  ASSERT_NE(Golden, goldenDiagnostics().end())
+      << Path << " has no golden diagnostic";
+  EXPECT_EQ(Err, Golden->second) << Path;
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, ParserErrorCorpusTest,
@@ -79,6 +107,7 @@ INSTANTIATE_TEST_SUITE_P(Corpus, ParserErrorCorpusTest,
 // list would silently skip all of the above.
 TEST(ParserErrorCorpus, CorpusIsNonEmpty) {
   EXPECT_GE(corpusFiles().size(), 6u);
+  EXPECT_EQ(corpusFiles().size(), goldenDiagnostics().size());
 }
 
 } // namespace

@@ -210,8 +210,61 @@ TEST(ParserTest, ErrorDuplicateClass) {
 }
 
 TEST(ParserTest, ErrorUnknownSuper) {
-  std::string Err = parseErr("class A extends Nope { }");
-  EXPECT_NE(Err.find("unknown superclass"), std::string::npos);
+  // Reported at the superclass name.
+  EXPECT_EQ(parseErr("class A extends Nope { }"),
+            "1:17: unknown superclass 'Nope' of class 'A'");
+}
+
+TEST(ParserTest, ErrorCyclicInheritance) {
+  // A cycle would send every superclass-chain walk around forever.
+  EXPECT_EQ(parseErr("class A extends A { field x: int; }"),
+            "1:17: class 'A' inherits from itself");
+  EXPECT_EQ(parseErr("class A extends B { }\n"
+                     "class B extends C { }\n"
+                     "class C extends B { field x: int; }"),
+            "2:17: class 'B' inherits from itself");
+  // A chain into a cycle-free hierarchy is fine.
+  auto M = parseOk("class A extends B { } class B extends C { } class C { }");
+  ASSERT_TRUE(M);
+  EXPECT_EQ(M->findClass("A")->getSuper(), M->findClass("B"));
+}
+
+TEST(ParserTest, ErrorDuplicateParameter) {
+  EXPECT_EQ(parseErr("func f(a: int, a: int) { }"),
+            "1:17: duplicate parameter 'a'");
+  EXPECT_EQ(parseErr("class A { method m(this: A) { } }"),
+            "1:24: duplicate parameter 'this'");
+  // A free function has no implicit receiver.
+  EXPECT_TRUE(parseOk("class A { } func f(this: A) { }"));
+}
+
+TEST(ParserTest, KeywordSpelledIdentifiers) {
+  // Keywords are reserved only where a statement or declaration starts;
+  // everywhere the grammar expects a name, a keyword-spelled word is one.
+  auto M = parseOk(R"(
+    class D { field loop: D; }
+    func main() {
+      var d: D;
+      var e: D;
+      var new: int;
+      d = new D;
+      e = new D;
+      d.loop = e;
+      e = d.loop;
+    }
+  )");
+  ASSERT_TRUE(M);
+  const ClassType *D = M->findClass("D");
+  ASSERT_TRUE(D && D->findField("loop"));
+  const Function *Main = M->getMain();
+  ASSERT_TRUE(Main->findVariable("new"));
+  EXPECT_EQ(Main->findVariable("new")->getType(), M->getIntType());
+  const auto *Store = dyn_cast<FieldStoreStmt>(Main->body()[2].get());
+  ASSERT_TRUE(Store);
+  EXPECT_EQ(Store->getField(), D->findField("loop"));
+  const auto *Load = dyn_cast<FieldLoadStmt>(Main->body()[3].get());
+  ASSERT_TRUE(Load);
+  EXPECT_EQ(Load->getField(), D->findField("loop"));
 }
 
 TEST(ParserTest, ErrorBadToken) {

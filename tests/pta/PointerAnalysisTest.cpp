@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 using namespace o2;
 using namespace o2test;
 
@@ -338,6 +341,85 @@ TEST(PointerAnalysisTest, BudgetStopKeepsAccessesOfUnprocessedCallees) {
   ASSERT_EQ(Accesses.size(), 1u);
   EXPECT_FALSE(Accesses[0].IsWrite);
   EXPECT_EQ(Accesses[0].Locs.size(), 1u);
+}
+
+TEST(PointerAnalysisTest, LookupMissesReturnNullOrEmpty) {
+  auto M = parseProgram(R"(
+    class Obj { field f: Obj; field g: Obj; method m() { } }
+    func unreached(p: Obj) { var q: Obj; q = p.f; p.f = q; q.m(); }
+    func main() { var a: Obj; var b: Obj; a = new Obj; a.f = a; b = a.f; }
+  )");
+  for (ContextKind Kind : {ContextKind::Insensitive, ContextKind::KCallsite,
+                           ContextKind::KObject, ContextKind::Origin}) {
+    auto R = runPointerAnalysis(*M, optsFor(Kind));
+    SCOPED_TRACE(R->options().name());
+    const Function *Main = M->getMain();
+    const Function *Unreached = M->findFunction("unreached");
+    const Ctx NeverInterned = static_cast<Ctx>(R->contexts().size() + 7);
+    ASSERT_NE(R->pts(Main->findVariable("a"), 0), nullptr);
+
+    // pts: a variable of an unreached function; a context never interned.
+    EXPECT_EQ(R->pts(Unreached->findVariable("p"), 0), nullptr);
+    EXPECT_EQ(R->pts(Main->findVariable("a"), NeverInterned), nullptr);
+
+    // callTargets: a call of an unprocessed body; a statement that is no
+    // call; a processed call under a context never interned.
+    const auto *Call = findStmt<CallStmt>(Unreached);
+    EXPECT_TRUE(R->callTargets(Call, 0).empty());
+    EXPECT_TRUE(R->callTargets(Main->body().back().get(), 0).empty());
+    const auto *Alloc = findStmt<AllocStmt>(Main);
+    EXPECT_TRUE(R->callTargets(Alloc, NeverInterned).empty());
+
+    // accesses: an unreached instance.
+    EXPECT_TRUE(R->accesses(Unreached, 0).empty());
+    EXPECT_TRUE(R->accesses(Main, NeverInterned).empty());
+    EXPECT_EQ(R->accesses(Main, 0).size(), 2u);
+
+    // ptsField: a field never stored to, and an object that does not exist.
+    const ClassType *Obj = M->findClass("Obj");
+    EXPECT_NE(R->ptsField(0, fieldKeyOf(Obj->findField("f"))), nullptr);
+    EXPECT_EQ(R->ptsField(0, fieldKeyOf(Obj->findField("g"))), nullptr);
+    EXPECT_EQ(R->ptsField(static_cast<unsigned>(R->objects().size()) + 3,
+                          ArrayElemKey),
+              nullptr);
+  }
+}
+
+TEST(PointerAnalysisTest, BudgetStoppedProfileKeepsAccessRunsOfTargets) {
+  // A budget stop in the middle of a body still binds that body's later
+  // calls, leaving call targets whose bodies were never processed. SHB
+  // walks them, so each still needs its full access run. Under 2-CFA,
+  // telegram stops at the Table 5 budget after the last call of the body
+  // it is in; at 2,000 nodes it stops before four more calls.
+  const WorkloadProfile *P = findProfile("telegram");
+  ASSERT_NE(P, nullptr);
+  auto M = generateWorkload(*P);
+  auto NumAccessStmts = [](const Function *F) {
+    return std::count_if(F->body().begin(), F->body().end(), [](auto &S) {
+      return isa<FieldLoadStmt, FieldStoreStmt, ArrayLoadStmt, ArrayStoreStmt,
+                 GlobalLoadStmt, GlobalStoreStmt>(S.get());
+    });
+  };
+  unsigned Unprocessed = 0;
+  for (uint64_t Budget : {64'000, 2'000}) {
+    PTAOptions Opts = optsFor(ContextKind::KCallsite, 2);
+    Opts.NodeBudget = Budget;
+    auto R = runPointerAnalysis(*M, Opts);
+    ASSERT_TRUE(R->hitBudget()) << Budget;
+    std::set<std::pair<const Function *, Ctx>> Reached(
+        R->instances().begin(), R->instances().end());
+    for (const auto &[F, C] : R->instances())
+      for (const auto &S : F->body())
+        for (const CallTarget &T : R->callTargets(S.get(), C)) {
+          if (Reached.count({T.Callee, T.CalleeCtx}))
+            continue;
+          ++Unprocessed;
+          EXPECT_EQ(R->accesses(T.Callee, T.CalleeCtx).size(),
+                    static_cast<size_t>(NumAccessStmts(T.Callee)))
+              << T.Callee->getName() << " at budget " << Budget;
+        }
+  }
+  EXPECT_GT(Unprocessed, 0u);
 }
 
 TEST(PointerAnalysisTest, OptionNames) {
