@@ -45,8 +45,9 @@ static void BM_Ablation(benchmark::State &State, RaceDetectorOptions Opts) {
   PTAOpts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(*M, PTAOpts);
   SHBGraph SHB = buildSHBGraph(*PTA, Opts.SHB);
+  SharingResult Sharing = runSharingAnalysis(*PTA);
   for (auto _ : State) {
-    RaceReport R = detectRacesPairwise(*PTA, SHB, Opts);
+    RaceReport R = detectRacesPairwise(*PTA, SHB, Sharing, Opts);
     State.counters["races"] = R.numRaces();
     State.counters["pairs"] =
         static_cast<double>(R.stats().get("race.pairs-checked"));

@@ -30,8 +30,9 @@ static void BM_EventTreatment(benchmark::State &State,
   RaceDetectorOptions Opts;
   Opts.SHB.SerializeEventHandlers = Serialize;
   SHBGraph SHB = buildSHBGraph(*PTA, Opts.SHB);
+  SharingResult Sharing = runSharingAnalysis(*PTA);
   for (auto _ : State) {
-    RaceReport R = detectRaces(*PTA, SHB, Opts);
+    RaceReport R = detectRaces(*PTA, SHB, Sharing, Opts);
     unsigned HandlerPairs = 0, MixedPairs = 0;
     for (const Race &Rc : R.races()) {
       bool AEvent = SHB.thread(Rc.ThreadA).Kind == OriginKind::Event;

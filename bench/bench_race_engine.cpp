@@ -58,6 +58,7 @@ struct Prepared {
   std::unique_ptr<Module> M;
   std::unique_ptr<PTAResult> PTA;
   SHBGraph SHB;
+  SharingResult Sharing;
 };
 
 const Prepared &prepared(unsigned Scale) {
@@ -72,6 +73,7 @@ const Prepared &prepared(unsigned Scale) {
     PTAOpts.Kind = ContextKind::Origin;
     P.PTA = runPointerAnalysis(*P.M, PTAOpts);
     P.SHB = buildSHBGraph(*P.PTA);
+    P.Sharing = runSharingAnalysis(*P.PTA);
     It = Cache.emplace(Scale, std::move(P)).first;
   }
   return It->second;
@@ -80,13 +82,14 @@ const Prepared &prepared(unsigned Scale) {
 } // namespace
 
 using DetectFn = RaceReport (*)(const PTAResult &, const SHBGraph &,
+                                const SharingResult &,
                                 const RaceDetectorOptions &);
 
 static void BM_Engine(benchmark::State &State, unsigned Scale,
                       DetectFn Detect, RaceDetectorOptions Opts) {
   const Prepared &P = prepared(Scale);
   for (auto _ : State) {
-    RaceReport R = Detect(*P.PTA, P.SHB, Opts);
+    RaceReport R = Detect(*P.PTA, P.SHB, P.Sharing, Opts);
     State.counters["races"] = R.numRaces();
     State.counters["pairs"] =
         static_cast<double>(R.stats().get("race.pairs-checked"));

@@ -68,7 +68,7 @@ int main() {
     const LocAccessSets *Sets = OSA.get(Loc);
     outs() << "    " << Loc.toString(*OPA) << "  readers={";
     bool First = true;
-    for (unsigned O : Sets->ReadOrigins) {
+    for (unsigned O : Sets->Readers) {
       if (!First)
         outs() << ",";
       First = false;
@@ -76,7 +76,7 @@ int main() {
     }
     outs() << "} writers={";
     First = true;
-    for (unsigned O : Sets->WriteOrigins) {
+    for (unsigned O : Sets->Writers) {
       if (!First)
         outs() << ",";
       First = false;

@@ -18,7 +18,8 @@
 ///    precede dependents; the order is the enum order),
 ///  - computes each result **once** per module and shares it with every
 ///    consumer (one PTA and one SHB graph, with the happens-before and
-///    lockset tables built into it, feed race + deadlock + over-sync),
+///    lockset tables built into it, feed race + deadlock + over-sync, and
+///    one sharing table feeds race + over-sync),
 ///  - threads the per-job CancellationToken uniformly through every pass
 ///    and records the pass it fired in, so a timeout in *any* analysis —
 ///    including the aux detectors — names the real phase,

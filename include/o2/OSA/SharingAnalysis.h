@@ -7,16 +7,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// OSA (paper Section 3.3, Algorithm 1): a linear scan over the reachable
-/// ⟨method, origin⟩ instances that computes, for every abstract memory
-/// location, the set of origins that read it and the set that write it.
-/// A location is origin-shared iff at least two origins access it and at
-/// least one of them writes. Compared to thread-escape analysis, OSA also
-/// says *how* a location is shared (which origins, reads vs writes),
-/// which the over-synchronization check consumes. The race detector does
-/// not read it: it derives thread-sharing from the SHB graph's access
-/// events, and a property test checks that every racy location is
-/// OSA-shared.
+/// The sharing table: for every abstract memory location, who reads it
+/// and who writes it, and the one predicate that calls it shared. Race
+/// detection (paper §4) considers only shared locations; over-sync flags
+/// lock regions that touch none. OSA (§3.3, Algorithm 1) fills it by a
+/// linear scan over the reachable ⟨method, origin⟩ instances, so it says
+/// which origins share a location, unlike thread-escape analysis; without
+/// origins, runThreadSharing fills it with the SHB graph's threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,34 +23,48 @@
 #include "o2/PTA/MemLoc.h"
 #include "o2/PTA/PointerAnalysis.h"
 #include "o2/Support/BitVector.h"
+#include "o2/Support/U64Map.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace o2 {
 
-/// Read/write origin sets of one location.
-struct LocAccessSets {
-  BitVector ReadOrigins;
-  BitVector WriteOrigins;
+class SHBGraph;
 
-  /// Origin-shared: ≥2 accessing origins, ≥1 writer. That is, two
-  /// writers, or one writer and a reader other than it.
+/// Readers and writers of one location: origins or SHB threads.
+struct LocAccessSets {
+  BitVector Readers;
+  BitVector Writers;
+
+  /// Shared: ≥2 accessors, ≥1 writer. That is, two writers, or one
+  /// writer and a reader other than it.
   bool isShared() const {
-    unsigned Writers = WriteOrigins.count();
-    if (Writers != 1)
-      return Writers > 1;
-    auto Writer = static_cast<unsigned>(WriteOrigins.findFirst());
-    return ReadOrigins.count() > (ReadOrigins.test(Writer) ? 1u : 0u);
+    unsigned NumWriters = Writers.count();
+    if (NumWriters != 1)
+      return NumWriters > 1;
+    auto Writer = static_cast<unsigned>(Writers.findFirst());
+    return Readers.count() > (Readers.test(Writer) ? 1u : 0u);
   }
 };
 
 class SharingResult {
 public:
+  static constexpr unsigned NoLoc = ~0u;
+
+  /// Dense index of \p Loc, in [0, numLocations()); NoLoc if the location
+  /// is never accessed.
+  unsigned indexOf(MemLoc Loc) const {
+    const unsigned *I = Index.find(Loc.key());
+    return I ? *I : NoLoc;
+  }
+
+  /// Number of accessed locations.
+  unsigned numLocations() const { return static_cast<unsigned>(Sets.size()); }
+
   /// Access sets of \p Loc; null if the location is never accessed.
   const LocAccessSets *get(MemLoc Loc) const {
-    auto It = Locs.find(Loc);
-    return It == Locs.end() ? nullptr : &It->second;
+    unsigned I = indexOf(Loc);
+    return I == NoLoc ? nullptr : &Sets[I];
   }
 
   bool isShared(MemLoc Loc) const {
@@ -61,7 +72,7 @@ public:
     return S && S->isShared();
   }
 
-  /// All origin-shared locations, sorted by key (deterministic).
+  /// All shared locations, sorted by key (deterministic).
   const std::vector<MemLoc> &sharedLocations() const { return Shared; }
 
   /// Number of distinct abstract objects with at least one shared
@@ -70,32 +81,41 @@ public:
 
   /// Number of access statements that may touch a shared location
   /// (the paper's "#S-access").
-  unsigned numSharedAccessStmts() const { return NumSharedAccessStmts; }
+  unsigned numSharedAccessStmts() const { return SharedStmts.count(); }
 
   /// Total number of access statements scanned.
-  unsigned numAccessStmts() const { return NumAccessStmts; }
+  unsigned numAccessStmts() const { return AccessStmts.count(); }
 
   /// True if the access statement with module-wide ID \p StmtId may touch
-  /// an origin-shared location.
+  /// a shared location.
   bool isSharedAccess(unsigned StmtId) const {
     return StmtId < SharedStmts.size() && SharedStmts.test(StmtId);
   }
 
   /// True if the scan was cancelled (the result covers a prefix of the
-  /// reachable instances).
+  /// scanned instances or threads).
   bool cancelled() const { return Cancelled; }
 
 private:
-  friend class SharingAnalysis;
+  friend SharingResult runSharingAnalysis(const PTAResult &,
+                                          const CancellationToken *);
+  friend SharingResult runThreadSharing(const SHBGraph &,
+                                        const CancellationToken *);
+
+  /// Records that \p Who reads or writes each of \p Accessed.
+  void add(unsigned Who, bool IsWrite, ArrayRef<MemLoc> Accessed);
+  /// Decides which locations are shared; flags a scan that stopped early.
+  void finish(bool WasCancelled);
 
   bool Cancelled = false;
 
-  std::unordered_map<MemLoc, LocAccessSets> Locs;
+  /// MemLoc key -> dense index into Locs and Sets.
+  U64Map<unsigned> Index;
+  std::vector<MemLoc> Locs;
+  std::vector<LocAccessSets> Sets;
   std::vector<MemLoc> Shared;
-  BitVector SharedStmts;
+  BitVector AccessStmts, SharedStmts;
   unsigned NumSharedObjects = 0;
-  unsigned NumSharedAccessStmts = 0;
-  unsigned NumAccessStmts = 0;
 };
 
 /// Runs OSA over an Origin-sensitive pointer-analysis result, reading its
@@ -103,6 +123,18 @@ private:
 /// expiry the scan stops and the partial result is flagged.
 SharingResult runSharingAnalysis(const PTAResult &PTA,
                                  const CancellationToken *Cancel = nullptr);
+
+/// Fills the sharing table from the access events of \p SHB's threads,
+/// counting no access statements. Polls \p Cancel per thread.
+SharingResult runThreadSharing(const SHBGraph &SHB,
+                               const CancellationToken *Cancel = nullptr);
+
+/// Which table race detection and over-sync read: OSA's
+/// (runSharingAnalysis) for origin-sensitive \p PTA, as in the paper;
+/// runThreadSharing's for the other context kinds, which have no origins.
+inline bool sharingFromOSA(const PTAResult &PTA) {
+  return PTA.options().Kind == ContextKind::Origin;
+}
 
 } // namespace o2
 

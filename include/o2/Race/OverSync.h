@@ -11,8 +11,8 @@
 /// OPA/OSA that Section 3 names. A lock region whose accesses touch only
 /// origin-local (non-shared) memory does not protect anything — the lock
 /// can be removed (or the code is missing the accesses it was meant to
-/// protect). OSA's per-origin read/write sets answer this directly, which
-/// a plain thread-escape analysis cannot.
+/// protect). OSA's per-origin read/write sets (without origins, the SHB
+/// threads') answer this directly; thread-escape analysis cannot.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,7 +8,7 @@
 ///
 /// \file
 /// The race detection engine of Section 4: hybrid happens-before + lockset
-/// over the SHB graph.
+/// over the SHB graph, for the sharing table's shared non-atomic locations.
 ///
 /// detectRaces groups the accesses to each shared location into
 /// (thread, HB segment, lockset, is-write) equivalence classes, so the
@@ -33,6 +33,7 @@
 #ifndef O2_RACE_RACEDETECTOR_H
 #define O2_RACE_RACEDETECTOR_H
 
+#include "o2/OSA/SharingAnalysis.h"
 #include "o2/SHB/SHBGraph.h"
 #include "o2/Support/Statistic.h"
 
@@ -125,16 +126,19 @@ private:
   StatisticRegistry Stats;
 };
 
-/// Detects races over a prebuilt SHB graph.
+/// Detects races over a prebuilt SHB graph and sharing table.
 RaceReport detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
+                       const SharingResult &Sharing,
                        const RaceDetectorOptions &Opts = {});
 
-/// The pairwise reference scan over a prebuilt SHB graph: the test oracle
-/// for detectRaces and the Section 4.1 ablation baseline.
+/// The pairwise reference scan over the same inputs: the test oracle for
+/// detectRaces and the Section 4.1 ablation baseline.
 RaceReport detectRacesPairwise(const PTAResult &PTA, const SHBGraph &SHB,
+                               const SharingResult &Sharing,
                                const RaceDetectorOptions &Opts = {});
 
-/// Builds the SHB graph and detects races.
+/// Builds the SHB graph and the sharing table sharingFromOSA picks, and
+/// detects races.
 RaceReport detectRaces(const PTAResult &PTA,
                        const RaceDetectorOptions &Opts = {});
 

@@ -14,6 +14,7 @@
 #include "o2/Support/Timer.h"
 
 #include <array>
+#include <optional>
 
 using namespace o2;
 
@@ -54,7 +55,7 @@ constexpr unsigned idx(O2Phase K) { return static_cast<unsigned>(K); }
 /// stale entries into misses instead of wrong replays.
 constexpr std::array<uint32_t, NumO2Phases> PassVersion = {
     /*None=*/0,   /*PTA=*/2,      /*OSA=*/1,      /*SHB=*/1,
-    /*Detect=*/1, /*Deadlock=*/1, /*OverSync=*/1, /*RacerD=*/1,
+    /*Detect=*/2, /*Deadlock=*/1, /*OverSync=*/2, /*RacerD=*/1,
     /*Escape=*/1,
 };
 
@@ -70,9 +71,9 @@ SmallVector<O2Phase, 3> depsOf(O2Phase K) {
   case O2Phase::SHB:
   case O2Phase::Escape:
     return {O2Phase::PTA};
-  case O2Phase::Detect:
   case O2Phase::Deadlock:
     return {O2Phase::PTA, O2Phase::SHB};
+  case O2Phase::Detect:
   case O2Phase::OverSync:
     return {O2Phase::PTA, O2Phase::OSA, O2Phase::SHB};
   }
@@ -239,6 +240,18 @@ struct AnalysisManager::Impl {
   std::array<bool, NumO2Phases> Ran{};
   std::array<unsigned, NumO2Phases> Invocations{};
   std::array<double, NumO2Phases> Seconds{};
+
+  /// The sharing table the race and over-sync passes read, as
+  /// sharingFromOSA picks: the OSA pass's, or the SHB threads' table,
+  /// built on first use. getSharing() stays OSA's.
+  std::optional<SharingResult> ThreadSharing;
+  const SharingResult &sharingTable(const O2Config &Config) {
+    if (sharingFromOSA(*PTA))
+      return Sharing;
+    if (!ThreadSharing)
+      ThreadSharing = runThreadSharing(SHB, Config.Cancel);
+    return *ThreadSharing;
+  }
 };
 
 AnalysisManager::AnalysisManager(const Module &M, const O2Config &Config)
@@ -303,9 +316,9 @@ void AnalysisManager::runPass(O2Phase K) {
     PassCancelled = P->PTA->cancelled();
     break;
   case O2Phase::OSA:
-    // OSA is origin-specific; under other context abstractions the pass
-    // is a definitional no-op (empty sharing result).
-    if (Config.PTA.Kind == ContextKind::Origin) {
+    // OSA is origin-specific: elsewhere the pass is a no-op, and race and
+    // over-sync read the SHB threads' table (Impl::sharingTable).
+    if (sharingFromOSA(*P->PTA)) {
       P->Sharing = runSharingAnalysis(*P->PTA, Config.Cancel);
       PassCancelled = P->Sharing.cancelled();
     }
@@ -315,7 +328,8 @@ void AnalysisManager::runPass(O2Phase K) {
     PassCancelled = P->SHB.cancelled();
     break;
   case O2Phase::Detect:
-    P->Races = detectRaces(*P->PTA, P->SHB, Config.Detector);
+    P->Races = detectRaces(*P->PTA, P->SHB, P->sharingTable(Config),
+                           Config.Detector);
     PassCancelled = P->Races.cancelled();
     break;
   case O2Phase::Deadlock:
@@ -323,8 +337,8 @@ void AnalysisManager::runPass(O2Phase K) {
     PassCancelled = P->Deadlocks.cancelled();
     break;
   case O2Phase::OverSync:
-    P->OverSyncR =
-        detectOverSynchronization(P->Sharing, P->SHB, Config.Cancel);
+    P->OverSyncR = detectOverSynchronization(P->sharingTable(Config), P->SHB,
+                                             Config.Cancel);
     PassCancelled = P->OverSyncR.cancelled();
     break;
   case O2Phase::RacerD:

@@ -45,7 +45,7 @@ o2::detectOverSynchronization(const SharingResult &Sharing,
       RegionAcquire[A.Region] = A.S;
     for (const auto &[Region, State] : Regions) {
       ++R.NumRegionsChecked;
-      if (State.TouchesShared || State.NumAccesses == 0)
+      if (State.TouchesShared)
         continue;
       OverSyncRegion O;
       O.Acquire =

@@ -55,7 +55,6 @@
 
 #include "o2/IR/Printer.h"
 #include "o2/Support/BitVector.h"
-#include "o2/Support/Casting.h"
 #include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
 
@@ -73,90 +72,45 @@ namespace {
 using CandidateList =
     std::vector<std::pair<MemLoc, std::vector<const AccessEvent *>>>;
 
-/// Classifies locations as `atomic` synchronization (excluded from race
-/// candidates) with the class-hierarchy field walk memoized per
-/// (class type, field key), so the supers chain is walked once per
-/// distinct field instead of once per aliasing location.
-class AtomicLocFilter {
-public:
-  explicit AtomicLocFilter(const PTAResult &PTA) : PTA(PTA) {}
+/// True if \p Loc is an `atomic` field or global: synchronization, not
+/// data.
+bool isAtomicLoc(MemLoc Loc, const PTAResult &PTA) {
+  if (Loc.isGlobal())
+    return PTA.module().globals()[Loc.globalId()]->isAtomic();
+  const Field *F = fieldOf(Loc, PTA);
+  return F && F->isAtomic();
+}
 
-  bool isAtomic(MemLoc Loc) {
-    if (Loc.isGlobal())
-      return PTA.module().globals()[Loc.globalId()]->isAtomic();
-    FieldKey FK = Loc.fieldKey();
-    if (FK == ArrayElemKey)
-      return false;
-    const ObjInfo &O = PTA.object(Loc.object());
-    const auto *Cls = dyn_cast<ClassType>(O.AllocatedType);
-    if (!Cls)
-      return false;
-    uint64_t Key = (uint64_t(reinterpret_cast<uintptr_t>(Cls)) << 12) ^ FK;
-    auto It = Cache.find(Key);
-    if (It != Cache.end())
-      return It->second;
-    const Field *F = fieldOf(Loc, PTA);
-    bool Atomic = F && F->isAtomic();
-    Cache.emplace(Key, Atomic);
-    return Atomic;
-  }
-
-private:
-  const PTAResult &PTA;
-  /// (class pointer, field key) -> is-atomic. Pointer identity is stable
-  /// for the module's lifetime; the shift leaves the low bits to the
-  /// field key (class objects are heap-allocated, so the low pointer
-  /// bits carry little entropy anyway).
-  std::unordered_map<uint64_t, bool> Cache;
-};
-
-/// Shared-location filter over the traces: a location is a candidate if
-/// at least two threads access it and at least one writes (and it is not
-/// an atomic, when those are handled). Returns the sorted candidate list
+/// The race candidates: the sharing table's shared locations, minus the
+/// atomics when those are handled, each with its SHB access events
+/// grouped through the table's index. Returns the list sorted by location
 /// and records the corpus-shape statistics.
 CandidateList collectCandidates(const PTAResult &PTA, const SHBGraph &SHB,
+                                const SharingResult &Sharing,
                                 const RaceDetectorOptions &Opts,
                                 StatisticRegistry &Stats) {
-  struct LocInfo {
-    BitVector ReadThreads;
-    BitVector WriteThreads;
-    std::vector<const AccessEvent *> Accesses;
-  };
-  std::unordered_map<MemLoc, LocInfo> Infos;
-  for (const ThreadInfo &T : SHB.threads()) {
-    for (const AccessEvent &E : T.Accesses) {
-      for (const MemLoc &Loc : E.Locs) {
-        LocInfo &I = Infos[Loc];
-        if (E.IsWrite)
-          I.WriteThreads.set(E.Thread);
-        else
-          I.ReadThreads.set(E.Thread);
-        I.Accesses.push_back(&E);
-      }
-    }
-  }
-  AtomicLocFilter Atomics(PTA);
   CandidateList Candidates;
-  std::unordered_set<unsigned> SharedObjects;
-  for (auto &[Loc, I] : Infos) {
-    if (Opts.HandleAtomics && Atomics.isAtomic(Loc))
-      continue;
-    if (I.WriteThreads.none())
-      continue;
-    BitVector All = I.ReadThreads;
-    All.unionWith(I.WriteThreads);
-    if (All.count() < 2)
+  // Dense table index -> position in Candidates, or ~0u.
+  std::vector<unsigned> Slot(Sharing.numLocations(), ~0u);
+  BitVector SharedObjects;
+  for (MemLoc Loc : Sharing.sharedLocations()) {
+    if (Opts.HandleAtomics && isAtomicLoc(Loc, PTA))
       continue;
     if (!Loc.isGlobal())
-      SharedObjects.insert(Loc.object());
-    Candidates.emplace_back(Loc, std::move(I.Accesses));
+      SharedObjects.set(Loc.object());
+    Slot[Sharing.indexOf(Loc)] = static_cast<unsigned>(Candidates.size());
+    Candidates.emplace_back(Loc, std::vector<const AccessEvent *>());
   }
-  // Hashed iteration order is arbitrary: sort once so pair budgeting
-  // (MaxPairChecks) and report order stay deterministic.
-  std::sort(Candidates.begin(), Candidates.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
+  if (!Candidates.empty())
+    for (const ThreadInfo &T : SHB.threads())
+      for (const AccessEvent &E : T.Accesses)
+        for (MemLoc Loc : E.Locs) {
+          unsigned I = Sharing.indexOf(Loc);
+          if (I != SharingResult::NoLoc && Slot[I] != ~0u)
+            Candidates[Slot[I]].second.push_back(&E);
+        }
   Stats.set("race.shared-locations", Candidates.size());
-  Stats.set("race.shared-objects", SharedObjects.size());
+  Stats.set("race.shared-objects", SharedObjects.count());
   Stats.set("race.threads", SHB.numThreads());
   Stats.set("race.access-events", SHB.numAccessEvents());
   return Candidates;
@@ -267,41 +221,32 @@ namespace o2 {
 class RaceDetector {
 public:
   RaceDetector(const PTAResult &PTA, const SHBGraph &SHB,
-               const RaceDetectorOptions &Opts)
-      : PTA(PTA), SHB(SHB), Opts(Opts) {}
+               const SharingResult &Sharing, const RaceDetectorOptions &Opts)
+      : PTA(PTA), SHB(SHB), Sharing(Sharing), Opts(Opts) {}
 
-  /// The class-based scan over the graph's reachability rows (see the
-  /// file comment).
-  RaceReport runClasses() {
-    collect();
-    if (!Candidates.empty())
-      R.Stats.set("race.hb-index-segments", SHB.numSegments());
-    for (auto &[Loc, Accesses] : Candidates) {
-      if (stopRequested()) {
-        R.Cancelled = true;
-        break;
-      }
-      checkClasses(Loc, Accesses);
-    }
-    return finalize();
-  }
-
-  /// The pairwise reference scan.
-  RaceReport runPairwise() {
-    collect();
+  /// The pairwise reference scan, or the class-based scan over the graph's
+  /// reachability rows (see the file comment).
+  RaceReport run(bool Pairwise) {
+    // A cancelled sharing table is partial, so nothing is scanned.
+    R.Cancelled = Sharing.cancelled();
+    if (!R.Cancelled)
+      Candidates = collectCandidates(PTA, SHB, Sharing, Opts, R.Stats);
     if (!Candidates.empty() && Opts.HB == RaceHBKind::Index)
       R.Stats.set("race.hb-index-segments", SHB.numSegments());
     for (auto &[Loc, Accesses] : Candidates) {
       if (BudgetExhausted || R.Cancelled)
         break;
-      checkPairs(Loc, Accesses);
+      if (Pairwise)
+        checkPairs(Loc, Accesses);
+      else if (stopRequested())
+        R.Cancelled = true;
+      else
+        checkClasses(Loc, Accesses);
     }
     return finalize();
   }
 
 private:
-  void collect() { Candidates = collectCandidates(PTA, SHB, Opts, R.Stats); }
-
   /// A cancelled graph is partial and has no query tables, so scanning it
   /// stops as if the token had fired.
   bool stopRequested() const {
@@ -484,6 +429,7 @@ private:
 
   const PTAResult &PTA;
   const SHBGraph &SHB;
+  const SharingResult &Sharing;
   const RaceDetectorOptions &Opts;
   RaceReport R;
   CandidateList Candidates;
@@ -546,21 +492,26 @@ void RaceReport::printJSON(OutputStream &OS, const PTAResult &PTA) const {
 }
 
 RaceReport o2::detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
+                           const SharingResult &Sharing,
                            const RaceDetectorOptions &Opts) {
   // The naive-HB ablation runs the pairwise scan, and a finite pair
   // budget is defined by its order.
   if (Opts.HB == RaceHBKind::Naive || Opts.MaxPairChecks != ~uint64_t(0))
-    return detectRacesPairwise(PTA, SHB, Opts);
-  return RaceDetector(PTA, SHB, Opts).runClasses();
+    return detectRacesPairwise(PTA, SHB, Sharing, Opts);
+  return RaceDetector(PTA, SHB, Sharing, Opts).run(false);
 }
 
 RaceReport o2::detectRacesPairwise(const PTAResult &PTA, const SHBGraph &SHB,
+                                   const SharingResult &Sharing,
                                    const RaceDetectorOptions &Opts) {
-  return RaceDetector(PTA, SHB, Opts).runPairwise();
+  return RaceDetector(PTA, SHB, Sharing, Opts).run(true);
 }
 
 RaceReport o2::detectRaces(const PTAResult &PTA,
                            const RaceDetectorOptions &Opts) {
   SHBGraph SHB = buildSHBGraph(PTA, Opts.SHB);
-  return detectRaces(PTA, SHB, Opts);
+  SharingResult Sharing = sharingFromOSA(PTA)
+                              ? runSharingAnalysis(PTA, Opts.Cancel)
+                              : runThreadSharing(SHB, Opts.Cancel);
+  return detectRaces(PTA, SHB, Sharing, Opts);
 }

@@ -21,9 +21,11 @@
 #include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <thread>
 
 // Address sanitizer reserves terabytes of shadow address space, which is
 // incompatible with the RLIMIT_AS cap --mem-limit-mb installs, and it
@@ -142,10 +144,29 @@ TEST(DriverTest, DeterministicAcrossWorkerCountsAndRuns) {
 }
 
 TEST(DriverTest, DeadlineTimeoutIsIsolatedPerJob) {
-  // "telegram" is the heaviest generated workload (context amplifier with
-  // fan-out 32): far more than a millisecond of pointer analysis, so the
-  // deadline always fires in the first phase — while the tiny racy
-  // module on the same pool still completes normally.
+  // Both jobs get a deadline the tiny racy module meets whatever the
+  // build's speed, sanitizers included. On entering "pta" the heavy job
+  // ("telegram", the heaviest generated workload) sleeps past it, so the
+  // solver's first poll cancels it after it has allocated its nodes. The
+  // progress hook tells the jobs apart by a fault armed for "heavy" alone,
+  // on a point this cacheless batch never reaches.
+  constexpr uint64_t DeadlineMs = 1000;
+  struct Disarm {
+    ~Disarm() { FaultInjector::instance().disarm(); }
+  } Guard;
+  std::string Err;
+  ASSERT_TRUE(FaultInjector::instance().armFromSpec(
+      "cache.read@heavy:*:throw", Err))
+      << Err;
+  auto InHeavyJob = [] {
+    try {
+      FaultInjector::hit("cache.read");
+    } catch (const std::runtime_error &) {
+      return true;
+    }
+    return false;
+  };
+
   const WorkloadProfile *Heavy = findProfile("telegram");
   ASSERT_NE(Heavy, nullptr);
   JobSpec HeavySpec;
@@ -155,7 +176,11 @@ TEST(DriverTest, DeadlineTimeoutIsIsolatedPerJob) {
 
   BatchOptions Opts;
   Opts.Jobs = 2;
-  Opts.DeadlineMs = 1;
+  Opts.DeadlineMs = DeadlineMs;
+  Opts.StageHook = [&InHeavyJob](const std::string &Stage) {
+    if (Stage == "pta" && InHeavyJob())
+      std::this_thread::sleep_for(std::chrono::milliseconds(DeadlineMs + 1));
+  };
   BatchResult R = runBatch(Specs, Opts);
   ASSERT_EQ(R.Jobs.size(), 2u);
 

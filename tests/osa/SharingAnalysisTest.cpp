@@ -92,7 +92,7 @@ TEST(SharingAnalysisTest, WriteWriteSharingDetected) {
   MemLoc Loc = R.sharedLocations()[0];
   const LocAccessSets *Sets = R.get(Loc);
   ASSERT_TRUE(Sets);
-  EXPECT_EQ(Sets->WriteOrigins.count(), 2u);
+  EXPECT_EQ(Sets->Writers.count(), 2u);
   EXPECT_EQ(Loc.toString(*PTA).find("obj"), 0u);
   EXPECT_NE(Loc.toString(*PTA).find(".v"), std::string::npos);
   EXPECT_EQ(R.numSharedObjects(), 1u);
@@ -157,8 +157,8 @@ TEST(SharingAnalysisTest, WriterPlusReaderIsShared) {
   SharingResult R = runSharingAnalysis(*PTA);
   ASSERT_EQ(R.sharedLocations().size(), 1u);
   const LocAccessSets *Sets = R.get(R.sharedLocations()[0]);
-  EXPECT_EQ(Sets->WriteOrigins.count(), 1u);
-  EXPECT_EQ(Sets->ReadOrigins.count(), 1u);
+  EXPECT_EQ(Sets->Writers.count(), 1u);
+  EXPECT_EQ(Sets->Readers.count(), 1u);
 }
 
 TEST(SharingAnalysisTest, MainCountsAsAnOrigin) {
@@ -184,7 +184,7 @@ TEST(SharingAnalysisTest, MainCountsAsAnOrigin) {
   // Shared between main (reader) and the thread (writer).
   ASSERT_EQ(R.sharedLocations().size(), 1u);
   const LocAccessSets *Sets = R.get(R.sharedLocations()[0]);
-  EXPECT_TRUE(Sets->ReadOrigins.test(OriginTable::MainOrigin));
+  EXPECT_TRUE(Sets->Readers.test(OriginTable::MainOrigin));
 }
 
 TEST(SharingAnalysisTest, GlobalsSharedOnlyWhenCrossOrigin) {
@@ -316,9 +316,9 @@ TEST(SharingAnalysisTest, IsSharedTruthTable) {
                  std::initializer_list<unsigned> Writers) {
     LocAccessSets S;
     for (unsigned O : Readers)
-      S.ReadOrigins.set(O);
+      S.Readers.set(O);
     for (unsigned O : Writers)
-      S.WriteOrigins.set(O);
+      S.Writers.set(O);
     return S;
   };
   // No writer: never shared, however many readers.

@@ -8,11 +8,15 @@
 
 #include "o2/Race/OverSync.h"
 
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
 #include "o2/Support/OutputStream.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace o2;
 
@@ -207,6 +211,36 @@ TEST(OverSyncTest, ReportPrints) {
   R.print(OS);
   EXPECT_NE(Buf.find("over-synchronized"), std::string::npos);
   EXPECT_NE(Buf.find("origin-local"), std::string::npos);
+}
+
+TEST(OverSyncTest, SameRegionsUnderEveryContextKind) {
+  // The pass reads the pipeline's sharing table: OSA's under origin
+  // contexts, the SHB threads' under the others. Without a table there,
+  // every lock region would look as if it guarded only origin-local data,
+  // and so would --degrade's context-insensitive fallback.
+  for (const char *Name : {"locked_account", "producer_consumer"}) {
+    std::ifstream In(std::string(O2_OIR_DIR) + "/" + Name + ".oir");
+    std::stringstream Src;
+    Src << In.rdbuf();
+    auto M = parseProgram(Src.str());
+    ASSERT_TRUE(M) << Name;
+    auto Render = [&](ContextKind Kind) {
+      O2Config Config;
+      Config.PTA.Kind = Kind;
+      AnalysisManager AM(*M, Config);
+      std::string Out;
+      StringOutputStream OS(Out);
+      AM.getOverSync().print(OS);
+      return Out;
+    };
+    std::string Origin = Render(ContextKind::Origin);
+    EXPECT_NE(Origin.find("==== 0 over-synchronized"), std::string::npos)
+        << Name << ": " << Origin;
+    for (ContextKind Kind : {ContextKind::Insensitive, ContextKind::KCallsite,
+                             ContextKind::KObject})
+      EXPECT_EQ(Render(Kind), Origin)
+          << Name << " under context kind " << unsigned(Kind);
+  }
 }
 
 } // namespace

@@ -95,10 +95,11 @@ std::vector<std::pair<std::string, RaceDetectorOptions>> toggleConfigs() {
 
 /// Checks detectRaces against detectRacesPairwise under \p Opts.
 void expectMatchesPairwise(const PTAResult &PTA, const SHBGraph &SHB,
+                           const SharingResult &Sharing,
                            const RaceDetectorOptions &Opts,
                            const std::string &Tag) {
-  RaceReport Oracle = detectRacesPairwise(PTA, SHB, Opts);
-  RaceReport R = detectRaces(PTA, SHB, Opts);
+  RaceReport Oracle = detectRacesPairwise(PTA, SHB, Sharing, Opts);
+  RaceReport R = detectRaces(PTA, SHB, Sharing, Opts);
   EXPECT_EQ(render(R, PTA), render(Oracle, PTA)) << Tag;
   EXPECT_EQ(comparableStats(R), comparableStats(Oracle)) << Tag;
 }
@@ -112,8 +113,9 @@ TEST_P(ParallelRaceEngine, ByteIdenticalToSerial) {
   ASSERT_TRUE(M);
   auto PTA = runOPA(*M);
   SHBGraph SHB = buildSHBGraph(*PTA);
+  SharingResult Sharing = runSharingAnalysis(*PTA);
   for (const auto &[Name, Opts] : toggleConfigs())
-    expectMatchesPairwise(*PTA, SHB, Opts, GetParam() + "/" + Name);
+    expectMatchesPairwise(*PTA, SHB, Sharing, Opts, GetParam() + "/" + Name);
 }
 
 TEST_P(ParallelRaceEngine, SharedExternalPool) {
@@ -124,7 +126,8 @@ TEST_P(ParallelRaceEngine, SharedExternalPool) {
   ASSERT_TRUE(M);
   auto PTA = runOPA(*M);
   SHBGraph SHB = buildSHBGraph(*PTA);
-  std::string Golden = render(detectRaces(*PTA, SHB), *PTA);
+  SharingResult Sharing = runSharingAnalysis(*PTA);
+  std::string Golden = render(detectRaces(*PTA, SHB, Sharing), *PTA);
 
   std::vector<std::string> Rendered(4);
   {
@@ -134,7 +137,9 @@ TEST_P(ParallelRaceEngine, SharedExternalPool) {
         auto JobM = loadCase(Name);
         auto JobPTA = runOPA(*JobM);
         SHBGraph JobSHB = buildSHBGraph(*JobPTA);
-        Out = render(detectRaces(*JobPTA, JobSHB), *JobPTA);
+        Out = render(detectRaces(*JobPTA, JobSHB,
+                                 runSharingAnalysis(*JobPTA)),
+                     *JobPTA);
       });
     Pool.wait();
   }
@@ -179,11 +184,12 @@ TEST(ParallelRaceEngineFallback, FiniteBudgetMatchesSerialExactly) {
   ASSERT_TRUE(M);
   auto PTA = runOPA(*M);
   SHBGraph SHB = buildSHBGraph(*PTA);
+  SharingResult Sharing = runSharingAnalysis(*PTA);
 
   for (uint64_t Budget : {0ull, 1ull, 3ull, 1000ull}) {
     RaceDetectorOptions Opts;
     Opts.MaxPairChecks = Budget;
-    expectMatchesPairwise(*PTA, SHB, Opts,
+    expectMatchesPairwise(*PTA, SHB, Sharing, Opts,
                           "budget " + std::to_string(Budget));
   }
 }
@@ -229,11 +235,12 @@ TEST(RaceEngineEquivalence, LocksetUniverseBeyondMatrixLimit) {
   ASSERT_TRUE(M);
   auto PTA = runOPA(*M);
   SHBGraph SHB = buildSHBGraph(*PTA);
+  SharingResult Sharing = runSharingAnalysis(*PTA);
   ASSERT_GT(SHB.numLocksets(), 2048u);
-  RaceReport R = detectRaces(*PTA, SHB);
+  RaceReport R = detectRaces(*PTA, SHB, Sharing);
   EXPECT_EQ(R.numRaces(), 1040u);
   for (const auto &[Name, Opts] : toggleConfigs())
-    expectMatchesPairwise(*PTA, SHB, Opts, "many-locksets/" + Name);
+    expectMatchesPairwise(*PTA, SHB, Sharing, Opts, "many-locksets/" + Name);
 }
 
 TEST(SerialHBModes, IndexMatchesNaiveQueries) {
@@ -251,12 +258,13 @@ TEST(SerialHBModes, IndexMatchesNaiveQueries) {
     ASSERT_TRUE(M);
     auto PTA = runOPA(*M);
     SHBGraph SHB = buildSHBGraph(*PTA);
+    SharingResult Sharing = runSharingAnalysis(*PTA);
 
     RaceDetectorOptions Naive;
     Naive.HB = RaceHBKind::Naive;
-    RaceReport RNaive = detectRacesPairwise(*PTA, SHB, Naive);
-    RaceReport RIndex = detectRacesPairwise(*PTA, SHB);
-    EXPECT_EQ(render(detectRaces(*PTA, SHB, Naive), *PTA),
+    RaceReport RNaive = detectRacesPairwise(*PTA, SHB, Sharing, Naive);
+    RaceReport RIndex = detectRacesPairwise(*PTA, SHB, Sharing);
+    EXPECT_EQ(render(detectRaces(*PTA, SHB, Sharing, Naive), *PTA),
               render(RNaive, *PTA))
         << Name;
 

@@ -12,17 +12,29 @@
 //   2. OPA's race report is a subset of the context-insensitive one
 //      (0-ctx only adds false positives on these workloads);
 //   3. intended races are always found;
-//   4. OSA never reports more shared accesses than escape analysis.
+//   4. OSA never reports more shared accesses than escape analysis;
+//   5. the SHB threads' sharing table is an oracle for OSA's, on these
+//      workloads and on the paper's corpora: both give the race detector
+//      the same races, and the threads' table only adds locations one of
+//      whose threads touches them inside a constructor alone.
 //
 //===----------------------------------------------------------------------===//
 
 #include "o2/Analysis/AnalysisManager.h"
+#include "o2/IR/Parser.h"
 #include "o2/OSA/EscapeAnalysis.h"
+#include "o2/Support/OutputStream.h"
+#include "o2/Workload/BugModels.h"
 #include "o2/Workload/Generator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 
 using namespace o2;
 
@@ -189,22 +201,97 @@ TEST_P(PrecisionProperty, HBImplementationsAgree) {
   }
 }
 
-TEST_P(PrecisionProperty, RacyLocationsAreOSAShared) {
-  // Every location the detector reports a race on must be origin-shared
-  // per OSA: racy locations are a subset of OSA-shared locations, even
-  // though the detector derives sharing from SHB events, not from OSA.
-  auto M = generateWorkload(smallProfile(GetParam()));
-  PTAOptions Opts;
-  Opts.Kind = ContextKind::Origin;
-  auto PTA = runPointerAnalysis(*M, Opts);
+std::string renderRaces(const RaceReport &R, const PTAResult &PTA) {
+  std::string Out;
+  StringOutputStream OS(Out);
+  R.print(OS, PTA);
+  return Out;
+}
+
+/// Property 5 on one module, under OPA: the race detector reports the
+/// same races from OSA's sharing table as from the SHB threads' table, so
+/// every racy location is OSA-shared; every OSA-shared location is
+/// thread-shared; and a location that only the threads' table calls
+/// shared has a thread whose every access to it is inside `init` (SHB
+/// traces a constructor in the allocating thread, OPA charges it to the
+/// new origin).
+void expectThreadTableAgreesWithOSA(const Module &M) {
+  auto PTA = runPointerAnalysis(M, PTAOptions());
+  SHBGraph SHB = buildSHBGraph(*PTA);
   SharingResult OSA = runSharingAnalysis(*PTA);
-  RaceReport R = detectRaces(*PTA);
-  for (const Race &Rc : R.races())
+  SharingResult Threads = runThreadSharing(SHB);
+
+  RaceReport FromThreads = detectRaces(*PTA, SHB, Threads);
+  EXPECT_EQ(renderRaces(detectRaces(*PTA, SHB, OSA), *PTA),
+            renderRaces(FromThreads, *PTA));
+  for (const Race &Rc : FromThreads.races())
     EXPECT_TRUE(OSA.isShared(Rc.Loc))
         << "racy location not OSA-shared: " << Rc.Loc.toString(*PTA);
+  for (MemLoc Loc : OSA.sharedLocations())
+    EXPECT_TRUE(Threads.isShared(Loc))
+        << "OSA-shared, not thread-shared: " << Loc.toString(*PTA);
+
+  // Per location in the gap: thread -> "every access is inside init".
+  std::map<uint64_t, std::map<unsigned, bool>> OnlyInInit;
+  for (MemLoc Loc : Threads.sharedLocations())
+    if (!OSA.isShared(Loc))
+      OnlyInInit[Loc.key()];
+  for (const ThreadInfo &T : SHB.threads())
+    for (const AccessEvent &E : T.Accesses)
+      for (MemLoc Loc : E.Locs) {
+        auto It = OnlyInInit.find(Loc.key());
+        if (It == OnlyInInit.end())
+          continue;
+        const Function *F = E.S->getFunction();
+        bool InInit = F->isMethod() && F->getName() == "init";
+        It->second.emplace(T.Id, true).first->second &= InInit;
+      }
+  for (MemLoc Loc : Threads.sharedLocations()) {
+    if (OSA.isShared(Loc))
+      continue;
+    const auto &PerThread = OnlyInInit[Loc.key()];
+    EXPECT_TRUE(std::any_of(PerThread.begin(), PerThread.end(),
+                            [](const auto &TI) { return TI.second; }))
+        << "thread-shared, not OSA-shared, and no thread touches it in "
+           "init alone: "
+        << Loc.toString(*PTA);
+  }
+}
+
+TEST_P(PrecisionProperty, RacyLocationsAreOSAShared) {
+  expectThreadTableAgreesWithOSA(*generateWorkload(smallProfile(GetParam())));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrecisionProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(PrecisionPropertyCorpora, RacyLocationsAreOSAShared) {
+  // Property 5 on every module of examples/oir, every benchmark profile
+  // (the Table 5 set) and every bug model. None is filtered for run time.
+  std::vector<std::filesystem::path> Files;
+  for (const auto &Entry : std::filesystem::directory_iterator(O2_OIR_DIR))
+    if (Entry.path().extension() == ".oir")
+      Files.push_back(Entry.path());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+  for (const auto &Path : Files) {
+    SCOPED_TRACE(Path.filename().string());
+    std::ifstream In(Path);
+    std::stringstream Src;
+    Src << In.rdbuf();
+    std::string Err;
+    auto M = parseModule(Src.str(), Err);
+    ASSERT_TRUE(M) << Err;
+    expectThreadTableAgreesWithOSA(*M);
+  }
+  for (const WorkloadProfile &P : benchmarkProfiles()) {
+    SCOPED_TRACE(P.Name);
+    expectThreadTableAgreesWithOSA(*generateWorkload(P));
+  }
+  for (const BugModel &B : bugModels()) {
+    SCOPED_TRACE(B.Name);
+    expectThreadTableAgreesWithOSA(*buildBugModel(B));
+  }
+}
 
 } // namespace
