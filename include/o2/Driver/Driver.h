@@ -227,7 +227,14 @@ struct JobResult {
   double &ms(O2Phase P) { return PassMs[static_cast<unsigned>(P)]; }
   double ms(O2Phase P) const { return PassMs[static_cast<unsigned>(P)]; }
 
-  /// Sum over every pass, aux analyses included.
+  /// Driver stages around the passes, in milliseconds: reading, parsing
+  /// (or generating) and verifying the module; the warm-cache lookup
+  /// with its decode, or the store; building the records from the pass
+  /// results. A cache hit replays the stored ParseMs and RecordMs, like
+  /// the pass times, and reports its own lookup as CacheMs.
+  double ParseMs = 0, CacheMs = 0, RecordMs = 0;
+
+  /// Sum over every pass, aux analyses included (not the driver stages).
   double totalMs() const {
     double Total = 0;
     for (double Ms : PassMs)
@@ -271,6 +278,12 @@ struct BatchResult {
   /// reports, so cache telemetry only appears in the stderr summary.
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
+
+  /// Report-writing telemetry for the stderr summary, filled in by
+  /// runBatchCommand: how long printJSONL took and how many bytes it
+  /// wrote (zero when no report was written).
+  double EmitMs = 0;
+  uint64_t EmitBytes = 0;
 
   /// Worst exit code over all jobs: any error/timeout wins over races,
   /// races win over clean.
@@ -319,8 +332,9 @@ Baseline loadBaseline(const std::string &JSONLContent);
 void applyBaseline(BatchResult &R, const Baseline &B);
 
 /// Writes the report: one JSON object per job, then one aggregate record.
-void printJSONL(const BatchResult &R, OutputStream &OS,
-                bool IncludeTimings = false);
+/// Returns the number of bytes written.
+uint64_t printJSONL(const BatchResult &R, OutputStream &OS,
+                    bool IncludeTimings = false);
 
 /// Writes a short human-readable fleet summary.
 void printBatchSummary(const BatchResult &R, OutputStream &OS);

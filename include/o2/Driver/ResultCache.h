@@ -13,7 +13,7 @@
 /// corpus with an unchanged configuration replays byte-identical JSONL
 /// records without analyzing anything.
 ///
-/// The key is purely content-derived — the FNV-1a hash of the module
+/// The key is purely content-derived — a 64-bit hash of the module
 /// *text* (the raw .oir bytes for file/source jobs, the printed module
 /// for generated workloads) plus analysisSetFingerprint, which already
 /// folds in every result-affecting option, each pass's version, and the
@@ -49,7 +49,7 @@ public:
 
   bool enabled() const { return !Dir.empty(); }
 
-  /// FNV-1a hash of the module text (the cache key's content half).
+  /// 64-bit hash of the module text (the cache key's content half).
   static uint64_t contentHash(const std::string &ModuleText);
 
   /// Bump when the serialized JobResult layout changes.
@@ -59,7 +59,10 @@ public:
   ///    indices instead of four strings.
   /// 4: eight pass times instead of nine (the SHB pass builds the
   ///    happens-before tables; there is no separate index pass).
-  static constexpr uint32_t FormatVersion = 4;
+  /// 5: RacerD records packed into one field of fixed-width binary
+  ///    records; the parse, cache and record stage times follow the pass
+  ///    times.
+  static constexpr uint32_t FormatVersion = 5;
 
   /// Loads the entry for (ContentHash, ConfigFP) into \p Out. Returns
   /// false — and leaves \p Out untouched — on absence or any form of

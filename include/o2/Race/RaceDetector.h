@@ -137,7 +137,7 @@ RaceReport detectRacesPairwise(const PTAResult &PTA, const SHBGraph &SHB,
                                const SharingResult &Sharing,
                                const RaceDetectorOptions &Opts = {});
 
-/// Builds the SHB graph and the sharing table sharingFromOSA picks, and
+/// Builds the SHB graph and the sharing table sharingTableFor picks, and
 /// detects races.
 RaceReport detectRaces(const PTAResult &PTA,
                        const RaceDetectorOptions &Opts = {});

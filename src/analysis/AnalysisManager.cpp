@@ -14,7 +14,6 @@
 #include "o2/Support/Timer.h"
 
 #include <array>
-#include <optional>
 
 using namespace o2;
 
@@ -242,15 +241,16 @@ struct AnalysisManager::Impl {
   std::array<double, NumO2Phases> Seconds{};
 
   /// The sharing table the race and over-sync passes read, as
-  /// sharingFromOSA picks: the OSA pass's, or the SHB threads' table,
-  /// built on first use. getSharing() stays OSA's.
-  std::optional<SharingResult> ThreadSharing;
+  /// sharingTableFor picks it on first use: the OSA pass's result, or
+  /// the SHB threads' table, kept in ThreadSharing. getSharing() stays
+  /// OSA's.
+  const SharingResult *Table = nullptr;
+  SharingResult ThreadSharing;
   const SharingResult &sharingTable(const O2Config &Config) {
-    if (sharingFromOSA(*PTA))
-      return Sharing;
-    if (!ThreadSharing)
-      ThreadSharing = runThreadSharing(SHB, Config.Cancel);
-    return *ThreadSharing;
+    if (!Table)
+      Table = &sharingTableFor(*PTA, SHB, &Sharing, ThreadSharing,
+                               Config.Cancel);
+    return *Table;
   }
 };
 

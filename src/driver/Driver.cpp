@@ -18,12 +18,12 @@
 #include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
 #include "o2/Support/ThreadPool.h"
+#include "o2/Support/Timer.h"
 
 #include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string_view>
@@ -193,6 +193,14 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
     }
   };
 
+  // Driver-stage stopwatch: Charge adds the time since the last charge
+  // to one stage.
+  Timer Clock;
+  auto Charge = [&Clock](double &StageMs) {
+    StageMs += Clock.millis();
+    Clock.reset();
+  };
+
   try {
     std::string Source;
     if (!Spec.Profile) {
@@ -217,16 +225,21 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
       ConfigFP = analysisSetFingerprint(Opts.Analyses, Opts.Config);
       if (Spec.Profile) {
         M = generateWorkload(*Spec.Profile);
+        Charge(R.ParseMs);
         ContentHash = ResultCache::contentHash(printModule(*M));
       } else {
+        Charge(R.ParseMs);
         ContentHash = ResultCache::contentHash(Source);
       }
       HaveKey = true;
       JobResult Cached;
-      if (Cache.lookup(ContentHash, ConfigFP, Cached)) {
+      bool Hit = Cache.lookup(ContentHash, ConfigFP, Cached);
+      Charge(R.CacheMs);
+      if (Hit) {
         Cached.Name = Spec.Name;
         Cached.Analyses = Opts.Analyses;
         Cached.Cache = JobResult::CacheOutcome::Hit;
+        Cached.CacheMs = R.CacheMs;
         return Cached;
       }
       R.Cache = JobResult::CacheOutcome::Miss;
@@ -244,6 +257,7 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
         if (!M) {
           R.Status = JobStatus::ParseError;
           R.Error = Err;
+          Charge(R.ParseMs);
           return R;
         }
       }
@@ -251,7 +265,9 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
 
     Stage("verify");
     std::vector<std::string> Errors;
-    if (!verifyModule(*M, Errors)) {
+    bool Verified = verifyModule(*M, Errors);
+    Charge(R.ParseMs);
+    if (!Verified) {
       R.Status = JobStatus::VerifyError;
       R.Error = Errors.empty() ? "module failed verification" : Errors.front();
       if (Errors.size() > 1)
@@ -280,6 +296,7 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
     AM = std::make_unique<AnalysisManager>(*M, Cfg);
     AM->run(Opts.Analyses);
     Harvest();
+    Clock.reset();
 
     if (AM->ran(O2Phase::Detect))
       for (const Race &Rc : AM->getRaces().races())
@@ -346,6 +363,8 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
       }
     }
 
+    Charge(R.RecordMs);
+
     if (AM->cancelled()) {
       R.Status = JobStatus::Timeout;
       R.Phase = phaseName(AM->cancelledIn());
@@ -354,8 +373,10 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
       // Only settled results are worth replaying; timeouts and errors
       // must re-run on the next fleet (store() also refuses anything
       // else, including degraded results).
-      if (HaveKey)
+      if (HaveKey) {
         Cache.store(ContentHash, ConfigFP, R);
+        Charge(R.CacheMs);
+      }
     }
   } catch (const std::bad_alloc &) {
     // Allocation failure is its own status: under a --mem-limit-mb cap
@@ -594,44 +615,9 @@ void o2::applyBaseline(BatchResult &R, const Baseline &B) {
 // Reports
 //===----------------------------------------------------------------------===//
 
-namespace {
-/// Stages a report in a fixed 64 KiB buffer and hands it to the sink one
-/// full buffer at a time, so the sink sees a few large writes instead of
-/// one per JSON token. A write that does not fit after a flush goes
-/// straight through. Flushes on destruction.
-class StagedOutputStream : public OutputStream {
-public:
-  explicit StagedOutputStream(OutputStream &Sink) : Sink(Sink) {}
-  ~StagedOutputStream() override { flush(); }
-
-  void write(const char *Data, size_t Size) override {
-    if (Size > sizeof(Buf) - Len) {
-      flush();
-      if (Size >= sizeof(Buf)) {
-        Sink.write(Data, Size);
-        return;
-      }
-    }
-    std::memcpy(Buf + Len, Data, Size);
-    Len += Size;
-  }
-
-  void flush() {
-    if (Len)
-      Sink.write(Buf, Len);
-    Len = 0;
-  }
-
-private:
-  OutputStream &Sink;
-  char Buf[64 * 1024];
-  size_t Len = 0;
-};
-} // namespace
-
-void o2::printJSONL(const BatchResult &R, OutputStream &Sink,
-                    bool IncludeTimings) {
-  StagedOutputStream OS(Sink);
+uint64_t o2::printJSONL(const BatchResult &R, OutputStream &OS,
+                        bool IncludeTimings) {
+  uint64_t Bytes = 0;
   for (const JobResult &J : R.Jobs) {
     JSONWriter W(OS);
     W.beginObject();
@@ -656,6 +642,9 @@ void o2::printJSONL(const BatchResult &R, OutputStream &Sink,
         W.attribute(std::string("time.") +
                         phaseName(static_cast<O2Phase>(K)) + "-ms",
                     J.PassMs[K]);
+      W.attribute("time.parse-ms", J.ParseMs);
+      W.attribute("time.cache-ms", J.CacheMs);
+      W.attribute("time.record-ms", J.RecordMs);
       W.attribute("time.total-ms", J.totalMs());
     }
     W.key("races");
@@ -713,25 +702,30 @@ void o2::printJSONL(const BatchResult &R, OutputStream &Sink,
       W.key("racerd");
       W.beginArray();
       // Each string is quoted and escaped once, however many records
-      // name it.
-      std::vector<std::string> Quoted(J.Text.size());
+      // name it, into one buffer; a record is then a few appends of
+      // precomputed pieces.
+      std::string QuotedText;
+      std::vector<size_t> Ends(J.Text.size());
       for (size_t I = 0; I < J.Text.size(); ++I) {
-        StringOutputStream QuotedOS(Quoted[I]);
-        JSONWriter::quote(QuotedOS, J.Text[I]);
+        JSONWriter::quote(QuotedText, J.Text[I]);
+        Ends[I] = QuotedText.size();
       }
+      auto Quoted = [&](uint32_t I) {
+        size_t Begin = I ? Ends[I - 1] : 0;
+        return std::string_view(QuotedText).substr(Begin, Ends[I] - Begin);
+      };
       for (const RacerDRecord &Rw : J.RacerDWarnings) {
-        W.beginObject();
-        W.attribute("kind", Rw.UnprotectedWrite ? "unprotected-write"
-                                                : "read-write");
-        W.key("location");
-        W.rawValue(Quoted[Rw.Location]);
-        W.key("first");
-        W.rawValue(Quoted[Rw.First]);
-        if (!J.Text[Rw.Second].empty()) {
-          W.key("second");
-          W.rawValue(Quoted[Rw.Second]);
-        }
-        W.endObject();
+        std::string_view Prefix =
+            Rw.UnprotectedWrite
+                ? R"({"kind":"unprotected-write","location":)"
+                : R"({"kind":"read-write","location":)";
+        if (J.Text[Rw.Second].empty())
+          W.rawValue({Prefix, Quoted(Rw.Location), R"(,"first":)",
+                      Quoted(Rw.First), "}"});
+        else
+          W.rawValue({Prefix, Quoted(Rw.Location), R"(,"first":)",
+                      Quoted(Rw.First), R"(,"second":)", Quoted(Rw.Second),
+                      "}"});
       }
       W.endArray();
     }
@@ -749,6 +743,7 @@ void o2::printJSONL(const BatchResult &R, OutputStream &Sink,
     W.endObject();
     W.endObject();
     OS << '\n';
+    Bytes += W.bytesWritten() + 1;
   }
 
   JSONWriter W(OS);
@@ -762,6 +757,7 @@ void o2::printJSONL(const BatchResult &R, OutputStream &Sink,
   W.endObject();
   W.endObject();
   OS << '\n';
+  return Bytes + W.bytesWritten() + 1;
 }
 
 void o2::printBatchSummary(const BatchResult &R, OutputStream &OS) {
@@ -796,6 +792,12 @@ void o2::printBatchSummary(const BatchResult &R, OutputStream &OS) {
   if (R.CacheHits || R.CacheMisses)
     OS << "  cache: " << R.CacheHits << " hit(s), " << R.CacheMisses
        << " miss(es)\n";
+  if (R.EmitBytes) {
+    char Line[64];
+    std::snprintf(Line, sizeof(Line), "  emit: %.1f ms, %.1f MB\n", R.EmitMs,
+                  double(R.EmitBytes) / 1e6);
+    OS << Line;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -1109,6 +1111,7 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
     applyBaseline(R, loadBaseline(Content));
   }
 
+  Timer Emit;
   if (!OutPath.empty()) {
     std::FILE *F = std::fopen(OutPath.c_str(), "wb");
     if (!F) {
@@ -1116,15 +1119,17 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
       return ExitError;
     }
     FileOutputStream FOS(F);
-    printJSONL(R, FOS, Opts.IncludeTimings);
+    R.EmitBytes = printJSONL(R, FOS, Opts.IncludeTimings);
     bool WriteFailed = std::ferror(F) != 0;
     if (std::fclose(F) != 0 || WriteFailed) {
       errs() << "o2batch: cannot write '" << OutPath << "'\n";
       return ExitError;
     }
   } else {
-    printJSONL(R, outs(), Opts.IncludeTimings);
+    R.EmitBytes = printJSONL(R, outs(), Opts.IncludeTimings);
+    std::fflush(stdout);
   }
+  R.EmitMs = Emit.millis();
   if (!Quiet)
     printBatchSummary(R, errs());
   return R.exitCode();

@@ -37,6 +37,30 @@ inline uint64_t fnv1a(std::string_view S,
   return H;
 }
 
+/// 64-bit hash of \p S for the result cache, which keys entries on it
+/// and checksums them with it. It takes eight bytes (little endian) per
+/// step, each folded into the state by a 64x64->128-bit multiply, so on
+/// megabyte inputs it runs about three times faster than fnv1a's
+/// byte-at-a-time chain. Race fingerprints stay fnv1a: reports pin them.
+inline uint64_t hashBytes(std::string_view S) {
+  constexpr uint64_t K0 = 0x9e3779b97f4a7c15ull, K1 = 0xd6e8feb86659fd93ull;
+  auto Fold = [](uint64_t A, uint64_t B) {
+    unsigned __int128 P = static_cast<unsigned __int128>(A) * B;
+    return uint64_t(P) ^ uint64_t(P >> 64);
+  };
+  auto Load = [](const char *P, size_t N) {
+    uint64_t W = 0;
+    for (size_t B = 0; B < N; ++B)
+      W |= uint64_t(static_cast<unsigned char>(P[B])) << (8 * B);
+    return W;
+  };
+  uint64_t H = Fold(S.size() ^ K0, K1);
+  size_t I = 0;
+  for (; I + 8 <= S.size(); I += 8)
+    H = Fold(H ^ Load(S.data() + I, 8), K1) + K0;
+  return Fold(H ^ Load(S.data() + I, S.size() - I), K1);
+}
+
 /// \p V as exactly 16 lowercase hex digits.
 inline std::string toHex16(uint64_t V) {
   static const char *Hex = "0123456789abcdef";

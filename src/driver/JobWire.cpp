@@ -8,8 +8,9 @@
 
 #include "JobWire.h"
 
+#include <array>
+#include <bit>
 #include <charconv>
-#include <cstdio>
 
 using namespace o2;
 
@@ -24,11 +25,6 @@ public:
     Out += ',';
   }
   void putU64(uint64_t V) { put(std::to_string(V)); }
-  void putDouble(double V) {
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-    put(Buf);
-  }
   std::string take() { return std::move(Out); }
 
 private:
@@ -77,7 +73,11 @@ public:
     return (EC == std::errc() && End == S.data() + S.size()) || fail();
   }
   bool getU64(uint64_t &V) { return getNumber(V); }
-  bool getDouble(double &V) { return getNumber(V); }
+
+  /// The next field, which must be exactly \p Size bytes long.
+  bool getFixed(std::string_view &Out, uint64_t Size) {
+    return (getView(Out) && Out.size() == Size) || fail();
+  }
 
   /// A list length: at most MaxListLen, and no more elements than the
   /// rest of the payload could hold (each takes at least one field of
@@ -102,6 +102,32 @@ private:
   bool Ok = true;
 };
 
+/// Appends the low \p Bytes bytes of \p V, least significant first.
+void putLE(char *&Out, uint64_t V, unsigned Bytes) {
+  for (unsigned B = 0; B < Bytes; ++B)
+    *Out++ = char(V >> (8 * B));
+}
+
+/// Reads \p Bytes bytes as a little-endian integer.
+uint64_t getLE(const char *&In, unsigned Bytes) {
+  uint64_t V = 0;
+  for (unsigned B = 0; B < Bytes; ++B)
+    V |= uint64_t(static_cast<unsigned char>(*In++)) << (8 * B);
+  return V;
+}
+
+/// The times a payload carries, in order: the eight passes PTA to Escape
+/// (the None slot is not sent), then the three driver stages.
+template <typename ResultT> auto timesOf(ResultT &R) {
+  std::array<decltype(&R.ParseMs), NumO2Phases - 1 + 3> T;
+  for (unsigned K = 1; K < NumO2Phases; ++K)
+    T[K - 1] = &R.PassMs[K];
+  T[NumO2Phases - 1] = &R.ParseMs;
+  T[NumO2Phases] = &R.CacheMs;
+  T[NumO2Phases + 1] = &R.RecordMs;
+  return T;
+}
+
 const JobStatus AllStatuses[] = {
     JobStatus::Clean,       JobStatus::Races,         JobStatus::Timeout,
     JobStatus::ParseError,  JobStatus::VerifyError,   JobStatus::InternalError,
@@ -120,9 +146,13 @@ std::string wire::serializeJobResult(const JobResult &R) {
   W.putU64(R.DegradedConfigFP);
   W.putU64(R.Retries);
   W.putU64(uint64_t(R.Cache));
-  // Eight pass times, PTA to Escape; the None slot is not sent.
-  for (unsigned K = 1; K < NumO2Phases; ++K)
-    W.putDouble(R.PassMs[K]);
+  // The times as one field of IEEE-754 doubles, bit for bit.
+  auto Times = timesOf(R);
+  std::string TimeBytes(Times.size() * 8, '\0');
+  char *Out = TimeBytes.data();
+  for (const double *T : Times)
+    putLE(Out, std::bit_cast<uint64_t>(*T), 8);
+  W.put(TimeBytes);
 
   const auto &Counters = R.Stats.counters();
   W.putU64(Counters.size());
@@ -163,13 +193,16 @@ std::string wire::serializeJobResult(const JobResult &R) {
   for (const std::string &S : R.Text)
     W.put(S);
 
+  // The records, packed: one field of RacerDRecordBytes per record.
   W.putU64(R.RacerDWarnings.size());
+  std::string Packed(R.RacerDWarnings.size() * wire::RacerDRecordBytes, '\0');
+  Out = Packed.data();
   for (const RacerDRecord &Rw : R.RacerDWarnings) {
-    W.putU64(Rw.UnprotectedWrite);
-    W.putU64(Rw.Location);
-    W.putU64(Rw.First);
-    W.putU64(Rw.Second);
+    putLE(Out, Rw.UnprotectedWrite, 1);
+    for (uint32_t V : {Rw.Location, Rw.First, Rw.Second})
+      putLE(Out, V, 4);
   }
+  W.put(Packed);
   return W.take();
 }
 
@@ -198,9 +231,13 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
   R.Retries = unsigned(Retries);
   R.Cache = JobResult::CacheOutcome(Cache);
 
-  for (unsigned K = 1; K < NumO2Phases; ++K)
-    if (!Rd.getDouble(R.PassMs[K]))
-      return false;
+  auto Times = timesOf(R);
+  std::string_view TimeBytes;
+  if (!Rd.getFixed(TimeBytes, Times.size() * 8))
+    return false;
+  const char *In = TimeBytes.data();
+  for (double *T : Times)
+    *T = std::bit_cast<double>(getLE(In, 8));
 
   uint64_t N = 0;
   if (!Rd.getCount(N))
@@ -258,21 +295,23 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
     if (!Rd.get(S))
       return false;
 
-  // Every index must name a table entry: a damaged record is a rejected
-  // payload, never an out-of-range read when the report is written.
-  if (!Rd.getCount(N))
+  // The packed field must hold exactly N records, and every index must
+  // name a table entry: a damaged record is a rejected payload, never an
+  // out-of-range read when the report is written.
+  std::string_view Packed;
+  if (!Rd.getCount(N) || !Rd.getFixed(Packed, N * wire::RacerDRecordBytes))
     return false;
   R.RacerDWarnings.resize(N);
+  In = Packed.data();
   for (RacerDRecord &Rw : R.RacerDWarnings) {
-    uint64_t Kind = 0, Loc = 0, First = 0, Second = 0;
-    if (!Rd.getU64(Kind) || !Rd.getU64(Loc) || !Rd.getU64(First) ||
-        !Rd.getU64(Second) || Kind > 1 || Loc >= R.Text.size() ||
-        First >= R.Text.size() || Second >= R.Text.size())
+    uint64_t Kind = getLE(In, 1);
+    Rw.Location = uint32_t(getLE(In, 4));
+    Rw.First = uint32_t(getLE(In, 4));
+    Rw.Second = uint32_t(getLE(In, 4));
+    if (Kind > 1 || Rw.Location >= R.Text.size() ||
+        Rw.First >= R.Text.size() || Rw.Second >= R.Text.size())
       return false;
     Rw.UnprotectedWrite = Kind != 0;
-    Rw.Location = uint32_t(Loc);
-    Rw.First = uint32_t(First);
-    Rw.Second = uint32_t(Second);
   }
 
   return Rd.ok() && Rd.atEnd();

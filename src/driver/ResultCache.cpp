@@ -20,11 +20,12 @@
 using namespace o2;
 
 using driver::fnv1a;
+using driver::hashBytes;
 using driver::readFile;
 using driver::toHex16;
 
 uint64_t ResultCache::contentHash(const std::string &ModuleText) {
-  return fnv1a(ModuleText);
+  return hashBytes(ModuleText);
 }
 
 std::string ResultCache::entryPath(uint64_t ContentHash,
@@ -57,7 +58,7 @@ bool ResultCache::lookup(uint64_t ContentHash, uint64_t ConfigFP,
       return false;
     std::string_view Payload(Content.data() + NL + 1,
                              Content.size() - NL - 1);
-    if (Header.substr(Expected.size()) != toHex16(fnv1a(Payload)))
+    if (Header.substr(Expected.size()) != toHex16(hashBytes(Payload)))
       return false;
 
     JobResult R;
@@ -96,7 +97,7 @@ void ResultCache::store(uint64_t ContentHash, uint64_t ConfigFP,
 
     std::string Payload = wire::serializeJobResult(R);
     std::string Content = "o2cache " + std::to_string(FormatVersion) + " " +
-                          toHex16(fnv1a(Payload)) + "\n" + Payload;
+                          toHex16(hashBytes(Payload)) + "\n" + Payload;
 
     // Atomic publish: never expose a half-written entry, even to a
     // concurrent fleet sharing the directory.

@@ -82,3 +82,15 @@ SharingResult o2::runThreadSharing(const SHBGraph &SHB,
   R.finish(Scanned != SHB.numThreads());
   return R;
 }
+
+const SharingResult &o2::sharingTableFor(const PTAResult &PTA,
+                                         const SHBGraph &SHB,
+                                         const SharingResult *OSA,
+                                         SharingResult &Built,
+                                         const CancellationToken *Cancel) {
+  if (!sharingFromOSA(PTA))
+    return Built = runThreadSharing(SHB, Cancel);
+  if (OSA)
+    return *OSA;
+  return Built = runSharingAnalysis(PTA, Cancel);
+}

@@ -510,8 +510,8 @@ RaceReport o2::detectRacesPairwise(const PTAResult &PTA, const SHBGraph &SHB,
 RaceReport o2::detectRaces(const PTAResult &PTA,
                            const RaceDetectorOptions &Opts) {
   SHBGraph SHB = buildSHBGraph(PTA, Opts.SHB);
-  SharingResult Sharing = sharingFromOSA(PTA)
-                              ? runSharingAnalysis(PTA, Opts.Cancel)
-                              : runThreadSharing(SHB, Opts.Cancel);
-  return detectRaces(PTA, SHB, Sharing, Opts);
+  SharingResult Built;
+  return detectRaces(PTA, SHB,
+                     sharingTableFor(PTA, SHB, nullptr, Built, Opts.Cancel),
+                     Opts);
 }

@@ -444,8 +444,8 @@ TEST(DriverTest, WarmCacheReplaysIdenticalReports) {
 }
 
 TEST(DriverTest, ReportLargerThanTheStagingBufferIsIdenticalPerSink) {
-  // One RacerD record whose statement text alone exceeds printJSONL's
-  // 64 KiB staging buffer, with escapes on both sides of the boundary,
+  // One RacerD record whose statement text alone exceeds the JSON
+  // writer's 64 KiB buffer, with escapes on both sides of the boundary,
   // plus small records around it.
   std::string Big(70 * 1024, 'x');
   for (size_t I = 0; I < Big.size(); I += 4099)
@@ -570,7 +570,60 @@ TEST(DriverTest, TimingsRecordKeySequence) {
   EXPECT_EQ(Keys, (std::vector<std::string>{
                       "time.pta-ms", "time.osa-ms", "time.shb-ms",
                       "time.race-ms", "time.deadlock-ms", "time.oversync-ms",
-                      "time.racerd-ms", "time.escape-ms", "time.total-ms"}));
+                      "time.racerd-ms", "time.escape-ms", "time.parse-ms",
+                      "time.cache-ms", "time.record-ms", "time.total-ms"}));
+}
+
+TEST(DriverTest, CacheHitReportsItsOwnCacheTime) {
+  // A hit replays the stored pass, parse and record times but reports
+  // the lookup it just did; the stage times do not count in the total.
+  BatchOptions Opts;
+  Opts.Analyses = AnalysisSet::all();
+  Opts.CacheDir = freshCacheDir("stages");
+  BatchResult Cold = runBatch({sourceSpec("racy", RacyProgram)}, Opts);
+  BatchResult Warm = runBatch({sourceSpec("racy", RacyProgram)}, Opts);
+  ASSERT_EQ(Warm.CacheHits, 1u);
+  const JobResult &C = Cold.Jobs[0], &W = Warm.Jobs[0];
+  EXPECT_GT(C.ParseMs, 0.0);
+  EXPECT_GT(C.RecordMs, 0.0);
+  EXPECT_GT(C.CacheMs, 0.0);
+  EXPECT_EQ(W.PassMs, C.PassMs);
+  EXPECT_EQ(W.ParseMs, C.ParseMs);
+  EXPECT_EQ(W.RecordMs, C.RecordMs);
+  EXPECT_GT(W.CacheMs, 0.0);
+  double PassSum = 0;
+  for (double Ms : C.PassMs)
+    PassSum += Ms;
+  EXPECT_EQ(C.totalMs(), PassSum);
+}
+
+TEST(DriverTest, StageTimesCrossTheWorkerPipe) {
+  BatchOptions Opts;
+  Opts.Isolate = IsolationMode::Process;
+  BatchResult R = runBatch({sourceSpec("racy", RacyProgram)}, Opts);
+  ASSERT_EQ(R.Jobs[0].Status, JobStatus::Races);
+  EXPECT_GT(R.Jobs[0].ParseMs, 0.0);
+  EXPECT_GT(R.Jobs[0].RecordMs, 0.0);
+  EXPECT_EQ(R.Jobs[0].CacheMs, 0.0); // no --cache-dir
+}
+
+TEST(DriverTest, SummaryReportsEmitTelemetry) {
+  BatchResult R = runBatch({sourceSpec("clean", CleanProgram)});
+  std::string Report;
+  StringOutputStream ReportOS(Report);
+  uint64_t Bytes = printJSONL(R, ReportOS);
+  EXPECT_EQ(Bytes, Report.size());
+
+  auto Summary = [&R] {
+    std::string Buf;
+    StringOutputStream OS(Buf);
+    printBatchSummary(R, OS);
+    return Buf;
+  };
+  EXPECT_EQ(Summary().find("emit:"), std::string::npos);
+  R.EmitMs = 1.5;
+  R.EmitBytes = 2500000;
+  EXPECT_NE(Summary().find("  emit: 1.5 ms, 2.5 MB\n"), std::string::npos);
 }
 
 TEST(DriverTest, DeadlineTimeoutNamesAuxPhase) {

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 using namespace o2;
 
@@ -149,8 +151,7 @@ TEST(JSONWriterTest, EmptyString) {
 
 std::string quoted(std::string_view S) {
   std::string Buf;
-  StringOutputStream OS(Buf);
-  JSONWriter::quote(OS, S);
+  JSONWriter::quote(Buf, S);
   return Buf;
 }
 
@@ -230,6 +231,184 @@ TEST(JSONWriterTest, WriteCallsScaleWithEscapesNotLength) {
   EXPECT_LE(OS.Writes, 2 * NumEscapes + 3);
   EXPECT_EQ(OS.Buffer, renderString(In));
   EXPECT_EQ(OS.Buffer.size(), In.size() + NumEscapes + 2);
+}
+
+/// The rendering of \p S as a JSON string, byte by byte, written out
+/// independently of the writer.
+std::string reference(std::string_view S) {
+  std::string Out = "\"";
+  for (unsigned char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default:
+      if (C < 0x20) {
+        char Buf[7];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += char(C);
+      }
+    }
+  }
+  return Out + "\"";
+}
+
+/// Records every write the writer hands to the sink.
+class ChunkOutputStream : public OutputStream {
+public:
+  void write(const char *Data, size_t Size) override {
+    Chunks.push_back(Size);
+    Buffer.append(Data, Size);
+  }
+  std::vector<size_t> Chunks;
+  std::string Buffer;
+};
+
+TEST(JSONWriterTest, StringLongerThanTheBuffer) {
+  std::string In(3 * JSONWriter::BufferSize + 123, 'y');
+  for (size_t I = 5; I < In.size(); I += 7919)
+    In[I] = "\"\\\n\x01"[I % 4];
+  EXPECT_EQ(renderString(In), reference(In));
+  ChunkOutputStream OS;
+  {
+    JSONWriter W(OS);
+    W.beginArray();
+    W.value("head");
+    W.value(In);
+    W.endArray();
+  }
+  EXPECT_EQ(OS.Buffer, "[\"head\"," + reference(In) + "]");
+  for (size_t Size : OS.Chunks)
+    EXPECT_LE(Size, JSONWriter::BufferSize);
+}
+
+TEST(JSONWriterTest, EscapesStraddlingAFlushPoint) {
+  // Pad the buffer so that each escape, in turn, starts on the last
+  // free byte, on the one before it, and so on, for every control byte
+  // and the two escaped printable characters. The record always ends
+  // past the buffer, so the sink sees two writes.
+  std::string Escapes = "\"\\";
+  for (int C = 0; C < 0x20; ++C)
+    Escapes += char(C);
+  for (char E : Escapes)
+    for (size_t Back = 0; Back < 8; ++Back) {
+      // "[" + pad string + "," + opening quote + "ab" puts the escape at
+      // BufferSize - 1 - Back.
+      std::string Pad(JSONWriter::BufferSize - 8 - Back, 'p');
+      std::string S = std::string("ab") + E + std::string(16, 'c');
+      ChunkOutputStream OS;
+      {
+        JSONWriter W(OS);
+        W.beginArray();
+        W.value(Pad);
+        W.value(S);
+        W.endArray();
+      }
+      EXPECT_EQ(OS.Buffer, "[" + reference(Pad) + "," + reference(S) + "]")
+          << int(E) << " " << Back;
+      EXPECT_EQ(OS.Chunks.size(), 2u) << int(E) << " " << Back;
+    }
+}
+
+TEST(JSONWriterTest, DoublesKeepThePercentGRendering) {
+  for (double D : {0.0, -0.0, 1.0, 0.1, 2.5e-7, 123456.0, 1234567.0,
+                   -98.765432, 1e300, 4.9e-324, 0.000123456789}) {
+    std::string Old;
+    StringOutputStream OS(Old);
+    OS << D;
+    char Want[40];
+    std::snprintf(Want, sizeof(Want), "%g", D);
+    EXPECT_EQ(Old, Want);
+    std::string Buf;
+    StringOutputStream JOS(Buf);
+    {
+      JSONWriter W(JOS);
+      W.beginArray();
+      W.value(D);
+      W.endArray();
+    }
+    EXPECT_EQ(Buf, "[" + Old + "]") << D;
+  }
+}
+
+TEST(JSONWriterTest, RecordOverOneMegabyteMatchesAStringRendering) {
+  // One record of about 1.5 MB, built member by member; the writer hands
+  // it to the sink in buffer-sized pieces, and the pieces add up to the
+  // record rendered into one string.
+  auto Write = [](OutputStream &OS) {
+    JSONWriter W(OS);
+    W.beginObject();
+    W.key("members");
+    W.beginArray();
+    for (unsigned I = 0; I < 20000; ++I) {
+      W.beginObject();
+      W.attribute("i", I);
+      W.attribute("text", "line " + std::to_string(I) + " \"quoted\"\n\t" +
+                              std::string(I % 97, 'z'));
+      W.attribute("ratio", I / 7.0);
+      W.attribute("flag", I % 3 == 0);
+      W.endObject();
+    }
+    W.endArray();
+    W.endObject();
+  };
+  std::string Whole;
+  StringOutputStream StringOS(Whole);
+  Write(StringOS);
+  ChunkOutputStream Chunked;
+  Write(Chunked);
+  EXPECT_GT(Whole.size(), size_t(1000000));
+  EXPECT_EQ(Chunked.Buffer, Whole);
+  EXPECT_GE(Chunked.Chunks.size(), Whole.size() / JSONWriter::BufferSize);
+  for (size_t Size : Chunked.Chunks)
+    EXPECT_LE(Size, JSONWriter::BufferSize);
+
+  // The same members written the way the writer rendered them before it
+  // had a buffer: one stream call per token.
+  std::string Tokens = "{\"members\":[";
+  for (unsigned I = 0; I < 20000; ++I) {
+    if (I)
+      Tokens += ',';
+    std::string Ratio;
+    StringOutputStream RatioOS(Ratio);
+    RatioOS << I / 7.0;
+    Tokens += "{\"i\":" + std::to_string(I) + ",\"text\":" +
+              reference("line " + std::to_string(I) + " \"quoted\"\n\t" +
+                        std::string(I % 97, 'z')) +
+              ",\"ratio\":" + Ratio + ",\"flag\":" +
+              (I % 3 == 0 ? "true" : "false") + "}";
+  }
+  Tokens += "]}";
+  EXPECT_EQ(Whole, Tokens);
+}
+
+TEST(JSONWriterTest, EachTopLevelValueReachesTheSinkWhenItEnds) {
+  // A caller may write to the sink between records.
+  std::string Buf;
+  StringOutputStream OS(Buf);
+  JSONWriter W(OS);
+  W.beginObject();
+  W.attribute("a", 1u);
+  W.endObject();
+  OS << '\n';
+  W.value("s");
+  OS << '\n';
+  EXPECT_EQ(Buf, "{\"a\":1}\n\"s\"\n");
+  EXPECT_EQ(W.bytesWritten(), Buf.size() - 2);
 }
 
 } // namespace
