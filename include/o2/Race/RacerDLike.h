@@ -22,6 +22,7 @@
 #include "o2/IR/Module.h"
 #include "o2/Support/CancellationToken.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,14 +33,27 @@ class OutputStream;
 struct RacerDWarning {
   enum class Kind { ReadWriteRace, UnprotectedWrite };
   Kind WarningKind;
-  std::string Location; ///< field/global name the warning is about
+  /// The field/global the warning is about, as an index into
+  /// RacerDReport::locations().
+  uint32_t Location = 0;
   const Stmt *A = nullptr;
   const Stmt *B = nullptr; ///< null for unprotected writes
 };
 
 class RacerDReport {
 public:
+  /// By location, in locations() order; within one, the read/write races
+  /// by their accesses' positions, then the unprotected writes.
   const std::vector<RacerDWarning> &warnings() const { return Warnings; }
+
+  /// One name per accessed location ("Class.field", "@global" or "[]"), in
+  /// byte order; RacerDWarning::Location indexes this table.
+  const std::vector<std::string> &locations() const { return Locations; }
+
+  /// The name of the location \p W is about.
+  const std::string &location(const RacerDWarning &W) const {
+    return Locations[W.Location];
+  }
 
   unsigned numWarnings() const {
     return static_cast<unsigned>(Warnings.size());
@@ -58,14 +72,15 @@ private:
   friend class RacerDLikeDetector;
 
   std::vector<RacerDWarning> Warnings;
+  std::vector<std::string> Locations;
   unsigned NumPotentialRaces = 0;
   bool Cancelled = false;
 };
 
 /// Runs the syntactic detector directly over the IR. \p Cancel is polled
-/// in the root-reachability walk, once per function while collecting
-/// accesses, and once per function group of each location while scanning
-/// access-class pairs for races.
+/// once per concurrency root before its reachability walk, once per
+/// function while collecting accesses, and once per function group of each
+/// location while scanning access-class pairs for races.
 RacerDReport runRacerDLike(const Module &M,
                            const CancellationToken *Cancel = nullptr);
 

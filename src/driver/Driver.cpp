@@ -19,6 +19,7 @@
 #include "o2/Support/OutputStream.h"
 #include "o2/Support/ThreadPool.h"
 #include "o2/Support/Timer.h"
+#include "o2/Support/U64Map.h"
 
 #include <algorithm>
 #include <charconv>
@@ -109,34 +110,84 @@ static std::string stableLocation(const MemLoc &Loc, const PTAResult &PTA) {
   return Out + ".f" + std::to_string(FK - 1);
 }
 
-static RaceRecord makeRaceRecord(const Race &Rc, const PTAResult &PTA) {
-  RaceRecord R;
-  R.Location = stableLocation(Rc.Loc, PTA);
-  R.StmtA = printStmt(*Rc.A);
-  R.FuncA = Rc.A->getFunction()->getName();
-  R.WriteA = Rc.AIsWrite;
-  R.StmtB = printStmt(*Rc.B);
-  R.FuncB = Rc.B->getFunction()->getName();
-  R.WriteB = Rc.BIsWrite;
+namespace {
+/// Builds one job's race records. Races share statements and locations,
+/// so each statement is printed once (memo by Stmt::getId()) and each
+/// location rendered once (memo by MemLoc key).
+class RaceRecordBuilder {
+public:
+  explicit RaceRecordBuilder(const PTAResult &PTA)
+      : PTA(PTA), StmtSlot(PTA.module().numStmts(), None) {}
 
-  // The fingerprint hashes the symbolic location plus the two access
-  // descriptors in lexicographic order, so it is invariant under the
-  // statement-ID renumbering that reordering unrelated code causes and
-  // under which access the detector happened to list first.
-  std::string DescA =
-      R.StmtA + "|" + R.FuncA + "|" + (R.WriteA ? "W" : "R");
-  std::string DescB =
-      R.StmtB + "|" + R.FuncB + "|" + (R.WriteB ? "W" : "R");
-  if (DescB < DescA)
-    std::swap(DescA, DescB);
-  uint64_t H = fnv1a(R.Location);
-  H = fnv1a("\x1f", H);
-  H = fnv1a(DescA, H);
-  H = fnv1a("\x1f", H);
-  H = fnv1a(DescB, H);
-  R.Fingerprint = toHex16(H);
-  return R;
-}
+  RaceRecord build(const Race &Rc) {
+    RaceRecord R;
+    const LocText &L = location(Rc.Loc);
+    uint32_t SlotA = stmtSlot(*Rc.A), SlotB = stmtSlot(*Rc.B);
+    const StmtText &A = Stmts[SlotA], &B = Stmts[SlotB];
+    R.Location = L.Text;
+    R.StmtA = A.Stmt;
+    R.FuncA = Rc.A->getFunction()->getName();
+    R.WriteA = Rc.AIsWrite;
+    R.StmtB = B.Stmt;
+    R.FuncB = Rc.B->getFunction()->getName();
+    R.WriteB = Rc.BIsWrite;
+
+    // The fingerprint hashes the symbolic location plus the two access
+    // descriptors in lexicographic order, so it is invariant under the
+    // statement-ID renumbering that reordering unrelated code causes and
+    // under which access the detector happened to list first.
+    std::string_view DescA = A.Desc[R.WriteA], DescB = B.Desc[R.WriteB];
+    if (DescB < DescA)
+      std::swap(DescA, DescB);
+    uint64_t H = fnv1a(DescA, L.Hash);
+    H = fnv1a("\x1f", H);
+    H = fnv1a(DescB, H);
+    R.Fingerprint = toHex16(H);
+    return R;
+  }
+
+private:
+  static constexpr uint32_t None = ~0u;
+
+  struct StmtText {
+    std::string Stmt;    ///< printStmt
+    std::string Desc[2]; ///< "<stmt>|<function>|R", then "...|W"
+  };
+
+  /// \p S's index into Stmts, printing it on first use.
+  uint32_t stmtSlot(const Stmt &S) {
+    uint32_t &Slot = StmtSlot[S.getId()];
+    if (Slot == None) {
+      Slot = uint32_t(Stmts.size());
+      std::string Text = printStmt(S);
+      std::string Desc = Text + "|" + S.getFunction()->getName() + "|";
+      Stmts.push_back({std::move(Text), {Desc + "R", Desc + "W"}});
+    }
+    return Slot;
+  }
+
+  struct LocText {
+    std::string Text; ///< stableLocation
+    uint64_t Hash;    ///< the fingerprint's hash up to the descriptors
+  };
+
+  const LocText &location(MemLoc Loc) {
+    auto [Slot, New] = LocSlot.tryEmplace(Loc.key(), uint32_t(Locs.size()));
+    if (New) {
+      std::string Text = stableLocation(Loc, PTA);
+      uint64_t Hash = fnv1a("\x1f", fnv1a(Text));
+      Locs.push_back({std::move(Text), Hash});
+    }
+    return Locs[*Slot];
+  }
+
+  const PTAResult &PTA;
+  std::vector<uint32_t> StmtSlot;
+  std::vector<StmtText> Stmts;
+  U64Map<uint32_t> LocSlot;
+  std::vector<LocText> Locs;
+};
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Job execution
@@ -298,9 +349,12 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
     Harvest();
     Clock.reset();
 
-    if (AM->ran(O2Phase::Detect))
+    if (AM->ran(O2Phase::Detect)) {
+      RaceRecordBuilder Build(AM->getPTA());
+      R.Races.reserve(AM->getRaces().races().size());
       for (const Race &Rc : AM->getRaces().races())
-        R.Races.push_back(makeRaceRecord(Rc, AM->getPTA()));
+        R.Races.push_back(Build.build(Rc));
+    }
     if (AM->ran(O2Phase::Deadlock))
       for (const DeadlockCycle &C : AM->getDeadlocks().cycles()) {
         DeadlockRecord D;
@@ -330,8 +384,11 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
       }
     if (AM->ran(O2Phase::RacerD)) {
       // Warnings name far fewer statements and locations than they have
-      // sides: each distinct string enters R.Text once, records hold
-      // indices. Statements are looked up by pointer before being printed.
+      // sides: each distinct string enters R.Text once, in first-seen
+      // order (location, first, second, warning by warning), and records
+      // hold indices. Locations and statements map to their text ids
+      // through dense memos, so each is printed and hashed once.
+      const RacerDReport &RD = AM->getRacerD();
       std::unordered_map<std::string, uint32_t, TextHash, std::equal_to<>>
           TextIds;
       auto intern = [&](std::string_view S) {
@@ -343,20 +400,25 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
         TextIds.emplace(R.Text.back(), Id);
         return Id;
       };
-      std::unordered_map<const Stmt *, uint32_t> StmtIds;
+      constexpr uint32_t None = ~0u;
+      std::vector<uint32_t> LocTextId(RD.locations().size(), None);
+      std::vector<uint32_t> StmtTextId(M->numStmts(), None);
+      uint32_t NoStmtText = None;
       auto internStmt = [&](const Stmt *S) {
-        auto [It, New] = StmtIds.try_emplace(S);
-        if (New)
-          It->second = S ? intern(printStmt(*S)) : intern("");
-        return It->second;
+        uint32_t &Id = S ? StmtTextId[S->getId()] : NoStmtText;
+        if (Id == None)
+          Id = S ? intern(printStmt(*S)) : intern("");
+        return Id;
       };
-      const std::vector<RacerDWarning> &Warnings = AM->getRacerD().warnings();
-      R.RacerDWarnings.reserve(Warnings.size());
-      for (const RacerDWarning &W : Warnings) {
+      R.RacerDWarnings.reserve(RD.warnings().size());
+      for (const RacerDWarning &W : RD.warnings()) {
         RacerDRecord Rw;
         Rw.UnprotectedWrite =
             W.WarningKind == RacerDWarning::Kind::UnprotectedWrite;
-        Rw.Location = intern(W.Location);
+        uint32_t &Loc = LocTextId[W.Location];
+        if (Loc == None)
+          Loc = intern(RD.location(W));
+        Rw.Location = Loc;
         Rw.First = internStmt(W.A);
         Rw.Second = internStmt(W.B);
         R.RacerDWarnings.push_back(Rw);

@@ -5,6 +5,13 @@
 // with Origins".
 //
 //===----------------------------------------------------------------------===//
+//
+// Every table is indexed by the IR's dense ids: callees and root sets by
+// Function::getId(), access keys by Field::getId() and Global::getId(),
+// ownership marks by Variable::getId(). Strings are built once per key,
+// never per access.
+//
+//===----------------------------------------------------------------------===//
 
 #include "o2/Race/RacerDLike.h"
 
@@ -13,9 +20,10 @@
 #include "o2/Support/OutputStream.h"
 
 #include <algorithm>
-#include <deque>
+#include <cassert>
 #include <map>
-#include <set>
+#include <numeric>
+#include <string_view>
 #include <unordered_map>
 
 using namespace o2;
@@ -38,192 +46,239 @@ public:
   }
 
 private:
+  static constexpr unsigned None = ~0u;
+
   struct Access {
     const Stmt *S;
-    const Function *F;
-    bool IsWrite;
+    unsigned F;       ///< function id
     unsigned Lockset; ///< interned syntactic locks held; 0 is no lock
+    bool IsWrite;
   };
 
   /// The accesses of one key that share (function, lockset, is-write).
   /// Whether two accesses may race depends on nothing else, so the scan
   /// tests pairs of classes instead of pairs of accesses.
   struct AccessClass {
-    const Function *F;
+    unsigned F;
+    unsigned RootSet; ///< RootSetOf[F], loaded once per class
     unsigned Lockset;
-    bool IsWrite;
     unsigned First; ///< position of the class's first access in the list
+    bool IsWrite;
   };
 
-  /// An (I, J) position pair in a key's access list; ordered
-  /// lexicographically, which is the order warnings are emitted in.
-  using PairIdx = std::pair<unsigned, unsigned>;
-  static constexpr PairIdx NoPair{~0u, ~0u};
-
-  /// Map method name -> every method with that name anywhere: the
-  /// detector has no pointer information, so a virtual call can reach any
-  /// equally-named method (RacerD-style name-based resolution).
+  /// Resolves every function's callees once, as function ids, in one
+  /// flat table (function F's are Callees[CalleeStart[F], CalleeStart[F +
+  /// 1])). The detector has no pointer information, so a virtual call
+  /// reaches every method of that name anywhere (RacerD-style name-based
+  /// resolution). Also lists the concurrency roots: main, then every
+  /// method named by a spawn, names in byte order.
   void buildNameIndex() {
-    for (const auto &F : M.functions())
+    const auto &Fns = M.functions();
+    std::unordered_map<std::string_view, std::vector<unsigned>> MethodsByName;
+    for (const auto &F : Fns) {
+      assert(F->getId() == unsigned(&F - Fns.data()) &&
+             "function ids index functions()");
       if (F->isMethod())
-        MethodsByName[F->getName()].push_back(F.get());
-  }
+        MethodsByName[F->getName()].push_back(F->getId());
+    }
+    auto methodsNamed = [&](std::string_view Name) {
+      auto It = MethodsByName.find(Name);
+      return It == MethodsByName.end() ? nullptr : &It->second;
+    };
 
-  void callees(const Function *F, std::vector<const Function *> &Out) {
-    for (const auto &SPtr : F->body()) {
-      if (const auto *Call = dyn_cast<CallStmt>(SPtr.get())) {
-        if (Call->isVirtual()) {
-          auto It = MethodsByName.find(Call->getMethodName());
-          if (It != MethodsByName.end())
-            Out.insert(Out.end(), It->second.begin(), It->second.end());
-        } else {
-          Out.push_back(Call->getDirectCallee());
+    std::vector<std::string_view> EntryNames;
+    CalleeStart.reserve(Fns.size() + 1);
+    for (const auto &F : Fns) {
+      CalleeStart.push_back(unsigned(Callees.size()));
+      for (const auto &SPtr : F->body()) {
+        const Stmt *S = SPtr.get();
+        if (const auto *Call = dyn_cast<CallStmt>(S)) {
+          if (!Call->isVirtual())
+            Callees.push_back(Call->getDirectCallee()->getId());
+          else if (const auto *Ms = methodsNamed(Call->getMethodName()))
+            Callees.insert(Callees.end(), Ms->begin(), Ms->end());
+        } else if (const auto *A = dyn_cast<AllocStmt>(S)) {
+          if (const Function *Init = A->getAllocType()->findMethod("init"))
+            Callees.push_back(Init->getId());
+        } else if (const auto *Sp = dyn_cast<SpawnStmt>(S)) {
+          EntryNames.push_back(Sp->getEntryName());
         }
-      } else if (const auto *A = dyn_cast<AllocStmt>(SPtr.get())) {
-        if (const Function *Init = A->getAllocType()->findMethod("init"))
-          Out.push_back(Init);
       }
     }
+    CalleeStart.push_back(unsigned(Callees.size()));
+
+    if (const Function *Main = M.getMain())
+      Roots.push_back(Main->getId());
+    std::sort(EntryNames.begin(), EntryNames.end());
+    EntryNames.erase(std::unique(EntryNames.begin(), EntryNames.end()),
+                     EntryNames.end());
+    for (std::string_view Name : EntryNames)
+      if (const auto *Ms = methodsNamed(Name))
+        Roots.insert(Roots.end(), Ms->begin(), Ms->end());
   }
 
   /// Reachability from each concurrency root (main + each spawned entry
   /// name instance). A function's root set tells whether two accesses can
-  /// run on different threads.
+  /// run on different threads. Root sets are interned as they grow: roots
+  /// are walked in index order, and the set a function holds after root r
+  /// is its set before r plus r, so one successor per (set, root) names
+  /// every set exactly once. Set 0 is the empty set: not reached at all.
   void computeRootReachability() {
-    std::vector<const Function *> Roots;
-    if (const Function *Main = M.getMain())
-      Roots.push_back(Main);
-    std::set<std::string> SpawnEntryNames;
-    for (const auto &F : M.functions())
-      for (const auto &SPtr : F->body())
-        if (const auto *Sp = dyn_cast<SpawnStmt>(SPtr.get()))
-          SpawnEntryNames.insert(Sp->getEntryName());
-    for (const std::string &Name : SpawnEntryNames) {
-      auto It = MethodsByName.find(Name);
-      if (It == MethodsByName.end())
-        continue;
-      for (const Function *Entry : It->second)
-        Roots.push_back(Entry);
-    }
-
-    std::unordered_map<const Function *, std::vector<unsigned>> RootsOf;
-    for (size_t RootIdx = 0; RootIdx != Roots.size(); ++RootIdx) {
-      std::deque<const Function *> Queue{Roots[RootIdx]};
-      std::set<const Function *> Visited;
-      while (!Queue.empty()) {
-        if (pollCancelled(Cancel)) {
-          R.Cancelled = true;
-          return;
+    unsigned NumFns = unsigned(M.functions().size());
+    RootSetOf.assign(NumFns, 0);
+    RootSetHasEntry.assign(1, false);
+    std::vector<unsigned> SeenBy(NumFns, 0); ///< last root index + 1
+    // Per set: its successor under the root of stamp SuccessorStamp.
+    std::vector<unsigned> Successor{0}, SuccessorStamp{0};
+    std::vector<unsigned> Stack;
+    for (unsigned RootIdx = 0; RootIdx != Roots.size(); ++RootIdx) {
+      if (pollCancelled(Cancel)) {
+        R.Cancelled = true;
+        return;
+      }
+      unsigned Stamp = RootIdx + 1;
+      SeenBy[Roots[RootIdx]] = Stamp;
+      Stack.assign(1, Roots[RootIdx]);
+      while (!Stack.empty()) {
+        unsigned F = Stack.back();
+        Stack.pop_back();
+        unsigned Old = RootSetOf[F];
+        if (SuccessorStamp[Old] != Stamp) {
+          // The new set's largest root is RootIdx, so it holds a non-main
+          // root iff RootIdx != 0 (root 0 is main). Two functions may run
+          // on different threads iff their sets differ or share a non-main
+          // root (entry methods can be spawned more than once).
+          SuccessorStamp[Old] = Stamp;
+          Successor[Old] = unsigned(RootSetHasEntry.size());
+          RootSetHasEntry.push_back(RootIdx != 0);
+          Successor.push_back(0);
+          SuccessorStamp.push_back(0);
         }
-        const Function *F = Queue.front();
-        Queue.pop_front();
-        if (!Visited.insert(F).second)
-          continue;
-        // Roots are walked in index order, so each list stays sorted.
-        RootsOf[F].push_back(static_cast<unsigned>(RootIdx));
-        std::vector<const Function *> Out;
-        callees(F, Out);
-        for (const Function *Callee : Out)
-          Queue.push_back(Callee);
+        RootSetOf[F] = Successor[Old];
+        for (unsigned I = CalleeStart[F]; I != CalleeStart[F + 1]; ++I)
+          if (SeenBy[Callees[I]] != Stamp) {
+            SeenBy[Callees[I]] = Stamp;
+            Stack.push_back(Callees[I]);
+          }
       }
     }
-
-    // Intern the root sets: two functions may run on different threads
-    // iff their sets differ or share a non-main root (root 0 is main;
-    // entry methods can be spawned more than once).
-    std::map<std::vector<unsigned>, unsigned> RootSetIds;
-    for (const auto &[F, FnRoots] : RootsOf) {
-      auto [It, New] = RootSetIds.try_emplace(
-          FnRoots, static_cast<unsigned>(RootSetHasEntry.size()));
-      if (New)
-        RootSetHasEntry.push_back(FnRoots.back() != 0);
-      RootSetOf[F] = It->second;
-    }
-  }
-
-  static std::string fieldKeyName(const Field *Fld) {
-    return Fld->getParent()->getName() + "." + Fld->getName();
   }
 
   /// RacerD's ownership reasoning, intraprocedural flavor: a variable
   /// holding a locally allocated object that is never overwritten from
-  /// elsewhere is owned, and accesses through it cannot race.
-  static std::set<const Variable *> ownedVariables(const Function *F) {
-    std::set<const Variable *> Owned;
-    std::set<const Variable *> Tainted;
-    for (const auto &SPtr : F->body()) {
+  /// elsewhere is owned, and accesses through it cannot race. Marks the
+  /// owned and the overwritten variables of \p F with \p Stamp.
+  void markOwnership(const Function &F, unsigned Stamp) {
+    auto mark = [Stamp](std::vector<unsigned> &Marks, const Variable *V) {
+      if (V)
+        Marks[V->getId()] = Stamp;
+    };
+    for (const auto &SPtr : F.body()) {
       const Stmt &S = *SPtr;
-      if (const auto *A = dyn_cast<AllocStmt>(&S)) {
-        Owned.insert(A->getTarget());
-      } else if (const auto *A = dyn_cast<ArrayAllocStmt>(&S)) {
-        Owned.insert(A->getTarget());
-      } else if (const auto *A = dyn_cast<AssignStmt>(&S)) {
-        Tainted.insert(A->getTarget());
-      } else if (const auto *L = dyn_cast<FieldLoadStmt>(&S)) {
-        Tainted.insert(L->getTarget());
-      } else if (const auto *L = dyn_cast<ArrayLoadStmt>(&S)) {
-        Tainted.insert(L->getTarget());
-      } else if (const auto *L = dyn_cast<GlobalLoadStmt>(&S)) {
-        Tainted.insert(L->getTarget());
-      } else if (const auto *C = dyn_cast<CallStmt>(&S)) {
-        if (C->getTarget())
-          Tainted.insert(C->getTarget());
-      }
+      if (const auto *A = dyn_cast<AllocStmt>(&S))
+        mark(OwnedMark, A->getTarget());
+      else if (const auto *A = dyn_cast<ArrayAllocStmt>(&S))
+        mark(OwnedMark, A->getTarget());
+      else if (const auto *A = dyn_cast<AssignStmt>(&S))
+        mark(TaintedMark, A->getTarget());
+      else if (const auto *L = dyn_cast<FieldLoadStmt>(&S))
+        mark(TaintedMark, L->getTarget());
+      else if (const auto *L = dyn_cast<ArrayLoadStmt>(&S))
+        mark(TaintedMark, L->getTarget());
+      else if (const auto *L = dyn_cast<GlobalLoadStmt>(&S))
+        mark(TaintedMark, L->getTarget());
+      else if (const auto *C = dyn_cast<CallStmt>(&S))
+        mark(TaintedMark, C->getTarget());
     }
-    for (const Variable *V : Tainted)
-      Owned.erase(V);
-    return Owned;
+  }
+
+  bool owned(const Variable *V, unsigned Stamp) const {
+    return V && OwnedMark[V->getId()] == Stamp &&
+           TaintedMark[V->getId()] != Stamp;
+  }
+
+  /// The key for entry \p Id of the per-field or per-global table \p Ids;
+  /// the key, named \p Name(), is made the first time the entry is seen.
+  template <typename NameFn>
+  unsigned keyFor(std::vector<unsigned> &Ids, unsigned Id, NameFn Name) {
+    unsigned &K = Ids[Id];
+    if (K == None) {
+      K = unsigned(KeyNames.size());
+      KeyNames.push_back(Name());
+      AccessesByKey.emplace_back();
+    }
+    return K;
+  }
+
+  unsigned fieldKey(const Field *Fld) {
+    return keyFor(FieldKeys, Fld->getId(), [Fld] {
+      return Fld->getParent()->getName() + "." + Fld->getName();
+    });
+  }
+
+  unsigned globalKey(const Global *G) {
+    return keyFor(GlobalKeys, G->getId(), [G] { return "@" + G->getName(); });
+  }
+
+  unsigned arrayKey() {
+    return keyFor(ArrayKey, 0, [] { return std::string("[]"); });
   }
 
   void collectAccesses() {
+    FieldKeys.assign(M.numFields(), None);
+    GlobalKeys.assign(M.numGlobals(), None);
+    ArrayKey.assign(1, None);
+    OwnedMark.assign(M.numVariables(), 0);
+    TaintedMark.assign(M.numVariables(), 0);
+    std::vector<unsigned> LockStack;
     for (const auto &FPtr : M.functions()) {
       if (pollCancelled(Cancel)) {
         R.Cancelled = true;
         return;
       }
-      const Function *F = FPtr.get();
-      if (!RootSetOf.count(F))
+      const Function &F = *FPtr;
+      if (RootSetOf[F.getId()] == 0)
         continue; // dead code
-      std::set<const Variable *> Owned = ownedVariables(F);
-      std::vector<unsigned> LockStack;
+      unsigned Stamp = F.getId() + 1;
+      markOwnership(F, Stamp);
+      LockStack.clear();
       unsigned Lockset = 0;
-      for (const auto &SPtr : F->body()) {
+      for (const auto &SPtr : F.body()) {
         const Stmt &S = *SPtr;
-        std::string Key;
+        unsigned Key;
         bool IsWrite = false;
         switch (S.getKind()) {
         case Stmt::SK_FieldLoad:
-          if (Owned.count(cast<FieldLoadStmt>(S).getBase()))
+          if (owned(cast<FieldLoadStmt>(S).getBase(), Stamp))
             continue;
-          Key = fieldKeyName(cast<FieldLoadStmt>(S).getField());
+          Key = fieldKey(cast<FieldLoadStmt>(S).getField());
           break;
         case Stmt::SK_FieldStore:
-          if (Owned.count(cast<FieldStoreStmt>(S).getBase()))
+          if (owned(cast<FieldStoreStmt>(S).getBase(), Stamp))
             continue;
-          Key = fieldKeyName(cast<FieldStoreStmt>(S).getField());
+          Key = fieldKey(cast<FieldStoreStmt>(S).getField());
           IsWrite = true;
           break;
         case Stmt::SK_ArrayLoad:
-          if (Owned.count(cast<ArrayLoadStmt>(S).getBase()))
+          if (owned(cast<ArrayLoadStmt>(S).getBase(), Stamp))
             continue;
-          Key = "[]";
+          Key = arrayKey();
           break;
         case Stmt::SK_ArrayStore:
-          if (Owned.count(cast<ArrayStoreStmt>(S).getBase()))
+          if (owned(cast<ArrayStoreStmt>(S).getBase(), Stamp))
             continue;
-          Key = "[]";
+          Key = arrayKey();
           IsWrite = true;
           break;
         case Stmt::SK_GlobalLoad:
-          Key = "@" + cast<GlobalLoadStmt>(S).getGlobal()->getName();
+          Key = globalKey(cast<GlobalLoadStmt>(S).getGlobal());
           break;
         case Stmt::SK_GlobalStore:
-          Key = "@" + cast<GlobalStoreStmt>(S).getGlobal()->getName();
+          Key = globalKey(cast<GlobalStoreStmt>(S).getGlobal());
           IsWrite = true;
           break;
         case Stmt::SK_Acquire:
-          LockStack.push_back(
-              lockId(cast<AcquireStmt>(S).getLock()->getName()));
+          LockStack.push_back(lockId(cast<AcquireStmt>(S).getLock()));
           Lockset = internLockset(LockStack);
           continue;
         case Stmt::SK_Release:
@@ -235,13 +290,16 @@ private:
         default:
           continue;
         }
-        AccessesByKey[Key].push_back({&S, F, IsWrite, Lockset});
+        AccessesByKey[Key].push_back({&S, F.getId(), Lockset, IsWrite});
       }
     }
   }
 
-  unsigned lockId(const std::string &Name) {
-    return LockIds.try_emplace(Name, static_cast<unsigned>(LockIds.size()))
+  /// Locks are syntactic: one id per lock variable name.
+  unsigned lockId(const Variable *Lock) {
+    return LockIds
+        .try_emplace(std::string_view(Lock->getName()),
+                     unsigned(LockIds.size()))
         .first->second;
   }
 
@@ -271,36 +329,22 @@ private:
     return true;
   }
 
-  bool mayRunConcurrently(const Function *A, const Function *B) const {
-    unsigned SA = RootSetOf.at(A), SB = RootSetOf.at(B);
+  bool mayRunConcurrently(unsigned SA, unsigned SB) const {
     return SA != SB || RootSetHasEntry[SA];
   }
 
-  /// The smallest (I, J), I <= J, of a racing pair of accesses from
-  /// classes \p A and \p B, or NoPair. For two classes whose first
-  /// accesses are I < J, the smallest index after I in J's class is J
-  /// itself. One class on its own pairs only with itself; there the I < J
-  /// condition equals the self-race one (write, no lock, a function that
-  /// can run on several threads), so (I, I) wins.
-  PairIdx firstRacingPair(const AccessClass &A, const AccessClass &B) const {
-    if (!A.IsWrite && !B.IsWrite)
-      return NoPair;
-    if (!locksDisjoint(A.Lockset, B.Lockset))
-      return NoPair;
-    return std::minmax(A.First, B.First);
+  /// Whether an access of class \p A and one of class \p B, run on
+  /// different threads, race: one writes and no lock is held by both.
+  bool classesRace(const AccessClass &A, const AccessClass &B) const {
+    return (A.IsWrite || B.IsWrite) && locksDisjoint(A.Lockset, B.Lockset);
   }
 
-  /// Category 1: read/write race pairs, deduplicated the way RacerD
-  /// reports them — one warning per (location, function pair), for the
-  /// smallest racing (I, J) of that pair, in (I, J) order. A write may
-  /// also race with itself (I == J) when its function can run on more
-  /// than one thread and the access is unsynchronized.
-  void emitRacePairs(const std::string &Key,
-                     const std::vector<Access> &Accesses) {
-    // Accesses are collected function by function, so each function's
-    // accesses form one contiguous run of the list.
-    std::vector<AccessClass> Classes;
-    std::vector<unsigned> RunStart; ///< first class of each function
+  /// Splits \p Accesses into classes. Accesses are collected function by
+  /// function, so each function's accesses form one contiguous run of the
+  /// list; RunStart holds the first class of each run, plus an end mark.
+  void buildClasses(const std::vector<Access> &Accesses) {
+    Classes.clear();
+    RunStart.clear();
     for (unsigned Idx = 0; Idx != Accesses.size(); ++Idx) {
       const Access &A = Accesses[Idx];
       if (Classes.empty() || Classes.back().F != A.F)
@@ -311,39 +355,75 @@ private:
             return C.Lockset == A.Lockset && C.IsWrite == A.IsWrite;
           });
       if (!Seen)
-        Classes.push_back({A.F, A.Lockset, A.IsWrite, Idx});
+        Classes.push_back({A.F, RootSetOf[A.F], A.Lockset, Idx, A.IsWrite});
     }
     RunStart.push_back(static_cast<unsigned>(Classes.size()));
+  }
 
-    std::vector<PairIdx> Winners;
-    for (size_t G1 = 0; G1 + 1 != RunStart.size(); ++G1) {
+  /// Category 1: read/write race pairs, deduplicated the way RacerD
+  /// reports them — one warning per (location, function pair), for the
+  /// smallest racing (I, J) of that pair, in (I, J) order. A write may
+  /// also race with itself (I == J) when its function can run on more
+  /// than one thread and the access is unsynchronized.
+  ///
+  /// A class's first access stands for the class: the pair of classes
+  /// (A, B), A <= B, gives (I, J) = (A.First, B.First), and Firsts grow
+  /// with the class index, within a run and from run to run. So for each
+  /// run G1, walking its classes A in order and, for each, the runs G2 >=
+  /// G1 still open in order, the first B of G2 that races A is the pair's
+  /// winner, and winners come out in (I, J) order without a sort. For G2
+  /// == G1, B starts at A itself; a class pairs with itself exactly when
+  /// it is an unlocked write of a function that can run on several
+  /// threads, which mayRunConcurrently already tested.
+  void emitRacePairs(uint32_t Loc, const std::vector<Access> &Accesses) {
+    unsigned NumRuns = unsigned(RunStart.size()) - 1;
+    for (unsigned G1 = 0; G1 != NumRuns; ++G1) {
       if (pollCancelled(Cancel)) {
         R.Cancelled = true;
         return;
       }
-      for (size_t G2 = G1; G2 + 1 != RunStart.size(); ++G2) {
-        if (!mayRunConcurrently(Classes[RunStart[G1]].F,
-                                Classes[RunStart[G2]].F))
-          continue;
-        PairIdx Best = NoPair;
-        for (unsigned A = RunStart[G1]; A != RunStart[G1 + 1]; ++A)
-          for (unsigned B = G1 == G2 ? A : RunStart[G2];
-               B != RunStart[G2 + 1]; ++B)
-            Best = std::min(Best, firstRacingPair(Classes[A], Classes[B]));
-        if (Best != NoPair)
-          Winners.push_back(Best);
+      unsigned S1 = Classes[RunStart[G1]].RootSet;
+      Open.clear();
+      for (unsigned G2 = G1; G2 != NumRuns; ++G2)
+        if (mayRunConcurrently(S1, Classes[RunStart[G2]].RootSet))
+          Open.push_back(G2);
+      for (unsigned A = RunStart[G1]; A != RunStart[G1 + 1] && !Open.empty();
+           ++A) {
+        size_t Kept = 0;
+        for (unsigned G2 : Open) {
+          unsigned B = G2 == G1 ? A : RunStart[G2];
+          while (B != RunStart[G2 + 1] && !classesRace(Classes[A], Classes[B]))
+            ++B;
+          if (B == RunStart[G2 + 1]) {
+            Open[Kept++] = G2; // no winner yet: stays open
+            continue;
+          }
+          R.Warnings.push_back({RacerDWarning::Kind::ReadWriteRace, Loc,
+                                Accesses[Classes[A].First].S,
+                                Accesses[Classes[B].First].S});
+          ++R.NumPotentialRaces;
+        }
+        Open.resize(Kept);
       }
     }
-    std::sort(Winners.begin(), Winners.end());
-    for (const auto &[I, J] : Winners)
-      R.Warnings.push_back({RacerDWarning::Kind::ReadWriteRace, Key,
-                            Accesses[I].S, Accesses[J].S});
-    R.NumPotentialRaces += static_cast<unsigned>(Winners.size());
   }
 
+  /// Emits keys in name order (byte order, as std::string compares). The
+  /// report's location table lists every key in that order.
   void emitWarnings() {
-    for (const auto &[Key, Accesses] : AccessesByKey) {
-      emitRacePairs(Key, Accesses);
+    std::vector<unsigned> Order(KeyNames.size());
+    std::iota(Order.begin(), Order.end(), 0u);
+    std::sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
+      return KeyNames[A] < KeyNames[B];
+    });
+    R.Locations.reserve(Order.size());
+    for (unsigned K : Order)
+      R.Locations.push_back(std::move(KeyNames[K]));
+
+    for (uint32_t Loc = 0; Loc != Order.size(); ++Loc) {
+      const std::vector<Access> &Accesses = AccessesByKey[Order[Loc]];
+      buildClasses(Accesses);
+      emitRacePairs(Loc, Accesses);
       if (R.Cancelled)
         return;
 
@@ -353,19 +433,17 @@ private:
         AnyLocked |= A.Lockset != 0;
       if (!AnyLocked)
         continue;
-      std::set<const Function *> AccessingFns;
-      for (const Access &A : Accesses)
-        AccessingFns.insert(A.F);
+      // One run per accessing function.
+      unsigned NumAccessingFns = unsigned(RunStart.size()) - 1;
       for (const Access &A : Accesses) {
         if (!A.IsWrite || A.Lockset != 0)
           continue;
         R.Warnings.push_back(
-            {RacerDWarning::Kind::UnprotectedWrite, Key, A.S, nullptr});
+            {RacerDWarning::Kind::UnprotectedWrite, Loc, A.S, nullptr});
         // The paper translates each unprotected-write report into its
         // implied conflicting-access pairs (one per other function that
         // touches the same location).
-        R.NumPotentialRaces +=
-            static_cast<unsigned>(AccessingFns.size()) - 1;
+        R.NumPotentialRaces += NumAccessingFns - 1;
       }
     }
   }
@@ -373,13 +451,28 @@ private:
   const Module &M;
   const CancellationToken *Cancel;
   RacerDReport R;
-  std::map<std::string, std::vector<const Function *>> MethodsByName;
-  std::unordered_map<const Function *, unsigned> RootSetOf;
+
+  // Call graph and root sets, by function id.
+  std::vector<unsigned> CalleeStart, Callees;
+  std::vector<unsigned> Roots;
+  std::vector<unsigned> RootSetOf;   ///< 0: unreachable
   std::vector<bool> RootSetHasEntry; ///< per root set: has a non-main root
-  std::unordered_map<std::string, unsigned> LockIds;
+
+  // Ownership marks, by variable id; lock ids, by name.
+  std::vector<unsigned> OwnedMark, TaintedMark;
+  std::unordered_map<std::string_view, unsigned> LockIds;
   std::map<std::vector<unsigned>, unsigned> LocksetIds{{{}, 0}};
   std::vector<std::vector<unsigned>> Locksets{{}};
-  std::map<std::string, std::vector<Access>> AccessesByKey;
+
+  // Access keys: key ids by field id, by global id, and for "[]".
+  std::vector<unsigned> FieldKeys, GlobalKeys, ArrayKey;
+  std::vector<std::string> KeyNames;
+  std::vector<std::vector<Access>> AccessesByKey;
+
+  // Scratch for the class-pair scan, reused across keys.
+  std::vector<AccessClass> Classes;
+  std::vector<unsigned> RunStart;
+  std::vector<unsigned> Open; ///< runs G2 without a winner for G1 yet
 };
 
 } // namespace o2
@@ -389,11 +482,11 @@ void RacerDReport::print(OutputStream &OS) const {
      << NumPotentialRaces << " potential race(s) ====\n";
   for (const RacerDWarning &W : Warnings) {
     if (W.WarningKind == RacerDWarning::Kind::ReadWriteRace)
-      OS << "read/write race on " << W.Location << ": '" << printStmt(*W.A)
+      OS << "read/write race on " << location(W) << ": '" << printStmt(*W.A)
          << "' vs '" << printStmt(*W.B) << "'\n";
     else
-      OS << "unprotected write to " << W.Location << ": '" << printStmt(*W.A)
-         << "'\n";
+      OS << "unprotected write to " << location(W) << ": '"
+         << printStmt(*W.A) << "'\n";
   }
 }
 

@@ -360,6 +360,104 @@ TEST(JobWireTest, PreviousFormatEntryIsAMissThatGetsOverwritten) {
   EXPECT_EQ(renderJSONL(Warm), Golden);
 }
 
+/// Damaged variants of a cache entry's header line "o2cache <version>
+/// <checksum>", each applied to \p Entry (header, newline, payload):
+/// version and checksum digit flips, versions 4 and 6, truncated lines, a
+/// missing newline and extra fields. Seeded, so every run tries the same.
+std::vector<std::string> headerMutants(const std::string &Entry) {
+  size_t NL = Entry.find('\n');
+  std::string Header = Entry.substr(0, NL), Payload = Entry.substr(NL + 1);
+  size_t VersionAt = Header.find(' ') + 1;
+  size_t SumAt = Header.find(' ', VersionAt) + 1;
+  std::vector<std::string> Mutants;
+  auto withHeader = [&](const std::string &H) {
+    Mutants.push_back(H + "\n" + Payload);
+  };
+  std::mt19937_64 Rng(6);
+  const std::string Digits = "0123456789";
+  const std::string Hex = "0123456789abcdefABCDEF";
+  for (unsigned I = 0; I < 6; ++I) {
+    // A flipped version digit.
+    std::string H = Header;
+    char &D = H[VersionAt + Rng() % (SumAt - 1 - VersionAt)];
+    D = Digits[(Digits.find(D) + 1 + Rng() % 9) % 10];
+    withHeader(H);
+    // A flipped checksum digit, to another hex digit or an upper-case
+    // spelling of the same one.
+    H = Header;
+    char &X = H[SumAt + Rng() % (Header.size() - SumAt)];
+    char Was = X;
+    while (X == Was)
+      X = Hex[Rng() % Hex.size()];
+    withHeader(H);
+    // The line cut short, with and without the rest of the entry.
+    size_t Cut = Rng() % Header.size();
+    withHeader(Header.substr(0, Cut));
+    Mutants.push_back(Header.substr(0, Cut));
+  }
+  for (const char *Version : {"4", "6"})
+    withHeader(Header.substr(0, VersionAt) + Version +
+               Header.substr(SumAt - 1));
+  Mutants.push_back(Header + Payload);          // no newline
+  Mutants.push_back(Header);                    // no newline, no payload
+  withHeader(Header + " 0");                    // an extra field
+  withHeader(Header + " ");                     // an empty extra field
+  withHeader(Header.substr(0, SumAt) + "0 " + Header.substr(SumAt));
+  withHeader("o2cache  " + Header.substr(VersionAt)); // a doubled space
+  return Mutants;
+}
+
+TEST(CacheHeaderFuzzTest, DamagedHeadersAreMissesThatGetOverwritten) {
+  std::string Dir = testing::TempDir() + "o2-jobwiretest-header";
+  std::filesystem::remove_all(Dir);
+  JobSpec Spec;
+  Spec.Name = "racy";
+  Spec.Source = RacyProgram;
+  BatchOptions Opts;
+  Opts.Analyses = AnalysisSet::all();
+  std::string Cacheless = renderJSONL(runBatch({Spec}, Opts));
+
+  Opts.CacheDir = Dir;
+  BatchResult Cold = runBatch({Spec}, Opts);
+  ASSERT_EQ(Cold.CacheMisses, 1u);
+  ASSERT_EQ(renderJSONL(Cold), Cacheless);
+  std::string Path;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    Path = E.path().string();
+  ASSERT_FALSE(Path.empty());
+  auto readEntry = [&Path] {
+    std::ifstream In(Path, std::ios::binary);
+    std::stringstream Content;
+    Content << In.rdbuf();
+    return Content.str();
+  };
+  std::string Entry = readEntry();
+  std::string Prefix =
+      "o2cache " + std::to_string(ResultCache::FormatVersion) + " ";
+  ASSERT_EQ(Entry.rfind(Prefix, 0), 0u);
+
+  std::vector<std::string> Mutants = headerMutants(Entry);
+  ASSERT_GE(Mutants.size(), 30u);
+  for (size_t I = 0; I != Mutants.size(); ++I) {
+    ASSERT_NE(Mutants[I], Entry) << "mutant " << I;
+    {
+      std::ofstream Out(Path, std::ios::trunc | std::ios::binary);
+      Out << Mutants[I];
+    }
+    BatchResult Damaged = runBatch({Spec}, Opts);
+    EXPECT_EQ(Damaged.CacheHits, 0u) << "mutant " << I;
+    EXPECT_EQ(Damaged.CacheMisses, 1u) << "mutant " << I;
+    EXPECT_EQ(renderJSONL(Damaged), Cacheless) << "mutant " << I;
+    // The re-run stored a well-formed entry in the damaged one's place.
+    std::string Rewritten = readEntry();
+    EXPECT_EQ(Rewritten.rfind(Prefix, 0), 0u) << "mutant " << I;
+    EXPECT_EQ(Rewritten.find('\n'), Prefix.size() + 16) << "mutant " << I;
+    BatchResult Warm = runBatch({Spec}, Opts);
+    EXPECT_EQ(Warm.CacheHits, 1u) << "mutant " << I;
+    EXPECT_EQ(renderJSONL(Warm), Cacheless) << "mutant " << I;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Decoder mutation fuzz
 //===----------------------------------------------------------------------===//

@@ -10,16 +10,20 @@
 // lockset, is-write) instead of pairs of accesses. Its contract: the same
 // warnings (kind, location, statements, order) and the same potential-race
 // count as the straightforward pairwise scan, kept here as a test-local
-// reference that shares no code with the pass.
+// reference that shares no code with the pass: it walks the IR through
+// pointers and names, with std::set and std::map tables and its own
+// warning struct that carries the location's name.
 //
 //===----------------------------------------------------------------------===//
 
 #include "o2/Race/RacerDLike.h"
 
+#include "../workload/SmallProfile.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Printer.h"
 #include "o2/IR/Verifier.h"
 #include "o2/Support/Casting.h"
+#include "o2/Workload/BugModels.h"
 #include "o2/Workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -36,8 +40,15 @@ using namespace o2;
 
 namespace {
 
+struct ReferenceWarning {
+  RacerDWarning::Kind WarningKind;
+  std::string Location; ///< field/global name the warning is about
+  const Stmt *A = nullptr;
+  const Stmt *B = nullptr; ///< null for unprotected writes
+};
+
 struct ReferenceReport {
-  std::vector<RacerDWarning> Warnings;
+  std::vector<ReferenceWarning> Warnings;
   unsigned NumPotentialRaces = 0;
   bool Cancelled = false;
 };
@@ -321,12 +332,12 @@ std::unique_ptr<Module> parseProgram(const std::string &Src) {
   return M;
 }
 
-std::string describe(const RacerDWarning &W) {
-  std::string Out =
-      W.WarningKind == RacerDWarning::Kind::ReadWriteRace ? "rw " : "uw ";
-  Out += W.Location + ": '" + printStmt(*W.A) + "'";
-  if (W.B)
-    Out += " vs '" + printStmt(*W.B) + "'";
+std::string describe(RacerDWarning::Kind Kind, const std::string &Location,
+                     const Stmt *A, const Stmt *B) {
+  std::string Out = Kind == RacerDWarning::Kind::ReadWriteRace ? "rw " : "uw ";
+  Out += Location + ": '" + printStmt(*A) + "'";
+  if (B)
+    Out += " vs '" + printStmt(*B) + "'";
   return Out;
 }
 
@@ -342,12 +353,16 @@ RacerDReport expectMatchesPairwise(const Module &M, const std::string &Tag,
   size_t N = std::min(R.warnings().size(), Ref.Warnings.size());
   for (size_t I = 0; I != N; ++I) {
     const RacerDWarning &Got = R.warnings()[I];
-    const RacerDWarning &Want = Ref.Warnings[I];
+    const ReferenceWarning &Want = Ref.Warnings[I];
     bool Same = Got.WarningKind == Want.WarningKind &&
-                Got.Location == Want.Location && Got.A == Want.A &&
+                R.location(Got) == Want.Location && Got.A == Want.A &&
                 Got.B == Want.B;
     EXPECT_TRUE(Same) << Tag << " warning " << I << ": got "
-                      << describe(Got) << ", want " << describe(Want);
+                      << describe(Got.WarningKind, R.location(Got), Got.A,
+                                  Got.B)
+                      << ", want "
+                      << describe(Want.WarningKind, Want.Location, Want.A,
+                                  Want.B);
     if (!Same)
       break; // one diverging position shifts every later one
   }
@@ -401,6 +416,36 @@ TEST_P(RacerDLikeProfileEquivalence, MatchesPairwise) {
 INSTANTIATE_TEST_SUITE_P(Profiles, RacerDLikeProfileEquivalence,
                          ::testing::ValuesIn(profileNames()),
                          [](const auto &Info) { return Info.param; });
+
+
+class RacerDLikeSeededEquivalence : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(RacerDLikeSeededEquivalence, MatchesPairwise) {
+  WorkloadProfile P = smallProfile(GetParam());
+  auto M = generateWorkload(P);
+  ASSERT_TRUE(M);
+  expectMatchesPairwise(*M, P.Name);
+}
+
+INSTANTIATE_TEST_SUITE_P(SmallProfiles, RacerDLikeSeededEquivalence,
+                         ::testing::Range<uint64_t>(1, 9));
+
+class RacerDLikeBugModelEquivalence
+    : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RacerDLikeBugModelEquivalence, MatchesPairwise) {
+  const BugModel &Model = bugModels()[GetParam()];
+  auto M = buildBugModel(Model);
+  ASSERT_TRUE(M);
+  expectMatchesPairwise(*M, Model.Name);
+}
+
+INSTANTIATE_TEST_SUITE_P(BugModels, RacerDLikeBugModelEquivalence,
+                         ::testing::Range<size_t>(0, bugModels().size()),
+                         [](const ::testing::TestParamInfo<size_t> &Info) {
+                           return bugModels()[Info.param].Name;
+                         });
 
 TEST(RacerDLikeEquivalence, EntryWriteRacesWithItself) {
   // One unprotected write in a spawned entry: the only warning pairs the
@@ -514,7 +559,7 @@ TEST(RacerDLikeEquivalence, SelfPairWinnerComesAfterCrossPairWinner) {
   RacerDReport R = expectMatchesPairwise(*M, "self-pair-order");
   std::vector<std::pair<const Function *, const Function *>> Pairs;
   for (const RacerDWarning &W : R.warnings())
-    if (W.Location == "@g" && W.B)
+    if (R.location(W) == "@g" && W.B)
       Pairs.push_back({W.A->getFunction(), W.B->getFunction()});
   ASSERT_EQ(Pairs.size(), 3u);
   EXPECT_NE(Pairs[0].first, Pairs[0].second); // (T, U) first
@@ -563,7 +608,7 @@ TEST(RacerDLikeEquivalence, LocksetSeparatesClassesOfOneFunction) {
   RacerDReport R = expectMatchesPairwise(*M, "lockset-classes");
   unsigned RacePairs = 0;
   for (const RacerDWarning &W : R.warnings())
-    RacePairs += W.Location == "@g" && W.B;
+    RacePairs += R.location(W) == "@g" && W.B;
   EXPECT_EQ(RacePairs, 2u);
 }
 
@@ -626,7 +671,7 @@ TEST(RacerDLikeEquivalence, SharedAndDisjointLocksets) {
   RacerDReport R = expectMatchesPairwise(*M, "locksets");
   unsigned OnG = 0;
   for (const RacerDWarning &W : R.warnings())
-    OnG += W.Location == "@g";
+    OnG += R.location(W) == "@g";
   EXPECT_EQ(OnG, 2u);
 }
 
@@ -688,6 +733,115 @@ TEST(RacerDLikeEquivalence, MixedSynchronizationUnprotectedWrites) {
   for (const RacerDWarning &W : R.warnings())
     Unprotected += W.WarningKind == RacerDWarning::Kind::UnprotectedWrite;
   EXPECT_EQ(Unprotected, 2u);
+}
+
+TEST(RacerDLikeEquivalence, KeysDiscoveredOutOfNameOrder) {
+  // Written keys are first seen as [], @g, B.x, A.y, a.z; warnings and
+  // the location table follow byte order: @ < A < B < [ < a.
+  auto M = parseProgram(R"(
+    global g: int;
+    class B { field x: int; }
+    class A { field y: int; }
+    class a { field z: int; }
+    global sb: B;
+    global sa: A;
+    global sl: a;
+    global arr: int[];
+    class T {
+      method run() {
+        var v: int;
+        var b: B;
+        var o: A;
+        var l: a;
+        var r: int[];
+        r = @arr;
+        r[*] = v;
+        @g = v;
+        b = @sb;
+        b.x = v;
+        o = @sa;
+        o.y = v;
+        l = @sl;
+        l.z = v;
+      }
+    }
+    func main() {
+      var t: T;
+      t = new T;
+      spawn t.run();
+    }
+  )");
+  ASSERT_TRUE(M);
+  RacerDReport R = expectMatchesPairwise(*M, "key-order");
+  std::vector<std::string> Want = {"@arr", "@g", "@sa", "@sb", "@sl",
+                                   "A.y",  "B.x", "[]",  "a.z"};
+  EXPECT_EQ(R.locations(), Want);
+  std::vector<std::string> Warned;
+  for (const RacerDWarning &W : R.warnings())
+    Warned.push_back(R.location(W));
+  EXPECT_EQ(Warned,
+            std::vector<std::string>({"@g", "A.y", "B.x", "[]", "a.z"}));
+}
+
+TEST(RacerDLikeEquivalence, VirtualCallResolvesToMethodsOfTwoClasses) {
+  // Helper calls o.touch() on an A; name-based resolution also reaches
+  // B.touch, so B's write runs on the spawned thread and races with
+  // main's read.
+  auto M = parseProgram(R"(
+    global g: int;
+    global h: int;
+    class A { method touch() { var x: int; @g = x; } }
+    class B { method touch() { var x: int; @h = x; } }
+    class T {
+      method run() {
+        var o: A;
+        o = new A;
+        o.touch();
+      }
+    }
+    func main() {
+      var t: T;
+      var x: int;
+      t = new T;
+      spawn t.run();
+      x = @g;
+      x = @h;
+    }
+  )");
+  ASSERT_TRUE(M);
+  RacerDReport R = expectMatchesPairwise(*M, "virtual-by-name");
+  unsigned OnH = 0;
+  for (const RacerDWarning &W : R.warnings())
+    OnH += R.location(W) == "@h" && W.B &&
+           W.A->getFunction() != W.B->getFunction();
+  EXPECT_EQ(OnH, 1u);
+}
+
+TEST(RacerDLikeEquivalence, EntryReachableFromMainAndFromSpawn) {
+  // main calls t.run() directly and also spawns it: run's root set holds
+  // main and its own root, so its write races with itself and with
+  // main's read.
+  auto M = parseProgram(R"(
+    global g: int;
+    class T { method run() { var x: int; @g = x; } }
+    func main() {
+      var t: T;
+      var x: int;
+      t = new T;
+      t.run();
+      spawn t.run();
+      x = @g;
+    }
+  )");
+  ASSERT_TRUE(M);
+  RacerDReport R = expectMatchesPairwise(*M, "main-and-spawn");
+  unsigned SelfRaces = 0, CrossRaces = 0;
+  for (const RacerDWarning &W : R.warnings()) {
+    SelfRaces += W.A == W.B;
+    CrossRaces += W.B && W.A->getFunction() != W.B->getFunction();
+  }
+  EXPECT_EQ(SelfRaces, 1u);
+  EXPECT_EQ(CrossRaces, 1u);
 }
 
 TEST(RacerDLikeEquivalence, PreCancelledTokenStopsBoth) {

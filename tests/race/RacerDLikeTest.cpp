@@ -86,7 +86,7 @@ TEST(RacerDLikeTest, SyntacticLocksSuppress) {
   )");
   RacerDReport R = runRacerDLike(*M);
   for (const RacerDWarning &W : R.warnings())
-    EXPECT_NE(W.Location, "Obj.v");
+    EXPECT_NE(R.location(W), "Obj.v");
 }
 
 TEST(RacerDLikeTest, MissesPointerDistinctions) {

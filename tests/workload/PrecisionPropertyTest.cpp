@@ -20,6 +20,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SmallProfile.h"
+
 #include "o2/Analysis/AnalysisManager.h"
 #include "o2/IR/Parser.h"
 #include "o2/OSA/EscapeAnalysis.h"
@@ -39,24 +41,6 @@
 using namespace o2;
 
 namespace {
-
-WorkloadProfile smallProfile(uint64_t Seed) {
-  WorkloadProfile P;
-  P.Name = "prop-seed" + std::to_string(Seed);
-  P.NumThreads = 3;
-  P.NumEventHandlers = 2;
-  P.CallDepth = 3;
-  P.RacyObjects = 2;
-  P.LockedObjects = 2;
-  P.ReadOnlyObjects = 2;
-  P.ProtectedWritesPerOrigin = 2;
-  P.UnprotectedWritesPerOrigin = 2;
-  P.ReadsPerOrigin = 2;
-  P.NestedSpawnDepth = Seed % 2 ? 2 : 0;
-  P.SpawnInLoop = Seed % 3 == 0;
-  P.Seed = Seed;
-  return P;
-}
 
 class PrecisionProperty : public ::testing::TestWithParam<uint64_t> {};
 
