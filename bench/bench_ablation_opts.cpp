@@ -13,7 +13,8 @@
 // mechanism behind each speedup is visible, and "races" shows that the
 // verdicts do not degrade. buildSHBGraph builds the happens-before rows
 // and the lockset matrix with the graph, outside the timed loop, so each
-// line times the pairwise scan alone.
+// line times the scan alone: the pairwise scan the paper describes, and
+// last the class scan that the tools run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,24 +23,12 @@
 using namespace o2;
 using namespace o2bench;
 
-static WorkloadProfile ablationProfile() {
-  WorkloadProfile P;
-  P.Name = "ablation";
-  P.NumThreads = 16;
-  P.NumEventHandlers = 8;
-  P.CallDepth = 4;
-  P.RacyObjects = 3;
-  P.LockedObjects = 6;
-  P.ReadOnlyObjects = 4;
-  P.NumLocks = 4;
-  P.ProtectedWritesPerOrigin = 10;
-  P.UnprotectedWritesPerOrigin = 2;
-  P.ReadsPerOrigin = 8;
-  P.Seed = 99;
-  return P;
-}
+using DetectFn = RaceReport (*)(const PTAResult &, const SHBGraph &,
+                                const SharingResult &,
+                                const RaceDetectorOptions &);
 
-static void BM_Ablation(benchmark::State &State, RaceDetectorOptions Opts) {
+static void BM_Ablation(benchmark::State &State, DetectFn Detect,
+                        RaceDetectorOptions Opts) {
   auto M = generateWorkload(ablationProfile());
   PTAOptions PTAOpts;
   PTAOpts.Kind = ContextKind::Origin;
@@ -47,7 +36,7 @@ static void BM_Ablation(benchmark::State &State, RaceDetectorOptions Opts) {
   SHBGraph SHB = buildSHBGraph(*PTA, Opts.SHB);
   SharingResult Sharing = runSharingAnalysis(*PTA);
   for (auto _ : State) {
-    RaceReport R = detectRacesPairwise(*PTA, SHB, Sharing, Opts);
+    RaceReport R = Detect(*PTA, SHB, Sharing, Opts);
     State.counters["races"] = R.numRaces();
     State.counters["pairs"] =
         static_cast<double>(R.stats().get("race.pairs-checked"));
@@ -65,12 +54,11 @@ int main(int Argc, char **Argv) {
   auto Register = [](const char *Name, bool HB, bool Lockset, bool Merge) {
     RaceDetectorOptions Opts;
     // The pairwise scan is the detector the paper's Section 4.1 ablation
-    // describes; the class-based engine is benchmarked in
-    // bench_race_engine.
+    // describes.
     Opts.HB = HB ? RaceHBKind::Index : RaceHBKind::Naive;
     Opts.CacheLocksetChecks = Lockset;
     Opts.LockRegionMerging = Merge;
-    benchmark::RegisterBenchmark(Name, BM_Ablation, Opts)
+    benchmark::RegisterBenchmark(Name, BM_Ablation, detectRacesPairwise, Opts)
         ->Unit(benchmark::kMillisecond);
   };
   Register("ablation/all-optimizations", true, true, true);
@@ -78,6 +66,12 @@ int main(int Argc, char **Argv) {
   Register("ablation/no-lockset-cache", true, false, true);
   Register("ablation/no-region-merging", true, true, false);
   Register("ablation/none(D4-style)", false, false, false);
+  // The class scan, the engine o2cli and o2batch run, with every
+  // optimization on: it charges its counters as the pairwise scan would.
+  benchmark::RegisterBenchmark("ablation/all-optimizations (classes)",
+                               BM_Ablation, static_cast<DetectFn>(detectRaces),
+                               RaceDetectorOptions())
+      ->Unit(benchmark::kMillisecond);
 
   return runBenchmarks(
       Argc, Argv,

@@ -23,7 +23,7 @@ using namespace o2bench;
 static void BM_EventTreatment(benchmark::State &State,
                               const std::string &ProfileName,
                               bool Serialize) {
-  auto M = buildProfile(ProfileName);
+  auto M = generateWorkload(profileNamed(ProfileName));
   PTAOptions PTAOpts;
   PTAOpts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(*M, PTAOpts);

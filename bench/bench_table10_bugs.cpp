@@ -16,13 +16,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/Analysis/AnalysisManager.h"
+#include "BenchUtils.h"
+
 #include "o2/Race/RacerDLike.h"
 #include "o2/Workload/BugModels.h"
 
-#include <benchmark/benchmark.h>
-
 using namespace o2;
+using namespace o2bench;
 
 static void BM_BugModel(benchmark::State &State, const BugModel *Model) {
   auto M = buildBugModel(*Model);
@@ -52,10 +52,8 @@ int main(int Argc, char **Argv) {
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);
 
-  std::printf("# Table 10: new races found by O2 in the modeled code bases "
-              "(found == expected per model; racerd = baseline warnings)\n");
-  ::benchmark::Initialize(&Argc, Argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  return runBenchmarks(
+      Argc, Argv,
+      "Table 10: new races found by O2 in the modeled code bases "
+      "(found == expected per model; racerd = baseline warnings)");
 }

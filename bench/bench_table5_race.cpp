@@ -24,7 +24,7 @@ using namespace o2bench;
 static void BM_RaceDetection(benchmark::State &State,
                              const std::string &ProfileName,
                              PTAOptions Opts) {
-  auto M = buildProfile(ProfileName);
+  auto M = generateWorkload(profileNamed(ProfileName));
   for (auto _ : State) {
     auto PTA = runPointerAnalysis(*M, Opts);
     RaceDetectorOptions DetOpts;
@@ -39,7 +39,7 @@ static void BM_RaceDetection(benchmark::State &State,
 
 static void BM_RacerD(benchmark::State &State,
                       const std::string &ProfileName) {
-  auto M = buildProfile(ProfileName);
+  auto M = generateWorkload(profileNamed(ProfileName));
   for (auto _ : State) {
     RacerDReport Report = runRacerDLike(*M);
     State.counters["races"] = Report.numPotentialRaces();

@@ -21,7 +21,7 @@ using namespace o2bench;
 
 static void BM_CppPTA(benchmark::State &State, const std::string &ProfileName,
                       PTAOptions Opts) {
-  auto M = buildProfile(ProfileName);
+  auto M = generateWorkload(profileNamed(ProfileName));
   for (auto _ : State) {
     auto R = runPointerAnalysis(*M, Opts);
     State.counters["pointers"] =

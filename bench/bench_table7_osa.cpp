@@ -23,7 +23,7 @@ using namespace o2;
 using namespace o2bench;
 
 static void BM_OSA(benchmark::State &State, const std::string &ProfileName) {
-  auto M = buildProfile(ProfileName);
+  auto M = generateWorkload(profileNamed(ProfileName));
   PTAOptions Opts;
   Opts.Kind = ContextKind::Origin;
   for (auto _ : State) {
@@ -38,7 +38,7 @@ static void BM_OSA(benchmark::State &State, const std::string &ProfileName) {
 
 static void BM_Escape(benchmark::State &State,
                       const std::string &ProfileName) {
-  auto M = buildProfile(ProfileName);
+  auto M = generateWorkload(profileNamed(ProfileName));
   PTAOptions Opts;
   Opts.Kind = ContextKind::Origin;
   for (auto _ : State) {

@@ -30,7 +30,7 @@ static unsigned racesUnder(const Module &M, PTAOptions Opts) {
 
 static void BM_Precision(benchmark::State &State,
                          const std::string &ProfileName, PTAOptions Opts) {
-  auto M = buildProfile(ProfileName);
+  auto M = generateWorkload(profileNamed(ProfileName));
   PTAOptions Baseline;
   Baseline.Kind = ContextKind::Insensitive;
   unsigned BaselineRaces = racesUnder(*M, Baseline);
@@ -47,7 +47,7 @@ static void BM_Precision(benchmark::State &State,
 
 static void BM_RacerDPrecision(benchmark::State &State,
                                const std::string &ProfileName) {
-  auto M = buildProfile(ProfileName);
+  auto M = generateWorkload(profileNamed(ProfileName));
   for (auto _ : State) {
     RacerDReport R = runRacerDLike(*M);
     State.counters["races"] = R.numPotentialRaces();

@@ -24,7 +24,7 @@ using namespace o2bench;
 static void BM_DistributedRaces(benchmark::State &State,
                                 const std::string &ProfileName,
                                 PTAOptions Opts) {
-  auto M = buildProfile(ProfileName);
+  auto M = generateWorkload(profileNamed(ProfileName));
   for (auto _ : State) {
     auto PTA = runPointerAnalysis(*M, Opts);
     RaceReport R = detectRaces(*PTA);
@@ -38,7 +38,7 @@ static void BM_DistributedRaces(benchmark::State &State,
 
 static void BM_DistributedRacerD(benchmark::State &State,
                                  const std::string &ProfileName) {
-  auto M = buildProfile(ProfileName);
+  auto M = generateWorkload(profileNamed(ProfileName));
   for (auto _ : State) {
     RacerDReport R = runRacerDLike(*M);
     State.counters["races"] = R.numPotentialRaces();

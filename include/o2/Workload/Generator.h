@@ -22,6 +22,7 @@
 #define O2_WORKLOAD_GENERATOR_H
 
 #include "o2/IR/Module.h"
+#include "o2/PTA/PointerAnalysis.h"
 
 #include <cstdint>
 #include <memory>
@@ -98,6 +99,26 @@ const std::vector<WorkloadProfile> &benchmarkProfiles();
 
 /// Finds a profile by name; null if absent.
 const WorkloadProfile *findProfile(const std::string &Name);
+
+/// The profile named \p Name; reports the name and aborts if there is
+/// none.
+const WorkloadProfile &profileNamed(const std::string &Name);
+
+/// The paper's subject groupings, the rows of its tables: DaCapo (Tables
+/// 5, 7, 8), Android apps (Table 5, Section 4.2), distributed systems
+/// (Tables 5, 9) and C/C++ applications (Table 6).
+std::vector<std::string> dacapoProfiles();
+std::vector<std::string> androidProfiles();
+std::vector<std::string> distributedProfiles();
+std::vector<std::string> cppProfiles();
+
+/// The pointer-analysis configurations compared in Tables 5, 6, 8 and 9,
+/// by the tables' names ("0-ctx", "1-origin", "2-cfa", ...). Each stops
+/// at 64k pointer nodes, the analogue of the paper's ">4h" entries.
+std::vector<std::pair<std::string, PTAOptions>> pointerAnalysisConfigs();
+
+/// The lock-heavy 24-origin workload of the Section 4.1 ablation.
+WorkloadProfile ablationProfile();
 
 } // namespace o2
 

@@ -408,6 +408,31 @@ private:
     }
   }
 
+  /// An upper bound on the warnings emitWarnings adds, so Warnings is
+  /// allocated once: a telegram-shaped module has about 100k of them, and
+  /// growing the vector cost about a third of the pass. Per key, a
+  /// read/write race pairs two accessing functions (or one with itself),
+  /// at least one of which writes; an unprotected write adds one more.
+  /// Capacity beyond the final size is never touched.
+  size_t warningBound() const {
+    size_t Bound = 0;
+    for (const std::vector<Access> &Accesses : AccessesByKey) {
+      size_t Runs = 0, ReadOnlyRuns = 0;
+      for (size_t I = 0, E; I != Accesses.size(); I = E) {
+        bool AnyWrite = false;
+        for (E = I; E != Accesses.size() && Accesses[E].F == Accesses[I].F;
+             ++E) {
+          AnyWrite |= Accesses[E].IsWrite;
+          Bound += Accesses[E].IsWrite;
+        }
+        ++Runs;
+        ReadOnlyRuns += !AnyWrite;
+      }
+      Bound += Runs * (Runs + 1) / 2 - ReadOnlyRuns * (ReadOnlyRuns + 1) / 2;
+    }
+    return Bound;
+  }
+
   /// Emits keys in name order (byte order, as std::string compares). The
   /// report's location table lists every key in that order.
   void emitWarnings() {
@@ -420,6 +445,8 @@ private:
     for (unsigned K : Order)
       R.Locations.push_back(std::move(KeyNames[K]));
 
+    size_t Bound = warningBound();
+    R.Warnings.reserve(Bound);
     for (uint32_t Loc = 0; Loc != Order.size(); ++Loc) {
       const std::vector<Access> &Accesses = AccessesByKey[Order[Loc]];
       buildClasses(Accesses);
@@ -446,6 +473,7 @@ private:
         R.NumPotentialRaces += NumAccessingFns - 1;
       }
     }
+    assert(R.Warnings.size() <= Bound && "warningBound is not a bound");
   }
 
   const Module &M;

@@ -11,6 +11,8 @@
 #include "o2/IR/IRBuilder.h"
 #include "o2/Support/Compiler.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <random>
 
 using namespace o2;
@@ -518,4 +520,68 @@ const WorkloadProfile *o2::findProfile(const std::string &Name) {
     if (P.Name == Name)
       return &P;
   return nullptr;
+}
+
+const WorkloadProfile &o2::profileNamed(const std::string &Name) {
+  const WorkloadProfile *P = findProfile(Name);
+  if (!P) {
+    std::fprintf(stderr, "o2: unknown benchmark profile '%s'\n",
+                 Name.c_str());
+    std::abort();
+  }
+  return *P;
+}
+
+std::vector<std::string> o2::dacapoProfiles() {
+  return {"avrora",   "batik",    "eclipse",  "h2",        "jython",
+          "luindex",  "lusearch", "pmd",      "sunflow",   "tomcat",
+          "tradebeans", "tradesoap", "xalan"};
+}
+
+std::vector<std::string> o2::androidProfiles() {
+  return {"connectbot", "sipdroid",     "k9mail",  "tasks", "fbreader",
+          "vlc",        "firefoxfocus", "telegram", "zoom",  "chrome"};
+}
+
+std::vector<std::string> o2::distributedProfiles() {
+  return {"hbase", "hdfs", "yarn", "zookeeper"};
+}
+
+std::vector<std::string> o2::cppProfiles() {
+  return {"memcached", "redis", "sqlite3"};
+}
+
+std::vector<std::pair<std::string, PTAOptions>> o2::pointerAnalysisConfigs() {
+  auto Mk = [](ContextKind Kind, unsigned K) {
+    PTAOptions Opts;
+    Opts.Kind = Kind;
+    Opts.K = K;
+    Opts.NodeBudget = 64'000;
+    return Opts;
+  };
+  return {
+      {"0-ctx", Mk(ContextKind::Insensitive, 1)},
+      {"1-origin", Mk(ContextKind::Origin, 1)},
+      {"1-cfa", Mk(ContextKind::KCallsite, 1)},
+      {"2-cfa", Mk(ContextKind::KCallsite, 2)},
+      {"1-obj", Mk(ContextKind::KObject, 1)},
+      {"2-obj", Mk(ContextKind::KObject, 2)},
+  };
+}
+
+WorkloadProfile o2::ablationProfile() {
+  WorkloadProfile P;
+  P.Name = "ablation";
+  P.NumThreads = 16;
+  P.NumEventHandlers = 8;
+  P.CallDepth = 4;
+  P.RacyObjects = 3;
+  P.LockedObjects = 6;
+  P.ReadOnlyObjects = 4;
+  P.NumLocks = 4;
+  P.ProtectedWritesPerOrigin = 10;
+  P.UnprotectedWritesPerOrigin = 2;
+  P.ReadsPerOrigin = 8;
+  P.Seed = 99;
+  return P;
 }

@@ -6,13 +6,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Parameterized (property-style) sweeps over generated workloads that pin
-// the paper's cross-analysis claims:
+// Parameterized (property-style) sweeps that pin the paper's
+// cross-analysis claims, over small seeded workloads and over the DaCapo
+// profiles of Tables 5, 7 and 8 (tests/paper relies on the latter):
 //   1. the three detector optimizations never change the racy locations;
 //   2. OPA's race report is a subset of the context-insensitive one
 //      (0-ctx only adds false positives on these workloads);
 //   3. intended races are always found;
 //   4. OSA never reports more shared accesses than escape analysis;
+//      more context depth never adds races (within the node budget);
 //   5. the SHB threads' sharing table is an oracle for OSA's, on these
 //      workloads and on the paper's corpora: both give the race detector
 //      the same races, and the threads' table only adds locations one of
@@ -42,7 +44,26 @@ using namespace o2;
 
 namespace {
 
-class PrecisionProperty : public ::testing::TestWithParam<uint64_t> {};
+/// A property's input: a small seeded workload, or one of the paper's
+/// DaCapo table profiles. It prints as the seed or the profile name, which
+/// ends the test's name.
+struct PropertyInput {
+  uint64_t Seed = 0;
+  std::string Table; ///< empty for a seeded workload
+
+  WorkloadProfile profile() const {
+    return Table.empty() ? smallProfile(Seed) : profileNamed(Table);
+  }
+};
+
+void PrintTo(const PropertyInput &In, std::ostream *OS) {
+  if (In.Table.empty())
+    *OS << In.Seed;
+  else
+    *OS << In.Table;
+}
+
+class PrecisionProperty : public ::testing::TestWithParam<PropertyInput> {};
 
 std::set<uint64_t> raceLocs(const RaceReport &R) {
   std::set<uint64_t> Locs;
@@ -59,7 +80,7 @@ std::set<std::pair<unsigned, unsigned>> racePairs(const RaceReport &R) {
 }
 
 TEST_P(PrecisionProperty, OptimizationsPreserveRacyLocations) {
-  auto M = generateWorkload(smallProfile(GetParam()));
+  auto M = generateWorkload(GetParam().profile());
 
   O2Config Optimized;
   AnalysisManager A(*M, Optimized);
@@ -79,7 +100,7 @@ TEST_P(PrecisionProperty, OptimizationsPreserveRacyLocations) {
 }
 
 TEST_P(PrecisionProperty, EachOptimizationAloneIsSound) {
-  auto M = generateWorkload(smallProfile(GetParam()));
+  auto M = generateWorkload(GetParam().profile());
   O2Config Base;
   Base.Detector.HB = RaceHBKind::Naive;
   Base.Detector.CacheLocksetChecks = false;
@@ -101,7 +122,7 @@ TEST_P(PrecisionProperty, EachOptimizationAloneIsSound) {
 }
 
 TEST_P(PrecisionProperty, OriginRacesSubsetOfInsensitiveRaces) {
-  auto M = generateWorkload(smallProfile(GetParam()));
+  auto M = generateWorkload(GetParam().profile());
 
   O2Config OPA;
   AnalysisManager A(*M, OPA);
@@ -118,7 +139,7 @@ TEST_P(PrecisionProperty, OriginRacesSubsetOfInsensitiveRaces) {
 }
 
 TEST_P(PrecisionProperty, IntendedRacesAreFound) {
-  WorkloadProfile P = smallProfile(GetParam());
+  WorkloadProfile P = GetParam().profile();
   auto M = generateWorkload(P);
   AnalysisManager A(*M);
   // Unprotected writes from multiple origins must surface as races.
@@ -128,7 +149,7 @@ TEST_P(PrecisionProperty, IntendedRacesAreFound) {
 }
 
 TEST_P(PrecisionProperty, OSANoLooserThanEscapeAnalysis) {
-  auto M = generateWorkload(smallProfile(GetParam()));
+  auto M = generateWorkload(GetParam().profile());
   PTAOptions Opts;
   Opts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(*M, Opts);
@@ -140,18 +161,23 @@ TEST_P(PrecisionProperty, OSANoLooserThanEscapeAnalysis) {
 
 TEST_P(PrecisionProperty, KCFAPrecisionGradation) {
   // More context depth => no more races (on these workloads the local
-  // patterns of depth 1..3 are resolved one by one).
-  auto M = generateWorkload(smallProfile(GetParam()));
+  // patterns of depth 1..3 are resolved one by one). The ladder stops at
+  // the tables' node budget: a result cut short is not a fixpoint.
+  auto M = generateWorkload(GetParam().profile());
   unsigned Prev = ~0u;
   for (unsigned K : {0u, 1u, 2u, 3u}) {
     O2Config C;
+    C.PTA.NodeBudget = 64'000;
     if (K == 0) {
       C.PTA.Kind = ContextKind::Insensitive;
     } else {
       C.PTA.Kind = ContextKind::KCallsite;
       C.PTA.K = K;
     }
-    unsigned N = AnalysisManager(*M, C).getRaces().numRaces();
+    AnalysisManager A(*M, C);
+    if (A.getPTA().hitBudget())
+      break;
+    unsigned N = A.getRaces().numRaces();
     EXPECT_LE(N, Prev) << "k=" << K;
     Prev = N;
   }
@@ -160,12 +186,13 @@ TEST_P(PrecisionProperty, KCFAPrecisionGradation) {
 TEST_P(PrecisionProperty, HBImplementationsAgree) {
   // The integer-ID happens-before (reachability-row lookups) and the
   // naive per-event BFS must agree on every sampled query over a generated workload.
-  auto M = generateWorkload(smallProfile(GetParam()));
+  auto M = generateWorkload(GetParam().profile());
   PTAOptions Opts;
   Opts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(*M, Opts);
   SHBGraph G = buildSHBGraph(*PTA);
-  uint64_t Rng = GetParam() * 0x9e3779b97f4a7c15ULL + 1;
+  uint64_t Rng =
+      GetParam().profile().Seed * 0x9e3779b97f4a7c15ULL + 1;
   auto Next = [&Rng] {
     Rng ^= Rng << 13;
     Rng ^= Rng >> 7;
@@ -243,11 +270,27 @@ void expectThreadTableAgreesWithOSA(const Module &M) {
 }
 
 TEST_P(PrecisionProperty, RacyLocationsAreOSAShared) {
-  expectThreadTableAgreesWithOSA(*generateWorkload(smallProfile(GetParam())));
+  expectThreadTableAgreesWithOSA(*generateWorkload(GetParam().profile()));
+}
+
+std::vector<PropertyInput> seedInputs() {
+  std::vector<PropertyInput> Inputs;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed)
+    Inputs.push_back({Seed, ""});
+  return Inputs;
+}
+
+std::vector<PropertyInput> tableInputs() {
+  std::vector<PropertyInput> Inputs;
+  for (const std::string &Name : dacapoProfiles())
+    Inputs.push_back({0, Name});
+  return Inputs;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrecisionProperty,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+                         ::testing::ValuesIn(seedInputs()));
+INSTANTIATE_TEST_SUITE_P(TableProfiles, PrecisionProperty,
+                         ::testing::ValuesIn(tableInputs()));
 
 TEST(PrecisionPropertyCorpora, RacyLocationsAreOSAShared) {
   // Property 5 on every module of examples/oir, every benchmark profile
