@@ -13,8 +13,7 @@
 // mechanism behind each speedup is visible, and "races" shows that the
 // verdicts do not degrade. buildSHBGraph builds the happens-before rows
 // and the lockset matrix with the graph, outside the timed loop, so each
-// line times the scan alone: the pairwise scan the paper describes, and
-// last the class scan that the tools run.
+// line times the scan alone. The first line is the scan the tools run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,12 +22,7 @@
 using namespace o2;
 using namespace o2bench;
 
-using DetectFn = RaceReport (*)(const PTAResult &, const SHBGraph &,
-                                const SharingResult &,
-                                const RaceDetectorOptions &);
-
-static void BM_Ablation(benchmark::State &State, DetectFn Detect,
-                        RaceDetectorOptions Opts) {
+static void BM_Ablation(benchmark::State &State, RaceDetectorOptions Opts) {
   auto M = generateWorkload(ablationProfile());
   PTAOptions PTAOpts;
   PTAOpts.Kind = ContextKind::Origin;
@@ -36,7 +30,7 @@ static void BM_Ablation(benchmark::State &State, DetectFn Detect,
   SHBGraph SHB = buildSHBGraph(*PTA, Opts.SHB);
   SharingResult Sharing = runSharingAnalysis(*PTA);
   for (auto _ : State) {
-    RaceReport R = Detect(*PTA, SHB, Sharing, Opts);
+    RaceReport R = detectRaces(*PTA, SHB, Sharing, Opts);
     State.counters["races"] = R.numRaces();
     State.counters["pairs"] =
         static_cast<double>(R.stats().get("race.pairs-checked"));
@@ -53,12 +47,10 @@ static void BM_Ablation(benchmark::State &State, DetectFn Detect,
 int main(int Argc, char **Argv) {
   auto Register = [](const char *Name, bool HB, bool Lockset, bool Merge) {
     RaceDetectorOptions Opts;
-    // The pairwise scan is the detector the paper's Section 4.1 ablation
-    // describes.
     Opts.HB = HB ? RaceHBKind::Index : RaceHBKind::Naive;
     Opts.CacheLocksetChecks = Lockset;
     Opts.LockRegionMerging = Merge;
-    benchmark::RegisterBenchmark(Name, BM_Ablation, detectRacesPairwise, Opts)
+    benchmark::RegisterBenchmark(Name, BM_Ablation, Opts)
         ->Unit(benchmark::kMillisecond);
   };
   Register("ablation/all-optimizations", true, true, true);
@@ -66,12 +58,6 @@ int main(int Argc, char **Argv) {
   Register("ablation/no-lockset-cache", true, false, true);
   Register("ablation/no-region-merging", true, true, false);
   Register("ablation/none(D4-style)", false, false, false);
-  // The class scan, the engine o2cli and o2batch run, with every
-  // optimization on: it charges its counters as the pairwise scan would.
-  benchmark::RegisterBenchmark("ablation/all-optimizations (classes)",
-                               BM_Ablation, static_cast<DetectFn>(detectRaces),
-                               RaceDetectorOptions())
-      ->Unit(benchmark::kMillisecond);
 
   return runBenchmarks(
       Argc, Argv,

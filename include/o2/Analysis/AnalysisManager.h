@@ -158,8 +158,10 @@ struct O2Config {
 
 /// Deterministic fingerprint of the configuration as seen by pass \p K:
 /// a hash of the result-affecting options, the pass version, and the
-/// fingerprints of its dependencies. Fields that never change a pass's
-/// result (the cancellation token, the pass hook) are excluded.
+/// fingerprints of its dependencies (SHB's OSA dependency, a filter that
+/// changes no report, excepted). Fields that never change a pass's
+/// result (the cancellation token, the pass hook, the SHB filter) are
+/// excluded.
 uint64_t passFingerprint(O2Phase K, const O2Config &Config);
 
 /// Fingerprint of a whole request: the fold of passFingerprint over the

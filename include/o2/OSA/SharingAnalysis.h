@@ -25,6 +25,7 @@
 #include "o2/Support/BitVector.h"
 #include "o2/Support/U64Map.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace o2 {
@@ -68,8 +69,8 @@ public:
   }
 
   bool isShared(MemLoc Loc) const {
-    const LocAccessSets *S = get(Loc);
-    return S && S->isShared();
+    unsigned I = indexOf(Loc);
+    return I != NoLoc && SharedLoc[I];
   }
 
   /// All shared locations, sorted by key (deterministic).
@@ -81,16 +82,27 @@ public:
 
   /// Number of access statements that may touch a shared location
   /// (the paper's "#S-access").
-  unsigned numSharedAccessStmts() const { return SharedStmts.count(); }
+  unsigned numSharedAccessStmts() const {
+    return static_cast<unsigned>(
+        std::count(SharedStmts.begin(), SharedStmts.end(), true));
+  }
 
   /// Total number of access statements scanned.
-  unsigned numAccessStmts() const { return AccessStmts.count(); }
+  unsigned numAccessStmts() const {
+    return static_cast<unsigned>(
+        std::count(AccessStmts.begin(), AccessStmts.end(), true));
+  }
 
   /// True if the access statement with module-wide ID \p StmtId may touch
   /// a shared location.
   bool isSharedAccess(unsigned StmtId) const {
-    return StmtId < SharedStmts.size() && SharedStmts.test(StmtId);
+    return StmtId < SharedStmts.size() && SharedStmts[StmtId];
   }
+
+  /// OSA's flag per entry of PTA's access table (PTAResult::accessTable()):
+  /// the entry may touch a shared location. Covers every entry, also those
+  /// of frames outside instances(); empty for runThreadSharing's table.
+  const std::vector<bool> &sharedAccesses() const { return SharedEntries; }
 
   /// True if the scan was cancelled (the result covers a prefix of the
   /// scanned instances or threads).
@@ -102,30 +114,37 @@ private:
   friend SharingResult runThreadSharing(const SHBGraph &,
                                         const CancellationToken *);
 
-  /// Records that \p Who reads or writes each of \p Accessed.
-  void add(unsigned Who, bool IsWrite, ArrayRef<MemLoc> Accessed);
+  /// Records that \p Who reads or writes \p Loc; returns its index.
+  unsigned add(unsigned Who, bool IsWrite, MemLoc Loc);
   /// Decides which locations are shared; flags a scan that stopped early.
   void finish(bool WasCancelled);
 
   bool Cancelled = false;
 
-  /// MemLoc key -> dense index into Locs and Sets.
+  /// MemLoc key -> dense index into Locs, Sets and SharedLoc.
   U64Map<unsigned> Index;
   std::vector<MemLoc> Locs;
   std::vector<LocAccessSets> Sets;
+  std::vector<bool> SharedLoc;
   std::vector<MemLoc> Shared;
-  BitVector AccessStmts, SharedStmts;
+  /// By Stmt::getId(), sized from Module::numStmts().
+  std::vector<bool> AccessStmts, SharedStmts;
+  std::vector<bool> SharedEntries;
   unsigned NumSharedObjects = 0;
 };
 
 /// Runs OSA over an Origin-sensitive pointer-analysis result, reading its
-/// access table. \p Cancel, when given, is polled per scanned instance; on
-/// expiry the scan stops and the partial result is flagged.
+/// access table, and flags the table's entries that may touch a shared
+/// location (sharedAccesses()). \p Cancel, when given, is polled per
+/// scanned instance; on expiry the scan stops and the partial result is
+/// flagged.
 SharingResult runSharingAnalysis(const PTAResult &PTA,
                                  const CancellationToken *Cancel = nullptr);
 
 /// Fills the sharing table from the access events of \p SHB's threads,
-/// counting no access statements. Polls \p Cancel per thread.
+/// counting no access statements. \p SHB must store every access it
+/// walks (no SHBOptions::SharedAccesses filter). Polls \p Cancel per
+/// thread.
 SharingResult runThreadSharing(const SHBGraph &SHB,
                                const CancellationToken *Cancel = nullptr);
 

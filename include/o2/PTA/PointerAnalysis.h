@@ -147,6 +147,12 @@ public:
   /// unreached instances and for cancelled runs.
   ArrayRef<Access> accesses(const Function *F, Ctx C) const;
 
+  /// The whole access table, every instance's run back to back: the runs
+  /// of instances() in order, then (after a budget stop) the runs of the
+  /// frames SHB walks that are not instances. An entry's index is its
+  /// address minus data().
+  ArrayRef<Access> accessTable() const { return Accesses; }
+
   /// Resolved targets of the call/ctor/spawn statement \p S under \p C.
   /// Returns an empty vector for unreached instances.
   const std::vector<CallTarget> &callTargets(const Stmt *S, Ctx C) const;

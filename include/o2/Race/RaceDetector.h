@@ -10,23 +10,19 @@
 /// The race detection engine of Section 4: hybrid happens-before + lockset
 /// over the SHB graph, for the sharing table's shared non-atomic locations.
 ///
-/// detectRaces groups the accesses to each shared location into
-/// (thread, HB segment, lockset, is-write) equivalence classes, so the
-/// n^2 pairwise loop becomes c^2 class-pair checks: one lockset lookup
-/// and two precomputed reachability lookups decide a whole class pair,
-/// and the racy subset of a class pair is a prefix-rectangle found by
-/// binary search. Both queries are lookups into tables the SHB graph
-/// builds with itself: per-segment reachability rows for happens-before,
-/// and the lockset-intersection bit matrix when the interned universe is
-/// small (the sorted-list merge otherwise).
+/// detectRaces is the pairwise scan of Section 4.1: per shared location,
+/// every pair of accesses from different threads with a write is checked
+/// for a common lock, then for happens-before in either direction. Both
+/// checks are lookups into tables the SHB graph builds with itself:
+/// per-segment reachability rows for happens-before, and the
+/// lockset-intersection bit matrix when the interned universe is small
+/// (the sorted-list merge otherwise). The scan is quadratic in a
+/// location's accesses after lock-region merging; a deadline
+/// (RaceDetectorOptions::Cancel) bounds it on pathological modules.
 ///
-/// detectRacesPairwise is the straightforward pairwise scan, kept as the
-/// reference implementation: the class scan produces byte-identical
-/// reports and equal counters to it. Each optimization of Section 4.1
-/// can be disabled, which yields the D4-style straw-man detector the
-/// paper compares against. detectRaces forwards to it when HB is Naive
-/// (that ablation) or MaxPairChecks is finite (the budget is defined by
-/// the pairwise scan order).
+/// Each optimization of Section 4.1 can be disabled, which yields the
+/// D4-style straw-man detector the paper compares against; naive HB with
+/// the uncached lockset merge is also the test oracle for the tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,15 +42,14 @@ class OutputStream;
 
 /// How happens-before queries are answered.
 enum class RaceHBKind : uint8_t {
-  Naive, ///< Per-event BFS over the SHB graph (D4-style straw man); runs
-         ///< the pairwise scan.
+  Naive, ///< Per-event BFS over the SHB graph (D4-style straw man).
   Index, ///< The SHB graph's reachability rows, O(1) per query (default).
 };
 
 struct RaceDetectorOptions {
   /// Happens-before implementation (`o2cli --race-hb=`). Both are
   /// semantically identical; Naive is the correctness oracle for the
-  /// reachability rows and selects the pairwise scan.
+  /// reachability rows.
   RaceHBKind HB = RaceHBKind::Index;
 
   /// Optimization 2: canonical lockset IDs with precomputed
@@ -72,13 +67,11 @@ struct RaceDetectorOptions {
 
   /// Hard cap on conflicting pairs checked; exceeding it aborts the scan
   /// and sets the "race.budget-hit" statistic — benchmark harnesses use
-  /// this the way the paper reports ">4h" detector runs. A finite budget
-  /// selects the pairwise scan, whose order defines it.
+  /// this the way the paper reports ">4h" detector runs.
   uint64_t MaxPairChecks = ~uint64_t(0);
 
-  /// Optional cooperative cancellation, polled per candidate pair
-  /// (pairwise scan) or per candidate location (class scan); on expiry
-  /// the scan stops and the partial report is flagged (the
+  /// Optional cooperative cancellation, polled per candidate pair; on
+  /// expiry the scan stops and the partial report is flagged (the
   /// "race.cancelled" statistic). A cancelled SHB graph stops the scan
   /// the same way. Not owned.
   const CancellationToken *Cancel = nullptr;
@@ -104,8 +97,7 @@ public:
   unsigned numRaces() const { return static_cast<unsigned>(Races.size()); }
 
   /// Detector counters: pairs checked, HB queries, lockset checks,
-  /// shared locations, threads, events. Both scans produce equal
-  /// counters (see file comment).
+  /// shared locations, threads, events.
   const StatisticRegistry &stats() const { return Stats; }
 
   /// Prints a human-readable report.
@@ -130,12 +122,6 @@ private:
 RaceReport detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
                        const SharingResult &Sharing,
                        const RaceDetectorOptions &Opts = {});
-
-/// The pairwise reference scan over the same inputs: the test oracle for
-/// detectRaces and the Section 4.1 ablation baseline.
-RaceReport detectRacesPairwise(const PTAResult &PTA, const SHBGraph &SHB,
-                               const SharingResult &Sharing,
-                               const RaceDetectorOptions &Opts = {});
 
 /// Builds the SHB graph and the sharing table sharingTableFor picks, and
 /// detects races.

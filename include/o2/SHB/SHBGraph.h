@@ -34,6 +34,10 @@
 /// Event-handler threads can be serialized by an implicit global lock
 /// (the paper's Android treatment, Section 4.2).
 ///
+/// Under OPA the builder stores only the accesses OSA flags as touching a
+/// shared location (SHBOptions::SharedAccesses); it still walks and counts
+/// every access, so positions, locksets and regions are unchanged.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef O2_SHB_SHBGRAPH_H
@@ -65,6 +69,12 @@ struct SHBOptions {
   /// Optional cooperative cancellation, polled per traced statement; on
   /// expiry the builder stops and flags the partial graph. Not owned.
   const CancellationToken *Cancel = nullptr;
+
+  /// Under OPA, OSA's flags over PTA's access table
+  /// (SharingResult::sharedAccesses()): the builder stores an AccessEvent
+  /// only for a flagged entry, since no other can race. It still walks
+  /// and counts every access. Null stores every access. Not owned.
+  const std::vector<bool> *SharedAccesses = nullptr;
 };
 
 /// One read or write of a set of abstract memory locations.
@@ -73,7 +83,9 @@ struct AccessEvent {
   uint32_t Thread = 0;
   const Stmt *S = nullptr;
   LocksetId Lockset = 0;
-  uint32_t LockRegion = 0; ///< 0 = outside any lock region.
+  /// Innermost lock region, 0 outside any. Ids are unique in the graph,
+  /// numbered from 1 in acquire order (AcquireEvent::Region).
+  uint32_t LockRegion = 0;
   bool IsWrite = false;
   /// The region contained a spawn/join, so region merging is unsound for
   /// it and the detector must not collapse its accesses.
@@ -93,6 +105,8 @@ struct AcquireEvent {
   SmallVector<uint32_t, 2> Acquired;
   /// The lock region this acquire opens (matches AccessEvent::LockRegion).
   uint32_t Region = 0;
+  /// Accesses walked while this region was the innermost, stored or not.
+  uint32_t NumAccesses = 0;
 };
 
 /// One abstract thread (origin instance).
@@ -105,6 +119,7 @@ struct ThreadInfo {
   unsigned RecvObj = ~0u;           ///< Receiver (origin) object; ~0u main.
   unsigned Dup = 0;                 ///< Loop-duplication index.
   uint32_t NumEvents = 0;           ///< Total positions in the trace.
+  uint32_t NumAccesses = 0;         ///< Accesses walked, stored or not.
   bool Truncated = false;           ///< Event cap hit.
 
   /// Inter-thread edges. Starts: (parent thread, parent position) pairs
@@ -115,6 +130,7 @@ struct ThreadInfo {
   std::vector<std::pair<uint32_t, unsigned>> SpawnEdges;
   std::vector<std::pair<unsigned, uint32_t>> Joins;
 
+  /// Stored accesses in trace order (see SHBOptions::SharedAccesses).
   std::vector<AccessEvent> Accesses;
   std::vector<AcquireEvent> Acquires;
 };
@@ -125,7 +141,8 @@ public:
   const ThreadInfo &thread(unsigned Id) const { return Threads[Id]; }
   unsigned numThreads() const { return static_cast<unsigned>(Threads.size()); }
 
-  /// Total number of access events across all threads.
+  /// Total number of accesses walked across all threads, including those
+  /// a SharedAccesses filter did not store.
   uint64_t numAccessEvents() const;
 
   /// Lock elements (object IDs; may include the implicit UI-lock element)

@@ -67,9 +67,11 @@ SmallVector<O2Phase, 3> depsOf(O2Phase K) {
   case O2Phase::RacerD:
     return {};
   case O2Phase::OSA:
-  case O2Phase::SHB:
   case O2Phase::Escape:
     return {O2Phase::PTA};
+  case O2Phase::SHB:
+    // Under OPA, SHB stores only the accesses OSA calls shared.
+    return {O2Phase::PTA, O2Phase::OSA};
   case O2Phase::Deadlock:
     return {O2Phase::PTA, O2Phase::SHB};
   case O2Phase::Detect:
@@ -209,7 +211,10 @@ bool o2::parseAnalysisSet(const std::string &Spec, AnalysisSet &Out,
 uint64_t o2::passFingerprint(O2Phase K, const O2Config &Config) {
   uint64_t H = localFingerprint(K, Config);
   for (O2Phase D : depsOf(K))
-    H = hashU64(passFingerprint(D, Config), H);
+    // OSA only filters which SHB events are stored, which changes no
+    // report, and it is a function of PTA, which SHB folds in already.
+    if (!(K == O2Phase::SHB && D == O2Phase::OSA))
+      H = hashU64(passFingerprint(D, Config), H);
   return H;
 }
 
@@ -321,6 +326,7 @@ void AnalysisManager::runPass(O2Phase K) {
     if (sharingFromOSA(*P->PTA)) {
       P->Sharing = runSharingAnalysis(*P->PTA, Config.Cancel);
       PassCancelled = P->Sharing.cancelled();
+      Config.Detector.SHB.SharedAccesses = &P->Sharing.sharedAccesses();
     }
     break;
   case O2Phase::SHB:

@@ -14,24 +14,25 @@
 
 using namespace o2;
 
-void SharingResult::add(unsigned Who, bool IsWrite,
-                        ArrayRef<MemLoc> Accessed) {
-  for (MemLoc Loc : Accessed) {
-    auto [I, New] =
-        Index.tryEmplace(Loc.key(), static_cast<unsigned>(Sets.size()));
-    if (New) {
-      Locs.push_back(Loc);
-      Sets.emplace_back();
-    }
-    LocAccessSets &S = Sets[*I];
-    (IsWrite ? S.Writers : S.Readers).set(Who);
+unsigned SharingResult::add(unsigned Who, bool IsWrite, MemLoc Loc) {
+  auto [Slot, New] =
+      Index.tryEmplace(Loc.key(), static_cast<unsigned>(Sets.size()));
+  unsigned I = *Slot;
+  if (New) {
+    Locs.push_back(Loc);
+    Sets.emplace_back();
   }
+  LocAccessSets &S = Sets[I];
+  (IsWrite ? S.Writers : S.Readers).set(Who);
+  return I;
 }
 
 void SharingResult::finish(bool WasCancelled) {
   BitVector SharedObjs;
+  SharedLoc.assign(Sets.size(), false);
   for (unsigned I = 0; I != Sets.size(); ++I)
     if (Sets[I].isShared()) {
+      SharedLoc[I] = true;
       Shared.push_back(Locs[I]);
       if (!Locs[I].isGlobal())
         SharedObjs.set(Locs[I].object());
@@ -49,25 +50,46 @@ SharingResult o2::runSharingAnalysis(const PTAResult &PTA,
   assert(PTA.options().Kind == ContextKind::Origin &&
          "OSA runs on origin-sensitive points-to results");
   const auto &Instances = PTA.instances();
+  ArrayRef<Access> Table = PTA.accessTable();
   SharingResult R;
-  size_t Scanned = 0;
+  R.AccessStmts.assign(PTA.module().numStmts(), false);
+  R.SharedStmts.assign(PTA.module().numStmts(), false);
+  // The instances' runs are the table's prefix, in order: the scan covers
+  // its first NumScanned entries, whose locations' indices LocIds keeps
+  // in table order.
+  std::vector<unsigned> LocIds;
+  size_t Scanned = 0, NumScanned = 0;
   for (; Scanned != Instances.size() && !pollCancelled(Cancel); ++Scanned) {
     const auto &[F, C] = Instances[Scanned];
     unsigned Origin = PTA.originOfCtx(C);
-    for (const Access &A : PTA.accesses(F, C)) {
-      R.AccessStmts.set(A.S->getId());
-      R.add(Origin, A.IsWrite, A.Locs);
+    ArrayRef<Access> Run = PTA.accesses(F, C);
+    assert((Run.empty() || Run.data() == Table.data() + NumScanned) &&
+           "instance runs are the access table's prefix");
+    NumScanned += Run.size();
+    for (const Access &A : Run) {
+      R.AccessStmts[A.S->getId()] = true;
+      for (MemLoc Loc : A.Locs)
+        LocIds.push_back(R.add(Origin, A.IsWrite, Loc));
     }
   }
   R.finish(Scanned != Instances.size());
-  // Which scanned access statements may touch a shared location.
-  auto IsShared = [&R](MemLoc Loc) { return R.isShared(Loc); };
-  for (size_t I = 0; I != Scanned; ++I) {
-    const auto &[F, C] = Instances[I];
-    for (const Access &A : PTA.accesses(F, C))
-      if (!R.SharedStmts.test(A.S->getId()) &&
-          std::any_of(A.Locs.begin(), A.Locs.end(), IsShared))
-        R.SharedStmts.set(A.S->getId());
+  // Which entries may touch a shared location. Past the scanned prefix
+  // (frames a budget stop left outside instances(), which SHB still
+  // walks) the locations are looked up.
+  R.SharedEntries.assign(Table.size(), false);
+  const unsigned *NextId = LocIds.data();
+  for (size_t E = 0; E != Table.size(); ++E) {
+    const Access &A = Table[E];
+    bool Shared = false;
+    for (MemLoc Loc : A.Locs) {
+      unsigned I = E < NumScanned ? *NextId++ : R.indexOf(Loc);
+      Shared |= I != SharingResult::NoLoc && R.SharedLoc[I];
+    }
+    if (!Shared)
+      continue;
+    R.SharedEntries[E] = true;
+    if (E < NumScanned)
+      R.SharedStmts[A.S->getId()] = true;
   }
   return R;
 }
@@ -76,9 +98,14 @@ SharingResult o2::runThreadSharing(const SHBGraph &SHB,
                                    const CancellationToken *Cancel) {
   SharingResult R;
   unsigned Scanned = 0;
-  for (; Scanned != SHB.numThreads() && !pollCancelled(Cancel); ++Scanned)
-    for (const AccessEvent &E : SHB.thread(Scanned).Accesses)
-      R.add(E.Thread, E.IsWrite, E.Locs);
+  for (; Scanned != SHB.numThreads() && !pollCancelled(Cancel); ++Scanned) {
+    const ThreadInfo &T = SHB.thread(Scanned);
+    assert(T.Accesses.size() == T.NumAccesses &&
+           "the threads' table needs a graph that stores every access");
+    for (const AccessEvent &E : T.Accesses)
+      for (MemLoc Loc : E.Locs)
+        R.add(E.Thread, E.IsWrite, Loc);
+  }
   R.finish(Scanned != SHB.numThreads());
   return R;
 }

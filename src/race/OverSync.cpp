@@ -11,7 +11,7 @@
 #include "o2/IR/Printer.h"
 #include "o2/Support/OutputStream.h"
 
-#include <map>
+#include <algorithm>
 
 using namespace o2;
 
@@ -20,38 +20,33 @@ o2::detectOverSynchronization(const SharingResult &Sharing,
                               const SHBGraph &SHB,
                               const CancellationToken *Cancel) {
   OverSyncReport R;
+  // By region id: a stored access in the region (innermost) touches a
+  // shared location. Each acquire opens one region, numbered from 1.
+  size_t NumRegions = 0;
+  for (const ThreadInfo &T : SHB.threads())
+    NumRegions += T.Acquires.size();
+  std::vector<bool> GuardsShared(NumRegions + 1, false);
   for (const ThreadInfo &T : SHB.threads()) {
     if (pollCancelled(Cancel)) {
       R.Cancelled = true;
       return R;
     }
-    // Group this thread's accesses by innermost lock region.
-    struct RegionState {
-      unsigned NumAccesses = 0;
-      bool TouchesShared = false;
-    };
-    std::map<uint32_t, RegionState> Regions;
-    for (const AccessEvent &E : T.Accesses) {
-      if (E.LockRegion == 0)
+    for (const AccessEvent &E : T.Accesses)
+      if (E.LockRegion != 0 && !GuardsShared[E.LockRegion])
+        GuardsShared[E.LockRegion] =
+            std::any_of(E.Locs.begin(), E.Locs.end(),
+                        [&](MemLoc Loc) { return Sharing.isShared(Loc); });
+    // A thread's acquires ascend by region id.
+    for (const AcquireEvent &A : T.Acquires) {
+      if (A.NumAccesses == 0)
         continue;
-      RegionState &State = Regions[E.LockRegion];
-      ++State.NumAccesses;
-      for (const MemLoc &Loc : E.Locs)
-        State.TouchesShared |= Sharing.isShared(Loc);
-    }
-    // Map each region to its opening acquire.
-    std::map<uint32_t, const Stmt *> RegionAcquire;
-    for (const AcquireEvent &A : T.Acquires)
-      RegionAcquire[A.Region] = A.S;
-    for (const auto &[Region, State] : Regions) {
       ++R.NumRegionsChecked;
-      if (State.TouchesShared)
+      if (GuardsShared[A.Region])
         continue;
       OverSyncRegion O;
-      O.Acquire =
-          RegionAcquire.count(Region) ? RegionAcquire[Region] : nullptr;
+      O.Acquire = A.S;
       O.Thread = T.Id;
-      O.NumAccesses = State.NumAccesses;
+      O.NumAccesses = A.NumAccesses;
       R.Regions.push_back(O);
     }
   }

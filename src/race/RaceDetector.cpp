@@ -6,48 +6,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The race engine and its pairwise reference scan. Both share one
-// candidate collection, one lock-region merge, one race payload and one
-// report finalization, so they may only differ in how they *pair*
-// accesses, never in which accesses they consider or how a race is
-// materialized.
-//
-// ## Equivalence classes
-//
-// Accesses to one location are grouped by (thread, HB segment, lockset,
-// is-write). Every member of a class has the same reachability row in the
-// SHB graph and the same lockset, so for a pair of classes (Ci, Cj) one
-// lockset lookup and two reach() lookups decide *all* |Ci|*|Cj| access
-// pairs at once:
-//
-//   - the pairwise scan's first HB query hb(A, B) for A in Ci, B in Cj is
-//     false exactly for the B whose position precedes
-//     R12 = reach(row(Ci), thread(Cj)) — a prefix of Cj's
-//     position-sorted members, found by binary search;
-//   - symmetrically hb(B, A) is false exactly for the prefix of Ci
-//     before R21 = reach(row(Cj), thread(Ci));
-//   - the racy pairs of the class pair are the rectangle
-//     prefix(Ci, cut21) x prefix(Cj, cut12).
-//
-// ## Equivalence with the pairwise scan
-//
-// The class scan reproduces the pairwise report byte-for-byte and its
-// counters exactly:
-//
-//   - Counters charge what the pairwise scan *would have done* (|Ci|*|Cj|
-//     pair checks and lockset checks; N + |Ci|*cut12 HB queries, the
-//     short-circuited second query included), not the lookups actually
-//     performed.
-//   - The pairwise scan dedups statement pairs globally in scan order and
-//     the first reporting pair fixes the race payload. Candidate
-//     locations are sorted, and within one location the access vector is
-//     sorted by (thread, position); because classes never span threads,
-//     the first racy (I, J) index pair for a statement pair inside a
-//     rectangle is (first occurrence of stmt A in the Ci prefix, first
-//     occurrence of stmt B in the Cj prefix). Each location therefore
-//     reduces to "per statement pair, the minimum (I, J) rank and its
-//     payload", folded in rank order through the same global dedup set
-//     the pairwise scan uses.
+// The pairwise scan of Section 4.1. For each shared non-atomic location,
+// in location order, the accesses to it (merged per lock region) are
+// paired in (thread, position) order; a pair of different threads with a
+// write races unless their locksets intersect or happens-before orders
+// them. Each statement pair is reported once, by the first pair that
+// races, and the report is sorted by statement ids.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,10 +21,10 @@
 #include "o2/Support/BitVector.h"
 #include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
+#include "o2/Support/U64Map.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cassert>
 
 using namespace o2;
 
@@ -68,7 +32,7 @@ namespace {
 
 /// Sorted candidate list: each shared location with all accesses to it,
 /// in (thread, position) order — threads ascend, positions strictly
-/// ascend per thread (trace order). Both scans rely on this order.
+/// ascend per thread (trace order). The scan reports in this order.
 using CandidateList =
     std::vector<std::pair<MemLoc, std::vector<const AccessEvent *>>>;
 
@@ -116,15 +80,6 @@ CandidateList collectCandidates(const PTAResult &PTA, const SHBGraph &SHB,
   return Candidates;
 }
 
-/// Hash of a key packed into two words.
-struct PairKeyHash {
-  size_t operator()(const std::pair<uint64_t, uint64_t> &K) const {
-    uint64_t H = K.first * 0x9e3779b97f4a7c15ull;
-    H ^= K.second + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
-    return static_cast<size_t>(H);
-  }
-};
-
 /// Optimization 3: within one thread, all accesses to one location inside
 /// the same sync-free lock region with the same lockset have identical
 /// happens-before and lockset behaviour — keep one representative.
@@ -134,15 +89,16 @@ std::vector<const AccessEvent *>
 mergeByLockRegion(const std::vector<const AccessEvent *> &In,
                   uint64_t &MergedOut) {
   std::vector<const AccessEvent *> Out;
-  // Key: (thread, lock region) and (lockset, is-write).
-  std::unordered_set<std::pair<uint64_t, uint64_t>, PairKeyHash> Seen;
+  // Key: lock region (its id also names the thread), lockset, is-write.
+  U64Map<bool> Seen;
   for (const AccessEvent *E : In) {
     if (E->LockRegion == 0 || E->RegionHasSync) {
       Out.push_back(E);
       continue;
     }
-    if (Seen.emplace((uint64_t(E->Thread) << 32) | E->LockRegion,
-                     (uint64_t(E->Lockset) << 1) | E->IsWrite)
+    assert(E->Lockset < (1u << 31) && "lockset id overflows the key");
+    if (Seen.tryEmplace((uint64_t(E->LockRegion) << 32) |
+                        (uint64_t(E->Lockset) << 1) | E->IsWrite)
             .second)
       Out.push_back(E);
     else
@@ -176,44 +132,6 @@ Race makeRace(MemLoc Loc, const AccessEvent &A, const AccessEvent &B) {
   return Rc;
 }
 
-/// One equivalence class: accesses of one thread/segment/lockset/is-write
-/// at one location, in position order.
-struct AccessClass {
-  unsigned Thread;
-  unsigned Row; ///< SHBGraph reachability row of (Thread, segment).
-  LocksetId Lockset;
-  bool IsWrite;
-  std::vector<uint32_t> Pos; ///< Ascending.
-  std::vector<uint32_t> Idx; ///< Index in the (merged) access vector.
-  std::vector<const AccessEvent *> Ev;
-
-  /// First occurrence of each distinct statement: (member rank, event).
-  /// Built on demand — only classes that land in a racy rectangle pay.
-  bool StmtsBuilt = false;
-  std::vector<std::pair<uint32_t, const AccessEvent *>> Stmts;
-
-  size_t size() const { return Pos.size(); }
-
-  const std::vector<std::pair<uint32_t, const AccessEvent *>> &stmts() {
-    if (!StmtsBuilt) {
-      StmtsBuilt = true;
-      std::unordered_set<const Stmt *> Seen;
-      for (uint32_t R = 0; R < Ev.size(); ++R)
-        if (Seen.insert(Ev[R]->S).second)
-          Stmts.emplace_back(R, Ev[R]);
-    }
-    return Stmts;
-  }
-};
-
-/// One statement pair a location wants to report: the minimum-rank racy
-/// access pair with that statement pair, payload prebuilt.
-struct PendingRace {
-  uint64_t Rank; ///< (lower access index << 32) | higher access index.
-  uint64_t Key;  ///< stmtPairKey of the two statements.
-  Race Rc;
-};
-
 } // namespace
 
 namespace o2 {
@@ -224,9 +142,7 @@ public:
                const SharingResult &Sharing, const RaceDetectorOptions &Opts)
       : PTA(PTA), SHB(SHB), Sharing(Sharing), Opts(Opts) {}
 
-  /// The pairwise reference scan, or the class-based scan over the graph's
-  /// reachability rows (see the file comment).
-  RaceReport run(bool Pairwise) {
+  RaceReport run() {
     // A cancelled sharing table is partial, so nothing is scanned.
     R.Cancelled = Sharing.cancelled();
     if (!R.Cancelled)
@@ -236,12 +152,7 @@ public:
     for (auto &[Loc, Accesses] : Candidates) {
       if (BudgetExhausted || R.Cancelled)
         break;
-      if (Pairwise)
-        checkPairs(Loc, Accesses);
-      else if (stopRequested())
-        R.Cancelled = true;
-      else
-        checkClasses(Loc, Accesses);
+      checkPairs(Loc, Accesses);
     }
     return finalize();
   }
@@ -274,17 +185,22 @@ private:
   void checkPairs(MemLoc Loc,
                   const std::vector<const AccessEvent *> &AllAccesses) {
     std::vector<const AccessEvent *> Accesses = merged(AllAccesses);
-    for (size_t I = 0; I < Accesses.size(); ++I) {
-      for (size_t J = I + 1; J < Accesses.size(); ++J) {
+    const size_t N = Accesses.size();
+    // Two reads never conflict, so a read pairs only with the writes after
+    // it: NextWrite[K] is the first write at index K or later (N if none).
+    std::vector<size_t> NextWrite(N + 1, N);
+    for (size_t K = N; K-- > 0;)
+      NextWrite[K] = Accesses[K]->IsWrite ? K : NextWrite[K + 1];
+    for (size_t I = 0; I < N; ++I) {
+      const AccessEvent &A = *Accesses[I];
+      auto Next = [&](size_t J) { return A.IsWrite ? J : NextWrite[J]; };
+      for (size_t J = Next(I + 1); J < N; J = Next(J + 1)) {
         if (stopRequested()) {
           R.Cancelled = true;
           return;
         }
-        const AccessEvent &A = *Accesses[I];
         const AccessEvent &B = *Accesses[J];
         if (A.Thread == B.Thread)
-          continue;
-        if (!A.IsWrite && !B.IsWrite)
           continue;
         // The budget is charged per conflicting pair actually examined;
         // the pair that would exceed it is not examined and trips the
@@ -300,108 +216,10 @@ private:
           continue;
         if (happensBefore(A, B) || happensBefore(B, A))
           continue;
-        if (ReportedPairs.insert(stmtPairKey(A.S, B.S)).second)
+        if (ReportedPairs.tryEmplace(stmtPairKey(A.S, B.S)).second)
           Races.push_back(makeRace(Loc, A, B));
       }
     }
-  }
-
-  void checkClasses(MemLoc Loc,
-                    const std::vector<const AccessEvent *> &AllAccesses) {
-    std::vector<const AccessEvent *> Accesses = merged(AllAccesses);
-
-    // Group into equivalence classes, in first-occurrence order. The
-    // access vector ascends by (thread, position), so classes of
-    // different threads never interleave: for I < J with different
-    // threads, every member of class I has a smaller index than every
-    // member of class J — which is what lets a rectangle's minimum rank
-    // be read off the class prefixes below.
-    std::vector<AccessClass> Classes;
-    std::unordered_map<std::pair<uint64_t, uint64_t>, size_t, PairKeyHash>
-        ByKey;
-    for (uint32_t K = 0; K < Accesses.size(); ++K) {
-      const AccessEvent *E = Accesses[K];
-      unsigned Seg = SHB.segmentOf(E->Thread, E->Pos);
-      auto [It, New] = ByKey.emplace(
-          std::make_pair((uint64_t(E->Thread) << 32) | Seg,
-                         (uint64_t(E->Lockset) << 1) | E->IsWrite),
-          Classes.size());
-      if (New) {
-        AccessClass C;
-        C.Thread = E->Thread;
-        C.Row = SHB.rowOf(E->Thread, Seg);
-        C.Lockset = E->Lockset;
-        C.IsWrite = E->IsWrite;
-        Classes.push_back(std::move(C));
-      }
-      AccessClass &C = Classes[It->second];
-      C.Pos.push_back(E->Pos);
-      C.Idx.push_back(K);
-      C.Ev.push_back(E);
-    }
-
-    // Minimum-rank racy pair per statement pair of this location.
-    std::unordered_map<uint64_t, PendingRace> Wanted;
-    for (size_t I = 0; I < Classes.size(); ++I) {
-      for (size_t J = I + 1; J < Classes.size(); ++J) {
-        AccessClass &A = Classes[I];
-        AccessClass &B = Classes[J];
-        if (A.Thread == B.Thread)
-          continue;
-        if (!A.IsWrite && !B.IsWrite)
-          continue;
-        uint64_t N = uint64_t(A.size()) * B.size();
-        PairsChecked += N;
-        LocksetChecks += N;
-        if (locksetsIntersect(A.Lockset, B.Lockset))
-          continue;
-        // hb(a, b) is false exactly for b before R12; the pairwise scan
-        // issues its second query hb(b, a) for exactly those pairs.
-        uint32_t R12 = SHB.reach(A.Row, B.Thread);
-        size_t Cut12 = std::lower_bound(B.Pos.begin(), B.Pos.end(), R12) -
-                       B.Pos.begin();
-        HBQueries += N + uint64_t(A.size()) * Cut12;
-        if (Cut12 == 0)
-          continue;
-        uint32_t R21 = SHB.reach(B.Row, A.Thread);
-        size_t Cut21 = std::lower_bound(A.Pos.begin(), A.Pos.end(), R21) -
-                       A.Pos.begin();
-        if (Cut21 == 0)
-          continue;
-        // Racy rectangle: prefix(A, Cut21) x prefix(B, Cut12). For each
-        // statement pair, its minimum-rank racy pair uses the first
-        // occurrence of each statement within the prefixes.
-        for (const auto &[RankA, EA] : A.stmts()) {
-          if (RankA >= Cut21)
-            break;
-          for (const auto &[RankB, EB] : B.stmts()) {
-            if (RankB >= Cut12)
-              break;
-            uint64_t Rank = (uint64_t(A.Idx[RankA]) << 32) | B.Idx[RankB];
-            uint64_t Key = stmtPairKey(EA->S, EB->S);
-            auto [It, New] =
-                Wanted.emplace(Key, PendingRace{Rank, Key, Race{}});
-            if (New || Rank < It->second.Rank) {
-              It->second.Rank = Rank;
-              It->second.Rc = makeRace(Loc, *EA, *EB);
-            }
-          }
-        }
-      }
-    }
-
-    // Fold in pairwise scan order through the global dedup set.
-    std::vector<PendingRace> Pending;
-    Pending.reserve(Wanted.size());
-    for (auto &[Key, P] : Wanted)
-      Pending.push_back(std::move(P));
-    std::sort(Pending.begin(), Pending.end(),
-              [](const PendingRace &X, const PendingRace &Y) {
-                return X.Rank < Y.Rank;
-              });
-    for (PendingRace &P : Pending)
-      if (ReportedPairs.insert(P.Key).second)
-        Races.push_back(std::move(P.Rc));
   }
 
   /// Final report ordering and summary counters. Work counters
@@ -435,7 +253,7 @@ private:
   CandidateList Candidates;
   std::vector<Race> Races;
   /// Reported (stmt A, stmt B) pairs, A < B, packed into one word.
-  std::unordered_set<uint64_t> ReportedPairs;
+  U64Map<bool> ReportedPairs;
   uint64_t PairsChecked = 0, LocksetChecks = 0, HBQueries = 0, Merged = 0;
   bool BudgetExhausted = false;
 };
@@ -494,17 +312,7 @@ void RaceReport::printJSON(OutputStream &OS, const PTAResult &PTA) const {
 RaceReport o2::detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
                            const SharingResult &Sharing,
                            const RaceDetectorOptions &Opts) {
-  // The naive-HB ablation runs the pairwise scan, and a finite pair
-  // budget is defined by its order.
-  if (Opts.HB == RaceHBKind::Naive || Opts.MaxPairChecks != ~uint64_t(0))
-    return detectRacesPairwise(PTA, SHB, Sharing, Opts);
-  return RaceDetector(PTA, SHB, Sharing, Opts).run(false);
-}
-
-RaceReport o2::detectRacesPairwise(const PTAResult &PTA, const SHBGraph &SHB,
-                                   const SharingResult &Sharing,
-                                   const RaceDetectorOptions &Opts) {
-  return RaceDetector(PTA, SHB, Sharing, Opts).run(true);
+  return RaceDetector(PTA, SHB, Sharing, Opts).run();
 }
 
 RaceReport o2::detectRaces(const PTAResult &PTA,

@@ -10,6 +10,7 @@
 
 #include "o2/Support/Casting.h"
 #include "o2/Support/OutputStream.h"
+#include "o2/Support/U64Map.h"
 
 #include <algorithm>
 #include <cassert>
@@ -27,7 +28,7 @@ using namespace o2;
 uint64_t SHBGraph::numAccessEvents() const {
   uint64_t N = 0;
   for (const ThreadInfo &T : Threads)
-    N += T.Accesses.size();
+    N += T.NumAccesses;
   return N;
 }
 
@@ -181,6 +182,9 @@ public:
       : PTA(PTA), Opts(Opts) {}
 
   SHBGraph build() {
+    assert((!Opts.SharedAccesses ||
+            Opts.SharedAccesses->size() == PTA.accessTable().size()) &&
+           "SharedAccesses must flag this PTA result's access table");
     // Main thread.
     const Function *Main = PTA.module().getMain();
     if (!Main) {
@@ -216,8 +220,8 @@ private:
     /// Implicit base lock elements (event-handler serialization).
     SmallVector<uint32_t, 1> BaseLocks;
     LocksetId CurLockset = InternTable::Empty;
+    /// Index in the thread's Acquires of each open region, innermost last.
     std::vector<uint32_t> RegionStack;
-    std::unordered_set<uint64_t> Inlined;
     bool Truncated = false;
   };
 
@@ -256,24 +260,35 @@ private:
   }
 
   void markOpenRegionsSynced(const WalkState &S) {
-    for (uint32_t Region : S.RegionStack)
-      SyncRegions.insert(Region);
+    for (uint32_t Open : S.RegionStack)
+      SyncRegions.insert(G.Threads[S.Thread].Acquires[Open].Region);
   }
 
   /// An access whose base points to nothing touches no location and
-  /// records no event.
+  /// records no event. Every other access is counted on its thread and
+  /// its innermost region, and stored unless the SharedAccesses filter
+  /// leaves its access-table entry out.
   void recordAccess(WalkState &S, const Access &A) {
     if (A.Locs.empty())
+      return;
+    ThreadInfo &T = G.Threads[S.Thread];
+    ++T.NumAccesses;
+    AcquireEvent *Region =
+        S.RegionStack.empty() ? nullptr : &T.Acquires[S.RegionStack.back()];
+    if (Region)
+      ++Region->NumAccesses;
+    if (Opts.SharedAccesses &&
+        !(*Opts.SharedAccesses)[&A - PTA.accessTable().data()])
       return;
     AccessEvent E;
     E.Pos = S.Pos;
     E.Thread = S.Thread;
     E.S = A.S;
     E.Lockset = S.CurLockset;
-    E.LockRegion = S.RegionStack.empty() ? 0 : S.RegionStack.back();
+    E.LockRegion = Region ? Region->Region : 0;
     E.IsWrite = A.IsWrite;
     E.Locs.append(A.Locs.begin(), A.Locs.end());
-    G.Threads[S.Thread].Accesses.push_back(std::move(E));
+    T.Accesses.push_back(std::move(E));
   }
 
   void visit(const Function *F, Ctx C, WalkState &S) {
@@ -281,8 +296,13 @@ private:
       S.Truncated = true;
       return;
     }
-    if (!S.Inlined.insert((uint64_t(F->getId()) << 32) | C).second)
+    // Threads are traced one at a time: an instance stamped with this
+    // thread is already inlined in its trace.
+    uint32_t *Stamp =
+        InlinedBy.tryEmplace((uint64_t(F->getId()) << 32) | C, 0).first;
+    if (*Stamp == S.Thread + 1)
       return;
+    *Stamp = S.Thread + 1;
 
     // The instance's accesses, in body order: the walk advances a cursor
     // through them instead of decoding statements.
@@ -313,9 +333,10 @@ private:
         AE.HeldBefore = S.CurLockset;
         AE.Acquired = Elems;
         AE.Region = ++NextRegion;
-        G.Threads[S.Thread].Acquires.push_back(std::move(AE));
+        std::vector<AcquireEvent> &Acquires = G.Threads[S.Thread].Acquires;
+        S.RegionStack.push_back(static_cast<uint32_t>(Acquires.size()));
+        Acquires.push_back(std::move(AE));
         S.LockStack.push_back(std::move(Elems));
-        S.RegionStack.push_back(NextRegion);
         recomputeLockset(S);
         break;
       }
@@ -431,6 +452,8 @@ private:
       ThreadKeys;
   std::vector<JoinRecord> JoinRecords;
   std::unordered_set<uint32_t> SyncRegions;
+  /// ⟨function, context⟩ key -> 1 + the last thread that inlined it.
+  U64Map<uint32_t> InlinedBy;
   uint32_t NextRegion = 0;
 };
 
@@ -461,7 +484,7 @@ void o2::printSHBDot(const SHBGraph &SHB, OutputStream &OS) {
       OS << "\\n(event)";
       break;
     }
-    OS << "\\n" << uint64_t(T.Accesses.size()) << " accesses\"];\n";
+    OS << "\\n" << uint64_t(T.NumAccesses) << " accesses\"];\n";
   }
   for (const ThreadInfo &T : SHB.threads()) {
     for (const auto &[Pos, Child] : T.SpawnEdges)

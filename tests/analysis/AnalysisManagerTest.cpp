@@ -87,19 +87,21 @@ TEST(AnalysisManagerTest, LazyGettersComputeClosureOnDemand) {
   AnalysisManager AM(*M);
   EXPECT_FALSE(AM.ran(O2Phase::PTA));
 
-  // getDeadlocks() pulls in exactly its dependency closure: PTA and SHB,
-  // but neither OSA nor the race detector.
+  // getDeadlocks() pulls in exactly its dependency closure: PTA, OSA
+  // (under OPA the SHB graph stores only what OSA calls shared) and SHB,
+  // but not the race detector.
   (void)AM.getDeadlocks();
   EXPECT_TRUE(AM.ran(O2Phase::PTA));
+  EXPECT_TRUE(AM.ran(O2Phase::OSA));
   EXPECT_TRUE(AM.ran(O2Phase::SHB));
   EXPECT_TRUE(AM.ran(O2Phase::Deadlock));
-  EXPECT_FALSE(AM.ran(O2Phase::OSA));
   EXPECT_FALSE(AM.ran(O2Phase::Detect));
   EXPECT_FALSE(AM.ran(O2Phase::RacerD));
 
-  // Pulling the race report afterwards reuses both.
+  // Pulling the race report afterwards reuses all three.
   EXPECT_EQ(AM.getRaces().numRaces(), 1u);
   EXPECT_EQ(AM.invocations(O2Phase::PTA), 1u);
+  EXPECT_EQ(AM.invocations(O2Phase::OSA), 1u);
   EXPECT_EQ(AM.invocations(O2Phase::SHB), 1u);
 }
 
@@ -267,7 +269,9 @@ TEST(AnalysisManagerTest, EscapeOverApproximatesOSA) {
 TEST(AnalysisManagerTest, AccessWithEmptyBaseIsCountedButNotTraced) {
   // `a.g` dereferences a field that is never stored, so its base points
   // to nothing. OSA and escape still count it as an access statement;
-  // SHB records no event for it, since it touches no location.
+  // SHB records no event for it, since it touches no location. The
+  // manager's graph, which stores only accesses OSA calls shared, stores
+  // neither access but still counts `o.f`.
   auto M = parse(R"(
     class Inner { field g: int; }
     class Outer { field f: Inner; }
@@ -295,10 +299,15 @@ TEST(AnalysisManagerTest, AccessWithEmptyBaseIsCountedButNotTraced) {
   EXPECT_EQ(Stats.get("osa.access-stmts"), 2u);
   EXPECT_EQ(Stats.get("escape.access-stmts"), 2u);
 
-  const SHBGraph &SHB = AM.getSHB();
+  SHBGraph SHB = buildSHBGraph(AM.getPTA());
   ASSERT_EQ(SHB.numThreads(), 1u);
   ASSERT_EQ(SHB.thread(0).Accesses.size(), 1u);
   EXPECT_EQ(SHB.thread(0).Accesses[0].S, LoadF);
+
+  const SHBGraph &Filtered = AM.getSHB();
+  ASSERT_EQ(Filtered.numThreads(), 1u);
+  EXPECT_TRUE(Filtered.thread(0).Accesses.empty());
+  EXPECT_EQ(Filtered.numAccessEvents(), 1u);
 }
 
 TEST(AnalysisManagerTest, ParseAnalysisSetSpellings) {

@@ -284,29 +284,26 @@ TEST(PaperTables, Section41Ablation) {
   auto PTA = runPointerAnalysis(*M, PTAOptions());
   SHBGraph SHB = buildSHBGraph(*PTA);
   SharingResult Sharing = runSharingAnalysis(*PTA);
-  auto Pairwise = [&](bool HB, bool Lockset, bool Merge) {
+  auto Detect = [&](bool HB, bool Lockset, bool Merge) {
     RaceDetectorOptions Opts;
     Opts.HB = HB ? RaceHBKind::Index : RaceHBKind::Naive;
     Opts.CacheLocksetChecks = Lockset;
     Opts.LockRegionMerging = Merge;
-    return detectRacesPairwise(*PTA, SHB, Sharing, Opts);
+    return detectRaces(*PTA, SHB, Sharing, Opts);
   };
-  // The rows of bench_ablation_opts; the last is the class scan the tools
-  // run, under the default options.
+  // The rows of bench_ablation_opts; the first is what the tools run.
   std::map<std::string, RaceReport> Rows;
-  Rows["all optimizations"] = Pairwise(true, true, true);
-  Rows["no integer-ID HB"] = Pairwise(false, true, true);
-  Rows["no lockset caching"] = Pairwise(true, false, true);
-  Rows["no region merging"] = Pairwise(true, true, false);
-  Rows["none (D4-style)"] = Pairwise(false, false, false);
-  Rows["all optimizations (classes)"] = detectRaces(*PTA, SHB, Sharing);
+  Rows["all optimizations"] = Detect(true, true, true);
+  Rows["no integer-ID HB"] = Detect(false, true, true);
+  Rows["no lockset caching"] = Detect(true, false, true);
+  Rows["no region merging"] = Detect(true, true, false);
+  Rows["none (D4-style)"] = Detect(false, false, false);
   auto Pairs = [&](const std::string &Row) {
     return Rows.at(Row).stats().get("race.pairs-checked");
   };
 
-  for (const char *Row : {"all optimizations", "no integer-ID HB",
-                          "no lockset caching",
-                          "all optimizations (classes)"}) {
+  for (const char *Row :
+       {"all optimizations", "no integer-ID HB", "no lockset caching"}) {
     EXPECT_EQ(Pairs(Row), 6756u) << Row;
     EXPECT_EQ(Rows.at(Row).numRaces(), 646u) << Row;
   }

@@ -32,13 +32,27 @@ std::unique_ptr<Module> parseProgram(std::string_view Src) {
   return M;
 }
 
+std::string render(const OverSyncReport &R) {
+  std::string Out;
+  StringOutputStream OS(Out);
+  R.print(OS);
+  return Out;
+}
+
+/// Over-sync under OPA on the graph the manager builds, which stores only
+/// the accesses OSA flags; checked against the graph that stores all.
 OverSyncReport analyze(const Module &M) {
   PTAOptions Opts;
   Opts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(M, Opts);
   SharingResult Sharing = runSharingAnalysis(*PTA);
-  SHBGraph SHB = buildSHBGraph(*PTA);
-  return detectOverSynchronization(Sharing, SHB);
+  SHBOptions Filter;
+  Filter.SharedAccesses = &Sharing.sharedAccesses();
+  OverSyncReport R =
+      detectOverSynchronization(Sharing, buildSHBGraph(*PTA, Filter));
+  EXPECT_EQ(render(R), render(detectOverSynchronization(
+                           Sharing, buildSHBGraph(*PTA))));
+  return R;
 }
 
 TEST(OverSyncTest, LockOverOriginLocalDataFlagged) {

@@ -18,7 +18,11 @@
 //   5. the SHB threads' sharing table is an oracle for OSA's, on these
 //      workloads and on the paper's corpora: both give the race detector
 //      the same races, and the threads' table only adds locations one of
-//      whose threads touches them inside a constructor alone.
+//      whose threads touches them inside a constructor alone;
+//   6. under OPA, the SHB graph that stores only the accesses OSA flags
+//      holds exactly the full graph's events that touch a shared
+//      location, and the race, over-sync and deadlock reports read from
+//      it are the full graph's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -273,6 +277,61 @@ TEST_P(PrecisionProperty, RacyLocationsAreOSAShared) {
   expectThreadTableAgreesWithOSA(*generateWorkload(GetParam().profile()));
 }
 
+/// Property 6 on \p PTA: the graph built with OSA's access flags against
+/// the graph that stores every access.
+void expectFilteredSHBMatchesFull(const PTAResult &PTA) {
+  SharingResult OSA = runSharingAnalysis(PTA);
+  SHBOptions Filter;
+  Filter.SharedAccesses = &OSA.sharedAccesses();
+  SHBGraph Full = buildSHBGraph(PTA);
+  SHBGraph Filtered = buildSHBGraph(PTA, Filter);
+
+  ASSERT_EQ(Filtered.numThreads(), Full.numThreads());
+  EXPECT_EQ(Filtered.numAccessEvents(), Full.numAccessEvents());
+  auto TouchesShared = [&](const AccessEvent &E) {
+    return std::any_of(E.Locs.begin(), E.Locs.end(),
+                       [&](MemLoc Loc) { return OSA.isShared(Loc); });
+  };
+  for (unsigned T = 0; T != Full.numThreads(); ++T) {
+    std::vector<const AccessEvent *> Want;
+    for (const AccessEvent &E : Full.thread(T).Accesses)
+      if (TouchesShared(E))
+        Want.push_back(&E);
+    const std::vector<AccessEvent> &Got = Filtered.thread(T).Accesses;
+    ASSERT_EQ(Got.size(), Want.size()) << "thread " << T;
+    for (size_t I = 0; I != Got.size(); ++I) {
+      const AccessEvent &G = Got[I], &W = *Want[I];
+      EXPECT_TRUE(G.S == W.S && G.Pos == W.Pos && G.Lockset == W.Lockset &&
+                  G.LockRegion == W.LockRegion &&
+                  G.RegionHasSync == W.RegionHasSync &&
+                  G.IsWrite == W.IsWrite &&
+                  std::equal(G.Locs.begin(), G.Locs.end(), W.Locs.begin(),
+                             W.Locs.end()))
+          << "thread " << T << ", event " << I;
+    }
+  }
+
+  RaceReport RFull = detectRaces(PTA, Full, OSA);
+  RaceReport RFiltered = detectRaces(PTA, Filtered, OSA);
+  EXPECT_EQ(renderRaces(RFiltered, PTA), renderRaces(RFull, PTA));
+  EXPECT_EQ(RFiltered.stats().counters(), RFull.stats().counters());
+  std::string OverSyncFull, OverSyncFiltered, DeadlocksFull,
+      DeadlocksFiltered;
+  StringOutputStream OS1(OverSyncFull), OS2(OverSyncFiltered),
+      OS3(DeadlocksFull), OS4(DeadlocksFiltered);
+  detectOverSynchronization(OSA, Full).print(OS1);
+  detectOverSynchronization(OSA, Filtered).print(OS2);
+  detectDeadlocks(PTA, Full).print(OS3, PTA);
+  detectDeadlocks(PTA, Filtered).print(OS4, PTA);
+  EXPECT_EQ(OverSyncFiltered, OverSyncFull);
+  EXPECT_EQ(DeadlocksFiltered, DeadlocksFull);
+}
+
+TEST_P(PrecisionProperty, FilteredSHBMatchesFull) {
+  auto M = generateWorkload(GetParam().profile());
+  expectFilteredSHBMatchesFull(*runPointerAnalysis(*M, PTAOptions()));
+}
+
 std::vector<PropertyInput> seedInputs() {
   std::vector<PropertyInput> Inputs;
   for (uint64_t Seed = 1; Seed <= 8; ++Seed)
@@ -319,6 +378,48 @@ TEST(PrecisionPropertyCorpora, RacyLocationsAreOSAShared) {
     SCOPED_TRACE(B.Name);
     expectThreadTableAgreesWithOSA(*buildBugModel(B));
   }
+}
+
+TEST(PrecisionPropertyCorpora, FilteredSHBMatchesFull) {
+  // Property 6 on every module of examples/oir and every bug model.
+  for (const auto &Entry : std::filesystem::directory_iterator(O2_OIR_DIR)) {
+    if (Entry.path().extension() != ".oir")
+      continue;
+    SCOPED_TRACE(Entry.path().filename().string());
+    std::ifstream In(Entry.path());
+    std::stringstream Src;
+    Src << In.rdbuf();
+    std::string Err;
+    auto M = parseModule(Src.str(), Err);
+    ASSERT_TRUE(M) << Err;
+    expectFilteredSHBMatchesFull(*runPointerAnalysis(*M, PTAOptions()));
+  }
+  for (const BugModel &B : bugModels()) {
+    SCOPED_TRACE(B.Name);
+    auto M = buildBugModel(B);
+    expectFilteredSHBMatchesFull(*runPointerAnalysis(*M, PTAOptions()));
+  }
+}
+
+TEST(PrecisionPropertyCorpora, FilteredSHBMatchesFullUnderBudgetStop) {
+  // Property 6 when the node budget stops PTA mid-solve: SHB also walks
+  // call targets whose bodies PTA never processed, which are not in
+  // instances(), and some of their accesses touch shared locations. A
+  // filter by OSA's shared statements would drop those.
+  auto M = generateWorkload(profileNamed("chrome"));
+  PTAOptions Opts;
+  Opts.NodeBudget = 400;
+  auto PTA = runPointerAnalysis(*M, Opts);
+  ASSERT_TRUE(PTA->hitBudget());
+  size_t NumInInstances = 0;
+  for (const auto &[F, C] : PTA->instances())
+    NumInInstances += PTA->accesses(F, C).size();
+  SharingResult OSA = runSharingAnalysis(*PTA);
+  const std::vector<bool> &Flags = OSA.sharedAccesses();
+  ASSERT_EQ(Flags.size(), PTA->accessTable().size());
+  ASSERT_NE(std::find(Flags.begin() + NumInInstances, Flags.end(), true),
+            Flags.end());
+  expectFilteredSHBMatchesFull(*PTA);
 }
 
 } // namespace
