@@ -153,9 +153,10 @@ public:
   /// address minus data().
   ArrayRef<Access> accessTable() const { return Accesses; }
 
-  /// Resolved targets of the call/ctor/spawn statement \p S under \p C.
-  /// Returns an empty vector for unreached instances.
-  const std::vector<CallTarget> &callTargets(const Stmt *S, Ctx C) const;
+  /// Resolved targets of the call/ctor/spawn statement \p S under \p C,
+  /// in the order the solver found them. Empty for unreached instances
+  /// and for statements that cannot have targets.
+  ArrayRef<CallTarget> callTargets(const Stmt *S, Ctx C) const;
 
   const OriginTable &origins() const { return Origins; }
 
@@ -235,7 +236,7 @@ private:
     /// indexed by Variable::getIndex().
     uint32_t VarBase = 0;
     uint32_t NumVars = 0;
-    /// First of the function's call slots in FrameTargets (see CallSlots).
+    /// First of the function's call slots in TargetBegin (see CallSlots).
     uint32_t CallBase = 0;
     /// The instance's [begin, end) run in Accesses.
     uint32_t AccessBegin = 0;
@@ -262,7 +263,11 @@ private:
   std::vector<Frame> Frames;
   U64Map<uint32_t> FrameIds;                 ///< funcId<<32|ctx -> frame
   std::vector<uint32_t> FrameVarNodes;       ///< node, or NoNode
-  std::vector<std::vector<CallTarget>> FrameTargets;
+  /// The call-target table: the targets of call slot I (a frame's CallBase
+  /// plus a statement's CallSlots entry) are
+  /// TargetTable[TargetBegin[I], TargetBegin[I + 1]).
+  std::vector<uint32_t> TargetBegin;
+  std::vector<CallTarget> TargetTable;
   /// Statement ID -> its index among its function's statements that can
   /// have targets (calls, spawns, allocations of a class with `init`);
   /// ~0u for every other statement.

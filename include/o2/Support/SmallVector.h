@@ -12,6 +12,11 @@
 /// ArrayRef (see o2/Support/ArrayRef.h); APIs that append should accept
 /// SmallVectorImpl<T> so the inline size does not leak into signatures.
 ///
+/// The header is a pointer and two 32-bit counts, so a SmallVector<T, N>
+/// costs 16 bytes plus its inline elements; like llvm::SmallVector, the
+/// inline elements directly follow the header, which is how the size-erased
+/// base finds them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef O2_SUPPORT_SMALLVECTOR_H
@@ -31,6 +36,15 @@
 #include <utility>
 
 namespace o2 {
+
+/// The layout of a SmallVectorImpl<T> followed by its first inline element;
+/// only used to compute where SmallVector<T, N> places that element.
+template <typename T> struct SmallVectorLayout {
+  T *Begin;
+  uint32_t Sz;
+  uint32_t Cap;
+  alignas(T) std::byte FirstEl[sizeof(T)];
+};
 
 /// Size-erased common base so SmallVectorImpl<T> can be used as a parameter
 /// type independent of the inline element count.
@@ -186,7 +200,10 @@ public:
       Begin = RHS.Begin;
       Sz = RHS.Sz;
       Cap = RHS.Cap;
-      RHS.resetToSmall();
+      // RHS's inline capacity is not known here; SmallVector<T, N>'s own
+      // move operations restore it.
+      RHS.Begin = RHS.smallStorage();
+      RHS.Sz = RHS.Cap = 0;
       return *this;
     }
     clear();
@@ -203,8 +220,8 @@ public:
   }
 
 protected:
-  SmallVectorImpl(T *SmallStorage, size_t SmallCap)
-      : Begin(SmallStorage), Small(SmallStorage), Cap(SmallCap) {}
+  explicit SmallVectorImpl(uint32_t SmallCap)
+      : Begin(smallStorage()), Cap(SmallCap) {}
 
   ~SmallVectorImpl() {
     destroyRange(Begin, Begin + Sz);
@@ -212,16 +229,19 @@ protected:
       ::operator delete(Begin);
   }
 
-  bool isSmall() const { return Begin == Small; }
-
-  void resetToSmall() {
-    Begin = Small;
-    Sz = 0;
-    Cap = SmallCapValue;
+  /// The inline elements, which SmallVector<T, N> places right after this
+  /// header.
+  T *smallStorage() const {
+    return reinterpret_cast<T *>(
+        reinterpret_cast<char *>(const_cast<SmallVectorImpl *>(this)) +
+        offsetof(SmallVectorLayout<T>, FirstEl));
   }
 
+  bool isSmall() const { return Begin == smallStorage(); }
+
   void grow(size_t MinCap) {
-    size_t NewCap = std::max<size_t>(MinCap, 2 * Cap + 1);
+    size_t NewCap = std::max<size_t>(MinCap, 2 * size_t(Cap) + 1);
+    assert(NewCap <= UINT32_MAX && "SmallVector capacity overflow");
     T *NewBegin = static_cast<T *>(::operator new(NewCap * sizeof(T)));
     for (size_t I = 0; I != Sz; ++I) {
       ::new (static_cast<void *>(NewBegin + I)) T(std::move(Begin[I]));
@@ -230,7 +250,7 @@ protected:
     if (!isSmall())
       ::operator delete(Begin);
     Begin = NewBegin;
-    Cap = NewCap;
+    Cap = static_cast<uint32_t>(NewCap);
   }
 
   static void destroyRange(T *S, T *E) {
@@ -240,53 +260,48 @@ protected:
   }
 
   T *Begin;
-  T *Small;
-  size_t Sz = 0;
-  size_t Cap;
-  size_t SmallCapValue = Cap;
+  uint32_t Sz = 0;
+  uint32_t Cap;
 };
 
 /// A vector with \p N elements of inline storage.
 template <typename T, unsigned N = 4>
 class SmallVector : public SmallVectorImpl<T> {
 public:
-  SmallVector() : SmallVectorImpl<T>(inlineStorage(), N) {}
+  SmallVector() : SmallVectorImpl<T>(N) {}
 
-  explicit SmallVector(size_t Count)
-      : SmallVectorImpl<T>(inlineStorage(), N) {
+  explicit SmallVector(size_t Count) : SmallVectorImpl<T>(N) {
     this->resize(Count);
   }
 
-  SmallVector(size_t Count, const T &Val)
-      : SmallVectorImpl<T>(inlineStorage(), N) {
+  SmallVector(size_t Count, const T &Val) : SmallVectorImpl<T>(N) {
     this->resize(Count, Val);
   }
 
-  SmallVector(std::initializer_list<T> IL)
-      : SmallVectorImpl<T>(inlineStorage(), N) {
+  SmallVector(std::initializer_list<T> IL) : SmallVectorImpl<T>(N) {
     this->append(IL);
   }
 
   template <typename IterTy>
     requires(!std::is_integral_v<IterTy>)
   SmallVector(IterTy First, IterTy Last)
-      : SmallVectorImpl<T>(inlineStorage(), N) {
+      : SmallVectorImpl<T>(N) {
     this->append(First, Last);
   }
 
-  SmallVector(const SmallVector &RHS) : SmallVectorImpl<T>(inlineStorage(), N) {
+  SmallVector(const SmallVector &RHS) : SmallVectorImpl<T>(N) {
     this->append(RHS.begin(), RHS.end());
   }
 
-  SmallVector(const SmallVectorImpl<T> &RHS)
-      : SmallVectorImpl<T>(inlineStorage(), N) {
+  SmallVector(const SmallVectorImpl<T> &RHS) : SmallVectorImpl<T>(N) {
     this->append(RHS.begin(), RHS.end());
   }
 
   SmallVector(SmallVector &&RHS) noexcept(
       std::is_nothrow_move_constructible_v<T>)
-      : SmallVectorImpl<T>(inlineStorage(), N) {
+      : SmallVectorImpl<T>(N) {
     SmallVectorImpl<T>::operator=(std::move(RHS));
+    RHS.Cap = N;
   }
 
   SmallVector &operator=(const SmallVector &RHS) {
@@ -297,16 +312,24 @@ public:
   SmallVector &operator=(SmallVector &&RHS) noexcept(
       std::is_nothrow_move_constructible_v<T>) {
     SmallVectorImpl<T>::operator=(std::move(RHS));
+    if (this != &RHS)
+      RHS.Cap = N; // RHS now uses its inline elements again
     return *this;
   }
 
-  ~SmallVector() = default;
+  ~SmallVector() {
+    assert(static_cast<void *>(Storage) == this->smallStorage() &&
+           "inline elements must follow the header");
+  }
 
 private:
-  T *inlineStorage() { return reinterpret_cast<T *>(&Storage); }
-
   alignas(T) std::byte Storage[sizeof(T) * N];
 };
+
+// A pointer and two 32-bit counts, then the inline elements: a
+// SmallVector<unsigned, 2> is no larger than a std::vector.
+static_assert(sizeof(SmallVector<uint32_t, 2>) ==
+              sizeof(void *) + 2 * sizeof(uint32_t) + 2 * sizeof(uint32_t));
 
 // std::vector relocates its elements by move only when the move constructor
 // cannot throw; otherwise every growth copies each SmallVector's contents.

@@ -30,6 +30,11 @@
 // the application sequence of a scan over every use node: a clean node
 // has Pts == Applied and no new uses, so that scan would skip it too.
 //
+// The graph allocates far less than once per node: a one-word points-to
+// set, the common case, is stored inside its BitVector, successor and
+// use lists keep their first entries inline, and call targets go to one
+// flat table.
+//
 // Because a closure of a fixed inclusion system is its unique least
 // solution, the frozen state each round — and hence the whole discovery
 // sequence (node, object, context, origin, and call-target creation
@@ -144,12 +149,18 @@ private:
   // Graph storage
   //===--------------------------------------------------------------------===//
 
+  /// Inline capacities, sized from the seed-1 perfbench corpus: 82% of
+  /// nodes have no successor and 13% one or two; a use list holds one
+  /// call in 93% of cases and no load or store in 94%.
+  static constexpr unsigned NumInlineSuccs = 2;
+  static constexpr unsigned NumInlineUses = 1;
+
   struct Node {
     /// Full points-to set.
     BitVector Pts;
     /// Bits not yet pushed along outgoing copy edges.
     BitVector PropDelta;
-    std::vector<unsigned> Succs;
+    SmallVector<unsigned, NumInlineSuccs> Succs;
     /// This node's entry in UseLists once it is the base of a load or
     /// store or the receiver of a call; NoUses before.
     unsigned Uses = NoUses;
@@ -160,6 +171,7 @@ private:
   };
 
   static constexpr unsigned NoUses = ~0u;
+  static constexpr uint32_t NoIndex = ~0u;
 
   /// The constraints waiting on a use node's objects. Only use nodes have
   /// one, which keeps Node small.
@@ -168,11 +180,11 @@ private:
     /// rounds.
     BitVector Applied;
     /// Field loads/stores waiting on base objects: (field key, other node).
-    std::vector<std::pair<FieldKey, unsigned>> Loads;
-    std::vector<std::pair<FieldKey, unsigned>> Stores;
+    SmallVector<std::pair<FieldKey, unsigned>, NumInlineUses> Loads;
+    SmallVector<std::pair<FieldKey, unsigned>, NumInlineUses> Stores;
     /// Virtual calls / spawns waiting on receiver objects: (statement,
     /// caller frame).
-    std::vector<std::pair<const Stmt *, unsigned>> Calls;
+    SmallVector<std::pair<const Stmt *, unsigned>, NumInlineUses> Calls;
     /// Prefix of Loads/Stores/Calls that already caught up with Applied;
     /// uses registered after the last round instead receive the full
     /// frozen set in the next one.
@@ -193,8 +205,25 @@ private:
     const Function *Init = nullptr;
   };
 
+  /// The call targets recorded so far for one (frame, call slot): the
+  /// first inline, later ones chained through TargetOverflow in insertion
+  /// order. finalize() compacts them into PTAResult's flat table.
+  struct SlotTargets {
+    CallTarget First; ///< Callee null: no target yet.
+    uint32_t More = NoIndex;
+  };
+  struct OverflowTarget {
+    CallTarget T;
+    uint32_t Next = NoIndex;
+  };
+
   std::vector<Node> Nodes;
   std::vector<UseList> UseLists;
+  std::vector<SlotTargets> Targets; ///< by Frame::CallBase + call slot
+  std::vector<OverflowTarget> TargetOverflow;
+  /// Under OPA, by context: the context of its origin chain (wrapper
+  /// elements stripped), or NoIndex until a call first needs it.
+  std::vector<Ctx> OriginChainCtx;
   U64Set EdgeSet;
   std::deque<unsigned> Worklist;
   /// Use nodes with possibly outstanding discovery work; every other use
@@ -419,6 +448,21 @@ private:
     return Chain;
   }
 
+  /// The context of \p C's origin chain, interned on first use (where an
+  /// unmemoized lookup would intern it too, so numbering is unchanged).
+  Ctx originChainCtx(Ctx C) {
+    if (C >= OriginChainCtx.size())
+      OriginChainCtx.resize(R->Ctxs.size(), NoIndex);
+    if (OriginChainCtx[C] == NoIndex) {
+      ArrayRef<uint32_t> Elems = R->Ctxs.get(C);
+      bool HasWrapper =
+          std::any_of(Elems.begin(), Elems.end(),
+                      [](uint32_t E) { return (E & WrapperElemBit) != 0; });
+      OriginChainCtx[C] = HasWrapper ? intern(originChainOf(C)) : C;
+    }
+    return OriginChainCtx[C];
+  }
+
   static uint32_t callSiteElem(unsigned Site) { return Site << 1; }
   static uint32_t allocSiteElem(unsigned Site) { return (Site << 1) | 1; }
 
@@ -450,10 +494,12 @@ private:
     case ContextKind::Origin: {
       // Same origin as the caller. Wrapper callees additionally get the
       // call site so origins created inside them stay separate.
-      SmallVector<uint32_t, 8> Chain = originChainOf(CallerCtx);
-      if (Callee && IsWrapper[Callee->getId()])
+      if (Callee && IsWrapper[Callee->getId()]) {
+        SmallVector<uint32_t, 8> Chain = originChainOf(CallerCtx);
         Chain.push_back(WrapperElemBit | SiteElem);
-      return intern(Chain);
+        return intern(Chain);
+      }
+      return originChainCtx(CallerCtx);
     }
     }
     O2_UNREACHABLE("covered switch");
@@ -502,12 +548,11 @@ private:
       Fr.C = C;
       Fr.VarBase = static_cast<uint32_t>(R->FrameVarNodes.size());
       Fr.NumVars = static_cast<uint32_t>(F->variables().size());
-      Fr.CallBase = static_cast<uint32_t>(R->FrameTargets.size());
+      Fr.CallBase = static_cast<uint32_t>(Targets.size());
       R->Frames.push_back(Fr);
       R->FrameVarNodes.resize(R->FrameVarNodes.size() + Fr.NumVars,
                               PTAResult::NoNode);
-      R->FrameTargets.resize(R->FrameTargets.size() +
-                             NumCallSlots[F->getId()]);
+      Targets.resize(Targets.size() + NumCallSlots[F->getId()]);
       FrameProcessed.push_back(0);
     }
     return *Id;
@@ -778,12 +823,23 @@ private:
   /// Records \p T as a target of \p S in frame \p Fr; false if known.
   bool recordTarget(const Stmt *S, unsigned Fr, const CallTarget &T) {
     assert(R->CallSlots[S->getId()] != ~0u && "statement has no call slot");
-    auto &Vec =
-        R->FrameTargets[R->Frames[Fr].CallBase + R->CallSlots[S->getId()]];
-    for (const CallTarget &Existing : Vec)
-      if (Existing == T)
+    SlotTargets &Slot =
+        Targets[R->Frames[Fr].CallBase + R->CallSlots[S->getId()]];
+    if (!Slot.First.Callee) {
+      Slot.First = T;
+      return true;
+    }
+    if (Slot.First == T)
+      return false;
+    uint32_t Last = NoIndex;
+    for (uint32_t I = Slot.More; I != NoIndex; I = TargetOverflow[I].Next) {
+      if (TargetOverflow[I].T == T)
         return false;
-    Vec.push_back(T);
+      Last = I;
+    }
+    uint32_t New = static_cast<uint32_t>(TargetOverflow.size());
+    TargetOverflow.push_back({T, NoIndex});
+    (Last == NoIndex ? Slot.More : TargetOverflow[Last].Next) = New;
     return true;
   }
 
@@ -885,13 +941,6 @@ private:
     }
   }
 
-  /// The origin executing under context \p C: the chain's last element,
-  /// or main for an empty chain.
-  unsigned ownerOrigin(Ctx C) const {
-    SmallVector<uint32_t, 8> Chain = originChainOf(C);
-    return Chain.empty() ? OriginTable::MainOrigin : Chain.back();
-  }
-
   void processAlloc(const AllocStmt &A, unsigned Fr) {
     const Ctx C = ctxOf(Fr);
     ClassType *Cls = A.getAllocType();
@@ -913,7 +962,7 @@ private:
       } else {
         Obj = objectFor(A.getSite(), heapCtx(C), Dup, Cls, &A);
         if (Opts.Kind == ContextKind::Origin)
-          R->ObjOrigin[Obj] = ownerOrigin(C);
+          R->ObjOrigin[Obj] = R->originOfCtx(C);
         InitCtx = ~0u; // computed below per context kind
       }
 
@@ -938,7 +987,9 @@ private:
     // recursive spawning reaches a fixpoint (the k-limiting analogue for
     // origin chains).
     unsigned OriginId = ~0u;
-    for (uint32_t Ancestor : originChainOf(C)) {
+    for (uint32_t Ancestor : R->Ctxs.get(C)) {
+      if (Ancestor & WrapperElemBit)
+        continue;
       const OriginInfo &Info = R->Origins.info(Ancestor);
       if (Info.AllocSite == A.getSite() && Info.DupIndex == Dup) {
         OriginId = Ancestor;
@@ -983,7 +1034,7 @@ private:
       unsigned Obj =
           objectFor(A.getSite(), heapCtx(C), 0, A.getAllocType(), &A);
       if (Opts.Kind == ContextKind::Origin && R->ObjOrigin[Obj] == ~0u)
-        R->ObjOrigin[Obj] = ownerOrigin(C);
+        R->ObjOrigin[Obj] = R->originOfCtx(C);
       addPts(varNode(A.getTarget(), Fr), Obj);
       return;
     }
@@ -1076,6 +1127,7 @@ private:
     R->NodePts.reserve(Nodes.size());
     for (Node &Nd : Nodes)
       R->NodePts.push_back(std::move(Nd.Pts));
+    buildTargetTable();
     // A cancelled run feeds no downstream pass.
     if (!R->Cancelled)
       buildAccessTable();
@@ -1089,6 +1141,22 @@ private:
     R->Stats.set("pta.propagated-words", NumPropWords);
     if (R->Cancelled)
       R->Stats.set("pta.cancelled", 1);
+  }
+
+  /// Compacts the recorded call targets into PTAResult's table: each
+  /// slot's run, in insertion order, in slot order.
+  void buildTargetTable() {
+    R->TargetBegin.reserve(Targets.size() + 1);
+    R->TargetTable.reserve(Targets.size() + TargetOverflow.size());
+    for (const SlotTargets &Slot : Targets) {
+      R->TargetBegin.push_back(static_cast<uint32_t>(R->TargetTable.size()));
+      if (!Slot.First.Callee)
+        continue;
+      R->TargetTable.push_back(Slot.First);
+      for (uint32_t I = Slot.More; I != NoIndex; I = TargetOverflow[I].Next)
+        R->TargetTable.push_back(TargetOverflow[I].T);
+    }
+    R->TargetBegin.push_back(static_cast<uint32_t>(R->TargetTable.size()));
   }
 
   /// Resolves every access of every reached instance once, for OSA, SHB
@@ -1201,14 +1269,16 @@ ArrayRef<Access> PTAResult::accesses(const Function *F, Ctx C) const {
                           Fr->AccessEnd - Fr->AccessBegin);
 }
 
-const std::vector<CallTarget> &PTAResult::callTargets(const Stmt *S,
-                                                      Ctx C) const {
-  static const std::vector<CallTarget> None;
+ArrayRef<CallTarget> PTAResult::callTargets(const Stmt *S, Ctx C) const {
   uint32_t Slot = S->getId() < CallSlots.size() ? CallSlots[S->getId()] : ~0u;
   if (Slot == ~0u)
-    return None;
+    return {};
   const Frame *Fr = frame(S->getFunction(), C);
-  return Fr ? FrameTargets[Fr->CallBase + Slot] : None;
+  if (!Fr)
+    return {};
+  uint32_t I = Fr->CallBase + Slot;
+  return ArrayRef<CallTarget>(TargetTable.data() + TargetBegin[I],
+                              TargetBegin[I + 1] - TargetBegin[I]);
 }
 
 std::vector<unsigned> PTAResult::originAttributes(unsigned OriginId) const {

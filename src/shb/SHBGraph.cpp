@@ -358,7 +358,7 @@ private:
       case Stmt::SK_Spawn: {
         markOpenRegionsSynced(S);
         const auto &Sp = cast<SpawnStmt>(Stm);
-        const auto &Targets = PTA.callTargets(&Stm, C);
+        ArrayRef<CallTarget> Targets = PTA.callTargets(&Stm, C);
         // Origin loop-duplication already models this spawn's parallelism
         // when any target receiver is a duplicated origin object.
         bool TargetsDuplicated = false;

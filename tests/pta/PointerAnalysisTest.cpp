@@ -422,6 +422,115 @@ TEST(PointerAnalysisTest, BudgetStoppedProfileKeepsAccessRunsOfTargets) {
   EXPECT_GT(Unprocessed, 0u);
 }
 
+TEST(PointerAnalysisTest, CallTargetsPerSlot) {
+  // Classes are declared in the reverse of their allocation order, so
+  // the order the solver finds the targets in (receiver objects
+  // ascending) differs from declaration order.
+  auto M = parseProgram(R"(
+    class Base { method m() { } }
+    class C extends Base { method m() { } }
+    class B extends Base { method m() { } }
+    class A extends Base { method m() { } }
+    func helper() { }
+    func main() {
+      var x: Base;
+      var y: Base;
+      var a: A;
+      var b: B;
+      var c: C;
+      a = new A;
+      b = new B;
+      c = new C;
+      x = a;
+      x = b;
+      x = c;
+      helper();
+      x.m();
+      y.m();
+    }
+  )");
+  for (ContextKind Kind : {ContextKind::Insensitive, ContextKind::KCallsite,
+                           ContextKind::KObject, ContextKind::Origin}) {
+    auto R = runPointerAnalysis(*M, optsFor(Kind));
+    SCOPED_TRACE(R->options().name());
+    const Function *Main = M->getMain();
+    std::vector<const CallStmt *> Calls;
+    for (const auto &S : Main->body())
+      if (const auto *Call = dyn_cast<CallStmt>(S.get()))
+        Calls.push_back(Call);
+    ASSERT_EQ(Calls.size(), 3u);
+
+    // A statement with no call slot.
+    auto Assign =
+        std::find_if(Main->body().begin(), Main->body().end(),
+                     [](auto &S) { return isa<AssignStmt>(S.get()); });
+    ASSERT_NE(Assign, Main->body().end());
+    EXPECT_TRUE(R->callTargets(Assign->get(), 0).empty());
+
+    // One target: the direct call.
+    ArrayRef<CallTarget> Direct = R->callTargets(Calls[0], 0);
+    ASSERT_EQ(Direct.size(), 1u);
+    EXPECT_EQ(Direct[0].Callee, M->findFunction("helper"));
+    EXPECT_EQ(Direct[0].ReceiverObj, ~0u);
+
+    // Three targets, in the order they were found: by receiver object,
+    // i.e. allocation order A, B, C.
+    ArrayRef<CallTarget> Virtual = R->callTargets(Calls[1], 0);
+    ASSERT_EQ(Virtual.size(), 3u);
+    const char *Order[] = {"A", "B", "C"};
+    for (unsigned I = 0; I != 3; ++I) {
+      EXPECT_EQ(Virtual[I].Callee,
+                M->findClass(Order[I])->findMethod("m"))
+          << I;
+      EXPECT_EQ(Virtual[I].ReceiverObj, I);
+    }
+
+    // A slot with zero targets: the receiver points to nothing.
+    EXPECT_TRUE(R->callTargets(Calls[2], 0).empty());
+  }
+}
+
+TEST(PointerAnalysisTest, BudgetStopCallTargetsOfEveryFrame) {
+  // The budget trips at `c = new Obj`. Both calls of f are still bound,
+  // to two frames of f (1-CFA) that are not instances: their own call
+  // slots exist in the target table and hold nothing, while main's slots
+  // keep the targets recorded after the stop.
+  auto M = parseProgram(R"(
+    class Obj { field v: int; method m() { } }
+    func g() { }
+    func f(p: Obj) { var x: int; x = p.v; g(); p.m(); }
+    func main() {
+      var a: Obj;
+      var b: Obj;
+      var c: Obj;
+      a = new Obj;
+      b = new Obj;
+      c = new Obj;
+      f(c);
+      f(a);
+    }
+  )");
+  PTAOptions Opts = optsFor(ContextKind::KCallsite, 1);
+  Opts.NodeBudget = 2;
+  auto R = runPointerAnalysis(*M, Opts);
+  ASSERT_TRUE(R->hitBudget());
+  ASSERT_EQ(R->instances().size(), 1u);
+  const Function *Main = M->getMain();
+  const Function *F = M->findFunction("f");
+  std::vector<CallTarget> MainTargets;
+  for (const auto &S : Main->body())
+    for (const CallTarget &T : R->callTargets(S.get(), 0))
+      MainTargets.push_back(T);
+  ASSERT_EQ(MainTargets.size(), 2u);
+  EXPECT_NE(MainTargets[0].CalleeCtx, MainTargets[1].CalleeCtx);
+  for (const CallTarget &T : MainTargets) {
+    EXPECT_EQ(T.Callee, F);
+    EXPECT_EQ(R->accesses(F, T.CalleeCtx).size(), 1u);
+    for (const auto &S : F->body())
+      EXPECT_TRUE(R->callTargets(S.get(), T.CalleeCtx).empty());
+  }
+}
+
 TEST(PointerAnalysisTest, OptionNames) {
   EXPECT_EQ(optsFor(ContextKind::Insensitive).name(), "0-ctx");
   EXPECT_EQ(optsFor(ContextKind::KCallsite, 2).name(), "2-cfa");

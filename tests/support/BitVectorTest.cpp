@@ -383,6 +383,203 @@ TEST(BitVectorTest, StorageFollowsContentNotIndex) {
   EXPECT_EQ(Sized.storedWords(), 1u);
 }
 
+// The representation: a window of one word lives in the object and the
+// vector spills to the heap only when the window grows past it.
+
+TEST(BitVectorTest, InlineSetBelowBaseAndPastWindow) {
+  BitVector BV;
+  BV.set(130);
+  EXPECT_TRUE(BV.isInline());
+  EXPECT_EQ(BV.storedWords(), 1u);
+  // Below Base, within the same word: stays inline.
+  EXPECT_TRUE(BV.set(128));
+  EXPECT_TRUE(BV.isInline());
+  // Below Base, in an earlier word: the window grows left and spills.
+  EXPECT_TRUE(BV.set(3));
+  EXPECT_FALSE(BV.isInline());
+  EXPECT_EQ(BV.storedWords(), 3u);
+  EXPECT_EQ(bitsOf(BV), (std::set<unsigned>{3, 128, 130}));
+
+  BitVector Right;
+  Right.set(64);
+  // Past the window: grows right and spills.
+  EXPECT_TRUE(Right.set(200));
+  EXPECT_FALSE(Right.isInline());
+  EXPECT_EQ(Right.storedWords(), 3u);
+  EXPECT_EQ(bitsOf(Right), (std::set<unsigned>{64, 200}));
+  EXPECT_FALSE(Right.test(128));
+}
+
+TEST(BitVectorTest, GrowthFromInlineToHeapKeepsBits) {
+  BitVector BV;
+  for (unsigned I = 0; I < 64; I += 3)
+    BV.set(I);
+  EXPECT_TRUE(BV.isInline());
+  std::set<unsigned> Expect = bitsOf(BV);
+  // Each set() past the window keeps every earlier bit, and the heap
+  // form grows again in place of the first spill.
+  for (unsigned I = 64; I < 64 * 40; I += 61) {
+    BV.set(I);
+    Expect.insert(I);
+    EXPECT_FALSE(BV.isInline());
+    ASSERT_EQ(bitsOf(BV), Expect) << I;
+  }
+  EXPECT_EQ(BV.count(), Expect.size());
+  // clear() keeps the allocation; the vector refills without losing it.
+  BV.clear();
+  EXPECT_TRUE(BV.none());
+  EXPECT_FALSE(BV.isInline());
+  BV.set(7);
+  EXPECT_EQ(bitsOf(BV), (std::set<unsigned>{7}));
+}
+
+TEST(BitVectorTest, CopyAndMoveOfBothForms) {
+  BitVector Inline;
+  Inline.set(70);
+  Inline.set(100);
+  BitVector Heap;
+  Heap.set(5);
+  Heap.set(900);
+  ASSERT_TRUE(Inline.isInline());
+  ASSERT_FALSE(Heap.isInline());
+
+  for (const BitVector *Src : {&Inline, &Heap}) {
+    std::set<unsigned> Bits = bitsOf(*Src);
+    BitVector Copy(*Src);
+    EXPECT_EQ(Copy.isInline(), Src->isInline());
+    EXPECT_EQ(bitsOf(Copy), Bits);
+    EXPECT_EQ(Copy.size(), Src->size());
+    // The copy owns its storage.
+    Copy.set(3000);
+    EXPECT_EQ(bitsOf(*Src), Bits);
+
+    // Copy-assignment into each form.
+    BitVector IntoInline;
+    IntoInline.set(1);
+    IntoInline = *Src;
+    EXPECT_EQ(bitsOf(IntoInline), Bits);
+    BitVector IntoHeap;
+    IntoHeap.set(0);
+    IntoHeap.set(5000);
+    IntoHeap = *Src;
+    EXPECT_EQ(bitsOf(IntoHeap), Bits);
+    IntoHeap = IntoHeap;
+    EXPECT_EQ(bitsOf(IntoHeap), Bits);
+
+    // Moves take the bits and leave an empty inline vector behind.
+    BitVector Moved(std::move(Copy));
+    Bits.insert(3000);
+    EXPECT_EQ(bitsOf(Moved), Bits);
+    EXPECT_TRUE(Copy.none());
+    EXPECT_TRUE(Copy.isInline());
+    EXPECT_EQ(Copy.storedWords(), 0u);
+    Copy.set(9); // a moved-from vector is usable
+    EXPECT_EQ(bitsOf(Copy), (std::set<unsigned>{9}));
+
+    BitVector Target;
+    Target.set(4);
+    Target.set(4000);
+    Target = std::move(Moved);
+    EXPECT_EQ(bitsOf(Target), Bits);
+    EXPECT_TRUE(Moved.none());
+    EXPECT_TRUE(Moved.isInline());
+  }
+}
+
+TEST(BitVectorTest, UnionsAcrossInlineAndHeapForms) {
+  BitVector Inline;
+  Inline.set(64);
+  Inline.set(66);
+  BitVector Heap;
+  Heap.set(66);
+  Heap.set(130);
+  Heap.set(10);
+  ASSERT_TRUE(Inline.isInline());
+  ASSERT_FALSE(Heap.isInline());
+
+  // Heap into inline: the inline side spills.
+  BitVector A = Inline;
+  EXPECT_TRUE(A.unionWithChanged(Heap));
+  EXPECT_FALSE(A.isInline());
+  EXPECT_EQ(bitsOf(A), (std::set<unsigned>{10, 64, 66, 130}));
+  EXPECT_FALSE(A.unionWithChanged(Heap));
+
+  // Inline into heap: stays heap, gains the inline word's bits.
+  BitVector B = Heap;
+  EXPECT_TRUE(B.unionWithChanged(Inline));
+  EXPECT_EQ(bitsOf(B), (std::set<unsigned>{10, 64, 66, 130}));
+
+  // unionWithDiff from heap into inline, with an inline NewBits that
+  // spills as well: only the gained bits land in NewBits.
+  BitVector C = Inline, NewC;
+  EXPECT_EQ(C.unionWithDiff(Heap, NewC), 2u);
+  EXPECT_EQ(bitsOf(C), (std::set<unsigned>{10, 64, 66, 130}));
+  EXPECT_EQ(bitsOf(NewC), (std::set<unsigned>{10, 130}));
+  EXPECT_FALSE(NewC.isInline());
+
+  // From inline into heap: one word gains, NewBits stays inline.
+  BitVector D = Heap, NewD;
+  EXPECT_EQ(D.unionWithDiff(Inline, NewD), 1u);
+  EXPECT_EQ(bitsOf(NewD), (std::set<unsigned>{64}));
+  EXPECT_TRUE(NewD.isInline());
+
+  // Inline into inline within one word never allocates.
+  BitVector E, F, NewE;
+  E.set(1);
+  F.set(2);
+  EXPECT_EQ(E.unionWithDiff(F, NewE), 1u);
+  EXPECT_TRUE(E.isInline());
+  EXPECT_TRUE(NewE.isInline());
+  EXPECT_EQ(bitsOf(E), (std::set<unsigned>{1, 2}));
+}
+
+TEST(BitVectorTest, QueriesOnInlineSets) {
+  BitVector BV;
+  BV.set(200);
+  BV.set(250);
+  ASSERT_TRUE(BV.isInline());
+  EXPECT_EQ(BV.storedWords(), 1u);
+  EXPECT_EQ(BV.count(), 2u);
+  EXPECT_EQ(BV.findFirst(), 200);
+  EXPECT_EQ(BV.findNext(0), 200);   // From below the window
+  EXPECT_EQ(BV.findNext(201), 250); // inside it
+  EXPECT_EQ(BV.findNext(251), -1);  // past its last bit
+  std::vector<std::pair<size_t, BitVector::Word>> Words;
+  BV.forEachSetWord(
+      [&](size_t I, BitVector::Word W) { Words.emplace_back(I, W); });
+  ASSERT_EQ(Words.size(), 1u);
+  EXPECT_EQ(Words[0].first, 3u); // absolute word index
+  EXPECT_EQ(Words[0].second,
+            (BitVector::Word(1) << (200 - 192)) |
+                (BitVector::Word(1) << (250 - 192)));
+  EXPECT_EQ(BV.numSetWords(), 1u);
+
+  BitVector Empty;
+  EXPECT_EQ(Empty.storedWords(), 0u);
+  EXPECT_EQ(Empty.count(), 0u);
+  EXPECT_EQ(Empty.findNext(0), -1);
+}
+
+TEST(BitVectorTest, EqualityAcrossInlineAndHeapForms) {
+  // The same bits held inline and on the heap (the heap one spilled and
+  // then lost its other bits).
+  BitVector Inline;
+  Inline.set(130);
+  BitVector Heap;
+  Heap.set(0);
+  Heap.set(130);
+  Heap.set(300);
+  Heap.reset(0);
+  Heap.reset(300);
+  ASSERT_TRUE(Inline.isInline());
+  ASSERT_FALSE(Heap.isInline());
+  EXPECT_TRUE(Inline == Heap);
+  EXPECT_TRUE(Heap == Inline);
+  Heap.set(131);
+  EXPECT_FALSE(Inline == Heap);
+  EXPECT_FALSE(Heap == Inline);
+}
+
 /// Seeded differential test against a std::set oracle.
 TEST(BitVectorTest, RandomizedAgainstSetOracle) {
   std::mt19937 Rng(20210620);
