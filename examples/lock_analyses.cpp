@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/Analysis/AnalysisManager.h"
+#include "o2/Driver/Driver.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
 #include "o2/Support/OutputStream.h"
@@ -128,19 +128,16 @@ int main() {
     return 1;
   }
 
-  // One PTA and one SHB graph feed all three detectors.
+  // One PTA and one SHB graph feed all three detectors; the report has
+  // a section for each.
+  AnalysisSet Analyses = {O2Phase::OSA, O2Phase::Detect, O2Phase::Deadlock,
+                          O2Phase::OverSync};
   AnalysisManager AM(*M);
-  AM.run({O2Phase::OSA, O2Phase::Detect, O2Phase::Deadlock,
-          O2Phase::OverSync});
-  AM.printSummary(outs());
-
-  outs() << "\n--- data races ---\n";
-  AM.getRaces().print(outs(), AM.getPTA());
-
-  outs() << "\n--- lock-order deadlocks ---\n";
-  AM.getDeadlocks().print(outs(), AM.getPTA());
-
-  outs() << "\n--- over-synchronization ---\n";
-  AM.getOverSync().print(outs());
+  AM.run(Analyses);
+  JobResult R;
+  R.Name = M->getName();
+  R.Analyses = Analyses;
+  recordJob(AM, R);
+  printJobText(R, outs());
   return 0;
 }

@@ -16,7 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/Analysis/AnalysisManager.h"
+#include "o2/Driver/Driver.h"
 #include "o2/Support/OutputStream.h"
 #include "o2/Workload/BugModels.h"
 
@@ -33,17 +33,22 @@ int main() {
 
   auto M = buildBugModel(*Model);
 
-  // Full O2 pipeline (OPA + OSA + SHB + optimized detector).
+  // Full O2 pipeline (OPA + OSA + SHB + optimized detector), next to the
+  // syntactic RacerD-style baseline.
+  AnalysisSet Analyses = {O2Phase::OSA, O2Phase::Detect, O2Phase::RacerD};
   AnalysisManager AM(*M);
-  AM.run(AnalysisSet::defaultSet());
-  AM.printSummary(outs());
-  outs() << '\n';
-  const RaceReport &Races = AM.getRaces();
-  Races.print(outs(), AM.getPTA());
+  AM.run(Analyses);
+  JobResult Record;
+  Record.Name = Model->Name;
+  Record.Analyses = Analyses;
+  recordJob(AM, Record);
+  printJobText(Record, outs());
 
   // Show which origin kinds collide: the paper's point is the
   // thread<->event interaction.
+  const RaceReport &Races = AM.getRaces();
   const SHBGraph &SHB = AM.getSHB();
+  outs() << '\n';
   for (const Race &R : Races.races()) {
     auto KindName = [](OriginKind K) {
       switch (K) {
@@ -56,17 +61,13 @@ int main() {
       }
       return "?";
     };
-    outs() << "  -> between a " << KindName(SHB.thread(R.ThreadA).Kind)
+    outs() << "race between a " << KindName(SHB.thread(R.ThreadA).Kind)
            << " and an " << KindName(SHB.thread(R.ThreadB).Kind)
            << " origin\n";
   }
 
-  // Contrast with the syntactic RacerD-style baseline.
-  outs() << '\n';
-  const RacerDReport &RacerD = AM.getRacerD();
-  RacerD.print(outs());
   outs() << "\nO2 races: " << Races.numRaces()
-         << ", RacerD-like potential races: " << RacerD.numPotentialRaces()
-         << '\n';
+         << ", RacerD-like potential races: "
+         << AM.getRacerD().numPotentialRaces() << '\n';
   return 0;
 }

@@ -14,6 +14,11 @@
 //   o2cli --batch [batch options]   run the parallel batch driver
 //                                   (see o2batch --help, docs/DRIVER.md)
 //
+// One program is one batch-driver job (runOneJob), named as o2batch names
+// it: the file's stem, or the bug model's name. o2cli prints that job's
+// record: as text (printJobText), or with --json / --stats as the same
+// JSON line o2batch writes for the program (printJobRecord).
+//
 // Exit codes: 0 clean, 1 races found, 2 parse/verify/internal error.
 // Only the race analysis affects the exit code; aux findings (deadlocks,
 // over-sync regions, RacerD warnings) are informational.
@@ -33,18 +38,17 @@
 //   --race-hb=<index|naive>         happens-before queries (default
 //                                   index; naive runs the pairwise
 //                                   BFS oracle)
-//   --stats                         print per-phase timings and analysis
-//                                   statistics as one JSON object line
+//   --json                          print the job's JSON record
+//   --stats                         the JSON record with its wall-clock
+//                                   time.*-ms keys
 //   --no-serialize-events           disable the Section 4.2 treatment
-//   --naive                         disable all detector optimizations
-//                                   (naive HB, no caches, no merging)
-//   --json                          print the race report as JSON
 //   --dot-callgraph                 dump the call graph in Graphviz format
 //   --dot-shb                       dump the SHB thread graph in Graphviz
 //   --print-module                  echo the parsed module
 //
 // The first four are parsed by parsePipelineFlag (o2/Driver/Driver.h),
-// which o2batch shares, so both tools accept the same spellings.
+// which o2batch shares, so both tools accept the same spellings. The last
+// three print the module or a graph instead of a report.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +60,7 @@
 #include "o2/Support/OutputStream.h"
 #include "o2/Workload/BugModels.h"
 
-#include <cstdio>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -70,7 +74,6 @@ struct CliOptions {
   std::string BugModelName;
   bool ListBugModels = false;
   bool PrintModule = false;
-  bool Naive = false;
   bool JSON = false;
   bool Stats = false;
   bool DotCallGraph = false;
@@ -107,8 +110,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
       Cli.Stats = true;
     } else if (Arg == "--no-serialize-events") {
       Cli.Config.Detector.SHB.SerializeEventHandlers = false;
-    } else if (Arg == "--naive") {
-      Cli.Naive = true;
     } else if (Arg == "--json") {
       Cli.JSON = true;
     } else if (Arg == "--dot-callgraph") {
@@ -127,19 +128,43 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
   return true;
 }
 
-std::string readFile(const std::string &Path, bool &Ok) {
-  Ok = false;
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return "";
-  std::string Content;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), File)) > 0)
-    Content.append(Buf, N);
-  std::fclose(File);
-  Ok = true;
-  return Content;
+/// --print-module, --dot-callgraph and --dot-shb: the module itself, or
+/// a graph of its analysis, instead of a report. \p M is the bug model
+/// when one was named; a program file is read and parsed here.
+int dumpModule(const CliOptions &Cli, const JobSpec &Spec,
+               std::unique_ptr<Module> M) {
+  if (!M) {
+    bool Ok = false;
+    std::string Source = readFile(Spec.Path, Ok);
+    if (!Ok) {
+      errs() << "error: cannot read '" << Spec.Path << "'\n";
+      return ExitError;
+    }
+    std::string Err;
+    M = parseModule(Source, Err, Spec.Path);
+    if (!M) {
+      errs() << Spec.Path << ":" << Err << '\n';
+      return ExitError;
+    }
+  }
+  std::vector<std::string> Errors;
+  if (!verifyModule(*M, Errors)) {
+    for (const std::string &E : Errors)
+      errs() << "verifier: " << E << '\n';
+    return ExitError;
+  }
+
+  if (Cli.PrintModule)
+    outs() << printModule(*M) << '\n';
+  if (!Cli.DotCallGraph && !Cli.DotSHB)
+    return ExitClean;
+  AnalysisManager AM(*M, Cli.Config);
+  AM.run(Cli.Analyses);
+  if (Cli.DotCallGraph)
+    CallGraph::build(AM.getPTA()).printDot(outs(), AM.getPTA());
+  else
+    printSHBDot(AM.getSHB(), outs());
+  return ExitClean;
 }
 
 } // namespace
@@ -162,6 +187,7 @@ int main(int Argc, char **Argv) {
     return ExitClean;
   }
 
+  JobSpec Spec;
   std::unique_ptr<Module> M;
   if (!Cli.BugModelName.empty()) {
     const BugModel *Model = findBugModel(Cli.BugModelName);
@@ -170,91 +196,28 @@ int main(int Argc, char **Argv) {
       return ExitError;
     }
     M = buildBugModel(*Model);
+    Spec.Name = Cli.BugModelName;
+    Spec.Source = printModule(*M);
   } else if (!Cli.InputFile.empty()) {
-    bool Ok = false;
-    std::string Source = readFile(Cli.InputFile, Ok);
-    if (!Ok) {
-      errs() << "error: cannot read '" << Cli.InputFile << "'\n";
-      return ExitError;
-    }
-    std::string Err;
-    M = parseModule(Source, Err, Cli.InputFile);
-    if (!M) {
-      errs() << Cli.InputFile << ":" << Err << '\n';
-      return ExitError;
-    }
+    Spec.Name = std::filesystem::path(Cli.InputFile).stem().string();
+    Spec.Path = Cli.InputFile;
   } else {
     errs() << "usage: o2cli [options] <program.oir> | --bug-model <name> | "
               "--list-bug-models | --batch [batch options]\n";
     return ExitError;
   }
 
-  std::vector<std::string> Errors;
-  if (!verifyModule(*M, Errors)) {
-    for (const std::string &E : Errors)
-      errs() << "verifier: " << E << '\n';
-    return ExitError;
-  }
+  if (Cli.PrintModule || Cli.DotCallGraph || Cli.DotSHB)
+    return dumpModule(Cli, Spec, std::move(M));
 
-  if (Cli.PrintModule)
-    outs() << printModule(*M) << '\n';
-
-  if (Cli.Naive) {
-    Cli.Config.Detector.HB = RaceHBKind::Naive;
-    Cli.Config.Detector.CacheLocksetChecks = false;
-    Cli.Config.Detector.LockRegionMerging = false;
-  }
-
-  AnalysisManager AM(*M, Cli.Config);
-  AM.run(Cli.Analyses);
-
-  int Exit = AM.ran(O2Phase::Detect) && AM.getRaces().numRaces() != 0
-                 ? ExitRacesFound
-                 : ExitClean;
-  if (Cli.DotCallGraph) {
-    CallGraph::build(AM.getPTA()).printDot(outs(), AM.getPTA());
-    return ExitClean;
-  }
-  if (Cli.DotSHB) {
-    printSHBDot(AM.getSHB(), outs());
-    return ExitClean;
-  }
-  if (Cli.JSON) {
-    if (AM.ran(O2Phase::Detect))
-      AM.getRaces().printJSON(outs(), AM.getPTA());
-    if (Cli.Stats)
-      AM.printStatsJSON(outs());
-    return Exit;
-  }
-  if (Cli.Stats) {
-    AM.printStatsJSON(outs());
-    return Exit;
-  }
-
-  AM.printSummary(outs());
-  if (AM.ran(O2Phase::Detect)) {
-    outs() << '\n';
-    AM.getRaces().print(outs(), AM.getPTA());
-  }
-
-  if (Cli.Analyses.contains(O2Phase::Deadlock)) {
-    outs() << '\n';
-    AM.getDeadlocks().print(outs(), AM.getPTA());
-  }
-  if (Cli.Analyses.contains(O2Phase::OverSync)) {
-    outs() << '\n';
-    AM.getOverSync().print(outs());
-  }
-  if (Cli.Analyses.contains(O2Phase::RacerD)) {
-    outs() << '\n';
-    AM.getRacerD().print(outs());
-  }
-  if (Cli.Analyses.contains(O2Phase::Escape)) {
-    const EscapeResult &Esc = AM.getEscape();
-    outs() << '\n'
-           << "escape analysis: " << Esc.numEscapedObjects()
-           << " escaped objects, " << Esc.numSharedAccessStmts() << "/"
-           << Esc.numAccessStmts() << " shared accesses\n";
-  }
+  BatchOptions Opts;
+  Opts.Config = Cli.Config;
+  Opts.Analyses = Cli.Analyses;
+  JobResult R = runOneJob(Spec, Opts);
+  int Exit = exitCodeFor(R.Status);
+  if (Cli.JSON || Cli.Stats)
+    printJobRecord(R, outs(), Cli.Stats);
+  else
+    printJobText(R, Exit == ExitError ? errs() : outs());
   return Exit;
 }

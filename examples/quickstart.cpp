@@ -8,11 +8,12 @@
 //
 // Builds a small concurrent program two ways — from textual OIR and with
 // the IRBuilder API — runs the full O2 pipeline on it, and prints the
-// race report. This is the 5-minute tour of the public API.
+// race report from the batch driver's job record. This is the 5-minute
+// tour of the public API.
 //
 //===----------------------------------------------------------------------===//
 
-#include "o2/Analysis/AnalysisManager.h"
+#include "o2/Driver/Driver.h"
 #include "o2/IR/IRBuilder.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Printer.h"
@@ -95,8 +96,13 @@ static void analyzeAndReport(const Module &M) {
   }
   AnalysisManager AM(M);
   AM.run(AnalysisSet::defaultSet()); // OPA + OSA + SHB + detector
-  AM.printSummary(outs());
-  AM.getRaces().print(outs(), AM.getPTA());
+
+  // The batch driver's record of the run, printed as text.
+  JobResult R;
+  R.Name = M.getName();
+  R.Analyses = AnalysisSet::defaultSet();
+  recordJob(AM, R);
+  printJobText(R, outs());
   outs() << '\n';
 }
 

@@ -23,8 +23,8 @@
 ///  - threads the per-job CancellationToken uniformly through every pass
 ///    and records the pass it fired in, so a timeout in *any* analysis —
 ///    including the aux detectors — names the real phase,
-///  - exposes per-pass wall-clock seconds and invocation counters,
-///  - renders the human summary and the `--stats` JSON object, and
+///  - exposes per-pass wall-clock seconds, invocation counters and the
+///    merged per-pass statistics, and
 ///  - derives a per-pass / whole-request config fingerprint (options that
 ///    affect the result, pass versions, dependency fingerprints) that the
 ///    batch driver's warm cache keys on.
@@ -33,8 +33,13 @@
 ///   std::unique_ptr<Module> M = parseModule(Source, Err);
 ///   AnalysisManager AM(*M);
 ///   AM.run(AnalysisSet::defaultSet()); // OPA + OSA + SHB + detector
-///   AM.getRaces().print(outs(), AM.getPTA());
+///   const RaceReport &Races = AM.getRaces();
+///   const DeadlockReport &Cycles = AM.getDeadlocks(); // same PTA, SHB
 /// \endcode
+///
+/// The manager renders nothing: the batch driver's recordJob turns a
+/// finished manager into a JobResult, which printJobText and
+/// printJobRecord print (o2/Driver/Driver.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -228,16 +233,6 @@ public:
   /// Every counter the ran passes produced, merged: pta.*, osa.*,
   /// race.*, deadlock.*, oversync.*, racerd.*, escape.*.
   StatisticRegistry stats() const;
-
-  /// The human pipeline summary: one line each for PTA, sharing and SHB
-  /// (passes that did not run print their zero shape), then the race
-  /// count if the detector ran. Runs PTA if nothing has yet.
-  void printSummary(OutputStream &OS);
-
-  /// One flat JSON object: "module", "config", "analyses",
-  /// per-pass "time.<pass>-ms" for every ran pass, "time.total-ms", then
-  /// every merged counter, aux analyses included.
-  void printStatsJSON(OutputStream &OS);
 
 private:
   struct Impl;

@@ -7,7 +7,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch-analysis engine behind `o2batch` and `o2cli --batch`: takes a
+/// The batch-analysis engine behind `o2batch` and `o2cli --batch`, and
+/// behind plain `o2cli`, which runs its one program as one job: takes a
 /// corpus of modules (OIR files, in-memory sources, or generated workload
 /// profiles), runs the full O2 pipeline over every module concurrently on
 /// a work-stealing thread pool, and emits one structured JSONL record per
@@ -299,6 +300,14 @@ BatchResult runBatch(const std::vector<JobSpec> &Specs,
 /// isolation, retry or degradation (runJobContained adds those).
 JobResult runOneJob(const JobSpec &Spec, const BatchOptions &Opts = {});
 
+/// Fills \p R from \p AM after its run: per-pass times and counters,
+/// the records of every pass that ran (races, deadlocks, over-sync
+/// regions, RacerD-like warnings with their Text table), and the clean,
+/// races or timeout status. R.Name and R.Analyses stay the caller's.
+/// runOneJob builds every record through this; library code calls it to
+/// render a manager's results with printJobRecord or printJobText.
+void recordJob(AnalysisManager &AM, JobResult &R);
+
 /// Runs one spec in a forked sandboxed worker (fork + result pipe): the
 /// child applies the --mem-limit-mb address-space cap, streams stage
 /// markers, runs runOneJob, and writes the serialized result back; the
@@ -331,13 +340,31 @@ Baseline loadBaseline(const std::string &JSONLContent);
 /// and adds the diff.* counters to the summary.
 void applyBaseline(BatchResult &R, const Baseline &B);
 
-/// Writes the report: one JSON object per job, then one aggregate record.
-/// Returns the number of bytes written.
+/// Writes one job's report record: one JSON object and a newline. With
+/// \p IncludeTimings it carries the wall-clock `time.*-ms` keys. Returns
+/// the number of bytes written.
+uint64_t printJobRecord(const JobResult &J, OutputStream &OS,
+                        bool IncludeTimings = false);
+
+/// Writes the report: printJobRecord for each job, then one aggregate
+/// record. Returns the number of bytes written.
 uint64_t printJSONL(const BatchResult &R, OutputStream &OS,
                     bool IncludeTimings = false);
 
+/// The human-readable view of one job's record: a header with the
+/// status and the PTA, sharing and SHB counters, then one section per
+/// requested analysis (races, deadlocks, over-sync regions, RacerD-like
+/// warnings, escape counts). An error record prints the header only.
+/// It renders no wall-clock time and names races by their stable
+/// location, so the same record always prints the same text.
+void printJobText(const JobResult &J, OutputStream &OS);
+
 /// Writes a short human-readable fleet summary.
 void printBatchSummary(const BatchResult &R, OutputStream &OS);
+
+/// The whole content of \p Path; \p Ok is false when it cannot be opened
+/// or read.
+std::string readFile(const std::string &Path, bool &Ok);
 
 /// Strict parser for a numeric flag, \p Arg being the whole argument
 /// ("--name=value"). The value must be a non-empty run of decimal digits

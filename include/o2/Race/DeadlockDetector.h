@@ -29,8 +29,6 @@
 
 namespace o2 {
 
-class OutputStream;
-
 /// One lock-order edge: thread T acquired Inner while holding Outer.
 struct LockOrderEdge {
   uint32_t Outer = 0; ///< lock element already held
@@ -59,8 +57,6 @@ public:
   /// True if a cancellation token fired mid-analysis; the report then
   /// holds only the cycles found before the cut.
   bool cancelled() const { return Cancelled; }
-
-  void print(OutputStream &OS, const PTAResult &PTA) const;
 
 private:
   friend class DeadlockDetector;

@@ -27,8 +27,6 @@
 
 namespace o2 {
 
-class OutputStream;
-
 /// One unnecessary lock region.
 struct OverSyncRegion {
   const Stmt *Acquire = nullptr; ///< the acquire opening the region
@@ -48,8 +46,6 @@ public:
 
   /// True if a cancellation token fired mid-analysis.
   bool cancelled() const { return Cancelled; }
-
-  void print(OutputStream &OS) const;
 
 private:
   friend OverSyncReport

@@ -38,8 +38,6 @@
 
 namespace o2 {
 
-class OutputStream;
-
 /// How happens-before queries are answered.
 enum class RaceHBKind : uint8_t {
   Naive, ///< Per-event BFS over the SHB graph (D4-style straw man).
@@ -99,12 +97,6 @@ public:
   /// Detector counters: pairs checked, HB queries, lockset checks,
   /// shared locations, threads, events.
   const StatisticRegistry &stats() const { return Stats; }
-
-  /// Prints a human-readable report.
-  void print(OutputStream &OS, const PTAResult &PTA) const;
-
-  /// Emits the report as JSON: {"races": [...], "stats": {...}}.
-  void printJSON(OutputStream &OS, const PTAResult &PTA) const;
 
   /// True if the scan was cancelled (the report covers a subset of the
   /// candidate locations).

@@ -28,8 +28,6 @@
 
 namespace o2 {
 
-class OutputStream;
-
 struct RacerDWarning {
   enum class Kind { ReadWriteRace, UnprotectedWrite };
   Kind WarningKind;
@@ -65,8 +63,6 @@ public:
 
   /// True if a cancellation token fired mid-analysis.
   bool cancelled() const { return Cancelled; }
-
-  void print(OutputStream &OS) const;
 
 private:
   friend class RacerDLikeDetector;

@@ -51,6 +51,8 @@
 
 namespace o2 {
 
+class OutputStream;
+
 /// Canonical lockset handle; InternTable::Empty is the empty lockset.
 using LocksetId = uint32_t;
 

@@ -239,8 +239,15 @@ protected:
 
   bool isSmall() const { return Begin == smallStorage(); }
 
+  /// Least capacity of the first heap block, so that a list spilling out
+  /// of one or two inline slots reaches six entries (a common size for
+  /// PTA use lists) with one allocation instead of two.
+  static constexpr size_t MinSpillCapacity = 8;
+
   void grow(size_t MinCap) {
     size_t NewCap = std::max<size_t>(MinCap, 2 * size_t(Cap) + 1);
+    if (isSmall())
+      NewCap = std::max(NewCap, MinSpillCapacity);
     assert(NewCap <= UINT32_MAX && "SmallVector capacity overflow");
     T *NewBegin = static_cast<T *>(::operator new(NewCap * sizeof(T)));
     for (size_t I = 0; I != Sz; ++I) {

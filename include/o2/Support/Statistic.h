@@ -22,8 +22,6 @@
 
 namespace o2 {
 
-class OutputStream;
-
 /// A set of named monotone counters. Keys iterate in sorted order so the
 /// report is deterministic.
 class StatisticRegistry {
@@ -52,9 +50,6 @@ public:
   }
 
   bool empty() const { return Counters.empty(); }
-
-  /// Prints "value  name" lines, sorted by name.
-  void print(OutputStream &OS) const;
 
   const std::map<std::string, uint64_t> &counters() const { return Counters; }
 

@@ -9,8 +9,6 @@
 #include "o2/Analysis/AnalysisManager.h"
 
 #include "o2/Support/FaultInjector.h"
-#include "o2/Support/JSONWriter.h"
-#include "o2/Support/OutputStream.h"
 #include "o2/Support/Timer.h"
 
 #include <array>
@@ -449,49 +447,3 @@ StatisticRegistry AnalysisManager::stats() const {
   return Stats;
 }
 
-void AnalysisManager::printSummary(OutputStream &OS) {
-  const PTAResult &PTA = getPTA();
-  OS << "O2 analysis of '" << M.getName() << "' (" << PTA.options().name()
-     << ")\n";
-  OS << "  pointer analysis: " << PTA.stats().get("pta.pointer-nodes")
-     << " nodes, " << PTA.stats().get("pta.objects") << " objects, "
-     << PTA.stats().get("pta.copy-edges") << " edges, "
-     << PTA.stats().get("pta.origins") << " origins ("
-     << seconds(O2Phase::PTA) << "s)\n";
-  OS << "  sharing: " << P->Sharing.sharedLocations().size()
-     << " shared locations over " << P->Sharing.numSharedObjects()
-     << " objects, " << P->Sharing.numSharedAccessStmts() << "/"
-     << P->Sharing.numAccessStmts() << " shared accesses ("
-     << seconds(O2Phase::OSA) << "s)\n";
-  OS << "  SHB: " << P->SHB.numThreads() << " threads, "
-     << P->SHB.numAccessEvents() << " access events ("
-     << seconds(O2Phase::SHB) << "s)\n";
-  if (ran(O2Phase::Detect))
-    OS << "  races: " << P->Races.numRaces() << " ("
-       << seconds(O2Phase::Detect) << "s)\n";
-}
-
-void AnalysisManager::printStatsJSON(OutputStream &OS) {
-  JSONWriter W(OS);
-  W.beginObject();
-  W.attribute("module", M.getName());
-  W.attribute("config", Config.PTA.name());
-  AnalysisSet RanSet;
-  for (unsigned K = 1; K < NumO2Phases; ++K)
-    if (P->Ran[K])
-      RanSet.insert(static_cast<O2Phase>(K));
-  W.attribute("analyses", RanSet.str());
-  if (cancelled())
-    W.attribute("cancelled-in", phaseName(CancelledIn));
-  for (unsigned K = 1; K < NumO2Phases; ++K)
-    if (P->Ran[K])
-      W.attribute(std::string("time.") + phaseName(static_cast<O2Phase>(K)) +
-                      "-ms",
-                  P->Seconds[K] * 1000.0);
-  W.attribute("time.total-ms", totalSeconds() * 1000.0);
-  StatisticRegistry Merged = stats();
-  for (const auto &[Name, Value] : Merged.counters())
-    W.attribute(Name, Value);
-  W.endObject();
-  OS << '\n';
-}

@@ -34,7 +34,6 @@
 
 using namespace o2;
 using driver::fnv1a;
-using driver::readFile;
 using driver::toHex16;
 
 const char *o2::jobStatusName(JobStatus S) {
@@ -203,6 +202,99 @@ struct TextHash {
 };
 } // namespace
 
+/// Per-pass wall-clock and the merged counters of every pass \p AM ran.
+static void harvestPasses(const AnalysisManager &AM, JobResult &R) {
+  for (unsigned K = 1; K < NumO2Phases; ++K)
+    R.PassMs[K] = AM.seconds(static_cast<O2Phase>(K)) * 1000.0;
+  R.Stats = AM.stats();
+}
+
+void o2::recordJob(AnalysisManager &AM, JobResult &R) {
+  harvestPasses(AM, R);
+  if (AM.ran(O2Phase::Detect)) {
+    RaceRecordBuilder Build(AM.getPTA());
+    R.Races.reserve(AM.getRaces().races().size());
+    for (const Race &Rc : AM.getRaces().races())
+      R.Races.push_back(Build.build(Rc));
+  }
+  if (AM.ran(O2Phase::Deadlock))
+    for (const DeadlockCycle &C : AM.getDeadlocks().cycles()) {
+      DeadlockRecord D;
+      for (uint32_t L : C.Locks) {
+        if (!D.Locks.empty())
+          D.Locks += ',';
+        D.Locks += "lock" + std::to_string(L);
+      }
+      for (const LockOrderEdge &E : C.Witnesses)
+        D.Witnesses.push_back(
+            "thread " + std::to_string(E.Thread) + " acquires lock" +
+            std::to_string(E.Inner) + " while holding lock" +
+            std::to_string(E.Outer) + " at '" + printStmt(*E.Acquire) +
+            "'");
+      R.Deadlocks.push_back(std::move(D));
+    }
+  if (AM.ran(O2Phase::OverSync))
+    for (const OverSyncRegion &Reg : AM.getOverSync().regions()) {
+      OverSyncRecord O;
+      if (Reg.Acquire) {
+        O.Stmt = printStmt(*Reg.Acquire);
+        O.Function = Reg.Acquire->getFunction()->getName();
+      }
+      O.Thread = Reg.Thread;
+      O.NumAccesses = Reg.NumAccesses;
+      R.OverSyncs.push_back(std::move(O));
+    }
+  if (AM.ran(O2Phase::RacerD)) {
+    // Warnings name far fewer statements and locations than they have
+    // sides: each distinct string enters R.Text once, in first-seen
+    // order (location, first, second, warning by warning), and records
+    // hold indices. Locations and statements map to their text ids
+    // through dense memos, so each is printed and hashed once.
+    const RacerDReport &RD = AM.getRacerD();
+    std::unordered_map<std::string, uint32_t, TextHash, std::equal_to<>>
+        TextIds;
+    auto intern = [&](std::string_view S) {
+      auto It = TextIds.find(S);
+      if (It != TextIds.end())
+        return It->second;
+      uint32_t Id = uint32_t(R.Text.size());
+      R.Text.emplace_back(S);
+      TextIds.emplace(R.Text.back(), Id);
+      return Id;
+    };
+    constexpr uint32_t None = ~0u;
+    std::vector<uint32_t> LocTextId(RD.locations().size(), None);
+    std::vector<uint32_t> StmtTextId(AM.module().numStmts(), None);
+    uint32_t NoStmtText = None;
+    auto internStmt = [&](const Stmt *S) {
+      uint32_t &Id = S ? StmtTextId[S->getId()] : NoStmtText;
+      if (Id == None)
+        Id = S ? intern(printStmt(*S)) : intern("");
+      return Id;
+    };
+    R.RacerDWarnings.reserve(RD.warnings().size());
+    for (const RacerDWarning &W : RD.warnings()) {
+      RacerDRecord Rw;
+      Rw.UnprotectedWrite =
+          W.WarningKind == RacerDWarning::Kind::UnprotectedWrite;
+      uint32_t &Loc = LocTextId[W.Location];
+      if (Loc == None)
+        Loc = intern(RD.location(W));
+      Rw.Location = Loc;
+      Rw.First = internStmt(W.A);
+      Rw.Second = internStmt(W.B);
+      R.RacerDWarnings.push_back(Rw);
+    }
+  }
+
+  if (AM.cancelled()) {
+    R.Status = JobStatus::Timeout;
+    R.Phase = phaseName(AM.cancelledIn());
+  } else {
+    R.Status = R.Races.empty() ? JobStatus::Clean : JobStatus::Races;
+  }
+}
+
 JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
   JobResult R;
   R.Name = Spec.Name;
@@ -235,9 +327,7 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
     if (!AM)
       return;
     try {
-      for (unsigned K = 1; K < NumO2Phases; ++K)
-        R.PassMs[K] = AM->seconds(static_cast<O2Phase>(K)) * 1000.0;
-      R.Stats = AM->stats();
+      harvestPasses(*AM, R);
     } catch (...) {
       // Partial telemetry is best-effort; the status already tells the
       // story.
@@ -346,99 +436,16 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
     FaultInjector::hit("alloc");
     AM = std::make_unique<AnalysisManager>(*M, Cfg);
     AM->run(Opts.Analyses);
-    Harvest();
     Clock.reset();
-
-    if (AM->ran(O2Phase::Detect)) {
-      RaceRecordBuilder Build(AM->getPTA());
-      R.Races.reserve(AM->getRaces().races().size());
-      for (const Race &Rc : AM->getRaces().races())
-        R.Races.push_back(Build.build(Rc));
-    }
-    if (AM->ran(O2Phase::Deadlock))
-      for (const DeadlockCycle &C : AM->getDeadlocks().cycles()) {
-        DeadlockRecord D;
-        for (uint32_t L : C.Locks) {
-          if (!D.Locks.empty())
-            D.Locks += ',';
-          D.Locks += "lock" + std::to_string(L);
-        }
-        for (const LockOrderEdge &E : C.Witnesses)
-          D.Witnesses.push_back(
-              "thread " + std::to_string(E.Thread) + " acquires lock" +
-              std::to_string(E.Inner) + " while holding lock" +
-              std::to_string(E.Outer) + " at '" + printStmt(*E.Acquire) +
-              "'");
-        R.Deadlocks.push_back(std::move(D));
-      }
-    if (AM->ran(O2Phase::OverSync))
-      for (const OverSyncRegion &Reg : AM->getOverSync().regions()) {
-        OverSyncRecord O;
-        if (Reg.Acquire) {
-          O.Stmt = printStmt(*Reg.Acquire);
-          O.Function = Reg.Acquire->getFunction()->getName();
-        }
-        O.Thread = Reg.Thread;
-        O.NumAccesses = Reg.NumAccesses;
-        R.OverSyncs.push_back(std::move(O));
-      }
-    if (AM->ran(O2Phase::RacerD)) {
-      // Warnings name far fewer statements and locations than they have
-      // sides: each distinct string enters R.Text once, in first-seen
-      // order (location, first, second, warning by warning), and records
-      // hold indices. Locations and statements map to their text ids
-      // through dense memos, so each is printed and hashed once.
-      const RacerDReport &RD = AM->getRacerD();
-      std::unordered_map<std::string, uint32_t, TextHash, std::equal_to<>>
-          TextIds;
-      auto intern = [&](std::string_view S) {
-        auto It = TextIds.find(S);
-        if (It != TextIds.end())
-          return It->second;
-        uint32_t Id = uint32_t(R.Text.size());
-        R.Text.emplace_back(S);
-        TextIds.emplace(R.Text.back(), Id);
-        return Id;
-      };
-      constexpr uint32_t None = ~0u;
-      std::vector<uint32_t> LocTextId(RD.locations().size(), None);
-      std::vector<uint32_t> StmtTextId(M->numStmts(), None);
-      uint32_t NoStmtText = None;
-      auto internStmt = [&](const Stmt *S) {
-        uint32_t &Id = S ? StmtTextId[S->getId()] : NoStmtText;
-        if (Id == None)
-          Id = S ? intern(printStmt(*S)) : intern("");
-        return Id;
-      };
-      R.RacerDWarnings.reserve(RD.warnings().size());
-      for (const RacerDWarning &W : RD.warnings()) {
-        RacerDRecord Rw;
-        Rw.UnprotectedWrite =
-            W.WarningKind == RacerDWarning::Kind::UnprotectedWrite;
-        uint32_t &Loc = LocTextId[W.Location];
-        if (Loc == None)
-          Loc = intern(RD.location(W));
-        Rw.Location = Loc;
-        Rw.First = internStmt(W.A);
-        Rw.Second = internStmt(W.B);
-        R.RacerDWarnings.push_back(Rw);
-      }
-    }
-
+    recordJob(*AM, R);
     Charge(R.RecordMs);
 
-    if (AM->cancelled()) {
-      R.Status = JobStatus::Timeout;
-      R.Phase = phaseName(AM->cancelledIn());
-    } else {
-      R.Status = R.Races.empty() ? JobStatus::Clean : JobStatus::Races;
-      // Only settled results are worth replaying; timeouts and errors
-      // must re-run on the next fleet (store() also refuses anything
-      // else, including degraded results).
-      if (HaveKey) {
-        Cache.store(ContentHash, ConfigFP, R);
-        Charge(R.CacheMs);
-      }
+    // Only settled results are worth replaying; timeouts and errors must
+    // re-run on the next fleet (store() also refuses anything else,
+    // including degraded results).
+    if (HaveKey && R.Status != JobStatus::Timeout) {
+      Cache.store(ContentHash, ConfigFP, R);
+      Charge(R.CacheMs);
     }
   } catch (const std::bad_alloc &) {
     // Allocation failure is its own status: under a --mem-limit-mb cap
@@ -677,136 +684,140 @@ void o2::applyBaseline(BatchResult &R, const Baseline &B) {
 // Reports
 //===----------------------------------------------------------------------===//
 
-uint64_t o2::printJSONL(const BatchResult &R, OutputStream &OS,
-                        bool IncludeTimings) {
-  uint64_t Bytes = 0;
-  for (const JobResult &J : R.Jobs) {
-    JSONWriter W(OS);
+uint64_t o2::printJobRecord(const JobResult &J, OutputStream &OS,
+                            bool IncludeTimings) {
+  JSONWriter W(OS);
+  W.beginObject();
+  W.attribute("module", J.Name);
+  W.attribute("status", jobStatusName(J.Status));
+  if (!J.Analyses.empty())
+    W.attribute("analyses", J.Analyses.str());
+  if (!J.Phase.empty())
+    W.attribute("phase", J.Phase);
+  if (!J.Error.empty())
+    W.attribute("error", J.Error);
+  if (!J.Signal.empty())
+    W.attribute("signal", J.Signal);
+  if (J.Degraded) {
+    W.attribute("degraded", true);
+    W.attribute("degraded-config", toHex16(J.DegradedConfigFP));
+  }
+  if (J.Retries)
+    W.attribute("retries", uint64_t(J.Retries));
+  if (IncludeTimings) {
+    for (unsigned K = 1; K < NumO2Phases; ++K)
+      W.attribute(std::string("time.") +
+                      phaseName(static_cast<O2Phase>(K)) + "-ms",
+                  J.PassMs[K]);
+    W.attribute("time.parse-ms", J.ParseMs);
+    W.attribute("time.cache-ms", J.CacheMs);
+    W.attribute("time.record-ms", J.RecordMs);
+    W.attribute("time.total-ms", J.totalMs());
+  }
+  W.key("races");
+  W.beginArray();
+  for (const RaceRecord &Rc : J.Races) {
     W.beginObject();
-    W.attribute("module", J.Name);
-    W.attribute("status", jobStatusName(J.Status));
-    if (!J.Analyses.empty())
-      W.attribute("analyses", J.Analyses.str());
-    if (!J.Phase.empty())
-      W.attribute("phase", J.Phase);
-    if (!J.Error.empty())
-      W.attribute("error", J.Error);
-    if (!J.Signal.empty())
-      W.attribute("signal", J.Signal);
-    if (J.Degraded) {
-      W.attribute("degraded", true);
-      W.attribute("degraded-config", toHex16(J.DegradedConfigFP));
-    }
-    if (J.Retries)
-      W.attribute("retries", uint64_t(J.Retries));
-    if (IncludeTimings) {
-      for (unsigned K = 1; K < NumO2Phases; ++K)
-        W.attribute(std::string("time.") +
-                        phaseName(static_cast<O2Phase>(K)) + "-ms",
-                    J.PassMs[K]);
-      W.attribute("time.parse-ms", J.ParseMs);
-      W.attribute("time.cache-ms", J.CacheMs);
-      W.attribute("time.record-ms", J.RecordMs);
-      W.attribute("time.total-ms", J.totalMs());
-    }
-    W.key("races");
+    W.attribute("fingerprint", Rc.Fingerprint);
+    W.attribute("location", Rc.Location);
+    if (!Rc.DiffStatus.empty())
+      W.attribute("diff", Rc.DiffStatus);
+    W.key("first");
+    W.beginObject();
+    W.attribute("stmt", Rc.StmtA);
+    W.attribute("function", Rc.FuncA);
+    W.attribute("write", Rc.WriteA);
+    W.endObject();
+    W.key("second");
+    W.beginObject();
+    W.attribute("stmt", Rc.StmtB);
+    W.attribute("function", Rc.FuncB);
+    W.attribute("write", Rc.WriteB);
+    W.endObject();
+    W.endObject();
+  }
+  W.endArray();
+  if (J.Analyses.contains(O2Phase::Deadlock)) {
+    W.key("deadlocks");
     W.beginArray();
-    for (const RaceRecord &Rc : J.Races) {
+    for (const DeadlockRecord &D : J.Deadlocks) {
       W.beginObject();
-      W.attribute("fingerprint", Rc.Fingerprint);
-      W.attribute("location", Rc.Location);
-      if (!Rc.DiffStatus.empty())
-        W.attribute("diff", Rc.DiffStatus);
-      W.key("first");
-      W.beginObject();
-      W.attribute("stmt", Rc.StmtA);
-      W.attribute("function", Rc.FuncA);
-      W.attribute("write", Rc.WriteA);
-      W.endObject();
-      W.key("second");
-      W.beginObject();
-      W.attribute("stmt", Rc.StmtB);
-      W.attribute("function", Rc.FuncB);
-      W.attribute("write", Rc.WriteB);
-      W.endObject();
+      W.attribute("locks", D.Locks);
+      W.key("witnesses");
+      W.beginArray();
+      for (const std::string &Wit : D.Witnesses)
+        W.value(Wit);
+      W.endArray();
       W.endObject();
     }
     W.endArray();
-    if (J.Analyses.contains(O2Phase::Deadlock)) {
-      W.key("deadlocks");
-      W.beginArray();
-      for (const DeadlockRecord &D : J.Deadlocks) {
-        W.beginObject();
-        W.attribute("locks", D.Locks);
-        W.key("witnesses");
-        W.beginArray();
-        for (const std::string &Wit : D.Witnesses)
-          W.value(Wit);
-        W.endArray();
-        W.endObject();
-      }
-      W.endArray();
-    }
-    if (J.Analyses.contains(O2Phase::OverSync)) {
-      W.key("oversync");
-      W.beginArray();
-      for (const OverSyncRecord &O : J.OverSyncs) {
-        W.beginObject();
-        W.attribute("stmt", O.Stmt);
-        W.attribute("function", O.Function);
-        W.attribute("thread", uint64_t(O.Thread));
-        W.attribute("accesses", uint64_t(O.NumAccesses));
-        W.endObject();
-      }
-      W.endArray();
-    }
-    if (J.Analyses.contains(O2Phase::RacerD)) {
-      W.key("racerd");
-      W.beginArray();
-      // Each string is quoted and escaped once, however many records
-      // name it, into one buffer; a record is then a few appends of
-      // precomputed pieces.
-      std::string QuotedText;
-      std::vector<size_t> Ends(J.Text.size());
-      for (size_t I = 0; I < J.Text.size(); ++I) {
-        JSONWriter::quote(QuotedText, J.Text[I]);
-        Ends[I] = QuotedText.size();
-      }
-      auto Quoted = [&](uint32_t I) {
-        size_t Begin = I ? Ends[I - 1] : 0;
-        return std::string_view(QuotedText).substr(Begin, Ends[I] - Begin);
-      };
-      for (const RacerDRecord &Rw : J.RacerDWarnings) {
-        std::string_view Prefix =
-            Rw.UnprotectedWrite
-                ? R"({"kind":"unprotected-write","location":)"
-                : R"({"kind":"read-write","location":)";
-        if (J.Text[Rw.Second].empty())
-          W.rawValue({Prefix, Quoted(Rw.Location), R"(,"first":)",
-                      Quoted(Rw.First), "}"});
-        else
-          W.rawValue({Prefix, Quoted(Rw.Location), R"(,"first":)",
-                      Quoted(Rw.First), R"(,"second":)", Quoted(Rw.Second),
-                      "}"});
-      }
-      W.endArray();
-    }
-    if (!J.FixedRaces.empty()) {
-      W.key("fixed");
-      W.beginArray();
-      for (const std::string &FP : J.FixedRaces)
-        W.value(FP);
-      W.endArray();
-    }
-    W.key("stats");
-    W.beginObject();
-    for (const auto &[Name, Value] : J.Stats.counters())
-      W.attribute(Name, Value);
-    W.endObject();
-    W.endObject();
-    OS << '\n';
-    Bytes += W.bytesWritten() + 1;
   }
+  if (J.Analyses.contains(O2Phase::OverSync)) {
+    W.key("oversync");
+    W.beginArray();
+    for (const OverSyncRecord &O : J.OverSyncs) {
+      W.beginObject();
+      W.attribute("stmt", O.Stmt);
+      W.attribute("function", O.Function);
+      W.attribute("thread", uint64_t(O.Thread));
+      W.attribute("accesses", uint64_t(O.NumAccesses));
+      W.endObject();
+    }
+    W.endArray();
+  }
+  if (J.Analyses.contains(O2Phase::RacerD)) {
+    W.key("racerd");
+    W.beginArray();
+    // Each string is quoted and escaped once, however many records
+    // name it, into one buffer; a record is then a few appends of
+    // precomputed pieces.
+    std::string QuotedText;
+    std::vector<size_t> Ends(J.Text.size());
+    for (size_t I = 0; I < J.Text.size(); ++I) {
+      JSONWriter::quote(QuotedText, J.Text[I]);
+      Ends[I] = QuotedText.size();
+    }
+    auto Quoted = [&](uint32_t I) {
+      size_t Begin = I ? Ends[I - 1] : 0;
+      return std::string_view(QuotedText).substr(Begin, Ends[I] - Begin);
+    };
+    for (const RacerDRecord &Rw : J.RacerDWarnings) {
+      std::string_view Prefix =
+          Rw.UnprotectedWrite
+              ? R"({"kind":"unprotected-write","location":)"
+              : R"({"kind":"read-write","location":)";
+      if (J.Text[Rw.Second].empty())
+        W.rawValue({Prefix, Quoted(Rw.Location), R"(,"first":)",
+                    Quoted(Rw.First), "}"});
+      else
+        W.rawValue({Prefix, Quoted(Rw.Location), R"(,"first":)",
+                    Quoted(Rw.First), R"(,"second":)", Quoted(Rw.Second),
+                    "}"});
+    }
+    W.endArray();
+  }
+  if (!J.FixedRaces.empty()) {
+    W.key("fixed");
+    W.beginArray();
+    for (const std::string &FP : J.FixedRaces)
+      W.value(FP);
+    W.endArray();
+  }
+  W.key("stats");
+  W.beginObject();
+  for (const auto &[Name, Value] : J.Stats.counters())
+    W.attribute(Name, Value);
+  W.endObject();
+  W.endObject();
+  OS << '\n';
+  return W.bytesWritten() + 1;
+}
+
+uint64_t o2::printJSONL(const BatchResult &R, OutputStream &OS,
+                        bool IncludeTimings) {
+  uint64_t Bytes = 0;
+  for (const JobResult &J : R.Jobs)
+    Bytes += printJobRecord(J, OS, IncludeTimings);
 
   JSONWriter W(OS);
   W.beginObject();
@@ -820,6 +831,85 @@ uint64_t o2::printJSONL(const BatchResult &R, OutputStream &OS,
   W.endObject();
   OS << '\n';
   return Bytes + W.bytesWritten() + 1;
+}
+
+void o2::printJobText(const JobResult &J, OutputStream &OS) {
+  OS << "O2 analysis of '" << J.Name << "'";
+  if (!J.Analyses.empty())
+    OS << " (" << J.Analyses.str() << ")";
+  OS << ": " << jobStatusName(J.Status);
+  if (!J.Phase.empty())
+    OS << " in " << J.Phase;
+  if (!J.Error.empty())
+    OS << ": " << J.Error;
+  OS << '\n';
+  if (J.Status != JobStatus::Clean && J.Status != JobStatus::Races &&
+      J.Status != JobStatus::Timeout)
+    return;
+
+  // The pipeline summary, one line per pass whose counters are present.
+  const StatisticRegistry &S = J.Stats;
+  auto Has = [&S](const char *Name) { return S.counters().count(Name) != 0; };
+  if (Has("pta.pointer-nodes"))
+    OS << "  pointer analysis: " << S.get("pta.pointer-nodes") << " nodes, "
+       << S.get("pta.objects") << " objects, " << S.get("pta.copy-edges")
+       << " edges, " << S.get("pta.origins") << " origins\n";
+  if (Has("osa.shared-locations"))
+    OS << "  sharing: " << S.get("osa.shared-locations")
+       << " shared locations over " << S.get("osa.shared-objects")
+       << " objects, " << S.get("osa.shared-accesses") << "/"
+       << S.get("osa.access-stmts") << " shared accesses\n";
+  if (Has("race.threads"))
+    OS << "  SHB: " << S.get("race.threads") << " threads, "
+       << S.get("race.access-events") << " access events\n";
+
+  if (J.Analyses.contains(O2Phase::Detect)) {
+    OS << "\n==== " << uint64_t(J.Races.size()) << " race(s) ====\n";
+    for (const RaceRecord &Rc : J.Races)
+      OS << "race on " << Rc.Location << ":\n"
+         << "  " << (Rc.WriteA ? "write" : "read ") << " '" << Rc.StmtA
+         << "' in " << Rc.FuncA << '\n'
+         << "  " << (Rc.WriteB ? "write" : "read ") << " '" << Rc.StmtB
+         << "' in " << Rc.FuncB << '\n';
+  }
+  if (J.Analyses.contains(O2Phase::Deadlock)) {
+    OS << "\n==== " << uint64_t(J.Deadlocks.size())
+       << " potential deadlock(s) ====\n";
+    for (const DeadlockRecord &D : J.Deadlocks) {
+      OS << "lock cycle: " << D.Locks << '\n';
+      for (const std::string &Wit : D.Witnesses)
+        OS << "  " << Wit << '\n';
+    }
+  }
+  if (J.Analyses.contains(O2Phase::OverSync)) {
+    OS << "\n==== " << uint64_t(J.OverSyncs.size())
+       << " over-synchronized region(s) (of "
+       << S.get("oversync.regions-checked") << " checked) ====\n";
+    for (const OverSyncRecord &O : J.OverSyncs) {
+      OS << "lock region";
+      if (!O.Stmt.empty())
+        OS << " at '" << O.Stmt << "' in " << O.Function;
+      OS << " guards only origin-local data (" << uint64_t(O.NumAccesses)
+         << " access(es))\n";
+    }
+  }
+  if (J.Analyses.contains(O2Phase::RacerD)) {
+    OS << "\n==== RacerD-like: " << uint64_t(J.RacerDWarnings.size())
+       << " warning(s), " << S.get("racerd.potential-races")
+       << " potential race(s) ====\n";
+    for (const RacerDRecord &Rw : J.RacerDWarnings) {
+      if (Rw.UnprotectedWrite)
+        OS << "unprotected write to " << J.Text[Rw.Location] << ": '"
+           << J.Text[Rw.First] << "'\n";
+      else
+        OS << "read/write race on " << J.Text[Rw.Location] << ": '"
+           << J.Text[Rw.First] << "' vs '" << J.Text[Rw.Second] << "'\n";
+    }
+  }
+  if (J.Analyses.contains(O2Phase::Escape))
+    OS << "\nescape analysis: " << S.get("escape.objects")
+       << " escaped objects, " << S.get("escape.shared-accesses") << "/"
+       << S.get("escape.access-stmts") << " shared accesses\n";
 }
 
 void o2::printBatchSummary(const BatchResult &R, OutputStream &OS) {
@@ -865,6 +955,20 @@ void o2::printBatchSummary(const BatchResult &R, OutputStream &OS) {
 //===----------------------------------------------------------------------===//
 // CLI
 //===----------------------------------------------------------------------===//
+
+std::string o2::readFile(const std::string &Path, bool &Ok) {
+  Ok = false;
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (!F)
+    return {};
+  std::string Content;
+  char Buf[64 * 1024];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
+    Content.append(Buf, N);
+  Ok = !std::ferror(F);
+  std::fclose(F);
+  return Content;
+}
 
 bool o2::parseUnsignedFlag(const std::string &Arg, uint64_t &Out,
                            std::string &Err, uint64_t Max) {

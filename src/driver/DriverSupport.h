@@ -7,9 +7,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hashing, hex rendering and whole-file reading used by the batch driver
-/// (race fingerprints, baselines, module sources) and the result cache
-/// (keys, checksums, entries).
+/// Hashing and hex rendering used by the batch driver (race
+/// fingerprints, baselines) and the result cache (keys, checksums).
 ///
 /// Internal to o2Driver — not installed under include/.
 ///
@@ -19,7 +18,6 @@
 #define O2_DRIVER_DRIVERSUPPORT_H
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -68,22 +66,6 @@ inline std::string toHex16(uint64_t V) {
   for (int I = 15; I >= 0; --I, V >>= 4)
     Out[size_t(I)] = Hex[V & 0xf];
   return Out;
-}
-
-/// The whole content of \p Path; \p Ok is false when it cannot be opened
-/// or read.
-inline std::string readFile(const std::string &Path, bool &Ok) {
-  Ok = false;
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return {};
-  std::string Content;
-  char Buf[64 * 1024];
-  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
-    Content.append(Buf, N);
-  Ok = !std::ferror(F);
-  std::fclose(F);
-  return Content;
 }
 
 } // namespace driver

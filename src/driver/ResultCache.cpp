@@ -21,7 +21,6 @@ using namespace o2;
 
 using driver::fnv1a;
 using driver::hashBytes;
-using driver::readFile;
 using driver::toHex16;
 
 uint64_t ResultCache::contentHash(const std::string &ModuleText) {

@@ -8,8 +8,6 @@
 
 #include "o2/Race/DeadlockDetector.h"
 
-#include "o2/IR/Printer.h"
-#include "o2/Support/OutputStream.h"
 
 #include <algorithm>
 #include <map>
@@ -180,21 +178,6 @@ private:
 };
 
 } // namespace o2
-
-void DeadlockReport::print(OutputStream &OS, const PTAResult &PTA) const {
-  (void)PTA;
-  OS << "==== " << Cycles.size() << " potential deadlock(s) ====\n";
-  for (const DeadlockCycle &C : Cycles) {
-    OS << "lock cycle:";
-    for (uint32_t L : C.Locks)
-      OS << " lock" << L;
-    OS << '\n';
-    for (const LockOrderEdge &E : C.Witnesses)
-      OS << "  thread " << E.Thread << " acquires lock" << E.Inner
-         << " while holding lock" << E.Outer << " at '"
-         << printStmt(*E.Acquire) << "'\n";
-  }
-}
 
 DeadlockReport o2::detectDeadlocks(const PTAResult &PTA, const SHBGraph &SHB,
                                    const CancellationToken *Cancel) {

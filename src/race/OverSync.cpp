@@ -8,8 +8,6 @@
 
 #include "o2/Race/OverSync.h"
 
-#include "o2/IR/Printer.h"
-#include "o2/Support/OutputStream.h"
 
 #include <algorithm>
 
@@ -53,15 +51,3 @@ o2::detectOverSynchronization(const SharingResult &Sharing,
   return R;
 }
 
-void OverSyncReport::print(OutputStream &OS) const {
-  OS << "==== " << Regions.size() << " over-synchronized region(s) (of "
-     << NumRegionsChecked << " checked) ====\n";
-  for (const OverSyncRegion &O : Regions) {
-    OS << "lock region";
-    if (O.Acquire)
-      OS << " at '" << printStmt(*O.Acquire) << "' in "
-         << O.Acquire->getFunction()->getName();
-    OS << " [thread " << O.Thread << "] guards only origin-local data ("
-       << O.NumAccesses << " access(es))\n";
-  }
-}

@@ -17,10 +17,7 @@
 
 #include "o2/Race/RaceDetector.h"
 
-#include "o2/IR/Printer.h"
 #include "o2/Support/BitVector.h"
-#include "o2/Support/JSONWriter.h"
-#include "o2/Support/OutputStream.h"
 #include "o2/Support/U64Map.h"
 
 #include <algorithm>
@@ -259,55 +256,6 @@ private:
 };
 
 } // namespace o2
-
-void RaceReport::print(OutputStream &OS, const PTAResult &PTA) const {
-  OS << "==== " << Races.size() << " race(s) ====\n";
-  for (const Race &Rc : Races) {
-    OS << "race on " << Rc.Loc.toString(PTA) << ":\n";
-    OS << "  " << (Rc.AIsWrite ? "write" : "read ") << " '"
-       << printStmt(*Rc.A) << "' in "
-       << Rc.A->getFunction()->getName() << " [thread " << Rc.ThreadA
-       << "]\n";
-    OS << "  " << (Rc.BIsWrite ? "write" : "read ") << " '"
-       << printStmt(*Rc.B) << "' in "
-       << Rc.B->getFunction()->getName() << " [thread " << Rc.ThreadB
-       << "]\n";
-  }
-}
-
-void RaceReport::printJSON(OutputStream &OS, const PTAResult &PTA) const {
-  JSONWriter W(OS);
-  W.beginObject();
-  W.key("races");
-  W.beginArray();
-  for (const Race &Rc : Races) {
-    W.beginObject();
-    W.attribute("location", Rc.Loc.toString(PTA));
-    W.key("first");
-    W.beginObject();
-    W.attribute("stmt", printStmt(*Rc.A));
-    W.attribute("function", Rc.A->getFunction()->getName());
-    W.attribute("thread", Rc.ThreadA);
-    W.attribute("write", Rc.AIsWrite);
-    W.endObject();
-    W.key("second");
-    W.beginObject();
-    W.attribute("stmt", printStmt(*Rc.B));
-    W.attribute("function", Rc.B->getFunction()->getName());
-    W.attribute("thread", Rc.ThreadB);
-    W.attribute("write", Rc.BIsWrite);
-    W.endObject();
-    W.endObject();
-  }
-  W.endArray();
-  W.key("stats");
-  W.beginObject();
-  for (const auto &[Name, Value] : Stats.counters())
-    W.attribute(Name, Value);
-  W.endObject();
-  W.endObject();
-  OS << '\n';
-}
 
 RaceReport o2::detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
                            const SharingResult &Sharing,

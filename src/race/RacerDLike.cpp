@@ -15,9 +15,7 @@
 
 #include "o2/Race/RacerDLike.h"
 
-#include "o2/IR/Printer.h"
 #include "o2/Support/Casting.h"
-#include "o2/Support/OutputStream.h"
 
 #include <algorithm>
 #include <cassert>
@@ -504,19 +502,6 @@ private:
 };
 
 } // namespace o2
-
-void RacerDReport::print(OutputStream &OS) const {
-  OS << "==== RacerD-like: " << Warnings.size() << " warning(s), "
-     << NumPotentialRaces << " potential race(s) ====\n";
-  for (const RacerDWarning &W : Warnings) {
-    if (W.WarningKind == RacerDWarning::Kind::ReadWriteRace)
-      OS << "read/write race on " << location(W) << ": '" << printStmt(*W.A)
-         << "' vs '" << printStmt(*W.B) << "'\n";
-    else
-      OS << "unprotected write to " << location(W) << ": '"
-         << printStmt(*W.A) << "'\n";
-  }
-}
 
 RacerDReport o2::runRacerDLike(const Module &M,
                                const CancellationToken *Cancel) {

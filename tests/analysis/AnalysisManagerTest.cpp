@@ -18,6 +18,8 @@
 
 #include "o2/Analysis/AnalysisManager.h"
 
+#include "ReportFacts.h"
+#include "o2/Driver/Driver.h"
 #include "o2/IR/Parser.h"
 #include "o2/Support/OutputStream.h"
 #include "o2/Workload/BugModels.h"
@@ -118,11 +120,7 @@ TEST(AnalysisManagerTest, ManagerMatchesFacade) {
   EXPECT_EQ(AM.getRaces().numRaces(), Races.numRaces());
   EXPECT_EQ(AM.getSharing().sharedLocations().size(),
             Sharing.sharedLocations().size());
-  std::string Want, Got;
-  StringOutputStream WantOS(Want), GotOS(Got);
-  Races.print(WantOS, *PTA);
-  AM.getRaces().print(GotOS, AM.getPTA());
-  EXPECT_EQ(Got, Want);
+  EXPECT_EQ(test::raceFacts(AM.getRaces()), test::raceFacts(Races));
 }
 
 TEST(AnalysisManagerTest, FingerprintIgnoresPerfKnobs) {
@@ -350,9 +348,12 @@ TEST(AnalysisManagerTest, StatsAndJSONCoverAuxPasses) {
   EXPECT_GT(Stats.get("racerd.warnings"), 0u);
   EXPECT_GT(Stats.get("escape.objects"), 0u);
 
+  JobResult R;
+  R.Analyses = AnalysisSet::all();
+  recordJob(AM, R);
   std::string Buf;
   StringOutputStream OS(Buf);
-  AM.printStatsJSON(OS);
+  printJobRecord(R, OS, /*IncludeTimings=*/true);
   EXPECT_NE(Buf.find("\"analyses\":"), std::string::npos);
   EXPECT_NE(Buf.find("\"time.pta-ms\":"), std::string::npos);
   EXPECT_NE(Buf.find("\"time.racerd-ms\":"), std::string::npos);

@@ -15,6 +15,7 @@
 
 #include "o2/Driver/Driver.h"
 
+#include "ReportFacts.h"
 #include "o2/Driver/ResultCache.h"
 #include "o2/IR/Parser.h"
 #include "o2/Support/FaultInjector.h"
@@ -1048,11 +1049,8 @@ TEST(DriverTest, RaceHBNaiveRunsWithoutHBIndex) {
   AMNaive.run(AnalysisSet::defaultSet());
   AnalysisManager AMDefault(*M);
   AMDefault.run(AnalysisSet::defaultSet());
-  std::string NaiveRaces, DefaultRaces;
-  StringOutputStream NaiveOS(NaiveRaces), DefaultOS(DefaultRaces);
-  AMNaive.getRaces().print(NaiveOS, AMNaive.getPTA());
-  AMDefault.getRaces().print(DefaultOS, AMDefault.getPTA());
-  EXPECT_EQ(NaiveRaces, DefaultRaces);
+  EXPECT_EQ(test::raceFacts(AMNaive.getRaces()),
+            test::raceFacts(AMDefault.getRaces()));
 
   // The flag reaches the detector: only the index run reports index
   // segments, and both report the same races.

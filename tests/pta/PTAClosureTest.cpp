@@ -33,9 +33,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "PTATestUtils.h"
+#include "ReportFacts.h"
 
 #include "o2/Race/RaceDetector.h"
-#include "o2/Support/OutputStream.h"
 #include "o2/Workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -433,13 +433,13 @@ void expectIdenticalResults(const Module &M, const PTAResult &A,
   EXPECT_EQ(A.stats().counters(), B.stats().counters()) << Tag;
 }
 
+/// The races found on \p PTA, then the detector's counters.
 std::string renderRaces(const PTAResult &PTA) {
   RaceReport R = detectRaces(PTA);
-  std::string Buf;
-  StringOutputStream OS(Buf);
-  R.print(OS, PTA);
-  R.printJSON(OS, PTA);
-  return Buf;
+  std::string Out = test::raceFacts(R);
+  for (const auto &[Name, Value] : R.stats().counters())
+    Out += Name + "=" + std::to_string(Value) + "\n";
+  return Out;
 }
 
 class PTAClosure : public ::testing::TestWithParam<std::string> {};

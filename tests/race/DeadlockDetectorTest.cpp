@@ -8,6 +8,7 @@
 
 #include "o2/Race/DeadlockDetector.h"
 
+#include "o2/Driver/Driver.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
 #include "o2/Support/OutputStream.h"
@@ -283,17 +284,28 @@ TEST(DeadlockDetectorTest, ForkJoinOrderingPrunesCycle) {
 }
 
 TEST(DeadlockDetectorTest, ReportPrints) {
-  auto M = parseProgram(twoLockProgram(/*SameOrder=*/false));
-  PTAOptions Opts;
-  Opts.Kind = ContextKind::Origin;
-  auto PTA = runPointerAnalysis(*M, Opts);
-  SHBGraph SHB = buildSHBGraph(*PTA);
-  DeadlockReport R = detectDeadlocks(*PTA, SHB);
+  // The driver's text view renders each cycle from its record: the
+  // locks, then one witness line per edge of the cycle.
+  JobSpec Spec;
+  Spec.Name = "two-locks";
+  Spec.Source = twoLockProgram(/*SameOrder=*/false);
+  BatchOptions Opts;
+  Opts.Analyses = {O2Phase::Deadlock};
+  JobResult J = runOneJob(Spec, Opts);
+  ASSERT_EQ(J.Deadlocks.size(), 1u);
+  const DeadlockRecord &D = J.Deadlocks.front();
+  EXPECT_EQ(D.Witnesses.size(), 2u);
   std::string Buf;
   StringOutputStream OS(Buf);
-  R.print(OS, *PTA);
-  EXPECT_NE(Buf.find("1 potential deadlock"), std::string::npos);
-  EXPECT_NE(Buf.find("lock cycle"), std::string::npos);
+  printJobText(J, OS);
+  EXPECT_NE(Buf.find("==== 1 potential deadlock(s) ====\nlock cycle: " +
+                     D.Locks + "\n"),
+            std::string::npos)
+      << Buf;
+  for (const std::string &W : D.Witnesses) {
+    EXPECT_EQ(W.find("thread "), 0u) << W;
+    EXPECT_NE(Buf.find("  " + W + "\n"), std::string::npos) << Buf;
+  }
 }
 
 } // namespace

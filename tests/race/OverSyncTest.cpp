@@ -8,7 +8,9 @@
 
 #include "o2/Race/OverSync.h"
 
+#include "ReportFacts.h"
 #include "o2/Analysis/AnalysisManager.h"
+#include "o2/Driver/Driver.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
 #include "o2/Support/OutputStream.h"
@@ -32,13 +34,6 @@ std::unique_ptr<Module> parseProgram(std::string_view Src) {
   return M;
 }
 
-std::string render(const OverSyncReport &R) {
-  std::string Out;
-  StringOutputStream OS(Out);
-  R.print(OS);
-  return Out;
-}
-
 /// Over-sync under OPA on the graph the manager builds, which stores only
 /// the accesses OSA flags; checked against the graph that stores all.
 OverSyncReport analyze(const Module &M) {
@@ -50,8 +45,9 @@ OverSyncReport analyze(const Module &M) {
   Filter.SharedAccesses = &Sharing.sharedAccesses();
   OverSyncReport R =
       detectOverSynchronization(Sharing, buildSHBGraph(*PTA, Filter));
-  EXPECT_EQ(render(R), render(detectOverSynchronization(
-                           Sharing, buildSHBGraph(*PTA))));
+  EXPECT_EQ(test::overSyncFacts(R),
+            test::overSyncFacts(detectOverSynchronization(
+                Sharing, buildSHBGraph(*PTA))));
   return R;
 }
 
@@ -192,7 +188,10 @@ TEST(OverSyncTest, EmptyRegionsNotReported) {
 }
 
 TEST(OverSyncTest, ReportPrints) {
-  auto M = parseProgram(R"(
+  // The driver's text view renders the section from the job's records.
+  JobSpec Spec;
+  Spec.Name = "oversync";
+  Spec.Source = R"(
     class Obj { field v: int; }
     class T {
       field lk: Obj;
@@ -218,13 +217,20 @@ TEST(OverSyncTest, ReportPrints) {
       spawn t1.run();
       spawn t2.run();
     }
-  )");
-  OverSyncReport R = analyze(*M);
+  )";
+  BatchOptions Opts;
+  Opts.Analyses = {O2Phase::OverSync};
+  JobResult J = runOneJob(Spec, Opts);
+  ASSERT_FALSE(J.OverSyncs.empty());
   std::string Buf;
   StringOutputStream OS(Buf);
-  R.print(OS);
-  EXPECT_NE(Buf.find("over-synchronized"), std::string::npos);
-  EXPECT_NE(Buf.find("origin-local"), std::string::npos);
+  printJobText(J, OS);
+  EXPECT_NE(Buf.find("over-synchronized region(s)"), std::string::npos)
+      << Buf;
+  EXPECT_NE(Buf.find("lock region at 'acquire l' in run guards only "
+                     "origin-local data (1 access(es))"),
+            std::string::npos)
+      << Buf;
 }
 
 TEST(OverSyncTest, SameRegionsUnderEveryContextKind) {
@@ -238,21 +244,18 @@ TEST(OverSyncTest, SameRegionsUnderEveryContextKind) {
     Src << In.rdbuf();
     auto M = parseProgram(Src.str());
     ASSERT_TRUE(M) << Name;
-    auto Render = [&](ContextKind Kind) {
+    auto Regions = [&](ContextKind Kind) {
       O2Config Config;
       Config.PTA.Kind = Kind;
       AnalysisManager AM(*M, Config);
-      std::string Out;
-      StringOutputStream OS(Out);
-      AM.getOverSync().print(OS);
-      return Out;
+      const OverSyncReport &R = AM.getOverSync();
+      return std::make_pair(R.numRegions(), test::overSyncFacts(R));
     };
-    std::string Origin = Render(ContextKind::Origin);
-    EXPECT_NE(Origin.find("==== 0 over-synchronized"), std::string::npos)
-        << Name << ": " << Origin;
+    auto Origin = Regions(ContextKind::Origin);
+    EXPECT_EQ(Origin.first, 0u) << Name << ": " << Origin.second;
     for (ContextKind Kind : {ContextKind::Insensitive, ContextKind::KCallsite,
                              ContextKind::KObject})
-      EXPECT_EQ(Render(Kind), Origin)
+      EXPECT_EQ(Regions(Kind).second, Origin.second)
           << Name << " under context kind " << unsigned(Kind);
   }
 }

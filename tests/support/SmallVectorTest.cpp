@@ -53,6 +53,21 @@ TEST(SmallVectorTest, GrowthBeyondInlineCapacity) {
     EXPECT_EQ(V[static_cast<size_t>(I)], I);
 }
 
+TEST(SmallVectorTest, FirstSpillHoldsSixEntries) {
+  // A one-slot list that spills keeps growing in place up to six
+  // entries: one heap block, no second reallocation.
+  SmallVector<unsigned, 1> V;
+  V.push_back(0);
+  V.push_back(1);
+  const unsigned *Spilled = V.data();
+  for (unsigned I = 2; I < 6; ++I)
+    V.push_back(I);
+  EXPECT_EQ(V.data(), Spilled);
+  EXPECT_GE(V.capacity(), 6u);
+  for (unsigned I = 0; I < 6; ++I)
+    EXPECT_EQ(V[I], I);
+}
+
 TEST(SmallVectorTest, InitializerList) {
   SmallVector<int, 4> V = {1, 2, 3, 4, 5};
   EXPECT_EQ(V.size(), 5u);

@@ -26,12 +26,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReportFacts.h"
 #include "SmallProfile.h"
 
 #include "o2/Analysis/AnalysisManager.h"
 #include "o2/IR/Parser.h"
 #include "o2/OSA/EscapeAnalysis.h"
-#include "o2/Support/OutputStream.h"
 #include "o2/Workload/BugModels.h"
 #include "o2/Workload/Generator.h"
 
@@ -216,13 +216,6 @@ TEST_P(PrecisionProperty, HBImplementationsAgree) {
   }
 }
 
-std::string renderRaces(const RaceReport &R, const PTAResult &PTA) {
-  std::string Out;
-  StringOutputStream OS(Out);
-  R.print(OS, PTA);
-  return Out;
-}
-
 /// Property 5 on one module, under OPA: the race detector reports the
 /// same races from OSA's sharing table as from the SHB threads' table, so
 /// every racy location is OSA-shared; every OSA-shared location is
@@ -237,8 +230,8 @@ void expectThreadTableAgreesWithOSA(const Module &M) {
   SharingResult Threads = runThreadSharing(SHB);
 
   RaceReport FromThreads = detectRaces(*PTA, SHB, Threads);
-  EXPECT_EQ(renderRaces(detectRaces(*PTA, SHB, OSA), *PTA),
-            renderRaces(FromThreads, *PTA));
+  EXPECT_EQ(test::raceFacts(detectRaces(*PTA, SHB, OSA)),
+            test::raceFacts(FromThreads));
   for (const Race &Rc : FromThreads.races())
     EXPECT_TRUE(OSA.isShared(Rc.Loc))
         << "racy location not OSA-shared: " << Rc.Loc.toString(*PTA);
@@ -313,18 +306,12 @@ void expectFilteredSHBMatchesFull(const PTAResult &PTA) {
 
   RaceReport RFull = detectRaces(PTA, Full, OSA);
   RaceReport RFiltered = detectRaces(PTA, Filtered, OSA);
-  EXPECT_EQ(renderRaces(RFiltered, PTA), renderRaces(RFull, PTA));
+  EXPECT_EQ(test::raceFacts(RFiltered), test::raceFacts(RFull));
   EXPECT_EQ(RFiltered.stats().counters(), RFull.stats().counters());
-  std::string OverSyncFull, OverSyncFiltered, DeadlocksFull,
-      DeadlocksFiltered;
-  StringOutputStream OS1(OverSyncFull), OS2(OverSyncFiltered),
-      OS3(DeadlocksFull), OS4(DeadlocksFiltered);
-  detectOverSynchronization(OSA, Full).print(OS1);
-  detectOverSynchronization(OSA, Filtered).print(OS2);
-  detectDeadlocks(PTA, Full).print(OS3, PTA);
-  detectDeadlocks(PTA, Filtered).print(OS4, PTA);
-  EXPECT_EQ(OverSyncFiltered, OverSyncFull);
-  EXPECT_EQ(DeadlocksFiltered, DeadlocksFull);
+  EXPECT_EQ(test::overSyncFacts(detectOverSynchronization(OSA, Filtered)),
+            test::overSyncFacts(detectOverSynchronization(OSA, Full)));
+  EXPECT_EQ(test::deadlockFacts(detectDeadlocks(PTA, Filtered)),
+            test::deadlockFacts(detectDeadlocks(PTA, Full)));
 }
 
 TEST_P(PrecisionProperty, FilteredSHBMatchesFull) {
