@@ -46,6 +46,7 @@ class OutputStream;
 enum class JobStatus : uint8_t {
   Clean,         ///< Pipeline completed, no races.
   Races,         ///< Pipeline completed, races reported.
+  Done,          ///< Pipeline completed; the request had no race check.
   Timeout,       ///< Deadline fired; partial statistics, JobResult::Phase
                  ///< names the phase that was cut short.
   ParseError,    ///< Unreadable file or OIR syntax error.
@@ -58,13 +59,17 @@ enum class JobStatus : uint8_t {
                  ///< --mem-limit-mb address-space cap in a worker).
 };
 
-/// Stable lowercase name: "clean", "races", "timeout", "parse-error",
-/// "verify-error", "internal-error", "crashed", "oom".
+/// Stable lowercase name: "clean", "races", "done", "timeout",
+/// "parse-error", "verify-error", "internal-error", "crashed", "oom".
 const char *jobStatusName(JobStatus S);
+
+/// True for the statuses of a job whose requested passes all finished:
+/// Clean, Races and Done.
+bool jobCompleted(JobStatus S);
 
 /// Process exit codes shared by o2cli and o2batch.
 enum ExitCode : int {
-  ExitClean = 0,      ///< Analysis ran, no races.
+  ExitClean = 0,      ///< Analysis ran, no races (or no race check).
   ExitRacesFound = 1, ///< Analysis ran, races reported.
   ExitError = 2,      ///< Parse/verify/internal error or timeout.
 };
@@ -159,44 +164,44 @@ struct BatchOptions {
   std::function<void(const std::string &)> StageHook;
 };
 
-/// One reported race, rendered with a content-derived fingerprint that is
-/// stable across reordering of unrelated statements (it hashes the
-/// location's symbolic description and the statement texts, never raw
-/// statement IDs).
+/// One reported race, with a content-derived fingerprint that is stable
+/// across reordering of unrelated statements (it hashes the location's
+/// symbolic description and the statement texts, never raw statement
+/// IDs). This record and those below name each string by its index
+/// into JobResult::Text.
 struct RaceRecord {
-  std::string Fingerprint; ///< 16 hex digits, FNV-1a.
-  std::string Location;    ///< Human-readable location (obj IDs elided).
-  std::string StmtA, FuncA;
-  std::string StmtB, FuncB;
+  enum class Diff : uint8_t { None, New, Unchanged }; ///< applyBaseline's
+
+  uint64_t Fingerprint = 0; ///< FNV-1a, printed as 16 hex digits.
+  uint32_t Location = 0;    ///< The location, object IDs elided.
+  uint32_t StmtA = 0, FuncA = 0;
+  uint32_t StmtB = 0, FuncB = 0;
   bool WriteA = false, WriteB = false;
-  std::string DiffStatus; ///< "" | "new" | "unchanged" (baseline mode).
+  Diff DiffStatus = Diff::None;
 };
 
 /// One potential deadlock cycle (deadlock analysis section).
 struct DeadlockRecord {
-  std::string Locks; ///< The cycle's lock names, e.g. "lock3,lock7".
-  std::vector<std::string> Witnesses; ///< One rendered edge per step.
+  uint32_t Locks = 0;              ///< The lock names, e.g. "lock3,lock7".
+  std::vector<uint32_t> Witnesses; ///< One rendered edge per step.
 };
 
 /// One over-synchronized lock region (oversync analysis section).
 struct OverSyncRecord {
-  std::string Stmt;     ///< Opening acquire ("" if unknown).
-  std::string Function; ///< Its function ("" if unknown).
-  unsigned Thread = 0;
-  unsigned NumAccesses = 0;
+  uint32_t Stmt = 0;     ///< Opening acquire ("" if unknown).
+  uint32_t Function = 0; ///< Its function ("" if unknown).
+  uint32_t Thread = 0;
+  uint32_t NumAccesses = 0;
 };
 
-/// One RacerD-like warning (racerd analysis section). The strings live
-/// once per job in JobResult::Text; a record holds their indices, so a
-/// statement named by thousands of warnings is stored, cached, piped and
-/// escaped once.
+/// One RacerD-like warning (racerd analysis section).
 struct RacerDRecord {
   bool UnprotectedWrite = false; ///< Kind: "unprotected-write", else
                                  ///< "read-write".
-  uint32_t Location = 0;         ///< Text index of the field/global name.
-  uint32_t First = 0;            ///< Text index of the first statement.
-  uint32_t Second = 0; ///< Text index of the second statement; the empty
-                       ///< string for unprotected writes.
+  uint32_t Location = 0;         ///< The field or global name.
+  uint32_t First = 0;            ///< The first statement.
+  uint32_t Second = 0; ///< The second statement; "" for unprotected
+                       ///< writes.
 };
 
 struct JobResult {
@@ -251,7 +256,9 @@ struct JobResult {
   std::vector<OverSyncRecord> OverSyncs;
   std::vector<RacerDRecord> RacerDWarnings;
 
-  /// The job's distinct strings, indexed by RacerDRecord.
+  /// The job's distinct strings, indexed by every record above: a
+  /// statement named by thousands of records is stored, cached, piped
+  /// and escaped once.
   std::vector<std::string> Text;
 
   /// Baseline fingerprints no longer reported (set by applyBaseline).
@@ -302,10 +309,11 @@ JobResult runOneJob(const JobSpec &Spec, const BatchOptions &Opts = {});
 
 /// Fills \p R from \p AM after its run: per-pass times and counters,
 /// the records of every pass that ran (races, deadlocks, over-sync
-/// regions, RacerD-like warnings with their Text table), and the clean,
-/// races or timeout status. R.Name and R.Analyses stay the caller's.
-/// runOneJob builds every record through this; library code calls it to
-/// render a manager's results with printJobRecord or printJobText.
+/// regions, RacerD-like warnings) with the Text table they index, and
+/// the clean, races, done or timeout status. R.Name and R.Analyses stay
+/// the caller's. runOneJob builds every record through this; library
+/// code calls it to render a manager's results with printJobRecord or
+/// printJobText.
 void recordJob(AnalysisManager &AM, JobResult &R);
 
 /// Runs one spec in a forked sandboxed worker (fork + result pipe): the
@@ -335,8 +343,8 @@ using Baseline = std::map<std::string, std::set<std::string>>;
 /// with or without timings both load.
 Baseline loadBaseline(const std::string &JSONLContent);
 
-/// Classifies every race in \p R against \p B (DiffStatus = new or
-/// unchanged), records baseline fingerprints that disappeared as fixed,
+/// Classifies every race in \p R against \p B (DiffStatus = New or
+/// Unchanged), records baseline fingerprints that disappeared as fixed,
 /// and adds the diff.* counters to the summary.
 void applyBaseline(BatchResult &R, const Baseline &B);
 

@@ -23,8 +23,8 @@
 ///
 /// Robustness contract: a corrupt, truncated, version-skewed, or
 /// checksum-mismatched entry degrades to a cache miss, never an error —
-/// the job simply runs cold and overwrites the entry. Only terminal
-/// Clean/Races results from the *requested* configuration are stored:
+/// the job simply runs cold and overwrites the entry. Only completed
+/// results (jobCompleted) from the *requested* configuration are stored:
 /// timeouts, errors, crash records, and degraded-fallback results always
 /// re-run (store() enforces this, lookup() re-checks it on replay).
 /// Writes are atomic (temp file + rename), so concurrent fleets sharing
@@ -52,17 +52,9 @@ public:
   /// 64-bit hash of the module text (the cache key's content half).
   static uint64_t contentHash(const std::string &ModuleText);
 
-  /// Bump when the serialized JobResult layout changes.
-  /// 2: shared wire format with the worker pipe — adds signal, degraded,
-  ///    fallback fingerprint, and retry fields.
-  /// 3: per-job string table; RacerD records are a kind and three table
-  ///    indices instead of four strings.
-  /// 4: eight pass times instead of nine (the SHB pass builds the
-  ///    happens-before tables; there is no separate index pass).
-  /// 5: RacerD records packed into one field of fixed-width binary
-  ///    records; the parse, cache and record stage times follow the pass
-  ///    times.
-  static constexpr uint32_t FormatVersion = 5;
+  /// Bump when the serialized JobResult layout changes; docs/DRIVER.md
+  /// lists what each version changed.
+  static constexpr uint32_t FormatVersion = 6;
 
   /// Loads the entry for (ContentHash, ConfigFP) into \p Out. Returns
   /// false — and leaves \p Out untouched — on absence or any form of
@@ -71,7 +63,7 @@ public:
   bool lookup(uint64_t ContentHash, uint64_t ConfigFP, JobResult &Out) const;
 
   /// Serializes \p R under (ContentHash, ConfigFP). Refuses anything
-  /// but an undegraded Clean/Races result. Failures (unwritable
+  /// but an undegraded completed result. Failures (unwritable
   /// directory, full disk) are silently ignored — the cache is an
   /// optimization.
   void store(uint64_t ContentHash, uint64_t ConfigFP,

@@ -58,11 +58,6 @@ struct RaceDetectorOptions {
   /// Optimization 3: merge same-location accesses within a lock region.
   bool LockRegionMerging = true;
 
-  /// Treat accesses to `atomic` fields and globals as synchronization
-  /// rather than data: no races are reported on them (the paper's
-  /// future-work treatment of std::atomic).
-  bool HandleAtomics = true;
-
   /// Hard cap on conflicting pairs checked; exceeding it aborts the scan
   /// and sets the "race.budget-hit" statistic — benchmark harnesses use
   /// this the way the paper reports ">4h" detector runs.

@@ -61,9 +61,6 @@ struct SHBOptions {
   /// (Section 4.2: all events run on the looper thread).
   bool SerializeEventHandlers = true;
 
-  /// Model a spawn inside a loop as two parallel thread instances.
-  bool DuplicateLoopSpawns = true;
-
   /// Caps to keep degenerate inputs bounded.
   unsigned MaxThreads = 4096;
   uint64_t MaxEventsPerThread = 1u << 22;

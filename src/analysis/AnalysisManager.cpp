@@ -115,7 +115,6 @@ uint64_t localFingerprint(O2Phase K, const O2Config &Config) {
   case O2Phase::SHB: {
     const SHBOptions &O = Config.Detector.SHB;
     H = hashU64(O.SerializeEventHandlers, H);
-    H = hashU64(O.DuplicateLoopSpawns, H);
     H = hashU64(O.MaxThreads, H);
     H = hashU64(O.MaxEventsPerThread, H);
     return H;
@@ -126,7 +125,6 @@ uint64_t localFingerprint(O2Phase K, const O2Config &Config) {
     H = hashU64(static_cast<uint64_t>(O.HB), H);
     H = hashU64(O.CacheLocksetChecks, H);
     H = hashU64(O.LockRegionMerging, H);
-    H = hashU64(O.HandleAtomics, H);
     H = hashU64(O.MaxPairChecks, H);
     return H;
   }

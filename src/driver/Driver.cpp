@@ -42,6 +42,8 @@ const char *o2::jobStatusName(JobStatus S) {
     return "clean";
   case JobStatus::Races:
     return "races";
+  case JobStatus::Done:
+    return "done";
   case JobStatus::Timeout:
     return "timeout";
   case JobStatus::ParseError:
@@ -58,9 +60,15 @@ const char *o2::jobStatusName(JobStatus S) {
   return "unknown";
 }
 
+bool o2::jobCompleted(JobStatus S) {
+  return S == JobStatus::Clean || S == JobStatus::Races ||
+         S == JobStatus::Done;
+}
+
 int o2::exitCodeFor(JobStatus S) {
   switch (S) {
   case JobStatus::Clean:
+  case JobStatus::Done:
     return ExitClean;
   case JobStatus::Races:
     return ExitRacesFound;
@@ -109,85 +117,6 @@ static std::string stableLocation(const MemLoc &Loc, const PTAResult &PTA) {
   return Out + ".f" + std::to_string(FK - 1);
 }
 
-namespace {
-/// Builds one job's race records. Races share statements and locations,
-/// so each statement is printed once (memo by Stmt::getId()) and each
-/// location rendered once (memo by MemLoc key).
-class RaceRecordBuilder {
-public:
-  explicit RaceRecordBuilder(const PTAResult &PTA)
-      : PTA(PTA), StmtSlot(PTA.module().numStmts(), None) {}
-
-  RaceRecord build(const Race &Rc) {
-    RaceRecord R;
-    const LocText &L = location(Rc.Loc);
-    uint32_t SlotA = stmtSlot(*Rc.A), SlotB = stmtSlot(*Rc.B);
-    const StmtText &A = Stmts[SlotA], &B = Stmts[SlotB];
-    R.Location = L.Text;
-    R.StmtA = A.Stmt;
-    R.FuncA = Rc.A->getFunction()->getName();
-    R.WriteA = Rc.AIsWrite;
-    R.StmtB = B.Stmt;
-    R.FuncB = Rc.B->getFunction()->getName();
-    R.WriteB = Rc.BIsWrite;
-
-    // The fingerprint hashes the symbolic location plus the two access
-    // descriptors in lexicographic order, so it is invariant under the
-    // statement-ID renumbering that reordering unrelated code causes and
-    // under which access the detector happened to list first.
-    std::string_view DescA = A.Desc[R.WriteA], DescB = B.Desc[R.WriteB];
-    if (DescB < DescA)
-      std::swap(DescA, DescB);
-    uint64_t H = fnv1a(DescA, L.Hash);
-    H = fnv1a("\x1f", H);
-    H = fnv1a(DescB, H);
-    R.Fingerprint = toHex16(H);
-    return R;
-  }
-
-private:
-  static constexpr uint32_t None = ~0u;
-
-  struct StmtText {
-    std::string Stmt;    ///< printStmt
-    std::string Desc[2]; ///< "<stmt>|<function>|R", then "...|W"
-  };
-
-  /// \p S's index into Stmts, printing it on first use.
-  uint32_t stmtSlot(const Stmt &S) {
-    uint32_t &Slot = StmtSlot[S.getId()];
-    if (Slot == None) {
-      Slot = uint32_t(Stmts.size());
-      std::string Text = printStmt(S);
-      std::string Desc = Text + "|" + S.getFunction()->getName() + "|";
-      Stmts.push_back({std::move(Text), {Desc + "R", Desc + "W"}});
-    }
-    return Slot;
-  }
-
-  struct LocText {
-    std::string Text; ///< stableLocation
-    uint64_t Hash;    ///< the fingerprint's hash up to the descriptors
-  };
-
-  const LocText &location(MemLoc Loc) {
-    auto [Slot, New] = LocSlot.tryEmplace(Loc.key(), uint32_t(Locs.size()));
-    if (New) {
-      std::string Text = stableLocation(Loc, PTA);
-      uint64_t Hash = fnv1a("\x1f", fnv1a(Text));
-      Locs.push_back({std::move(Text), Hash});
-    }
-    return Locs[*Slot];
-  }
-
-  const PTAResult &PTA;
-  std::vector<uint32_t> StmtSlot;
-  std::vector<StmtText> Stmts;
-  U64Map<uint32_t> LocSlot;
-  std::vector<LocText> Locs;
-};
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Job execution
 //===----------------------------------------------------------------------===//
@@ -200,7 +129,86 @@ struct TextHash {
     return std::hash<std::string_view>()(S);
   }
 };
+
+/// The one interner behind a job's records: each distinct string enters
+/// JobResult::Text once, in first-use order, and records hold indices.
+/// Statements map to the ids of their text and of their function's name
+/// through a dense memo by Stmt::getId(), so each is printed and looked
+/// up once.
+class TextTable {
+public:
+  TextTable(std::vector<std::string> &Text, const Module &M)
+      : Text(Text), Stmts(M.numStmts()) {}
+
+  uint32_t intern(std::string_view S) {
+    auto It = Ids.find(S);
+    if (It != Ids.end())
+      return It->second;
+    uint32_t Id = uint32_t(Text.size());
+    Text.emplace_back(S);
+    Ids.emplace(Text.back(), Id);
+    return Id;
+  }
+
+  /// printStmt(*S), or "" for a null \p S.
+  uint32_t stmt(const Stmt *S) {
+    uint32_t &Id = memo(S).Text;
+    if (Id == None)
+      Id = S ? intern(printStmt(*S)) : intern("");
+    return Id;
+  }
+
+  /// The name of \p S's function, or "" for a null \p S.
+  uint32_t function(const Stmt *S) {
+    uint32_t &Id = memo(S).Function;
+    if (Id == None)
+      Id = intern(S ? std::string_view(S->getFunction()->getName()) : "");
+    return Id;
+  }
+
+private:
+  static constexpr uint32_t None = ~0u;
+  struct StmtIds {
+    uint32_t Text = None, Function = None;
+  };
+
+  StmtIds &memo(const Stmt *S) { return S ? Stmts[S->getId()] : NullStmt; }
+
+  std::vector<std::string> &Text;
+  std::unordered_map<std::string, uint32_t, TextHash, std::equal_to<>> Ids;
+  std::vector<StmtIds> Stmts;
+  StmtIds NullStmt;
+};
 } // namespace
+
+/// The fingerprint of \p R: FNV-1a of its location and its two access
+/// descriptors ("<stmt>|<function>|R", or "|W" for a write) in
+/// lexicographic order, joined by \x1f. It is invariant under the
+/// statement-ID renumbering that reordering unrelated code causes and
+/// under which access the detector happened to list first. \p Buf is
+/// scratch space.
+static uint64_t raceFingerprint(const RaceRecord &R,
+                                const std::vector<std::string> &Text,
+                                std::string &Buf) {
+  auto AppendDesc = [&](uint32_t Stmt, uint32_t Func, bool Write) {
+    Buf += Text[Stmt];
+    Buf += '|';
+    Buf += Text[Func];
+    Buf += Write ? "|W" : "|R";
+  };
+  Buf.clear();
+  AppendDesc(R.StmtA, R.FuncA, R.WriteA);
+  size_t LenA = Buf.size();
+  AppendDesc(R.StmtB, R.FuncB, R.WriteB);
+  std::string_view DescA = std::string_view(Buf).substr(0, LenA);
+  std::string_view DescB = std::string_view(Buf).substr(LenA);
+  if (DescB < DescA)
+    std::swap(DescA, DescB);
+  uint64_t H = fnv1a("\x1f", fnv1a(Text[R.Location]));
+  H = fnv1a(DescA, H);
+  H = fnv1a("\x1f", H);
+  return fnv1a(DescB, H);
+}
 
 /// Per-pass wall-clock and the merged counters of every pass \p AM ran.
 static void harvestPasses(const AnalysisManager &AM, JobResult &R) {
@@ -211,85 +219,69 @@ static void harvestPasses(const AnalysisManager &AM, JobResult &R) {
 
 void o2::recordJob(AnalysisManager &AM, JobResult &R) {
   harvestPasses(AM, R);
+  TextTable T(R.Text, AM.module());
   if (AM.ran(O2Phase::Detect)) {
-    RaceRecordBuilder Build(AM.getPTA());
+    const PTAResult &PTA = AM.getPTA();
+    U64Map<uint32_t> LocIds; // MemLoc key -> text id
+    std::string Buf;
     R.Races.reserve(AM.getRaces().races().size());
-    for (const Race &Rc : AM.getRaces().races())
-      R.Races.push_back(Build.build(Rc));
+    for (const Race &Rc : AM.getRaces().races()) {
+      RaceRecord Rec;
+      auto [Loc, New] = LocIds.tryEmplace(Rc.Loc.key());
+      if (New)
+        *Loc = T.intern(stableLocation(Rc.Loc, PTA));
+      Rec.Location = *Loc;
+      Rec.StmtA = T.stmt(Rc.A);
+      Rec.FuncA = T.function(Rc.A);
+      Rec.WriteA = Rc.AIsWrite;
+      Rec.StmtB = T.stmt(Rc.B);
+      Rec.FuncB = T.function(Rc.B);
+      Rec.WriteB = Rc.BIsWrite;
+      Rec.Fingerprint = raceFingerprint(Rec, R.Text, Buf);
+      R.Races.push_back(Rec);
+    }
   }
   if (AM.ran(O2Phase::Deadlock))
     for (const DeadlockCycle &C : AM.getDeadlocks().cycles()) {
       DeadlockRecord D;
+      std::string Locks;
       for (uint32_t L : C.Locks) {
-        if (!D.Locks.empty())
-          D.Locks += ',';
-        D.Locks += "lock" + std::to_string(L);
+        if (!Locks.empty())
+          Locks += ',';
+        Locks += "lock" + std::to_string(L);
       }
+      D.Locks = T.intern(Locks);
       for (const LockOrderEdge &E : C.Witnesses)
-        D.Witnesses.push_back(
+        D.Witnesses.push_back(T.intern(
             "thread " + std::to_string(E.Thread) + " acquires lock" +
             std::to_string(E.Inner) + " while holding lock" +
-            std::to_string(E.Outer) + " at '" + printStmt(*E.Acquire) +
-            "'");
+            std::to_string(E.Outer) + " at '" + R.Text[T.stmt(E.Acquire)] +
+            "'"));
       R.Deadlocks.push_back(std::move(D));
     }
   if (AM.ran(O2Phase::OverSync))
-    for (const OverSyncRegion &Reg : AM.getOverSync().regions()) {
-      OverSyncRecord O;
-      if (Reg.Acquire) {
-        O.Stmt = printStmt(*Reg.Acquire);
-        O.Function = Reg.Acquire->getFunction()->getName();
-      }
-      O.Thread = Reg.Thread;
-      O.NumAccesses = Reg.NumAccesses;
-      R.OverSyncs.push_back(std::move(O));
-    }
+    for (const OverSyncRegion &Reg : AM.getOverSync().regions())
+      R.OverSyncs.push_back({T.stmt(Reg.Acquire), T.function(Reg.Acquire),
+                             Reg.Thread, Reg.NumAccesses});
   if (AM.ran(O2Phase::RacerD)) {
-    // Warnings name far fewer statements and locations than they have
-    // sides: each distinct string enters R.Text once, in first-seen
-    // order (location, first, second, warning by warning), and records
-    // hold indices. Locations and statements map to their text ids
-    // through dense memos, so each is printed and hashed once.
     const RacerDReport &RD = AM.getRacerD();
-    std::unordered_map<std::string, uint32_t, TextHash, std::equal_to<>>
-        TextIds;
-    auto intern = [&](std::string_view S) {
-      auto It = TextIds.find(S);
-      if (It != TextIds.end())
-        return It->second;
-      uint32_t Id = uint32_t(R.Text.size());
-      R.Text.emplace_back(S);
-      TextIds.emplace(R.Text.back(), Id);
-      return Id;
-    };
-    constexpr uint32_t None = ~0u;
-    std::vector<uint32_t> LocTextId(RD.locations().size(), None);
-    std::vector<uint32_t> StmtTextId(AM.module().numStmts(), None);
-    uint32_t NoStmtText = None;
-    auto internStmt = [&](const Stmt *S) {
-      uint32_t &Id = S ? StmtTextId[S->getId()] : NoStmtText;
-      if (Id == None)
-        Id = S ? intern(printStmt(*S)) : intern("");
-      return Id;
-    };
+    std::vector<uint32_t> LocIds(RD.locations().size(), ~0u);
     R.RacerDWarnings.reserve(RD.warnings().size());
     for (const RacerDWarning &W : RD.warnings()) {
-      RacerDRecord Rw;
-      Rw.UnprotectedWrite =
-          W.WarningKind == RacerDWarning::Kind::UnprotectedWrite;
-      uint32_t &Loc = LocTextId[W.Location];
-      if (Loc == None)
-        Loc = intern(RD.location(W));
-      Rw.Location = Loc;
-      Rw.First = internStmt(W.A);
-      Rw.Second = internStmt(W.B);
-      R.RacerDWarnings.push_back(Rw);
+      uint32_t &Loc = LocIds[W.Location];
+      if (Loc == ~0u)
+        Loc = T.intern(RD.location(W));
+      R.RacerDWarnings.push_back(
+          {W.WarningKind == RacerDWarning::Kind::UnprotectedWrite, Loc,
+           T.stmt(W.A), T.stmt(W.B)});
     }
   }
 
   if (AM.cancelled()) {
     R.Status = JobStatus::Timeout;
     R.Phase = phaseName(AM.cancelledIn());
+  } else if (!AM.ran(O2Phase::Detect)) {
+    R.Status = JobStatus::Done;
   } else {
     R.Status = R.Races.empty() ? JobStatus::Clean : JobStatus::Races;
   }
@@ -522,7 +514,7 @@ JobResult o2::runJobContained(const JobSpec &Spec, const BatchOptions &Opts) {
     Fallback.Config = degradedConfigFor(Opts.Config);
     Fallback.CacheDir.clear();
     JobResult D = Attempt(Fallback);
-    if (D.Status == JobStatus::Clean || D.Status == JobStatus::Races) {
+    if (jobCompleted(D.Status)) {
       D.Degraded = true;
       D.DegradedConfigFP =
           analysisSetFingerprint(Opts.Analyses, Fallback.Config);
@@ -658,14 +650,15 @@ void o2::applyBaseline(BatchResult &R, const Baseline &B) {
     const std::set<std::string> *Base = It == B.end() ? nullptr : &It->second;
     std::set<std::string> Current;
     for (RaceRecord &Rc : J.Races) {
-      Current.insert(Rc.Fingerprint);
-      if (Base && Base->count(Rc.Fingerprint)) {
-        Rc.DiffStatus = "unchanged";
+      std::string FP = toHex16(Rc.Fingerprint);
+      if (Base && Base->count(FP)) {
+        Rc.DiffStatus = RaceRecord::Diff::Unchanged;
         ++NumUnchanged;
       } else {
-        Rc.DiffStatus = "new";
+        Rc.DiffStatus = RaceRecord::Diff::New;
         ++NumNew;
       }
+      Current.insert(std::move(FP));
     }
     J.FixedRaces.clear();
     if (Base)
@@ -714,27 +707,35 @@ uint64_t o2::printJobRecord(const JobResult &J, OutputStream &OS,
     W.attribute("time.record-ms", J.RecordMs);
     W.attribute("time.total-ms", J.totalMs());
   }
+  // Each Text string is quoted and escaped once, however many records
+  // name it, into one buffer; a record is then a few appends of
+  // precomputed pieces.
+  std::string QuotedText;
+  std::vector<size_t> Ends(J.Text.size());
+  for (size_t I = 0; I < J.Text.size(); ++I) {
+    JSONWriter::quote(QuotedText, J.Text[I]);
+    Ends[I] = QuotedText.size();
+  }
+  auto Quoted = [&](uint32_t I) {
+    size_t Begin = I ? Ends[I - 1] : 0;
+    return std::string_view(QuotedText).substr(Begin, Ends[I] - Begin);
+  };
+
   W.key("races");
   W.beginArray();
+  constexpr std::string_view Diff[] = {"", R"(,"diff":"new")",
+                                       R"(,"diff":"unchanged")"};
+  auto Bool = [](bool B) { return std::string_view(B ? "true" : "false"); };
   for (const RaceRecord &Rc : J.Races) {
-    W.beginObject();
-    W.attribute("fingerprint", Rc.Fingerprint);
-    W.attribute("location", Rc.Location);
-    if (!Rc.DiffStatus.empty())
-      W.attribute("diff", Rc.DiffStatus);
-    W.key("first");
-    W.beginObject();
-    W.attribute("stmt", Rc.StmtA);
-    W.attribute("function", Rc.FuncA);
-    W.attribute("write", Rc.WriteA);
-    W.endObject();
-    W.key("second");
-    W.beginObject();
-    W.attribute("stmt", Rc.StmtB);
-    W.attribute("function", Rc.FuncB);
-    W.attribute("write", Rc.WriteB);
-    W.endObject();
-    W.endObject();
+    char FP[16];
+    toHex16(Rc.Fingerprint, FP);
+    W.rawValue({R"({"fingerprint":")", std::string_view(FP, 16),
+                R"(","location":)", Quoted(Rc.Location),
+                Diff[size_t(Rc.DiffStatus)], R"(,"first":{"stmt":)",
+                Quoted(Rc.StmtA), R"(,"function":)", Quoted(Rc.FuncA),
+                R"(,"write":)", Bool(Rc.WriteA), R"(},"second":{"stmt":)",
+                Quoted(Rc.StmtB), R"(,"function":)", Quoted(Rc.FuncB),
+                R"(,"write":)", Bool(Rc.WriteB), "}}"});
   }
   W.endArray();
   if (J.Analyses.contains(O2Phase::Deadlock)) {
@@ -742,11 +743,12 @@ uint64_t o2::printJobRecord(const JobResult &J, OutputStream &OS,
     W.beginArray();
     for (const DeadlockRecord &D : J.Deadlocks) {
       W.beginObject();
-      W.attribute("locks", D.Locks);
+      W.key("locks");
+      W.rawValue(Quoted(D.Locks));
       W.key("witnesses");
       W.beginArray();
-      for (const std::string &Wit : D.Witnesses)
-        W.value(Wit);
+      for (uint32_t Wit : D.Witnesses)
+        W.rawValue(Quoted(Wit));
       W.endArray();
       W.endObject();
     }
@@ -755,44 +757,25 @@ uint64_t o2::printJobRecord(const JobResult &J, OutputStream &OS,
   if (J.Analyses.contains(O2Phase::OverSync)) {
     W.key("oversync");
     W.beginArray();
-    for (const OverSyncRecord &O : J.OverSyncs) {
-      W.beginObject();
-      W.attribute("stmt", O.Stmt);
-      W.attribute("function", O.Function);
-      W.attribute("thread", uint64_t(O.Thread));
-      W.attribute("accesses", uint64_t(O.NumAccesses));
-      W.endObject();
-    }
+    for (const OverSyncRecord &O : J.OverSyncs)
+      W.rawValue({R"({"stmt":)", Quoted(O.Stmt), R"(,"function":)",
+                  Quoted(O.Function), R"(,"thread":)",
+                  std::to_string(O.Thread), R"(,"accesses":)",
+                  std::to_string(O.NumAccesses), "}"});
     W.endArray();
   }
   if (J.Analyses.contains(O2Phase::RacerD)) {
     W.key("racerd");
     W.beginArray();
-    // Each string is quoted and escaped once, however many records
-    // name it, into one buffer; a record is then a few appends of
-    // precomputed pieces.
-    std::string QuotedText;
-    std::vector<size_t> Ends(J.Text.size());
-    for (size_t I = 0; I < J.Text.size(); ++I) {
-      JSONWriter::quote(QuotedText, J.Text[I]);
-      Ends[I] = QuotedText.size();
-    }
-    auto Quoted = [&](uint32_t I) {
-      size_t Begin = I ? Ends[I - 1] : 0;
-      return std::string_view(QuotedText).substr(Begin, Ends[I] - Begin);
-    };
     for (const RacerDRecord &Rw : J.RacerDWarnings) {
       std::string_view Prefix =
           Rw.UnprotectedWrite
               ? R"({"kind":"unprotected-write","location":)"
               : R"({"kind":"read-write","location":)";
-      if (J.Text[Rw.Second].empty())
-        W.rawValue({Prefix, Quoted(Rw.Location), R"(,"first":)",
-                    Quoted(Rw.First), "}"});
-      else
-        W.rawValue({Prefix, Quoted(Rw.Location), R"(,"first":)",
-                    Quoted(Rw.First), R"(,"second":)", Quoted(Rw.Second),
-                    "}"});
+      bool HasSecond = !J.Text[Rw.Second].empty();
+      W.rawValue({Prefix, Quoted(Rw.Location), R"(,"first":)",
+                  Quoted(Rw.First), HasSecond ? R"(,"second":)" : "",
+                  HasSecond ? Quoted(Rw.Second) : "", "}"});
     }
     W.endArray();
   }
@@ -843,8 +826,7 @@ void o2::printJobText(const JobResult &J, OutputStream &OS) {
   if (!J.Error.empty())
     OS << ": " << J.Error;
   OS << '\n';
-  if (J.Status != JobStatus::Clean && J.Status != JobStatus::Races &&
-      J.Status != JobStatus::Timeout)
+  if (!jobCompleted(J.Status) && J.Status != JobStatus::Timeout)
     return;
 
   // The pipeline summary, one line per pass whose counters are present.
@@ -866,19 +848,19 @@ void o2::printJobText(const JobResult &J, OutputStream &OS) {
   if (J.Analyses.contains(O2Phase::Detect)) {
     OS << "\n==== " << uint64_t(J.Races.size()) << " race(s) ====\n";
     for (const RaceRecord &Rc : J.Races)
-      OS << "race on " << Rc.Location << ":\n"
-         << "  " << (Rc.WriteA ? "write" : "read ") << " '" << Rc.StmtA
-         << "' in " << Rc.FuncA << '\n'
-         << "  " << (Rc.WriteB ? "write" : "read ") << " '" << Rc.StmtB
-         << "' in " << Rc.FuncB << '\n';
+      OS << "race on " << J.Text[Rc.Location] << ":\n"
+         << "  " << (Rc.WriteA ? "write" : "read ") << " '"
+         << J.Text[Rc.StmtA] << "' in " << J.Text[Rc.FuncA] << '\n'
+         << "  " << (Rc.WriteB ? "write" : "read ") << " '"
+         << J.Text[Rc.StmtB] << "' in " << J.Text[Rc.FuncB] << '\n';
   }
   if (J.Analyses.contains(O2Phase::Deadlock)) {
     OS << "\n==== " << uint64_t(J.Deadlocks.size())
        << " potential deadlock(s) ====\n";
     for (const DeadlockRecord &D : J.Deadlocks) {
-      OS << "lock cycle: " << D.Locks << '\n';
-      for (const std::string &Wit : D.Witnesses)
-        OS << "  " << Wit << '\n';
+      OS << "lock cycle: " << J.Text[D.Locks] << '\n';
+      for (uint32_t Wit : D.Witnesses)
+        OS << "  " << J.Text[Wit] << '\n';
     }
   }
   if (J.Analyses.contains(O2Phase::OverSync)) {
@@ -887,8 +869,8 @@ void o2::printJobText(const JobResult &J, OutputStream &OS) {
        << S.get("oversync.regions-checked") << " checked) ====\n";
     for (const OverSyncRecord &O : J.OverSyncs) {
       OS << "lock region";
-      if (!O.Stmt.empty())
-        OS << " at '" << O.Stmt << "' in " << O.Function;
+      if (!J.Text[O.Stmt].empty())
+        OS << " at '" << J.Text[O.Stmt] << "' in " << J.Text[O.Function];
       OS << " guards only origin-local data (" << uint64_t(O.NumAccesses)
          << " access(es))\n";
     }
@@ -1122,8 +1104,8 @@ static void printBatchUsage(OutputStream &OS) {
      << "                    pairwise BFS oracle)\n"
      << "  --quiet           no human-readable summary on stderr\n"
      << "\n"
-     << "exit codes: 0 all clean, 1 races found, 2 any parse/verify/"
-        "internal error or timeout\n";
+     << "exit codes: 0 all clean or done, 1 races found, 2 any parse/"
+        "verify/internal error or timeout\n";
 }
 
 int o2::runBatchCommand(const std::vector<std::string> &Args) {

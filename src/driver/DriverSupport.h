@@ -59,12 +59,17 @@ inline uint64_t hashBytes(std::string_view S) {
   return Fold(H ^ Load(S.data() + I, S.size() - I), K1);
 }
 
+/// Writes \p V as exactly 16 lowercase hex digits to \p Out.
+inline void toHex16(uint64_t V, char *Out) {
+  static const char *Hex = "0123456789abcdef";
+  for (int I = 15; I >= 0; --I, V >>= 4)
+    Out[I] = Hex[V & 0xf];
+}
+
 /// \p V as exactly 16 lowercase hex digits.
 inline std::string toHex16(uint64_t V) {
-  static const char *Hex = "0123456789abcdef";
   std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[size_t(I)] = Hex[V & 0xf];
+  toHex16(V, Out.data());
   return Out;
 }
 

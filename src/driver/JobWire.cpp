@@ -11,6 +11,10 @@
 #include <array>
 #include <bit>
 #include <charconv>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 using namespace o2;
 
@@ -65,14 +69,13 @@ public:
     return true;
   }
 
-  template <typename T> bool getNumber(T &V) {
+  bool getU64(uint64_t &V) {
     std::string_view S;
     if (!getView(S))
       return false;
     auto [End, EC] = std::from_chars(S.data(), S.data() + S.size(), V);
     return (EC == std::errc() && End == S.data() + S.size()) || fail();
   }
-  bool getU64(uint64_t &V) { return getNumber(V); }
 
   /// The next field, which must be exactly \p Size bytes long.
   bool getFixed(std::string_view &Out, uint64_t Size) {
@@ -128,10 +131,97 @@ template <typename ResultT> auto timesOf(ResultT &R) {
   return T;
 }
 
+/// One deadlock cycle as it is packed: its lock names and how many
+/// witnesses it takes, in order, from the witness section before it.
+struct CycleRow {
+  uint32_t Locks, NumWitnesses;
+};
+
+// The packed record layouts: members() ties a record's members in wire
+// order, each packed as sizeof(member) little-endian bytes. The first
+// Indices members are JobResult::Text indices, which decode only when
+// below the table's size; a bool decodes only from 0 or 1.
+template <typename RecT> struct Layout;
+template <> struct Layout<RaceRecord> {
+  static constexpr size_t Indices = 5;
+  static auto members(auto &R) {
+    return std::tie(R.Location, R.StmtA, R.FuncA, R.StmtB, R.FuncB,
+                    R.Fingerprint, R.WriteA, R.WriteB);
+  }
+};
+/// A deadlock witness: the text of one edge.
+template <> struct Layout<uint32_t> {
+  static constexpr size_t Indices = 1;
+  static auto members(auto &W) { return std::tie(W); }
+};
+template <> struct Layout<CycleRow> {
+  static constexpr size_t Indices = 1;
+  static auto members(auto &C) { return std::tie(C.Locks, C.NumWitnesses); }
+};
+template <> struct Layout<OverSyncRecord> {
+  static constexpr size_t Indices = 2;
+  static auto members(auto &O) {
+    return std::tie(O.Stmt, O.Function, O.Thread, O.NumAccesses);
+  }
+};
+template <> struct Layout<RacerDRecord> {
+  static constexpr size_t Indices = 3;
+  static auto members(auto &R) {
+    return std::tie(R.Location, R.First, R.Second, R.UnprotectedWrite);
+  }
+};
+
+template <typename RecT> constexpr uint64_t recordBytes() {
+  RecT Probe{};
+  return std::apply([](const auto &...M) { return (sizeof(M) + ...); },
+                    Layout<RecT>::members(Probe));
+}
+
+/// Writes \p Recs as one packed section: a count field, then one field
+/// of recordBytes<RecT>() bytes per record.
+template <typename RecT>
+void putSection(FieldWriter &W, const std::vector<RecT> &Recs) {
+  W.putU64(Recs.size());
+  std::string Packed(Recs.size() * recordBytes<RecT>(), '\0');
+  char *Out = Packed.data();
+  for (const RecT &Rec : Recs)
+    std::apply(
+        [&Out](const auto &...M) { (putLE(Out, uint64_t(M), sizeof(M)), ...); },
+        Layout<RecT>::members(Rec));
+  W.put(Packed);
+}
+
+/// Reads a section written by putSection into \p Recs. False when the
+/// packed field is not exactly the count times recordBytes<RecT>() bytes,
+/// when an index is not below \p TableSize, or when a bool is not 0 or 1.
+template <typename RecT>
+bool getSection(FieldReader &Rd, size_t TableSize, std::vector<RecT> &Recs) {
+  uint64_t Count = 0;
+  std::string_view Packed;
+  if (!Rd.getCount(Count) || !Rd.getFixed(Packed, Count * recordBytes<RecT>()))
+    return false;
+  Recs.resize(Count);
+  const char *In = Packed.data();
+  auto Get = [&In, TableSize](auto &M, bool IsIndex) {
+    using T = std::remove_reference_t<decltype(M)>;
+    uint64_t V = getLE(In, sizeof(M));
+    M = static_cast<T>(V);
+    return IsIndex ? V < TableSize : !std::is_same_v<T, bool> || V <= 1;
+  };
+  auto GetAll = [&Get](auto &...M) {
+    size_t I = 0;
+    return (Get(M, I++ < Layout<RecT>::Indices) && ...);
+  };
+  for (RecT &Rec : Recs)
+    if (!std::apply(GetAll, Layout<RecT>::members(Rec)))
+      return false;
+  return true;
+}
+
 const JobStatus AllStatuses[] = {
-    JobStatus::Clean,       JobStatus::Races,         JobStatus::Timeout,
-    JobStatus::ParseError,  JobStatus::VerifyError,   JobStatus::InternalError,
-    JobStatus::Crashed,     JobStatus::OOM,
+    JobStatus::Clean,         JobStatus::Races,      JobStatus::Done,
+    JobStatus::Timeout,       JobStatus::ParseError, JobStatus::VerifyError,
+    JobStatus::InternalError, JobStatus::Crashed,    JobStatus::OOM,
 };
 
 } // namespace
@@ -161,48 +251,21 @@ std::string wire::serializeJobResult(const JobResult &R) {
     W.putU64(Value);
   }
 
-  W.putU64(R.Races.size());
-  for (const RaceRecord &Rc : R.Races) {
-    W.put(Rc.Fingerprint);
-    W.put(Rc.Location);
-    W.put(Rc.StmtA);
-    W.put(Rc.FuncA);
-    W.putU64(Rc.WriteA);
-    W.put(Rc.StmtB);
-    W.put(Rc.FuncB);
-    W.putU64(Rc.WriteB);
-  }
-
-  W.putU64(R.Deadlocks.size());
-  for (const DeadlockRecord &D : R.Deadlocks) {
-    W.put(D.Locks);
-    W.putU64(D.Witnesses.size());
-    for (const std::string &Wit : D.Witnesses)
-      W.put(Wit);
-  }
-
-  W.putU64(R.OverSyncs.size());
-  for (const OverSyncRecord &O : R.OverSyncs) {
-    W.put(O.Stmt);
-    W.put(O.Function);
-    W.putU64(O.Thread);
-    W.putU64(O.NumAccesses);
-  }
-
   W.putU64(R.Text.size());
   for (const std::string &S : R.Text)
     W.put(S);
 
-  // The records, packed: one field of RacerDRecordBytes per record.
-  W.putU64(R.RacerDWarnings.size());
-  std::string Packed(R.RacerDWarnings.size() * wire::RacerDRecordBytes, '\0');
-  Out = Packed.data();
-  for (const RacerDRecord &Rw : R.RacerDWarnings) {
-    putLE(Out, Rw.UnprotectedWrite, 1);
-    for (uint32_t V : {Rw.Location, Rw.First, Rw.Second})
-      putLE(Out, V, 4);
+  putSection(W, R.Races);
+  std::vector<uint32_t> Witnesses;
+  std::vector<CycleRow> Cycles;
+  for (const DeadlockRecord &D : R.Deadlocks) {
+    Witnesses.insert(Witnesses.end(), D.Witnesses.begin(), D.Witnesses.end());
+    Cycles.push_back({D.Locks, uint32_t(D.Witnesses.size())});
   }
-  W.put(Packed);
+  putSection(W, Witnesses);
+  putSection(W, Cycles);
+  putSection(W, R.OverSyncs);
+  putSection(W, R.RacerDWarnings);
   return W.take();
 }
 
@@ -252,67 +315,27 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
 
   if (!Rd.getCount(N))
     return false;
-  R.Races.resize(N);
-  for (RaceRecord &Rc : R.Races) {
-    uint64_t WA = 0, WB = 0;
-    if (!Rd.get(Rc.Fingerprint) || !Rd.get(Rc.Location) ||
-        !Rd.get(Rc.StmtA) || !Rd.get(Rc.FuncA) || !Rd.getU64(WA) ||
-        !Rd.get(Rc.StmtB) || !Rd.get(Rc.FuncB) || !Rd.getU64(WB))
-      return false;
-    Rc.WriteA = WA != 0;
-    Rc.WriteB = WB != 0;
-  }
-
-  if (!Rd.getCount(N))
-    return false;
-  R.Deadlocks.resize(N);
-  for (DeadlockRecord &D : R.Deadlocks) {
-    uint64_t NumWit = 0;
-    if (!Rd.get(D.Locks) || !Rd.getCount(NumWit))
-      return false;
-    D.Witnesses.resize(NumWit);
-    for (std::string &Wit : D.Witnesses)
-      if (!Rd.get(Wit))
-        return false;
-  }
-
-  if (!Rd.getCount(N))
-    return false;
-  R.OverSyncs.resize(N);
-  for (OverSyncRecord &O : R.OverSyncs) {
-    uint64_t Thread = 0, Accesses = 0;
-    if (!Rd.get(O.Stmt) || !Rd.get(O.Function) || !Rd.getU64(Thread) ||
-        !Rd.getU64(Accesses))
-      return false;
-    O.Thread = unsigned(Thread);
-    O.NumAccesses = unsigned(Accesses);
-  }
-
-  if (!Rd.getCount(N))
-    return false;
   R.Text.resize(N);
   for (std::string &S : R.Text)
     if (!Rd.get(S))
       return false;
 
-  // The packed field must hold exactly N records, and every index must
-  // name a table entry: a damaged record is a rejected payload, never an
-  // out-of-range read when the report is written.
-  std::string_view Packed;
-  if (!Rd.getCount(N) || !Rd.getFixed(Packed, N * wire::RacerDRecordBytes))
+  // Every index must name a table entry: a damaged record is a rejected
+  // payload, never an out-of-range read when the report is written.
+  size_t Size = R.Text.size();
+  std::vector<uint32_t> Witnesses;
+  std::vector<CycleRow> Cycles;
+  if (!getSection(Rd, Size, R.Races) || !getSection(Rd, Size, Witnesses) ||
+      !getSection(Rd, Size, Cycles))
     return false;
-  R.RacerDWarnings.resize(N);
-  In = Packed.data();
-  for (RacerDRecord &Rw : R.RacerDWarnings) {
-    uint64_t Kind = getLE(In, 1);
-    Rw.Location = uint32_t(getLE(In, 4));
-    Rw.First = uint32_t(getLE(In, 4));
-    Rw.Second = uint32_t(getLE(In, 4));
-    if (Kind > 1 || Rw.Location >= R.Text.size() ||
-        Rw.First >= R.Text.size() || Rw.Second >= R.Text.size())
+  size_t Taken = 0;
+  for (const CycleRow &C : Cycles) {
+    if (C.NumWitnesses > Witnesses.size() - Taken)
       return false;
-    Rw.UnprotectedWrite = Kind != 0;
+    auto First = Witnesses.begin() + Taken;
+    R.Deadlocks.push_back({C.Locks, {First, First + C.NumWitnesses}});
+    Taken += C.NumWitnesses;
   }
-
-  return Rd.ok() && Rd.atEnd();
+  return Taken == Witnesses.size() && getSection(Rd, Size, R.OverSyncs) &&
+         getSection(Rd, Size, R.RacerDWarnings) && Rd.ok() && Rd.atEnd();
 }

@@ -12,21 +12,17 @@
 /// pipe (Isolation.cpp). Netstring-style length-prefixed fields — every
 /// field is `<decimal length>:<bytes>,` — so the reader never scans for
 /// separators inside values and truncation or corruption fails a read
-/// instead of misparsing. Two fields are fixed-width binary, little
-/// endian:
+/// instead of misparsing. The times are one field of little-endian
+/// IEEE-754 doubles. After the job's string table (JobResult::Text), each
+/// record kind is one packed section: a count, then one field of
+/// fixed-width little-endian records whose string members are table
+/// indices (layouts in JobWire.cpp).
 ///
-/// - the times: the eight pass times, PTA to Escape, then the parse,
-///   cache and record stage times, as eleven IEEE-754 doubles;
-/// - the RacerD records, after a count field and the job's string table
-///   (JobResult::Text): RacerDRecordBytes per record, the kind byte (0
-///   for a read/write pair, 1 for an unprotected write), then the
-///   Location, First and Second table indices as uint32s.
-///
-/// Unlike the old cache-private serializer this carries *every* status
-/// (a worker must be able to report a timeout or an OOM over the pipe)
-/// plus the containment fields (signal, degraded, retries). Policy about
-/// which statuses are acceptable lives in the consumers: the cache
-/// refuses to store or replay anything but Clean/Races.
+/// The payload carries *every* status (a worker must be able to report a
+/// timeout or an OOM over the pipe) plus the containment fields (signal,
+/// degraded, retries). Policy about which statuses are acceptable lives
+/// in the consumers: the cache refuses to store or replay anything but a
+/// completed result (jobCompleted).
 ///
 /// Internal to o2Driver — not installed under include/.
 ///
@@ -49,10 +45,6 @@ namespace wire {
 /// allocation.
 constexpr uint64_t MaxListLen = 1u << 24;
 
-/// Bytes per packed RacerD record: one kind byte and three uint32
-/// indices.
-constexpr uint64_t RacerDRecordBytes = 1 + 3 * 4;
-
 /// Serializes everything except Name, Analyses, and FixedRaces — those
 /// are request-side and overlaid by the consumer. The cache outcome IS
 /// carried (the worker pipe needs it for the fleet's hit/miss tallies);
@@ -60,11 +52,11 @@ constexpr uint64_t RacerDRecordBytes = 1 + 3 * 4;
 std::string serializeJobResult(const JobResult &R);
 
 /// Strict inverse: false on any structural damage, unknown status name,
-/// trailing bytes, an oversized list length, a packed RacerD field whose
-/// length is not the record count times RacerDRecordBytes, a RacerD
-/// record kind other than 0 or 1, or a string-table index past the
-/// table. \p Out is
-/// unspecified on failure.
+/// trailing bytes, an oversized list length, a packed field whose length
+/// is not its record count times the record width, a flag or kind other
+/// than 0 or 1, a string-table index past the table, or deadlock cycles
+/// that do not take exactly the witnesses sent. \p Out is unspecified on
+/// failure.
 bool deserializeJobResult(std::string_view Payload, JobResult &Out);
 
 } // namespace wire

@@ -66,8 +66,7 @@ bool ResultCache::lookup(uint64_t ContentHash, uint64_t ConfigFP,
     // The wire format carries every status (the worker pipe needs that);
     // the cache's contract is narrower. A foreign or hand-edited entry
     // holding a non-terminal or degraded result is damage: miss.
-    if ((R.Status != JobStatus::Clean && R.Status != JobStatus::Races) ||
-        R.Degraded)
+    if (!jobCompleted(R.Status) || R.Degraded)
       return false;
     Out = std::move(R);
     return true;
@@ -84,8 +83,7 @@ void ResultCache::store(uint64_t ContentHash, uint64_t ConfigFP,
   // pre-existing rule), crash records, and degraded-fallback results —
   // a degraded answer is sound but cheaper than the requested config,
   // and replaying it would silently pin the degradation forever.
-  if ((R.Status != JobStatus::Clean && R.Status != JobStatus::Races) ||
-      R.Degraded)
+  if (!jobCompleted(R.Status) || R.Degraded)
     return;
   // The cache is an optimization: IO failures and injected cache.write
   // faults are swallowed, the job's result is already in hand.

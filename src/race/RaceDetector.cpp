@@ -43,19 +43,18 @@ bool isAtomicLoc(MemLoc Loc, const PTAResult &PTA) {
 }
 
 /// The race candidates: the sharing table's shared locations, minus the
-/// atomics when those are handled, each with its SHB access events
-/// grouped through the table's index. Returns the list sorted by location
-/// and records the corpus-shape statistics.
+/// atomics, each with its SHB access events grouped through the table's
+/// index. Returns the list sorted by location and records the
+/// corpus-shape statistics.
 CandidateList collectCandidates(const PTAResult &PTA, const SHBGraph &SHB,
                                 const SharingResult &Sharing,
-                                const RaceDetectorOptions &Opts,
                                 StatisticRegistry &Stats) {
   CandidateList Candidates;
   // Dense table index -> position in Candidates, or ~0u.
   std::vector<unsigned> Slot(Sharing.numLocations(), ~0u);
   BitVector SharedObjects;
   for (MemLoc Loc : Sharing.sharedLocations()) {
-    if (Opts.HandleAtomics && isAtomicLoc(Loc, PTA))
+    if (isAtomicLoc(Loc, PTA))
       continue;
     if (!Loc.isGlobal())
       SharedObjects.set(Loc.object());
@@ -143,7 +142,7 @@ public:
     // A cancelled sharing table is partial, so nothing is scanned.
     R.Cancelled = Sharing.cancelled();
     if (!R.Cancelled)
-      Candidates = collectCandidates(PTA, SHB, Sharing, Opts, R.Stats);
+      Candidates = collectCandidates(PTA, SHB, Sharing, R.Stats);
     if (!Candidates.empty() && Opts.HB == RaceHBKind::Index)
       R.Stats.set("race.hb-index-segments", SHB.numSegments());
     for (auto &[Loc, Accesses] : Candidates) {

@@ -366,7 +366,7 @@ private:
           TargetsDuplicated |= isAlreadyDuplicated(T);
         for (const CallTarget &T : Targets) {
           unsigned NumDups = 1;
-          if (Opts.DuplicateLoopSpawns && Sp.isInLoop() && !TargetsDuplicated)
+          if (Sp.isInLoop() && !TargetsDuplicated)
             NumDups = 2;
           for (unsigned Dup = 0; Dup != NumDups; ++Dup) {
             unsigned Child = getOrCreateThread(&Sp, C, T, Dup);

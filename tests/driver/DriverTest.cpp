@@ -15,6 +15,7 @@
 
 #include "o2/Driver/Driver.h"
 
+#include "DriverSupport.h"
 #include "ReportFacts.h"
 #include "o2/Driver/ResultCache.h"
 #include "o2/IR/Parser.h"
@@ -110,7 +111,7 @@ TEST(DriverTest, StatusClassification) {
       << R.Jobs[2].Error;
   EXPECT_EQ(R.Jobs[3].Status, JobStatus::Races);
   EXPECT_EQ(R.Jobs[3].Races.size(), 1u);
-  EXPECT_EQ(R.Jobs[3].Races[0].Location, "@g");
+  EXPECT_EQ(R.Jobs[3].Text[R.Jobs[3].Races[0].Location], "@g");
 
   EXPECT_EQ(R.Summary.get("jobs.total"), 4u);
   EXPECT_EQ(R.Summary.get("jobs.clean"), 1u);
@@ -297,11 +298,12 @@ TEST(DriverTest, BaselineDiffWithReorderStableFingerprints) {
   ASSERT_EQ(Before.Jobs.size(), 1u);
   ASSERT_EQ(Before.Jobs[0].Races.size(), 2u);
   std::string FPA, FPB;
-  for (const RaceRecord &Rc : Before.Jobs[0].Races) {
-    if (Rc.Location == "@a")
-      FPA = Rc.Fingerprint;
-    if (Rc.Location == "@b")
-      FPB = Rc.Fingerprint;
+  const JobResult &V1 = Before.Jobs[0];
+  for (const RaceRecord &Rc : V1.Races) {
+    if (V1.Text[Rc.Location] == "@a")
+      FPA = driver::toHex16(Rc.Fingerprint);
+    if (V1.Text[Rc.Location] == "@b")
+      FPB = driver::toHex16(Rc.Fingerprint);
   }
   ASSERT_FALSE(FPA.empty());
   ASSERT_FALSE(FPB.empty());
@@ -318,14 +320,15 @@ TEST(DriverTest, BaselineDiffWithReorderStableFingerprints) {
   ASSERT_EQ(After.Jobs[0].Races.size(), 2u);
   applyBaseline(After, Base);
 
-  for (const RaceRecord &Rc : After.Jobs[0].Races) {
-    if (Rc.Location == "@a") {
+  const JobResult &V2 = After.Jobs[0];
+  for (const RaceRecord &Rc : V2.Races) {
+    if (V2.Text[Rc.Location] == "@a") {
       // Same accesses despite all the unrelated churn: unchanged.
-      EXPECT_EQ(Rc.Fingerprint, FPA);
-      EXPECT_EQ(Rc.DiffStatus, "unchanged");
+      EXPECT_EQ(driver::toHex16(Rc.Fingerprint), FPA);
+      EXPECT_EQ(Rc.DiffStatus, RaceRecord::Diff::Unchanged);
     } else {
-      EXPECT_EQ(Rc.Location, "@c");
-      EXPECT_EQ(Rc.DiffStatus, "new");
+      EXPECT_EQ(V2.Text[Rc.Location], "@c");
+      EXPECT_EQ(Rc.DiffStatus, RaceRecord::Diff::New);
     }
   }
   ASSERT_EQ(After.Jobs[0].FixedRaces.size(), 1u);
@@ -344,6 +347,7 @@ TEST(DriverTest, BaselineDiffWithReorderStableFingerprints) {
 TEST(DriverTest, ExitCodeConvention) {
   EXPECT_EQ(exitCodeFor(JobStatus::Clean), ExitClean);
   EXPECT_EQ(exitCodeFor(JobStatus::Races), ExitRacesFound);
+  EXPECT_EQ(exitCodeFor(JobStatus::Done), ExitClean);
   EXPECT_EQ(exitCodeFor(JobStatus::Timeout), ExitError);
   EXPECT_EQ(exitCodeFor(JobStatus::ParseError), ExitError);
   EXPECT_EQ(exitCodeFor(JobStatus::VerifyError), ExitError);
@@ -401,6 +405,38 @@ TEST(DriverTest, AnalysesSelectSectionsAndStayDeterministic) {
   std::string Default = renderJSONL(runBatch(Specs));
   EXPECT_EQ(Default.find("\"deadlocks\":"), std::string::npos);
   EXPECT_EQ(Default.find("\"racerd\":"), std::string::npos);
+}
+
+TEST(DriverTest, RequestWithoutRaceCheckIsDone) {
+  // A deadlock-only request never runs the race detector, so its status
+  // cannot claim the module is race-free: it is "done", exit 0. The same
+  // module under the default analyses still reports its race.
+  std::vector<JobSpec> Specs = {sourceSpec("racy", RacyProgram)};
+  BatchOptions Opts;
+  Opts.Analyses = {O2Phase::Deadlock};
+  BatchResult Deadlock = runBatch(Specs, Opts);
+  ASSERT_EQ(Deadlock.Jobs.size(), 1u);
+  EXPECT_EQ(Deadlock.Jobs[0].Status, JobStatus::Done);
+  EXPECT_EQ(Deadlock.exitCode(), ExitClean);
+  EXPECT_EQ(Deadlock.Summary.get("jobs.done"), 1u);
+  std::string Report = renderJSONL(Deadlock);
+  EXPECT_NE(Report.find(R"("status":"done")"), std::string::npos) << Report;
+  std::string Summary;
+  StringOutputStream OS(Summary);
+  printBatchSummary(Deadlock, OS);
+  EXPECT_NE(Summary.find("  racy: done\n"), std::string::npos) << Summary;
+
+  BatchResult Default = runBatch(Specs);
+  EXPECT_EQ(Default.Jobs[0].Status, JobStatus::Races);
+
+  // A done result is a completed one: cached and replayed like the rest.
+  Opts.CacheDir = freshCacheDir("done");
+  BatchResult Cold = runBatch(Specs, Opts);
+  EXPECT_EQ(Cold.CacheMisses, 1u);
+  BatchResult Warm = runBatch(Specs, Opts);
+  EXPECT_EQ(Warm.CacheHits, 1u);
+  EXPECT_EQ(Warm.Jobs[0].Status, JobStatus::Done);
+  EXPECT_EQ(renderJSONL(Warm), Report);
 }
 
 TEST(DriverTest, WarmCacheReplaysIdenticalReports) {

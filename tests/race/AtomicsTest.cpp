@@ -99,18 +99,6 @@ TEST(AtomicsTest, AtomicLocationsDoNotRace) {
             std::string::npos);
 }
 
-TEST(AtomicsTest, TreatmentCanBeDisabled) {
-  auto M = parseProgram(AtomicProgram);
-  PTAOptions Opts;
-  Opts.Kind = ContextKind::Origin;
-  auto PTA = runPointerAnalysis(*M, Opts);
-  RaceDetectorOptions DetOpts;
-  DetOpts.HandleAtomics = false;
-  RaceReport R = detectRaces(*PTA, DetOpts);
-  // data + flag + @stop (write/write and write/read on the global).
-  EXPECT_GE(R.numRaces(), 3u);
-}
-
 TEST(AtomicsTest, InheritedAtomicFieldsRespected) {
   auto M = parseProgram(R"(
     class Base { field flag: int atomic; }

@@ -299,10 +299,11 @@ TEST(DeadlockDetectorTest, ReportPrints) {
   StringOutputStream OS(Buf);
   printJobText(J, OS);
   EXPECT_NE(Buf.find("==== 1 potential deadlock(s) ====\nlock cycle: " +
-                     D.Locks + "\n"),
+                     J.Text[D.Locks] + "\n"),
             std::string::npos)
       << Buf;
-  for (const std::string &W : D.Witnesses) {
+  for (uint32_t Wit : D.Witnesses) {
+    const std::string &W = J.Text[Wit];
     EXPECT_EQ(W.find("thread "), 0u) << W;
     EXPECT_NE(Buf.find("  " + W + "\n"), std::string::npos) << Buf;
   }

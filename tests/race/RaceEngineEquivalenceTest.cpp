@@ -77,14 +77,12 @@ std::map<std::string, uint64_t> comparableStats(const RaceReport &R) {
 /// The detector configurations the equivalence contract covers: the
 /// defaults and each optimization toggled off alone.
 std::vector<std::pair<std::string, RaceDetectorOptions>> toggleConfigs() {
-  std::vector<std::pair<std::string, RaceDetectorOptions>> Configs(4);
+  std::vector<std::pair<std::string, RaceDetectorOptions>> Configs(3);
   Configs[0].first = "defaults";
   Configs[1].first = "no-lockset-cache";
   Configs[1].second.CacheLocksetChecks = false;
   Configs[2].first = "no-region-merging";
   Configs[2].second.LockRegionMerging = false;
-  Configs[3].first = "no-atomics";
-  Configs[3].second.HandleAtomics = false;
   return Configs;
 }
 
@@ -129,7 +127,6 @@ void expectTogglesMatchOracles(const PTAResult &PTA, const SHBGraph &SHB,
                        const RaceDetectorOptions &B) {
     return A.HB == B.HB && A.CacheLocksetChecks == B.CacheLocksetChecks &&
            A.LockRegionMerging == B.LockRegionMerging &&
-           A.HandleAtomics == B.HandleAtomics &&
            A.MaxPairChecks == B.MaxPairChecks && A.Cancel == B.Cancel;
   };
   auto Configs = toggleConfigs();
@@ -229,7 +226,7 @@ INSTANTIATE_TEST_SUITE_P(Corpus, ParallelRaceEngine,
                          ::testing::ValuesIn(engineCases()),
                          [](const auto &Info) { return Info.param; });
 
-TEST(ParallelRaceEngineFallback, FiniteBudgetMatchesSerialExactly) {
+TEST(RaceScanBudget, FiniteBudgetMatchesSerialExactly) {
   // The scan order defines where a finite pair budget trips, whichever
   // way the pairs are decided.
   auto M = loadCase("oir_racy_counter");

@@ -299,11 +299,6 @@ TEST(SHBGraphTest, LoopSpawnDuplicatesThread) {
   auto PTA = runPointerAnalysis(*M, Opts);
   SHBGraph G = buildSHBGraph(*PTA);
   EXPECT_EQ(G.numThreads(), 3u); // main + two instances
-
-  SHBOptions NoDup;
-  NoDup.DuplicateLoopSpawns = false;
-  SHBGraph G2 = buildSHBGraph(*PTA, NoDup);
-  EXPECT_EQ(G2.numThreads(), 2u);
 }
 
 TEST(SHBGraphTest, OriginDuplicationNotDoubled) {
