@@ -27,7 +27,7 @@ static void BM_Ablation(benchmark::State &State, RaceDetectorOptions Opts) {
   PTAOptions PTAOpts;
   PTAOpts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(*M, PTAOpts);
-  SHBGraph SHB = buildSHBGraph(*PTA, Opts.SHB);
+  SHBGraph SHB = buildSHBGraph(*PTA);
   SharingResult Sharing = runSharingAnalysis(*PTA);
   for (auto _ : State) {
     RaceReport R = detectRaces(*PTA, SHB, Sharing, Opts);

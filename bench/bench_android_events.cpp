@@ -27,12 +27,12 @@ static void BM_EventTreatment(benchmark::State &State,
   PTAOptions PTAOpts;
   PTAOpts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(*M, PTAOpts);
-  RaceDetectorOptions Opts;
-  Opts.SHB.SerializeEventHandlers = Serialize;
-  SHBGraph SHB = buildSHBGraph(*PTA, Opts.SHB);
+  SHBOptions SHBOpts;
+  SHBOpts.SerializeEventHandlers = Serialize;
+  SHBGraph SHB = buildSHBGraph(*PTA, SHBOpts);
   SharingResult Sharing = runSharingAnalysis(*PTA);
   for (auto _ : State) {
-    RaceReport R = detectRaces(*PTA, SHB, Sharing, Opts);
+    RaceReport R = detectRaces(*PTA, SHB, Sharing);
     unsigned HandlerPairs = 0, MixedPairs = 0;
     for (const Race &Rc : R.races()) {
       bool AEvent = SHB.thread(Rc.ThreadA).Kind == OriginKind::Event;

@@ -26,13 +26,16 @@ static void BM_RaceDetection(benchmark::State &State,
                              PTAOptions Opts) {
   auto M = generateWorkload(profileNamed(ProfileName));
   for (auto _ : State) {
-    auto PTA = runPointerAnalysis(*M, Opts);
-    RaceDetectorOptions DetOpts;
-    DetOpts.MaxPairChecks = 2'000'000; // the ">4h" analogue for detection
-    RaceReport Report = detectRaces(*PTA, DetOpts);
+    O2Config Config;
+    Config.PTA = Opts;
+    Config.Detector.MaxPairChecks = 2'000'000; // the ">4h" analogue
+    AnalysisManager AM(*M, Config);
+    const RaceReport &Report = AM.getRaces();
     State.counters["races"] = Report.numRaces();
     State.counters["budget_hit"] =
-        (PTA->hitBudget() || Report.stats().get("race.budget-hit")) ? 1 : 0;
+        (AM.getPTA().hitBudget() || Report.stats().get("race.budget-hit"))
+            ? 1
+            : 0;
     benchmark::DoNotOptimize(Report);
   }
 }

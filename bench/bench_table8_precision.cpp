@@ -24,8 +24,9 @@ using namespace o2;
 using namespace o2bench;
 
 static unsigned racesUnder(const Module &M, PTAOptions Opts) {
-  auto PTA = runPointerAnalysis(M, Opts);
-  return detectRaces(*PTA).numRaces();
+  O2Config Config;
+  Config.PTA = Opts;
+  return AnalysisManager(M, Config).getRaces().numRaces();
 }
 
 static void BM_Precision(benchmark::State &State,

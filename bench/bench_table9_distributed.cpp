@@ -26,12 +26,14 @@ static void BM_DistributedRaces(benchmark::State &State,
                                 PTAOptions Opts) {
   auto M = generateWorkload(profileNamed(ProfileName));
   for (auto _ : State) {
-    auto PTA = runPointerAnalysis(*M, Opts);
-    RaceReport R = detectRaces(*PTA);
+    O2Config Config;
+    Config.PTA = Opts;
+    AnalysisManager AM(*M, Config);
+    const RaceReport &R = AM.getRaces();
     State.counters["races"] = R.numRaces();
     State.counters["s_obj"] =
         static_cast<double>(R.stats().get("race.shared-objects"));
-    State.counters["budget_hit"] = PTA->hitBudget() ? 1 : 0;
+    State.counters["budget_hit"] = AM.getPTA().hitBudget() ? 1 : 0;
     benchmark::DoNotOptimize(R);
   }
 }

@@ -57,7 +57,7 @@ int main() {
 
   outs() << "\n=== treating handlers as free-running threads ===\n";
   O2Config Parallel;
-  Parallel.Detector.SHB.SerializeEventHandlers = false;
+  Parallel.SHB.SerializeEventHandlers = false;
   AnalysisManager B(*M, Parallel);
   B.run(AnalysisSet::defaultSet());
   outs() << "races:                 " << B.getRaces().numRaces() << '\n';

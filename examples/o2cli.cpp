@@ -109,7 +109,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
     } else if (Arg == "--stats") {
       Cli.Stats = true;
     } else if (Arg == "--no-serialize-events") {
-      Cli.Config.Detector.SHB.SerializeEventHandlers = false;
+      Cli.Config.SHB.SerializeEventHandlers = false;
     } else if (Arg == "--json") {
       Cli.JSON = true;
     } else if (Arg == "--dot-callgraph") {

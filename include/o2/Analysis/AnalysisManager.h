@@ -7,31 +7,35 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pass manager that runs the PTA→OSA→SHB→Detect pipeline. Every
-/// analysis the repo grows — the paper's core phases plus the sibling
-/// consumers (deadlock, over-synchronization, the RacerD-like baseline,
-/// the thread-escape baseline) — is a registered pass with a typed
-/// result, declared dependencies, a version, and a deterministic config
-/// fingerprint. The manager:
+/// The pass manager that runs the PTA→OSA→SHB→Detect pipeline, and the
+/// one place that wires it. Every analysis the repo grows — the paper's
+/// core phases plus the sibling consumers (deadlock,
+/// over-synchronization, the RacerD-like baseline, the thread-escape
+/// baseline) — is a registered pass with a typed result, declared
+/// dependencies, a version, and a deterministic config fingerprint. The
+/// manager:
 ///
 ///  - topologically schedules the requested passes (dependencies always
 ///    precede dependents; the order is the enum order),
-///  - computes each result **once** per module and shares it with every
+///  - computes each result **once** per module and hands it to every
 ///    consumer (one PTA and one SHB graph, with the happens-before and
 ///    lockset tables built into it, feed race + deadlock + over-sync, and
-///    one sharing table feeds race + over-sync),
-///  - threads the per-job CancellationToken uniformly through every pass
-///    and records the pass it fired in, so a timeout in *any* analysis —
-///    including the aux detectors — names the real phase,
+///    one sharing table, OSA's under OPA and the SHB threads' otherwise,
+///    feeds race + over-sync; OSA's result also filters SHB),
+///  - passes its CancellationToken to every pass (each entry point takes
+///    its inputs, its options, then the token) and records the pass it
+///    fired in, so a timeout in *any* analysis names the real phase,
 ///  - exposes per-pass wall-clock seconds, invocation counters and the
 ///    merged per-pass statistics, and
-///  - derives a per-pass / whole-request config fingerprint (options that
-///    affect the result, pass versions, dependency fingerprints) that the
-///    batch driver's warm cache keys on.
+///  - derives a per-pass / whole-request config fingerprint (every option
+///    field, pass versions, dependency fingerprints) that the batch
+///    driver's warm cache keys on.
 ///
 /// \code
 ///   std::unique_ptr<Module> M = parseModule(Source, Err);
-///   AnalysisManager AM(*M);
+///   CancellationToken Deadline;
+///   Deadline.setDeadlineMs(5000);
+///   AnalysisManager AM(*M, O2Config(), &Deadline);
 ///   AM.run(AnalysisSet::defaultSet()); // OPA + OSA + SHB + detector
 ///   const RaceReport &Races = AM.getRaces();
 ///   const DeadlockReport &Cycles = AM.getDeadlocks(); // same PTA, SHB
@@ -138,35 +142,22 @@ private:
 bool parseAnalysisSet(const std::string &Spec, AnalysisSet &Out,
                       std::string &Err);
 
-/// Configuration shared by every consumer of the pipeline (o2cli, the
-/// batch driver, the benchmarks).
+/// The pipeline's options (o2cli, the batch driver, the benchmarks). Each
+/// field can change a result, so the config fingerprints hash them all.
 struct O2Config {
   /// Pointer analysis configuration; defaults to 1-origin (OPA).
   PTAOptions PTA;
 
+  /// SHB graph construction, shared by race, deadlock and over-sync.
+  SHBOptions SHB;
+
   /// Detector configuration (all three optimizations on by default).
-  /// Detector.SHB also configures the shared SHB pass.
   RaceDetectorOptions Detector;
-
-  /// Optional cooperative deadline/cancellation, threaded into the hot
-  /// loop of every pass. When it fires, the in-flight pass stops early,
-  /// later passes are skipped, and cancelledIn() records where the
-  /// pipeline died. Not owned.
-  const CancellationToken *Cancel = nullptr;
-
-  /// Optional hook invoked with each pass right before its body runs.
-  /// The batch driver's isolated worker streams these as progress
-  /// markers so a crash mid-pass can be attributed to the pass. Excluded
-  /// from config fingerprints (it never affects results).
-  std::function<void(O2Phase)> OnPassStart;
 };
 
 /// Deterministic fingerprint of the configuration as seen by pass \p K:
-/// a hash of the result-affecting options, the pass version, and the
-/// fingerprints of its dependencies (SHB's OSA dependency, a filter that
-/// changes no report, excepted). Fields that never change a pass's
-/// result (the cancellation token, the pass hook, the SHB filter) are
-/// excluded.
+/// a hash of the options the pass reads, the pass version, and the
+/// fingerprints of its dependencies.
 uint64_t passFingerprint(O2Phase K, const O2Config &Config);
 
 /// Fingerprint of a whole request: the fold of passFingerprint over the
@@ -180,7 +171,13 @@ uint64_t analysisSetFingerprint(AnalysisSet Set, const O2Config &Config);
 /// manager per job (the batch driver gives every job its own).
 class AnalysisManager {
 public:
-  explicit AnalysisManager(const Module &M, const O2Config &Config = {});
+  /// \p Cancel (not owned) is polled in every pass's hot loop; once it
+  /// fires, later passes are skipped (cancelledIn()). \p OnPassStart is
+  /// called with each pass before its body runs, so that a crash mid-pass
+  /// can name the pass (the isolated worker's progress markers).
+  explicit AnalysisManager(const Module &M, const O2Config &Config = {},
+                           const CancellationToken *Cancel = nullptr,
+                           std::function<void(O2Phase)> OnPassStart = {});
   ~AnalysisManager();
 
   AnalysisManager(const AnalysisManager &) = delete;
@@ -243,6 +240,8 @@ private:
 
   const Module &M;
   O2Config Config;
+  const CancellationToken *Cancel;
+  std::function<void(O2Phase)> OnPassStart;
   O2Phase CancelledIn = O2Phase::None;
   std::unique_ptr<Impl> P;
 };

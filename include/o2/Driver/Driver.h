@@ -98,8 +98,8 @@ struct JobSpec {
 };
 
 struct BatchOptions {
-  /// Pipeline configuration applied to every job. The Cancel field is
-  /// ignored — the driver installs a per-job deadline token.
+  /// Pipeline configuration applied to every job (DeadlineMs below sets
+  /// each job's cancellation token).
   O2Config Config;
 
   /// Which analyses every job runs (`--analyses=`); infrastructure

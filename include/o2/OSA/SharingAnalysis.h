@@ -143,8 +143,7 @@ SharingResult runSharingAnalysis(const PTAResult &PTA,
 
 /// Fills the sharing table from the access events of \p SHB's threads,
 /// counting no access statements. \p SHB must store every access it
-/// walks (no SHBOptions::SharedAccesses filter). Polls \p Cancel per
-/// thread.
+/// walks (built without an OSA filter). Polls \p Cancel per thread.
 SharingResult runThreadSharing(const SHBGraph &SHB,
                                const CancellationToken *Cancel = nullptr);
 
@@ -152,19 +151,6 @@ SharingResult runThreadSharing(const SHBGraph &SHB,
 inline bool sharingFromOSA(const PTAResult &PTA) {
   return PTA.options().Kind == ContextKind::Origin;
 }
-
-/// The table race detection and over-sync read, and the one place that
-/// chooses it: OSA's (runSharingAnalysis) for origin-sensitive \p PTA,
-/// as in the paper, and the table of \p SHB's threads (runThreadSharing)
-/// under the other context kinds, which have no origins. \p OSA is OSA's
-/// result for \p PTA when the caller has run OSA already (it is then not
-/// run again); any table this builds goes into \p Built. The result is
-/// \p *OSA or \p Built.
-const SharingResult &sharingTableFor(const PTAResult &PTA,
-                                     const SHBGraph &SHB,
-                                     const SharingResult *OSA,
-                                     SharingResult &Built,
-                                     const CancellationToken *Cancel = nullptr);
 
 } // namespace o2
 

@@ -67,12 +67,6 @@ struct PTAOptions {
   /// flags the result, the way the paper reports ">4h" timeouts.
   uint64_t NodeBudget = 4'000'000;
 
-  /// Optional cooperative cancellation, polled each propagation step and
-  /// statement scan. On expiry the solver stops and flags the (partial)
-  /// result; the batch driver reports the module as timed out in this
-  /// phase. Not owned.
-  const CancellationToken *Cancel = nullptr;
-
   /// Short human-readable configuration name ("2-cfa", "1-origin", ...).
   std::string name() const;
 };
@@ -188,8 +182,8 @@ public:
   /// True if the node budget was exhausted (result is partial).
   bool hitBudget() const { return HitBudget; }
 
-  /// True if the run was cancelled via PTAOptions::Cancel (result is
-  /// partial and not schedule-independent).
+  /// True if runPointerAnalysis's cancellation token fired (the result
+  /// is partial and not schedule-independent).
   bool cancelled() const { return Cancelled; }
 
   /// True if the module has no main() entry point. The verifier reports
@@ -284,9 +278,13 @@ private:
 };
 
 /// Runs the pointer analysis over \p M (starting at main()) with the given
-/// options.
-std::unique_ptr<PTAResult> runPointerAnalysis(const Module &M,
-                                              const PTAOptions &Opts);
+/// options. \p Cancel, when given, is polled each propagation step and
+/// statement scan; on expiry the solver stops and flags the (partial)
+/// result, and the batch driver reports the module as timed out in this
+/// phase.
+std::unique_ptr<PTAResult>
+runPointerAnalysis(const Module &M, const PTAOptions &Opts,
+                   const CancellationToken *Cancel = nullptr);
 
 } // namespace o2
 

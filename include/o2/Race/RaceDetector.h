@@ -17,8 +17,8 @@
 /// per-segment reachability rows for happens-before, and the
 /// lockset-intersection bit matrix when the interned universe is small
 /// (the sorted-list merge otherwise). The scan is quadratic in a
-/// location's accesses after lock-region merging; a deadline
-/// (RaceDetectorOptions::Cancel) bounds it on pathological modules.
+/// location's accesses after lock-region merging; a deadline (the
+/// cancellation token) bounds it on pathological modules.
 ///
 /// Each optimization of Section 4.1 can be disabled, which yields the
 /// D4-style straw-man detector the paper compares against; naive HB with
@@ -62,15 +62,6 @@ struct RaceDetectorOptions {
   /// and sets the "race.budget-hit" statistic — benchmark harnesses use
   /// this the way the paper reports ">4h" detector runs.
   uint64_t MaxPairChecks = ~uint64_t(0);
-
-  /// Optional cooperative cancellation, polled per candidate pair; on
-  /// expiry the scan stops and the partial report is flagged (the
-  /// "race.cancelled" statistic). A cancelled SHB graph stops the scan
-  /// the same way. Not owned.
-  const CancellationToken *Cancel = nullptr;
-
-  /// Forwarded to the SHB builder when the detector builds its own graph.
-  SHBOptions SHB;
 };
 
 /// One reported race: an unordered pair of conflicting statements.
@@ -105,15 +96,15 @@ private:
   StatisticRegistry Stats;
 };
 
-/// Detects races over a prebuilt SHB graph and sharing table.
+/// Detects races over a prebuilt SHB graph and sharing table (OSA's
+/// under OPA, runThreadSharing's otherwise; AnalysisManager picks it).
+/// \p Cancel, when given, is polled per candidate pair; on expiry the
+/// scan stops and the partial report is flagged (the "race.cancelled"
+/// statistic). A cancelled SHB graph stops the scan the same way.
 RaceReport detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
                        const SharingResult &Sharing,
-                       const RaceDetectorOptions &Opts = {});
-
-/// Builds the SHB graph and the sharing table sharingTableFor picks, and
-/// detects races.
-RaceReport detectRaces(const PTAResult &PTA,
-                       const RaceDetectorOptions &Opts = {});
+                       const RaceDetectorOptions &Opts = {},
+                       const CancellationToken *Cancel = nullptr);
 
 } // namespace o2
 

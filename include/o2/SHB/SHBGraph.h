@@ -34,9 +34,9 @@
 /// Event-handler threads can be serialized by an implicit global lock
 /// (the paper's Android treatment, Section 4.2).
 ///
-/// Under OPA the builder stores only the accesses OSA flags as touching a
-/// shared location (SHBOptions::SharedAccesses); it still walks and counts
-/// every access, so positions, locksets and regions are unchanged.
+/// Given OSA's result, the builder stores only the accesses OSA flags as
+/// touching a shared location; it still walks and counts every access, so
+/// positions, locksets and regions are unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +52,7 @@
 namespace o2 {
 
 class OutputStream;
+class SharingResult;
 
 /// Canonical lockset handle; InternTable::Empty is the empty lockset.
 using LocksetId = uint32_t;
@@ -64,16 +65,6 @@ struct SHBOptions {
   /// Caps to keep degenerate inputs bounded.
   unsigned MaxThreads = 4096;
   uint64_t MaxEventsPerThread = 1u << 22;
-
-  /// Optional cooperative cancellation, polled per traced statement; on
-  /// expiry the builder stops and flags the partial graph. Not owned.
-  const CancellationToken *Cancel = nullptr;
-
-  /// Under OPA, OSA's flags over PTA's access table
-  /// (SharingResult::sharedAccesses()): the builder stores an AccessEvent
-  /// only for a flagged entry, since no other can race. It still walks
-  /// and counts every access. Null stores every access. Not owned.
-  const std::vector<bool> *SharedAccesses = nullptr;
 };
 
 /// One read or write of a set of abstract memory locations.
@@ -129,7 +120,7 @@ struct ThreadInfo {
   std::vector<std::pair<uint32_t, unsigned>> SpawnEdges;
   std::vector<std::pair<unsigned, uint32_t>> Joins;
 
-  /// Stored accesses in trace order (see SHBOptions::SharedAccesses).
+  /// Stored accesses in trace order (see buildSHBGraph's \p OSA).
   std::vector<AccessEvent> Accesses;
   std::vector<AcquireEvent> Acquires;
 };
@@ -141,7 +132,7 @@ public:
   unsigned numThreads() const { return static_cast<unsigned>(Threads.size()); }
 
   /// Total number of accesses walked across all threads, including those
-  /// a SharedAccesses filter did not store.
+  /// an OSA filter did not store.
   uint64_t numAccessEvents() const;
 
   /// Lock elements (object IDs; may include the implicit UI-lock element)
@@ -229,8 +220,14 @@ private:
   void buildQueryTables();
 };
 
-/// Builds the SHB graph from a pointer-analysis result.
-SHBGraph buildSHBGraph(const PTAResult &PTA, const SHBOptions &Opts = {});
+/// Builds the SHB graph from a pointer-analysis result. Given \p OSA,
+/// runSharingAnalysis's result for \p PTA, it stores an AccessEvent only
+/// for an entry OSA flags (sharedAccesses()), since no other can race;
+/// null stores every access. \p Cancel is polled per traced statement;
+/// on expiry the builder stops and flags the partial graph.
+SHBGraph buildSHBGraph(const PTAResult &PTA, const SHBOptions &Opts = {},
+                       const SharingResult *OSA = nullptr,
+                       const CancellationToken *Cancel = nullptr);
 
 /// Graphviz dump of the thread/spawn/join structure (one node per
 /// abstract thread; spawn edges solid, join edges dashed).

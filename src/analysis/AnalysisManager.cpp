@@ -8,10 +8,12 @@
 
 #include "o2/Analysis/AnalysisManager.h"
 
+#include "o2/Support/FNV1a.h"
 #include "o2/Support/FaultInjector.h"
 #include "o2/Support/Timer.h"
 
 #include <array>
+#include <optional>
 
 using namespace o2;
 
@@ -51,7 +53,7 @@ constexpr unsigned idx(O2Phase K) { return static_cast<unsigned>(K); }
 /// changes; the warm cache folds versions into its key, so a bump turns
 /// stale entries into misses instead of wrong replays.
 constexpr std::array<uint32_t, NumO2Phases> PassVersion = {
-    /*None=*/0,   /*PTA=*/2,      /*OSA=*/1,      /*SHB=*/1,
+    /*None=*/0,   /*PTA=*/2,      /*OSA=*/1,      /*SHB=*/2,
     /*Detect=*/2, /*Deadlock=*/1, /*OverSync=*/2, /*RacerD=*/1,
     /*Escape=*/1,
 };
@@ -79,53 +81,36 @@ SmallVector<O2Phase, 3> depsOf(O2Phase K) {
   return {};
 }
 
-uint64_t fnv1a(const void *Data, size_t Len, uint64_t H) {
-  const auto *Bytes = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I < Len; ++I) {
-    H ^= Bytes[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-uint64_t hashStr(const std::string &S, uint64_t H) {
-  H = fnv1a(S.data(), S.size(), H);
-  return fnv1a("\x1f", 1, H);
-}
-
-uint64_t hashU64(uint64_t V, uint64_t H) { return fnv1a(&V, sizeof(V), H); }
-
 /// Fingerprint of the options pass \p K itself consumes (no deps).
 uint64_t localFingerprint(O2Phase K, const O2Config &Config) {
-  uint64_t H = 1469598103934665603ull;
-  H = hashStr(phaseName(K), H);
-  H = hashU64(PassVersion[idx(K)], H);
+  uint64_t H = fnv1aField(phaseName(K));
+  H = fnv1aU64(PassVersion[idx(K)], H);
   switch (K) {
   case O2Phase::PTA: {
     const PTAOptions &O = Config.PTA;
-    H = hashU64(static_cast<uint64_t>(O.Kind), H);
-    H = hashU64(O.K, H);
-    H = hashU64(O.NodeBudget, H);
+    H = fnv1aU64(static_cast<uint64_t>(O.Kind), H);
+    H = fnv1aU64(O.K, H);
+    H = fnv1aU64(O.NodeBudget, H);
     for (const auto &[Name, Kind] : O.Spec.entries()) {
-      H = hashStr(Name, H);
-      H = hashU64(static_cast<uint64_t>(Kind), H);
+      H = fnv1aField(Name, H);
+      H = fnv1aU64(static_cast<uint64_t>(Kind), H);
     }
     return H;
   }
   case O2Phase::SHB: {
-    const SHBOptions &O = Config.Detector.SHB;
-    H = hashU64(O.SerializeEventHandlers, H);
-    H = hashU64(O.MaxThreads, H);
-    H = hashU64(O.MaxEventsPerThread, H);
+    const SHBOptions &O = Config.SHB;
+    H = fnv1aU64(O.SerializeEventHandlers, H);
+    H = fnv1aU64(O.MaxThreads, H);
+    H = fnv1aU64(O.MaxEventsPerThread, H);
     return H;
   }
   case O2Phase::Detect: {
     const RaceDetectorOptions &O = Config.Detector;
     // HB selection changes the "race.hb-index-segments" counter.
-    H = hashU64(static_cast<uint64_t>(O.HB), H);
-    H = hashU64(O.CacheLocksetChecks, H);
-    H = hashU64(O.LockRegionMerging, H);
-    H = hashU64(O.MaxPairChecks, H);
+    H = fnv1aU64(static_cast<uint64_t>(O.HB), H);
+    H = fnv1aU64(O.CacheLocksetChecks, H);
+    H = fnv1aU64(O.LockRegionMerging, H);
+    H = fnv1aU64(O.MaxPairChecks, H);
     return H;
   }
   case O2Phase::None:
@@ -207,19 +192,16 @@ bool o2::parseAnalysisSet(const std::string &Spec, AnalysisSet &Out,
 uint64_t o2::passFingerprint(O2Phase K, const O2Config &Config) {
   uint64_t H = localFingerprint(K, Config);
   for (O2Phase D : depsOf(K))
-    // OSA only filters which SHB events are stored, which changes no
-    // report, and it is a function of PTA, which SHB folds in already.
-    if (!(K == O2Phase::SHB && D == O2Phase::OSA))
-      H = hashU64(passFingerprint(D, Config), H);
+    H = fnv1aU64(passFingerprint(D, Config), H);
   return H;
 }
 
 uint64_t o2::analysisSetFingerprint(AnalysisSet Set, const O2Config &Config) {
   std::array<bool, NumO2Phases> In = closureOf(Set);
-  uint64_t H = 1469598103934665603ull;
+  uint64_t H = FingerprintBasis;
   for (unsigned K = 1; K < NumO2Phases; ++K)
     if (In[K])
-      H = hashU64(passFingerprint(static_cast<O2Phase>(K), Config), H);
+      H = fnv1aU64(passFingerprint(static_cast<O2Phase>(K), Config), H);
   return H;
 }
 
@@ -241,30 +223,25 @@ struct AnalysisManager::Impl {
   std::array<unsigned, NumO2Phases> Invocations{};
   std::array<double, NumO2Phases> Seconds{};
 
-  /// The sharing table the race and over-sync passes read, as
-  /// sharingTableFor picks it on first use: the OSA pass's result, or
-  /// the SHB threads' table, kept in ThreadSharing. getSharing() stays
-  /// OSA's.
-  const SharingResult *Table = nullptr;
-  SharingResult ThreadSharing;
-  const SharingResult &sharingTable(const O2Config &Config) {
-    if (!Table)
-      Table = &sharingTableFor(*PTA, SHB, &Sharing, ThreadSharing,
-                               Config.Cancel);
-    return *Table;
+  /// The sharing table the race and over-sync passes read, picked here
+  /// and nowhere else: OSA's under OPA, as in the paper; under the other
+  /// context kinds, which have no origins, the SHB threads' table, built
+  /// on first use. getSharing() stays OSA's.
+  std::optional<SharingResult> ThreadSharing;
+  const SharingResult &sharingTable(const CancellationToken *Cancel) {
+    if (sharingFromOSA(*PTA))
+      return Sharing;
+    if (!ThreadSharing)
+      ThreadSharing = runThreadSharing(SHB, Cancel);
+    return *ThreadSharing;
   }
 };
 
-AnalysisManager::AnalysisManager(const Module &M, const O2Config &Config)
-    : M(M), Config(Config), P(std::make_unique<Impl>()) {
-  // A token on the config reaches every pass's hot loop through the
-  // per-pass option structs.
-  if (Config.Cancel) {
-    this->Config.PTA.Cancel = Config.Cancel;
-    this->Config.Detector.Cancel = Config.Cancel;
-    this->Config.Detector.SHB.Cancel = Config.Cancel;
-  }
-}
+AnalysisManager::AnalysisManager(const Module &M, const O2Config &Config,
+                                 const CancellationToken *Cancel,
+                                 std::function<void(O2Phase)> OnPassStart)
+    : M(M), Config(Config), Cancel(Cancel),
+      OnPassStart(std::move(OnPassStart)), P(std::make_unique<Impl>()) {}
 
 AnalysisManager::~AnalysisManager() = default;
 
@@ -295,8 +272,8 @@ void AnalysisManager::runPass(O2Phase K) {
     return;
   // Announce the pass before anything (including an injected fault) can
   // kill it, so crash records name the right phase.
-  if (Config.OnPassStart)
-    Config.OnPassStart(K);
+  if (OnPassStart)
+    OnPassStart(K);
   {
     // "pass.pta" ... "pass.escape": one named fault point per pass.
     static const std::array<const char *, NumO2Phases> FaultPoint = {
@@ -313,42 +290,44 @@ void AnalysisManager::runPass(O2Phase K) {
   case O2Phase::None:
     return;
   case O2Phase::PTA:
-    P->PTA = runPointerAnalysis(M, Config.PTA);
+    P->PTA = runPointerAnalysis(M, Config.PTA, Cancel);
     PassCancelled = P->PTA->cancelled();
     break;
   case O2Phase::OSA:
     // OSA is origin-specific: elsewhere the pass is a no-op, and race and
     // over-sync read the SHB threads' table (Impl::sharingTable).
     if (sharingFromOSA(*P->PTA)) {
-      P->Sharing = runSharingAnalysis(*P->PTA, Config.Cancel);
+      P->Sharing = runSharingAnalysis(*P->PTA, Cancel);
       PassCancelled = P->Sharing.cancelled();
-      Config.Detector.SHB.SharedAccesses = &P->Sharing.sharedAccesses();
     }
     break;
   case O2Phase::SHB:
-    P->SHB = buildSHBGraph(*P->PTA, Config.Detector.SHB);
+    // Under OPA, SHB stores only the accesses OSA calls shared.
+    P->SHB = buildSHBGraph(*P->PTA, Config.SHB,
+                           sharingFromOSA(*P->PTA) ? &P->Sharing : nullptr,
+                           Cancel);
     PassCancelled = P->SHB.cancelled();
     break;
   case O2Phase::Detect:
-    P->Races = detectRaces(*P->PTA, P->SHB, P->sharingTable(Config),
-                           Config.Detector);
+    P->Races = detectRaces(*P->PTA, P->SHB, P->sharingTable(Cancel),
+                           Config.Detector, Cancel);
     PassCancelled = P->Races.cancelled();
     break;
   case O2Phase::Deadlock:
-    P->Deadlocks = detectDeadlocks(*P->PTA, P->SHB, Config.Cancel);
+    P->Deadlocks = detectDeadlocks(*P->PTA, P->SHB, Cancel);
     PassCancelled = P->Deadlocks.cancelled();
     break;
   case O2Phase::OverSync:
-    P->OverSyncR = detectOverSynchronization(P->sharingTable(Config), P->SHB,
-                                             Config.Cancel);
+    P->OverSyncR =
+        detectOverSynchronization(P->sharingTable(Cancel), P->SHB, Cancel);
     PassCancelled = P->OverSyncR.cancelled();
     break;
   case O2Phase::RacerD:
-    P->RacerDR = runRacerDLike(M, Config.Cancel);
+    P->RacerDR = runRacerDLike(M, Cancel);
     PassCancelled = P->RacerDR.cancelled();
     break;
   case O2Phase::Escape:
-    P->EscapeR = runEscapeAnalysis(*P->PTA, Config.Cancel);
+    P->EscapeR = runEscapeAnalysis(*P->PTA, Cancel);
     PassCancelled = P->EscapeR.cancelled();
     break;
   }

@@ -14,6 +14,7 @@
 #include "o2/IR/Printer.h"
 #include "o2/IR/Verifier.h"
 #include "o2/Support/Casting.h"
+#include "o2/Support/FNV1a.h"
 #include "o2/Support/FaultInjector.h"
 #include "o2/Support/JSONWriter.h"
 #include "o2/Support/OutputStream.h"
@@ -33,7 +34,6 @@
 #include <unordered_map>
 
 using namespace o2;
-using driver::fnv1a;
 using driver::toHex16;
 
 const char *o2::jobStatusName(JobStatus S) {
@@ -204,10 +204,7 @@ static uint64_t raceFingerprint(const RaceRecord &R,
   std::string_view DescB = std::string_view(Buf).substr(LenA);
   if (DescB < DescA)
     std::swap(DescA, DescB);
-  uint64_t H = fnv1a("\x1f", fnv1a(Text[R.Location]));
-  H = fnv1a(DescA, H);
-  H = fnv1a("\x1f", H);
-  return fnv1a(DescB, H);
+  return fnv1a(DescB, fnv1aField(DescA, fnv1aField(Text[R.Location])));
 }
 
 /// Per-pass wall-clock and the merged counters of every pass \p AM ran.
@@ -311,9 +308,10 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
   uint64_t ContentHash = 0, ConfigFP = 0;
 
   // Hoisted out of the try so the catch blocks can harvest partial
-  // timings and statistics (declaration order matters: AM borrows M, so
-  // AM must be destroyed first).
+  // timings and statistics (declaration order matters: AM borrows M and
+  // Deadline, so AM must be destroyed first).
   std::unique_ptr<Module> M;
+  CancellationToken Deadline;
   std::unique_ptr<AnalysisManager> AM;
   auto Harvest = [&R, &AM] {
     if (!AM)
@@ -410,23 +408,17 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
 
     // The deadline clock starts here: parsing is I/O-bound and cheap, the
     // analysis phases are where pathological modules blow up.
-    CancellationToken Deadline;
-    O2Config Cfg = Opts.Config;
-    if (Opts.DeadlineMs) {
+    if (Opts.DeadlineMs)
       Deadline.setDeadlineMs(double(Opts.DeadlineMs));
-      Cfg.Cancel = &Deadline;
-    } else {
-      Cfg.Cancel = nullptr;
-    }
-    // Stream each pass's start to the progress hook so a crash mid-pass
-    // can be attributed to it (the isolated worker forwards these as
-    // pipe markers).
-    Cfg.OnPassStart = [&Stage](O2Phase Ph) { Stage(phaseName(Ph)); };
 
     // One manager per job: the requested detectors all read the same
-    // PTA and SHB results, computed once.
+    // PTA and SHB results, computed once. Each pass's start goes to the
+    // progress hook so a crash mid-pass can be attributed to it (the
+    // isolated worker forwards these as pipe markers).
     FaultInjector::hit("alloc");
-    AM = std::make_unique<AnalysisManager>(*M, Cfg);
+    AM = std::make_unique<AnalysisManager>(
+        *M, Opts.Config, Opts.DeadlineMs ? &Deadline : nullptr,
+        [&Stage](O2Phase Ph) { Stage(phaseName(Ph)); });
     AM->run(Opts.Analyses);
     Clock.reset();
     recordJob(*AM, R);
@@ -721,23 +713,25 @@ uint64_t o2::printJobRecord(const JobResult &J, OutputStream &OS,
     return std::string_view(QuotedText).substr(Begin, Ends[I] - Begin);
   };
 
-  W.key("races");
-  W.beginArray();
-  constexpr std::string_view Diff[] = {"", R"(,"diff":"new")",
-                                       R"(,"diff":"unchanged")"};
-  auto Bool = [](bool B) { return std::string_view(B ? "true" : "false"); };
-  for (const RaceRecord &Rc : J.Races) {
-    char FP[16];
-    toHex16(Rc.Fingerprint, FP);
-    W.rawValue({R"({"fingerprint":")", std::string_view(FP, 16),
-                R"(","location":)", Quoted(Rc.Location),
-                Diff[size_t(Rc.DiffStatus)], R"(,"first":{"stmt":)",
-                Quoted(Rc.StmtA), R"(,"function":)", Quoted(Rc.FuncA),
-                R"(,"write":)", Bool(Rc.WriteA), R"(},"second":{"stmt":)",
-                Quoted(Rc.StmtB), R"(,"function":)", Quoted(Rc.FuncB),
-                R"(,"write":)", Bool(Rc.WriteB), "}}"});
+  if (J.Analyses.contains(O2Phase::Detect)) {
+    W.key("races");
+    W.beginArray();
+    constexpr std::string_view Diff[] = {"", R"(,"diff":"new")",
+                                         R"(,"diff":"unchanged")"};
+    auto Bool = [](bool B) { return std::string_view(B ? "true" : "false"); };
+    for (const RaceRecord &Rc : J.Races) {
+      char FP[16];
+      toHex16(Rc.Fingerprint, FP);
+      W.rawValue({R"({"fingerprint":")", std::string_view(FP, 16),
+                  R"(","location":)", Quoted(Rc.Location),
+                  Diff[size_t(Rc.DiffStatus)], R"(,"first":{"stmt":)",
+                  Quoted(Rc.StmtA), R"(,"function":)", Quoted(Rc.FuncA),
+                  R"(,"write":)", Bool(Rc.WriteA), R"(},"second":{"stmt":)",
+                  Quoted(Rc.StmtB), R"(,"function":)", Quoted(Rc.FuncB),
+                  R"(,"write":)", Bool(Rc.WriteB), "}}"});
+    }
+    W.endArray();
   }
-  W.endArray();
   if (J.Analyses.contains(O2Phase::Deadlock)) {
     W.key("deadlocks");
     W.beginArray();

@@ -7,8 +7,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hashing and hex rendering used by the batch driver (race
-/// fingerprints, baselines) and the result cache (keys, checksums).
+/// The result cache's byte hash (keys, checksums) and the hex rendering
+/// of fingerprints used by the batch driver and the cache. Race and
+/// config fingerprints use o2/Support/FNV1a.h.
 ///
 /// Internal to o2Driver — not installed under include/.
 ///
@@ -24,22 +25,12 @@
 namespace o2 {
 namespace driver {
 
-/// 64-bit FNV-1a of \p S, continuing from \p H (the offset basis by
-/// default).
-inline uint64_t fnv1a(std::string_view S,
-                      uint64_t H = 1469598103934665603ull) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 /// 64-bit hash of \p S for the result cache, which keys entries on it
 /// and checksums them with it. It takes eight bytes (little endian) per
 /// step, each folded into the state by a 64x64->128-bit multiply, so on
 /// megabyte inputs it runs about three times faster than fnv1a's
-/// byte-at-a-time chain. Race fingerprints stay fnv1a: reports pin them.
+/// byte-at-a-time chain (o2/Support/FNV1a.h). Race fingerprints stay
+/// fnv1a: reports pin them.
 inline uint64_t hashBytes(std::string_view S) {
   constexpr uint64_t K0 = 0x9e3779b97f4a7c15ull, K1 = 0xd6e8feb86659fd93ull;
   auto Fold = [](uint64_t A, uint64_t B) {

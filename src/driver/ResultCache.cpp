@@ -10,6 +10,7 @@
 
 #include "DriverSupport.h"
 #include "JobWire.h"
+#include "o2/Support/FNV1a.h"
 #include "o2/Support/FaultInjector.h"
 
 #include <cstdint>
@@ -19,7 +20,6 @@
 
 using namespace o2;
 
-using driver::fnv1a;
 using driver::hashBytes;
 using driver::toHex16;
 

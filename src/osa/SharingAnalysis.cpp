@@ -110,14 +110,3 @@ SharingResult o2::runThreadSharing(const SHBGraph &SHB,
   return R;
 }
 
-const SharingResult &o2::sharingTableFor(const PTAResult &PTA,
-                                         const SHBGraph &SHB,
-                                         const SharingResult *OSA,
-                                         SharingResult &Built,
-                                         const CancellationToken *Cancel) {
-  if (!sharingFromOSA(PTA))
-    return Built = runThreadSharing(SHB, Cancel);
-  if (OSA)
-    return *OSA;
-  return Built = runSharingAnalysis(PTA, Cancel);
-}

@@ -97,8 +97,9 @@ namespace o2 {
 /// it is the befriended builder of PTAResult.
 class PTASolver {
 public:
-  PTASolver(const Module &M, const PTAOptions &Opts)
-      : M(M), Opts(Opts), Spec(Opts.Spec) {
+  PTASolver(const Module &M, const PTAOptions &Opts,
+            const CancellationToken *Cancel)
+      : M(M), Opts(Opts), Spec(Opts.Spec), Cancel(Cancel) {
     R = std::make_unique<PTAResult>();
     R->M = &M;
     R->Opts = Opts;
@@ -234,6 +235,7 @@ private:
   const Module &M;
   PTAOptions Opts;
   OriginSpec Spec;
+  const CancellationToken *Cancel;
   std::unique_ptr<PTAResult> R;
   std::vector<ClassFacts> Classes;        ///< by ClassType::getId()
   std::vector<uint32_t> NumCallSlots;     ///< by Function::getId()
@@ -276,7 +278,7 @@ private:
   bool checkCancelled() {
     if (R->Cancelled)
       return true;
-    if (!pollCancelled(Opts.Cancel))
+    if (!pollCancelled(Cancel))
       return false;
     Stopped = true;
     R->Cancelled = true;
@@ -1324,7 +1326,8 @@ std::string PTAResult::ctxToString(Ctx C) const {
   return Out;
 }
 
-std::unique_ptr<PTAResult> o2::runPointerAnalysis(const Module &M,
-                                                  const PTAOptions &Opts) {
-  return PTASolver(M, Opts).run();
+std::unique_ptr<PTAResult>
+o2::runPointerAnalysis(const Module &M, const PTAOptions &Opts,
+                       const CancellationToken *Cancel) {
+  return PTASolver(M, Opts, Cancel).run();
 }

@@ -135,8 +135,9 @@ namespace o2 {
 class RaceDetector {
 public:
   RaceDetector(const PTAResult &PTA, const SHBGraph &SHB,
-               const SharingResult &Sharing, const RaceDetectorOptions &Opts)
-      : PTA(PTA), SHB(SHB), Sharing(Sharing), Opts(Opts) {}
+               const SharingResult &Sharing, const RaceDetectorOptions &Opts,
+               const CancellationToken *Cancel)
+      : PTA(PTA), SHB(SHB), Sharing(Sharing), Opts(Opts), Cancel(Cancel) {}
 
   RaceReport run() {
     // A cancelled sharing table is partial, so nothing is scanned.
@@ -157,7 +158,7 @@ private:
   /// A cancelled graph is partial and has no query tables, so scanning it
   /// stops as if the token had fired.
   bool stopRequested() const {
-    return SHB.cancelled() || pollCancelled(Opts.Cancel);
+    return SHB.cancelled() || pollCancelled(Cancel);
   }
 
   std::vector<const AccessEvent *>
@@ -245,6 +246,7 @@ private:
   const SHBGraph &SHB;
   const SharingResult &Sharing;
   const RaceDetectorOptions &Opts;
+  const CancellationToken *Cancel;
   RaceReport R;
   CandidateList Candidates;
   std::vector<Race> Races;
@@ -258,15 +260,7 @@ private:
 
 RaceReport o2::detectRaces(const PTAResult &PTA, const SHBGraph &SHB,
                            const SharingResult &Sharing,
-                           const RaceDetectorOptions &Opts) {
-  return RaceDetector(PTA, SHB, Sharing, Opts).run();
-}
-
-RaceReport o2::detectRaces(const PTAResult &PTA,
-                           const RaceDetectorOptions &Opts) {
-  SHBGraph SHB = buildSHBGraph(PTA, Opts.SHB);
-  SharingResult Built;
-  return detectRaces(PTA, SHB,
-                     sharingTableFor(PTA, SHB, nullptr, Built, Opts.Cancel),
-                     Opts);
+                           const RaceDetectorOptions &Opts,
+                           const CancellationToken *Cancel) {
+  return RaceDetector(PTA, SHB, Sharing, Opts, Cancel).run();
 }

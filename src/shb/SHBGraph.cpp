@@ -8,6 +8,7 @@
 
 #include "o2/SHB/SHBGraph.h"
 
+#include "o2/OSA/SharingAnalysis.h"
 #include "o2/Support/Casting.h"
 #include "o2/Support/OutputStream.h"
 #include "o2/Support/U64Map.h"
@@ -178,13 +179,13 @@ namespace o2 {
 
 class SHBBuilder {
 public:
-  SHBBuilder(const PTAResult &PTA, const SHBOptions &Opts)
-      : PTA(PTA), Opts(Opts) {}
+  SHBBuilder(const PTAResult &PTA, const SHBOptions &Opts,
+             const SharingResult *OSA, const CancellationToken *Cancel)
+      : PTA(PTA), Opts(Opts), OSA(OSA), Cancel(Cancel) {}
 
   SHBGraph build() {
-    assert((!Opts.SharedAccesses ||
-            Opts.SharedAccesses->size() == PTA.accessTable().size()) &&
-           "SharedAccesses must flag this PTA result's access table");
+    assert((!OSA || OSA->sharedAccesses().size() == PTA.accessTable().size()) &&
+           "OSA must flag this PTA result's access table");
     // Main thread.
     const Function *Main = PTA.module().getMain();
     if (!Main) {
@@ -225,11 +226,12 @@ private:
     bool Truncated = false;
   };
 
-  /// Joins recorded during tracing, resolved once all threads exist.
+  /// Must-joins recorded during tracing, resolved once all threads exist.
   struct JoinRecord {
     unsigned Thread;
     uint32_t Pos;
-    BitVector RecvObjs;
+    /// The one object the joined variable points to.
+    unsigned RecvObj;
   };
 
   void traceThread(unsigned T) {
@@ -266,8 +268,8 @@ private:
 
   /// An access whose base points to nothing touches no location and
   /// records no event. Every other access is counted on its thread and
-  /// its innermost region, and stored unless the SharedAccesses filter
-  /// leaves its access-table entry out.
+  /// its innermost region, and stored unless OSA's shared-access flags
+  /// leave its access-table entry out.
   void recordAccess(WalkState &S, const Access &A) {
     if (A.Locs.empty())
       return;
@@ -277,8 +279,7 @@ private:
         S.RegionStack.empty() ? nullptr : &T.Acquires[S.RegionStack.back()];
     if (Region)
       ++Region->NumAccesses;
-    if (Opts.SharedAccesses &&
-        !(*Opts.SharedAccesses)[&A - PTA.accessTable().data()])
+    if (OSA && !OSA->sharedAccesses()[&A - PTA.accessTable().data()])
       return;
     AccessEvent E;
     E.Pos = S.Pos;
@@ -310,7 +311,7 @@ private:
     size_t NextAccess = 0;
     for (const auto &StmtPtr : F->body()) {
       const Stmt &Stm = *StmtPtr;
-      if (pollCancelled(Opts.Cancel)) {
+      if (pollCancelled(Cancel)) {
         G.Cancelled = true;
         S.Truncated = true;
         return;
@@ -381,13 +382,9 @@ private:
       case Stmt::SK_Join: {
         markOpenRegionsSynced(S);
         const auto &J = cast<JoinStmt>(Stm);
-        if (const BitVector *Pts = PTA.pts(J.getReceiver(), C)) {
-          JoinRecord Rec;
-          Rec.Thread = S.Thread;
-          Rec.Pos = S.Pos;
-          Rec.RecvObjs = *Pts;
-          JoinRecords.push_back(std::move(Rec));
-        }
+        const BitVector *Pts = PTA.pts(J.getReceiver(), C);
+        if (Pts && Pts->count() == 1 && !isLoopAllocated(Pts->findFirst()))
+          JoinRecords.push_back({S.Thread, S.Pos, unsigned(Pts->findFirst())});
         break;
       }
       default:
@@ -397,6 +394,14 @@ private:
       }
       ++S.Pos;
     }
+  }
+
+  /// True if \p Obj may stand for several run-time objects (a joined
+  /// variable names a thread object, allocated by an AllocStmt).
+  bool isLoopAllocated(unsigned Obj) const {
+    const ObjInfo &O = PTA.object(Obj);
+    const auto *A = dyn_cast_if_present<AllocStmt>(O.Alloc);
+    return O.DupIndex != 0 || (A && A->isInLoop());
   }
 
   /// Origin-duplicated receiver objects already model loop parallelism;
@@ -436,15 +441,32 @@ private:
                                    : OriginKind::Thread;
   }
 
+  /// HB needs a must-join: a join gets an edge only when its variable
+  /// points to one object that no loop allocates (checked while tracing)
+  /// and exactly one SHB thread runs on it. A may-join orders nothing:
+  /// two loop copies of a thread that joins its predecessor would order
+  /// each other's ends before their joins, and through that cycle a
+  /// thread's accesses after its own child's.
   void resolveJoins() {
-    for (const JoinRecord &Rec : JoinRecords)
-      for (ThreadInfo &T : G.Threads)
-        if (T.RecvObj != ~0u && Rec.RecvObjs.test(T.RecvObj))
-          T.Joins.emplace_back(Rec.Thread, Rec.Pos);
+    // Receiver object -> the one thread on it, or ~0u when several are.
+    U64Map<unsigned> ThreadOn;
+    for (const ThreadInfo &T : G.Threads)
+      if (T.RecvObj != ~0u) {
+        auto [Slot, Inserted] = ThreadOn.tryEmplace(T.RecvObj, T.Id);
+        if (!Inserted)
+          *Slot = ~0u;
+      }
+    for (const JoinRecord &Rec : JoinRecords) {
+      const unsigned *T = ThreadOn.find(Rec.RecvObj);
+      if (T && *T != ~0u)
+        G.Threads[*T].Joins.emplace_back(Rec.Thread, Rec.Pos);
+    }
   }
 
   const PTAResult &PTA;
   SHBOptions Opts;
+  const SharingResult *OSA;
+  const CancellationToken *Cancel;
   SHBGraph G;
   std::deque<unsigned> Queue;
   std::map<std::tuple<unsigned, Ctx, const Function *, Ctx, unsigned, unsigned>,
@@ -459,8 +481,10 @@ private:
 
 } // namespace o2
 
-SHBGraph o2::buildSHBGraph(const PTAResult &PTA, const SHBOptions &Opts) {
-  return SHBBuilder(PTA, Opts).build();
+SHBGraph o2::buildSHBGraph(const PTAResult &PTA, const SHBOptions &Opts,
+                           const SharingResult *OSA,
+                           const CancellationToken *Cancel) {
+  return SHBBuilder(PTA, Opts, OSA, Cancel).build();
 }
 
 void o2::printSHBDot(const SHBGraph &SHB, OutputStream &OS) {

@@ -8,8 +8,8 @@
 //
 // Covers the AnalysisManager: the result-sharing contract (one PTA / one
 // SHB per module, asserted through invocation counters), lazy closure
-// scheduling, config fingerprints (perf knobs excluded, result-affecting
-// options and dependency options included), cancellation naming aux
+// scheduling, config fingerprints (every option field and dependency
+// fingerprints included), cancellation naming aux
 // passes, `--analyses=` parsing, the OSA-vs-escape over-approximation
 // the paper's Table 7 is built on, and how OSA, escape and SHB treat an
 // access whose base points to nothing.
@@ -25,6 +25,9 @@
 #include "o2/Workload/BugModels.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
 
 using namespace o2;
 
@@ -123,30 +126,69 @@ TEST(AnalysisManagerTest, ManagerMatchesFacade) {
   EXPECT_EQ(test::raceFacts(AM.getRaces()), test::raceFacts(Races));
 }
 
-TEST(AnalysisManagerTest, FingerprintIgnoresPerfKnobs) {
-  // Fields that cannot change a result: the cancellation tokens and the
-  // pass hook.
-  CancellationToken Token;
-  O2Config Base;
-  O2Config Tuned;
-  Tuned.Cancel = &Token;
-  Tuned.Detector.Cancel = &Token;
-  Tuned.OnPassStart = [](O2Phase) {};
+TEST(AnalysisManagerTest, EveryOptionFieldReachesTheFingerprints) {
+  // Every option field can change a result, so flipping any one changes
+  // the fingerprint of the pass that reads it and of each pass that
+  // depends on that one, and of no other pass.
+  using Phases = std::initializer_list<O2Phase>;
+  const Phases PTAAndDependents = {O2Phase::PTA,      O2Phase::OSA,
+                                   O2Phase::SHB,      O2Phase::Detect,
+                                   O2Phase::Deadlock, O2Phase::OverSync,
+                                   O2Phase::Escape};
+  const Phases SHBAndDependents = {O2Phase::SHB, O2Phase::Detect,
+                                   O2Phase::Deadlock, O2Phase::OverSync};
+  const Phases DetectOnly = {O2Phase::Detect};
+  struct Flip {
+    const char *Field;
+    std::function<void(O2Config &)> Apply;
+    Phases Changed;
+  };
+  OriginSpec ExtraEntry = OriginSpec::standard();
+  ExtraEntry.addEntry("onTick", OriginKind::Event);
+  const std::vector<Flip> Flips = {
+      {"PTA.Kind", [](O2Config &C) { C.PTA.Kind = ContextKind::KCallsite; },
+       PTAAndDependents},
+      {"PTA.K", [](O2Config &C) { C.PTA.K = 2; }, PTAAndDependents},
+      {"PTA.Spec", [&](O2Config &C) { C.PTA.Spec = ExtraEntry; },
+       PTAAndDependents},
+      // Not a performance knob: it decides whether the analysis completes.
+      {"PTA.NodeBudget",
+       [](O2Config &C) { C.PTA.NodeBudget = C.PTA.NodeBudget / 2 + 1; },
+       PTAAndDependents},
+      {"SHB.SerializeEventHandlers",
+       [](O2Config &C) { C.SHB.SerializeEventHandlers = false; },
+       SHBAndDependents},
+      {"SHB.MaxThreads", [](O2Config &C) { C.SHB.MaxThreads = 7; },
+       SHBAndDependents},
+      {"SHB.MaxEventsPerThread",
+       [](O2Config &C) { C.SHB.MaxEventsPerThread = 1000; },
+       SHBAndDependents},
+      {"Detector.HB", [](O2Config &C) { C.Detector.HB = RaceHBKind::Naive; },
+       DetectOnly},
+      {"Detector.CacheLocksetChecks",
+       [](O2Config &C) { C.Detector.CacheLocksetChecks = false; }, DetectOnly},
+      {"Detector.LockRegionMerging",
+       [](O2Config &C) { C.Detector.LockRegionMerging = false; }, DetectOnly},
+      {"Detector.MaxPairChecks",
+       [](O2Config &C) { C.Detector.MaxPairChecks = 1000; }, DetectOnly},
+  };
 
-  for (unsigned K = 1; K < NumO2Phases; ++K) {
-    O2Phase P = static_cast<O2Phase>(K);
-    EXPECT_EQ(passFingerprint(P, Base), passFingerprint(P, Tuned))
-        << "perf knob changed the fingerprint of " << phaseName(P);
+  const O2Config Base;
+  for (const Flip &F : Flips) {
+    O2Config Flipped;
+    F.Apply(Flipped);
+    for (unsigned K = 1; K < NumO2Phases; ++K) {
+      O2Phase P = static_cast<O2Phase>(K);
+      bool Expected = std::find(F.Changed.begin(), F.Changed.end(), P) !=
+                      F.Changed.end();
+      EXPECT_EQ(passFingerprint(P, Base) != passFingerprint(P, Flipped),
+                Expected)
+          << F.Field << " vs the fingerprint of " << phaseName(P);
+    }
+    EXPECT_NE(analysisSetFingerprint(AnalysisSet::all(), Base),
+              analysisSetFingerprint(AnalysisSet::all(), Flipped))
+        << F.Field;
   }
-  EXPECT_EQ(analysisSetFingerprint(AnalysisSet::all(), Base),
-            analysisSetFingerprint(AnalysisSet::all(), Tuned));
-
-  // The PTA node budget is not a perf knob: it decides whether the
-  // analysis completes.
-  O2Config Budget;
-  Budget.PTA.NodeBudget = Base.PTA.NodeBudget / 2 + 1;
-  EXPECT_NE(passFingerprint(O2Phase::PTA, Base),
-            passFingerprint(O2Phase::PTA, Budget));
 }
 
 TEST(AnalysisManagerTest, FingerprintTracksResultAffectingOptions) {
@@ -175,7 +217,7 @@ TEST(AnalysisManagerTest, FingerprintTracksResultAffectingOptions) {
 
   // SHB options reach the detector through the dependency closure.
   O2Config NoSerialize;
-  NoSerialize.Detector.SHB.SerializeEventHandlers = false;
+  NoSerialize.SHB.SerializeEventHandlers = false;
   EXPECT_EQ(passFingerprint(O2Phase::PTA, Base),
             passFingerprint(O2Phase::PTA, NoSerialize));
   EXPECT_NE(passFingerprint(O2Phase::SHB, Base),
@@ -214,9 +256,7 @@ TEST(AnalysisManagerTest, CancellationNamesAuxPass) {
   // recorded phase is the aux analysis itself, not "pta".
   CancellationToken Cancelled;
   Cancelled.cancel();
-  O2Config Cfg;
-  Cfg.Cancel = &Cancelled;
-  AnalysisManager AM(*M, Cfg);
+  AnalysisManager AM(*M, O2Config(), &Cancelled);
   EXPECT_FALSE(AM.run({O2Phase::RacerD}));
   EXPECT_TRUE(AM.cancelled());
   EXPECT_EQ(AM.cancelledIn(), O2Phase::RacerD);
@@ -225,9 +265,7 @@ TEST(AnalysisManagerTest, CancellationNamesAuxPass) {
   // Cancel firing between two run() calls: the completed results stay,
   // the newly requested aux pass is the one that reports the stop.
   CancellationToken Token;
-  O2Config Cfg2;
-  Cfg2.Cancel = &Token;
-  AnalysisManager AM2(*M, Cfg2);
+  AnalysisManager AM2(*M, O2Config(), &Token);
   EXPECT_TRUE(AM2.run({O2Phase::Detect}));
   EXPECT_EQ(AM2.getRaces().numRaces(), 1u);
   Token.cancel();

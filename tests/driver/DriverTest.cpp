@@ -210,32 +210,31 @@ TEST(DriverTest, PreCancelledTokenStopsEveryPhase) {
   CancellationToken Cancelled;
   Cancelled.cancel();
 
-  // PTA stops and flags its (partial) result.
-  PTAOptions PTAOpts;
-  PTAOpts.Cancel = &Cancelled;
-  auto PTA = runPointerAnalysis(*M, PTAOpts);
-  EXPECT_TRUE(PTA->cancelled());
+  // Every pass entry point takes the token as its last argument. PTA
+  // stops and flags its (partial) result.
+  EXPECT_TRUE(runPointerAnalysis(*M, PTAOptions(), &Cancelled)->cancelled());
 
-  // The later phases each poll the token themselves.
-  auto FullPTA = runPointerAnalysis(*M, PTAOptions());
-  ASSERT_FALSE(FullPTA->cancelled());
-  EXPECT_TRUE(runSharingAnalysis(*FullPTA, &Cancelled).cancelled());
-
-  SHBOptions SHBOpts;
-  SHBOpts.Cancel = &Cancelled;
-  EXPECT_TRUE(buildSHBGraph(*FullPTA, SHBOpts).cancelled());
-
-  RaceDetectorOptions DetOpts;
-  DetOpts.Cancel = &Cancelled;
-  RaceReport Report = detectRaces(*FullPTA, DetOpts);
+  // The later passes, fed complete inputs, each poll the token themselves.
+  auto PTA = runPointerAnalysis(*M, PTAOptions());
+  ASSERT_FALSE(PTA->cancelled());
+  SharingResult Sharing = runSharingAnalysis(*PTA);
+  SHBGraph SHB = buildSHBGraph(*PTA, SHBOptions(), &Sharing);
+  ASSERT_FALSE(SHB.cancelled());
+  EXPECT_TRUE(runSharingAnalysis(*PTA, &Cancelled).cancelled());
+  EXPECT_TRUE(
+      buildSHBGraph(*PTA, SHBOptions(), &Sharing, &Cancelled).cancelled());
+  RaceReport Report =
+      detectRaces(*PTA, SHB, Sharing, RaceDetectorOptions(), &Cancelled);
   EXPECT_TRUE(Report.cancelled());
   EXPECT_EQ(Report.stats().get("race.cancelled"), 1u);
+  EXPECT_TRUE(detectDeadlocks(*PTA, SHB, &Cancelled).cancelled());
+  EXPECT_TRUE(detectOverSynchronization(Sharing, SHB, &Cancelled).cancelled());
+  EXPECT_TRUE(runRacerDLike(*M, &Cancelled).cancelled());
+  EXPECT_TRUE(runEscapeAnalysis(*PTA, &Cancelled).cancelled());
 
   // Through the manager: the pipeline dies in the first phase and the
   // phase is recorded.
-  O2Config Cfg;
-  Cfg.Cancel = &Cancelled;
-  AnalysisManager A(*M, Cfg);
+  AnalysisManager A(*M, O2Config(), &Cancelled);
   EXPECT_FALSE(A.run(AnalysisSet::defaultSet()));
   EXPECT_TRUE(A.cancelled());
   EXPECT_EQ(A.cancelledIn(), O2Phase::PTA);
@@ -437,6 +436,25 @@ TEST(DriverTest, RequestWithoutRaceCheckIsDone) {
   EXPECT_EQ(Warm.CacheHits, 1u);
   EXPECT_EQ(Warm.Jobs[0].Status, JobStatus::Done);
   EXPECT_EQ(renderJSONL(Warm), Report);
+}
+
+TEST(DriverTest, RecordWithoutRaceCheckHasNoRaceSection) {
+  // The "races" key follows the request like the aux sections do: an
+  // empty array would read as "checked, no races".
+  std::vector<JobSpec> Specs = {sourceSpec("racy", RacyProgram)};
+  BatchOptions Opts;
+  Opts.Analyses = {O2Phase::Deadlock};
+  std::string Report = renderJSONL(runBatch(Specs, Opts));
+  EXPECT_EQ(Report.find(R"("races")"), std::string::npos) << Report;
+  EXPECT_NE(Report.find(R"("analyses":"deadlock","deadlocks":[)"),
+            std::string::npos)
+      << Report;
+
+  Opts.Analyses = {O2Phase::Detect, O2Phase::Deadlock};
+  Report = renderJSONL(runBatch(Specs, Opts));
+  EXPECT_NE(Report.find(R"("analyses":"race,deadlock","races":[{)"),
+            std::string::npos)
+      << Report;
 }
 
 TEST(DriverTest, WarmCacheReplaysIdenticalReports) {

@@ -125,7 +125,7 @@ TEST(FacadeTest, DetectorConfigIsForwarded) {
   EXPECT_EQ(Serialized.getRaces().numRaces(), 0u);
 
   O2Config NoSerial;
-  NoSerial.Detector.SHB.SerializeEventHandlers = false;
+  NoSerial.SHB.SerializeEventHandlers = false;
   AnalysisManager Parallel(*M, NoSerial);
   Parallel.run(AnalysisSet::defaultSet());
   EXPECT_EQ(Parallel.getRaces().numRaces(), 1u);

@@ -218,8 +218,10 @@ TEST(PaperTables, Table8) {
     auto M = generateWorkload(profileNamed(C[0]));
     std::map<std::string, std::pair<uint64_t, bool>> Races;
     for (const auto &[Name, Opts] : pointerAnalysisConfigs()) {
-      auto PTA = runPointerAnalysis(*M, Opts);
-      Races[Name] = {detectRaces(*PTA).numRaces(), PTA->hitBudget()};
+      O2Config Config;
+      Config.PTA = Opts;
+      AnalysisManager AM(*M, Config);
+      Races[Name] = {AM.getRaces().numRaces(), AM.getPTA().hitBudget()};
     }
     uint64_t Base = Races["0-ctx"].first;
     auto Cut = [&](const char *Name) {
@@ -243,9 +245,11 @@ TEST(PaperTables, Table9) {
     std::map<std::string, RaceReport> Reports;
     std::map<std::string, bool> BudgetHit;
     for (const char *Name : {"1-origin", "0-ctx", "1-cfa", "2-cfa"}) {
-      auto PTA = runPointerAnalysis(*M, configNamed(Name));
-      Reports[Name] = detectRaces(*PTA);
-      BudgetHit[Name] = PTA->hitBudget();
+      O2Config Config;
+      Config.PTA = configNamed(Name);
+      AnalysisManager AM(*M, Config);
+      Reports[Name] = AM.getRaces();
+      BudgetHit[Name] = AM.getPTA().hitBudget();
     }
     auto SObj = [&](const char *Name) {
       return Reports[Name].stats().get("race.shared-objects");
@@ -335,10 +339,10 @@ TEST(PaperTables, Section42Android) {
     SharingResult Sharing = runSharingAnalysis(*PTA);
     unsigned HandlerPairs[2] = {0, 0}, MixedPairs[2] = {0, 0};
     for (bool Serialize : {false, true}) {
-      RaceDetectorOptions Opts;
-      Opts.SHB.SerializeEventHandlers = Serialize;
-      SHBGraph SHB = buildSHBGraph(*PTA, Opts.SHB);
-      RaceReport R = detectRaces(*PTA, SHB, Sharing, Opts);
+      SHBOptions Opts;
+      Opts.SerializeEventHandlers = Serialize;
+      SHBGraph SHB = buildSHBGraph(*PTA, Opts);
+      RaceReport R = detectRaces(*PTA, SHB, Sharing);
       for (const Race &Rc : R.races()) {
         bool AEvent = SHB.thread(Rc.ThreadA).Kind == OriginKind::Event;
         bool BEvent = SHB.thread(Rc.ThreadB).Kind == OriginKind::Event;

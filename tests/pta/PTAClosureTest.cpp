@@ -435,7 +435,10 @@ void expectIdenticalResults(const Module &M, const PTAResult &A,
 
 /// The races found on \p PTA, then the detector's counters.
 std::string renderRaces(const PTAResult &PTA) {
-  RaceReport R = detectRaces(PTA);
+  SHBGraph SHB = buildSHBGraph(PTA);
+  SharingResult Sharing = sharingFromOSA(PTA) ? runSharingAnalysis(PTA)
+                                              : runThreadSharing(SHB);
+  RaceReport R = detectRaces(PTA, SHB, Sharing);
   std::string Out = test::raceFacts(R);
   for (const auto &[Name, Value] : R.stats().counters())
     Out += Name + "=" + std::to_string(Value) + "\n";

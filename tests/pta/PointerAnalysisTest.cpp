@@ -567,9 +567,7 @@ TEST(PointerAnalysisTest, CancelledRunStillRecordsMainsFirstStatement) {
   auto M = generateWorkload(*Heavy);
   CancellationToken Token;
   Token.cancel();
-  PTAOptions Opts;
-  Opts.Cancel = &Token;
-  auto R = runPointerAnalysis(*M, Opts);
+  auto R = runPointerAnalysis(*M, PTAOptions(), &Token);
   EXPECT_TRUE(R->cancelled());
   EXPECT_EQ(R->stats().get("pta.cancelled"), 1u);
   EXPECT_GT(R->stats().get("pta.pointer-nodes"), 0u);

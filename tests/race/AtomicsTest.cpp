@@ -14,10 +14,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Printer.h"
 #include "o2/IR/Verifier.h"
-#include "o2/Race/RaceDetector.h"
 
 #include <gtest/gtest.h>
 
@@ -89,13 +89,11 @@ TEST(AtomicsTest, PrinterRoundTripsAtomic) {
 
 TEST(AtomicsTest, AtomicLocationsDoNotRace) {
   auto M = parseProgram(AtomicProgram);
-  PTAOptions Opts;
-  Opts.Kind = ContextKind::Origin;
-  auto PTA = runPointerAnalysis(*M, Opts);
-  RaceReport R = detectRaces(*PTA);
+  AnalysisManager AM(*M);
+  const RaceReport &R = AM.getRaces();
   // Only the plain field races; flag and @stop are synchronization.
   ASSERT_EQ(R.numRaces(), 1u);
-  EXPECT_NE(R.races()[0].Loc.toString(*PTA).find(".data"),
+  EXPECT_NE(R.races()[0].Loc.toString(AM.getPTA()).find(".data"),
             std::string::npos);
 }
 
@@ -124,11 +122,7 @@ TEST(AtomicsTest, InheritedAtomicFieldsRespected) {
       spawn t2.run();
     }
   )");
-  PTAOptions Opts;
-  Opts.Kind = ContextKind::Origin;
-  auto PTA = runPointerAnalysis(*M, Opts);
-  RaceReport R = detectRaces(*PTA);
-  EXPECT_EQ(R.numRaces(), 0u);
+  EXPECT_EQ(AnalysisManager(*M).getRaces().numRaces(), 0u);
 }
 
 } // namespace

@@ -41,10 +41,8 @@ OverSyncReport analyze(const Module &M) {
   Opts.Kind = ContextKind::Origin;
   auto PTA = runPointerAnalysis(M, Opts);
   SharingResult Sharing = runSharingAnalysis(*PTA);
-  SHBOptions Filter;
-  Filter.SharedAccesses = &Sharing.sharedAccesses();
   OverSyncReport R =
-      detectOverSynchronization(Sharing, buildSHBGraph(*PTA, Filter));
+      detectOverSynchronization(Sharing, buildSHBGraph(*PTA, {}, &Sharing));
   EXPECT_EQ(test::overSyncFacts(R),
             test::overSyncFacts(detectOverSynchronization(
                 Sharing, buildSHBGraph(*PTA))));

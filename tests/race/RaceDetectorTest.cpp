@@ -8,6 +8,7 @@
 
 #include "o2/Race/RaceDetector.h"
 
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
 
@@ -29,11 +30,12 @@ std::unique_ptr<Module> parseProgram(std::string_view Src) {
 
 RaceReport detect(const Module &M,
                   ContextKind Kind = ContextKind::Origin,
-                  RaceDetectorOptions Opts = {}) {
-  PTAOptions PTAOpts;
-  PTAOpts.Kind = Kind;
-  auto PTA = runPointerAnalysis(M, PTAOpts);
-  return detectRaces(*PTA, Opts);
+                  RaceDetectorOptions Opts = {}, SHBOptions SHBOpts = {}) {
+  O2Config Config;
+  Config.PTA.Kind = Kind;
+  Config.SHB = SHBOpts;
+  Config.Detector = Opts;
+  return AnalysisManager(M, Config).getRaces();
 }
 
 TEST(RaceDetectorTest, UnprotectedWriteWriteRace) {
@@ -321,9 +323,9 @@ TEST(RaceDetectorTest, EventSerializationSuppressesHandlerRaces) {
   RaceReport Serialized = detect(*M);
   EXPECT_EQ(Serialized.numRaces(), 0u);
 
-  RaceDetectorOptions NoSerial;
-  NoSerial.SHB.SerializeEventHandlers = false;
-  RaceReport Parallel = detect(*M, ContextKind::Origin, NoSerial);
+  SHBOptions NoSerial;
+  NoSerial.SerializeEventHandlers = false;
+  RaceReport Parallel = detect(*M, ContextKind::Origin, {}, NoSerial);
   EXPECT_EQ(Parallel.numRaces(), 1u);
 }
 
@@ -423,18 +425,14 @@ TEST(RaceDetectorTest, LockRegionMergingPreservesRaces) {
       spawn u.run();
     }
   )");
-  PTAOptions PTAOpts;
-  PTAOpts.Kind = ContextKind::Origin;
-  auto PTA = runPointerAnalysis(*M, PTAOpts);
-
   RaceDetectorOptions Optimized; // all on
-  RaceReport ROpt = detectRaces(*PTA, Optimized);
+  RaceReport ROpt = detect(*M, ContextKind::Origin, Optimized);
 
   RaceDetectorOptions Naive;
   Naive.HB = RaceHBKind::Naive;
   Naive.CacheLocksetChecks = false;
   Naive.LockRegionMerging = false;
-  RaceReport RNaive = detectRaces(*PTA, Naive);
+  RaceReport RNaive = detect(*M, ContextKind::Origin, Naive);
 
   // Merging may collapse several racy pairs inside one lock region into a
   // representative, but must preserve exactly the racy locations.
@@ -472,10 +470,7 @@ TEST(RaceDetectorTest, ReportPrinting) {
       @g = x;
     }
   )");
-  PTAOptions PTAOpts;
-  PTAOpts.Kind = ContextKind::Origin;
-  auto PTA = runPointerAnalysis(*M, PTAOpts);
-  RaceReport R = detectRaces(*PTA);
+  RaceReport R = detect(*M);
   ASSERT_EQ(R.numRaces(), 1u);
   // A write/write race on @g: the report names the global and both
   // writes.
@@ -484,6 +479,53 @@ TEST(RaceDetectorTest, ReportPrinting) {
   EXPECT_EQ(M->globals()[Rc.Loc.globalId()]->getName(), "g");
   EXPECT_TRUE(Rc.AIsWrite);
   EXPECT_TRUE(Rc.BIsWrite);
+}
+
+TEST(RaceDetectorTest, MayJoinDoesNotOrderAThreadAfterItsOwnChild) {
+  // W is spawned in a loop; each W joins the previous one (@prev), then
+  // spawns a C and reads @d.x, which C writes. Nothing orders W's read
+  // after its own child's write. A join edge from every thread @prev may
+  // name put the two W copies in a join cycle that hid this race.
+  auto M = parseProgram(R"(
+    class D { field x: int; }
+    class C {
+      method run() { var o: D; var v: int; o = @d; o.x = v; }
+    }
+    class W {
+      method run() {
+        var p: W;
+        var c: C;
+        var o: D;
+        var v: int;
+        p = @prev;
+        join p;
+        c = new C;
+        spawn c.run();
+        o = @d;
+        v = o.x;
+      }
+    }
+    global d: D;
+    global prev: W;
+    func main() {
+      var o: D;
+      var w: W;
+      o = new D;
+      @d = o;
+      loop {
+        w = new W;
+        @prev = w;
+        spawn w.run();
+      }
+    }
+  )");
+  RaceReport R = detect(*M);
+  ASSERT_EQ(R.numRaces(), 2u);
+  unsigned WriteWrite = 0, ReadWrite = 0;
+  for (const Race &Rc : R.races())
+    ++(Rc.AIsWrite && Rc.BIsWrite ? WriteWrite : ReadWrite);
+  EXPECT_EQ(WriteWrite, 1u); // the two C copies
+  EXPECT_EQ(ReadWrite, 1u);  // W's read against C's write
 }
 
 TEST(RaceDetectorTest, BudgetExhaustionAlwaysSetsBudgetHit) {

@@ -122,12 +122,11 @@ void expectMatchesOracle(const PTAResult &PTA, const SHBGraph &SHB,
 void expectTogglesMatchOracles(const PTAResult &PTA, const SHBGraph &SHB,
                                const SharingResult &Sharing,
                                const std::string &Tag) {
-  // toggleConfigs() leaves the SHB options at their defaults.
   auto SameOracle = [](const RaceDetectorOptions &A,
                        const RaceDetectorOptions &B) {
     return A.HB == B.HB && A.CacheLocksetChecks == B.CacheLocksetChecks &&
            A.LockRegionMerging == B.LockRegionMerging &&
-           A.MaxPairChecks == B.MaxPairChecks && A.Cancel == B.Cancel;
+           A.MaxPairChecks == B.MaxPairChecks;
   };
   auto Configs = toggleConfigs();
   std::vector<RaceDetectorOptions> OracleOpts;

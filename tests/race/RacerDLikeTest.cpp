@@ -8,9 +8,9 @@
 
 #include "o2/Race/RacerDLike.h"
 
+#include "o2/Analysis/AnalysisManager.h"
 #include "o2/IR/Parser.h"
 #include "o2/IR/Verifier.h"
-#include "o2/Race/RaceDetector.h"
 
 #include <gtest/gtest.h>
 
@@ -120,11 +120,8 @@ TEST(RacerDLikeTest, MissesPointerDistinctions) {
   RacerDReport RacerD = runRacerDLike(*M);
   EXPECT_GE(RacerD.numPotentialRaces(), 1u); // false positive
 
-  PTAOptions Opts;
-  Opts.Kind = ContextKind::Origin;
-  auto PTA = runPointerAnalysis(*M, Opts);
-  RaceReport O2R = detectRaces(*PTA);
-  EXPECT_EQ(O2R.numRaces(), 0u); // O2 is precise here
+  AnalysisManager O2(*M);
+  EXPECT_EQ(O2.getRaces().numRaces(), 0u); // O2 is precise here
 }
 
 TEST(RacerDLikeTest, UnprotectedWriteCategory) {

@@ -319,6 +319,64 @@ TEST(SHBGraphTest, OriginDuplicationNotDoubled) {
   EXPECT_EQ(G.numThreads(), 3u);
 }
 
+TEST(SHBGraphTest, JoinOfALoopSpawnedThreadOrdersNothing) {
+  // One object, two SHB threads on it (the spawn is in a loop): the join
+  // may wait for either one, so it orders neither's end before it.
+  auto M = parseProgram(R"(
+    class Obj { field v: int; }
+    class T {
+      field s: Obj;
+      method init(s: Obj) { this.s = s; }
+      method run() { var o: Obj; var x: int; o = this.s; o.v = x; }
+    }
+    func main() {
+      var s: Obj;
+      var t: T;
+      var x: int;
+      s = new Obj;
+      t = new T(s);
+      loop { spawn t.run(); }
+      join t;
+      x = s.v;
+    }
+  )");
+  auto PTA = runOPA(*M);
+  SHBGraph G = buildSHBGraph(*PTA);
+  ASSERT_EQ(G.numThreads(), 3u);
+  for (unsigned T = 1; T < 3; ++T) {
+    EXPECT_TRUE(G.thread(T).Joins.empty()) << "thread " << T;
+    const AccessEvent &Write = G.thread(T).Accesses.back();
+    const AccessEvent &Read = G.thread(0).Accesses.back();
+    EXPECT_FALSE(G.happensBefore(T, Write.Pos, 0, Read.Pos));
+  }
+}
+
+TEST(SHBGraphTest, JoinOfALoopAllocatedObjectOrdersNothing) {
+  // Each W joins the W spawned before it through @prev. The loop
+  // allocates W, so @prev names two origin objects at run time and no
+  // join edge is added; a may-join here would put the two W copies in a
+  // join cycle.
+  auto M = parseProgram(R"(
+    class W {
+      method run() { var p: W; p = @prev; join p; }
+    }
+    global prev: W;
+    func main() {
+      var w: W;
+      loop {
+        w = new W;
+        @prev = w;
+        spawn w.run();
+      }
+    }
+  )");
+  auto PTA = runOPA(*M);
+  SHBGraph G = buildSHBGraph(*PTA);
+  ASSERT_EQ(G.numThreads(), 3u);
+  for (const ThreadInfo &T : G.threads())
+    EXPECT_TRUE(T.Joins.empty()) << "thread " << T.Id;
+}
+
 TEST(SHBGraphTest, RegionsWithSpawnsAreFlagged) {
   auto M = parseProgram(R"(
     class Obj { field v: int; }

@@ -274,10 +274,8 @@ TEST_P(PrecisionProperty, RacyLocationsAreOSAShared) {
 /// the graph that stores every access.
 void expectFilteredSHBMatchesFull(const PTAResult &PTA) {
   SharingResult OSA = runSharingAnalysis(PTA);
-  SHBOptions Filter;
-  Filter.SharedAccesses = &OSA.sharedAccesses();
   SHBGraph Full = buildSHBGraph(PTA);
-  SHBGraph Filtered = buildSHBGraph(PTA, Filter);
+  SHBGraph Filtered = buildSHBGraph(PTA, {}, &OSA);
 
   ASSERT_EQ(Filtered.numThreads(), Full.numThreads());
   EXPECT_EQ(Filtered.numAccessEvents(), Full.numAccessEvents());
