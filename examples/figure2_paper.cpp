@@ -91,7 +91,7 @@ int main() {
     outs() << "  O" << O.Id << ": "
            << (O.Kind == OriginKind::Main
                    ? "main"
-                   : (O.Class ? O.Class->getName() : std::string("?")));
+                   : (O.Class ? O.Class->getName() : StringRef("?")));
     std::vector<unsigned> Attrs = OPA->originAttributes(O.Id);
     if (!Attrs.empty()) {
       outs() << "  attrs={";

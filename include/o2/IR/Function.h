@@ -10,7 +10,9 @@
 /// Function: an ordered list of statements over locals and parameters.
 /// OIR functions are single-body (no explicit CFG): the pointer analysis
 /// is flow-insensitive and the SHB trace follows statement order, exactly
-/// the granularity at which the paper's rules are stated.
+/// the granularity at which the paper's rules are stated. Variables,
+/// globals and functions live in their Module's arena; a function's body
+/// and variables are arrays there, in order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,10 +22,7 @@
 #include "o2/IR/Stmt.h"
 #include "o2/IR/Type.h"
 
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace o2 {
 
@@ -35,12 +34,12 @@ class Module;
 /// can index variables as integers, module-wide or per function.
 class Variable {
 public:
-  Variable(std::string Name, Type *Ty, Function *Parent, unsigned Id,
+  Variable(StringRef Name, Type *Ty, Function *Parent, unsigned Id,
            unsigned Index, bool IsParam)
-      : Name(std::move(Name)), Ty(Ty), Parent(Parent), Id(Id), Index(Index),
+      : Name(Name), Ty(Ty), Parent(Parent), Id(Id), Index(Index),
         IsParam(IsParam) {}
 
-  const std::string &getName() const { return Name; }
+  StringRef getName() const { return Name; }
   Type *getType() const { return Ty; }
   Function *getFunction() const { return Parent; }
   unsigned getId() const { return Id; }
@@ -49,7 +48,7 @@ public:
   bool isParam() const { return IsParam; }
 
 private:
-  std::string Name;
+  StringRef Name;
   Type *Ty;
   Function *Parent;
   unsigned Id;
@@ -60,10 +59,10 @@ private:
 /// A global variable (Java static field / C global).
 class Global {
 public:
-  Global(std::string Name, Type *Ty, unsigned Id, bool IsAtomic = false)
-      : Name(std::move(Name)), Ty(Ty), Id(Id), IsAtomic(IsAtomic) {}
+  Global(StringRef Name, Type *Ty, unsigned Id, bool IsAtomic = false)
+      : Name(Name), Ty(Ty), Id(Id), IsAtomic(IsAtomic) {}
 
-  const std::string &getName() const { return Name; }
+  StringRef getName() const { return Name; }
   Type *getType() const { return Ty; }
   unsigned getId() const { return Id; }
 
@@ -71,7 +70,7 @@ public:
   bool isAtomic() const { return IsAtomic; }
 
 private:
-  std::string Name;
+  StringRef Name;
   Type *Ty;
   unsigned Id;
   bool IsAtomic;
@@ -81,13 +80,13 @@ private:
 /// implicit receiver named "this".
 class Function {
 public:
-  Function(std::string Name, Type *RetTy, Module &Parent, unsigned Id)
-      : Name(std::move(Name)), RetTy(RetTy), ParentModule(Parent), Id(Id) {}
+  Function(StringRef Name, Type *RetTy, Module &Parent, unsigned Id)
+      : Name(Name), RetTy(RetTy), ParentModule(Parent), Id(Id) {}
 
   Function(const Function &) = delete;
   Function &operator=(const Function &) = delete;
 
-  const std::string &getName() const { return Name; }
+  StringRef getName() const { return Name; }
   Module &getModule() const { return ParentModule; }
   unsigned getId() const { return Id; }
 
@@ -101,10 +100,10 @@ public:
 
   /// Creates a parameter. For methods, the receiver parameter "this" must
   /// be created first.
-  Variable *addParam(const std::string &ParamName, Type *Ty);
+  Variable *addParam(std::string_view ParamName, Type *Ty);
 
   /// Creates a local variable.
-  Variable *addLocal(const std::string &LocalName, Type *Ty);
+  Variable *addLocal(std::string_view LocalName, Type *Ty);
 
   /// Returns the variable that return statements write into, creating it
   /// lazily. Null if the function returns void.
@@ -113,32 +112,31 @@ public:
   /// Finds a parameter or local by name; null if absent.
   Variable *findVariable(std::string_view VarName) const;
 
-  const std::vector<Variable *> &params() const { return Params; }
-  const std::vector<std::unique_ptr<Variable>> &variables() const {
-    return Vars;
-  }
+  ArrayRef<Variable *> params() const { return Params.ref(); }
+  /// Parameters first, then locals, in creation order.
+  ArrayRef<ArenaPtr<Variable>> variables() const { return Vars.ref(); }
 
-  const std::vector<std::unique_ptr<Stmt>> &body() const { return Body; }
+  /// The statements in body order: body()[I]->getIndex() == I.
+  ArrayRef<ArenaPtr<Stmt>> body() const { return Body.ref(); }
   size_t size() const { return Body.size(); }
   bool empty() const { return Body.empty(); }
 
-  /// Appends a statement; used by IRBuilder. Takes ownership.
-  Stmt *append(std::unique_ptr<Stmt> S) {
-    Body.push_back(std::move(S));
-    return Body.back().get();
-  }
+  /// Appends \p S, made in this function's module; used by IRBuilder.
+  void append(Stmt *S);
 
 private:
-  std::string Name;
+  Variable *addVariable(std::string_view VarName, Type *Ty, bool IsParam);
+
+  StringRef Name;
   Type *RetTy;
   Module &ParentModule;
   unsigned Id;
   ClassType *Class = nullptr;
-  std::vector<Variable *> Params;
-  std::vector<std::unique_ptr<Variable>> Vars;
-  std::vector<uint32_t> VarHashes; ///< name hash of Vars[I]
+  ArenaVector<Variable *> Params;
+  ArenaVector<ArenaPtr<Variable>> Vars;
+  ArenaVector<uint32_t> VarHashes; ///< name hash of Vars[I]
   Variable *RetVar = nullptr;
-  std::vector<std::unique_ptr<Stmt>> Body;
+  ArenaVector<ArenaPtr<Stmt>> Body;
 };
 
 } // namespace o2

@@ -48,9 +48,9 @@ public:
   ArrayAllocStmt *allocArray(Variable *Target, ArrayType *Ty);
   AssignStmt *assign(Variable *Target, Variable *Source);
   FieldLoadStmt *fieldLoad(Variable *Target, Variable *Base,
-                           const std::string &FieldName);
+                           std::string_view FieldName);
   FieldLoadStmt *fieldLoad(Variable *Target, Variable *Base, Field *Fld);
-  FieldStoreStmt *fieldStore(Variable *Base, const std::string &FieldName,
+  FieldStoreStmt *fieldStore(Variable *Base, std::string_view FieldName,
                              Variable *Source);
   FieldStoreStmt *fieldStore(Variable *Base, Field *Fld, Variable *Source);
   ArrayLoadStmt *arrayLoad(Variable *Target, Variable *Base);
@@ -75,6 +75,14 @@ public:
 private:
   bool inLoop() const { return LoopDepth > 0; }
   unsigned nextIndex() const { return static_cast<unsigned>(F->size()); }
+
+  /// Appends a statement of kind \p StmtT, made in the module's arena.
+  template <typename StmtT, typename... ArgTs> StmtT *make(ArgTs &&...Args) {
+    auto *S = M.create<StmtT>(F, M.takeStmtId(), nextIndex(),
+                              std::forward<ArgTs>(Args)...);
+    F->append(S);
+    return S;
+  }
 
   Module &M;
   Function *F;

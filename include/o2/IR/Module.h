@@ -11,19 +11,25 @@
 /// ID spaces (variables, fields, globals, allocation sites, call sites,
 /// statements) that the analyses index by.
 ///
+/// The Module owns its IR in one arena: every statement, variable, field,
+/// class, array type, global and function, each function's body and
+/// variable arrays, every argument list, and one string pool for all
+/// names. Pointers, ArrayRefs and StringRefs into the IR stay valid as
+/// long as the Module; destroying it frees the slabs and runs no
+/// per-object destructor.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef O2_IR_MODULE_H
 #define O2_IR_MODULE_H
 
 #include "o2/IR/Function.h"
+#include "o2/IR/NameIndex.h"
 #include "o2/IR/Type.h"
+#include "o2/Support/Arena.h"
 
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace o2 {
@@ -41,18 +47,18 @@ public:
   IntType *getIntType() { return &IntTy; }
 
   /// Creates a class; \p Super may be null. The name must be fresh.
-  ClassType *addClass(const std::string &ClassName, ClassType *Super = nullptr);
+  ClassType *addClass(std::string_view ClassName, ClassType *Super = nullptr);
 
   /// Returns the unique array type over \p Elem.
   ArrayType *getArrayType(Type *Elem);
 
   /// Creates a global variable. The name must be fresh.
-  Global *addGlobal(const std::string &GlobalName, Type *Ty,
+  Global *addGlobal(std::string_view GlobalName, Type *Ty,
                     bool IsAtomic = false);
 
   /// Creates a free function or (when later attached via
   /// ClassType::addMethod) a method. \p RetTy may be null for void.
-  Function *addFunction(const std::string &FuncName, Type *RetTy = nullptr);
+  Function *addFunction(std::string_view FuncName, Type *RetTy = nullptr);
 
   ClassType *findClass(std::string_view ClassName) const;
   Global *findGlobal(std::string_view GlobalName) const;
@@ -64,15 +70,9 @@ public:
   /// The program entry point, conventionally named "main".
   Function *getMain() const { return findFunction("main"); }
 
-  const std::vector<std::unique_ptr<ClassType>> &classes() const {
-    return Classes;
-  }
-  const std::vector<std::unique_ptr<Global>> &globals() const {
-    return Globals;
-  }
-  const std::vector<std::unique_ptr<Function>> &functions() const {
-    return Functions;
-  }
+  ArrayRef<ArenaPtr<ClassType>> classes() const { return Classes; }
+  ArrayRef<ArenaPtr<Global>> globals() const { return Globals; }
+  ArrayRef<ArenaPtr<Function>> functions() const { return Functions; }
 
   // Dense ID space sizes (exclusive upper bounds).
   unsigned numVariables() const { return NextVarId; }
@@ -92,24 +92,37 @@ public:
   unsigned takeCallSite() { return NextCallSite++; }
   unsigned takeStmtId() { return NextStmtId++; }
 
+  /// Makes an IR object in the module's arena.
+  template <typename T, typename... ArgTs> T *create(ArgTs &&...Args) {
+    return Arena.create<T>(std::forward<ArgTs>(Args)...);
+  }
+  /// Copies \p Elems (an argument list) into the arena.
+  template <typename T> ArrayRef<T> copyArray(ArrayRef<T> Elems) {
+    return Arena.copyArray(Elems);
+  }
+  /// Copies \p S into the module's string pool.
+  StringRef saveString(std::string_view S) { return Arena.copyString(S); }
+
 private:
   std::string Name;
+  BumpAllocator Arena;
   IntType IntTy;
-  std::vector<std::unique_ptr<ClassType>> Classes;
-  std::vector<std::unique_ptr<Global>> Globals;
-  std::vector<std::unique_ptr<Function>> Functions;
-  std::map<Type *, std::unique_ptr<ArrayType>> ArrayTypes;
-  // Name indexes; the keys view the named objects' own name strings.
-  std::unordered_map<std::string_view, ClassType *> ClassByName;
-  std::unordered_map<std::string_view, Global *> GlobalByName;
+  std::vector<ArenaPtr<ClassType>> Classes;
+  std::vector<ArenaPtr<Global>> Globals;
+  std::vector<ArenaPtr<Function>> Functions;
+  NameIndex<ClassType> ClassByName;
+  NameIndex<Global> GlobalByName;
   /// Free functions only: ClassType::addMethod drops a function that
   /// becomes a method.
-  std::unordered_map<std::string_view, Function *> FunctionByName;
+  NameIndex<Function> FunctionByName;
   /// Some function was created under a name FunctionByName already held.
   bool HasShadowedFunctions = false;
 
   friend class ClassType;
+  friend class Function;
   void forgetFreeFunction(Function *F);
+  /// Where classes and functions grow their member arrays.
+  BumpAllocator &arena() { return Arena; }
 
   unsigned NextVarId = 0;
   unsigned NextFieldId = 0;

@@ -30,11 +30,11 @@
 #ifndef O2_IR_STMT_H
 #define O2_IR_STMT_H
 
+#include "o2/Support/ArrayRef.h"
 #include "o2/Support/Casting.h"
-#include "o2/Support/SmallVector.h"
+#include "o2/Support/StringRef.h"
 
 #include <cstdint>
-#include <string>
 
 namespace o2 {
 
@@ -45,8 +45,10 @@ class Function;
 class Global;
 class Variable;
 
-/// Base class for all OIR statements. Statements are owned by their
-/// Function and carry dense module-wide IDs used by the analyses.
+/// Base class for all OIR statements. Statements live in their Module's
+/// arena and carry dense module-wide IDs used by the analyses. Every kind
+/// is trivially destructible: operands are pointers, and argument lists
+/// and names are views into the same arena.
 class Stmt {
 public:
   enum StmtKind : uint8_t {
@@ -76,8 +78,6 @@ public:
   /// Position within the owning function body (SHB trace order).
   unsigned getIndex() const { return Index; }
 
-  virtual ~Stmt() = default;
-
 protected:
   Stmt(StmtKind Kind, Function *Parent, unsigned Id, unsigned Index)
       : Kind(Kind), Parent(Parent), Id(Id), Index(Index) {}
@@ -94,17 +94,17 @@ private:
 class AllocStmt : public Stmt {
 public:
   AllocStmt(Function *Parent, unsigned Id, unsigned Index, Variable *Target,
-            ClassType *AllocType, SmallVector<Variable *, 4> Args,
+            ClassType *AllocType, ArrayRef<Variable *> Args,
             unsigned Site, bool InLoop)
       : Stmt(SK_Alloc, Parent, Id, Index), Target(Target),
-        AllocType(AllocType), Args(std::move(Args)), Site(Site),
+        AllocType(AllocType), Args(Args), Site(Site),
         InLoop(InLoop) {}
 
   static bool classof(const Stmt *S) { return S->getKind() == SK_Alloc; }
 
   Variable *getTarget() const { return Target; }
   ClassType *getAllocType() const { return AllocType; }
-  const SmallVectorImpl<Variable *> &getArgs() const { return Args; }
+  ArrayRef<Variable *> getArgs() const { return Args; }
 
   /// Module-wide dense allocation-site ID.
   unsigned getSite() const { return Site; }
@@ -116,7 +116,7 @@ public:
 private:
   Variable *Target;
   ClassType *AllocType;
-  SmallVector<Variable *, 4> Args;
+  ArrayRef<Variable *> Args;
   unsigned Site;
   bool InLoop;
 };
@@ -274,11 +274,11 @@ private:
 class CallStmt : public Stmt {
 public:
   CallStmt(Function *Parent, unsigned Id, unsigned Index, Variable *Target,
-           Variable *Receiver, std::string MethodName, Function *DirectCallee,
-           SmallVector<Variable *, 4> Args, unsigned Site)
+           Variable *Receiver, StringRef MethodName, Function *DirectCallee,
+           ArrayRef<Variable *> Args, unsigned Site)
       : Stmt(SK_Call, Parent, Id, Index), Target(Target), Receiver(Receiver),
-        MethodName(std::move(MethodName)), DirectCallee(DirectCallee),
-        Args(std::move(Args)), Site(Site) {}
+        MethodName(MethodName), DirectCallee(DirectCallee),
+        Args(Args), Site(Site) {}
 
   static bool classof(const Stmt *S) { return S->getKind() == SK_Call; }
 
@@ -289,10 +289,10 @@ public:
   Variable *getReceiver() const { return Receiver; }
   bool isVirtual() const { return Receiver != nullptr; }
 
-  const std::string &getMethodName() const { return MethodName; }
+  StringRef getMethodName() const { return MethodName; }
   Function *getDirectCallee() const { return DirectCallee; }
 
-  const SmallVectorImpl<Variable *> &getArgs() const { return Args; }
+  ArrayRef<Variable *> getArgs() const { return Args; }
 
   /// Module-wide dense call-site ID (shared space with spawn sites).
   unsigned getSite() const { return Site; }
@@ -300,9 +300,9 @@ public:
 private:
   Variable *Target;
   Variable *Receiver;
-  std::string MethodName;
+  StringRef MethodName;
   Function *DirectCallee;
-  SmallVector<Variable *, 4> Args;
+  ArrayRef<Variable *> Args;
   unsigned Site;
 };
 
@@ -311,24 +311,24 @@ private:
 class SpawnStmt : public Stmt {
 public:
   SpawnStmt(Function *Parent, unsigned Id, unsigned Index, Variable *Receiver,
-            std::string EntryName, SmallVector<Variable *, 4> Args,
+            StringRef EntryName, ArrayRef<Variable *> Args,
             unsigned Site, bool InLoop)
       : Stmt(SK_Spawn, Parent, Id, Index), Receiver(Receiver),
-        EntryName(std::move(EntryName)), Args(std::move(Args)), Site(Site),
+        EntryName(EntryName), Args(Args), Site(Site),
         InLoop(InLoop) {}
 
   static bool classof(const Stmt *S) { return S->getKind() == SK_Spawn; }
 
   Variable *getReceiver() const { return Receiver; }
-  const std::string &getEntryName() const { return EntryName; }
-  const SmallVectorImpl<Variable *> &getArgs() const { return Args; }
+  StringRef getEntryName() const { return EntryName; }
+  ArrayRef<Variable *> getArgs() const { return Args; }
   unsigned getSite() const { return Site; }
   bool isInLoop() const { return InLoop; }
 
 private:
   Variable *Receiver;
-  std::string EntryName;
-  SmallVector<Variable *, 4> Args;
+  StringRef EntryName;
+  ArrayRef<Variable *> Args;
   unsigned Site;
   bool InLoop;
 };

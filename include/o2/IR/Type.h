@@ -17,22 +17,24 @@
 #ifndef O2_IR_TYPE_H
 #define O2_IR_TYPE_H
 
+#include "o2/Support/Arena.h"
 #include "o2/Support/Casting.h"
 #include "o2/Support/Compiler.h"
+#include "o2/Support/StringRef.h"
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace o2 {
 
+class ArrayType;
 class ClassType;
 class Function;
 class Module;
 
-/// Root of the OIR type hierarchy. Uses LLVM-style tagged RTTI.
+/// Root of the OIR type hierarchy. Uses LLVM-style tagged RTTI. Types
+/// live in their Module (the arena, or the module itself for int) and are
+/// trivially destructible.
 class Type {
 public:
   enum TypeKind : uint8_t {
@@ -47,16 +49,18 @@ public:
   bool isReference() const { return Kind != TK_Int; }
 
   /// Returns a short printable name ("int", class name, "T[]").
-  const std::string &getName() const { return Name; }
-
-  virtual ~Type() = default;
+  StringRef getName() const { return Name; }
 
 protected:
-  Type(TypeKind Kind, std::string Name) : Kind(Kind), Name(std::move(Name)) {}
+  Type(TypeKind Kind, StringRef Name) : Kind(Kind), Name(Name) {}
 
 private:
+  friend class Module;
+
   const TypeKind Kind;
-  std::string Name;
+  StringRef Name;
+  /// The array type over this type, once Module::getArrayType made it.
+  ArrayType *ArrayOf = nullptr;
 };
 
 /// The single scalar type. One instance per Module.
@@ -71,12 +75,11 @@ public:
 /// (class, slot); subclasses inherit fields and may not redeclare them.
 class Field {
 public:
-  Field(std::string Name, Type *Ty, ClassType *Parent, unsigned Id,
+  Field(StringRef Name, Type *Ty, ClassType *Parent, unsigned Id,
         bool IsAtomic = false)
-      : Name(std::move(Name)), Ty(Ty), Parent(Parent), Id(Id),
-        IsAtomic(IsAtomic) {}
+      : Name(Name), Ty(Ty), Parent(Parent), Id(Id), IsAtomic(IsAtomic) {}
 
-  const std::string &getName() const { return Name; }
+  StringRef getName() const { return Name; }
   Type *getType() const { return Ty; }
   ClassType *getParent() const { return Parent; }
 
@@ -89,7 +92,7 @@ public:
   bool isAtomic() const { return IsAtomic; }
 
 private:
-  std::string Name;
+  StringRef Name;
   Type *Ty;
   ClassType *Parent;
   unsigned Id;
@@ -100,9 +103,8 @@ private:
 /// virtually by name through the superclass chain (Java-style).
 class ClassType : public Type {
 public:
-  ClassType(std::string Name, ClassType *Super, Module &Parent, unsigned Id)
-      : Type(TK_Class, std::move(Name)), Super(Super), ParentModule(Parent),
-        Id(Id) {}
+  ClassType(StringRef Name, ClassType *Super, Module &Parent, unsigned Id)
+      : Type(TK_Class, Name), Super(Super), ParentModule(Parent), Id(Id) {}
 
   static bool classof(const Type *T) { return T->getKind() == TK_Class; }
 
@@ -124,7 +126,7 @@ public:
 
   /// Declares a new field on this class. The name must be fresh along the
   /// whole superclass chain.
-  Field *addField(const std::string &FieldName, Type *Ty,
+  Field *addField(std::string_view FieldName, Type *Ty,
                   bool IsAtomic = false);
 
   /// Registers \p Method (already created in the Module) as a method of
@@ -141,25 +143,24 @@ public:
   /// True if this class equals \p Other or derives from it.
   bool isSubclassOf(const ClassType *Other) const;
 
-  const std::vector<std::unique_ptr<Field>> &fields() const { return Fields; }
-  const std::vector<Function *> &methods() const { return Methods; }
+  ArrayRef<ArenaPtr<Field>> fields() const { return Fields.ref(); }
+  ArrayRef<Function *> methods() const { return Methods.ref(); }
 
 private:
   ClassType *Super;
   Module &ParentModule;
   unsigned Id;
-  std::vector<std::unique_ptr<Field>> Fields;
-  std::vector<uint32_t> FieldHashes;  ///< name hash of Fields[I]
-  std::vector<Function *> Methods;
-  std::vector<uint32_t> MethodHashes; ///< name hash of Methods[I]
+  ArenaVector<ArenaPtr<Field>> Fields;
+  ArenaVector<uint32_t> FieldHashes;  ///< name hash of Fields[I]
+  ArenaVector<Function *> Methods;
+  ArenaVector<uint32_t> MethodHashes; ///< name hash of Methods[I]
 };
 
 /// An array of a fixed element type. Element accesses are index-insensitive
 /// (the paper models all elements as one field "*").
 class ArrayType : public Type {
 public:
-  explicit ArrayType(Type *Elem)
-      : Type(TK_Array, Elem->getName() + "[]"), Elem(Elem) {}
+  ArrayType(StringRef Name, Type *Elem) : Type(TK_Array, Name), Elem(Elem) {}
 
   static bool classof(const Type *T) { return T->getKind() == TK_Array; }
 

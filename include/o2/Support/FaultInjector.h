@@ -9,14 +9,15 @@
 /// \file
 /// Deterministic fault injection for testing the driver's containment
 /// paths. The pipeline is instrumented with *named fault points* — cache
-/// IO, allocation, the parser, and the start of every analysis pass — and
+/// IO, allocation, the parser, the start of every analysis pass, and the
+/// end of each thread the SHB build traces — and
 /// a fault can be armed on any of them via `o2batch --inject-fault=` or
 /// the `O2_FAULT` environment variable:
 ///
 ///     point[@module]:nth[:action]
 ///
 ///  - `point` — a name from the catalogue (`parse`, `alloc`, `cache.read`,
-///    `cache.write`, `pass.pta` … `pass.escape`),
+///    `cache.write`, `pass.pta` … `pass.escape`, `shb.thread`),
 ///  - `@module` — optional: only hits made while analyzing the named job
 ///    count (the batch driver scopes every job with JobScope), which keeps
 ///    multi-job fleets deterministic at any `--jobs=N`,
@@ -35,6 +36,8 @@
 /// | `abort` | std::abort()                                                |
 /// | `exit`  | _Exit(13) without reporting a result                        |
 /// | `hang`  | sleep in a loop (bounded), ignoring cooperative deadlines   |
+/// | `cancel`| hit() returns true: a point that can stop its pass (only    |
+/// |         | `shb.thread`) stops it as if its deadline had passed        |
 ///
 /// Counters are per armed fault and advance only on scope-matching hits,
 /// so a spec is deterministic: the same corpus and flags fire the same
@@ -64,6 +67,7 @@ enum class FaultAction : uint8_t {
   Abort, ///< std::abort()
   Exit,  ///< _Exit(13): vanish without a result record
   Hang,  ///< sleep loop (bounded at 120s), deaf to cooperative deadlines
+  Cancel, ///< hit() returns true; the caller cancels its pass
 };
 
 /// One catalogue entry: the point's name and where in the pipeline it
@@ -96,8 +100,9 @@ public:
 
   /// Called by instrumented code at the point named \p Point. Returns
   /// normally unless an armed fault matches and fires — in which case it
-  /// throws, signals, or exits per the armed action.
-  static void hit(const char *Point);
+  /// throws, signals, or exits per the armed action. Returns true only
+  /// when a `cancel` fault fired; points that cannot cancel ignore it.
+  static bool hit(const char *Point);
 
   /// Every instrumented fault point.
   static const std::vector<FaultPointInfo> &catalogue();

@@ -102,7 +102,8 @@ static std::string stableLocation(const MemLoc &Loc, const PTAResult &PTA) {
   if (Loc.isGlobal())
     return "@" + PTA.module().globals()[Loc.globalId()]->getName();
   const ObjInfo &O = PTA.object(Loc.object());
-  std::string Out = O.AllocatedType ? O.AllocatedType->getName() : "obj";
+  std::string Out(O.AllocatedType ? O.AllocatedType->getName()
+                                   : StringRef("obj"));
   if (O.Alloc) {
     Out += "@" + O.Alloc->getFunction()->getName();
     Out += ":" + printStmt(*O.Alloc);

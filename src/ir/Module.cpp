@@ -12,34 +12,27 @@
 
 using namespace o2;
 
-/// A 32-bit FNV-1a hash of a declared name. Name lookups scan a compact
-/// array of these before comparing any string.
-static uint32_t hashName(std::string_view Name) {
-  uint32_t H = 2166136261u;
-  for (char C : Name)
-    H = (H ^ static_cast<unsigned char>(C)) * 16777619u;
-  return H;
-}
-
 //===----------------------------------------------------------------------===//
 // ClassType
 //===----------------------------------------------------------------------===//
 
-Field *ClassType::addField(const std::string &FieldName, Type *Ty,
+Field *ClassType::addField(std::string_view FieldName, Type *Ty,
                            bool IsAtomic) {
   assert(!findField(FieldName) && "field redeclared along superclass chain");
-  Fields.push_back(std::make_unique<Field>(
-      FieldName, Ty, this, ParentModule.takeFieldId(), IsAtomic));
-  FieldHashes.push_back(hashName(FieldName));
-  return Fields.back().get();
+  Module &M = ParentModule;
+  Field *Fld = M.create<Field>(M.saveString(FieldName), Ty, this,
+                               M.takeFieldId(), IsAtomic);
+  Fields.push_back(Fld, M.arena());
+  FieldHashes.push_back(hashName(FieldName), M.arena());
+  return Fld;
 }
 
 void ClassType::addMethod(Function *Method) {
   assert(Method && "null method");
   assert(!Method->isMethod() && "function already attached to a class");
   Method->setClass(this);
-  Methods.push_back(Method);
-  MethodHashes.push_back(hashName(Method->getName()));
+  Methods.push_back(Method, ParentModule.arena());
+  MethodHashes.push_back(hashName(Method->getName()), ParentModule.arena());
   ParentModule.forgetFreeFunction(Method);
 }
 
@@ -48,7 +41,7 @@ Field *ClassType::findField(std::string_view FieldName) const {
   for (const ClassType *C = this; C; C = C->Super)
     for (size_t I = 0, E = C->FieldHashes.size(); I != E; ++I)
       if (C->FieldHashes[I] == H && C->Fields[I]->getName() == FieldName)
-        return C->Fields[I].get();
+        return C->Fields[I];
   return nullptr;
 }
 
@@ -72,35 +65,34 @@ bool ClassType::isSubclassOf(const ClassType *Other) const {
 // Function
 //===----------------------------------------------------------------------===//
 
-Variable *Function::addParam(const std::string &ParamName, Type *Ty) {
-  assert(!findVariable(ParamName) && "parameter name already in use");
-  Vars.push_back(std::make_unique<Variable>(
-      ParamName, Ty, this, ParentModule.takeVarId(),
-      static_cast<unsigned>(Vars.size()), /*IsParam=*/true));
-  VarHashes.push_back(hashName(ParamName));
-  Params.push_back(Vars.back().get());
-  return Vars.back().get();
+Variable *Function::addVariable(std::string_view VarName, Type *Ty,
+                                bool IsParam) {
+  Module &M = ParentModule;
+  Variable *V = M.create<Variable>(M.saveString(VarName), Ty, this,
+                                   M.takeVarId(),
+                                   static_cast<unsigned>(Vars.size()), IsParam);
+  Vars.push_back(V, M.arena());
+  VarHashes.push_back(hashName(VarName), M.arena());
+  return V;
 }
 
-Variable *Function::addLocal(const std::string &LocalName, Type *Ty) {
+Variable *Function::addParam(std::string_view ParamName, Type *Ty) {
+  assert(!findVariable(ParamName) && "parameter name already in use");
+  Variable *V = addVariable(ParamName, Ty, /*IsParam=*/true);
+  Params.push_back(V, ParentModule.arena());
+  return V;
+}
+
+Variable *Function::addLocal(std::string_view LocalName, Type *Ty) {
   assert(!findVariable(LocalName) && "local name already in use");
-  Vars.push_back(std::make_unique<Variable>(
-      LocalName, Ty, this, ParentModule.takeVarId(),
-      static_cast<unsigned>(Vars.size()), /*IsParam=*/false));
-  VarHashes.push_back(hashName(LocalName));
-  return Vars.back().get();
+  return addVariable(LocalName, Ty, /*IsParam=*/false);
 }
 
 Variable *Function::getReturnVar() {
   if (!RetTy)
     return nullptr;
-  if (!RetVar) {
-    Vars.push_back(std::make_unique<Variable>(
-        "$ret", RetTy, this, ParentModule.takeVarId(),
-        static_cast<unsigned>(Vars.size()), /*IsParam=*/false));
-    VarHashes.push_back(hashName("$ret"));
-    RetVar = Vars.back().get();
-  }
+  if (!RetVar)
+    RetVar = addVariable("$ret", RetTy, /*IsParam=*/false);
   return RetVar;
 }
 
@@ -108,78 +100,81 @@ Variable *Function::findVariable(std::string_view VarName) const {
   const uint32_t H = hashName(VarName);
   for (size_t I = 0, E = VarHashes.size(); I != E; ++I)
     if (VarHashes[I] == H && Vars[I]->getName() == VarName)
-      return Vars[I].get();
+      return Vars[I];
   return nullptr;
+}
+
+void Function::append(Stmt *S) {
+  assert(S->getFunction() == this && S->getIndex() == Body.size() &&
+         "statements are appended in body order");
+  Body.push_back(S, ParentModule.arena());
 }
 
 //===----------------------------------------------------------------------===//
 // Module
 //===----------------------------------------------------------------------===//
 
-ClassType *Module::addClass(const std::string &ClassName, ClassType *Super) {
+ClassType *Module::addClass(std::string_view ClassName, ClassType *Super) {
   assert(!findClass(ClassName) && "class name already in use");
-  Classes.push_back(std::make_unique<ClassType>(
-      ClassName, Super, *this, static_cast<unsigned>(Classes.size())));
-  ClassType *C = Classes.back().get();
-  ClassByName.emplace(C->getName(), C);
+  ClassType *C = create<ClassType>(saveString(ClassName), Super, *this,
+                                   static_cast<unsigned>(Classes.size()));
+  Classes.push_back(C);
+  ClassByName.insert(C);
   return C;
 }
 
 ArrayType *Module::getArrayType(Type *Elem) {
-  auto &Slot = ArrayTypes[Elem];
-  if (!Slot)
-    Slot = std::make_unique<ArrayType>(Elem);
-  return Slot.get();
+  if (!Elem->ArrayOf) {
+    std::string Name = Elem->getName() + "[]";
+    Elem->ArrayOf = create<ArrayType>(saveString(Name), Elem);
+  }
+  return Elem->ArrayOf;
 }
 
-Global *Module::addGlobal(const std::string &GlobalName, Type *Ty,
+Global *Module::addGlobal(std::string_view GlobalName, Type *Ty,
                           bool IsAtomic) {
   assert(!findGlobal(GlobalName) && "global name already in use");
-  Globals.push_back(std::make_unique<Global>(
-      GlobalName, Ty, static_cast<unsigned>(Globals.size()), IsAtomic));
-  Global *G = Globals.back().get();
-  GlobalByName.emplace(G->getName(), G);
+  Global *G = create<Global>(saveString(GlobalName), Ty,
+                             static_cast<unsigned>(Globals.size()), IsAtomic);
+  Globals.push_back(G);
+  GlobalByName.insert(G);
   return G;
 }
 
-Function *Module::addFunction(const std::string &FuncName, Type *RetTy) {
-  Functions.push_back(
-      std::make_unique<Function>(FuncName, RetTy, *this, NextFuncId++));
-  Function *F = Functions.back().get();
+Function *Module::addFunction(std::string_view FuncName, Type *RetTy) {
+  Function *F =
+      create<Function>(saveString(FuncName), RetTy, *this, NextFuncId++);
+  Functions.push_back(F);
   // A later same-named free function stays behind the first one.
-  if (!FunctionByName.emplace(F->getName(), F).second)
+  if (!FunctionByName.insert(F))
     HasShadowedFunctions = true;
   return F;
 }
 
 void Module::forgetFreeFunction(Function *F) {
-  auto It = FunctionByName.find(F->getName());
-  if (It == FunctionByName.end() || It->second != F)
+  if (FunctionByName.find(F->getName()) != F)
     return;
-  FunctionByName.erase(It);
+  FunctionByName.erase(F);
   if (!HasShadowedFunctions)
     return;
   // Promote the next same-named free function, if any.
-  for (const auto &Other : Functions)
+  for (Function *Other : Functions)
     if (!Other->isMethod() && Other->getName() == F->getName()) {
-      FunctionByName.emplace(Other->getName(), Other.get());
+      FunctionByName.insert(Other);
       return;
     }
 }
 
 ClassType *Module::findClass(std::string_view ClassName) const {
-  auto It = ClassByName.find(ClassName);
-  return It == ClassByName.end() ? nullptr : It->second;
+  return ClassByName.find(ClassName);
 }
 
 Global *Module::findGlobal(std::string_view GlobalName) const {
-  auto It = GlobalByName.find(GlobalName);
-  return It == GlobalByName.end() ? nullptr : It->second;
+  return GlobalByName.find(GlobalName);
 }
 
 Function *Module::findFunction(std::string_view FuncName) const {
-  auto It = FunctionByName.find(FuncName);
-  return It == FunctionByName.end() ? nullptr : It->second;
+  return FunctionByName.find(FuncName);
 }
 
 unsigned Module::numProgramStmts() const {

@@ -345,7 +345,7 @@ private:
             return fail("expected superclass name");
           Super = &take();
         }
-        ClassType *C = M->addClass(std::string(Name));
+        ClassType *C = M->addClass(Name);
         if (Super)
           PendingSupers.emplace_back(C, Super);
         if (!skipBlock())
@@ -497,7 +497,7 @@ private:
           take();
           IsAtomic = true;
         }
-        M->addGlobal(std::string(Name), Ty, IsAtomic);
+        M->addGlobal(Name, Ty, IsAtomic);
         if (!expect(TokKind::Semi, "';'"))
           return false;
         continue;
@@ -529,7 +529,7 @@ private:
       take();
       IsAtomic = true;
     }
-    C->addField(std::string(Name), Ty, IsAtomic);
+    C->addField(Name, Ty, IsAtomic);
     return expect(TokKind::Semi, "';'");
   }
 
@@ -581,13 +581,13 @@ private:
         return false;
     }
 
-    Function *F = M->addFunction(std::string(Name), RetTy);
+    Function *F = M->addFunction(Name, RetTy);
     if (C) {
       C->addMethod(F);
       F->addParam("this", C);
     }
     for (const Param &P : Params)
-      F->addParam(std::string(P.Name), P.Ty);
+      F->addParam(P.Name, P.Ty);
     BodyOrder.push_back(F);
     return skipBlock();
   }
@@ -718,7 +718,7 @@ private:
       Type *Ty = parseType();
       if (!Ty)
         return false;
-      F->addLocal(std::string(Name), Ty);
+      F->addLocal(Name, Ty);
       return expect(TokKind::Semi, "';'");
     }
     case Kw::Loop:

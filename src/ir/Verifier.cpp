@@ -43,7 +43,7 @@ private:
   static std::string qualifiedName(const Function &F) {
     if (F.getClass())
       return F.getClass()->getName() + "::" + F.getName();
-    return F.getName();
+    return F.getName().str();
   }
 
   void checkEntryPoint() {

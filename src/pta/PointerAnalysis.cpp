@@ -327,9 +327,9 @@ private:
           // Entry names used by spawn statements are origin entries even
           // when the configuration does not list them (custom thread
           // abstractions).
-          const std::string &Entry = cast<SpawnStmt>(S).getEntryName();
+          StringRef Entry = cast<SpawnStmt>(S).getEntryName();
           if (!Spec.isEntry(Entry))
-            Spec.addEntry(Entry, OriginKind::Thread);
+            Spec.addEntry(Entry.str(), OriginKind::Thread);
           HasTargets = true;
           IsWrapper[FId] = 1;
           break;
@@ -875,9 +875,8 @@ private:
     auto [Method, Inserted] = Dispatch.tryEmplace(
         (uint64_t(Cls->getId()) << 32) | S.getId(), nullptr);
     if (Inserted) {
-      const std::string &Name = isa<CallStmt>(S)
-                                    ? cast<CallStmt>(S).getMethodName()
-                                    : cast<SpawnStmt>(S).getEntryName();
+      StringRef Name = isa<CallStmt>(S) ? cast<CallStmt>(S).getMethodName()
+                                        : cast<SpawnStmt>(S).getEntryName();
       *Method = Cls->findMethod(Name);
     }
     return *Method;

@@ -10,6 +10,7 @@
 
 #include "o2/OSA/SharingAnalysis.h"
 #include "o2/Support/Casting.h"
+#include "o2/Support/FaultInjector.h"
 #include "o2/Support/OutputStream.h"
 #include "o2/Support/U64Map.h"
 
@@ -181,7 +182,8 @@ class SHBBuilder {
 public:
   SHBBuilder(const PTAResult &PTA, const SHBOptions &Opts,
              const SharingResult *OSA, const CancellationToken *Cancel)
-      : PTA(PTA), Opts(Opts), OSA(OSA), Cancel(Cancel) {}
+      : PTA(PTA), Opts(Opts), OSA(OSA), Cancel(Cancel),
+        Skeletons(PTA.module().functions().size(), {~0u, 0}) {}
 
   SHBGraph build() {
     assert((!OSA || OSA->sharedAccesses().size() == PTA.accessTable().size()) &&
@@ -204,6 +206,10 @@ public:
       unsigned T = Queue.front();
       Queue.pop_front();
       traceThread(T);
+      // `shb.thread:K:cancel` cancels the build after the K-th thread, as
+      // a deadline would: a deterministic mid-build cancellation.
+      if (FaultInjector::hit("shb.thread"))
+        G.Cancelled = true;
     }
     resolveJoins();
     // A cancelled graph is partial and never queried: skip the tables.
@@ -270,7 +276,7 @@ private:
   /// records no event. Every other access is counted on its thread and
   /// its innermost region, and stored unless OSA's shared-access flags
   /// leave its access-table entry out.
-  void recordAccess(WalkState &S, const Access &A) {
+  void recordAccess(WalkState &S, const Access &A, uint32_t Pos) {
     if (A.Locs.empty())
       return;
     ThreadInfo &T = G.Threads[S.Thread];
@@ -282,7 +288,7 @@ private:
     if (OSA && !OSA->sharedAccesses()[&A - PTA.accessTable().data()])
       return;
     AccessEvent E;
-    E.Pos = S.Pos;
+    E.Pos = Pos;
     E.Thread = S.Thread;
     E.S = A.S;
     E.Lockset = S.CurLockset;
@@ -290,6 +296,58 @@ private:
     E.IsWrite = A.IsWrite;
     E.Locs.append(A.Locs.begin(), A.Locs.end());
     T.Accesses.push_back(std::move(E));
+  }
+
+  /// True once the build is cancelled; polls the token.
+  bool cancelled() {
+    if (!G.Cancelled && pollCancelled(Cancel))
+      G.Cancelled = true;
+    return G.Cancelled;
+  }
+
+  /// The body indices of \p F's statements that the walk acts on: lock
+  /// acquire and release, alloc and call (call nodes), spawn and join.
+  /// Built on \p F's first visit, as the range [first, second) of
+  /// SkeletonIndex; every other statement is one position in the trace.
+  std::pair<uint32_t, uint32_t> skeletonOf(const Function *F) {
+    std::pair<uint32_t, uint32_t> &Range = Skeletons[F->getId()];
+    if (Range.first != ~0u)
+      return Range;
+    Range.first = static_cast<uint32_t>(SkeletonIndex.size());
+    for (const Stmt *Stm : F->body())
+      switch (Stm->getKind()) {
+      case Stmt::SK_Acquire:
+      case Stmt::SK_Release:
+      case Stmt::SK_Alloc:
+      case Stmt::SK_Call:
+      case Stmt::SK_Spawn:
+      case Stmt::SK_Join:
+        SkeletonIndex.push_back(Stm->getIndex());
+        break;
+      default:
+        break;
+      }
+    Range.second = static_cast<uint32_t>(SkeletonIndex.size());
+    return Range;
+  }
+
+  /// Walks the statements at body indices [From, To), none of which is in
+  /// the skeleton: each takes one position, and the instance's accesses
+  /// among them (\p Next onwards) are recorded. False, with the walk
+  /// truncated, if the event cap falls before \p To.
+  bool walkRun(WalkState &S, uint32_t From, uint32_t To, const Access *&Next,
+               const Access *End) {
+    uint64_t Room = S.Pos < Opts.MaxEventsPerThread
+                        ? Opts.MaxEventsPerThread - S.Pos
+                        : 0;
+    uint32_t Stop = To - From <= Room ? To : From + uint32_t(Room);
+    for (; Next != End && Next->S->getIndex() < Stop; ++Next)
+      recordAccess(S, *Next, S.Pos + (Next->S->getIndex() - From));
+    S.Pos += Stop - From;
+    if (Stop == To)
+      return true;
+    S.Truncated = true;
+    return false;
   }
 
   void visit(const Function *F, Ctx C, WalkState &S) {
@@ -305,21 +363,24 @@ private:
       return;
     *Stamp = S.Thread + 1;
 
-    // The instance's accesses, in body order: the walk advances a cursor
-    // through them instead of decoding statements.
+    // The instance's accesses are in body order, one per access
+    // statement: the walk merges them with the skeleton instead of
+    // decoding the statements between skeleton entries.
     ArrayRef<Access> Accesses = PTA.accesses(F, C);
-    size_t NextAccess = 0;
-    for (const auto &StmtPtr : F->body()) {
-      const Stmt &Stm = *StmtPtr;
-      if (pollCancelled(Cancel)) {
-        G.Cancelled = true;
+    const Access *NextAccess = Accesses.begin();
+    ArrayRef<ArenaPtr<Stmt>> Body = F->body();
+    uint32_t At = 0; // body index of the statement at S.Pos
+    auto [First, Last] = skeletonOf(F);
+    for (uint32_t K = First; K != Last; ++K) {
+      uint32_t Index = SkeletonIndex[K];
+      if (cancelled() ||
+          !walkRun(S, At, Index, NextAccess, Accesses.end()) ||
+          S.Pos >= Opts.MaxEventsPerThread) {
         S.Truncated = true;
         return;
       }
-      if (S.Pos >= Opts.MaxEventsPerThread) {
-        S.Truncated = true;
-        return;
-      }
+      At = Index + 1;
+      const Stmt &Stm = *Body[Index];
       switch (Stm.getKind()) {
       case Stmt::SK_Acquire: {
         const auto &A = cast<AcquireStmt>(Stm);
@@ -388,12 +449,16 @@ private:
         break;
       }
       default:
-        if (NextAccess != Accesses.size() && Accesses[NextAccess].S == &Stm)
-          recordAccess(S, Accesses[NextAccess++]);
-        break;
+        O2_UNREACHABLE("not a skeleton statement");
       }
       ++S.Pos;
     }
+    if (cancelled()) {
+      S.Truncated = true;
+      return;
+    }
+    walkRun(S, At, static_cast<uint32_t>(Body.size()), NextAccess,
+            Accesses.end());
   }
 
   /// True if \p Obj may stand for several run-time objects (a joined
@@ -435,7 +500,7 @@ private:
     return Id;
   }
 
-  OriginKind kindOfEntry(const std::string &EntryName) const {
+  OriginKind kindOfEntry(StringRef EntryName) const {
     const OriginSpec &Spec = PTA.options().Spec;
     return Spec.isEntry(EntryName) ? Spec.kindOf(EntryName)
                                    : OriginKind::Thread;
@@ -476,6 +541,10 @@ private:
   std::unordered_set<uint32_t> SyncRegions;
   /// ⟨function, context⟩ key -> 1 + the last thread that inlined it.
   U64Map<uint32_t> InlinedBy;
+  /// Function ID -> its skeleton's range in SkeletonIndex; first is ~0u
+  /// until the function is first visited.
+  std::vector<std::pair<uint32_t, uint32_t>> Skeletons;
+  std::vector<uint32_t> SkeletonIndex;
   uint32_t NextRegion = 0;
 };
 

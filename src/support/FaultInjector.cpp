@@ -99,6 +99,8 @@ void fire(FaultAction A, const char *Point) {
     std::_Exit(13);
   case FaultAction::Hang:
     fireHang();
+  case FaultAction::Cancel:
+    return; // hit() reports it to the caller
   }
 }
 
@@ -119,6 +121,8 @@ bool parseAction(const std::string &Name, FaultAction &A) {
     A = FaultAction::Exit;
   else if (Name == "hang")
     A = FaultAction::Hang;
+  else if (Name == "cancel")
+    A = FaultAction::Cancel;
   else
     return false;
   return true;
@@ -171,6 +175,7 @@ const std::vector<FaultPointInfo> &FaultInjector::catalogue() {
       {"pass.oversync", "start of the over-synchronization pass"},
       {"pass.racerd", "start of the RacerD-like pass"},
       {"pass.escape", "start of the escape-analysis pass"},
+      {"shb.thread", "end of each thread the SHB build traces"},
   };
   return Points;
 }
@@ -226,7 +231,7 @@ bool FaultInjector::armFromSpec(const std::string &Spec, std::string &Err) {
   FaultAction A;
   if (!parseAction(ActionStr, A)) {
     Err = "unknown fault action '" + ActionStr +
-          "' (throw, oom, hog, segv, kill, abort, exit, hang)";
+          "' (throw, oom, hog, segv, kill, abort, exit, hang, cancel)";
     return false;
   }
 
@@ -251,10 +256,10 @@ bool FaultInjector::anyArmed() const {
   return P->Armed.load(std::memory_order_acquire);
 }
 
-void FaultInjector::hit(const char *Point) {
+bool FaultInjector::hit(const char *Point) {
   FaultInjector &I = instance();
   if (!I.P->Armed.load(std::memory_order_relaxed))
-    return;
+    return false;
 
   FaultAction Pending{};
   bool Fire = false;
@@ -276,8 +281,10 @@ void FaultInjector::hit(const char *Point) {
   }
   // Fire outside the lock: throwing through a held lock_guard is fine,
   // but `hog` allocates for a long time and signals must not hold Mu.
-  if (Fire)
-    fire(Pending, Point);
+  if (!Fire)
+    return false;
+  fire(Pending, Point);
+  return Pending == FaultAction::Cancel;
 }
 
 FaultInjector::JobScope::JobScope(const std::string &JobName)

@@ -977,6 +977,35 @@ TEST_F(ContainmentTest, EveryPassFaultPointIsWired) {
   }
 }
 
+TEST_F(ContainmentTest, MidBuildSHBCancellationIsATimeoutInSHB) {
+  // `shb.thread:1:cancel` stops the SHB build after it traced main, as a
+  // deadline would: main's access to @g is already a candidate and the
+  // spawned thread is known but untraced.
+  std::string Err;
+  auto M = parseModule(RacyProgram, Err);
+  ASSERT_TRUE(M) << Err;
+  auto PTA = runPointerAnalysis(*M, PTAOptions());
+  SharingResult Sharing = runSharingAnalysis(*PTA);
+  armOrDie("shb.thread:1:cancel");
+  SHBGraph G = buildSHBGraph(*PTA, SHBOptions(), &Sharing);
+  EXPECT_TRUE(G.cancelled());
+  ASSERT_EQ(G.numThreads(), 2u);
+  EXPECT_FALSE(G.threads()[0].Accesses.empty());
+  EXPECT_EQ(G.threads()[1].NumEvents, 0u);
+
+  FaultInjector::instance().disarm();
+  armOrDie("shb.thread:1:cancel");
+  AnalysisManager A(*M, O2Config());
+  EXPECT_FALSE(A.run(AnalysisSet::defaultSet()));
+  EXPECT_EQ(A.cancelledIn(), O2Phase::SHB);
+
+  FaultInjector::instance().disarm();
+  armOrDie("shb.thread:1:cancel");
+  JobResult R = runOneJob(sourceSpec("m", RacyProgram), BatchOptions());
+  EXPECT_EQ(R.Status, JobStatus::Timeout);
+  EXPECT_EQ(R.Phase, "shb");
+}
+
 TEST_F(ContainmentTest, ResultCacheNeverStoresCrashedOrDegradedResults) {
   ResultCache Cache(freshCacheDir("contain"));
   JobResult Out;

@@ -9,9 +9,12 @@
 #include "o2/IR/Parser.h"
 
 #include "o2/IR/Module.h"
+#include "o2/IR/Printer.h"
 #include "o2/Support/Casting.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace o2;
 
@@ -275,6 +278,60 @@ TEST(ParserTest, ErrorBadToken) {
 TEST(ParserTest, ErrorHasLineInfo) {
   std::string Err = parseErr("\n\nclass A {\n  junk\n}");
   EXPECT_EQ(Err.substr(0, 2), "4:");
+}
+
+const char *LongNamesProgram = R"(
+  class AccountRegistryEntry { field lastAccessedCounter: int; }
+  class BackgroundWorkerThread {
+    field registryEntry: AccountRegistryEntry;
+    method run() {
+      var entryOfThisWorker: AccountRegistryEntry;
+      var observedCounterValue: int;
+      entryOfThisWorker = this.registryEntry;
+      observedCounterValue = entryOfThisWorker.lastAccessedCounter;
+    }
+  }
+  global sharedRegistryEntry: AccountRegistryEntry;
+  func main() {
+    var workerOfTheMainThread: BackgroundWorkerThread;
+    var entryOfTheMainThread: AccountRegistryEntry;
+    entryOfTheMainThread = new AccountRegistryEntry;
+    @sharedRegistryEntry = entryOfTheMainThread;
+    workerOfTheMainThread = new BackgroundWorkerThread;
+    workerOfTheMainThread.registryEntry = entryOfTheMainThread;
+    spawn workerOfTheMainThread.run();
+  }
+)";
+
+TEST(ParserTest, ModuleOutlivesItsSourceText) {
+  // Names, method names and entry names are copied into the module's
+  // string pool: clobbering and freeing the text it was parsed from
+  // changes nothing the module prints.
+  std::string Expected = printModule(*parseOk(LongNamesProgram));
+  std::unique_ptr<Module> M;
+  {
+    std::string Source = LongNamesProgram;
+    M = parseOk(Source);
+    std::fill(Source.begin(), Source.end(), '#');
+  }
+  ASSERT_TRUE(M);
+  EXPECT_EQ(printModule(*M), Expected);
+  EXPECT_NE(Expected.find("workerOfTheMainThread"), std::string::npos);
+}
+
+TEST(ParserTest, ErrorAfterManyStatementsReturnsNull) {
+  // The module under construction already holds hundreds of statements
+  // when the parser fails; it is dropped whole (the sanitizer build's
+  // leak check sees nothing left behind).
+  std::string Source = "class Obj { field v: int; }\nfunc main() {\n"
+                       "  var o: Obj;\n  var x: int;\n  o = new Obj;\n";
+  constexpr unsigned NumStmts = 600;
+  for (unsigned I = 0; I != NumStmts; ++I)
+    Source += I % 2 ? "  o.v = x;\n" : "  x = o.v;\n";
+  Source += "  x = o.missing;\n}\n";
+  std::string Err = parseErr(Source);
+  EXPECT_EQ(Err.substr(0, Err.find(':')), std::to_string(NumStmts + 6))
+      << Err;
 }
 
 } // namespace

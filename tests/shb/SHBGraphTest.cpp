@@ -13,6 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 using namespace o2;
 
 namespace {
@@ -419,6 +423,220 @@ TEST(SHBGraphTest, MainlessModuleYieldsEmptyGraphNotAbort) {
   EXPECT_TRUE(G.entryMissing());
   EXPECT_FALSE(G.cancelled());
   EXPECT_EQ(G.numThreads(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Event-cap truncation. The walk jumps between the statements it acts on
+// (locks, calls, spawns, joins) and steps over the plain statements in
+// between by position arithmetic. The tables below were recorded from
+// the statement-by-statement walk it replaced, at every cap from 0 to
+// one past the longest trace: caps that fall inside a run of plain
+// statements, exactly on a call node, and between a caller's call nodes.
+//===----------------------------------------------------------------------===//
+
+const char *TruncationProgram = R"(
+  class Obj { field v: int; }
+  class Lock { }
+  class A { method m(o: Obj) { var x: int; o.v = x; x = o.v; } }
+  class B extends A {
+    method m(o: Obj) { var x: int; x = o.v; o.v = x; o.v = x; }
+  }
+  class T {
+    field o: Obj;
+    method init(o: Obj) { this.o = o; }
+    method run() { var o: Obj; var x: int; o = this.o; o.v = x; x = o.v; }
+  }
+  func helper(o: Obj) { var x: int; o.v = x; x = o.v; }
+  func main() {
+    var o: Obj;
+    var a: A;
+    var x: int;
+    var l: Lock;
+    var t: T;
+    o = new Obj;
+    l = new Lock;
+    o.v = x;
+    x = o.v;
+    acquire l;
+    o.v = x;
+    x = o.v;
+    o.v = x;
+    release l;
+    a = new A;
+    a = new B;
+    a.m(o);
+    helper(o);
+    t = new T(o);
+    spawn t.run();
+    x = o.v;
+    o.v = x;
+    join t;
+    o.v = x;
+  }
+)";
+
+/// Each thread's event count, truncation flag, and the positions of its
+/// stored accesses, acquires and spawn edges, as one line.
+std::string traceSummary(const SHBGraph &G) {
+  std::string Out;
+  for (const ThreadInfo &T : G.threads()) {
+    Out += "T" + std::to_string(T.Id) + " n=" + std::to_string(T.NumEvents) +
+           (T.Truncated ? " cut" : "") + " acc=";
+    for (const AccessEvent &E : T.Accesses)
+      Out += std::to_string(E.Pos) + ",";
+    Out += " acq=";
+    for (const AcquireEvent &E : T.Acquires)
+      Out += std::to_string(E.Pos) + ",";
+    Out += " spawn=";
+    for (const auto &[Pos, Child] : T.SpawnEdges)
+      Out += std::to_string(Pos) + ">" + std::to_string(Child) + ",";
+    Out += "; ";
+  }
+  return Out;
+}
+
+/// Builds the graph at every cap from 0 to one past the longest trace.
+std::vector<std::string> capSweep(const PTAResult &PTA) {
+  SHBGraph Full = buildSHBGraph(PTA);
+  unsigned Longest = 0;
+  for (const ThreadInfo &T : Full.threads())
+    Longest = std::max(Longest, T.NumEvents);
+  std::vector<std::string> Out;
+  for (unsigned Max = 0; Max <= Longest + 1; ++Max) {
+    SHBOptions Opts;
+    Opts.MaxEventsPerThread = Max;
+    Out.push_back(traceSummary(buildSHBGraph(PTA, Opts)));
+  }
+  return Out;
+}
+
+TEST(SHBGraphTest, EventCapInMainMatchesTheStatementWalk) {
+  // main's trace mixes plain runs with a lock region, the two targets of
+  // the virtual call a.m(o), the direct call helper(o), the constructor
+  // that new T(o) runs, a spawn and a join; the sweep cuts it in each.
+  auto M = parseProgram(TruncationProgram);
+  auto PTA = runOPA(*M);
+  const std::vector<std::string> Expected = {
+      "T0 n=0 cut acc= acq= spawn=; ",
+      "T0 n=1 cut acc= acq= spawn=; ",
+      "T0 n=2 cut acc= acq= spawn=; ",
+      "T0 n=3 cut acc=2, acq= spawn=; ",
+      "T0 n=4 cut acc=2,3, acq= spawn=; ",
+      "T0 n=5 cut acc=2,3, acq=4, spawn=; ",
+      "T0 n=6 cut acc=2,3,5, acq=4, spawn=; ",
+      "T0 n=7 cut acc=2,3,5,6, acq=4, spawn=; ",
+      "T0 n=8 cut acc=2,3,5,6,7, acq=4, spawn=; ",
+      "T0 n=9 cut acc=2,3,5,6,7, acq=4, spawn=; ",
+      "T0 n=10 cut acc=2,3,5,6,7, acq=4, spawn=; ",
+      "T0 n=11 cut acc=2,3,5,6,7, acq=4, spawn=; ",
+      "T0 n=14 cut acc=2,3,5,6,7, acq=4, spawn=; ",
+      "T0 n=15 cut acc=2,3,5,6,7,12, acq=4, spawn=; ",
+      "T0 n=16 cut acc=2,3,5,6,7,12,13, acq=4, spawn=; ",
+      "T0 n=16 cut acc=2,3,5,6,7,12,13, acq=4, spawn=; ",
+      "T0 n=17 cut acc=2,3,5,6,7,12,13,15, acq=4, spawn=; ",
+      "T0 n=18 cut acc=2,3,5,6,7,12,13,15,16, acq=4, spawn=; ",
+      "T0 n=19 cut acc=2,3,5,6,7,12,13,15,16,17, acq=4, spawn=; ",
+      "T0 n=19 cut acc=2,3,5,6,7,12,13,15,16,17, acq=4, spawn=; ",
+      "T0 n=21 cut acc=2,3,5,6,7,12,13,15,16,17, acq=4, spawn=; ",
+      "T0 n=22 cut acc=2,3,5,6,7,12,13,15,16,17,20, acq=4, spawn=; ",
+      "T0 n=23 cut acc=2,3,5,6,7,12,13,15,16,17,20,21, acq=4, spawn=; ",
+      "T0 n=23 cut acc=2,3,5,6,7,12,13,15,16,17,20,21, acq=4, spawn=; ",
+      "T0 n=25 cut acc=2,3,5,6,7,12,13,15,16,17,20,21, acq=4, spawn=; ",
+      "T0 n=26 cut acc=2,3,5,6,7,12,13,15,16,17,20,21,24, acq=4, spawn=; ",
+      "T0 n=26 cut acc=2,3,5,6,7,12,13,15,16,17,20,21,24, acq=4, spawn=; ",
+      "T0 n=27 cut acc=2,3,5,6,7,12,13,15,16,17,20,21,24, acq=4, spawn=26>1,; T1 n=3 acc=0,1,2, acq= spawn=; ",
+      "T0 n=28 cut acc=2,3,5,6,7,12,13,15,16,17,20,21,24,27, acq=4, spawn=26>1,; T1 n=3 acc=0,1,2, acq= spawn=; ",
+      "T0 n=29 cut acc=2,3,5,6,7,12,13,15,16,17,20,21,24,27,28, acq=4, spawn=26>1,; T1 n=3 acc=0,1,2, acq= spawn=; ",
+      "T0 n=30 cut acc=2,3,5,6,7,12,13,15,16,17,20,21,24,27,28, acq=4, spawn=26>1,; T1 n=3 acc=0,1,2, acq= spawn=; ",
+      "T0 n=31 acc=2,3,5,6,7,12,13,15,16,17,20,21,24,27,28,30, acq=4, spawn=26>1,; T1 n=3 acc=0,1,2, acq= spawn=; ",
+      "T0 n=31 acc=2,3,5,6,7,12,13,15,16,17,20,21,24,27,28,30, acq=4, spawn=26>1,; T1 n=3 acc=0,1,2, acq= spawn=; ",
+  };
+  EXPECT_EQ(capSweep(*PTA), Expected);
+}
+
+const char *ChildTruncationProgram = R"(
+  class Obj { field v: int; }
+  class Lock { }
+  class A { method m(o: Obj) { var x: int; o.v = x; x = o.v; } }
+  class B extends A {
+    method m(o: Obj) { var x: int; x = o.v; o.v = x; o.v = x; }
+  }
+  class C { method run() { } }
+  func helper(o: Obj) { var x: int; o.v = x; x = o.v; }
+  class T {
+    field o: Obj;
+    method init(o: Obj) { this.o = o; }
+    method run() {
+      var o: Obj;
+      var a: A;
+      var x: int;
+      var l: Lock;
+      var c: C;
+      o = this.o;
+      l = new Lock;
+      acquire l;
+      o.v = x;
+      helper(o);
+      x = o.v;
+      release l;
+      a = new A;
+      a = new B;
+      a.m(o);
+      x = o.v;
+      o.v = x;
+      c = new C;
+      spawn c.run();
+      o.v = x;
+    }
+  }
+  func main() {
+    var o: Obj;
+    var t: T;
+    var x: int;
+    o = new Obj;
+    t = new T(o);
+    spawn t.run();
+    x = o.v;
+    join t;
+    o.v = x;
+  }
+)";
+
+TEST(SHBGraphTest, EventCapInAChildMatchesTheStatementWalk) {
+  // The cap applies per thread: the child is cut inside its lock region,
+  // inside the calls it makes, and around its own spawn.
+  auto M = parseProgram(ChildTruncationProgram);
+  auto PTA = runOPA(*M);
+  const std::vector<std::string> Expected = {
+      "T0 n=0 cut acc= acq= spawn=; ",
+      "T0 n=1 cut acc= acq= spawn=; ",
+      "T0 n=3 cut acc= acq= spawn=; ",
+      "T0 n=4 cut acc=2, acq= spawn=; ",
+      "T0 n=4 cut acc=2, acq= spawn=; ",
+      "T0 n=5 cut acc=2, acq= spawn=4>1,; T1 n=6 cut acc=0,3, acq=2, spawn=; ",
+      "T0 n=6 cut acc=2,5, acq= spawn=4>1,; T1 n=7 cut acc=0,3,5, acq=2, spawn=; ",
+      "T0 n=7 cut acc=2,5, acq= spawn=4>1,; T1 n=8 cut acc=0,3,5,6, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=8 cut acc=0,3,5,6, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=9 cut acc=0,3,5,6,8, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=10 cut acc=0,3,5,6,8, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=11 cut acc=0,3,5,6,8, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=12 cut acc=0,3,5,6,8, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=15 cut acc=0,3,5,6,8, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=16 cut acc=0,3,5,6,8,13, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=17 cut acc=0,3,5,6,8,13,14, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=17 cut acc=0,3,5,6,8,13,14, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=18 cut acc=0,3,5,6,8,13,14,16, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=19 cut acc=0,3,5,6,8,13,14,16,17, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=20 cut acc=0,3,5,6,8,13,14,16,17,18, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=20 cut acc=0,3,5,6,8,13,14,16,17,18, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=21 cut acc=0,3,5,6,8,13,14,16,17,18,20, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=22 cut acc=0,3,5,6,8,13,14,16,17,18,20,21, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=23 cut acc=0,3,5,6,8,13,14,16,17,18,20,21, acq=2, spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=24 cut acc=0,3,5,6,8,13,14,16,17,18,20,21, acq=2, spawn=23>2,; T2 n=0 acc= acq= spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=25 acc=0,3,5,6,8,13,14,16,17,18,20,21,24, acq=2, spawn=23>2,; T2 n=0 acc= acq= spawn=; ",
+      "T0 n=8 acc=2,5,7, acq= spawn=4>1,; T1 n=25 acc=0,3,5,6,8,13,14,16,17,18,20,21,24, acq=2, spawn=23>2,; T2 n=0 acc= acq= spawn=; ",
+  };
+  EXPECT_EQ(capSweep(*PTA), Expected);
 }
 
 } // namespace

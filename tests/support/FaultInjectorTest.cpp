@@ -131,6 +131,7 @@ TEST_F(FaultInjectorTest, CatalogueCoversTheDriverPipeline) {
       "parse",         "alloc",       "cache.read",    "cache.write",
       "pass.pta",      "pass.osa",    "pass.shb",      "pass.race",
       "pass.deadlock", "pass.oversync", "pass.racerd", "pass.escape",
+      "shb.thread",
   };
   const auto &Cat = FaultInjector::catalogue();
   ASSERT_EQ(Cat.size(), std::size(Expected));
