@@ -123,8 +123,9 @@ struct BatchOptions {
   std::string CacheDir;
 
   /// Fault containment (`--isolate=`). Process mode forks one sandboxed
-  /// worker per job; on platforms without fork it silently degrades to
-  /// in-process execution.
+  /// worker per job; on platforms without fork it falls back to
+  /// in-process execution. Either way a job makes one attempt, and its
+  /// record is the report.
   IsolationMode Isolate = IsolationMode::InProcess;
 
   /// Worker address-space cap in MiB (`--mem-limit-mb=`, process
@@ -138,23 +139,6 @@ struct BatchOptions {
   /// hard kill. Unlike the cooperative deadline this works on workers
   /// that stopped polling entirely.
   uint64_t HardKillMs = 0;
-
-  /// Bounded retry for transient failures (`--retries=N`): a job ending
-  /// in Crashed / OOM / InternalError is re-attempted up to N extra
-  /// times with exponential backoff before its failure is reported.
-  unsigned Retries = 0;
-
-  /// First retry backoff in milliseconds (doubles per attempt, capped at
-  /// 2s). Only consulted when Retries > 0.
-  uint64_t RetryBackoffMs = 50;
-
-  /// Sound graceful degradation (`--degrade`): a job whose final outcome
-  /// is Timeout or OOM is re-queued once under a cheaper, still-sound
-  /// configuration (context-insensitive PTA — a strict over-
-  /// approximation of origin contexts — plus extra race-pair budget
-  /// slack). A degraded completion is tagged `degraded:true` with the
-  /// fallback config fingerprint in the JSONL and is never cached.
-  bool Degrade = false;
 
   /// Worker-side progress hook: called with a stage name ("setup",
   /// "parse", "verify", then each pass name) as the job enters it. The
@@ -211,15 +195,6 @@ struct JobResult {
                       ///< last stage a crashed worker reported entering.
   std::string Error;  ///< Parse/verify/internal/crash diagnostic.
   std::string Signal; ///< Crashed only: "SIGSEGV", "SIGKILL", ...
-
-  /// True when this result came from the degraded-fallback re-run (the
-  /// original attempt timed out or OOMed); DegradedConfigFP is the
-  /// fallback configuration's analysis-set fingerprint.
-  bool Degraded = false;
-  uint64_t DegradedConfigFP = 0;
-
-  /// How many extra attempts the retry policy spent before this result.
-  unsigned Retries = 0;
 
   /// Which analyses this job was asked to run; selects the JSONL
   /// sections. Overlaid from the request (never cached).
@@ -304,7 +279,8 @@ BatchResult runBatch(const std::vector<JobSpec> &Specs,
                      const BatchOptions &Opts = {});
 
 /// Runs a single spec synchronously on the calling thread, with no
-/// isolation, retry or degradation (runJobContained adds those).
+/// isolation: a job's one attempt under IsolationMode::InProcess
+/// (runOneJobIsolated is the other).
 JobResult runOneJob(const JobSpec &Spec, const BatchOptions &Opts = {});
 
 /// Fills \p R from \p AM after its run: per-pass times and counters,
@@ -325,14 +301,6 @@ void recordJob(AnalysisManager &AM, JobResult &R);
 /// runOneJob. Used by runBatch under IsolationMode::Process; exposed for
 /// tests.
 JobResult runOneJobIsolated(const JobSpec &Spec, const BatchOptions &Opts);
-
-/// The full containment policy around one job: isolated or in-process
-/// execution per Opts.Isolate, bounded retry-with-backoff for Crashed /
-/// OOM / InternalError outcomes, then the sound degraded-mode fallback
-/// for Timeout / OOM (one re-run, context-insensitive PTA, tagged
-/// degraded + never cached). This is what each runBatch pool worker
-/// executes.
-JobResult runJobContained(const JobSpec &Spec, const BatchOptions &Opts);
 
 /// Baseline for diff mode: module name -> race fingerprints, recovered
 /// from a previous JSONL report.

@@ -24,9 +24,9 @@
 /// Robustness contract: a corrupt, truncated, version-skewed, or
 /// checksum-mismatched entry degrades to a cache miss, never an error —
 /// the job simply runs cold and overwrites the entry. Only completed
-/// results (jobCompleted) from the *requested* configuration are stored:
-/// timeouts, errors, crash records, and degraded-fallback results always
-/// re-run (store() enforces this, lookup() re-checks it on replay).
+/// results (jobCompleted) are stored: timeouts, errors and crash records
+/// always re-run (store() enforces this, lookup() re-checks it on
+/// replay).
 /// Writes are atomic (temp file + rename), so concurrent fleets sharing
 /// one directory at worst redo work.
 ///
@@ -54,7 +54,7 @@ public:
 
   /// Bump when the serialized JobResult layout changes; docs/DRIVER.md
   /// lists what each version changed.
-  static constexpr uint32_t FormatVersion = 6;
+  static constexpr uint32_t FormatVersion = 7;
 
   /// Loads the entry for (ContentHash, ConfigFP) into \p Out. Returns
   /// false — and leaves \p Out untouched — on absence or any form of
@@ -63,9 +63,8 @@ public:
   bool lookup(uint64_t ContentHash, uint64_t ConfigFP, JobResult &Out) const;
 
   /// Serializes \p R under (ContentHash, ConfigFP). Refuses anything
-  /// but an undegraded completed result. Failures (unwritable
-  /// directory, full disk) are silently ignored — the cache is an
-  /// optimization.
+  /// but a completed result. Failures (unwritable directory, full disk)
+  /// are silently ignored — the cache is an optimization.
   void store(uint64_t ContentHash, uint64_t ConfigFP,
              const JobResult &R) const;
 

@@ -24,12 +24,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <unordered_map>
 
@@ -426,8 +424,7 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
     Charge(R.RecordMs);
 
     // Only settled results are worth replaying; timeouts and errors must
-    // re-run on the next fleet (store() also refuses anything else,
-    // including degraded results).
+    // re-run on the next fleet (store() also refuses anything else).
     if (HaveKey && R.Status != JobStatus::Timeout) {
       Cache.store(ContentHash, ConfigFP, R);
       Charge(R.CacheMs);
@@ -435,7 +432,7 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
   } catch (const std::bad_alloc &) {
     // Allocation failure is its own status: under a --mem-limit-mb cap
     // this *is* the OOM record, and in-process it tells the operator to
-    // re-run with --degrade or more memory rather than chase a bug.
+    // give the job more memory rather than chase a bug.
     R.Status = JobStatus::OOM;
     R.Error = "out of memory";
     R.Phase = LastStage;
@@ -454,70 +451,6 @@ JobResult o2::runOneJob(const JobSpec &Spec, const BatchOptions &Opts) {
   return R;
 }
 
-//===----------------------------------------------------------------------===//
-// Containment policy: retry + sound degradation
-//===----------------------------------------------------------------------===//
-
-/// The degraded-fallback configuration: cheaper but still *sound*.
-/// Context-insensitive points-to is a strict over-approximation of
-/// origin-sensitive points-to (merging contexts only adds may-alias
-/// facts), so every real race remains reported — the fallback trades
-/// precision (more false positives), never recall. The race-pair budget
-/// also gets slack so the cheaper abstraction is less likely to trip it.
-static O2Config degradedConfigFor(const O2Config &Cfg) {
-  O2Config D = Cfg;
-  D.PTA.Kind = ContextKind::Insensitive;
-  if (D.Detector.MaxPairChecks != ~uint64_t(0))
-    D.Detector.MaxPairChecks *= 4;
-  return D;
-}
-
-JobResult o2::runJobContained(const JobSpec &Spec, const BatchOptions &Opts) {
-  auto Attempt = [&Spec](const BatchOptions &O) {
-    return O.Isolate == IsolationMode::Process ? runOneJobIsolated(Spec, O)
-                                               : runOneJob(Spec, O);
-  };
-  auto Transient = [](JobStatus S) {
-    return S == JobStatus::Crashed || S == JobStatus::OOM ||
-           S == JobStatus::InternalError;
-  };
-
-  JobResult R = Attempt(Opts);
-
-  // Bounded retry with exponential backoff: crashes, OOMs, and internal
-  // errors may be environmental (a flaky machine, a cache race, memory
-  // pressure from a sibling). Deterministic failures simply fail
-  // Retries more times and report the same record.
-  uint64_t Backoff = Opts.RetryBackoffMs;
-  for (unsigned N = 1; N <= Opts.Retries && Transient(R.Status); ++N) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(Backoff));
-    Backoff = std::min<uint64_t>(Backoff * 2, 2000);
-    JobResult Again = Attempt(Opts);
-    Again.Retries = N;
-    R = std::move(Again);
-  }
-
-  // Sound graceful degradation: a resource-exhausted job (deadline or
-  // memory) gets one re-run under the cheaper configuration. Only a
-  // *terminal* degraded result replaces the original record, and it is
-  // never cached (the attempt below runs cache-less).
-  if (Opts.Degrade &&
-      (R.Status == JobStatus::Timeout || R.Status == JobStatus::OOM)) {
-    BatchOptions Fallback = Opts;
-    Fallback.Config = degradedConfigFor(Opts.Config);
-    Fallback.CacheDir.clear();
-    JobResult D = Attempt(Fallback);
-    if (jobCompleted(D.Status)) {
-      D.Degraded = true;
-      D.DegradedConfigFP =
-          analysisSetFingerprint(Opts.Analyses, Fallback.Config);
-      D.Retries = R.Retries;
-      R = std::move(D);
-    }
-  }
-  return R;
-}
-
 BatchResult o2::runBatch(const std::vector<JobSpec> &Specs,
                          const BatchOptions &Opts) {
   BatchResult R;
@@ -528,7 +461,9 @@ BatchResult o2::runBatch(const std::vector<JobSpec> &Specs,
     ThreadPool Pool(Opts.Jobs);
     for (size_t I = 0; I < Specs.size(); ++I)
       Pool.submit([&R, &Specs, &Opts, I] {
-        R.Jobs[I] = runJobContained(Specs[I], Opts);
+        R.Jobs[I] = Opts.Isolate == IsolationMode::Process
+                        ? runOneJobIsolated(Specs[I], Opts)
+                        : runOneJob(Specs[I], Opts);
       });
     Pool.wait();
   }
@@ -538,15 +473,11 @@ BatchResult o2::runBatch(const std::vector<JobSpec> &Specs,
       R.Jobs.begin(), R.Jobs.end(),
       [](const JobResult &A, const JobResult &B) { return A.Name < B.Name; });
 
-  uint64_t TotalRaces = 0, NumDegraded = 0, NumRetried = 0;
+  uint64_t TotalRaces = 0;
   for (const JobResult &J : R.Jobs) {
     R.Summary.add(std::string("jobs.") + jobStatusName(J.Status));
     R.Summary.merge(J.Stats);
     TotalRaces += J.Races.size();
-    if (J.Degraded)
-      ++NumDegraded;
-    if (J.Retries)
-      ++NumRetried;
     // Cache telemetry stays out of Summary: the summary is printed into
     // the JSONL aggregate record, which must be byte-identical between
     // cold and warm runs.
@@ -557,10 +488,6 @@ BatchResult o2::runBatch(const std::vector<JobSpec> &Specs,
   }
   R.Summary.set("jobs.total", R.Jobs.size());
   R.Summary.set("races.total", TotalRaces);
-  if (NumDegraded)
-    R.Summary.set("jobs.degraded", NumDegraded);
-  if (NumRetried)
-    R.Summary.set("jobs.retried", NumRetried);
   return R;
 }
 
@@ -684,12 +611,6 @@ uint64_t o2::printJobRecord(const JobResult &J, OutputStream &OS,
     W.attribute("error", J.Error);
   if (!J.Signal.empty())
     W.attribute("signal", J.Signal);
-  if (J.Degraded) {
-    W.attribute("degraded", true);
-    W.attribute("degraded-config", toHex16(J.DegradedConfigFP));
-  }
-  if (J.Retries)
-    W.attribute("retries", uint64_t(J.Retries));
   if (IncludeTimings) {
     for (unsigned K = 1; K < NumO2Phases; ++K)
       W.attribute(std::string("time.") +
@@ -905,10 +826,6 @@ void o2::printBatchSummary(const BatchResult &R, OutputStream &OS) {
         OS << " in " << J.Phase;
       OS << ")";
     }
-    if (J.Degraded)
-      OS << " [degraded]";
-    if (J.Retries)
-      OS << " [retries: " << uint64_t(J.Retries) << "]";
     if (!J.Error.empty())
       OS << ": " << J.Error;
     OS << '\n';
@@ -1068,15 +985,6 @@ static void printBatchUsage(OutputStream &OS) {
      << "  --kill-after-ms=N hard SIGTERM->SIGKILL for stuck workers "
         "(default: derived\n"
      << "                    from --deadline-ms)\n"
-     << "  --retries=N       re-attempt crashed/oom/internal-error jobs up "
-        "to N times\n"
-     << "                    with exponential backoff\n"
-     << "  --retry-backoff-ms=N  first retry backoff (default: 50, doubles, "
-        "caps at 2s)\n"
-     << "  --degrade         re-run timeout/oom jobs once under a cheaper, "
-        "still-sound\n"
-     << "                    config (0-ctx PTA); results are tagged "
-        "degraded:true\n"
      << "  --inject-fault=S  arm a deterministic fault, "
         "point[@module]:nth[:action]\n"
      << "                    (testing; see --fault-points)\n"
@@ -1145,7 +1053,7 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
       std::string V = Value();
       if (V == "process")
         Opts.Isolate = IsolationMode::Process;
-      else if (V == "none" || V == "in-process")
+      else if (V == "none")
         Opts.Isolate = IsolationMode::InProcess;
       else {
         errs() << "o2batch: unknown isolation mode '" << V << "'\n";
@@ -1157,14 +1065,6 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
     } else if (Arg.rfind("--kill-after-ms=", 0) == 0) {
       if (!Number(Opts.HardKillMs))
         return ExitError;
-    } else if (Arg.rfind("--retries=", 0) == 0) {
-      if (!Number(Opts.Retries))
-        return ExitError;
-    } else if (Arg.rfind("--retry-backoff-ms=", 0) == 0) {
-      if (!Number(Opts.RetryBackoffMs))
-        return ExitError;
-    } else if (Arg == "--degrade") {
-      Opts.Degrade = true;
     } else if (Arg.rfind("--inject-fault=", 0) == 0) {
       std::string Err;
       if (!FaultInjector::instance().armFromSpec(Value(), Err)) {
@@ -1183,7 +1083,7 @@ int o2::runBatchCommand(const std::vector<std::string> &Args) {
       BaselinePath = Value();
     } else if (Arg.rfind("--profile=", 0) == 0) {
       ProfileNames.push_back(Value());
-    } else if (Arg == "--profiles=table5" || Arg == "--profiles=all") {
+    } else if (Arg == "--profiles=table5") {
       AllProfiles = true;
     } else if (Arg == "--quiet") {
       Quiet = true;

@@ -293,8 +293,7 @@ using namespace o2;
 
 JobResult o2::runOneJobIsolated(const JobSpec &Spec,
                                 const BatchOptions &Opts) {
-  // No fork on this platform: degrade to in-process execution. The
-  // containment policy (retries, degradation) still applies.
+  // No fork on this platform: the job's one attempt runs in-process.
   return runOneJob(Spec, Opts);
 }
 

@@ -232,9 +232,6 @@ std::string wire::serializeJobResult(const JobResult &R) {
   W.put(R.Phase);
   W.put(R.Error);
   W.put(R.Signal);
-  W.putU64(R.Degraded ? 1 : 0);
-  W.putU64(R.DegradedConfigFP);
-  W.putU64(R.Retries);
   W.putU64(uint64_t(R.Cache));
   // The times as one field of IEEE-754 doubles, bit for bit.
   auto Times = timesOf(R);
@@ -284,14 +281,10 @@ bool wire::deserializeJobResult(std::string_view Payload, JobResult &R) {
   if (!Known)
     return false;
 
-  uint64_t Degraded = 0, DegradedFP = 0, Retries = 0, Cache = 0;
+  uint64_t Cache = 0;
   if (!Rd.get(R.Phase) || !Rd.get(R.Error) || !Rd.get(R.Signal) ||
-      !Rd.getU64(Degraded) || !Rd.getU64(DegradedFP) ||
-      !Rd.getU64(Retries) || !Rd.getU64(Cache) || Cache > 2)
+      !Rd.getU64(Cache) || Cache > 2)
     return false;
-  R.Degraded = Degraded != 0;
-  R.DegradedConfigFP = DegradedFP;
-  R.Retries = unsigned(Retries);
   R.Cache = JobResult::CacheOutcome(Cache);
 
   auto Times = timesOf(R);

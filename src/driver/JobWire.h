@@ -19,10 +19,10 @@
 /// indices (layouts in JobWire.cpp).
 ///
 /// The payload carries *every* status (a worker must be able to report a
-/// timeout or an OOM over the pipe) plus the containment fields (signal,
-/// degraded, retries). Policy about which statuses are acceptable lives
-/// in the consumers: the cache refuses to store or replay anything but a
-/// completed result (jobCompleted).
+/// timeout or an OOM over the pipe) plus the crash signal. Policy about
+/// which statuses are acceptable lives in the consumers: the cache
+/// refuses to store or replay anything but a completed result
+/// (jobCompleted).
 ///
 /// Internal to o2Driver — not installed under include/.
 ///

@@ -65,8 +65,8 @@ bool ResultCache::lookup(uint64_t ContentHash, uint64_t ConfigFP,
       return false;
     // The wire format carries every status (the worker pipe needs that);
     // the cache's contract is narrower. A foreign or hand-edited entry
-    // holding a non-terminal or degraded result is damage: miss.
-    if (!jobCompleted(R.Status) || R.Degraded)
+    // holding a non-terminal result is damage: miss.
+    if (!jobCompleted(R.Status))
       return false;
     Out = std::move(R);
     return true;
@@ -79,11 +79,9 @@ void ResultCache::store(uint64_t ContentHash, uint64_t ConfigFP,
                         const JobResult &R) const {
   if (!enabled())
     return;
-  // Never cache anything that must re-run: timeouts and errors (the
-  // pre-existing rule), crash records, and degraded-fallback results —
-  // a degraded answer is sound but cheaper than the requested config,
-  // and replaying it would silently pin the degradation forever.
-  if (!jobCompleted(R.Status) || R.Degraded)
+  // Never cache anything that must re-run: timeouts, errors and crash
+  // records.
+  if (!jobCompleted(R.Status))
     return;
   // The cache is an optimization: IO failures and injected cache.write
   // faults are swallowed, the job's result is already in hand.

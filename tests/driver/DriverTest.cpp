@@ -24,6 +24,7 @@
 #include "o2/Support/OutputStream.h"
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -709,8 +710,8 @@ TEST(DriverTest, DeadlineTimeoutNamesAuxPhase) {
 }
 
 //===----------------------------------------------------------------------===//
-// Crash containment: process isolation, fault injection, retries, and
-// sound degraded-mode fallback.
+// Crash containment: process isolation and fault injection. A job makes
+// one attempt, and its record is the report.
 //===----------------------------------------------------------------------===//
 
 /// Every containment test arms faults on the process-wide injector, so
@@ -765,7 +766,7 @@ TEST_F(ContainmentTest, SignalAndSilentExitVariantsAreClassified) {
 
   // A worker that vanishes without a result (exit code 13, no r: line).
   armOrDie("pass.race@gone:1:exit");
-  JobResult Gone = runJobContained(sourceSpec("gone", RacyProgram), Opts);
+  JobResult Gone = runOneJobIsolated(sourceSpec("gone", RacyProgram), Opts);
   EXPECT_EQ(Gone.Status, JobStatus::Crashed);
   EXPECT_NE(Gone.Error.find("exited with code 13"), std::string::npos)
       << Gone.Error;
@@ -775,14 +776,14 @@ TEST_F(ContainmentTest, SignalAndSilentExitVariantsAreClassified) {
   // Real signals (ASan intercepts these with its own exit path).
   FaultInjector::instance().disarm();
   armOrDie("pass.race@sv:1:segv");
-  JobResult Segv = runJobContained(sourceSpec("sv", RacyProgram), Opts);
+  JobResult Segv = runOneJobIsolated(sourceSpec("sv", RacyProgram), Opts);
   EXPECT_EQ(Segv.Status, JobStatus::Crashed);
   EXPECT_EQ(Segv.Signal, "SIGSEGV");
   EXPECT_EQ(Segv.Phase, "race");
 
   FaultInjector::instance().disarm();
   armOrDie("pass.race@ab:1:abort");
-  JobResult Abort = runJobContained(sourceSpec("ab", RacyProgram), Opts);
+  JobResult Abort = runOneJobIsolated(sourceSpec("ab", RacyProgram), Opts);
   EXPECT_EQ(Abort.Status, JobStatus::Crashed);
   EXPECT_EQ(Abort.Signal, "SIGABRT");
 #endif
@@ -869,54 +870,6 @@ TEST_F(ContainmentTest, RssCapOomYieldsOomRecordWithPartialStats) {
   EXPECT_EQ(R.Jobs[1].Status, JobStatus::Races);
   EXPECT_EQ(R.Summary.get("jobs.oom"), 1u);
   EXPECT_EQ(R.exitCode(), ExitError);
-}
-
-TEST_F(ContainmentTest, RetryRecoversFromTransientFaults) {
-  // Nth=1 semantics make the fault transient: it fires on the first
-  // attempt only, and the bounded retry turns the job around. In-process
-  // the injector's counters are global, so the retry sees them advanced.
-  armOrDie("pass.race@flaky:1:throw");
-
-  BatchOptions Opts;
-  Opts.Retries = 2;
-  Opts.RetryBackoffMs = 1;
-  BatchResult R = runBatch({sourceSpec("flaky", RacyProgram)}, Opts);
-  ASSERT_EQ(R.Jobs.size(), 1u);
-  EXPECT_EQ(R.Jobs[0].Status, JobStatus::Races);
-  EXPECT_EQ(R.Jobs[0].Retries, 1u);
-  EXPECT_EQ(R.Summary.get("jobs.retried"), 1u);
-  EXPECT_NE(renderJSONL(R).find("\"retries\":1"), std::string::npos);
-
-  // A deterministic failure just fails Retries more times and keeps the
-  // original record (with the attempt count).
-  FaultInjector::instance().disarm();
-  armOrDie("pass.race@stubborn:*:throw");
-  BatchResult S = runBatch({sourceSpec("stubborn", RacyProgram)}, Opts);
-  EXPECT_EQ(S.Jobs[0].Status, JobStatus::InternalError);
-  EXPECT_EQ(S.Jobs[0].Retries, 2u);
-  EXPECT_NE(S.Jobs[0].Error.find("injected fault"), std::string::npos);
-}
-
-TEST_F(ContainmentTest, DegradedFallbackCompletesSoundly) {
-  // First attempt OOMs in PTA; --degrade re-runs under the cheaper
-  // (context-insensitive, still sound) configuration, which must still
-  // report the race — degradation trades precision, never recall.
-  armOrDie("pass.pta@deg:1:oom");
-
-  BatchOptions Opts;
-  Opts.Degrade = true;
-  BatchResult R = runBatch({sourceSpec("deg", RacyProgram)}, Opts);
-  ASSERT_EQ(R.Jobs.size(), 1u);
-  EXPECT_EQ(R.Jobs[0].Status, JobStatus::Races);
-  EXPECT_EQ(R.Jobs[0].Races.size(), 1u);
-  EXPECT_TRUE(R.Jobs[0].Degraded);
-  EXPECT_NE(R.Jobs[0].DegradedConfigFP, 0u);
-  EXPECT_EQ(R.Summary.get("jobs.degraded"), 1u);
-  EXPECT_EQ(R.exitCode(), ExitRacesFound);
-
-  std::string Report = renderJSONL(R);
-  EXPECT_NE(Report.find("\"degraded\":true"), std::string::npos);
-  EXPECT_NE(Report.find("\"degraded-config\":\""), std::string::npos);
 }
 
 TEST_F(ContainmentTest, BadAllocIsContainedEvenInProcess) {
@@ -1026,13 +979,6 @@ TEST_F(ContainmentTest, ResultCacheNeverStoresCrashedOrDegradedResults) {
   Cache.store(5, 6, Oom);
   EXPECT_FALSE(Cache.lookup(5, 6, Out));
 
-  JobResult Degraded;
-  Degraded.Status = JobStatus::Races;
-  Degraded.Degraded = true;
-  Degraded.DegradedConfigFP = 7;
-  Cache.store(7, 8, Degraded);
-  EXPECT_FALSE(Cache.lookup(7, 8, Out));
-
   // End to end: a job that crashes every run must re-run (and re-crash)
   // on a warm directory rather than replay a poisoned entry.
   armOrDie("pass.race@boom:*:kill");
@@ -1044,24 +990,6 @@ TEST_F(ContainmentTest, ResultCacheNeverStoresCrashedOrDegradedResults) {
   BatchResult R2 = runBatch({sourceSpec("boom", RacyProgram)}, Opts);
   EXPECT_EQ(R2.CacheHits, 0u);
   EXPECT_EQ(R2.Jobs[0].Status, JobStatus::Crashed);
-}
-
-TEST_F(ContainmentTest, DegradedResultsAreNeverServedFromCache) {
-  armOrDie("pass.pta@deg:1:oom");
-  BatchOptions Opts;
-  Opts.Degrade = true;
-  Opts.CacheDir = freshCacheDir("degcache");
-
-  BatchResult R1 = runBatch({sourceSpec("deg", RacyProgram)}, Opts);
-  ASSERT_EQ(R1.Jobs.size(), 1u);
-  EXPECT_TRUE(R1.Jobs[0].Degraded);
-
-  // Fault spent: the re-run must analyze under the full configuration —
-  // a cache hit here would freeze the degraded result forever.
-  BatchResult R2 = runBatch({sourceSpec("deg", RacyProgram)}, Opts);
-  EXPECT_EQ(R2.CacheHits, 0u);
-  EXPECT_FALSE(R2.Jobs[0].Degraded);
-  EXPECT_EQ(R2.Jobs[0].Status, JobStatus::Races);
 }
 
 TEST_F(ContainmentTest, CacheIOFaultsDegradeToMisses) {
@@ -1176,11 +1104,33 @@ TEST(DriverTest, NumericFlagsAreStrict) {
   std::string Input = writeTempModule("numeric", RacyProgram);
   for (const char *Bad :
        {"--k=abc", "--jobs=abc", "--deadline-ms=-5", "--mem-limit-mb=1e3",
-        "--kill-after-ms=", "--retries=4294967296", "--retry-backoff-ms=+1"})
+        "--kill-after-ms="})
     EXPECT_EQ(runBatchCommand({Bad, "--quiet", Input}), ExitError) << Bad;
   EXPECT_EQ(runBatchCommand({"--jobs=1", "--deadline-ms=60000", "--k=1",
                              "--quiet", "--out=" + Input + ".jsonl", Input}),
             ExitRacesFound);
+}
+
+TEST(DriverTest, RetiredAndUnknownFlagsAreUsageErrors) {
+  // Removed options and aliases are unknown, not ignored: each one stops
+  // the command with a usage error before any job runs, so no report is
+  // written.
+  std::string Input = writeTempModule("retired", RacyProgram);
+  std::string Out = testing::TempDir() + "o2-drivertest-retired.jsonl";
+  for (const char *Bad :
+       {"--degrade", "--retries=1", "--retry-backoff-ms=1",
+        "--isolate=in-process", "--profiles=all", "--no-such-flag"}) {
+    std::remove(Out.c_str());
+    EXPECT_EQ(runBatchCommand({"--quiet", "--out=" + Out, Input, Bad}),
+              ExitError)
+        << Bad;
+    EXPECT_FALSE(std::filesystem::exists(Out)) << Bad;
+  }
+  // The spellings that stay still work.
+  EXPECT_EQ(runBatchCommand({"--isolate=none", "--quiet", "--out=" + Out,
+                             Input}),
+            ExitRacesFound);
+  EXPECT_TRUE(std::filesystem::exists(Out));
 }
 
 } // namespace

@@ -217,8 +217,9 @@ TEST(JobWireTest, RoundTripsRacerDRecordsAndStringTable) {
 TEST(JobWireTest, PassTimesKeepTheirWireLayout) {
   // Eight distinct pass times, PTA to Escape, in O2Phase order, then the
   // parse, cache and record stage times: one field of eleven
-  // little-endian IEEE-754 doubles. The payload is the one the format-6
-  // writer produces: no counters, an empty table and five empty packed
+  // little-endian IEEE-754 doubles. The payload is the one the format-7
+  // writer produces: the status, three empty strings and the cache
+  // outcome lead; no counters, an empty table and five empty packed
   // sections follow the times.
   JobResult R;
   R.Status = JobStatus::Races;
@@ -229,7 +230,7 @@ TEST(JobWireTest, PassTimesKeepTheirWireLayout) {
   R.CacheMs = 0.25;
   R.RecordMs = 0.125;
   const std::string Golden =
-      "5:races,0:,0:,0:,1:0,1:0,1:0,1:0,88:" + le64(0x3ff8000000000000) +
+      "5:races,0:,0:,0:,1:0,88:" + le64(0x3ff8000000000000) +
       le64(0x4002000000000000) + le64(0x4009000000000000) +
       le64(0x4010400000000000) + le64(0x4016000000000000) +
       le64(0x401b000000000000) + le64(0x401f800000000000) +
@@ -460,43 +461,19 @@ std::vector<FieldPos> fieldsOf(const std::string &Payload) {
   return Out;
 }
 
-/// \p R's payload laid out the way the format-5 writer wrote it: the
-/// races, deadlocks and over-sync regions as one decimal or string field
-/// per member, before the string table, and only the RacerD records
-/// packed.
-std::string asFormatFive(const JobResult &R) {
+/// \p R's payload laid out the way the format-6 writer wrote it: three
+/// more decimal fields (a degraded flag, a fallback configuration
+/// fingerprint and a retry count) between the crash signal and the cache
+/// outcome, each zero for a result that was neither.
+std::string asFormatSix(const JobResult &R) {
   std::string Current = wire::serializeJobResult(R);
-  std::vector<FieldPos> F = fieldsOf(Current);
-  // Status to times (nine fields), the counter count, two fields per
-  // counter: the same in both formats.
-  std::string Out =
-      Current.substr(0, F[10 + 2 * R.Stats.counters().size()].Begin);
-  auto Str = [&R](uint32_t I) { return field(R.Text[I]); };
-  Out += field(R.Races.size());
-  for (const RaceRecord &Rc : R.Races)
-    Out += field(driver::toHex16(Rc.Fingerprint)) + Str(Rc.Location) +
-           Str(Rc.StmtA) + Str(Rc.FuncA) + field(Rc.WriteA) + Str(Rc.StmtB) +
-           Str(Rc.FuncB) + field(Rc.WriteB);
-  Out += field(R.Deadlocks.size());
-  for (const DeadlockRecord &D : R.Deadlocks) {
-    Out += Str(D.Locks) + field(D.Witnesses.size());
-    for (uint32_t Wit : D.Witnesses)
-      Out += Str(Wit);
-  }
-  Out += field(R.OverSyncs.size());
-  for (const OverSyncRecord &O : R.OverSyncs)
-    Out += Str(O.Stmt) + Str(O.Function) + field(O.Thread) +
-           field(O.NumAccesses);
-  Out += field(R.Text.size());
-  for (const std::string &S : R.Text)
-    Out += field(S);
-  // The RacerD count and packed field close both formats.
-  return Out + field(R.RacerDWarnings.size()) +
-         Current.substr(F.back().Begin);
+  size_t CacheAt = fieldsOf(Current)[4].Begin;
+  return Current.substr(0, CacheAt) + field(0) + field(0) + field(0) +
+         Current.substr(CacheAt);
 }
 
 TEST(JobWireTest, PreviousFormatEntryIsAMissThatGetsOverwritten) {
-  std::string Dir = testing::TempDir() + "o2-jobwiretest-format5";
+  std::string Dir = testing::TempDir() + "o2-jobwiretest-format6";
   std::filesystem::remove_all(Dir);
   JobSpec Spec;
   Spec.Name = "racy";
@@ -510,15 +487,15 @@ TEST(JobWireTest, PreviousFormatEntryIsAMissThatGetsOverwritten) {
   ASSERT_FALSE(Cold.Jobs[0].RacerDWarnings.empty());
   std::string Golden = renderJSONL(Cold);
 
-  // Rewrite the entry as a well-formed format-5 entry of the same result.
-  std::string Payload = asFormatFive(Cold.Jobs[0]);
+  // Rewrite the entry as a well-formed format-6 entry of the same result.
+  std::string Payload = asFormatSix(Cold.Jobs[0]);
   std::string Entry;
   for (const auto &E : std::filesystem::directory_iterator(Dir))
     Entry = E.path().string();
   ASSERT_FALSE(Entry.empty());
   {
     std::ofstream Out(Entry, std::ios::trunc | std::ios::binary);
-    Out << "o2cache 5 " << driver::toHex16(driver::hashBytes(Payload))
+    Out << "o2cache 6 " << driver::toHex16(driver::hashBytes(Payload))
         << "\n"
         << Payload;
   }

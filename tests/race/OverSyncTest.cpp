@@ -234,8 +234,8 @@ TEST(OverSyncTest, ReportPrints) {
 TEST(OverSyncTest, SameRegionsUnderEveryContextKind) {
   // The pass reads the pipeline's sharing table: OSA's under origin
   // contexts, the SHB threads' under the others. Without a table there,
-  // every lock region would look as if it guarded only origin-local data,
-  // and so would --degrade's context-insensitive fallback.
+  // every lock region would look as if it guarded only origin-local data
+  // under --ctx=0-ctx.
   for (const char *Name : {"locked_account", "producer_consumer"}) {
     std::ifstream In(std::string(O2_OIR_DIR) + "/" + Name + ".oir");
     std::stringstream Src;
